@@ -1,12 +1,12 @@
 """Multiple Lyapunov functions for switched linear differential systems.
 
 Per mode k the certificate is a quadratic differential form
-``Q_k(w) = x^T Kbar_k x`` over the minimal state map, found from the
-polynomial Lyapunov equation in coefficient-matrix form:
+``Q_k(w) = x^T Kbar_k x`` over the minimal state map, with a multiplier
+``Ybar_k`` of the polynomial Lyapunov equation in coefficient-matrix form:
 
-    Xb^T Kbar Xa + Xa^T Kbar Xb - Xa^T Ybar^T Rt - Rt^T Ybar Xa  <=  0
-    A^T Kbar + Kbar A                                            <= -eps I
-    Kbar                                                         >=  eps I
+    Xb^T Kbar Xa + Xa^T Kbar Xb - Xa^T Ybar^T Rt - Rt^T Ybar Xa  <=  0     (ple)
+    A^T Kbar + Kbar A                                            <= -eps I (decay)
+    Kbar                                                         >=  eps I (pos)
 
 where ``Rt = [R_0 ... R_L]`` stacks the coefficient matrices of the kernel
 representation, ``Xa = [X_0 ... X_{L-1} 0]`` and ``Xb`` its one-block shift
@@ -18,6 +18,13 @@ re-initialisation map L the value must not increase:
 or, on the exact route, only along the mode-k eigendirections ``V_k``,
 which gives a Hermitian inequality realified as ``[[Re H, -Im H],
 [Im H, Re H]] >= 0``.
+
+The realization identity ``xi X = A X + B R`` reads ``Xb = A Xa + B Rt``, so
+with ``Ybar = B^T Kbar`` the ple expression equals ``Xa^T (A^T Kbar + Kbar A)
+Xa``, which the decay condition already bounds: the polynomial Lyapunov
+equation read in state form.  The search therefore solves for the ``Kbar_k``
+alone and stores ``Ybar_k = B_k^T Kbar_k``; ``verify_mlf`` rebuilds every
+condition, ple included, from the stored ``Kbar_k`` and ``Ybar_k``.
 """
 
 from __future__ import annotations
@@ -28,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .model import SldsModel, reinit_maps
+from .model import SldsModel
 from .sdp import DEFAULT_BUDGET, LmiProblem
-from .statespace import coefficient_matrix, eigenstructure
+from .statespace import eigenstructure, realize
 
 EPS_REL = 1e-7
 
@@ -59,21 +66,6 @@ def mode_decay_forms(model: SldsModel, kernels) -> list[np.ndarray]:
     return out
 
 
-def _mode_data(model: SldsModel):
-    """Coefficient matrices (Rt, Xa, Xb) and (A, B) per mode."""
-    data = []
-    for real in model.realizations:
-        L = int(max(real.R.degree, 1))
-        grid = L + 1
-        Rt = coefficient_matrix(real.R, grid)
-        Xa = coefficient_matrix(real.X, grid)
-        w = real.w
-        Xb = np.zeros_like(Xa)
-        Xb[:, w:] = Xa[:, :-w]
-        data.append((Rt, Xa, Xb, real.A, real.B))
-    return data
-
-
 def _realify(H: np.ndarray) -> np.ndarray:
     """Real symmetric embedding of a Hermitian matrix (same definiteness)."""
     return np.block([[H.real, -H.imag], [H.imag, H.real]])
@@ -93,12 +85,11 @@ def problem_scale(model: SldsModel) -> float:
 
 
 def _warm_start(model: SldsModel) -> dict:
-    """Per-mode Lyapunov pairs ``K = lyap(A)``, ``Ybar = B^T K``."""
+    """Per-mode Lyapunov solutions ``A^T K + K A = -I``."""
     values = {}
     for k, real in enumerate(model.realizations, start=1):
         K = scipy.linalg.solve_lyapunov(real.A.T, -np.eye(real.n))
         values[f"K{k}"] = 0.5 * (K + K.T)
-        values[f"Y{k}"] = real.B.T @ values[f"K{k}"]
     return values
 
 
@@ -115,16 +106,8 @@ def assemble_ple_lmi(
     with ``Q = Qbar X`` given and ``(Kbar, Ybar)`` unknown.  With
     ``require_positive`` an additional ``Kbar >= eps I`` constraint is added.
     """
-    from .statespace import realize
-
     real = realize(R, X)
-    L = int(max(R.degree, 1))
-    grid = L + 1
-    Rt = coefficient_matrix(R, grid)
-    Xa = coefficient_matrix(X, grid)
-    w = R.shape[1]
-    Xb = np.zeros_like(Xa)
-    Xb[:, w:] = Xa[:, :-w]
+    Rt, Xa, Xb, w = real.Rt, real.Xa, real.Xb, real.w
     Qbar = np.atleast_2d(np.asarray(Qbar, dtype=float))
     if Qbar.shape[1] != real.n:
         raise ValueError(
@@ -153,7 +136,11 @@ def assemble_ple_lmi(
 
 
 def assemble_mlf_lmis(
-    model: SldsModel, eps: float, conservative: bool = False, strict: bool = True
+    model: SldsModel,
+    eps: float,
+    conservative: bool = False,
+    strict: bool = True,
+    multipliers: bool = True,
 ) -> LmiProblem:
     """Build the feasibility problem for an MLF certificate.
 
@@ -163,30 +150,33 @@ def assemble_mlf_lmis(
     conservatism.  ``strict=False`` relaxes decay/positivity to the
     semidefinite sense, which is what storage-function certificates satisfy
     (their decay rate is a dissipation form with a nontrivial kernel).
+    ``multipliers=False`` leaves out the ``Y_k`` variables and the ``ple_k``
+    conditions, which ``Y_k = B_k^T K_k`` satisfies whenever ``decay_k``
+    holds (module docstring): that is the problem the search solves.
     """
     prob = LmiProblem()
-    data = _mode_data(model)
-    for k, (Rt, Xa, Xb, A, B) in enumerate(data, start=1):
-        n, w = A.shape[0], model.w
-        prob.add_symmetric(f"K{k}", n)
-        prob.add_matrix(f"Y{k}", w, n)
+    shift = eps if strict else 0.0
+    for k, real in enumerate(model.realizations, start=1):
+        prob.add_symmetric(f"K{k}", real.n)
 
-        def ple(v, Rt=Rt, Xa=Xa, Xb=Xb, k=k):
-            K, Y = v[f"K{k}"], v[f"Y{k}"]
-            return Xb.T @ K @ Xa + Xa.T @ K @ Xb - Xa.T @ Y.T @ Rt - Rt.T @ Y @ Xa
-
-        def decay(v, A=A, k=k):
+        def decay(v, A=real.A, k=k):
             K = v[f"K{k}"]
             return A.T @ K + K @ A
 
         def pos(v, k=k):
             return v[f"K{k}"]
 
-        shift = eps if strict else 0.0
-        prob.add_constraint(f"ple_{k}", ple, "nsd", 0.0)
+        if multipliers:
+            prob.add_matrix(f"Y{k}", real.w, real.n)
+
+            def ple(v, Rt=real.Rt, Xa=real.Xa, Xb=real.Xb, k=k):
+                K, Y = v[f"K{k}"], v[f"Y{k}"]
+                return Xb.T @ K @ Xa + Xa.T @ K @ Xb - Xa.T @ Y.T @ Rt - Rt.T @ Y @ Xa
+
+            prob.add_constraint(f"ple_{k}", ple, "nsd", 0.0)
         prob.add_constraint(f"decay_{k}", decay, "nsd", shift)
         prob.add_constraint(f"pos_{k}", pos, "psd", shift)
-    rmaps = reinit_maps(model)
+    rmaps = model.reinits
     eig = None
     if not conservative:
         eig = [
@@ -217,26 +207,28 @@ def find_mlf(
     eps: float | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> MlfCertificate:
-    """Search for an MLF certificate; check ``.feasible`` on the result."""
+    """Search for an MLF certificate; check ``.feasible`` on the result.
+
+    The search solves for the ``K_k`` alone and sets ``Y_k = B_k^T K_k``.
+    The stored margins, ``ple_k`` included, and the ``feasible`` flag are
+    those of ``verify_mlf`` on the result.
+    """
     if eps is None:
         eps = EPS_REL * problem_scale(model)
-    prob = assemble_mlf_lmis(model, eps, conservative=conservative)
+    prob = assemble_mlf_lmis(model, eps, conservative=conservative, multipliers=False)
     report = prob.solve(eps, budget=budget, warm_start=_warm_start(model))
     kernels = [report.values[f"K{k}"] for k in range(1, model.n_modes + 1)]
-    mults = [report.values[f"Y{k}"] for k in range(1, model.n_modes + 1)]
-    return MlfCertificate(
+    cert = MlfCertificate(
         route="conservative" if conservative else "exact",
         epsilon=eps,
         kernels=kernels,
-        multipliers=mults,
-        margins=report.margins,
-        solver={
-            "feasible": report.feasible,
-            "iterations": report.iterations,
-            "budget": budget,
-        },
+        multipliers=[real.B.T @ K for real, K in zip(model.realizations, kernels)],
+        margins={},
+        solver={"feasible": False, "iterations": report.iterations, "budget": budget},
         fbars=mode_decay_forms(model, kernels),
     )
+    cert.solver["feasible"], cert.margins = verify_mlf(model, cert)
+    return cert
 
 
 def verify_mlf(

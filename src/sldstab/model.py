@@ -2,8 +2,9 @@
 
 A model is a bank of square nonsingular polynomial matrices (one kernel
 representation per mode) plus gluing-condition pairs for the allowed
-transitions.  Derived data (realizations, normal-form pairs, re-initialisation
-maps) is computed lazily at construction.
+transitions.  The realizations are derived at construction; the normal form
+of the gluing pairs and the re-initialisation maps built from it are derived
+on first use and kept on the model, so each is computed once per model.
 
 Mode indices are 1-based throughout, matching the JSON schema.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +55,11 @@ class ReinitMap:
 
 @dataclass
 class SldsModel:
-    """Bank of modes plus gluing conditions, with derived normal form."""
+    """Bank of modes plus gluing conditions, with derived normal form.
+
+    The derived data assumes ``modes``, ``gluing`` and ``state_maps`` are not
+    changed after construction.
+    """
 
     modes: list[PolyMatrix]
     gluing: dict[tuple[int, int], tuple[PolyMatrix, PolyMatrix]]
@@ -96,11 +102,18 @@ class SldsModel:
     def n_modes(self) -> int:
         return len(self.modes)
 
-    def state_dims(self) -> list[int]:
-        return [r.n for r in self.realizations]
-
     def transitions(self) -> list[tuple[int, int]]:
         return sorted(self.gluing.keys())
+
+    @cached_property
+    def normal_form_pairs(self) -> dict[tuple[int, int], NormalFormPair]:
+        """``normal_form(self)``, derived on first use."""
+        return normal_form(self)
+
+    @cached_property
+    def reinits(self) -> dict[tuple[int, int], ReinitMap]:
+        """``reinit_maps(self)``, derived on first use."""
+        return reinit_maps(self)
 
 
 def _express_in_state_basis(
@@ -135,7 +148,7 @@ def normal_form(model: SldsModel) -> dict[tuple[int, int], NormalFormPair]:
 
 def is_well_posed(model: SldsModel) -> tuple[dict[tuple[int, int], bool], bool]:
     """Per-transition and global well-posedness (F+ full column rank)."""
-    nf = normal_form(model)
+    nf = model.normal_form_pairs
     verdicts = {}
     for key, pair in nf.items():
         fp = pair.f_plus
@@ -151,7 +164,7 @@ def is_well_posed(model: SldsModel) -> tuple[dict[tuple[int, int], bool], bool]:
 
 def is_consistent(model: SldsModel) -> dict[tuple[int, int], bool]:
     """True per transition iff ``range(F-) is contained in range(F+)``."""
-    nf = normal_form(model)
+    nf = model.normal_form_pairs
     out = {}
     for key, pair in nf.items():
         fm, fp = pair.f_minus, pair.f_plus
@@ -166,7 +179,7 @@ def is_consistent(model: SldsModel) -> dict[tuple[int, int], bool]:
 
 def reinit_maps(model: SldsModel) -> dict[tuple[int, int], ReinitMap]:
     """Re-initialisation maps ``L = pinv(F+) F-`` for well-posed transitions."""
-    nf = normal_form(model)
+    nf = model.normal_form_pairs
     wp, _ = is_well_posed(model)
     out = {}
     for key, pair in nf.items():

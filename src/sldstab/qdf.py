@@ -12,7 +12,6 @@ import numpy as np
 
 from .polymat import PolyMatrix, canonical_rep, vstack
 
-SYM_TOL = 1e-12
 CANONICAL_RESIDUAL_TOL = 1e-9
 
 
@@ -102,12 +101,6 @@ class TwoVarForm:
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.blocks)))
 
-    def is_symmetric(self, tol: float = SYM_TOL) -> bool:
-        return bool(
-            np.max(np.abs(self.blocks - np.transpose(self.blocks, (1, 0, 3, 2))))
-            <= tol * max(1.0, self.max_norm())
-        )
-
     def __repr__(self):
         return f"TwoVarForm(w={self.w}, grid={self.grid})"
 
@@ -127,10 +120,6 @@ class CanonicalQdf:
             raise ValueError("kernel size must match the state-map row count")
         self.state_map = state_map
         self.kernel = 0.5 * (kernel + kernel.T)
-
-    def expand(self) -> TwoVarForm:
-        """Expand back to the explicit two-variable form."""
-        return sandwich(self.state_map, self.kernel)
 
 
 def sandwich(X: PolyMatrix, K: np.ndarray) -> TwoVarForm:

@@ -17,6 +17,7 @@ Deterministic (zero or caller-supplied warm start, no randomness).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -37,6 +38,11 @@ class _VarBlock:
         if self.symmetric:
             return self.rows * (self.rows + 1) // 2
         return self.rows * self.cols
+
+    @cached_property
+    def triu(self) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the upper triangle that holds a symmetric block's parameters."""
+        return np.triu_indices(self.rows)
 
 
 @dataclass(frozen=True)
@@ -96,10 +102,9 @@ class LmiProblem:
             chunk = v[pos : pos + b.n_params]
             pos += b.n_params
             if b.symmetric:
-                M = np.zeros((b.rows, b.rows))
-                iu = np.triu_indices(b.rows)
-                M[iu] = chunk
-                M = M + M.T - np.diag(np.diag(M))
+                M = np.empty((b.rows, b.rows))
+                M[b.triu] = chunk
+                M[b.triu[::-1]] = chunk
             else:
                 M = chunk.reshape(b.rows, b.cols)
             out[b.name] = M
@@ -116,7 +121,7 @@ class LmiProblem:
                 )
             if b.symmetric:
                 M = 0.5 * (M + M.T)
-                parts.append(M[np.triu_indices(b.rows)])
+                parts.append(M[b.triu])
             else:
                 parts.append(M.ravel())
         return np.concatenate(parts) if parts else np.zeros(0)

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .mlf import MlfCertificate
-from .model import SldsModel, normal_form, reinit_maps
+from .model import SldsModel
 
 AUDIT_REL_TOL = 1e-10
 CONSISTENCY_FLAG_TOL = 1e-6
@@ -92,8 +92,8 @@ def simulate(
     mode = signal.initial_mode
     if not (1 <= mode <= model.n_modes):
         raise ValueError(f"initial mode {mode} out of range")
-    rmaps = reinit_maps(model)
-    nf = normal_form(model)
+    rmaps = model.reinits
+    nf = model.normal_form_pairs
     As = _propagators(model)
     x = np.asarray(x0, dtype=float).ravel()
     if x.shape[0] != model.realizations[mode - 1].n:

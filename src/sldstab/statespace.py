@@ -75,13 +75,21 @@ def minimal_state_map(R: PolyMatrix) -> PolyMatrix:
 
 @dataclass(frozen=True)
 class StateRealization:
-    """Companion-style realization of ``ker R(d/dt)`` over a state map X."""
+    """Companion-style realization of ``ker R(d/dt)`` over a state map X.
+
+    ``Rt``, ``Xa`` and ``Xb`` stack the coefficients of ``R``, ``X`` and
+    ``xi X`` over one monomial grid, on which ``xi X = A X + B R`` reads
+    ``Xb = A Xa + B Rt``.
+    """
 
     R: PolyMatrix
     X: PolyMatrix
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
+    Rt: np.ndarray
+    Xa: np.ndarray
+    Xb: np.ndarray
 
     @property
     def n(self) -> int:
@@ -120,7 +128,7 @@ def realize(R: PolyMatrix, X: PolyMatrix, tol: float = REALIZE_TOL) -> StateReal
     cres = np.max(np.abs(C @ Xa - Ia))
     if cres > tol * scale:
         raise ValueError(f"output map not expressible over X (residual {cres:.3e})")
-    return StateRealization(R=R, X=X, A=A, B=B, C=C)
+    return StateRealization(R=R, X=X, A=A, B=B, C=C, Rt=Rt, Xa=Xa, Xb=Xb)
 
 
 @dataclass(frozen=True)
@@ -167,9 +175,13 @@ def eigenstructure(
         if lam.imag < 0:
             continue  # handled via conjugate closure below
         M = R(lam)
+        # size of the terms summed in R(lam): rounding in the evaluation,
+        # and in the root itself, is relative to it
+        scale = sum(
+            np.linalg.norm(Ri) * abs(lam) ** i for i, Ri in enumerate(R.coeffs)
+        )
         u, s, vh = np.linalg.svd(M)
-        smax = s[0] if s.size else 0.0
-        null_dim = int(np.sum(s <= 1e-8 * max(smax, 1.0)))
+        null_dim = int(np.sum(s <= 1e-8 * scale))
         if null_dim < mult:
             raise ValueError(
                 f"defective root {lam:.6g}: algebraic multiplicity {mult}, "
@@ -183,7 +195,7 @@ def eigenstructure(
             piv = np.argmax(np.abs(wv))
             wv = wv * np.exp(-1j * np.angle(wv[piv]))
             resid = np.linalg.norm(M @ wv)
-            if resid > EIGVEC_TOL * max(1.0, np.linalg.norm(M)):
+            if resid > EIGVEC_TOL * scale:
                 raise ValueError(f"kernel residual {resid:.3e} at root {lam:.6g}")
             lams.append(lam)
             dirs.append(wv)

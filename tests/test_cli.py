@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sldstab.cli import main
@@ -16,6 +17,8 @@ CONCOND = str(MODELS / "concond.json")
 R1 = str(MODELS / "standard_scalar_r1.json")
 R2 = str(MODELS / "standard_scalar_r2.json")
 SIGNAL = str(MODELS / "elcirc_periodic.json")
+CONVERTER4 = str(MODELS / "source_converter_4mode.json")
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestCheck:
@@ -63,6 +66,13 @@ class TestCheck:
         assert main(["check", str(path)]) == 1
         out = capsys.readouterr().out
         assert "1->2" in out and "not well-posed" in out
+
+    def test_verify_only_free_multipliers(self, capsys):
+        # certificate from a search that solved for Y_k as free variables,
+        # so Y_k differs from B_k^T K_k; the ple_k re-check still accepts it
+        cert = str(DATA / "converter4_free_multipliers.cert.json")
+        assert main(["check", CONVERTER4, "--verify-only", cert]) == 0
+        assert "certificate verifies" in capsys.readouterr().out
 
     def test_unknown_tolerance_key(self, tmp_path, capsys):
         tol = tmp_path / "tol.json"
@@ -141,6 +151,20 @@ class TestPosreal:
         # emitted model re-certifies through the generic LMI route
         assert main(["check", str(model_path)]) == 0
         assert main(["posreal", "complete", "--r1", R1, "--r2", R2]) == 0
+
+    def test_mlf_with_widely_spread_roots(self, tmp_path, capsys):
+        # |r(lambda)| at the computed root -95 is rounding noise far above
+        # 1e-8 in absolute terms; the kernel test must be relative
+        r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        for path, roots in ((r1, [0.5, 3.0, 17.0, 95.0]), (r2, [1.2, 7.0, 40.0])):
+            coeffs = np.poly(-np.asarray(roots))[::-1]
+            path.write_text(json.dumps([[list(map(float, coeffs))]]))
+        assert main(["posreal", "sprcheck", "--r1", str(r1), "--r2", str(r2)]) == 0
+        cert = tmp_path / "cert.json"
+        assert main(["posreal", "mlf", "--r1", str(r1), "--r2", str(r2),
+                     "--out", str(cert)]) == 0
+        model_path = str(tmp_path / "cert_model.json")
+        assert main(["check", model_path, "--verify-only", str(cert)]) == 0
 
 
 def test_standard_model_emission(tmp_path):

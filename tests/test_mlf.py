@@ -1,3 +1,6 @@
+import copy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,9 +17,12 @@ from sldstab.mlf import (
     scan_canonical_family,
     verify_mlf,
 )
+from sldstab.model import load_model
 from sldstab.polymat import PolyMatrix
 from sldstab.qdf import qdf_derivative, qdf_mod, sandwich, two_var_from_pair
 from sldstab.statespace import minimal_state_map
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _hand_certificate(model, kernels, route="exact"):
@@ -89,6 +95,42 @@ class TestDefectiveMode:
         assert min(cert.margins.values()) < 0
 
 
+class TestExactRouteFamilyDraw:
+    def test_certified_within_small_budget(self):
+        # common-Lyapunov family draw (w = 2, 4 modes, ill-conditioned
+        # unimodular factors) on which a search over K and free Y with the
+        # ple cones ran 3,000 Newton steps without a certificate
+        model = load_model(DATA / "family_stall.json")
+        cert = find_mlf(model, budget=200)
+        assert cert.feasible
+        ok, _ = verify_mlf(model, cert)
+        assert ok
+
+
+class TestCertificateContract:
+    @pytest.mark.parametrize("conservative", [False, True])
+    def test_multipliers_and_ple_margins(self, conservative):
+        model = source_converter(4)
+        cert = find_mlf(model, conservative=conservative)
+        assert cert.feasible
+        for real, K, Y in zip(model.realizations, cert.kernels, cert.multipliers):
+            assert np.array_equal(Y, real.B.T @ K)
+        doc = certificate_to_json(cert)
+        for k, mode in enumerate(doc["modes"], start=1):
+            assert mode["margins"][f"ple_{k}"] >= cert.epsilon / 2
+
+    def test_perturbed_multiplier_rejected(self):
+        model = source_converter(4)
+        cert = find_mlf(model)
+        for k in range(model.n_modes):
+            bad = copy.deepcopy(cert)
+            bad.multipliers[k] = 1.001 * bad.multipliers[k]
+            ok, margins = verify_mlf(model, bad)
+            assert not ok
+            failing = [n for n, m in margins.items() if m < cert.epsilon / 2]
+            assert failing == [f"ple_{k + 1}"]
+
+
 class TestPleAssembly:
     def test_scalar_known_answer(self):
         # R = xi + 1, supply Q = sqrt(2): Kbar = 1, Ybar = 1
@@ -157,6 +199,13 @@ class TestFamilyScan:
             r["binding"] in ("positivity", "decay", "switch")
             for r in report["results"]
         )
+        # the ple conditions are checked and count as decay
+        for r in report["results"]:
+            m = r["margins"]
+            assert {"ple_1", "ple_2"} <= set(m)
+            assert r["group_margins"]["decay"] == min(
+                v for name, v in m.items() if name.startswith(("decay_", "ple_"))
+            )
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):

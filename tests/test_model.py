@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from sldstab import model as model_mod
 from sldstab.fixtures import concond, elcirc, exmath, source_converter
+from sldstab.mlf import find_mlf, verify_mlf
 from sldstab.model import (
     SldsModel,
     is_consistent,
@@ -14,10 +16,27 @@ from sldstab.model import (
     reinit_maps,
 )
 from sldstab.polymat import PolyMatrix
+from sldstab.sim import SwitchingSignal, simulate
 
 
 def _pm(entries):
     return PolyMatrix.from_entries(entries)
+
+
+class TestDerivedOnce:
+    def test_normal_form_reduced_once_per_model(self, monkeypatch):
+        calls = []
+        reduce = model_mod.normal_form
+        monkeypatch.setattr(
+            model_mod, "normal_form", lambda m: calls.append(m) or reduce(m)
+        )
+        model = elcirc()
+        is_well_posed(model)
+        cert = find_mlf(model)
+        assert verify_mlf(model, cert)[0]
+        signal = SwitchingSignal(initial_mode=1, events=((0.5, 2), (1.0, 1)))
+        simulate(model, signal, [1.0], 1.5, 0.1, certificate=cert)
+        assert len(calls) == 1 and calls[0] is model
 
 
 class TestCircuitModel:
