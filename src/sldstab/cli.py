@@ -159,6 +159,11 @@ def cmd_posreal(args) -> int:
     except ValueError as exc:
         print(f"no certificate: {exc}")
         return EXIT_NO_CERT
+    if not cert.feasible:
+        name = min(cert.margins, key=cert.margins.get)
+        print(f"certificate FAILS verification: worst margin "
+              f"{cert.margins[name]:.3e} ({name}); nothing written")
+        return EXIT_NO_CERT
     if args.action == "mlf":
         if args.out:
             save_certificate(cert, args.out)

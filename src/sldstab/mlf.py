@@ -37,7 +37,7 @@ import scipy.linalg
 
 from .model import SldsModel
 from .sdp import DEFAULT_BUDGET, LmiProblem
-from .statespace import eigenstructure, realize
+from .statespace import realize
 
 EPS_REL = 1e-7
 
@@ -68,7 +68,12 @@ def mode_decay_forms(model: SldsModel, kernels) -> list[np.ndarray]:
 
 def _realify(H: np.ndarray) -> np.ndarray:
     """Real symmetric embedding of a Hermitian matrix (same definiteness)."""
-    return np.block([[H.real, -H.imag], [H.imag, H.real]])
+    n = H.shape[0]
+    out = np.empty((2 * n, 2 * n))
+    out[:n, :n] = out[n:, n:] = H.real
+    out[n:, :n] = H.imag
+    out[:n, n:] = -H.imag
+    return out
 
 
 def problem_scale(model: SldsModel) -> float:
@@ -177,12 +182,7 @@ def assemble_mlf_lmis(
         prob.add_constraint(f"decay_{k}", decay, "nsd", shift)
         prob.add_constraint(f"pos_{k}", pos, "psd", shift)
     rmaps = model.reinits
-    eig = None
-    if not conservative:
-        eig = [
-            eigenstructure(model.modes[i], model.state_maps[i])
-            for i in range(model.n_modes)
-        ]
+    eig = None if conservative else model.eigenstructures
     for (k, l), rm in sorted(rmaps.items()):
         L = rm.L
         if conservative:

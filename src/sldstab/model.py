@@ -3,8 +3,9 @@
 A model is a bank of square nonsingular polynomial matrices (one kernel
 representation per mode) plus gluing-condition pairs for the allowed
 transitions.  The realizations are derived at construction; the normal form
-of the gluing pairs and the re-initialisation maps built from it are derived
-on first use and kept on the model, so each is computed once per model.
+of the gluing pairs, the re-initialisation maps built from it and each mode's
+eigenstructure are derived on first use and kept on the model, so each is
+computed once per model.
 
 Mode indices are 1-based throughout, matching the JSON schema.
 """
@@ -26,8 +27,10 @@ from .polymat import (
     polymatrix_to_json,
 )
 from .statespace import (
+    ModeEigenstructure,
     StateRealization,
     coefficient_matrix,
+    eigenstructure,
     minimal_state_map,
     realize,
 )
@@ -114,6 +117,14 @@ class SldsModel:
     def reinits(self) -> dict[tuple[int, int], ReinitMap]:
         """``reinit_maps(self)``, derived on first use."""
         return reinit_maps(self)
+
+    @cached_property
+    def eigenstructures(self) -> list[ModeEigenstructure]:
+        """Each mode's ``eigenstructure``, derived on first use.
+
+        Raises ``ValueError`` when a mode is defective; nothing is kept then.
+        """
+        return [eigenstructure(R, X) for R, X in zip(self.modes, self.state_maps)]
 
 
 def _express_in_state_basis(

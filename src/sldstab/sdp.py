@@ -3,15 +3,34 @@
 The problem is a set of named matrix variables (optionally symmetric) plus
 affine matrix-valued constraints with a semidefiniteness sense.  Constraints
 are given as plain Python callables; the affine map is recovered numerically
-by probing with basis vectors, so callers never build coefficient tensors by
-hand.
+by probing with basis vectors (each basis vector is unpacked once and fed to
+every constraint), so callers never build coefficient tensors by hand.
 
 Solving is feasibility-only: equality constraints are eliminated exactly
 through a nullspace parametrization, then a phase-I log-det barrier drives
-the worst cone violation below the acceptance threshold with damped Newton
-steps.  A ball barrier bounds the search region, since the LMI systems
+the worst cone violation ``s`` below the acceptance threshold with damped
+Newton steps.  A ball barrier bounds the search region, since the LMI systems
 produced by the Lyapunov assemblies are homogeneous in the unknowns.
-Deterministic (zero or caller-supplied warm start, no randomness).
+
+The Newton loop works on the compiled affine data alone.  Cones of equal
+size are stacked, with their coefficient matrices symmetrised once, and each
+step factors every size group with one batched Cholesky ``S = L L^T``.  With
+``W = L^{-1}`` the Hessian is ``Wf^T Wf`` over the stacked ``vec(W B_j W^T)``,
+and the line search reads the log-det off ``diag L`` (a failed factorization
+is a point outside the barrier's domain).
+
+Iterates are accepted from the compiled data too: batched eigenvalues per
+size group and the largest equality residual, under the margin rule of
+``verify``.  The closure-based ``verify`` re-checks an accepted iterate and
+the final one, and the report's margins come from it.
+
+The search stops without a certificate when a centering ends with
+``s - 2 nu / t > eps``, where ``nu`` (one plus the sum of the cone sizes) is
+the barrier parameter: the duality gap of a centred point is at most
+``nu / t``, doubled for inexact centering, so no point in the ball reaches
+the ``eps / 2`` acceptance (Boyd & Vandenberghe, *Convex Optimization*,
+2004, sections 11.3-11.4).  Deterministic (zero or caller-supplied warm start,
+no randomness).
 """
 
 from __future__ import annotations
@@ -59,6 +78,69 @@ class Constraint:
     expr: Callable[[dict], np.ndarray]
     sense: str
     shift: float = 0.0
+
+
+@dataclass(frozen=True)
+class _ConeGroup:
+    """The cones of one size ``m``, stacked: slack ``C_i + sum_j x_j B_ij``.
+
+    Signs are folded in so that every cone reads ``slack >= 0``.  The last
+    coordinate of ``x`` is the phase-I violation ``s``, whose coefficient is
+    the identity; ``offset`` turns a slack's smallest eigenvalue at ``s = 0``
+    into the constraint's margin.
+    """
+
+    C: np.ndarray  # (g, m, m), symmetric
+    B: np.ndarray  # (g, m*m, nz + 1), every B_ij symmetric
+    offset: np.ndarray  # (g,)
+
+    @classmethod
+    def stack(cls, m, cones, eps, vp, N):
+        """Stack same-size ``(constraint, c0, A)`` cones over ``v = vp + N z``."""
+        g, nz = len(cones), N.shape[1]
+        shift = np.array([c.shift for c, _, _ in cones])
+        sgn = np.array([1.0 if c.sense == "psd" else -1.0 for c, _, _ in cones])
+        c0 = np.array([c0 for _, c0, _ in cones])
+        A = np.array([A for _, _, A in cones])
+        # required eigenvalue level after the sign flip; the eps bump on
+        # strict constraints leaves headroom over the eps/2 acceptance
+        rho = np.where(shift > 0, shift + eps, 0.0)
+        C = sgn[:, None, None] * (c0 + A @ vp).reshape(g, m, m)
+        C = 0.5 * (C + C.transpose(0, 2, 1)) - rho[:, None, None] * np.eye(m)
+        Bz = sgn[:, None, None, None] * (A @ N).reshape(g, m, m, nz)
+        B = np.empty((g, m, m, nz + 1))
+        B[..., :nz] = 0.5 * (Bz + Bz.transpose(0, 2, 1, 3))
+        B[..., nz] = np.eye(m)
+        # verify's margin: lambda_min + rho - shift, plus eps if non-strict
+        offset = rho - shift + np.where(shift == 0.0, eps, 0.0)
+        return cls(C, B.reshape(g, m * m, nz + 1), offset)
+
+    @property
+    def size(self) -> int:
+        """Sum of the cone sizes, the group's share of the barrier parameter."""
+        return self.C.shape[0] * self.C.shape[1]
+
+    def slack(self, x: np.ndarray) -> np.ndarray:
+        g, m, _ = self.C.shape
+        return self.C + (self.B @ x).reshape(g, m, m)
+
+    def min_eig(self, z: np.ndarray) -> np.ndarray:
+        """Smallest eigenvalue of each slack at ``(z, s = 0)``."""
+        return np.linalg.eigvalsh(self.slack(np.append(z, 0.0)))[:, 0]
+
+    def barrier_terms(self, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian factor of ``-sum_i log det slack_i``.
+
+        ``L`` holds the slacks' Cholesky factors.  With ``W = L_i^{-1}`` the
+        rows ``vec(W B_ij W^T)`` give the Hessian as ``rows^T rows`` and the
+        gradient as minus their traces.
+        """
+        g, m, _ = L.shape
+        W = np.linalg.inv(L)
+        kron = W[:, :, None, :, None] * W[:, None, :, None, :]  # W (x) W
+        rows = kron.reshape(g, m * m, m * m) @ self.B
+        grad = -np.trace(rows.reshape(g, m, m, -1), axis1=1, axis2=2).sum(axis=0)
+        return grad, rows.reshape(g * m * m, -1)
 
 
 @dataclass
@@ -136,14 +218,14 @@ class LmiProblem:
             C0 = np.asarray(c.expr(zero_vals), dtype=float)
             if C0.ndim != 2 or C0.shape[0] != C0.shape[1]:
                 raise ValueError(f"constraint '{c.name}' is not square")
-            m = C0.shape[0]
-            A = np.zeros((m * m, npar))
-            for i in range(npar):
-                e = np.zeros(npar)
-                e[i] = 1.0
-                Ci = np.asarray(c.expr(self._unpack(e)), dtype=float) - C0
-                A[:, i] = Ci.ravel()
-            compiled.append((c, C0.ravel(), A, m))
+            compiled.append((c, C0.ravel(), np.zeros((C0.size, npar)), C0.shape[0]))
+        # one unpacked basis vector serves every constraint
+        for i in range(npar):
+            e = np.zeros(npar)
+            e[i] = 1.0
+            vals = self._unpack(e)
+            for c, c0, A, _ in compiled:
+                A[:, i] = np.asarray(c.expr(vals), dtype=float).ravel() - c0
         return compiled
 
     # -- margins -------------------------------------------------------------
@@ -178,28 +260,27 @@ class LmiProblem:
         Introduces a scalar ``s`` bounding the worst cone violation and
         minimizes ``t*s`` plus log-det barriers on the shifted slacks for an
         increasing sequence of ``t``; each centering is a damped Newton
-        iteration.  ``budget`` caps the total number of Newton steps.
-        Returns a report whose ``feasible`` flag is set only after an
-        independent margin re-check (all margins >= eps / 2).
+        iteration.  ``budget`` caps the total number of Newton steps, and the
+        search stops early once the duality-gap bound shows that no point in
+        the search ball can be accepted (module docstring).  Returns a report
+        whose ``feasible`` flag is set only after an independent margin
+        re-check (all margins >= eps / 2).
         """
         compiled = self._compile()
         v0 = self._pack(warm_start) if warm_start else np.zeros(self.n_params)
         npar = self.n_params
 
-        eq_rows, eq_rhs, cones = [], [], []
+        eq_rows, eq_rhs, cones = [], [], {}
         for c, c0, A, m in compiled:
             if c.sense == "zero":
                 eq_rows.append(A)
                 eq_rhs.append(c0)
             else:
-                sgn = 1.0 if c.sense == "psd" else -1.0
-                # required eigenvalue level after sign flip; the eps bump on
-                # strict constraints leaves headroom over the eps/2 acceptance
-                rho = c.shift + eps if c.shift > 0 else 0.0
-                cones.append((sgn, rho, c0, A, m))
+                cones.setdefault(m, []).append((c, c0, A))
         if eq_rows:
             Aeq = np.vstack(eq_rows)
-            vp, *_ = np.linalg.lstsq(Aeq, -np.concatenate(eq_rhs), rcond=None)
+            beq = np.concatenate(eq_rhs)
+            vp, *_ = np.linalg.lstsq(Aeq, -beq, rcond=None)
             N = scipy.linalg.null_space(Aeq)
             z = N.T @ (v0 - vp)
         else:
@@ -207,69 +288,69 @@ class LmiProblem:
             N = np.eye(npar)
             z = v0.copy()
         nz = N.shape[1]
-
-        blocks = []
-        for sgn, rho, c0, A, m in cones:
-            C = sgn * (c0 + A @ vp).reshape(m, m) - rho * np.eye(m)
-            blocks.append((0.5 * (C + C.T), sgn * (A @ N), m))
-
-        def check(z):
-            values = self._unpack(vp + N @ z)
-            margins = self.verify(values, eps)
-            return min(margins.values(), default=eps) >= eps / 2, values, margins
+        groups = [
+            _ConeGroup.stack(m, same_size, eps, vp, N)
+            for m, same_size in sorted(cones.items())
+        ]
+        nu = 1.0 + sum(g.size for g in groups)
 
         it = 0
-        ok, values, margins = check(z)
-        if ok or not blocks or nz == 0:
-            return SolveReport(feasible=ok, iterations=0, margins=margins, values=values)
+
+        def report(x) -> SolveReport:
+            values = self._unpack(vp + N @ x[:nz])
+            margins = self.verify(values, eps)
+            ok = min(margins.values(), default=eps) >= eps / 2
+            return SolveReport(
+                feasible=ok, iterations=it, margins=margins, values=values
+            )
+
+        def accepted(x) -> bool:
+            """The margin rule of ``verify``, evaluated on the compiled data."""
+            if any(np.min(g.min_eig(x[:nz]) + g.offset) < eps / 2 for g in groups):
+                return False
+            if eq_rows:
+                resid = Aeq @ (vp + N @ x[:nz]) + beq
+                return bool(np.max(np.abs(resid), initial=0.0) <= eps / 2)
+            return True
+
+        x = np.append(z, 0.0)
+        if accepted(x) and (rep := report(x)).feasible:
+            return rep
+        if not groups or nz == 0:
+            return report(x)
 
         radius_sq = (1e3 * (1.0 + np.linalg.norm(z) + np.linalg.norm(vp))) ** 2
-        lam_min = min(
-            np.linalg.eigvalsh(C + 0.5 * ((B @ z).reshape(m, m) + (B @ z).reshape(m, m).T))[0]
-            for C, B, m in blocks
-        )
-        s = 1.5 * max(0.0, -lam_min) + 0.1 * max(1e-6, abs(lam_min))
+        lam_min = min(np.min(g.min_eig(z)) for g in groups)
+        x[nz] = 1.5 * max(0.0, -lam_min) + 0.1 * max(1e-6, abs(lam_min))
         t = 1.0
 
-        def objective(z, s):
-            ball = radius_sq - z @ z
-            if ball <= 0.0:
-                return np.inf
-            total = t * s - np.log(ball)
-            for C, B, m in blocks:
-                S = C + (B @ z).reshape(m, m) + s * np.eye(m)
-                S = 0.5 * (S + S.T)
-                if np.linalg.eigvalsh(S)[0] <= 0.0:
-                    return np.inf
-                total -= np.linalg.slogdet(S)[1]
-            return total
+        def factor(x):
+            """Cholesky factors of every group's slack, or None off the domain."""
+            try:
+                return [np.linalg.cholesky(g.slack(x)) for g in groups]
+            except np.linalg.LinAlgError:
+                return None
 
+        def objective(x, Ls):
+            ball = radius_sq - x[:nz] @ x[:nz]
+            if Ls is None or ball <= 0.0:
+                return np.inf
+            logdet = sum(np.log(np.diagonal(L, axis1=1, axis2=2)).sum() for L in Ls)
+            return t * x[nz] - np.log(ball) - 2.0 * logdet
+
+        Ls = factor(x)
         while it < budget and t <= 1e18:
             while it < budget:
                 it += 1
-                grad = np.zeros(nz + 1)
-                hess = np.zeros((nz + 1, nz + 1))
-                in_domain = True
-                for C, B, m in blocks:
-                    S = C + (B @ z).reshape(m, m) + s * np.eye(m)
-                    S = 0.5 * (S + S.T)
-                    try:
-                        chol = np.linalg.cholesky(S)
-                    except np.linalg.LinAlgError:
-                        in_domain = False
-                        break
-                    Sinv = scipy.linalg.cho_solve((chol, True), np.eye(m))
-                    grad[:nz] -= Sinv.ravel() @ B
-                    grad[nz] -= np.trace(Sinv)
-                    SB = np.einsum("ab,bcj->acj", Sinv, B.reshape(m, m, nz))
-                    hess[:nz, :nz] += np.einsum("abj,bak->jk", SB, SB)
-                    cross = np.einsum("abj,ba->j", SB, Sinv)
-                    hess[:nz, nz] += cross
-                    hess[nz, :nz] += cross
-                    hess[nz, nz] += np.sum(Sinv * Sinv)
-                if not in_domain:
-                    s *= 2.0
+                if Ls is None:
+                    x[nz] *= 2.0
+                    Ls = factor(x)
                     continue
+                terms = [g.barrier_terms(L) for g, L in zip(groups, Ls)]
+                grad = sum(g_i for g_i, _ in terms)
+                Wf = np.concatenate([rows for _, rows in terms])
+                hess = Wf.T @ Wf
+                z = x[:nz]
                 ball = radius_sq - z @ z
                 grad[:nz] += 2.0 * z / ball
                 hess[:nz, :nz] += (2.0 / ball) * np.eye(nz) + np.outer(
@@ -281,24 +362,25 @@ class LmiProblem:
                 except np.linalg.LinAlgError:
                     step, *_ = np.linalg.lstsq(hess, -grad, rcond=None)
                 decrement = -grad @ step
-                f0 = objective(z, s)
+                f0 = objective(x, Ls)
                 alpha = 1.0
-                while alpha > 1e-13:
-                    if objective(z + alpha * step[:nz], s + alpha * step[nz]) < f0:
+                while True:
+                    trial = x + alpha * step
+                    trial_Ls = factor(trial)
+                    if objective(trial, trial_Ls) < f0 or alpha <= 1e-13:
                         break
                     alpha *= 0.5
-                z = z + alpha * step[:nz]
-                s = s + alpha * step[nz]
-                ok, values, margins = check(z)
-                if ok:
-                    return SolveReport(
-                        feasible=True, iterations=it, margins=margins, values=values
-                    )
+                x, Ls = trial, trial_Ls
+                if accepted(x) and (rep := report(x)).feasible:
+                    return rep
                 if decrement < 0.1:
                     break
+            # stall rule: at a centred point, s - 2 nu / t is below every s
+            # that a point in the ball reaches
+            if it >= budget or x[nz] - 2.0 * nu / t > eps:
+                break
             t *= 20.0
-        ok, values, margins = check(z)
-        return SolveReport(feasible=ok, iterations=it, margins=margins, values=values)
+        return report(x)
 
     def verify(self, values: dict, eps: float) -> dict:
         """Margins of every constraint at the given variable values."""

@@ -166,6 +166,23 @@ class TestPosreal:
         model_path = str(tmp_path / "cert_model.json")
         assert main(["check", model_path, "--verify-only", str(cert)]) == 0
 
+    def test_unverified_certificate_not_written(self, tmp_path, capsys):
+        # closely clustered roots: the storage kernel's switch margin falls
+        # below -eps, so neither action may report success or write a file
+        r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        for path, roots in ((r1, [3.5, 4.5, 7.0, 10.0]), (r2, [4.0, 5.5, 9.5])):
+            coeffs = np.poly(-np.asarray(roots))[::-1]
+            path.write_text(json.dumps([[list(map(float, coeffs))]]))
+        io_args = ["--r1", str(r1), "--r2", str(r2)]
+        assert main(["posreal", "sprcheck"] + io_args) == 0
+        for action in ("mlf", "complete"):
+            out = tmp_path / f"{action}.json"
+            capsys.readouterr()
+            assert main(["posreal", action] + io_args + ["--out", str(out)]) == 2
+            assert "certificate FAILS verification" in capsys.readouterr().out
+            assert not out.exists()
+        assert not (tmp_path / "mlf_model.json").exists()
+
 
 def test_standard_model_emission(tmp_path):
     out = tmp_path / "std.json"

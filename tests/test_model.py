@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sldstab import model as model_mod
+from sldstab.cli import main
 from sldstab.fixtures import concond, elcirc, exmath, source_converter
 from sldstab.mlf import find_mlf, verify_mlf
 from sldstab.model import (
@@ -37,6 +38,23 @@ class TestDerivedOnce:
         signal = SwitchingSignal(initial_mode=1, events=((0.5, 2), (1.0, 1)))
         simulate(model, signal, [1.0], 1.5, 0.1, certificate=cert)
         assert len(calls) == 1 and calls[0] is model
+
+    def test_eigenstructure_once_per_mode(self, monkeypatch, tmp_path):
+        calls = []
+        derive = model_mod.eigenstructure
+        monkeypatch.setattr(
+            model_mod, "eigenstructure", lambda R, X: calls.append(R) or derive(R, X)
+        )
+        model = source_converter()
+        cert = find_mlf(model)
+        assert cert.feasible and verify_mlf(model, cert)[0]
+        assert len(calls) == model.n_modes
+        # slds check: the search, its margins and the re-check share one model
+        calls.clear()
+        path = tmp_path / "converter.json"
+        path.write_text(json.dumps(model_to_json(model)))
+        assert main(["check", str(path), "--route", "exact"]) == 0
+        assert len(calls) == model.n_modes
 
 
 class TestCircuitModel:
