@@ -221,10 +221,16 @@ def eigenstructure(
     )
 
 
-def expm_propagate(A: np.ndarray, x0: np.ndarray, dt: float) -> np.ndarray:
-    """Exact propagation ``exp(A dt) x0`` (scaling-and-squaring expm)."""
+def propagator(A: np.ndarray, dt: float) -> np.ndarray:
+    """The step propagator ``exp(A dt)`` (scaling-and-squaring expm)."""
     if dt < 0:
         raise ValueError("dt must be nonnegative")
+    A = np.asarray(A, dtype=float)
     if dt == 0.0 or A.size == 0:
-        return np.array(x0, dtype=float, copy=True)
-    return scipy.linalg.expm(np.asarray(A) * dt) @ np.asarray(x0, dtype=float)
+        return np.eye(A.shape[0])
+    return scipy.linalg.expm(A * dt)
+
+
+def expm_propagate(A: np.ndarray, x0: np.ndarray, dt: float) -> np.ndarray:
+    """Exact propagation ``exp(A dt) x0``."""
+    return propagator(A, dt) @ np.asarray(x0, dtype=float)

@@ -127,6 +127,35 @@ class TestSimulate:
         assert rc == 1
         assert "2->1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--x0=nan", "--t-end", "1", "--dt", "0.1"], "x0"),
+            (["--x0", "1.0", "--t-end", "inf", "--dt", "0.1"], "t_end"),
+            (["--x0", "1.0", "--t-end", "1", "--dt", "nan"], "sample_dt"),
+        ],
+    )
+    def test_non_finite_input_exits_1(self, tmp_path, capsys, flags, name):
+        cert = tmp_path / "cert.json"
+        assert main(["check", ELCIRC, "--out", str(cert)]) == 0
+        capsys.readouterr()
+        rc = main(["simulate", ELCIRC, "--signal", SIGNAL, *flags,
+                   "--cert", str(cert)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert name in captured.err
+        assert "audit" not in captured.out
+
+    def test_event_at_time_zero_exits_1(self, tmp_path, capsys):
+        sig = tmp_path / "sig.json"
+        sig.write_text(json.dumps({"initial_mode": 1, "events": [[0.0, 2], [0.5, 1]]}))
+        rc = main([
+            "simulate", ELCIRC, "--signal", str(sig), "--x0", "1.0",
+            "--t-end", "1.0", "--dt", "0.1",
+        ])
+        assert rc == 1
+        assert "event times must be positive" in capsys.readouterr().err
+
 
 class TestPosreal:
     def test_sprcheck(self, capsys):

@@ -1,4 +1,6 @@
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +8,11 @@ import scipy.linalg
 
 from sldstab.fixtures import elcirc, unstable_mode
 from sldstab.mlf import EPS_REL, MlfCertificate, find_mlf, problem_scale
-from sldstab.model import SldsModel
+from sldstab.model import SldsModel, load_model
 from sldstab.polymat import PolyMatrix
 from sldstab.sim import (
     SwitchingSignal,
+    Trace,
     asymptotic_check,
     audit_mlf,
     derivative_stack,
@@ -18,6 +21,13 @@ from sldstab.sim import (
     simulate,
     write_trace_csv,
 )
+
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
+
+
+def _load_signal(name):
+    return signal_from_json(json.loads((MODELS / f"{name}.json").read_text()))
 
 
 def _circuit_signal(n_events=4, dt=0.5):
@@ -55,6 +65,17 @@ class TestSignal:
     def test_repeated_mode_rejected(self):
         with pytest.raises(ValueError):
             SwitchingSignal(1, ((1.0, 1),))
+
+    @pytest.mark.parametrize("t", [0.0, -0.5, float("nan"), float("inf")])
+    def test_nonpositive_times_rejected(self, t):
+        with pytest.raises(ValueError, match="event times must be positive"):
+            SwitchingSignal(1, ((t, 2), (2.0, 1)))
+
+    def test_event_at_zero_rejected_from_json(self):
+        # mode_at(0.0) would say 2 while simulate started in mode 1
+        doc = {"initial_mode": 1, "events": [[0.0, 2], [0.5, 1]]}
+        with pytest.raises(ValueError, match="event times must be positive"):
+            signal_from_json(doc)
 
     def test_json_round_trip(self):
         sig = _circuit_signal()
@@ -103,6 +124,110 @@ class TestExactPropagation:
         with pytest.raises(ValueError, match="transition"):
             simulate(model, bad, [1.0], t_end=1.0, sample_dt=0.1)
 
+    @pytest.mark.parametrize(
+        "x0, t_end, dt, name",
+        [
+            ([np.nan], 1.0, 0.1, "x0"),
+            ([np.inf], 1.0, 0.1, "x0"),
+            ([1.0], np.inf, 0.1, "t_end"),
+            ([1.0], np.nan, 0.1, "t_end"),
+            ([1.0], 1.0, np.nan, "sample_dt"),
+            ([1.0], 1.0, np.inf, "sample_dt"),
+        ],
+    )
+    def test_non_finite_input_named(self, x0, t_end, dt, name):
+        with pytest.raises(ValueError, match=name):
+            simulate(elcirc(), _circuit_signal(), x0, t_end=t_end, sample_dt=dt)
+
+
+def _direct_gap(model, trace):
+    """Worst gap of the trace's x and w to a per-sample ``expm``.
+
+    A segment starts at 0 from the first sample and at each event from the
+    trace's ``x_plus``; consecutive modes differ, so the segment of a sample
+    is the number of mode changes before it.  The exponentials of a segment
+    come from one stacked ``scipy.linalg.expm`` call, one matrix per sample.
+    """
+    starts = [(0.0, trace.states[0])]
+    starts += [(ev["time"], ev["x_plus"]) for ev in trace.events]
+    seg = np.concatenate(([0], np.cumsum(trace.modes[1:] != trace.modes[:-1])))
+    assert seg[-1] == len(starts) - 1
+    worst = 0.0
+    for j, (t0, x_start) in enumerate(starts):
+        idx = np.flatnonzero(seg == j)
+        real = model.realizations[int(trace.modes[idx[0]]) - 1]
+        dts = np.maximum(trace.times[idx] - t0, 0.0)
+        want = scipy.linalg.expm(real.A[None] * dts[:, None, None]) @ x_start
+        X = np.array([trace.states[i] for i in idx])
+        worst = max(
+            worst,
+            float(np.max(np.abs(X - want))),
+            float(np.max(np.abs(trace.outputs[idx] - want @ real.C.T))),
+        )
+    return worst
+
+
+class TestSteppedPropagation:
+    """One step propagator per mode between direct exponentials."""
+
+    def _converter_run(self, certificate=None):
+        model = load_model(MODELS / "source_converter_4mode.json")
+        sig = _load_signal("converter_cycle")
+        x0 = np.ones(model.realizations[sig.initial_mode - 1].n)
+        tr = simulate(model, sig, x0, t_end=0.05, sample_dt=1e-5,
+                      certificate=certificate)
+        return model, tr
+
+    def test_expm_calls_per_segment_not_per_sample(self, monkeypatch):
+        calls = []
+        expm = scipy.linalg.expm
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return expm(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counted)
+        model, tr = self._converter_run()
+        segments = len(tr.events) + 1
+        assert len(tr.times) > 5000
+        assert len(calls) <= 2 * segments + model.n_modes
+
+    def _assert_matches_direct(self, model, tr):
+        scale = float(np.max(np.abs(tr.outputs)))
+        assert _direct_gap(model, tr) <= 1e-11 * scale
+
+    def test_converter_cycle_matches_direct_expm(self):
+        model, tr = self._converter_run()
+        assert {len(x) for x in tr.states} == {2, 3}
+        self._assert_matches_direct(model, tr)
+
+    def test_elcirc_periodic_matches_direct_expm(self):
+        model = elcirc()
+        tr = simulate(model, _load_signal("elcirc_periodic"), [1.0],
+                      t_end=7.0, sample_dt=1e-3)
+        assert len(tr.events) == 6
+        self._assert_matches_direct(model, tr)
+
+    def test_long_single_segment_matches_direct_expm(self):
+        model = load_model(MODELS / "source_converter_6mode.json")
+        x0 = np.ones(model.realizations[0].n)
+        tr = simulate(model, SwitchingSignal(1, ()), x0, t_end=0.02,
+                      sample_dt=2e-7)
+        assert len(tr.times) >= 100_000
+        # the slow pole (-100) keeps the state well away from 0 throughout
+        assert np.max(np.abs(tr.outputs[-1])) > 0.1 * np.max(np.abs(tr.outputs))
+        self._assert_matches_direct(model, tr)
+
+    def test_values_are_quadratic_forms(self):
+        model = load_model(MODELS / "source_converter_4mode.json")
+        cert = find_mlf(model)
+        _, tr = self._converter_run(certificate=cert)
+        want = np.array([
+            x @ np.asarray(cert.kernels[m - 1]) @ x
+            for m, x in zip(tr.modes, tr.states)
+        ])
+        assert np.max(np.abs(tr.values - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestAudit:
     def test_certified_trace_passes(self):
@@ -136,6 +261,30 @@ class TestAudit:
         )
         assert audit_mlf(tr, cert)["ok"]
         assert asymptotic_check(tr)
+
+    def test_non_finite_values_fail(self):
+        model = elcirc()
+        cert = _hand_cert(model, [[[0.5]], [[0.5]]])
+        tr = simulate(
+            model, _circuit_signal(6), [1.0], t_end=4.0, sample_dt=0.05,
+            certificate=cert,
+        )
+        tr.values[5] = np.nan
+        tr.values[-1] = np.inf
+        rep = audit_mlf(tr, cert)
+        assert not rep["ok"]
+        assert rep["violations"] >= 2
+        assert np.isfinite(rep["tolerance"])
+
+    def test_non_finite_event_values_fail(self):
+        model = elcirc()
+        cert = _hand_cert(model, [[[0.5]], [[0.5]]])
+        tr = simulate(
+            model, _circuit_signal(2), [1.0], t_end=2.0, sample_dt=0.1,
+            certificate=cert,
+        )
+        tr.events[0]["v_plus"] = np.nan
+        assert not audit_mlf(tr, cert)["ok"]
 
     def test_audit_recomputes_missing_values(self):
         model = elcirc()
@@ -200,3 +349,62 @@ def test_trace_csv_export(tmp_path):
     doc = json.loads(ev_path.read_text())
     assert doc["truncated"] is False
     assert len(doc["events"]) == 2
+
+
+def _csv_writer_reference(trace, path):
+    """The trace CSV as ``csv.writer`` writes it, cell by cell."""
+    nx = max((len(x) for x in trace.states), default=0)
+    nw = trace.outputs.shape[1] if trace.outputs.size else 0
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(
+            ["t", "mode"]
+            + [f"x{i}" for i in range(nx)]
+            + [f"w{i}" for i in range(nw)]
+            + (["V"] if trace.values is not None else [])
+        )
+        for i in range(len(trace.times)):
+            x = trace.states[i]
+            row = [f"{trace.times[i]:.12g}", int(trace.modes[i])]
+            row += [f"{v:.12g}" for v in x] + [""] * (nx - len(x))
+            row += [f"{v:.12g}" for v in trace.outputs[i]]
+            if trace.values is not None:
+                row.append(f"{trace.values[i]:.12g}")
+            wr.writerow(row)
+
+
+class TestTraceCsvBytes:
+    def _assert_same_bytes(self, trace, tmp_path):
+        write_trace_csv(trace, tmp_path / "new.csv")
+        _csv_writer_reference(trace, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_mixed_dimension_converter_trace(self, tmp_path):
+        model = load_model(MODELS / "source_converter_4mode.json")
+        sig = _load_signal("converter_cycle")
+        cert = find_mlf(model)
+        tr = simulate(model, sig, [1.0, -0.5], t_end=0.01, sample_dt=1e-5,
+                      certificate=cert)
+        assert {len(x) for x in tr.states} == {2, 3}
+        self._assert_same_bytes(tr, tmp_path)
+        assert b",," in (tmp_path / "new.csv").read_bytes()  # padding cells
+
+    def test_trace_without_certificate(self, tmp_path):
+        tr = simulate(elcirc(), _load_signal("elcirc_periodic"), [1.0],
+                      t_end=7.0, sample_dt=1e-3)
+        assert tr.values is None
+        self._assert_same_bytes(tr, tmp_path)
+        header = (tmp_path / "new.csv").read_text().splitlines()[0]
+        assert header == "t,mode,x0,w0,w1"
+
+    def test_special_numbers(self, tmp_path):
+        vals = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300,
+                         123456789012345.0, 1.0 / 3.0])
+        tr = Trace(
+            times=vals,
+            modes=np.arange(len(vals)) % 2 + 1,
+            states=[vals[i:i + 1 + i % 2] for i in range(len(vals))],
+            outputs=np.stack([vals, vals[::-1]], axis=1),
+            values=vals,
+        )
+        self._assert_same_bytes(tr, tmp_path)

@@ -7,6 +7,7 @@ from sldstab.statespace import (
     eigenstructure,
     expm_propagate,
     minimal_state_map,
+    propagator,
     realize,
 )
 
@@ -126,3 +127,18 @@ def test_expm_propagate_matches_closed_form():
     A = np.array([[-2.0]])
     x = expm_propagate(A, np.array([3.0]), 0.7)
     assert x[0] == pytest.approx(3.0 * np.exp(-1.4))
+
+
+def test_propagator_is_the_step_exponential():
+    A = np.array([[0.0, 1.0], [-2.0, -3.0]])
+    E = propagator(A, 0.4)
+    # exp(A t) has eigenvalues exp(-t) and exp(-2t)
+    assert sorted(np.linalg.eigvals(E).real) == pytest.approx(
+        [np.exp(-0.8), np.exp(-0.4)]
+    )
+    assert np.allclose(E @ E, propagator(A, 0.8), atol=1e-14)
+    assert np.array_equal(propagator(A, 0.0), np.eye(2))
+    x = np.array([1.0, -1.0])
+    assert np.array_equal(expm_propagate(A, x, 0.4), E @ x)
+    with pytest.raises(ValueError, match="nonnegative"):
+        propagator(A, -1e-3)
