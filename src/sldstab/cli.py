@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -26,6 +27,7 @@ from .mlf import (
 )
 from .model import is_well_posed, load_model, model_to_json, modes_hurwitz
 from .polymat import polymatrix_from_json, polymatrix_to_json
+from .sdp import DEFAULT_BUDGET
 from .sim import audit_mlf, asymptotic_check, signal_from_json, simulate, write_trace_csv
 
 log = logging.getLogger("sldstab")
@@ -38,6 +40,11 @@ EXIT_AUDIT = 3
 _TOLERANCE_KEYS = {"eps", "budget", "audit_rel"}
 
 
+def _require_positive(name: str, value) -> None:
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite")
+
+
 def _load_tolerances(path) -> dict:
     if path is None:
         return {}
@@ -47,8 +54,7 @@ def _load_tolerances(path) -> dict:
     if unknown:
         raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
     for k, v in doc.items():
-        if not (isinstance(v, (int, float)) and v > 0):
-            raise ValueError(f"tolerance '{k}' must be positive")
+        _require_positive(f"tolerance '{k}'", v)
     return doc
 
 
@@ -79,8 +85,14 @@ def cmd_check(args) -> int:
         print("certificate verifies" if ok else "certificate FAILS verification")
         return EXIT_OK if ok else EXIT_NO_CERT
     tols = _load_tolerances(args.tolerances)
+    for flag, value in (("--eps", args.eps), ("--budget", args.budget)):
+        if value is not None:
+            _require_positive(flag, value)
     eps = args.eps if args.eps is not None else tols.get("eps")
-    budget = args.budget if args.budget is not None else int(tols.get("budget", 50000))
+    budget = (
+        args.budget if args.budget is not None
+        else int(tols.get("budget", DEFAULT_BUDGET))
+    )
     routes = (
         ["exact", "conservative"] if args.route == "all" else [args.route]
     )

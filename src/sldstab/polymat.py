@@ -17,8 +17,6 @@ import numpy as np
 TRIM_TOL = 1e-13
 # Absolute tolerance on real parts for the Hurwitz test.
 HURWITZ_TOL = 1e-9
-# Root-matching tolerance for approximate gcd cancellation.
-GCD_ROOT_TOL = 1e-7
 
 MINUS_INF = float("-inf")
 
@@ -113,17 +111,6 @@ def as_poly(p) -> Poly:
     if np.isscalar(p):
         return Poly([float(p)])
     return Poly(p)
-
-
-def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder of ``num / den``."""
-    num, den = as_poly(num), as_poly(den)
-    if den.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if num.degree < den.degree:
-        return Poly([0.0]), num
-    q, r = np.polydiv(num.coeffs[::-1], den.coeffs[::-1])
-    return Poly(q[::-1]), Poly(r[::-1])
 
 
 def poly_roots(p: Poly) -> np.ndarray:
@@ -224,9 +211,6 @@ class PolyMatrix:
     def entry(self, i: int, j: int) -> Poly:
         return Poly(self.coeffs[:, i, j])
 
-    def entries(self) -> list[list[Poly]]:
-        return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
-
     def __call__(self, x):
         """Evaluate at a (possibly complex) scalar; returns a dense matrix."""
         acc = np.asarray(self.coeffs[-1], dtype=np.result_type(x, float)).copy()
@@ -303,32 +287,6 @@ def vstack(mats: list[PolyMatrix]) -> PolyMatrix:
         c[: m.coeffs.shape[0], at : at + m.rows, :] = m.coeffs
         at += m.rows
     return PolyMatrix(c)
-
-
-class RationalMatrix:
-    """A rational matrix in common-denominator form ``numerator / denominator``.
-
-    No coprimeness is required; reduction is explicit where needed.
-    """
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: PolyMatrix, denominator: Poly):
-        denominator = as_poly(denominator)
-        if denominator.is_zero():
-            raise ValueError("denominator must be nonzero")
-        self.numerator = numerator
-        self.denominator = denominator
-
-    @property
-    def shape(self):
-        return self.numerator.shape
-
-    def __call__(self, x):
-        return self.numerator(x) / self.denominator(x)
-
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -438,25 +396,24 @@ def _require_nonsingular(R: PolyMatrix) -> Poly:
     return d
 
 
-def rational_decompose(F: PolyMatrix, R: PolyMatrix) -> tuple[RationalMatrix, PolyMatrix]:
-    """Split ``F R^{-1} = S + N`` with ``S`` strictly proper and ``N`` polynomial.
+def polynomial_part(F: PolyMatrix, R: PolyMatrix) -> PolyMatrix:
+    """Polynomial part ``N`` of ``F R^{-1} = N + S`` with ``S`` strictly proper.
 
-    Row-wise long division of ``F adj(R)`` by ``det R``.
+    One long division of the coefficient stack of ``F adj(R)`` by ``det R``,
+    all entries at once, one step per quotient degree.
     """
     if F.cols != R.rows:
         raise ValueError("dimension mismatch between F and R")
-    d = _require_nonsingular(R)
-    G = F @ adjugate(R)
-    num = [[None] * F.cols for _ in range(F.rows)]
-    quo = [[None] * F.cols for _ in range(F.rows)]
-    for i in range(F.rows):
-        for j in range(F.cols):
-            q, r = poly_divmod(G.entry(i, j), d)
-            quo[i][j] = q
-            num[i][j] = r
-    S = RationalMatrix(PolyMatrix.from_entries(num), d)
-    N = PolyMatrix.from_entries(quo)
-    return S, N
+    d = _require_nonsingular(R).coeffs
+    m = len(d) - 1
+    rem = (F @ adjugate(R)).coeffs.copy()
+    if rem.shape[0] <= m:
+        return PolyMatrix.zeros(F.rows, R.cols)
+    q = np.zeros((rem.shape[0] - m,) + rem.shape[1:])
+    for k in range(q.shape[0] - 1, -1, -1):
+        q[k] = rem[k + m] / d[m]
+        rem[k : k + m + 1] -= d[:, None, None] * q[k]
+    return PolyMatrix(q)
 
 
 def canonical_rep(F: PolyMatrix, R: PolyMatrix) -> PolyMatrix:
@@ -465,48 +422,12 @@ def canonical_rep(F: PolyMatrix, R: PolyMatrix) -> PolyMatrix:
     Returns ``G' = S R`` where ``S`` is the strictly proper part of
     ``F R^{-1}``; equivalently ``F - N R`` with ``N`` the polynomial part.
     """
-    _, N = rational_decompose(F, R)
-    return F - (N @ R)
-
-
-def _cancel_common_roots(num: Poly, den: Poly, tol: float = GCD_ROOT_TOL):
-    """Reduced (numerator, denominator) degrees after approximate gcd
-    cancellation by root matching."""
-    if num.is_zero():
-        return MINUS_INF, den.degree
-    nr = list(poly_roots(num))
-    dr = list(poly_roots(den))
-    kept_d = []
-    for rt in dr:
-        hit = None
-        for i, nrt in enumerate(nr):
-            if abs(rt - nrt) <= tol * max(1.0, abs(rt)):
-                hit = i
-                break
-        if hit is None:
-            kept_d.append(rt)
-        else:
-            nr.pop(hit)
-    return float(len(nr)), float(len(kept_d))  # reduced degrees
+    return F - (polynomial_part(F, R) @ R)
 
 
 def is_strictly_proper(N: PolyMatrix, D: PolyMatrix) -> bool:
-    """True iff every entry of ``N D^{-1}`` is strictly proper after gcd
-    cancellation with ``det D``."""
-    if N.cols != D.rows:
-        raise ValueError("dimension mismatch between N and D")
-    d = _require_nonsingular(D)
-    G = N @ adjugate(D)
-    den_deg = d.degree
-    for i in range(N.rows):
-        for j in range(N.cols):
-            e = G.entry(i, j)
-            if e.is_zero():
-                continue
-            ndeg, ddeg = _cancel_common_roots(e, d)
-            if ndeg >= ddeg:
-                return False
-    return True
+    """True iff every entry of ``N D^{-1}`` is strictly proper."""
+    return polynomial_part(N, D).is_zero()
 
 
 # ---------------------------------------------------------------------------

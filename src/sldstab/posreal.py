@@ -31,7 +31,7 @@ from .polymat import (
     is_hurwitz,
     is_strictly_proper,
     poly_roots,
-    rational_decompose,
+    polynomial_part,
     vstack,
 )
 from .qdf import (
@@ -337,7 +337,7 @@ def build_standard_slds(R1: PolyMatrix, R2: PolyMatrix) -> StandardSlds:
     Pi = _express_in_state_basis(X1p, R2, X2)
     # constant feed-through K = lim xi X1p R1^{-1}
     xi = Poly([0.0, 1.0])
-    _, Kmat = rational_decompose(X1p.scale(xi), R1)
+    Kmat = polynomial_part(X1p.scale(xi), R1)
     if Kmat.degree > 0:
         raise ValueError("xi X1' R1^{-1} is not proper")
     K = Kmat.coeffs[0]
@@ -429,7 +429,7 @@ def positive_real_completion(s: StandardSlds, cert: MlfCertificate) -> PolyMatri
                     f"rank Q(j omega) drops at omega = {r.imag:.6g}; "
                     "the completion hypothesis fails"
                 )
-    _, Ppoly = rational_decompose(s.X1p, s.R2)
+    Ppoly = polynomial_part(s.X1p, s.R2)
     Mconst = s.K.T @ P22
     M = PolyMatrix(Mconst[None, :, :]) @ Ppoly
     # reconstruct (z+e)Psi1 = -Q^T Q + V(z)^T R1(e) + R1(z)^T V(e), V = M R2

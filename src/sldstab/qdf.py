@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .polymat import PolyMatrix, canonical_rep, vstack
+from .statespace import coefficient_matrix
 
 CANONICAL_RESIDUAL_TOL = 1e-9
 
@@ -199,10 +200,7 @@ def to_canonical(psi: TwoVarForm, X: PolyMatrix, R: PolyMatrix) -> CanonicalQdf:
     if X.cols != psi.w:
         raise ValueError("variable-count mismatch between form and state map")
     grid = max(psi.grid, X.coeffs.shape[0])
-    w, n = psi.w, X.rows
-    Xa = np.zeros((n, grid * w))
-    for h in range(X.coeffs.shape[0]):
-        Xa[:, h * w : (h + 1) * w] = X.coeffs[h]
+    Xa = coefficient_matrix(X, grid)
     target = psi.flat(grid)
     Xp = np.linalg.pinv(Xa)
     K = Xp.T @ target @ Xp

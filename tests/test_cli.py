@@ -80,6 +80,32 @@ class TestCheck:
         assert main(["check", ELCIRC, "--tolerances", str(tol)]) == 1
         assert "unknown tolerance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--eps", "nan"),
+            ("--eps", "inf"),
+            ("--eps", "0"),
+            ("--eps", "-1"),
+            ("--budget", "-5"),
+            ("--budget", "0"),
+        ],
+    )
+    def test_bad_search_flag_exits_1(self, capsys, flag, value):
+        assert main(["check", ELCIRC, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert "no certificate" not in captured.out
+
+    @pytest.mark.parametrize(
+        "key, value", [("eps", "Infinity"), ("eps", "NaN"), ("eps", "0"), ("budget", "Infinity")]
+    )
+    def test_bad_tolerance_file_exits_1(self, tmp_path, capsys, key, value):
+        tol = tmp_path / "tol.json"
+        tol.write_text(f'{{"{key}": {value}}}')
+        assert main(["check", ELCIRC, "--tolerances", str(tol)]) == 1
+        assert f"tolerance '{key}'" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_audited_run(self, tmp_path, capsys):
@@ -211,6 +237,32 @@ class TestPosreal:
             assert "certificate FAILS verification" in capsys.readouterr().out
             assert not out.exists()
         assert not (tmp_path / "mlf_model.json").exists()
+
+
+CORPUS = [
+    "concond",
+    "elcirc",
+    "exmath",
+    "source_converter_4mode",
+    "source_converter_6mode",
+]
+
+
+@pytest.mark.parametrize("route", ["exact", "conservative", "all"])
+@pytest.mark.parametrize("name", CORPUS)
+def test_corpus_verdicts(tmp_path, capsys, name, route):
+    """Exit codes on the corpus, and every written certificate re-verifies."""
+    model = str(MODELS / f"{name}.json")
+    cert = tmp_path / "cert.json"
+    rc = main(["check", model, "--route", route, "--out", str(cert)])
+    if name == "concond":
+        assert rc == 2
+        assert not cert.exists()
+        return
+    assert rc == 0
+    capsys.readouterr()
+    assert main(["check", model, "--verify-only", str(cert)]) == 0
+    assert "certificate verifies" in capsys.readouterr().out
 
 
 def test_standard_model_emission(tmp_path):

@@ -14,10 +14,9 @@ from sldstab.polymat import (
     determinant,
     is_hurwitz,
     is_strictly_proper,
-    poly_divmod,
     polymatrix_from_json,
     polymatrix_to_json,
-    rational_decompose,
+    polynomial_part,
     roots,
     unimodular_inverse,
     vstack,
@@ -48,11 +47,12 @@ class TestPoly:
         assert p(2.0) == pytest.approx(12.0)
 
     def test_divmod(self):
-        num = Poly([2.0, 3.0, 1.0])
-        den = Poly([1.0, 1.0])
-        q, r = poly_divmod(num, den)
-        assert np.allclose(q.coeffs, [2.0, 1.0])
-        assert r.is_zero
+        # (xi^2 + 3 xi + 2) / (xi + 1) = xi + 2 with zero remainder
+        num = PolyMatrix.from_entries([[[2.0, 3.0, 1.0]]])
+        den = PolyMatrix.from_entries([[[1.0, 1.0]]])
+        q = polynomial_part(num, den)
+        assert np.allclose(q.entry(0, 0).coeffs, [2.0, 1.0])
+        assert canonical_rep(num, den).is_zero()
 
     def test_roots(self):
         r = roots(Poly([2.0, 3.0, 1.0]))
@@ -92,7 +92,7 @@ class TestDeterminant:
                         e.coeffs[: d.coeffs.size], d.coeffs, atol=1e-8
                     )
                 else:
-                    assert e.is_zero or np.abs(e.coeffs).max() < 1e-8
+                    assert e.is_zero() or np.abs(e.coeffs).max() < 1e-8
 
 
 class TestHurwitz:
@@ -124,7 +124,7 @@ class TestCanonicalRep:
                 rng.integers(-3, 4, size=(3, int(rng.integers(1, 3)), n)).astype(float)
             )
             C = canonical_rep(F, R)
-            _, N = rational_decompose(F, R)
+            N = polynomial_part(F, R)
             recon = (N @ R) + C
             assert (recon - F).max_norm() < 1e-7 * max(1.0, F.max_norm())
             # remainder is strictly proper against R
@@ -145,6 +145,80 @@ class TestCanonicalRep:
         F = PolyMatrix.from_entries([[[0.0, 0.0, 1.0]]])
         C = canonical_rep(F, R)
         assert np.allclose(C.entry(0, 0).coeffs, [-2.0, -3.0])
+
+
+def _to_exact(M: PolyMatrix) -> sympy.Matrix:
+    return sympy.Matrix(M.rows, M.cols, lambda i, j: sympy.Poly(
+        [sympy.Rational(c) for c in M.entry(i, j).coeffs[::-1]], xi
+    ).as_expr())
+
+
+def _sympy_polynomial_part(F: PolyMatrix, R: PolyMatrix) -> sympy.Matrix:
+    """Entrywise quotient of ``F R^{-1}`` after exact cancellation."""
+    Rs = _to_exact(R)
+    G = _to_exact(F) * Rs.adjugate()
+    d = sympy.Poly(Rs.det(), xi)
+    out = sympy.zeros(G.rows, G.cols)
+    for i in range(G.rows):
+        for j in range(G.cols):
+            num = sympy.Poly(G[i, j], xi)
+            g = num.gcd(d)
+            out[i, j] = num.exquo(g).quo(d.exquo(g)).as_expr()
+    return out
+
+
+class TestPolynomialPartReference:
+    """``polynomial_part`` and ``is_strictly_proper`` against sympy."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_integer_pairs(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        for _ in range(4):
+            n = int(rng.integers(1, 4))
+            R = _random_polymatrix(rng, n, int(rng.integers(1, 3)))
+            if abs(determinant(R).coeffs[-1]) < 1e-9:
+                continue
+            F = PolyMatrix(
+                rng.integers(-3, 4, size=(int(rng.integers(1, 5)), 2, n)).astype(float)
+            )
+            ref = _sympy_polynomial_part(F, R)
+            N = polynomial_part(F, R)
+            scale = max(1.0, F.max_norm())
+            for i in range(F.rows):
+                for j in range(n):
+                    want = [float(c) for c in sympy.Poly(ref[i, j], xi).all_coeffs()[::-1]]
+                    got = np.zeros(max(len(want), N.coeffs.shape[0]))
+                    got[: N.coeffs.shape[0]] = N.coeffs[:, i, j]
+                    got[: len(want)] -= want
+                    assert np.abs(got).max() <= 1e-9 * scale
+            assert is_strictly_proper(F, R) == (ref == sympy.zeros(F.rows, n))
+            # the exact remainder F - N R is strictly proper against R
+            rem = sympy.expand(_to_exact(F) - ref * _to_exact(R))
+            C = PolyMatrix.from_entries([
+                [[float(c) for c in sympy.Poly(rem[i, j], xi).all_coeffs()[::-1]]
+                 for j in range(n)]
+                for i in range(F.rows)
+            ])
+            assert is_strictly_proper(C, R)
+
+    @pytest.mark.parametrize(
+        "num, den, strict",
+        [
+            ([1.0, 1.0], [2.0, 3.0, 1.0], True),  # (xi+1) / ((xi+1)(xi+2))
+            ([1.0, 0.0, 1.0], [2.0, 3.0, 1.0], False),  # proper, not strictly
+            ([0.0], [2.0, 3.0, 1.0], True),
+            ([2.0, 3.0, 1.0], [1.0, 1.0], False),  # polynomial xi + 2
+        ],
+    )
+    def test_scalar_verdicts(self, num, den, strict):
+        N = PolyMatrix.from_entries([[num]])
+        D = PolyMatrix.from_entries([[den]])
+        ref = _sympy_polynomial_part(N, D)[0, 0]
+        assert (ref == 0) == strict
+        assert is_strictly_proper(N, D) == strict
+        got = polynomial_part(N, D).entry(0, 0).coeffs
+        want = [float(c) for c in sympy.Poly(ref, xi).all_coeffs()[::-1]]
+        assert np.allclose(got, want, atol=1e-12)
 
 
 class TestColumnReduction:
