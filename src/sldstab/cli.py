@@ -37,11 +37,16 @@ EXIT_INVALID = 1
 EXIT_NO_CERT = 2
 EXIT_AUDIT = 3
 
-_TOLERANCE_KEYS = {"eps", "budget", "audit_rel"}
+_TOLERANCE_KEYS = {"eps", "budget"}
 
 
 def _require_positive(name: str, value) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+    if not (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
+    ):
         raise ValueError(f"{name} must be positive and finite")
 
 
@@ -55,6 +60,8 @@ def _load_tolerances(path) -> dict:
         raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
     for k, v in doc.items():
         _require_positive(f"tolerance '{k}'", v)
+    if not isinstance(doc.get("budget", 0), int):
+        raise ValueError("tolerance 'budget' must be an integer")
     return doc
 
 
@@ -91,7 +98,7 @@ def cmd_check(args) -> int:
     eps = args.eps if args.eps is not None else tols.get("eps")
     budget = (
         args.budget if args.budget is not None
-        else int(tols.get("budget", DEFAULT_BUDGET))
+        else tols.get("budget", DEFAULT_BUDGET)
     )
     routes = (
         ["exact", "conservative"] if args.route == "all" else [args.route]

@@ -67,12 +67,15 @@ def mode_decay_forms(model: SldsModel, kernels) -> list[np.ndarray]:
 
 
 def _realify(H: np.ndarray) -> np.ndarray:
-    """Real symmetric embedding of a Hermitian matrix (same definiteness)."""
-    n = H.shape[0]
-    out = np.empty((2 * n, 2 * n))
-    out[:n, :n] = out[n:, n:] = H.real
-    out[n:, :n] = H.imag
-    out[:n, n:] = -H.imag
+    """Real symmetric embedding of a Hermitian matrix (same definiteness).
+
+    Acts on the last two axes, so a stack of matrices gives a stack.
+    """
+    n = H.shape[-1]
+    out = np.empty(H.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = out[..., n:, n:] = H.real
+    out[..., n:, :n] = H.imag
+    out[..., :n, n:] = -H.imag
     return out
 
 
@@ -129,7 +132,7 @@ def assemble_ple_lmi(
         return (
             Xb.T @ K @ Xa
             + Xa.T @ K @ Xb
-            - Xa.T @ Y.T @ Rt
+            - Xa.T @ Y.swapaxes(-1, -2) @ Rt
             - Rt.T @ Y @ Xa
             + QX.T @ QX
         )
@@ -176,7 +179,8 @@ def assemble_mlf_lmis(
 
             def ple(v, Rt=real.Rt, Xa=real.Xa, Xb=real.Xb, k=k):
                 K, Y = v[f"K{k}"], v[f"Y{k}"]
-                return Xb.T @ K @ Xa + Xa.T @ K @ Xb - Xa.T @ Y.T @ Rt - Rt.T @ Y @ Xa
+                YT = Y.swapaxes(-1, -2)
+                return Xb.T @ K @ Xa + Xa.T @ K @ Xb - Xa.T @ YT @ Rt - Rt.T @ Y @ Xa
 
             prob.add_constraint(f"ple_{k}", ple, "nsd", 0.0)
         prob.add_constraint(f"decay_{k}", decay, "nsd", shift)

@@ -2,10 +2,18 @@
 
 A model is a bank of square nonsingular polynomial matrices (one kernel
 representation per mode) plus gluing-condition pairs for the allowed
-transitions.  The realizations are derived at construction; the normal form
-of the gluing pairs, the re-initialisation maps built from it and each mode's
-eigenstructure are derived on first use and kept on the model, so each is
-computed once per model.
+transitions.  Each derived object is computed once per model and kept on it:
+
+- at construction, each mode's ``polymat.Divisor`` (``det R_k``, the
+  singularity check, and ``adj R_k``), its minimal state map when none is
+  given, and its realization;
+- on first use, the normal form of the gluing pairs, the re-initialisation
+  maps built from it and each mode's eigenstructure.
+
+Every reduction modulo ``R_k`` (state map, the realization's ``C``, normal
+form, eigenstructure, Hurwitz test) divides through the mode's divisor, so
+``det R_k`` and ``adj R_k`` are computed once per mode and model.  Nothing is
+shared between models: two loads of one file compute everything twice.
 
 Mode indices are 1-based throughout, matching the JSON schema.
 """
@@ -19,9 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .polymat import (
+    Divisor,
     PolyMatrix,
-    canonical_rep,
-    determinant,
     is_hurwitz,
     polymatrix_from_json,
     polymatrix_to_json,
@@ -29,13 +36,12 @@ from .polymat import (
 from .statespace import (
     ModeEigenstructure,
     StateRealization,
-    coefficient_matrix,
     eigenstructure,
+    express_in_state_basis,
     minimal_state_map,
     realize,
 )
 
-NORMAL_FORM_TOL = 1e-9
 RANK_REL_TOL = 1e-9
 CONSISTENCY_REL_TOL = 1e-8
 
@@ -61,12 +67,15 @@ class SldsModel:
     """Bank of modes plus gluing conditions, with derived normal form.
 
     The derived data assumes ``modes``, ``gluing`` and ``state_maps`` are not
-    changed after construction.
+    changed after construction.  ``divisors`` holds each mode's ``det R_k``
+    and ``adj R_k``; every reduction modulo ``R_k`` goes through it.  A
+    caller that has already built divisors of the modes may pass them.
     """
 
     modes: list[PolyMatrix]
     gluing: dict[tuple[int, int], tuple[PolyMatrix, PolyMatrix]]
     state_maps: list[PolyMatrix] = field(default_factory=list)
+    divisors: list[Divisor] = field(default_factory=list)
     realizations: list[StateRealization] = field(init=False)
 
     def __post_init__(self):
@@ -78,8 +87,12 @@ class SldsModel:
                 raise ValueError(f"mode {i + 1} matrix is not square")
             if R.cols != w:
                 raise ValueError("all modes must share the variable count")
-            if determinant(R).is_zero():
-                raise ValueError(f"mode {i + 1} matrix is singular")
+        if not self.divisors:
+            self.divisors = [_mode_divisor(i, R) for i, R in enumerate(self.modes)]
+        if len(self.divisors) != len(self.modes) or any(
+            d.R is not R for d, R in zip(self.divisors, self.modes)
+        ):
+            raise ValueError("divisors must be those of the modes")
         for (k, l), (gm, gp) in self.gluing.items():
             if k == l:
                 raise ValueError("gluing keys must connect distinct modes")
@@ -90,11 +103,11 @@ class SldsModel:
             if gm.cols != w or gp.cols != w:
                 raise ValueError(f"gluing pair ({k},{l}) column count must be {w}")
         if not self.state_maps:
-            self.state_maps = [minimal_state_map(R) for R in self.modes]
+            self.state_maps = [minimal_state_map(d) for d in self.divisors]
         if len(self.state_maps) != len(self.modes):
             raise ValueError("state_maps must match the number of modes")
         self.realizations = [
-            realize(R, X) for R, X in zip(self.modes, self.state_maps)
+            realize(d, X) for d, X in zip(self.divisors, self.state_maps)
         ]
 
     @property
@@ -124,35 +137,23 @@ class SldsModel:
 
         Raises ``ValueError`` when a mode is defective; nothing is kept then.
         """
-        return [eigenstructure(R, X) for R, X in zip(self.modes, self.state_maps)]
+        return [eigenstructure(d, X) for d, X in zip(self.divisors, self.state_maps)]
 
 
-def _express_in_state_basis(
-    G: PolyMatrix, R: PolyMatrix, X: PolyMatrix, tol: float = NORMAL_FORM_TOL
-) -> np.ndarray:
-    """Solve ``G mod R = F X`` for the constant matrix F."""
-    Gc = canonical_rep(G, R)
-    grid = max(Gc.coeffs.shape[0], X.coeffs.shape[0])
-    Ga = coefficient_matrix(Gc, grid)
-    Xa = coefficient_matrix(X, grid)
-    F, *_ = np.linalg.lstsq(Xa.T, Ga.T, rcond=None)
-    F = F.T
-    resid = np.max(np.abs(F @ Xa - Ga)) if Ga.size else 0.0
-    scale = max(1.0, np.max(np.abs(Ga)) if Ga.size else 0.0)
-    if resid > tol * scale:
-        raise ValueError(
-            f"canonical representative not in the state-map row span "
-            f"(residual {resid:.3e})"
-        )
-    return F
+def _mode_divisor(i: int, R: PolyMatrix) -> Divisor:
+    try:
+        return Divisor(R)
+    except ValueError:
+        raise ValueError(f"mode {i + 1} matrix is singular") from None
 
 
 def normal_form(model: SldsModel) -> dict[tuple[int, int], NormalFormPair]:
     """Reduce every gluing pair to constant matrices over the state bases."""
+    divs, maps = model.divisors, model.state_maps
     out = {}
     for (k, l), (gm, gp) in model.gluing.items():
-        fm = _express_in_state_basis(gm, model.modes[k - 1], model.state_maps[k - 1])
-        fp = _express_in_state_basis(gp, model.modes[l - 1], model.state_maps[l - 1])
+        fm = express_in_state_basis(gm, divs[k - 1], maps[k - 1])
+        fp = express_in_state_basis(gp, divs[l - 1], maps[l - 1])
         out[(k, l)] = NormalFormPair(f_minus=fm, f_plus=fp)
     return out
 
@@ -203,7 +204,7 @@ def reinit_maps(model: SldsModel) -> dict[tuple[int, int], ReinitMap]:
 
 
 def modes_hurwitz(model: SldsModel) -> list[bool]:
-    return [is_hurwitz(R) for R in model.modes]
+    return [is_hurwitz(d) for d in model.divisors]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ object.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 # Relative trimming tolerance for coefficient arrays.  Kept well below the
@@ -373,11 +375,9 @@ def roots(p: Poly) -> np.ndarray:
     return poly_roots(p)
 
 
-def is_hurwitz(R: PolyMatrix, tol: float = HURWITZ_TOL) -> bool:
+def is_hurwitz(R: PolyMatrix | Divisor, tol: float = HURWITZ_TOL) -> bool:
     """True iff every root of ``det R`` has real part below ``-tol``."""
-    d = determinant(R)
-    if d.is_zero():
-        raise ValueError("det R is identically zero")
+    d = Divisor.of(R).det
     if d.degree == 0:
         return True
     return bool(np.all(poly_roots(d).real < -tol))
@@ -387,28 +387,48 @@ def is_hurwitz(R: PolyMatrix, tol: float = HURWITZ_TOL) -> bool:
 # division modulo a nonsingular R
 
 
-def _require_nonsingular(R: PolyMatrix) -> Poly:
-    if R.rows != R.cols:
-        raise ValueError("expected a square matrix")
-    d = determinant(R)
-    if d.is_zero():
-        raise ValueError("matrix is singular (det identically zero)")
-    return d
+class Divisor:
+    """A nonsingular square ``R`` with its ``det R`` and ``adj R``.
+
+    Every division modulo ``R`` divides ``F adj(R)`` by ``det R``.  A divisor
+    holds both, so a matrix reduced many times (a model's mode) pays for them
+    once: ``det R`` when it is built (the singularity check), ``adj R`` at the
+    first division.  The functions that reduce modulo ``R`` take a divisor or
+    a plain matrix; for a plain matrix they build a divisor for that call.
+    """
+
+    def __init__(self, R: PolyMatrix):
+        if R.rows != R.cols:
+            raise ValueError("expected a square matrix")
+        self.R = R
+        self.det = determinant(R)
+        if self.det.is_zero():
+            raise ValueError("matrix is singular (det identically zero)")
+
+    @cached_property
+    def adj(self) -> PolyMatrix:
+        return adjugate(self.R)
+
+    @classmethod
+    def of(cls, R: PolyMatrix | Divisor) -> Divisor:
+        """``R`` itself if it is a divisor, else a new divisor of ``R``."""
+        return R if isinstance(R, Divisor) else cls(R)
 
 
-def polynomial_part(F: PolyMatrix, R: PolyMatrix) -> PolyMatrix:
+def polynomial_part(F: PolyMatrix, R: PolyMatrix | Divisor) -> PolyMatrix:
     """Polynomial part ``N`` of ``F R^{-1} = N + S`` with ``S`` strictly proper.
 
     One long division of the coefficient stack of ``F adj(R)`` by ``det R``,
     all entries at once, one step per quotient degree.
     """
-    if F.cols != R.rows:
+    div = Divisor.of(R)
+    if F.cols != div.R.rows:
         raise ValueError("dimension mismatch between F and R")
-    d = _require_nonsingular(R).coeffs
+    d = div.det.coeffs
     m = len(d) - 1
-    rem = (F @ adjugate(R)).coeffs.copy()
+    rem = (F @ div.adj).coeffs.copy()
     if rem.shape[0] <= m:
-        return PolyMatrix.zeros(F.rows, R.cols)
+        return PolyMatrix.zeros(F.rows, div.R.cols)
     q = np.zeros((rem.shape[0] - m,) + rem.shape[1:])
     for k in range(q.shape[0] - 1, -1, -1):
         q[k] = rem[k + m] / d[m]
@@ -416,16 +436,17 @@ def polynomial_part(F: PolyMatrix, R: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(q)
 
 
-def canonical_rep(F: PolyMatrix, R: PolyMatrix) -> PolyMatrix:
+def canonical_rep(F: PolyMatrix, R: PolyMatrix | Divisor) -> PolyMatrix:
     """Canonical representative of ``F`` modulo ``R``.
 
     Returns ``G' = S R`` where ``S`` is the strictly proper part of
     ``F R^{-1}``; equivalently ``F - N R`` with ``N`` the polynomial part.
     """
-    return F - (polynomial_part(F, R) @ R)
+    div = Divisor.of(R)
+    return F - (polynomial_part(F, div) @ div.R)
 
 
-def is_strictly_proper(N: PolyMatrix, D: PolyMatrix) -> bool:
+def is_strictly_proper(N: PolyMatrix, D: PolyMatrix | Divisor) -> bool:
     """True iff every entry of ``N D^{-1}`` is strictly proper."""
     return polynomial_part(N, D).is_zero()
 
@@ -453,13 +474,15 @@ def leading_column_matrix(R: PolyMatrix) -> np.ndarray:
     return G
 
 
-def column_reduce(R: PolyMatrix, max_iter: int = 200) -> tuple[PolyMatrix, PolyMatrix]:
+def column_reduce(
+    R: PolyMatrix | Divisor, max_iter: int = 200
+) -> tuple[PolyMatrix, PolyMatrix]:
     """Column reduction ``R' = R U`` with ``U`` unimodular.
 
     Repeatedly cancels the highest-column-degree coefficient matrix along a
     null direction until it becomes nonsingular.
     """
-    d = _require_nonsingular(R)
+    R = Divisor.of(R).R  # raises if R is singular
     n = R.cols
     Rp = R
     U = PolyMatrix.identity(n)

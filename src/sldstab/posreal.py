@@ -20,13 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mlf import EPS_REL, MlfCertificate, mode_decay_forms, problem_scale, verify_mlf
-from .model import SldsModel, _express_in_state_basis
+from .model import SldsModel
 from .polymat import (
     HURWITZ_TOL,
     MINUS_INF,
+    Divisor,
     Poly,
     PolyMatrix,
-    adjugate,
     determinant,
     is_hurwitz,
     is_strictly_proper,
@@ -40,7 +40,12 @@ from .qdf import (
     two_var_from_pair,
     two_var_product,
 )
-from .statespace import coefficient_matrix, minimal_state_map, realize
+from .statespace import (
+    coefficient_matrix,
+    express_in_state_basis,
+    minimal_state_map,
+    realize,
+)
 
 FACTOR_TOL = 1e-8
 AXIS_TOL = 1e-7
@@ -89,14 +94,13 @@ def para_hermitian_boundary(N: PolyMatrix, D: PolyMatrix) -> PolyMatrix:
     return (D.subs_neg().T @ N) + (N.subs_neg().T @ D)
 
 
-def _uncancelled_rhp_poles(N: PolyMatrix, D: PolyMatrix) -> list[complex]:
+def _uncancelled_rhp_poles(N: PolyMatrix, D: Divisor) -> list[complex]:
     """Closed-right-half-plane roots of det D surviving gcd reduction."""
-    det = determinant(D)
-    rts = poly_roots(det)
+    rts = poly_roots(D.det)
     bad = [r for r in rts if r.real > -HURWITZ_TOL]
     if not bad:
         return []
-    G = N @ adjugate(D)
+    G = N @ D.adj
     poles = []
     # multiplicity of each candidate in det D
     for lam in bad:
@@ -120,7 +124,7 @@ def _uncancelled_rhp_poles(N: PolyMatrix, D: PolyMatrix) -> list[complex]:
 
 
 def is_strictly_positive_real(
-    N: PolyMatrix, D: PolyMatrix
+    N: PolyMatrix, D: PolyMatrix | Divisor
 ) -> tuple[bool, dict]:
     """SPR test for ``G = N D^{-1}`` with a witness on failure.
 
@@ -128,14 +132,17 @@ def is_strictly_positive_real(
     and strict positivity of the boundary polynomial at ``omega = 0``
     together with absence of imaginary-axis roots of its determinant.
     """
-    if D.rows != D.cols:
-        raise ValueError("D must be square")
-    if determinant(D).is_zero():
-        raise ValueError("D is singular")
+    if isinstance(D, PolyMatrix):
+        if D.rows != D.cols:
+            raise ValueError("D must be square")
+        try:
+            D = Divisor(D)
+        except ValueError:
+            raise ValueError("D is singular") from None
     poles = _uncancelled_rhp_poles(N, D)
     if poles:
         return False, {"reason": "pole in closed right half-plane", "pole": poles[0]}
-    P = para_hermitian_boundary(N, D)
+    P = para_hermitian_boundary(N, D.R)
     P0 = 0.5 * (P(0.0) + P(0.0).T)
     lam0 = np.linalg.eigvalsh(P0)
     scale = max(1.0, P.max_norm())
@@ -158,7 +165,7 @@ def is_strictly_positive_real(
 # spectral factorization
 
 
-def _scalar_factor(p: Poly, R1: PolyMatrix | None) -> PolyMatrix:
+def _scalar_factor(p: Poly, R1: PolyMatrix | Divisor | None) -> PolyMatrix:
     """Root-splitting factorization of an even scalar ``p(xi) = q(-xi)q(xi)``.
 
     From each ``{lam, -lam}`` root pair, picks the root keeping
@@ -179,6 +186,7 @@ def _scalar_factor(p: Poly, R1: PolyMatrix | None) -> PolyMatrix:
             raise ValueError("boundary polynomial is indefinite")
         return PolyMatrix.from_entries([[Poly([np.sqrt(p.coeffs[0])])]])
     rts = list(poly_roots(p))
+    d1 = None if R1 is None else Divisor.of(R1).det
     chosen = []
     while rts:
         r = rts.pop(0)
@@ -189,9 +197,8 @@ def _scalar_factor(p: Poly, R1: PolyMatrix | None) -> PolyMatrix:
             raise ValueError("roots do not come in +/- pairs (not para-even)")
         mate = rts.pop(j)
         pick, other = (r, mate) if r.real < mate.real else (mate, r)
-        if R1 is not None:
+        if d1 is not None:
             # avoid a common zero of R1 and q: rank col(R1(lam), q(lam)) = w
-            d1 = determinant(R1)
             if abs(d1(pick)) <= 1e-7 * max(1.0, d1.coeffs[-1]) and abs(
                 d1(other)
             ) > 1e-7 * max(1.0, d1.coeffs[-1]):
@@ -230,11 +237,12 @@ def _gram_factor(P: PolyMatrix) -> PolyMatrix:
     def match(k):
         def expr(v, k=k):
             G = v["G"]
-            acc = -Pc[k].copy()
+            acc = -Pc[k]
             for i in range(nb):
                 j = k - i
                 if 0 <= j < nb:
-                    acc += (-1.0) ** i * G[i * w : (i + 1) * w, j * w : (j + 1) * w]
+                    blk = G[..., i * w : (i + 1) * w, j * w : (j + 1) * w]
+                    acc = acc + (-1.0) ** i * blk
             return acc
 
         return expr
@@ -255,7 +263,9 @@ def _gram_factor(P: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(c)
 
 
-def spectral_factorize(P: PolyMatrix, R1: PolyMatrix | None = None) -> SpectralFactor:
+def spectral_factorize(
+    P: PolyMatrix, R1: PolyMatrix | Divisor | None = None
+) -> SpectralFactor:
     """Factor a para-Hermitian line polynomial as ``P(xi) = Q(-xi)^T Q(xi)``.
 
     ``P`` is the one-variable boundary form (``P(j w)`` Hermitian PSD for all
@@ -296,22 +306,23 @@ def build_standard_slds(R1: PolyMatrix, R2: PolyMatrix) -> StandardSlds:
     if R1.shape != R2.shape or R1.rows != R1.cols:
         raise ValueError("R1 and R2 must be square with equal sizes")
     w = R1.cols
-    if not is_strictly_proper(R2, R1):
+    D1, D2 = Divisor(R1), Divisor(R2)
+    if not is_strictly_proper(R2, D1):
         raise ValueError(
             "R2 R1^{-1} is not strictly proper; the biproper case is out of scope"
         )
-    n1 = int(determinant(R1).degree)
-    n2 = int(max(determinant(R2).degree, 0))
+    n1 = int(D1.det.degree)
+    n2 = int(max(D2.det.degree, 0))
     if n1 - n2 != w:
         raise ValueError(
             f"state-dimension gap n1-n2 = {n1 - n2} differs from w = {w}; "
             "the input pair does not admit a standard construction"
         )
-    X2 = minimal_state_map(R2)
-    if X2.rows and not is_strictly_proper(X2, R1):
+    X2 = minimal_state_map(D2)
+    if X2.rows and not is_strictly_proper(X2, D1):
         raise ValueError("mode-2 state rows are not states of mode 1")
     # extend X2 to a minimal state map of mode 1 with rows from its own map
-    Xc = minimal_state_map(R1)
+    Xc = minimal_state_map(D1)
     grid = int(max(Xc.degree, X2.degree if X2.rows else 0, 0)) + 1
     base = (
         coefficient_matrix(X2, grid) if X2.rows else np.zeros((0, grid * w))
@@ -333,11 +344,11 @@ def build_standard_slds(R1: PolyMatrix, R2: PolyMatrix) -> StandardSlds:
         raise ValueError("failed to extend the mode-2 state basis to mode 1")
     X1p = vstack(picked)
     X1 = vstack([X2, X1p]) if X2.rows else X1p
-    realize(R1, X1)  # validates X1 as a state map for mode 1
-    Pi = _express_in_state_basis(X1p, R2, X2)
+    realize(D1, X1)  # validates X1 as a state map for mode 1
+    Pi = express_in_state_basis(X1p, D2, X2)
     # constant feed-through K = lim xi X1p R1^{-1}
     xi = Poly([0.0, 1.0])
-    Kmat = polynomial_part(X1p.scale(xi), R1)
+    Kmat = polynomial_part(X1p.scale(xi), D1)
     if Kmat.degree > 0:
         raise ValueError("xi X1' R1^{-1} is not proper")
     K = Kmat.coeffs[0]
@@ -348,7 +359,9 @@ def build_standard_slds(R1: PolyMatrix, R2: PolyMatrix) -> StandardSlds:
         (2, 1): (vstack([X2, PiX2]), X1),
         (1, 2): (X2, X2),
     }
-    model = SldsModel(modes=[R1, R2], gluing=gluing, state_maps=[X1, X2])
+    model = SldsModel(
+        modes=[R1, R2], gluing=gluing, state_maps=[X1, X2], divisors=[D1, D2]
+    )
     return StandardSlds(
         R1=R1, R2=R2, X1=X1, X2=X2, X1p=X1p, Pi=Pi, K=K, model=model
     )
@@ -360,21 +373,22 @@ def build_standard_slds(R1: PolyMatrix, R2: PolyMatrix) -> StandardSlds:
 
 def mlf_from_positive_real(s: StandardSlds) -> MlfCertificate:
     """Storage-function MLF for a standard SLDS with SPR ``R2 R1^{-1}``."""
-    if not is_hurwitz(s.R1) or not is_hurwitz(s.R2):
+    D1, D2 = s.model.divisors
+    if not is_hurwitz(D1) or not is_hurwitz(D2):
         raise ValueError("both modes must be Hurwitz")
-    ok, witness = is_strictly_positive_real(s.R2, s.R1)
+    ok, witness = is_strictly_positive_real(s.R2, D1)
     if not ok:
         raise ValueError(f"R2 R1^-1 is not strictly positive real: {witness}")
     P = para_hermitian_boundary(s.R2, s.R1)
-    Q = spectral_factorize(P, s.R1).Q
-    if not is_strictly_proper(Q, s.R1):
+    Q = spectral_factorize(P, D1).Q
+    if not is_strictly_proper(Q, D1):
         raise ValueError("spectral factor Q R1^{-1} is not strictly proper")
     phi = two_var_from_pair(s.R1, s.R2)
     psi1 = divide_by_zeta_plus_eta(phi - two_var_product(Q, Q))
     K1 = to_canonical(psi1, s.X1, s.R1).kernel
     from .qdf import qdf_mod
 
-    psi2 = qdf_mod(psi1, s.R2)
+    psi2 = qdf_mod(psi1, D2)
     if s.X2.rows:
         K2 = to_canonical(psi2, s.X2, s.R2).kernel
     else:
@@ -429,11 +443,12 @@ def positive_real_completion(s: StandardSlds, cert: MlfCertificate) -> PolyMatri
                     f"rank Q(j omega) drops at omega = {r.imag:.6g}; "
                     "the completion hypothesis fails"
                 )
-    Ppoly = polynomial_part(s.X1p, s.R2)
+    D1, D2 = s.model.divisors
+    Ppoly = polynomial_part(s.X1p, D2)
     Mconst = s.K.T @ P22
     M = PolyMatrix(Mconst[None, :, :]) @ Ppoly
     # reconstruct (z+e)Psi1 = -Q^T Q + V(z)^T R1(e) + R1(z)^T V(e), V = M R2
-    Q = spectral_factorize(P, s.R1).Q
+    Q = spectral_factorize(P, D1).Q
     from .qdf import qdf_derivative, sandwich
 
     V = M @ s.R2
@@ -442,12 +457,14 @@ def positive_real_completion(s: StandardSlds, cert: MlfCertificate) -> PolyMatri
     resid = (lhs - rhs).max_norm()
     if resid > 1e-7 * max(1.0, lhs.max_norm()):
         raise ValueError(f"completion identity residual {resid:.3e}")
-    if not check_completion(M, s.R2, s.R1):
+    if not check_completion(M, s.R2, D1):
         raise ValueError("computed M fails the SPR completion check")
     return M
 
 
-def check_completion(M: PolyMatrix, R2: PolyMatrix, R1: PolyMatrix) -> bool:
+def check_completion(
+    M: PolyMatrix, R2: PolyMatrix, R1: PolyMatrix | Divisor
+) -> bool:
     """True iff ``M R2 R1^{-1}`` is strictly positive real."""
     ok, _ = is_strictly_positive_real(M @ R2, R1)
     return ok

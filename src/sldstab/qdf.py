@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .polymat import PolyMatrix, canonical_rep, vstack
+from .polymat import Divisor, PolyMatrix, canonical_rep, vstack
 from .statespace import coefficient_matrix
 
 CANONICAL_RESIDUAL_TOL = 1e-9
@@ -175,18 +175,19 @@ def _factor_flat(psi: TwoVarForm) -> tuple[PolyMatrix, np.ndarray]:
     return PolyMatrix(c), np.sign(lam)
 
 
-def qdf_mod(phi: TwoVarForm, R: PolyMatrix) -> TwoVarForm:
+def qdf_mod(phi: TwoVarForm, R: PolyMatrix | Divisor) -> TwoVarForm:
     """R-canonical representative of a two-variable form.
 
     Factors ``phi = M(z)^T S M(e)``, reduces ``M`` modulo ``R`` row-wise and
     re-multiplies.
     """
-    if R.cols != phi.w:
+    div = Divisor.of(R)
+    if div.R.cols != phi.w:
         raise ValueError("variable-count mismatch between form and R")
     M, signs = _factor_flat(phi)
     if M.rows == 0:
         return TwoVarForm(np.zeros((1, 1, phi.w, phi.w)))
-    Mred = canonical_rep(M, R)
+    Mred = canonical_rep(M, div)
     return two_var_product(Mred, Mred, signs)
 
 

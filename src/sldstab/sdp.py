@@ -3,8 +3,14 @@
 The problem is a set of named matrix variables (optionally symmetric) plus
 affine matrix-valued constraints with a semidefiniteness sense.  Constraints
 are given as plain Python callables; the affine map is recovered numerically
-by probing with basis vectors (each basis vector is unpacked once and fed to
-every constraint), so callers never build coefficient tensors by hand.
+by probing with basis vectors, so callers never build coefficient tensors by
+hand.  The probe calls each constraint once, with every variable given as a
+stack ``(n_params + 1, rows, cols)`` of its values at zero and at each basis
+vector.  Constraints must therefore act on the last two axes and broadcast
+over the leading one: ``swapaxes(-1, -2)`` for a transpose, ``[..., i, j]``
+for an index.  One further call on plain matrices, at a fixed point, checks
+the compiled map and rejects an expression that does not broadcast.
+``verify`` calls them on plain matrices.
 
 Solving is feasibility-only: equality constraints are eliminated exactly
 through a nullspace parametrization, then a phase-I log-det barrier drives
@@ -43,6 +49,8 @@ import numpy as np
 import scipy.linalg
 
 DEFAULT_BUDGET = 50_000
+# Relative mismatch above which a compiled constraint is rejected (``_compile``).
+AFFINE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -178,17 +186,20 @@ class LmiProblem:
         return sum(b.n_params for b in self._blocks.values())
 
     def _unpack(self, v: np.ndarray) -> dict:
+        """Variable values at ``v``; a stack of vectors gives stacked values."""
         out = {}
         pos = 0
+        lead = v.shape[:-1]
         for b in self._blocks.values():
-            chunk = v[pos : pos + b.n_params]
+            chunk = v[..., pos : pos + b.n_params]
             pos += b.n_params
             if b.symmetric:
-                M = np.empty((b.rows, b.rows))
-                M[b.triu] = chunk
-                M[b.triu[::-1]] = chunk
+                rows, cols = b.triu
+                M = np.empty(lead + (b.rows, b.rows))
+                M[..., rows, cols] = chunk
+                M[..., cols, rows] = chunk
             else:
-                M = chunk.reshape(b.rows, b.cols)
+                M = chunk.reshape(lead + (b.rows, b.cols))
             out[b.name] = M
         return out
 
@@ -211,21 +222,35 @@ class LmiProblem:
     # -- affine compilation by probing --------------------------------------
 
     def _compile(self):
+        """``(constraint, c0, A, m)``: each expression is ``c0 + A v`` flattened.
+
+        One call per constraint, on the stack of the zero vector and every
+        basis vector: ``c0`` is the value at zero, column ``i`` of ``A`` the
+        value at ``e_i`` minus ``c0``.
+        """
         npar = self.n_params
-        zero_vals = self._unpack(np.zeros(npar))
+        vals = self._unpack(np.vstack([np.zeros(npar), np.eye(npar)]))
+        probe = np.linspace(-1.0, 1.0, npar)
+        probe_vals = self._unpack(probe)
         compiled = []
         for c in self.constraints:
-            C0 = np.asarray(c.expr(zero_vals), dtype=float)
-            if C0.ndim != 2 or C0.shape[0] != C0.shape[1]:
+            S = np.asarray(c.expr(vals), dtype=float)
+            if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
                 raise ValueError(f"constraint '{c.name}' is not square")
-            compiled.append((c, C0.ravel(), np.zeros((C0.size, npar)), C0.shape[0]))
-        # one unpacked basis vector serves every constraint
-        for i in range(npar):
-            e = np.zeros(npar)
-            e[i] = 1.0
-            vals = self._unpack(e)
-            for c, c0, A, _ in compiled:
-                A[:, i] = np.asarray(c.expr(vals), dtype=float).ravel() - c0
+            m = S.shape[-1]
+            S = np.broadcast_to(S, (npar + 1, m, m)).reshape(npar + 1, m * m)
+            c0 = S[0].copy()
+            A = np.ascontiguousarray((S[1:] - c0).T)
+            # one plain call checks the compiled map: it catches an expression
+            # that does not broadcast over the stack, or is not affine
+            got = np.asarray(c.expr(probe_vals), dtype=float).ravel()
+            err = np.abs(got - c0 - A @ probe) if got.size == m * m else np.inf
+            scale = np.max(np.abs(c0) + np.abs(A) @ np.abs(probe), initial=0.0)
+            if np.max(err, initial=0.0) > AFFINE_TOL * scale:
+                raise ValueError(
+                    f"constraint '{c.name}' is not affine over stacked variables"
+                )
+            compiled.append((c, c0, A, m))
         return compiled
 
     # -- margins -------------------------------------------------------------

@@ -15,16 +15,18 @@ import scipy.linalg
 
 from .polymat import (
     MINUS_INF,
+    Divisor,
     PolyMatrix,
     canonical_rep,
     column_degrees,
     column_reduce,
-    determinant,
     poly_roots,
     unimodular_inverse,
+    vstack,
 )
 
 REALIZE_TOL = 1e-9
+STATE_BASIS_TOL = 1e-9
 EIGVEC_TOL = 1e-8
 
 
@@ -39,7 +41,7 @@ def coefficient_matrix(M: PolyMatrix, grid: int) -> np.ndarray:
     return out
 
 
-def minimal_state_map(R: PolyMatrix) -> PolyMatrix:
+def minimal_state_map(R: PolyMatrix | Divisor) -> PolyMatrix:
     """Deterministic minimal state map for ``ker R(d/dt)``.
 
     Column-reduce ``R`` to ``R' = R U`` with column degrees ``d_j``; the rows
@@ -47,9 +49,10 @@ def minimal_state_map(R: PolyMatrix) -> PolyMatrix:
     through ``U^{-1}``, then normalized by the canonical representative.
     Rows are ordered by (column index, power ascending).
     """
-    Rp, U = column_reduce(R)
+    div = Divisor.of(R)
+    Rp, U = column_reduce(div)
     degs = column_degrees(Rp)
-    w = R.cols
+    w = div.R.cols
     Uinv = unimodular_inverse(U)
     rows = []
     for j in range(w):
@@ -60,17 +63,40 @@ def minimal_state_map(R: PolyMatrix) -> PolyMatrix:
             c = np.zeros((k + 1, 1, w))
             c[k, 0, j] = 1.0
             rows.append(PolyMatrix(c) @ Uinv)
-    n = int(round(determinant(R).degree))
+    n = int(round(div.det.degree))
     if len(rows) != n:
         raise ValueError(
             f"state-map construction produced {len(rows)} rows, expected {n}"
         )
     if n == 0:
         return PolyMatrix.zeros(0, w)
-    from .polymat import vstack
+    return canonical_rep(vstack(rows), div)
 
-    X = vstack(rows)
-    return canonical_rep(X, R)
+
+def express_in_state_basis(
+    G: PolyMatrix,
+    R: PolyMatrix | Divisor,
+    X: PolyMatrix,
+    tol: float = STATE_BASIS_TOL,
+) -> np.ndarray:
+    """Solve ``G mod R = F X`` for the constant matrix F.
+
+    Raises if ``G mod R`` is not in the row span of ``X`` within ``tol``.
+    """
+    Gc = canonical_rep(G, R)
+    grid = max(Gc.coeffs.shape[0], X.coeffs.shape[0])
+    Ga = coefficient_matrix(Gc, grid)
+    Xa = coefficient_matrix(X, grid)
+    F, *_ = np.linalg.lstsq(Xa.T, Ga.T, rcond=None)
+    F = F.T
+    resid = np.max(np.abs(F @ Xa - Ga)) if Ga.size else 0.0
+    scale = max(1.0, np.max(np.abs(Ga)) if Ga.size else 0.0)
+    if resid > tol * scale:
+        raise ValueError(
+            f"canonical representative not in the state-map row span "
+            f"(residual {resid:.3e})"
+        )
+    return F
 
 
 @dataclass(frozen=True)
@@ -100,12 +126,16 @@ class StateRealization:
         return self.R.cols
 
 
-def realize(R: PolyMatrix, X: PolyMatrix, tol: float = REALIZE_TOL) -> StateRealization:
+def realize(
+    R: PolyMatrix | Divisor, X: PolyMatrix, tol: float = REALIZE_TOL
+) -> StateRealization:
     """Solve ``xi X = A X + B R`` and ``I_w mod R = C X`` by coefficient match.
 
     Raises if the residual exceeds ``tol`` (the given X is then not a valid
     state map for ``ker R``).
     """
+    div = Divisor.of(R)
+    R = div.R
     n, w = X.rows, R.cols
     L = int(R.degree) if R.degree != MINUS_INF else 0
     grid = max(L + 1, int(X.degree) + 2 if X.degree != MINUS_INF else 1)
@@ -121,7 +151,7 @@ def realize(R: PolyMatrix, X: PolyMatrix, tol: float = REALIZE_TOL) -> StateReal
     resid = np.max(np.abs(AB @ M - Xb))
     if resid > tol * scale:
         raise ValueError(f"X is not a valid state map (residual {resid:.3e})")
-    Ican = canonical_rep(PolyMatrix.identity(w), R)
+    Ican = canonical_rep(PolyMatrix.identity(w), div)
     Ia = coefficient_matrix(Ican, grid)
     Csol, *_ = np.linalg.lstsq(Xa.T, Ia.T, rcond=None)
     C = Csol.T
@@ -156,7 +186,7 @@ def _cluster_roots(rts: np.ndarray, tol: float) -> list[tuple[complex, int]]:
 
 
 def eigenstructure(
-    R: PolyMatrix, X: PolyMatrix, tol: float = 1e-6
+    R: PolyMatrix | Divisor, X: PolyMatrix, tol: float = 1e-6
 ) -> ModeEigenstructure:
     """Roots of ``det R`` with kernel directions and the V matrix.
 
@@ -164,8 +194,9 @@ def eigenstructure(
     ``dim ker R(lambda)``; defective modes are a hard error (the conservative
     LMI route does not need this data).
     """
-    det = determinant(R)
-    rts = poly_roots(det)
+    div = Divisor.of(R)
+    R = div.R
+    rts = poly_roots(div.det)
     n = len(rts)
     clusters = _cluster_roots(rts, tol)
     lams, dirs, vcols = [], [], []

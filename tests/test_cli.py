@@ -106,6 +106,28 @@ class TestCheck:
         assert main(["check", ELCIRC, "--tolerances", str(tol)]) == 1
         assert f"tolerance '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0.5", "5.0", "true"])
+    def test_non_integer_tolerance_budget_exits_1(self, tmp_path, capsys, value):
+        # int() would truncate 0.5 to a zero budget and exit 2 "no certificate"
+        tol = tmp_path / "tol.json"
+        tol.write_text(f'{{"budget": {value}}}')
+        assert main(["check", CONVERTER4, "--tolerances", str(tol)]) == 1
+        captured = capsys.readouterr()
+        assert "tolerance 'budget'" in captured.err
+        assert "no certificate" not in captured.out
+
+    def test_integer_tolerance_budget_accepted(self, tmp_path):
+        tol = tmp_path / "tol.json"
+        tol.write_text('{"budget": 500}')
+        assert main(["check", ELCIRC, "--tolerances", str(tol)]) == 0
+
+    def test_audit_rel_tolerance_rejected(self, tmp_path, capsys):
+        # no code reads audit_rel; accepting it would pretend it has an effect
+        tol = tmp_path / "tol.json"
+        tol.write_text('{"audit_rel": 1e-6}')
+        assert main(["check", ELCIRC, "--tolerances", str(tol)]) == 1
+        assert "unknown tolerance keys: ['audit_rel']" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_audited_run(self, tmp_path, capsys):

@@ -1,9 +1,12 @@
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sldstab import model as model_mod
+from sldstab import polymat
 from sldstab.cli import main
 from sldstab.fixtures import concond, elcirc, exmath, source_converter
 from sldstab.mlf import find_mlf, verify_mlf
@@ -11,12 +14,13 @@ from sldstab.model import (
     SldsModel,
     is_consistent,
     is_well_posed,
+    load_model,
     model_from_json,
     model_to_json,
     normal_form,
     reinit_maps,
 )
-from sldstab.polymat import PolyMatrix
+from sldstab.polymat import PolyMatrix, polymatrix_from_json
 from sldstab.sim import SwitchingSignal, simulate
 
 
@@ -55,6 +59,77 @@ class TestDerivedOnce:
         path.write_text(json.dumps(model_to_json(model)))
         assert main(["check", str(path), "--route", "exact"]) == 0
         assert len(calls) == model.n_modes
+
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
+
+
+def _count_division_data(monkeypatch) -> dict:
+    """Record the argument of every ``determinant`` and ``adjugate`` call."""
+    seen = {"determinant": [], "adjugate": []}
+    for name, args in seen.items():
+        orig = getattr(polymat, name)
+
+        def counted(R, orig=orig, args=args):
+            args.append(R.coeffs.copy())
+            return orig(R)
+
+        for mod in list(sys.modules.values()):
+            if mod is not None and mod.__name__.startswith("sldstab"):
+                if getattr(mod, name, None) is orig:
+                    monkeypatch.setattr(mod, name, counted)
+    return seen
+
+
+def _calls_per_mode(seen: dict, modes) -> dict:
+    return {
+        name: [sum(np.array_equal(c, R.coeffs) for c in args) for R in modes]
+        for name, args in seen.items()
+    }
+
+
+class TestDivisionDataOncePerMode:
+    CONVERTER4 = str(MODELS / "source_converter_4mode.json")
+    R1 = str(MODELS / "standard_scalar_r1.json")
+    R2 = str(MODELS / "standard_scalar_r2.json")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", CONVERTER4, "--route", "exact"],
+            ["check", CONVERTER4, "--route", "conservative"],
+            [
+                "simulate", CONVERTER4, "--signal", str(MODELS / "converter_cycle.json"),
+                "--x0", "1,1", "--t-end", "0.002", "--dt", "1e-4",
+            ],
+        ],
+        ids=["check-exact", "check-conservative", "simulate"],
+    )
+    def test_one_load_divides_once_per_mode(self, monkeypatch, argv):
+        modes = load_model(self.CONVERTER4).modes
+        seen = _count_division_data(monkeypatch)
+        assert main(argv) == 0
+        counts = _calls_per_mode(seen, modes)
+        assert counts == {"determinant": [1] * 4, "adjugate": [1] * 4}
+
+    def test_posreal_pair_divides_once_per_mode(self, monkeypatch, tmp_path):
+        seen = _count_division_data(monkeypatch)
+        out = str(tmp_path / "cert.json")
+        assert main(["posreal", "mlf", "--r1", self.R1, "--r2", self.R2, "--out", out]) == 0
+        modes = [polymatrix_from_json(json.loads(Path(p).read_text())) for p in (self.R1, self.R2)]
+        assert _calls_per_mode(seen, modes) == {
+            "determinant": [1, 1],
+            "adjugate": [1, 1],
+        }
+
+    def test_two_loads_divide_twice(self, monkeypatch):
+        # nothing is shared between models: no cache outlives a load
+        modes = load_model(self.CONVERTER4).modes
+        seen = _count_division_data(monkeypatch)
+        for _ in range(2):
+            assert main(["check", self.CONVERTER4, "--route", "exact"]) == 0
+        counts = _calls_per_mode(seen, modes)
+        assert counts == {"determinant": [2] * 4, "adjugate": [2] * 4}
 
 
 class TestCircuitModel:

@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sldstab.polymat import (
+    Divisor,
     Poly,
     PolyMatrix,
     adjugate,
@@ -265,3 +268,66 @@ def test_vstack():
     M = vstack([A, B])
     assert M.shape == (3, 2)
     assert np.allclose(M.entry(2, 0).coeffs, [0.0, 1.0])
+
+
+def _per_call_polynomial_part(F: PolyMatrix, R: PolyMatrix) -> PolyMatrix:
+    """The division with ``det R`` and ``adj R`` computed for this call only."""
+    d = determinant(R).coeffs
+    m = len(d) - 1
+    rem = (F @ adjugate(R)).coeffs.copy()
+    if rem.shape[0] <= m:
+        return PolyMatrix.zeros(F.rows, R.cols)
+    q = np.zeros((rem.shape[0] - m,) + rem.shape[1:])
+    for k in range(q.shape[0] - 1, -1, -1):
+        q[k] = rem[k + m] / d[m]
+        rem[k : k + m + 1] -= d[:, None, None] * q[k]
+    return PolyMatrix(q)
+
+
+@st.composite
+def _integer_polymatrix(draw, rows, cols, max_degree):
+    deg = draw(st.integers(0, max_degree))
+    size = (deg + 1) * rows * cols
+    c = draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size))
+    return PolyMatrix(np.array(c, dtype=float).reshape(deg + 1, rows, cols))
+
+
+@st.composite
+def _division_case(draw):
+    """A square ``R`` (n = 1..3) and one to three ``F`` with n columns."""
+    n = draw(st.integers(1, 3))
+    R = draw(_integer_polymatrix(n, n, 2))
+    Fs = draw(
+        st.lists(
+            st.integers(1, 3).flatmap(lambda r: _integer_polymatrix(r, n, 4)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return R, Fs
+
+
+class TestDivisor:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_division_case())
+    def test_shared_divisor_matches_per_call_division(self, case):
+        # one divisor serves every F, bit for bit as a division of its own
+        R, Fs = case
+        assume(not determinant(R).is_zero())
+        div = Divisor(R)
+        for F in Fs:
+            N = _per_call_polynomial_part(F, R)
+            assert np.array_equal(polynomial_part(F, div).coeffs, N.coeffs)
+            want = (F - N @ R).coeffs
+            assert np.array_equal(canonical_rep(F, div).coeffs, want)
+            assert np.array_equal(canonical_rep(F, R).coeffs, want)
+
+    def test_singular_matrix_rejected(self):
+        R = PolyMatrix.from_entries([[[1.0], [1.0]], [[1.0], [1.0]]])
+        with pytest.raises(ValueError, match="singular"):
+            Divisor(R)
+
+    def test_of_passes_a_divisor_through(self):
+        div = Divisor(PolyMatrix.from_entries([[[2.0, 1.0]]]))
+        assert Divisor.of(div) is div
+        assert Divisor.of(div.R) is not div

@@ -3,6 +3,7 @@ import pytest
 
 from sldstab.fixtures import standard_scalar_pair
 from sldstab.mlf import find_mlf, verify_mlf
+from sldstab.model import normal_form
 from sldstab.polymat import PolyMatrix
 from sldstab.posreal import (
     build_standard_slds,
@@ -89,6 +90,16 @@ class TestSpectralFactorization:
 
 
 class TestStandardConstruction:
+    def test_gluing_normal_form_exact_for_widely_spread_roots(self):
+        # G+ of 2 -> 1 is X1 itself, so its normal form is exactly I.  The
+        # Horner form F = sum_i G_i C A^i over the realization moves it by
+        # 2.3e-9 on this pair, enough to fail switch_2_1; the division does not.
+        R1 = _scalar(np.poly(-np.array([0.5, 3.0, 17.0, 95.0]))[::-1])
+        R2 = _scalar(np.poly(-np.array([1.2, 7.0, 40.0]))[::-1])
+        f_plus = normal_form(build_standard_slds(R1, R2).model)[(2, 1)].f_plus
+        assert f_plus.shape == (4, 4)
+        assert np.max(np.abs(f_plus - np.eye(4))) <= 1e-12
+
     def test_scalar_pair(self):
         R1, R2 = standard_scalar_pair()
         s = build_standard_slds(R1, R2)

@@ -1,11 +1,24 @@
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sldstab.fixtures import source_converter
-from sldstab.mlf import EPS_REL, _warm_start, assemble_mlf_lmis, problem_scale
+from sldstab.mlf import (
+    EPS_REL,
+    _warm_start,
+    assemble_mlf_lmis,
+    assemble_ple_lmi,
+    problem_scale,
+)
+from sldstab.model import load_model
+from sldstab.polymat import PolyMatrix
+from sldstab.posreal import spectral_factorize
 from sldstab.sdp import LmiProblem
+from sldstab.statespace import minimal_state_map
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
 def _lyapunov_problem(A, eps):
@@ -65,7 +78,7 @@ class TestFeasible:
         prob.add_matrix("Y", 1, 2)
         target = np.array([[3.0, -1.0]])
         prob.add_constraint(
-            "fix", lambda v: np.diag((v["Y"] - target).ravel()), "zero"
+            "fix", lambda v: np.eye(2) * (v["Y"] - target), "zero"
         )
         prob.add_constraint("pos", lambda v: v["K"], "psd", shift=1e-6)
         rep = prob.solve(eps=1e-6)
@@ -194,7 +207,7 @@ class TestNonSymmetricExpression:
             prob.add_symmetric("K", 2)
             prob.add_matrix("c", 1, 1)
             prob.add_constraint(
-                "pos", lambda v, M=M: v["K"] + M * v["c"][0, 0], "psd", shift=1e-6
+                "pos", lambda v, M=M: v["K"] + M * v["c"], "psd", shift=1e-6
             )
             prob.add_constraint("lift", lambda v: v["c"] - 3.0, "psd")
             if capped:
@@ -203,3 +216,83 @@ class TestNonSymmetricExpression:
         raw, sym = reports
         assert raw.feasible == sym.feasible == (not capped)
         assert raw.iterations == sym.iterations > 0
+
+
+def _probed(prob: LmiProblem) -> list:
+    """``(c0, A)`` per constraint by one closure call per basis vector."""
+    npar = prob.n_params
+    zero = prob._unpack(np.zeros(npar))
+    out = []
+    for c in prob.constraints:
+        c0 = np.asarray(c.expr(zero), dtype=float).ravel()
+        A = np.zeros((c0.size, npar))
+        for i in range(npar):
+            e = np.zeros(npar)
+            e[i] = 1.0
+            A[:, i] = np.asarray(c.expr(prob._unpack(e)), dtype=float).ravel() - c0
+        out.append((c0, A))
+    return out
+
+
+def _assert_compiles_like_probing(prob: LmiProblem) -> None:
+    compiled = prob._compile()
+    assert len(compiled) == len(prob.constraints)
+    for (c, c0, A, m), (p0, pA) in zip(compiled, _probed(prob)):
+        assert c0.shape == p0.shape == (m * m,)
+        assert A.shape == pA.shape
+        scale = max(np.max(np.abs(pA), initial=0.0), np.max(np.abs(p0)), 1e-300)
+        assert np.max(np.abs(c0 - p0)) <= 1e-14 * scale, c.name
+        assert np.max(np.abs(A - pA), initial=0.0) <= 1e-14 * scale, c.name
+
+
+class TestBatchedCompile:
+    @pytest.mark.parametrize(
+        "name, conservative",
+        [
+            ("concond", True),
+            ("elcirc", False),
+            ("elcirc", True),
+            ("exmath", False),
+            ("exmath", True),
+            ("source_converter_4mode", False),
+            ("source_converter_4mode", True),
+            ("source_converter_6mode", False),
+            ("source_converter_6mode", True),
+        ],
+    )
+    def test_corpus_lmis_match_probing(self, name, conservative):
+        model = load_model(MODELS / f"{name}.json")
+        eps = EPS_REL * problem_scale(model)
+        for multipliers in (False, True):
+            prob = assemble_mlf_lmis(
+                model, eps, conservative=conservative, multipliers=multipliers
+            )
+            _assert_compiles_like_probing(prob)
+
+    def test_posreal_gram_lmi_matches_probing(self, monkeypatch):
+        problems = []
+        solve = LmiProblem.solve
+        monkeypatch.setattr(
+            LmiProblem,
+            "solve",
+            lambda self, *a, **k: problems.append(self) or solve(self, *a, **k),
+        )
+        P = PolyMatrix.from_entries([[[2.0], [0.0]], [[0.0], [2.0, 0.0, -2.0]]])
+        spectral_factorize(P)
+        assert len(problems) == 1
+        _assert_compiles_like_probing(problems[0])
+
+    def test_ple_lmi_matches_probing(self):
+        R = PolyMatrix.from_entries([[[2.0, 3.0, 1.0], [1.0]], [[0.0], [1.0, 1.0]]])
+        X = minimal_state_map(R)
+        prob = assemble_ple_lmi(R, X, np.ones((1, X.rows)), require_positive=True)
+        _assert_compiles_like_probing(prob)
+
+    def test_non_broadcasting_expression_rejected(self):
+        # v["c"][0, 0] picks one entry of the whole stack, not of each value
+        prob = LmiProblem()
+        prob.add_symmetric("K", 2)
+        prob.add_matrix("c", 1, 1)
+        prob.add_constraint("pos", lambda v: v["K"] + v["c"][0, 0], "psd", 1e-6)
+        with pytest.raises(ValueError, match="'pos' is not affine"):
+            prob.solve(eps=1e-6)
