@@ -8,14 +8,17 @@ spectral factor ``Q`` of the boundary form gives the storage function
 
     Psi_1 = (R1(z)^T R2(e) + R2(z)^T R1(e) - Q(z)^T Q(e)) / (z + e)
 
-for mode 1, and ``Psi_2 = Psi_1 mod R2`` for mode 2.  Conversely a valid MLF
-of this structure produces a strictly positive-real completion ``M`` with
-``M R2 R1^{-1}`` SPR.
+for mode 1, and ``Psi_2 = Psi_1 mod R2`` for mode 2.  In state coordinates
+``Psi_1 = X1(z)^T K1 X1(e)``, and ``Psi_2`` is ``K2 = L21^T K1 L21`` with
+``L21 = col(I, Pi)`` the 2 -> 1 re-initialisation map, so the 2 -> 1 switch
+condition holds with equality.  Conversely a valid MLF of this structure
+produces a strictly positive-real completion ``M`` with ``M R2 R1^{-1}`` SPR.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +39,8 @@ from .polymat import (
 )
 from .qdf import (
     divide_by_zeta_plus_eta,
+    qdf_derivative,
+    sandwich,
     to_canonical,
     two_var_from_pair,
     two_var_product,
@@ -78,6 +83,21 @@ class StandardSlds:
     @property
     def n2(self) -> int:
         return self.X2.rows
+
+    @cached_property
+    def boundary(self) -> PolyMatrix:
+        """The boundary form ``para_hermitian_boundary(R2, R1)``."""
+        return para_hermitian_boundary(self.R2, self.R1)
+
+    @cached_property
+    def spr(self) -> tuple[bool, dict]:
+        """``is_strictly_positive_real(R2, R1)``, read off :attr:`boundary`."""
+        return _spr_verdict(self.R2, self.model.divisors[0], self.boundary)
+
+    @cached_property
+    def spectral_factor(self) -> PolyMatrix:
+        """``Q`` with ``Q(-xi)^T Q(xi)`` equal to :attr:`boundary`."""
+        return spectral_factorize(self.boundary, self.model.divisors[0]).Q
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +159,14 @@ def is_strictly_positive_real(
             D = Divisor(D)
         except ValueError:
             raise ValueError("D is singular") from None
+    return _spr_verdict(N, D, para_hermitian_boundary(N, D.R))
+
+
+def _spr_verdict(N: PolyMatrix, D: Divisor, P: PolyMatrix) -> tuple[bool, dict]:
+    """``is_strictly_positive_real`` given the boundary form ``P`` of (N, D)."""
     poles = _uncancelled_rhp_poles(N, D)
     if poles:
         return False, {"reason": "pole in closed right half-plane", "pole": poles[0]}
-    P = para_hermitian_boundary(N, D.R)
     P0 = 0.5 * (P(0.0) + P(0.0).T)
     lam0 = np.linalg.eigvalsh(P0)
     scale = max(1.0, P.max_norm())
@@ -376,21 +400,19 @@ def mlf_from_positive_real(s: StandardSlds) -> MlfCertificate:
     D1, D2 = s.model.divisors
     if not is_hurwitz(D1) or not is_hurwitz(D2):
         raise ValueError("both modes must be Hurwitz")
-    ok, witness = is_strictly_positive_real(s.R2, D1)
+    ok, witness = s.spr
     if not ok:
         raise ValueError(f"R2 R1^-1 is not strictly positive real: {witness}")
-    P = para_hermitian_boundary(s.R2, s.R1)
-    Q = spectral_factorize(P, D1).Q
+    Q = s.spectral_factor
     if not is_strictly_proper(Q, D1):
         raise ValueError("spectral factor Q R1^{-1} is not strictly proper")
     phi = two_var_from_pair(s.R1, s.R2)
     psi1 = divide_by_zeta_plus_eta(phi - two_var_product(Q, Q))
-    K1 = to_canonical(psi1, s.X1, s.R1).kernel
-    from .qdf import qdf_mod
-
-    psi2 = qdf_mod(psi1, D2)
+    K1 = to_canonical(psi1, s.X1, s.R1)
     if s.X2.rows:
-        K2 = to_canonical(psi2, s.X2, s.R2).kernel
+        L = s.model.reinits[(2, 1)].L
+        K2 = L.T @ K1 @ L
+        K2 = 0.5 * (K2 + K2.T)
     else:
         K2 = np.zeros((0, 0))
     n2 = s.n2
@@ -431,26 +453,16 @@ def positive_real_completion(s: StandardSlds, cert: MlfCertificate) -> PolyMatri
     K1 = np.asarray(cert.kernels[0], dtype=float)
     n2 = s.n2
     P22 = K1[n2:, n2:]
-    # hypothesis: the dissipation rate has full rank on the axis
-    P = para_hermitian_boundary(s.R2, s.R1)
-    detP = determinant(P)
-    if detP.is_zero():
-        raise ValueError("dissipation form is rank deficient everywhere")
-    if detP.degree > 0:
-        for r in poly_roots(detP):
-            if abs(r.real) <= AXIS_TOL * max(1.0, abs(r)):
-                raise ValueError(
-                    f"rank Q(j omega) drops at omega = {r.imag:.6g}; "
-                    "the completion hypothesis fails"
-                )
+    # hypothesis: R2 R1^-1 is SPR, so the dissipation rate has full rank on the axis
+    ok, witness = s.spr
+    if not ok:
+        raise ValueError(f"the completion hypothesis fails: {witness}")
     D1, D2 = s.model.divisors
     Ppoly = polynomial_part(s.X1p, D2)
     Mconst = s.K.T @ P22
     M = PolyMatrix(Mconst[None, :, :]) @ Ppoly
     # reconstruct (z+e)Psi1 = -Q^T Q + V(z)^T R1(e) + R1(z)^T V(e), V = M R2
-    Q = spectral_factorize(P, D1).Q
-    from .qdf import qdf_derivative, sandwich
-
+    Q = s.spectral_factor
     V = M @ s.R2
     lhs = qdf_derivative(sandwich(s.X1, K1))
     rhs = two_var_from_pair(V, s.R1) - two_var_product(Q, Q)

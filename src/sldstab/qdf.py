@@ -106,23 +106,6 @@ class TwoVarForm:
         return f"TwoVarForm(w={self.w}, grid={self.grid})"
 
 
-class CanonicalQdf:
-    """A QDF written as ``X(z)^T K X(e)`` over a minimal state map ``X``."""
-
-    __slots__ = ("state_map", "kernel")
-
-    def __init__(self, state_map: PolyMatrix, kernel: np.ndarray):
-        kernel = np.asarray(kernel, dtype=float)
-        if kernel.shape[0] != kernel.shape[1]:
-            raise ValueError("kernel must be square")
-        if np.max(np.abs(kernel - kernel.T)) > 1e-9 * max(1.0, np.max(np.abs(kernel))):
-            raise ValueError("kernel must be symmetric")
-        if state_map.rows != kernel.shape[0]:
-            raise ValueError("kernel size must match the state-map row count")
-        self.state_map = state_map
-        self.kernel = 0.5 * (kernel + kernel.T)
-
-
 def sandwich(X: PolyMatrix, K: np.ndarray) -> TwoVarForm:
     """The form ``X(z)^T K X(e)`` for a polynomial matrix X and constant K."""
     d = X.coeffs.shape[0]
@@ -191,8 +174,8 @@ def qdf_mod(phi: TwoVarForm, R: PolyMatrix | Divisor) -> TwoVarForm:
     return two_var_product(Mred, Mred, signs)
 
 
-def to_canonical(psi: TwoVarForm, X: PolyMatrix, R: PolyMatrix) -> CanonicalQdf:
-    """Express an R-canonical form as ``X(z)^T K X(e)``.
+def to_canonical(psi: TwoVarForm, X: PolyMatrix, R: PolyMatrix) -> np.ndarray:
+    """Symmetric kernel ``K`` writing an R-canonical form as ``X(z)^T K X(e)``.
 
     Solves the linear coefficient system by least squares and rejects if the
     reconstruction residual exceeds the canonical tolerance, which signals
@@ -212,7 +195,7 @@ def to_canonical(psi: TwoVarForm, X: PolyMatrix, R: PolyMatrix) -> CanonicalQdf:
         raise ValueError(
             f"form is not expressible over the state map (residual {resid:.3e})"
         )
-    return CanonicalQdf(X, K)
+    return K
 
 
 def eval_along_trajectory(psi: TwoVarForm, derivs) -> float:

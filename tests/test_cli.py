@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sldstab import posreal as pr
 from sldstab.cli import main
 from sldstab.fixtures import unstable_mode
 from sldstab.model import SldsModel, model_to_json
@@ -230,27 +231,34 @@ class TestPosreal:
         assert main(["posreal", "complete", "--r1", R1, "--r2", R2]) == 0
 
     def test_mlf_with_widely_spread_roots(self, tmp_path, capsys):
-        # |r(lambda)| at the computed root -95 is rounding noise far above
-        # 1e-8 in absolute terms; the kernel test must be relative
-        r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        for path, roots in ((r1, [0.5, 3.0, 17.0, 95.0]), (r2, [1.2, 7.0, 40.0])):
-            coeffs = np.poly(-np.asarray(roots))[::-1]
-            path.write_text(json.dumps([[list(map(float, coeffs))]]))
-        assert main(["posreal", "sprcheck", "--r1", str(r1), "--r2", str(r2)]) == 0
-        cert = tmp_path / "cert.json"
-        assert main(["posreal", "mlf", "--r1", str(r1), "--r2", str(r2),
-                     "--out", str(cert)]) == 0
-        model_path = str(tmp_path / "cert_model.json")
-        assert main(["check", model_path, "--verify-only", str(cert)]) == 0
+        pairs = [
+            # |r(lambda)| at the computed root -95 is rounding noise far above
+            # 1e-8 in absolute terms; the kernel test must be relative
+            ([0.5, 3.0, 17.0, 95.0], [1.2, 7.0, 40.0]),
+            # closely clustered roots: a K2 computed apart from K1 missed the
+            # 2 -> 1 switch equality by more than eps
+            ([6.0, 7.0, 9.5], [6.5, 7.5]),
+            ([3.5, 4.5, 7.0, 10.0], [4.0, 5.5, 9.5]),
+            ([1.5, 3.5, 7.0, 8.5], [2.0, 6.5, 7.5]),
+        ]
+        for i, (poles, zeros) in enumerate(pairs):
+            r1, r2 = tmp_path / f"r1_{i}.json", tmp_path / f"r2_{i}.json"
+            for path, roots in ((r1, poles), (r2, zeros)):
+                coeffs = np.poly(-np.asarray(roots))[::-1]
+                path.write_text(json.dumps([[list(map(float, coeffs))]]))
+            io_args = ["--r1", str(r1), "--r2", str(r2)]
+            assert main(["posreal", "sprcheck"] + io_args) == 0, poles
+            cert = tmp_path / f"cert_{i}.json"
+            assert main(["posreal", "mlf"] + io_args + ["--out", str(cert)]) == 0, poles
+            model_path = str(tmp_path / f"cert_{i}_model.json")
+            assert main(["check", model_path, "--verify-only", str(cert)]) == 0, poles
 
-    def test_unverified_certificate_not_written(self, tmp_path, capsys):
-        # closely clustered roots: the storage kernel's switch margin falls
-        # below -eps, so neither action may report success or write a file
-        r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        for path, roots in ((r1, [3.5, 4.5, 7.0, 10.0]), (r2, [4.0, 5.5, 9.5])):
-            coeffs = np.poly(-np.asarray(roots))[::-1]
-            path.write_text(json.dumps([[list(map(float, coeffs))]]))
-        io_args = ["--r1", str(r1), "--r2", str(r2)]
+    def test_unverified_certificate_not_written(self, tmp_path, capsys, monkeypatch):
+        # a negated storage kernel keeps its block structure but is not
+        # positive, so neither action may report success or write a file
+        to_canonical = pr.to_canonical
+        monkeypatch.setattr(pr, "to_canonical", lambda *a: -to_canonical(*a))
+        io_args = ["--r1", R1, "--r2", R2]
         assert main(["posreal", "sprcheck"] + io_args) == 0
         for action in ("mlf", "complete"):
             out = tmp_path / f"{action}.json"

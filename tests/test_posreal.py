@@ -1,10 +1,17 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sldstab import posreal, qdf
+from sldstab.cli import main
 from sldstab.fixtures import standard_scalar_pair
 from sldstab.mlf import find_mlf, verify_mlf
 from sldstab.model import normal_form
-from sldstab.polymat import PolyMatrix
+from sldstab.polymat import PolyMatrix, polymatrix_from_json
 from sldstab.posreal import (
     build_standard_slds,
     check_completion,
@@ -14,10 +21,28 @@ from sldstab.posreal import (
     positive_real_completion,
     spectral_factorize,
 )
+from sldstab.qdf import qdf_mod, sandwich, to_canonical
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
+
+# interlacing poles and zeros that sit close together
+CLUSTERED = [
+    ([6.0, 7.0, 9.5], [6.5, 7.5]),
+    ([3.5, 4.5, 7.0, 10.0], [4.0, 5.5, 9.5]),
+    ([1.5, 3.5, 7.0, 8.5], [2.0, 6.5, 7.5]),
+]
 
 
 def _scalar(coeffs):
     return PolyMatrix.from_entries([[list(coeffs)]])
+
+
+def _from_roots(poles, zeros):
+    """Scalar pair ``(R1, R2)`` with ``R1(-p) = 0`` and ``R2(-z) = 0``."""
+    return tuple(
+        PolyMatrix(np.poly(-np.asarray(r, dtype=float))[::-1, None, None])
+        for r in (poles, zeros)
+    )
 
 
 class TestSprTest:
@@ -134,6 +159,24 @@ class TestStorageCertificate:
         n2 = s.n2
         assert np.allclose(K1[:n2, n2:], -s.Pi.T @ K1[n2:, n2:], atol=1e-8)
 
+    @pytest.mark.parametrize("roots", [None] + CLUSTERED)
+    def test_k2_is_psi1_mod_r2(self, roots):
+        # the certificate's K2 = L21^T K1 L21 is Psi_1 mod R2 read over X2
+        R1, R2 = standard_scalar_pair() if roots is None else _from_roots(*roots)
+        s = build_standard_slds(R1, R2)
+        K1, K2 = mlf_from_positive_real(s).kernels
+        K2_qdf = to_canonical(qdf_mod(sandwich(s.X1, K1), R2), s.X2, R2)
+        assert np.max(np.abs(K2_qdf - K2)) <= 1e-7 * np.max(np.abs(K1))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(1, 20), min_size=7, max_size=7, unique=True))
+    def test_interlacing_half_integer_pairs_certify(self, grid):
+        # magnitudes p1 < z1 < p2 < z2 < p3 < z3 < p4 on the grid 0.5, ..., 10
+        v = np.sort(grid) / 2.0
+        s = build_standard_slds(*_from_roots(v[0::2], v[1::2]))
+        cert = mlf_from_positive_real(s)
+        assert cert.feasible, cert.margins
+
     def test_verifies_and_lmi_cross_check(self):
         R1, R2 = standard_scalar_pair()
         s = build_standard_slds(R1, R2)
@@ -156,3 +199,31 @@ class TestCompletion:
     def test_check_completion_rejects_bad_m(self):
         R1, R2 = standard_scalar_pair()
         assert not check_completion(_scalar([-1.0]), R2, R1)
+
+
+def test_complete_derives_each_object_once(tmp_path, monkeypatch, capsys):
+    calls = {"spectral_factorize": [], "para_hermitian_boundary": [], "qdf_mod": []}
+    for mod, name in (
+        (posreal, "spectral_factorize"),
+        (posreal, "para_hermitian_boundary"),
+        (qdf, "qdf_mod"),
+    ):
+        def counted(*args, _f=getattr(mod, name), _name=name):
+            calls[_name].append(args)
+            return _f(*args)
+
+        monkeypatch.setattr(mod, name, counted)
+    r1, r2 = MODELS / "standard_scalar_r1.json", MODELS / "standard_scalar_r2.json"
+    out = tmp_path / "completion.json"
+    assert main(["posreal", "complete", "--r1", str(r1), "--r2", str(r2),
+                 "--out", str(out)]) == 0
+    R1, R2 = standard_scalar_pair()
+    M = polymatrix_from_json(json.loads(out.read_text()))
+    assert len(calls["spectral_factorize"]) == 1
+    assert len(calls["qdf_mod"]) == 0
+    # one boundary form for (R2, R1), one inside check_completion for (M R2, R1)
+    (n_a, d_a), (n_b, d_b) = calls["para_hermitian_boundary"]
+    assert np.array_equal(n_a.coeffs, R2.coeffs)
+    assert np.allclose(n_b.coeffs, (M @ R2).coeffs)
+    assert np.array_equal(d_a.coeffs, R1.coeffs)
+    assert np.array_equal(d_b.coeffs, R1.coeffs)

@@ -123,8 +123,7 @@ class TestCanonical:
         R = PolyMatrix.from_entries([[[2.0, 3.0, 1.0]]])
         K = np.array([[11.0, 3.0], [3.0, 1.0]])
         psi = sandwich(X, K)
-        c = to_canonical(psi, X, R)
-        assert np.allclose(c.kernel, K)
+        assert np.allclose(to_canonical(psi, X, R), K)
 
     def test_rejects_inexpressible(self):
         X = PolyMatrix.from_entries([[[1.0]]])  # only the constant row
