@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled model corpus under models/ from the built-in fixtures.
+"""Regenerate the bundled model corpus from the built-in fixtures.
 
-Run from the repository root:
+Run from the repository root; the output directory defaults to models/:
 
-    python3 scripts/generate_models.py
+    python3 scripts/generate_models.py [OUT_DIR]
 """
 
+import argparse
 import json
 import pathlib
 
@@ -13,19 +14,22 @@ from sldstab.fixtures import ALL_BUILDERS, standard_scalar_pair
 from sldstab.model import model_to_json
 from sldstab.polymat import polymatrix_to_json
 
-OUT = pathlib.Path(__file__).resolve().parent.parent / "models"
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
 
-def main() -> None:
-    OUT.mkdir(exist_ok=True)
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", nargs="?", type=pathlib.Path, default=MODELS)
+    out = parser.parse_args(argv).out
+    out.mkdir(exist_ok=True)
     for name, build in ALL_BUILDERS.items():
-        path = OUT / f"{name}.json"
+        path = out / f"{name}.json"
         with open(path, "w") as fh:
             json.dump(model_to_json(build()), fh, indent=2)
         print(f"wrote {path}")
     r1, r2 = standard_scalar_pair()
     for name, mat in [("standard_scalar_r1", r1), ("standard_scalar_r2", r2)]:
-        path = OUT / f"{name}.json"
+        path = out / f"{name}.json"
         with open(path, "w") as fh:
             json.dump(polymatrix_to_json(mat), fh, indent=2)
         print(f"wrote {path}")
@@ -50,7 +54,7 @@ def main() -> None:
         },
     }
     for name, doc in signals.items():
-        path = OUT / f"{name}.json"
+        path = out / f"{name}.json"
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2)
         print(f"wrote {path}")

@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from . import mlf as mlf_mod
 from . import posreal as pr
 from .mlf import (
     certificate_to_json,
@@ -29,8 +28,6 @@ from .model import is_well_posed, load_model, model_to_json, modes_hurwitz
 from .polymat import polymatrix_from_json, polymatrix_to_json
 from .sdp import DEFAULT_BUDGET
 from .sim import audit_mlf, asymptotic_check, signal_from_json, simulate, write_trace_csv
-
-log = logging.getLogger("sldstab")
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -100,25 +97,10 @@ def cmd_check(args) -> int:
         args.budget if args.budget is not None
         else tols.get("budget", DEFAULT_BUDGET)
     )
-    routes = (
-        ["exact", "conservative"] if args.route == "all" else [args.route]
-    )
-    cert = None
-    for route in routes:
-        try:
-            c = find_mlf(
-                model, conservative=(route == "conservative"), eps=eps, budget=budget
-            )
-        except ValueError as exc:
-            log.warning("route %s failed: %s", route, exc)
-            print(f"route {route}: {exc}")
-            continue
-        print(f"route {route}: feasible={c.feasible} "
-              f"(iterations {c.solver['iterations']})")
-        if c.feasible:
-            cert = c
-            break
-    if cert is None:
+    cert = find_mlf(model, eps=eps, budget=budget)
+    print(f"route {cert.route}: feasible={cert.feasible} "
+          f"(iterations {cert.solver['iterations']})")
+    if not cert.feasible:
         print("no certificate found; this does NOT prove instability "
               "(quadratic MLFs are sufficient only)")
         return EXIT_NO_CERT
@@ -157,11 +139,14 @@ def cmd_simulate(args) -> int:
 
 
 def _load_pair(args):
-    with open(args.r1) as fh:
-        R1 = polymatrix_from_json(json.load(fh))
-    with open(args.r2) as fh:
-        R2 = polymatrix_from_json(json.load(fh))
-    return R1, R2
+    pair = []
+    for flag, path in (("--r1", args.r1), ("--r2", args.r2)):
+        with open(path) as fh:
+            try:
+                pair.append(polymatrix_from_json(json.load(fh)))
+            except ValueError as exc:
+                raise ValueError(f"{flag} {path}: {exc}") from None
+    return tuple(pair)
 
 
 def cmd_posreal(args) -> int:
@@ -225,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="find/verify a stability certificate")
     c.add_argument("model")
-    c.add_argument("--route", choices=["exact", "conservative", "all"], default="all")
+    c.add_argument("--route", choices=["exact", "conservative", "all"], default="all",
+                   help="accepted for compatibility: every value runs the one search")
     c.add_argument("--out")
     c.add_argument("--eps", type=float)
     c.add_argument("--budget", type=int)

@@ -11,13 +11,16 @@ Per mode k the certificate is a quadratic differential form
 where ``Rt = [R_0 ... R_L]`` stacks the coefficient matrices of the kernel
 representation, ``Xa = [X_0 ... X_{L-1} 0]`` and ``Xb`` its one-block shift
 (the coefficient form of ``xi X``).  At a transition k -> l with
-re-initialisation map L the value must not increase:
+re-initialisation map L the value must not increase, for every state the
+gluing conditions admit:
 
-    Kbar_k - L^T Kbar_l L  >=  0        (conservative: all states)
+    Kbar_k - L^T Kbar_l L  >=  0                                 (switch)
 
-or, on the exact route, only along the mode-k eigendirections ``V_k``,
-which gives a Hermitian inequality realified as ``[[Re H, -Im H],
-[Im H, Re H]] >= 0``.
+This is the only switch condition.  Imposing it along the mode-k
+eigendirections instead, ``V_k^H (Kbar_k - L^T Kbar_l L) V_k >= 0`` with
+``V_k`` square and invertible, is a congruence of the same matrix: by
+Sylvester's law of inertia it has the same feasible set, measures
+violations in other units and needs a non-defective mode.
 
 The realization identity ``xi X = A X + B R`` reads ``Xb = A Xa + B Rt``, so
 with ``Ybar = B^T Kbar`` the ple expression equals ``Xa^T (A^T Kbar + Kbar A)
@@ -44,7 +47,7 @@ EPS_REL = 1e-7
 
 @dataclass
 class MlfCertificate:
-    route: str  # "exact" | "conservative" | "posreal"
+    route: str  # "lmi" (the search) | "posreal"; any label but "posreal" is strict
     epsilon: float
     kernels: list[np.ndarray]  # Kbar per mode
     multipliers: list[np.ndarray]  # Ybar per mode
@@ -66,39 +69,31 @@ def mode_decay_forms(model: SldsModel, kernels) -> list[np.ndarray]:
     return out
 
 
-def _realify(H: np.ndarray) -> np.ndarray:
-    """Real symmetric embedding of a Hermitian matrix (same definiteness).
-
-    Acts on the last two axes, so a stack of matrices gives a stack.
-    """
-    n = H.shape[-1]
-    out = np.empty(H.shape[:-2] + (2 * n, 2 * n))
-    out[..., :n, :n] = out[..., n:, n:] = H.real
-    out[..., n:, :n] = H.imag
-    out[..., :n, n:] = -H.imag
-    return out
+def _unit_lyapunov(model: SldsModel) -> list[np.ndarray]:
+    """Per-mode solutions of ``A^T K + K A = -I``, one solve per mode."""
+    return [
+        scipy.linalg.solve_lyapunov(real.A.T, -np.eye(real.n))
+        for real in model.realizations
+    ]
 
 
-def problem_scale(model: SldsModel) -> float:
+def problem_scale(model: SldsModel, solutions=None) -> float:
     """Natural magnitude of a Lyapunov certificate for the model.
 
-    Uses the per-mode solutions of ``A^T K + K A = -I``; the LMI tolerance
-    ``eps`` is relative to this.
+    Uses the per-mode solutions of ``A^T K + K A = -I`` (``solutions``, when
+    the caller has them); the LMI tolerance ``eps`` is relative to this.
     """
-    best = 0.0
-    for real in model.realizations:
-        K = scipy.linalg.solve_lyapunov(real.A.T, -np.eye(real.n))
-        best = max(best, float(np.max(np.abs(K))))
+    if solutions is None:
+        solutions = _unit_lyapunov(model)
+    best = max((float(np.max(np.abs(K))) for K in solutions), default=0.0)
     return max(best, 1e-300)
 
 
-def _warm_start(model: SldsModel) -> dict:
-    """Per-mode Lyapunov solutions ``A^T K + K A = -I``."""
-    values = {}
-    for k, real in enumerate(model.realizations, start=1):
-        K = scipy.linalg.solve_lyapunov(real.A.T, -np.eye(real.n))
-        values[f"K{k}"] = 0.5 * (K + K.T)
-    return values
+def _warm_start(model: SldsModel, solutions=None) -> dict:
+    """Per-mode Lyapunov solutions ``A^T K + K A = -I``, symmetrised."""
+    if solutions is None:
+        solutions = _unit_lyapunov(model)
+    return {f"K{k}": 0.5 * (K + K.T) for k, K in enumerate(solutions, start=1)}
 
 
 def assemble_ple_lmi(
@@ -146,16 +141,13 @@ def assemble_ple_lmi(
 def assemble_mlf_lmis(
     model: SldsModel,
     eps: float,
-    conservative: bool = False,
     strict: bool = True,
     multipliers: bool = True,
 ) -> LmiProblem:
     """Build the feasibility problem for an MLF certificate.
 
-    ``conservative=True`` imposes the switch conditions on the whole state
-    space instead of the mode eigendirections, which avoids computing the
-    eigenstructure (and works for defective modes) at the cost of
-    conservatism.  ``strict=False`` relaxes decay/positivity to the
+    The switch conditions hold on the whole state space (module docstring).
+    ``strict=False`` relaxes decay/positivity to the
     semidefinite sense, which is what storage-function certificates satisfy
     (their decay rate is a dissipation form with a nontrivial kernel).
     ``multipliers=False`` leaves out the ``Y_k`` variables and the ``ple_k``
@@ -185,21 +177,10 @@ def assemble_mlf_lmis(
             prob.add_constraint(f"ple_{k}", ple, "nsd", 0.0)
         prob.add_constraint(f"decay_{k}", decay, "nsd", shift)
         prob.add_constraint(f"pos_{k}", pos, "psd", shift)
-    rmaps = model.reinits
-    eig = None if conservative else model.eigenstructures
-    for (k, l), rm in sorted(rmaps.items()):
-        L = rm.L
-        if conservative:
+    for (k, l), rm in sorted(model.reinits.items()):
 
-            def switch(v, L=L, k=k, l=l):
-                return v[f"K{k}"] - L.T @ v[f"K{l}"] @ L
-
-        else:
-            V = eig[k - 1].V
-
-            def switch(v, L=L, V=V, k=k, l=l):
-                H = V.conj().T @ (v[f"K{k}"] - L.T @ v[f"K{l}"] @ L) @ V
-                return _realify(H)
+        def switch(v, L=rm.L, k=k, l=l):
+            return v[f"K{k}"] - L.T @ v[f"K{l}"] @ L
 
         prob.add_constraint(f"switch_{k}_{l}", switch, "psd", 0.0)
     return prob
@@ -207,7 +188,6 @@ def assemble_mlf_lmis(
 
 def find_mlf(
     model: SldsModel,
-    conservative: bool = False,
     eps: float | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> MlfCertificate:
@@ -217,13 +197,14 @@ def find_mlf(
     The stored margins, ``ple_k`` included, and the ``feasible`` flag are
     those of ``verify_mlf`` on the result.
     """
+    solutions = _unit_lyapunov(model)
     if eps is None:
-        eps = EPS_REL * problem_scale(model)
-    prob = assemble_mlf_lmis(model, eps, conservative=conservative, multipliers=False)
-    report = prob.solve(eps, budget=budget, warm_start=_warm_start(model))
+        eps = EPS_REL * problem_scale(model, solutions)
+    prob = assemble_mlf_lmis(model, eps, multipliers=False)
+    report = prob.solve(eps, budget=budget, warm_start=_warm_start(model, solutions))
     kernels = [report.values[f"K{k}"] for k in range(1, model.n_modes + 1)]
     cert = MlfCertificate(
-        route="conservative" if conservative else "exact",
+        route="lmi",
         epsilon=eps,
         kernels=kernels,
         multipliers=[real.B.T @ K for real, K in zip(model.realizations, kernels)],
@@ -245,12 +226,7 @@ def verify_mlf(
     """
     if eps is None:
         eps = cert.epsilon
-    prob = assemble_mlf_lmis(
-        model,
-        eps,
-        conservative=(cert.route == "conservative"),
-        strict=(cert.route != "posreal"),
-    )
+    prob = assemble_mlf_lmis(model, eps, strict=(cert.route != "posreal"))
     values = {}
     for k in range(1, model.n_modes + 1):
         values[f"K{k}"] = np.asarray(cert.kernels[k - 1], dtype=float)
@@ -285,7 +261,7 @@ def scan_canonical_family(
         eps = EPS_REL * problem_scale(model)
     if ratios is None:
         ratios = np.geomspace(1e-3, 1e3, 121)
-    prob = assemble_mlf_lmis(model, eps, conservative=False)
+    prob = assemble_mlf_lmis(model, eps)
     groups = {"positivity": ("pos_",), "decay": ("decay_", "ple_"), "switch": ("switch_",)}
     results = []
     feasible_ratios = []

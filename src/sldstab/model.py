@@ -7,11 +7,11 @@ transitions.  Each derived object is computed once per model and kept on it:
 - at construction, each mode's ``polymat.Divisor`` (``det R_k``, the
   singularity check, and ``adj R_k``), its minimal state map when none is
   given, and its realization;
-- on first use, the normal form of the gluing pairs, the re-initialisation
-  maps built from it and each mode's eigenstructure.
+- on first use, the normal form of the gluing pairs and the
+  re-initialisation maps built from it.
 
 Every reduction modulo ``R_k`` (state map, the realization's ``C``, normal
-form, eigenstructure, Hurwitz test) divides through the mode's divisor, so
+form, Hurwitz test) divides through the mode's divisor, so
 ``det R_k`` and ``adj R_k`` are computed once per mode and model.  Nothing is
 shared between models: two loads of one file compute everything twice.
 
@@ -34,9 +34,7 @@ from .polymat import (
     polymatrix_to_json,
 )
 from .statespace import (
-    ModeEigenstructure,
     StateRealization,
-    eigenstructure,
     express_in_state_basis,
     minimal_state_map,
     realize,
@@ -130,14 +128,6 @@ class SldsModel:
     def reinits(self) -> dict[tuple[int, int], ReinitMap]:
         """``reinit_maps(self)``, derived on first use."""
         return reinit_maps(self)
-
-    @cached_property
-    def eigenstructures(self) -> list[ModeEigenstructure]:
-        """Each mode's ``eigenstructure``, derived on first use.
-
-        Raises ``ValueError`` when a mode is defective; nothing is kept then.
-        """
-        return [eigenstructure(d, X) for d, X in zip(self.divisors, self.state_maps)]
 
 
 def _mode_divisor(i: int, R: PolyMatrix) -> Divisor:
@@ -233,12 +223,19 @@ def model_to_json(model: SldsModel) -> dict:
     return doc
 
 
+def _polymatrix(data, what: str) -> PolyMatrix:
+    try:
+        return polymatrix_from_json(data)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
 def model_from_json(doc: dict) -> SldsModel:
     for key in ("variables", "modes", "gluing"):
         if key not in doc:
             raise ValueError(f"model file missing key '{key}'")
     w = int(doc["variables"])
-    modes = [polymatrix_from_json(m) for m in doc["modes"]]
+    modes = [_polymatrix(m, f"mode {i + 1}") for i, m in enumerate(doc["modes"])]
     for i, R in enumerate(modes):
         if R.shape != (w, w):
             raise ValueError(f"mode {i + 1} must be {w}x{w}, got {R.shape}")
@@ -247,11 +244,14 @@ def model_from_json(doc: dict) -> SldsModel:
         k, l = int(item["from"]), int(item["to"])
         if (k, l) in gluing:
             raise ValueError(f"duplicate gluing entry for ({k},{l})")
-        gluing[(k, l)] = (
-            polymatrix_from_json(item["g_minus"]),
-            polymatrix_from_json(item["g_plus"]),
+        gluing[(k, l)] = tuple(
+            _polymatrix(item[side], f"gluing {k}->{l} {side}")
+            for side in ("g_minus", "g_plus")
         )
-    state_maps = [polymatrix_from_json(x) for x in doc.get("state_maps", [])]
+    state_maps = [
+        _polymatrix(x, f"state map {i + 1}")
+        for i, x in enumerate(doc.get("state_maps", []))
+    ]
     return SldsModel(modes=modes, gluing=gluing, state_maps=state_maps)
 
 

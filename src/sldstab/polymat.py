@@ -137,6 +137,24 @@ def poly_roots(p: Poly) -> np.ndarray:
     return r
 
 
+def _stack_entries(grid) -> np.ndarray:
+    """Coefficient stack ``(degree + 1, rows, cols)`` of a nested entry list."""
+    rows, cols = len(grid), len(grid[0])
+    if any(len(row) != cols for row in grid):
+        raise ValueError("polynomial matrix rows differ in length")
+    entries = [
+        [p.coeffs if isinstance(p, Poly) else np.atleast_1d(np.asarray(p, dtype=float))
+         for p in row]
+        for row in grid
+    ]
+    deg = max(len(e) for row in entries for e in row)
+    c = np.zeros((deg, rows, cols))
+    for i, row in enumerate(entries):
+        for j, e in enumerate(row):
+            c[: len(e), i, j] = e
+    return c
+
+
 class PolyMatrix:
     """A rectangular matrix with :class:`Poly` entries.
 
@@ -167,17 +185,12 @@ class PolyMatrix:
 
     @classmethod
     def from_entries(cls, grid) -> "PolyMatrix":
-        """Build from a nested list of Poly / coefficient-list entries."""
-        rows = len(grid)
-        cols = len(grid[0])
-        polys = [[as_poly(grid[i][j]) for j in range(cols)] for i in range(rows)]
-        deg = max(len(p.coeffs) for row in polys for p in row)
-        c = np.zeros((deg, rows, cols))
-        for i in range(rows):
-            for j in range(cols):
-                pc = polys[i][j].coeffs
-                c[: len(pc), i, j] = pc
-        return cls(c)
+        """Build from a nested list of Poly / coefficient-list / scalar entries.
+
+        The entries are stacked untrimmed; the matrix-wide trim of ``__init__``
+        zeroes every coefficient a per-entry trim would drop.
+        """
+        return cls(_stack_entries(grid))
 
     @classmethod
     def identity(cls, n: int) -> "PolyMatrix":
@@ -525,6 +538,14 @@ def polymatrix_to_json(M: PolyMatrix) -> list:
 
 
 def polymatrix_from_json(data) -> PolyMatrix:
+    """Read the wire format; rejects coefficients that are not finite."""
     if not data or not data[0]:
         raise ValueError("empty polynomial matrix")
-    return PolyMatrix.from_entries(data)
+    c = _stack_entries(data)
+    bad = np.argwhere(~np.isfinite(c))
+    if bad.size:
+        where = ", ".join(
+            f"{c[p, i, j]} at entry ({i + 1},{j + 1}) power {p}" for p, i, j in bad
+        )
+        raise ValueError(f"non-finite coefficient: {where}")
+    return PolyMatrix(c)

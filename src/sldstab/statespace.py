@@ -191,8 +191,10 @@ def eigenstructure(
     """Roots of ``det R`` with kernel directions and the V matrix.
 
     Requires the algebraic multiplicity of each root to equal
-    ``dim ker R(lambda)``; defective modes are a hard error (the conservative
-    LMI route does not need this data).
+    ``dim ker R(lambda)``; defective modes are a hard error.  A library
+    function for analysing a mode: the certificate search and its re-check do
+    not call it, because their switch condition holds on the whole state
+    space.
     """
     div = Divisor.of(R)
     R = div.R
@@ -216,7 +218,7 @@ def eigenstructure(
         if null_dim < mult:
             raise ValueError(
                 f"defective root {lam:.6g}: algebraic multiplicity {mult}, "
-                f"kernel dimension {null_dim}; use the conservative route"
+                f"kernel dimension {null_dim}; the mode has no eigenbasis"
             )
         W = vh[-mult:, :].conj().T  # w x mult, orthonormal kernel basis
         for i in range(mult):

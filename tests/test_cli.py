@@ -295,6 +295,72 @@ def test_corpus_verdicts(tmp_path, capsys, name, route):
     assert "certificate verifies" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", CORPUS[1:])
+def test_route_values_write_one_certificate(tmp_path, name):
+    """--route exact|conservative|all run the one search: same bytes, route "lmi"."""
+    model = str(MODELS / f"{name}.json")
+    written = []
+    for route in ("exact", "conservative", "all"):
+        cert = tmp_path / f"{route}.json"
+        assert main(["check", model, "--route", route, "--out", str(cert)]) == 0
+        written.append(cert.read_bytes())
+    assert written[0] == written[1] == written[2]
+    assert json.loads(written[0])["route"] == "lmi"
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("where", ["mode", "gluing", "pair"])
+def test_non_finite_coefficient_exits_1(tmp_path, capsys, where, value):
+    """A non-finite coefficient is named, not read as zero or as singularity."""
+    number = float(value.replace("Infinity", "inf"))
+    if where == "pair":
+        r1 = json.loads(Path(R1).read_text())
+        r1[0][0][0] = number
+        path = tmp_path / "r1.json"
+        path.write_text(json.dumps(r1))
+        argv = ["posreal", "sprcheck", "--r1", str(path), "--r2", R2]
+        location = "--r1"
+    else:
+        doc = json.loads(Path(ELCIRC).read_text())
+        if where == "mode":
+            doc["modes"][0][0][1] = [number, 1.0]
+            location = "mode 1"
+        else:
+            # read as zero, this entry made an unstable system certifiable
+            glue = next(g for g in doc["gluing"] if (g["from"], g["to"]) == (2, 1))
+            glue["g_minus"][0][1] = [number, 1.0]
+            location = "gluing 2->1 g_minus"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        argv = ["check", str(path)]
+    assert value in path.read_text()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert location in err
+    assert f"non-finite coefficient: {number} at entry (1,{2 if where != 'pair' else 1})" in err
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the absolute eps bonus on switch conditions "
+    "accepts K_k of about 1.6 eps",
+)
+def test_expanding_gluing_not_certified(tmp_path):
+    """Two copies of w' = -w with w(t+) = 1.1 w(t-) at every switch are
+    unstable under fast switching, so no --route value may certify them."""
+    mode = [[[1.0, 1.0]]]
+    gain = {"g_minus": [[[1.1]]], "g_plus": [[[1.0]]]}
+    doc = {
+        "variables": 1,
+        "modes": [mode, mode],
+        "gluing": [dict(gain, **{"from": 1, "to": 2}), dict(gain, **{"from": 2, "to": 1})],
+    }
+    path = tmp_path / "expanding.json"
+    path.write_text(json.dumps(doc))
+    for route in ("exact", "conservative", "all"):
+        assert main(["check", str(path), "--route", route]) == 2, route
+
+
 def test_standard_model_emission(tmp_path):
     out = tmp_path / "std.json"
     assert main(["standard", "--r1", R1, "--r2", R2, "--out", str(out)]) == 0

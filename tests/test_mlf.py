@@ -1,9 +1,12 @@
 import copy
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from sldstab.cli import main
 from sldstab.fixtures import concond, elcirc, exmath, source_converter
 from sldstab.mlf import (
     EPS_REL,
@@ -23,6 +26,7 @@ from sldstab.qdf import qdf_derivative, qdf_mod, sandwich, two_var_from_pair
 from sldstab.statespace import minimal_state_map
 
 DATA = Path(__file__).resolve().parent / "data"
+MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
 def _hand_certificate(model, kernels, route="exact"):
@@ -60,11 +64,10 @@ class TestCircuit:
 class TestConverter:
     def test_both_routes_certify(self):
         model = source_converter(4)
-        for conservative in (False, True):
-            cert = find_mlf(model, conservative=conservative)
-            assert cert.feasible, cert.route
-            ok, _ = verify_mlf(model, cert)
-            assert ok, cert.route
+        cert = find_mlf(model)
+        assert cert.feasible, cert.route
+        ok, _ = verify_mlf(model, cert)
+        assert ok, cert.route
 
     def test_published_kernels_verify(self):
         model = source_converter(4)
@@ -83,13 +86,31 @@ class TestConverter:
         assert cert.feasible
 
 
+class TestLyapunovOnce:
+    def test_one_solve_per_mode(self, monkeypatch):
+        # the scale of eps and the warm start come from one solve per mode
+        model = source_converter(6)
+        calls = []
+        solve = scipy.linalg.solve_lyapunov
+        monkeypatch.setattr(
+            scipy.linalg, "solve_lyapunov", lambda *a: calls.append(a) or solve(*a)
+        )
+        cert = find_mlf(model)
+        assert cert.feasible
+        assert len(calls) == model.n_modes
+
+
 class TestDefectiveMode:
-    def test_exact_route_rejects(self):
-        with pytest.raises(ValueError, match="defective"):
-            find_mlf(concond())
+    def test_exact_route_rejects(self, capsys):
+        # the search needs no eigenvectors, so a defective root does not stop
+        # it: --route exact runs the one search, which finds no certificate
+        assert main(["check", str(MODELS / "concond.json"), "--route", "exact"]) == 2
+        out = capsys.readouterr().out
+        assert "defective" not in out
+        assert "route lmi: feasible=False" in out
 
     def test_conservative_route_reports_no_certificate(self):
-        cert = find_mlf(concond(), conservative=True)
+        cert = find_mlf(concond())
         assert not cert.feasible
         # honest failure: margins are reported, not clamped
         assert min(cert.margins.values()) < 0
@@ -108,11 +129,14 @@ class TestExactRouteFamilyDraw:
 
 
 class TestCertificateContract:
-    @pytest.mark.parametrize("conservative", [False, True])
-    def test_multipliers_and_ple_margins(self, conservative):
+    @pytest.mark.parametrize("round_trip", [False, True])
+    def test_multipliers_and_ple_margins(self, round_trip):
         model = source_converter(4)
-        cert = find_mlf(model, conservative=conservative)
+        cert = find_mlf(model)
         assert cert.feasible
+        if round_trip:
+            # the contract survives the certificate file
+            cert = certificate_from_json(json.loads(json.dumps(certificate_to_json(cert))))
         for real, K, Y in zip(model.realizations, cert.kernels, cert.multipliers):
             assert np.array_equal(Y, real.B.T @ K)
         doc = certificate_to_json(cert)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sldstab import model as model_mod
-from sldstab import polymat
+from sldstab import polymat, statespace
 from sldstab.cli import main
 from sldstab.fixtures import concond, elcirc, exmath, source_converter
 from sldstab.mlf import find_mlf, verify_mlf
@@ -43,22 +43,27 @@ class TestDerivedOnce:
         simulate(model, signal, [1.0], 1.5, 0.1, certificate=cert)
         assert len(calls) == 1 and calls[0] is model
 
-    def test_eigenstructure_once_per_mode(self, monkeypatch, tmp_path):
+    def test_no_eigenstructure_on_certify_path(self, monkeypatch, tmp_path):
+        # the switch condition holds on the whole state space, so neither
+        # the search, its re-check nor the posreal route needs eigenvectors
         calls = []
-        derive = model_mod.eigenstructure
-        monkeypatch.setattr(
-            model_mod, "eigenstructure", lambda R, X: calls.append(R) or derive(R, X)
-        )
-        model = source_converter()
-        cert = find_mlf(model)
-        assert cert.feasible and verify_mlf(model, cert)[0]
-        assert len(calls) == model.n_modes
-        # slds check: the search, its margins and the re-check share one model
-        calls.clear()
+        derive = statespace.eigenstructure
+        for mod in list(sys.modules.values()):
+            if mod is not None and mod.__name__.startswith("sldstab"):
+                if getattr(mod, "eigenstructure", None) is derive:
+                    monkeypatch.setattr(
+                        mod, "eigenstructure",
+                        lambda R, X, **kw: calls.append(R) or derive(R, X, **kw),
+                    )
         path = tmp_path / "converter.json"
-        path.write_text(json.dumps(model_to_json(model)))
-        assert main(["check", str(path), "--route", "exact"]) == 0
-        assert len(calls) == model.n_modes
+        path.write_text(json.dumps(model_to_json(source_converter())))
+        cert = tmp_path / "cert.json"
+        assert main(["check", str(path), "--out", str(cert)]) == 0
+        assert main(["check", str(path), "--verify-only", str(cert)]) == 0
+        out = str(tmp_path / "spr.json")
+        assert main(["posreal", "mlf", "--r1", str(MODELS / "standard_scalar_r1.json"),
+                     "--r2", str(MODELS / "standard_scalar_r2.json"), "--out", out]) == 0
+        assert calls == []
 
 
 MODELS = Path(__file__).resolve().parents[1] / "models"

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sldstab.polymat import (
     Poly,
     PolyMatrix,
     adjugate,
+    as_poly,
     canonical_rep,
     column_degrees,
     column_reduce,
@@ -260,6 +262,84 @@ class TestJson:
         doc = json.loads(json.dumps(polymatrix_to_json(R)))
         back = polymatrix_from_json(doc)
         assert (R - back).max_norm() == 0.0
+
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
+
+
+def _per_entry_from_entries(grid) -> PolyMatrix:
+    """The build with one trimmed ``Poly`` per entry, stacked afterwards."""
+    polys = [[as_poly(e) for e in row] for row in grid]
+    deg = max(len(p.coeffs) for row in polys for p in row)
+    c = np.zeros((deg, len(grid), len(grid[0])))
+    for i, row in enumerate(polys):
+        for j, p in enumerate(row):
+            c[: len(p.coeffs), i, j] = p.coeffs
+    return PolyMatrix(c)
+
+
+def _corpus_grids():
+    """Every polynomial matrix of the bundled corpus, as its JSON entry grid."""
+    for path in sorted(MODELS.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if isinstance(doc, list):
+            yield doc
+        elif "modes" in doc:
+            yield from doc["modes"]
+            for glue in doc["gluing"]:
+                yield glue["g_minus"]
+                yield glue["g_plus"]
+            yield from doc.get("state_maps", [])
+
+
+@st.composite
+def _entry(draw):
+    """A coefficient list, ``Poly`` or scalar, some with tiny trailing terms."""
+    coeffs = draw(st.lists(
+        st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False),
+        min_size=1, max_size=4,
+    ))
+    peak = max(abs(c) for c in coeffs)
+    tail = draw(st.lists(
+        st.sampled_from([0.0, -0.0, 1e-16, 9e-14, 1e-13, 1.1e-13, -2e-13, 1e-12]),
+        max_size=3,
+    ))
+    coeffs = coeffs + [t * peak for t in tail]
+    kind = draw(st.sampled_from(["list", "poly", "scalar"]))
+    if kind == "poly":
+        return Poly(coeffs)
+    return coeffs[0] if kind == "scalar" else coeffs
+
+
+@st.composite
+def _entry_grid(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return [[draw(_entry()) for _ in range(cols)] for _ in range(rows)]
+
+
+class TestFromEntries:
+    """One stacked build equals the per-entry ``Poly`` build bit for bit."""
+
+    def test_corpus(self):
+        grids = list(_corpus_grids())
+        assert len(grids) > 40
+        for grid in grids:
+            want = _per_entry_from_entries(grid).coeffs
+            for got in (PolyMatrix.from_entries(grid), polymatrix_from_json(grid)):
+                assert got.coeffs.shape == want.shape
+                assert got.coeffs.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_entry_grid())
+    def test_mixed_entries(self, grid):
+        want = _per_entry_from_entries(grid).coeffs
+        got = PolyMatrix.from_entries(grid).coeffs
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ValueError, match="rows differ"):
+            polymatrix_from_json([[[1.0], [2.0]], [[1.0]]])
 
 
 def test_vstack():

@@ -33,10 +33,10 @@ def _lyapunov_problem(A, eps):
     return prob
 
 
-def _converter_search(model, conservative):
+def _converter_search(model, strict):
     """The K-only search ``find_mlf`` runs, as a bare solve: (problem, eps, report)."""
     eps = EPS_REL * problem_scale(model)
-    prob = assemble_mlf_lmis(model, eps, conservative=conservative, multipliers=False)
+    prob = assemble_mlf_lmis(model, eps, strict=strict, multipliers=False)
     return prob, eps, prob.solve(eps, warm_start=_warm_start(model))
 
 
@@ -127,10 +127,10 @@ class TestDeterminism:
         assert r1.iterations == r2.iterations
         assert np.array_equal(r1.values["K"], r2.values["K"])
 
-    @pytest.mark.parametrize("conservative", [False, True])
-    def test_identical_runs_with_several_block_sizes(self, conservative):
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_identical_runs_with_several_block_sizes(self, strict):
         model = source_converter(6)
-        r1, r2 = (_converter_search(model, conservative)[2] for _ in range(2))
+        r1, r2 = (_converter_search(model, strict)[2] for _ in range(2))
         assert r1.iterations == r2.iterations > 0
         for name in r1.values:
             assert r1.values[name].tobytes() == r2.values[name].tobytes()
@@ -147,12 +147,12 @@ class TestVerify:
             assert m == pytest.approx(rep.margins[name], abs=1e-12)
             assert m >= 0.5e-7
 
-    @pytest.mark.parametrize("conservative", [False, True])
-    def test_report_margins_are_verify_margins(self, conservative):
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_report_margins_are_verify_margins(self, strict):
         # the 6-mode converter's cones come in several sizes, so the search
         # runs on more than one stacked group
         model = source_converter(6)
-        prob, eps, rep = _converter_search(model, conservative)
+        prob, eps, rep = _converter_search(model, strict)
         assert rep.feasible and rep.iterations > 0
         margins = prob.verify(rep.values, eps)
         assert set(margins) == set(rep.margins)
@@ -247,7 +247,7 @@ def _assert_compiles_like_probing(prob: LmiProblem) -> None:
 
 class TestBatchedCompile:
     @pytest.mark.parametrize(
-        "name, conservative",
+        "name, strict",
         [
             ("concond", True),
             ("elcirc", False),
@@ -260,12 +260,12 @@ class TestBatchedCompile:
             ("source_converter_6mode", True),
         ],
     )
-    def test_corpus_lmis_match_probing(self, name, conservative):
+    def test_corpus_lmis_match_probing(self, name, strict):
         model = load_model(MODELS / f"{name}.json")
         eps = EPS_REL * problem_scale(model)
         for multipliers in (False, True):
             prob = assemble_mlf_lmis(
-                model, eps, conservative=conservative, multipliers=multipliers
+                model, eps, strict=strict, multipliers=multipliers
             )
             _assert_compiles_like_probing(prob)
 
