@@ -2,14 +2,12 @@
 
 Exit codes: 0 = certified / success, 1 = invalid input, 2 = no certificate
 found (which is *not* a proof of instability), 3 = simulation audit failed.
-Set SLDS_LOG=debug for verbose logging.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -60,11 +58,6 @@ def _load_tolerances(path) -> dict:
     if not isinstance(doc.get("budget", 0), int):
         raise ValueError("tolerance 'budget' must be an integer")
     return doc
-
-
-def _setup_logging() -> None:
-    level = os.environ.get("SLDS_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
 
 def cmd_check(args) -> int:
@@ -245,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -160,7 +160,10 @@ class PolyMatrix:
 
     Internally a single float array ``coeffs`` of shape
     ``(degree + 1, rows, cols)``; slice ``coeffs[i]`` is the constant matrix
-    multiplying ``xi**i``.
+    multiplying ``xi**i``.  :meth:`stack` lays the same coefficients side by
+    side, ``[M_0 ... M_{g-1}]``, the one layout in which state maps, kernels
+    and two-variable forms are matched coefficient by coefficient;
+    :meth:`from_stack` reads it back.
     """
 
     __slots__ = ("coeffs",)
@@ -191,6 +194,14 @@ class PolyMatrix:
         zeroes every coefficient a per-entry trim would drop.
         """
         return cls(_stack_entries(grid))
+
+    @classmethod
+    def from_stack(cls, stack: np.ndarray, cols: int) -> "PolyMatrix":
+        """Inverse of :meth:`stack`: read ``[M_0 ... M_{g-1}]`` with ``cols``
+        columns per coefficient block."""
+        s = np.asarray(stack, dtype=float)
+        rows = s.shape[0]
+        return cls(s.reshape(rows, s.shape[1] // cols, cols).transpose(1, 0, 2))
 
     @classmethod
     def identity(cls, n: int) -> "PolyMatrix":
@@ -225,6 +236,19 @@ class PolyMatrix:
 
     def entry(self, i: int, j: int) -> Poly:
         return Poly(self.coeffs[:, i, j])
+
+    def stack(self, grid: int | None = None) -> np.ndarray:
+        """Coefficient stack ``[M_0 ... M_{grid-1}]``, ``rows x grid*cols``.
+
+        ``grid`` defaults to degree + 1; a larger grid pads with zero blocks.
+        """
+        d, r, c = self.coeffs.shape
+        g = d if grid is None else grid
+        if d > g:
+            raise ValueError("grid too small for the matrix degree")
+        out = np.zeros((r, g * c))
+        out[:, : d * c] = self.coeffs.transpose(1, 0, 2).reshape(r, d * c)
+        return out
 
     def __call__(self, x):
         """Evaluate at a (possibly complex) scalar; returns a dense matrix."""
@@ -326,61 +350,36 @@ def _det_cofactor(c: PolyMatrix) -> Poly:
     return total
 
 
-def _interp_nodes(num: int, scale: float) -> np.ndarray:
-    # Chebyshev nodes scaled to the coefficient magnitude of the input.
-    k = np.arange(num)
-    return scale * np.cos((2 * k + 1) * np.pi / (2 * num))
-
-
-def _fit_poly(xs: np.ndarray, ys: np.ndarray) -> Poly:
-    V = np.vander(xs, len(xs), increasing=True)
-    return Poly(np.linalg.solve(V, ys))
-
-
 def determinant(R: PolyMatrix) -> Poly:
-    """Exact polynomial determinant.
+    """Exact polynomial determinant by cofactor expansion along the first row.
 
-    Cofactor expansion up to size 4; evaluation-interpolation at scaled
-    Chebyshev nodes above that.
+    The cost grows as ``n!`` in the size ``n``; the bundled models and the
+    benchmark's generated families have at most 3 variables.
     """
     if R.rows != R.cols:
         raise ValueError("determinant requires a square matrix")
-    n = R.rows
-    if n <= 4:
-        return _det_cofactor(R)
-    dmax = int(n * max(R.degree, 0)) + 1
-    scale = max(1.0, R.max_norm())
-    xs = _interp_nodes(dmax, scale)
-    ys = np.array([np.linalg.det(R(x)) for x in xs])
-    return _fit_poly(xs, ys)
+    return _det_cofactor(R)
 
 
 def adjugate(R: PolyMatrix) -> PolyMatrix:
-    """Adjugate matrix, satisfying ``R @ adj(R) = det(R) * I``."""
+    """Adjugate matrix, satisfying ``R @ adj(R) = det(R) * I``.
+
+    The transposed cofactor matrix, each cofactor by :func:`determinant`'s
+    expansion, so the cost grows as ``n * n!``.
+    """
     if R.rows != R.cols:
         raise ValueError("adjugate requires a square matrix")
     n = R.rows
     if n == 1:
         return PolyMatrix.identity(1)
-    if n <= 4:
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = np.delete(np.delete(R.coeffs, i, axis=1), j, axis=2)
-                cof = _det_cofactor(PolyMatrix(minor))
-                if (i + j) % 2 == 1:
-                    cof = -cof
-                out[j][i] = cof  # transpose of the cofactor matrix
-        return PolyMatrix.from_entries(out)
-    dmax = int((n - 1) * max(R.degree, 0)) + 1
-    scale = max(1.0, R.max_norm())
-    xs = _interp_nodes(dmax, scale)
-    samples = []
-    for x in xs:
-        M = R(x)
-        samples.append(np.linalg.det(M) * np.linalg.inv(M))
-    samples = np.array(samples)
-    out = [[_fit_poly(xs, samples[:, i, j]) for j in range(n)] for i in range(n)]
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = np.delete(np.delete(R.coeffs, i, axis=1), j, axis=2)
+            cof = _det_cofactor(PolyMatrix(minor))
+            if (i + j) % 2 == 1:
+                cof = -cof
+            out[j][i] = cof  # transpose of the cofactor matrix
     return PolyMatrix.from_entries(out)
 
 

@@ -46,7 +46,6 @@ from .qdf import (
     two_var_product,
 )
 from .statespace import (
-    coefficient_matrix,
     express_in_state_basis,
     minimal_state_map,
     realize,
@@ -261,12 +260,13 @@ def _gram_factor(P: PolyMatrix) -> PolyMatrix:
     def match(k):
         def expr(v, k=k):
             G = v["G"]
+            # G_ij is blocks[..., i, :, j, :]; G may carry a leading stack axis
+            blocks = G.reshape(G.shape[:-2] + (nb, w, nb, w))
             acc = -Pc[k]
             for i in range(nb):
                 j = k - i
                 if 0 <= j < nb:
-                    blk = G[..., i * w : (i + 1) * w, j * w : (j + 1) * w]
-                    acc = acc + (-1.0) ** i * blk
+                    acc = acc + (-1.0) ** i * blocks[..., i, :, j, :]
             return acc
 
         return expr
@@ -280,11 +280,7 @@ def _gram_factor(P: PolyMatrix) -> PolyMatrix:
     lam, U = np.linalg.eigh(0.5 * (G + G.T))
     keep = lam > 1e-10 * max(1.0, lam[-1])
     Qt = (np.sqrt(lam[keep])[:, None] * U[:, keep].T)  # r x (nb*w)
-    r = Qt.shape[0]
-    c = np.zeros((nb, r, w))
-    for i in range(nb):
-        c[i] = Qt[:, i * w : (i + 1) * w]
-    return PolyMatrix(c)
+    return PolyMatrix.from_stack(Qt, w)
 
 
 def spectral_factorize(
@@ -347,15 +343,13 @@ def build_standard_slds(R1: PolyMatrix, R2: PolyMatrix) -> StandardSlds:
         raise ValueError("mode-2 state rows are not states of mode 1")
     # extend X2 to a minimal state map of mode 1 with rows from its own map
     Xc = minimal_state_map(D1)
-    grid = int(max(Xc.degree, X2.degree if X2.rows else 0, 0)) + 1
-    base = (
-        coefficient_matrix(X2, grid) if X2.rows else np.zeros((0, grid * w))
-    )
+    grid = int(max(Xc.degree, X2.degree, 0)) + 1
+    base = X2.stack(grid)
     picked = []
     rank = np.linalg.matrix_rank(base) if base.size else 0
     stack = base
     for i in range(Xc.rows):
-        cand = coefficient_matrix(Xc.row(i), grid)
+        cand = Xc.row(i).stack(grid)
         trial = np.vstack([stack, cand])
         r = np.linalg.matrix_rank(trial)
         if r > rank:
@@ -408,7 +402,7 @@ def mlf_from_positive_real(s: StandardSlds) -> MlfCertificate:
         raise ValueError("spectral factor Q R1^{-1} is not strictly proper")
     phi = two_var_from_pair(s.R1, s.R2)
     psi1 = divide_by_zeta_plus_eta(phi - two_var_product(Q, Q))
-    K1 = to_canonical(psi1, s.X1, s.R1)
+    K1 = to_canonical(psi1, s.X1)
     if s.X2.rows:
         L = s.model.reinits[(2, 1)].L
         K2 = L.T @ K1 @ L

@@ -4,14 +4,19 @@ A symmetric two-variable polynomial matrix ``Phi(z, e) = sum Phi_hk z^h e^k``
 is stored as a square grid of real ``w x w`` coefficient blocks.  Its
 quadratic differential form acts on a trajectory through the stack of
 derivatives ``w, w', w'', ...``.
+
+Read flat (:meth:`TwoVarForm.flat`), the grid is the coefficient matrix of
+Willems and Trentelman: ``Phi(z, e) = Z^T flat E`` with ``Z, E`` the monomial
+stacks.  A product form ``M(z)^T S N(e)`` is therefore ``Ma^T S Na`` over the
+one-variable coefficient stacks ``Ma = M.stack(g)``, ``Na = N.stack(g)`` of
+:meth:`PolyMatrix.stack`, and every form here is built that way.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .polymat import Divisor, PolyMatrix, canonical_rep, vstack
-from .statespace import coefficient_matrix
+from .polymat import Divisor, PolyMatrix, canonical_rep
 
 CANONICAL_RESIDUAL_TOL = 1e-9
 
@@ -40,19 +45,11 @@ class TwoVarForm:
         self.blocks = b[:m, :m].copy()
 
     @classmethod
-    def constant(cls, M) -> "TwoVarForm":
-        M = np.asarray(M, dtype=float)
-        return cls(M[None, None, :, :])
-
-    @classmethod
     def from_flat(cls, flat: np.ndarray, w: int) -> "TwoVarForm":
         """Inverse of :meth:`flat`: unflatten a ``w(m) x w(m)`` matrix."""
         n = flat.shape[0] // w
-        b = np.zeros((n, n, w, w))
-        for h in range(n):
-            for k in range(n):
-                b[h, k] = flat[h * w : (h + 1) * w, k * w : (k + 1) * w]
-        return cls(b)
+        b = np.asarray(flat, dtype=float).reshape(n, w, n, w)
+        return cls(b.transpose(0, 2, 1, 3))
 
     @property
     def w(self) -> int:
@@ -72,12 +69,7 @@ class TwoVarForm:
         m = self.grid if grid is None else grid
         if m < self.grid:
             raise ValueError("grid smaller than the form's degree")
-        w = self.w
-        out = np.zeros((m * w, m * w))
-        for h in range(self.grid):
-            for k in range(self.grid):
-                out[h * w : (h + 1) * w, k * w : (k + 1) * w] = self.blocks[h, k]
-        return out
+        return self.pad(m).transpose(0, 2, 1, 3).reshape(m * self.w, m * self.w)
 
     def pad(self, grid: int) -> np.ndarray:
         b = np.zeros((grid, grid, self.w, self.w))
@@ -96,9 +88,6 @@ class TwoVarForm:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, a: float) -> "TwoVarForm":
-        return TwoVarForm(a * self.blocks)
-
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.blocks)))
 
@@ -108,26 +97,15 @@ class TwoVarForm:
 
 def sandwich(X: PolyMatrix, K: np.ndarray) -> TwoVarForm:
     """The form ``X(z)^T K X(e)`` for a polynomial matrix X and constant K."""
-    d = X.coeffs.shape[0]
-    w = X.cols
-    b = np.zeros((d, d, w, w))
-    for h in range(d):
-        for k in range(d):
-            b[h, k] = X.coeffs[h].T @ K @ X.coeffs[k]
-    return TwoVarForm(b)
+    Xa = X.stack()
+    return TwoVarForm.from_flat(Xa.T @ K @ Xa, X.cols)
 
 
 def two_var_product(M: PolyMatrix, N: PolyMatrix, signs: np.ndarray | None = None) -> TwoVarForm:
     """The form ``M(z)^T S N(e)`` with optional diagonal sign matrix S."""
-    dm, dn = M.coeffs.shape[0], N.coeffs.shape[0]
-    d = max(dm, dn)
-    w = M.cols
+    g = max(M.coeffs.shape[0], N.coeffs.shape[0])
     S = np.eye(M.rows) if signs is None else np.diag(signs)
-    b = np.zeros((d, d, w, w))
-    for h in range(dm):
-        for k in range(dn):
-            b[h, k] += M.coeffs[h].T @ S @ N.coeffs[k]
-    return TwoVarForm(b)
+    return TwoVarForm.from_flat(M.stack(g).T @ S @ N.stack(g), M.cols)
 
 
 def qdf_derivative(psi: TwoVarForm) -> TwoVarForm:
@@ -151,11 +129,7 @@ def _factor_flat(psi: TwoVarForm) -> tuple[PolyMatrix, np.ndarray]:
     keep = np.abs(lam) > 1e-12 * max(scale, 1.0)
     lam, U = lam[keep], U[:, keep]
     rowsc = np.sqrt(np.abs(lam))[:, None] * U.T  # r x (grid*w)
-    w = psi.w
-    c = np.zeros((psi.grid, rowsc.shape[0], w))
-    for h in range(psi.grid):
-        c[h] = rowsc[:, h * w : (h + 1) * w]
-    return PolyMatrix(c), np.sign(lam)
+    return PolyMatrix.from_stack(rowsc, psi.w), np.sign(lam)
 
 
 def qdf_mod(phi: TwoVarForm, R: PolyMatrix | Divisor) -> TwoVarForm:
@@ -174,17 +148,18 @@ def qdf_mod(phi: TwoVarForm, R: PolyMatrix | Divisor) -> TwoVarForm:
     return two_var_product(Mred, Mred, signs)
 
 
-def to_canonical(psi: TwoVarForm, X: PolyMatrix, R: PolyMatrix) -> np.ndarray:
+def to_canonical(psi: TwoVarForm, X: PolyMatrix) -> np.ndarray:
     """Symmetric kernel ``K`` writing an R-canonical form as ``X(z)^T K X(e)``.
 
-    Solves the linear coefficient system by least squares and rejects if the
+    The inverse of :func:`sandwich` over the same stack ``Xa = X.stack(g)``:
+    solves ``Xa^T K Xa = psi.flat(g)`` by least squares and rejects if the
     reconstruction residual exceeds the canonical tolerance, which signals
     that ``psi`` is not expressible over the given state map.
     """
     if X.cols != psi.w:
         raise ValueError("variable-count mismatch between form and state map")
     grid = max(psi.grid, X.coeffs.shape[0])
-    Xa = coefficient_matrix(X, grid)
+    Xa = X.stack(grid)
     target = psi.flat(grid)
     Xp = np.linalg.pinv(Xa)
     K = Xp.T @ target @ Xp
@@ -213,11 +188,8 @@ def eval_along_trajectory(psi: TwoVarForm, derivs) -> float:
         raise ValueError(
             f"need {psi.grid} derivative levels, got {D.shape[0]}"
         )
-    val = 0.0
-    for h in range(psi.grid):
-        for k in range(psi.grid):
-            val += D[h] @ psi.blocks[h, k] @ D[k]
-    return float(val)
+    d = D[: psi.grid].reshape(-1)
+    return float(d @ psi.flat() @ d)
 
 
 def divide_by_zeta_plus_eta(phi: TwoVarForm, tol: float = 1e-9) -> TwoVarForm:
@@ -251,27 +223,6 @@ def divide_by_zeta_plus_eta(phi: TwoVarForm, tol: float = 1e-9) -> TwoVarForm:
 
 def two_var_from_pair(A: PolyMatrix, B: PolyMatrix) -> TwoVarForm:
     """The symmetric form ``A(z)^T B(e) + B(z)^T A(e)``."""
-    dm = max(A.coeffs.shape[0], B.coeffs.shape[0])
-    w = A.cols
-    b = np.zeros((dm, dm, w, w))
-    for h in range(A.coeffs.shape[0]):
-        for k in range(B.coeffs.shape[0]):
-            b[h, k] += A.coeffs[h].T @ B.coeffs[k]
-            b[k, h] += B.coeffs[k].T @ A.coeffs[h]
-    return TwoVarForm(b)
-
-
-# JSON wire format: blocks[h][k] = w x w matrix; symmetry validated on load.
-
-
-def twovarform_to_json(psi: TwoVarForm) -> list:
-    return psi.blocks.tolist()
-
-
-def twovarform_from_json(data) -> TwoVarForm:
-    b = np.asarray(data, dtype=float)
-    form = TwoVarForm(b)
-    orig = np.asarray(data, dtype=float)
-    if np.max(np.abs(orig - form.pad(orig.shape[0]))) > 1e-9 * max(1.0, form.max_norm()):
-        raise ValueError("coefficient blocks violate symmetry")
-    return form
+    g = max(A.coeffs.shape[0], B.coeffs.shape[0])
+    Aa, Ba = A.stack(g), B.stack(g)
+    return TwoVarForm.from_flat(Aa.T @ Ba + Ba.T @ Aa, A.cols)

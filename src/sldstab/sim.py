@@ -22,7 +22,7 @@ import numpy as np
 
 from .mlf import MlfCertificate
 from .model import SldsModel
-from .statespace import expm_propagate, propagator
+from .statespace import propagator
 
 AUDIT_REL_TOL = 1e-10
 CONSISTENCY_FLAG_TOL = 1e-6
@@ -140,7 +140,7 @@ def simulate(
                 E = steps[mode] = propagator(A, sample_dt)
             for i in range(1, k):
                 np.dot(E, X[i], out=X[i + 1])
-        x_minus = expm_propagate(A, x, t_switch - seg_start)
+        x_minus = propagator(A, t_switch - seg_start) @ x
         X[k + 1] = x_minus
         # the first segment's start is its first grid sample, not a t+ state
         t_plus = [seg_start] if blocks else []

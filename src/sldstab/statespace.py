@@ -4,6 +4,10 @@ A minimal state map for an autonomous kernel behavior ``ker R(d/dt)`` is a
 polynomial matrix ``X`` whose rows form a basis of the row vectors ``f`` with
 ``f R^{-1}`` strictly proper.  The induced realization satisfies
 ``xi X(xi) = A X(xi) + B R(xi)`` together with the output map ``w = C x``.
+Both identities are matched on the coefficient stacks of
+:meth:`PolyMatrix.stack`, and ``C`` is solved by the same routine that
+writes any ``G mod R`` over a state map (:func:`express_in_state_basis`).
+:func:`propagator` is the one matrix exponential of a mode's dynamics.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import scipy.linalg
 from .polymat import (
     MINUS_INF,
     Divisor,
+    Poly,
     PolyMatrix,
     canonical_rep,
     column_degrees,
@@ -28,17 +33,6 @@ from .polymat import (
 REALIZE_TOL = 1e-9
 STATE_BASIS_TOL = 1e-9
 EIGVEC_TOL = 1e-8
-
-
-def coefficient_matrix(M: PolyMatrix, grid: int) -> np.ndarray:
-    """Stack coefficient slices horizontally: ``[M_0 ... M_{grid-1}]``."""
-    d, r, c = M.coeffs.shape
-    if d > grid:
-        raise ValueError("grid too small for the matrix degree")
-    out = np.zeros((r, grid * c))
-    for i in range(d):
-        out[:, i * c : (i + 1) * c] = M.coeffs[i]
-    return out
 
 
 def minimal_state_map(R: PolyMatrix | Divisor) -> PolyMatrix:
@@ -85,8 +79,8 @@ def express_in_state_basis(
     """
     Gc = canonical_rep(G, R)
     grid = max(Gc.coeffs.shape[0], X.coeffs.shape[0])
-    Ga = coefficient_matrix(Gc, grid)
-    Xa = coefficient_matrix(X, grid)
+    Ga = Gc.stack(grid)
+    Xa = X.stack(grid)
     F, *_ = np.linalg.lstsq(Xa.T, Ga.T, rcond=None)
     F = F.T
     resid = np.max(np.abs(F @ Xa - Ga)) if Ga.size else 0.0
@@ -129,20 +123,20 @@ class StateRealization:
 def realize(
     R: PolyMatrix | Divisor, X: PolyMatrix, tol: float = REALIZE_TOL
 ) -> StateRealization:
-    """Solve ``xi X = A X + B R`` and ``I_w mod R = C X`` by coefficient match.
+    """Solve ``xi X = A X + B R`` by coefficient match, and ``I_w mod R = C X``.
 
-    Raises if the residual exceeds ``tol`` (the given X is then not a valid
-    state map for ``ker R``).
+    Raises if the residual of the first exceeds ``tol`` (the given X is then
+    not a valid state map for ``ker R``), or if :func:`express_in_state_basis`
+    finds ``I_w mod R`` outside the row span of X.
     """
     div = Divisor.of(R)
     R = div.R
     n, w = X.rows, R.cols
     L = int(R.degree) if R.degree != MINUS_INF else 0
     grid = max(L + 1, int(X.degree) + 2 if X.degree != MINUS_INF else 1)
-    Xa = coefficient_matrix(X, grid)  # X(xi) over the monomial stack
-    Xb = np.zeros_like(Xa)  # xi * X(xi)
-    Xb[:, w:] = Xa[:, :-w]
-    Rt = coefficient_matrix(R, grid)
+    Xa = X.stack(grid)  # X(xi) over the monomial stack
+    Xb = X.scale(Poly([0.0, 1.0])).stack(grid)  # xi * X(xi)
+    Rt = R.stack(grid)
     M = np.vstack([Xa, Rt])  # (n + w) x (grid*w)
     sol, *_ = np.linalg.lstsq(M.T, Xb.T, rcond=None)
     AB = sol.T
@@ -151,13 +145,7 @@ def realize(
     resid = np.max(np.abs(AB @ M - Xb))
     if resid > tol * scale:
         raise ValueError(f"X is not a valid state map (residual {resid:.3e})")
-    Ican = canonical_rep(PolyMatrix.identity(w), div)
-    Ia = coefficient_matrix(Ican, grid)
-    Csol, *_ = np.linalg.lstsq(Xa.T, Ia.T, rcond=None)
-    C = Csol.T
-    cres = np.max(np.abs(C @ Xa - Ia))
-    if cres > tol * scale:
-        raise ValueError(f"output map not expressible over X (residual {cres:.3e})")
+    C = express_in_state_basis(PolyMatrix.identity(w), div, X)
     return StateRealization(R=R, X=X, A=A, B=B, C=C, Rt=Rt, Xa=Xa, Xb=Xb)
 
 
@@ -262,8 +250,3 @@ def propagator(A: np.ndarray, dt: float) -> np.ndarray:
     if dt == 0.0 or A.size == 0:
         return np.eye(A.shape[0])
     return scipy.linalg.expm(A * dt)
-
-
-def expm_propagate(A: np.ndarray, x0: np.ndarray, dt: float) -> np.ndarray:
-    """Exact propagation ``exp(A dt) x0``."""
-    return propagator(A, dt) @ np.asarray(x0, dtype=float)

@@ -7,7 +7,7 @@ import pytest
 from sldstab import posreal as pr
 from sldstab.cli import main
 from sldstab.fixtures import unstable_mode
-from sldstab.model import SldsModel, model_to_json
+from sldstab.model import SldsModel, load_model, model_to_json
 from sldstab.polymat import PolyMatrix, polymatrix_to_json
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -359,6 +359,24 @@ def test_expanding_gluing_not_certified(tmp_path):
     path.write_text(json.dumps(doc))
     for route in ("exact", "conservative", "all"):
         assert main(["check", str(path), "--route", route]) == 2, route
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: a certificate's own 'route' label selects the "
+    "semidefinite acceptance with the absolute eps bonus",
+)
+@pytest.mark.parametrize("name", ["concond", "source_converter_4mode"])
+def test_zero_posreal_certificate_rejected(tmp_path, name):
+    """K = 0, Y = 0 labelled "posreal" is no Lyapunov function of any model."""
+    model_path = str(MODELS / f"{name}.json")
+    modes = [
+        {"K": np.zeros((r.n, r.n)).tolist(), "Y": np.zeros((r.w, r.n)).tolist()}
+        for r in load_model(model_path).realizations
+    ]
+    cert = tmp_path / "zero.json"
+    cert.write_text(json.dumps({"route": "posreal", "epsilon": 1e-7, "modes": modes}))
+    assert main(["check", model_path, "--verify-only", str(cert)]) == 2
 
 
 def test_standard_model_emission(tmp_path):

@@ -74,7 +74,7 @@ class TestDeterminant:
         assert d.degree == 2
         assert np.allclose(d.coeffs, [-1.0, -2.0, -1.0])
 
-    @pytest.mark.parametrize("n,deg", [(2, 2), (3, 1), (4, 2), (5, 1)])
+    @pytest.mark.parametrize("n,deg", [(2, 2), (3, 1), (4, 2), (5, 1), (5, 2), (6, 1)])
     def test_matches_symbolic(self, n, deg):
         rng = np.random.default_rng(17 * n + deg)
         R = _random_polymatrix(rng, n, deg)
@@ -84,13 +84,13 @@ class TestDeterminant:
         got = ours.coeffs[: len(ref)]
         assert np.allclose(got, ref, atol=1e-6 * max(1.0, np.abs(ref).max()))
 
-    def test_adjugate_identity(self):
-        rng = np.random.default_rng(3)
-        R = _random_polymatrix(rng, 3, 1)
+    @staticmethod
+    def _assert_adjugate_identity(R):
+        n = R.rows
         prod = R @ adjugate(R)
         d = determinant(R)
-        for i in range(3):
-            for j in range(3):
+        for i in range(n):
+            for j in range(n):
                 e = prod.entry(i, j)
                 if i == j:
                     assert np.allclose(
@@ -98,6 +98,18 @@ class TestDeterminant:
                     )
                 else:
                     assert e.is_zero() or np.abs(e.coeffs).max() < 1e-8
+
+    def test_adjugate_identity(self):
+        rng = np.random.default_rng(3)
+        self._assert_adjugate_identity(_random_polymatrix(rng, 3, 1))
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_adjugate_identity_beyond_four(self, n):
+        # cofactor expansion at every size: integer data stays exact
+        rng = np.random.default_rng(n)
+        R = _random_polymatrix(rng, n, 1)
+        assert not determinant(R).is_zero()
+        self._assert_adjugate_identity(R)
 
 
 class TestHurwitz:
@@ -340,6 +352,25 @@ class TestFromEntries:
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError, match="rows differ"):
             polymatrix_from_json([[[1.0], [2.0]], [[1.0]]])
+
+
+class TestStack:
+    @pytest.mark.parametrize("rows,cols,deg", [(1, 1, 0), (2, 3, 2), (3, 2, 1), (0, 2, 0)])
+    def test_blocks_side_by_side(self, rows, cols, deg):
+        rng = np.random.default_rng(rows + 10 * cols + 100 * deg)
+        M = PolyMatrix(rng.standard_normal((deg + 1, rows, cols)))
+        g = M.coeffs.shape[0]
+        blocks = [M.coeffs[i] for i in range(g)]
+        assert np.array_equal(M.stack(), np.hstack(blocks))
+        padded = M.stack(g + 2)
+        assert np.array_equal(padded, np.hstack(blocks + [np.zeros((rows, cols))] * 2))
+        back = PolyMatrix.from_stack(padded, cols)
+        assert back.coeffs.tobytes() == M.coeffs.tobytes()
+
+    def test_grid_below_degree_rejected(self):
+        M = PolyMatrix.from_entries([[[1.0, 2.0, 3.0]]])
+        with pytest.raises(ValueError, match="grid too small"):
+            M.stack(2)
 
 
 def test_vstack():

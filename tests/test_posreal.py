@@ -165,7 +165,7 @@ class TestStorageCertificate:
         R1, R2 = standard_scalar_pair() if roots is None else _from_roots(*roots)
         s = build_standard_slds(R1, R2)
         K1, K2 = mlf_from_positive_real(s).kernels
-        K2_qdf = to_canonical(qdf_mod(sandwich(s.X1, K1), R2), s.X2, R2)
+        K2_qdf = to_canonical(qdf_mod(sandwich(s.X1, K1), R2), s.X2)
         assert np.max(np.abs(K2_qdf - K2)) <= 1e-7 * np.max(np.abs(K1))
 
     @settings(max_examples=60, deadline=None, derandomize=True)

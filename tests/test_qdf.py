@@ -12,8 +12,6 @@ from sldstab.qdf import (
     to_canonical,
     two_var_from_pair,
     two_var_product,
-    twovarform_from_json,
-    twovarform_to_json,
 )
 
 
@@ -120,17 +118,15 @@ class TestDivision:
 class TestCanonical:
     def test_round_trip(self):
         X = PolyMatrix.from_entries([[[1.0]], [[0.0, 1.0]]])
-        R = PolyMatrix.from_entries([[[2.0, 3.0, 1.0]]])
         K = np.array([[11.0, 3.0], [3.0, 1.0]])
         psi = sandwich(X, K)
-        assert np.allclose(to_canonical(psi, X, R), K)
+        assert np.allclose(to_canonical(psi, X), K)
 
     def test_rejects_inexpressible(self):
         X = PolyMatrix.from_entries([[[1.0]]])  # only the constant row
-        R = PolyMatrix.from_entries([[[2.0, 3.0, 1.0]]])
         psi = _scalar_form([[0.0, 0.0], [0.0, 1.0]])  # z*e needs the xi row
         with pytest.raises(ValueError):
-            to_canonical(psi, X, R)
+            to_canonical(psi, X)
 
     def test_qdf_mod_reduces_degree(self):
         R = PolyMatrix.from_entries([[[2.0, 3.0, 1.0]]])
@@ -151,16 +147,55 @@ class TestCanonical:
             assert val == pytest.approx(lam**4, rel=1e-8)
 
 
+def _blockwise(A: PolyMatrix, S: np.ndarray, B: PolyMatrix) -> np.ndarray:
+    """Reference ``A(z)^T S B(e)`` one coefficient block pair at a time."""
+    g = max(A.coeffs.shape[0], B.coeffs.shape[0])
+    b = np.zeros((g, g, A.cols, B.cols))
+    for h in range(A.coeffs.shape[0]):
+        for k in range(B.coeffs.shape[0]):
+            b[h, k] = A.coeffs[h].T @ S @ B.coeffs[k]
+    return b
+
+
+class TestStackProducts:
+    """The forms built from coefficient stacks match block-by-block loops."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_blockwise_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        w, r = 2, 3
+        M = PolyMatrix(rng.standard_normal((3, r, w)))
+        N = PolyMatrix(rng.standard_normal((2, r, w)))
+        K = rng.standard_normal((r, r))
+        K = K + K.T
+        signs = np.array([1.0, -1.0, 1.0])
+        cases = [
+            (sandwich(M, K), _blockwise(M, K, M)),
+            (two_var_product(M, N, signs), _blockwise(M, np.diag(signs), N)),
+            (
+                two_var_from_pair(M, N),
+                _blockwise(M, np.eye(r), N)
+                + _blockwise(N, np.eye(r), M),
+            ),
+        ]
+        for form, ref in cases:
+            want = TwoVarForm(ref)
+            assert form.blocks.shape == want.blocks.shape
+            assert np.allclose(form.blocks, want.blocks, rtol=1e-14, atol=1e-14)
+
+    def test_trajectory_value_matches_blockwise_sum(self):
+        rng = np.random.default_rng(9)
+        psi = TwoVarForm(rng.standard_normal((3, 3, 2, 2)))
+        D = rng.standard_normal((4, 2))  # one derivative level more than needed
+        want = sum(
+            D[h] @ psi.blocks[h, k] @ D[k] for h in range(3) for k in range(3)
+        )
+        assert eval_along_trajectory(psi, D) == pytest.approx(want, rel=1e-14)
+
+
 class TestProduct:
     def test_signed_product(self):
         M = PolyMatrix.from_entries([[[1.0]], [[0.0, 1.0]]])
         phi = two_var_product(M, M, signs=np.array([1.0, -1.0]))
         # psi(z,e) = 1*1 - z*e
         assert np.allclose(phi.blocks[:, :, 0, 0], [[1.0, 0.0], [0.0, -1.0]])
-
-
-def test_json_round_trip():
-    rng = np.random.default_rng(2)
-    psi = TwoVarForm(rng.standard_normal((2, 2, 2, 2)))
-    back = twovarform_from_json(twovarform_to_json(psi))
-    assert np.allclose(psi.blocks, back.blocks)

@@ -3,9 +3,7 @@ import pytest
 
 from sldstab.polymat import PolyMatrix, determinant, is_strictly_proper, roots
 from sldstab.statespace import (
-    coefficient_matrix,
     eigenstructure,
-    expm_propagate,
     minimal_state_map,
     propagator,
     realize,
@@ -32,7 +30,7 @@ class TestMinimalStateMap:
         X = minimal_state_map(R)
         assert X.shape == (2, 1)
         # rows span {1, xi} (any basis): coefficient matrix has rank 2
-        assert np.linalg.matrix_rank(coefficient_matrix(X, 2)) == 2
+        assert np.linalg.matrix_rank(X.stack(2)) == 2
         assert is_strictly_proper(X, R)
 
     def test_row_count_is_determinant_degree(self):
@@ -81,14 +79,12 @@ class TestRealize:
             X = minimal_state_map(R)
             real = realize(R, X)
             grid = int(max(R.degree, X.degree + 1)) + 1
-            lhs = coefficient_matrix(X, grid + 1)[:, : grid * R.shape[1]]
+            lhs = X.stack(grid + 1)[:, : grid * R.shape[1]]
             # xi*X has coefficients shifted by one block
             w = R.shape[1]
             Xs = np.zeros_like(lhs)
-            Xs[:, w:] = coefficient_matrix(X, grid)[:, : (grid - 1) * w]
-            rhs = real.A @ coefficient_matrix(X, grid) + real.B @ coefficient_matrix(
-                R, grid
-            )
+            Xs[:, w:] = X.stack(grid)[:, : (grid - 1) * w]
+            rhs = real.A @ X.stack(grid) + real.B @ R.stack(grid)
             assert np.max(np.abs(Xs - rhs)) < 1e-9 * max(1.0, np.abs(rhs).max())
 
 
@@ -123,9 +119,9 @@ class TestEigenstructure:
             )
 
 
-def test_expm_propagate_matches_closed_form():
+def test_propagator_matches_closed_form():
     A = np.array([[-2.0]])
-    x = expm_propagate(A, np.array([3.0]), 0.7)
+    x = propagator(A, 0.7) @ np.array([3.0])
     assert x[0] == pytest.approx(3.0 * np.exp(-1.4))
 
 
@@ -138,7 +134,5 @@ def test_propagator_is_the_step_exponential():
     )
     assert np.allclose(E @ E, propagator(A, 0.8), atol=1e-14)
     assert np.array_equal(propagator(A, 0.0), np.eye(2))
-    x = np.array([1.0, -1.0])
-    assert np.array_equal(expm_propagate(A, x, 0.4), E @ x)
     with pytest.raises(ValueError, match="nonnegative"):
         propagator(A, -1e-3)
