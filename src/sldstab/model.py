@@ -12,8 +12,12 @@ transitions.  Each derived object is computed once per model and kept on it:
 
 Every reduction modulo ``R_k`` (state map, the realization's ``C``, normal
 form, Hurwitz test) divides through the mode's divisor, so
-``det R_k`` and ``adj R_k`` are computed once per mode and model.  Nothing is
-shared between models: two loads of one file compute everything twice.
+``det R_k`` and ``adj R_k`` are computed once per mode and model.  The normal
+form reduces once per mode: the ``G-`` of every transition out of mode ``k``
+and the ``G+`` of every transition into it are stacked into one division
+modulo ``R_k`` and one least-squares solve over ``X_k``, then split by
+transition.  Nothing is shared between models: two loads of one file compute
+everything twice.
 
 Mode indices are 1-based throughout, matching the JSON schema.
 """
@@ -138,14 +142,28 @@ def _mode_divisor(i: int, R: PolyMatrix) -> Divisor:
 
 
 def normal_form(model: SldsModel) -> dict[tuple[int, int], NormalFormPair]:
-    """Reduce every gluing pair to constant matrices over the state bases."""
-    divs, maps = model.divisors, model.state_maps
-    out = {}
+    """Reduce every gluing pair to constant matrices over the state bases.
+
+    Mode ``k``'s blocks, ``G-`` of each transition out of ``k`` and ``G+``
+    of each transition into ``k``, go through one
+    :func:`express_in_state_basis` call: one reduction modulo ``R_k`` and
+    one least-squares solve over ``X_k``.
+    """
+    blocks: dict[int, list] = {}  # mode -> [(transition, side, G), ...]
     for (k, l), (gm, gp) in model.gluing.items():
-        fm = express_in_state_basis(gm, divs[k - 1], maps[k - 1])
-        fp = express_in_state_basis(gp, divs[l - 1], maps[l - 1])
-        out[(k, l)] = NormalFormPair(f_minus=fm, f_plus=fp)
-    return out
+        blocks.setdefault(k, []).append(((k, l), 0, gm))
+        blocks.setdefault(l, []).append(((k, l), 1, gp))
+    solved = {}
+    for mode, items in blocks.items():
+        fs = express_in_state_basis(
+            [g for _, _, g in items], model.divisors[mode - 1], model.state_maps[mode - 1]
+        )
+        for (key, side, _), f in zip(items, fs):
+            solved[key, side] = f
+    return {
+        key: NormalFormPair(f_minus=solved[key, 0], f_plus=solved[key, 1])
+        for key in model.gluing
+    }
 
 
 def is_well_posed(model: SldsModel) -> tuple[dict[tuple[int, int], bool], bool]:

@@ -8,7 +8,9 @@ object.
 
 from __future__ import annotations
 
-from functools import cached_property
+import itertools
+from collections.abc import Sequence
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -96,12 +98,6 @@ class Poly:
 
     def __hash__(self):
         return hash(tuple(self.coeffs))
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by xi**k."""
-        if self.is_zero():
-            return Poly([0.0])
-        return Poly(np.concatenate([np.zeros(k), self.coeffs]))
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)})"
@@ -280,12 +276,7 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.shape} @ {other.shape}")
-        da, db = self.coeffs.shape[0], other.coeffs.shape[0]
-        c = np.zeros((da + db - 1, self.rows, other.cols))
-        for i in range(da):
-            for j in range(db):
-                c[i + j] += self.coeffs[i] @ other.coeffs[j]
-        return PolyMatrix(c)
+        return PolyMatrix(_matmul(self.coeffs, other.coeffs))
 
     def scale(self, a) -> "PolyMatrix":
         """Multiply by a real scalar or a scalar :class:`Poly`."""
@@ -317,6 +308,11 @@ class PolyMatrix:
 
 
 def vstack(mats: list[PolyMatrix]) -> PolyMatrix:
+    return PolyMatrix(_stack_rows(mats))
+
+
+def _stack_rows(mats) -> np.ndarray:
+    """Untrimmed coefficient array of the matrices stacked row-wise."""
     cols = mats[0].cols
     deg = max(m.coeffs.shape[0] for m in mats)
     rows = sum(m.rows for m in mats)
@@ -325,62 +321,91 @@ def vstack(mats: list[PolyMatrix]) -> PolyMatrix:
     for m in mats:
         c[: m.coeffs.shape[0], at : at + m.rows, :] = m.coeffs
         at += m.rows
-    return PolyMatrix(c)
+    return c
+
+
+# ---------------------------------------------------------------------------
+# coefficient-array kernels
+#
+# These act on raw coefficient arrays and trim nothing: determinant and
+# adjugate trim only the result they return.
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two ``(degree + 1, rows, cols)`` stacks, one pass per left degree."""
+    c = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1], b.shape[2]))
+    for i, ai in enumerate(a):
+        c[i : i + b.shape[0]] += ai @ b
+    return c
+
+
+def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of polynomials along the last axis, broadcast over the others."""
+    db = b.shape[-1]
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    c = np.zeros(shape + (a.shape[-1] + db - 1,))
+    for i in range(a.shape[-1]):
+        c[..., i : i + db] += a[..., i : i + 1] * b
+    return c
+
+
+@cache
+def _permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every permutation of ``range(n)`` as a row, and its sign."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    i, j = np.triu_indices(n, 1)
+    signs = np.where(np.sum(perms[:, i] > perms[:, j], axis=1) % 2, -1.0, 1.0)
+    perms.flags.writeable = signs.flags.writeable = False  # shared by every call
+    return perms, signs
+
+
+def _leibniz(c: np.ndarray) -> np.ndarray:
+    """Determinants of a batch ``(..., n, n, D)`` of polynomial matrices.
+
+    The Leibniz sum over all ``n!`` permutations: for each, the product of
+    its ``n`` entries along the last (coefficient) axis, then one signed sum.
+    Returns ``(..., n * (D - 1) + 1)`` ascending coefficients.
+    """
+    n = c.shape[-2]
+    perms, signs = _permutations(n)
+    factors = c[..., np.arange(n), perms, :]  # (..., n!, n, D)
+    prod = factors[..., 0, :]
+    for i in range(1, n):
+        prod = _polymul(prod, factors[..., i, :])
+    return signs @ prod
 
 
 # ---------------------------------------------------------------------------
 # determinant / adjugate
 
 
-def _det_cofactor(c: PolyMatrix) -> Poly:
-    n = c.rows
-    if n == 1:
-        return c.entry(0, 0)
-    if n == 2:
-        return c.entry(0, 0) * c.entry(1, 1) - c.entry(0, 1) * c.entry(1, 0)
-    total = Poly([0.0])
-    for j in range(n):
-        e = c.entry(0, j)
-        if e.is_zero():
-            continue
-        minor = np.delete(c.coeffs[:, 1:, :], j, axis=2)
-        sub = _det_cofactor(PolyMatrix(minor))
-        term = e * sub
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
 def determinant(R: PolyMatrix) -> Poly:
-    """Exact polynomial determinant by cofactor expansion along the first row.
+    """Exact polynomial determinant by the Leibniz sum over permutations.
 
     The cost grows as ``n!`` in the size ``n``; the bundled models and the
     benchmark's generated families have at most 3 variables.
     """
     if R.rows != R.cols:
         raise ValueError("determinant requires a square matrix")
-    return _det_cofactor(R)
+    return Poly(_leibniz(R.coeffs.transpose(1, 2, 0)))
 
 
 def adjugate(R: PolyMatrix) -> PolyMatrix:
     """Adjugate matrix, satisfying ``R @ adj(R) = det(R) * I``.
 
-    The transposed cofactor matrix, each cofactor by :func:`determinant`'s
-    expansion, so the cost grows as ``n * n!``.
+    The transposed cofactor matrix: all ``n**2`` minors go through one
+    batched Leibniz sum, so the cost grows as ``n**2 * (n - 1)!``.
     """
     if R.rows != R.cols:
         raise ValueError("adjugate requires a square matrix")
     n = R.rows
     if n == 1:
         return PolyMatrix.identity(1)
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(R.coeffs, i, axis=1), j, axis=2)
-            cof = _det_cofactor(PolyMatrix(minor))
-            if (i + j) % 2 == 1:
-                cof = -cof
-            out[j][i] = cof  # transpose of the cofactor matrix
-    return PolyMatrix.from_entries(out)
+    keep = np.array([[k for k in range(n) if k != i] for i in range(n)])
+    c = R.coeffs.transpose(1, 2, 0)
+    minors = c[keep[:, None, :, None], keep[None, :, None, :]]  # (n, n, n-1, n-1, D)
+    cof = _leibniz(minors) * (-1.0) ** np.add.outer(np.arange(n), np.arange(n))[..., None]
+    return PolyMatrix(cof.transpose(2, 1, 0))  # adj[j, i] = cofactor (i, j)
 
 
 def roots(p: Poly) -> np.ndarray:
@@ -427,6 +452,30 @@ class Divisor:
         return R if isinstance(R, Divisor) else cls(R)
 
 
+def _trim_blocks(c: np.ndarray, bounds) -> np.ndarray:
+    """Zero, in place, each coefficient at most ``TRIM_TOL`` times the
+    largest of its row block ``c[:, lo:hi]``: a :class:`PolyMatrix` trim of
+    every block on its own."""
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        blk = c[:, lo:hi]
+        blk[np.abs(blk) <= TRIM_TOL * np.max(np.abs(blk), initial=0.0)] = 0.0
+    return c
+
+
+def _quotient(f: np.ndarray, div: Divisor, bounds) -> np.ndarray:
+    """Untrimmed polynomial part of ``F R^{-1}``, trimming ``F adj(R)`` by blocks."""
+    d = div.det.coeffs
+    m = len(d) - 1
+    rem = _trim_blocks(_matmul(f, div.adj.coeffs), bounds)
+    if rem.shape[0] <= m:
+        return np.zeros((1, f.shape[1], div.R.cols))
+    q = np.zeros((rem.shape[0] - m,) + rem.shape[1:])
+    for k in range(q.shape[0] - 1, -1, -1):
+        q[k] = rem[k + m] / d[m]
+        rem[k : k + m + 1] -= d[:, None, None] * q[k]
+    return q
+
+
 def polynomial_part(F: PolyMatrix, R: PolyMatrix | Divisor) -> PolyMatrix:
     """Polynomial part ``N`` of ``F R^{-1} = N + S`` with ``S`` strictly proper.
 
@@ -436,26 +485,35 @@ def polynomial_part(F: PolyMatrix, R: PolyMatrix | Divisor) -> PolyMatrix:
     div = Divisor.of(R)
     if F.cols != div.R.rows:
         raise ValueError("dimension mismatch between F and R")
-    d = div.det.coeffs
-    m = len(d) - 1
-    rem = (F @ div.adj).coeffs.copy()
-    if rem.shape[0] <= m:
-        return PolyMatrix.zeros(F.rows, div.R.cols)
-    q = np.zeros((rem.shape[0] - m,) + rem.shape[1:])
-    for k in range(q.shape[0] - 1, -1, -1):
-        q[k] = rem[k + m] / d[m]
-        rem[k : k + m + 1] -= d[:, None, None] * q[k]
-    return PolyMatrix(q)
+    return PolyMatrix(_quotient(F.coeffs, div, (0, F.rows)))
 
 
-def canonical_rep(F: PolyMatrix, R: PolyMatrix | Divisor) -> PolyMatrix:
+def canonical_rep(
+    F: PolyMatrix | Sequence[PolyMatrix], R: PolyMatrix | Divisor
+) -> PolyMatrix | list[PolyMatrix]:
     """Canonical representative of ``F`` modulo ``R``.
 
     Returns ``G' = S R`` where ``S`` is the strictly proper part of
     ``F R^{-1}``; equivalently ``F - N R`` with ``N`` the polynomial part.
+
+    ``F`` may also be a sequence of blocks with ``R``'s column count: they
+    are stacked and divided at once, and the list of their representatives
+    is returned.  Each block is trimmed against its own scale only, so every
+    representative equals the block's lone reduction.
     """
     div = Divisor.of(R)
-    return F - (polynomial_part(F, div) @ div.R)
+    blocks = [F] if isinstance(F, PolyMatrix) else list(F)
+    if any(b.cols != div.R.rows for b in blocks):
+        raise ValueError("dimension mismatch between F and R")
+    bounds = np.cumsum([0] + [b.rows for b in blocks])
+    f = _stack_rows(blocks)
+    q = _trim_blocks(_quotient(f, div, bounds), bounds)
+    nr = _trim_blocks(_matmul(q, div.R.coeffs), bounds)
+    g = np.zeros((max(f.shape[0], nr.shape[0]),) + f.shape[1:])
+    g[: f.shape[0]] += f
+    g[: nr.shape[0]] -= nr
+    reps = [PolyMatrix(g[:, lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return reps[0] if isinstance(F, PolyMatrix) else reps
 
 
 def is_strictly_proper(N: PolyMatrix, D: PolyMatrix | Divisor) -> bool:
@@ -488,44 +546,49 @@ def leading_column_matrix(R: PolyMatrix) -> np.ndarray:
 
 def column_reduce(
     R: PolyMatrix | Divisor, max_iter: int = 200
-) -> tuple[PolyMatrix, PolyMatrix]:
-    """Column reduction ``R' = R U`` with ``U`` unimodular.
+) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
+    """Column reduction ``R' = R U`` with ``U`` unimodular; returns
+    ``(R', U, U^{-1})``.
 
-    Repeatedly cancels the highest-column-degree coefficient matrix along a
-    null direction until it becomes nonsingular.
+    Repeatedly cancels the highest-column-degree coefficient matrix ``G``
+    along a null direction ``v`` until it becomes nonsingular: column ``j*``
+    becomes ``sum_j v_j xi^(d_j* - d_j) column_j``.  A column takes part
+    when its term ``|v_j| |G_j|`` is not negligible against the largest, a
+    measure that does not change when a column is scaled; ``j*`` is the
+    participating column of highest degree.  Each step ``E`` has the closed
+    form inverse that maps column ``j*`` to
+    ``(e_j* - sum_{j != j*} v_j xi^(d_j* - d_j) e_j) / v_j*``, and ``U^{-1}``
+    is accumulated from these.
     """
     R = Divisor.of(R).R  # raises if R is singular
     n = R.cols
     Rp = R
     U = PolyMatrix.identity(n)
+    Uinv = np.eye(n)[None]
     for _ in range(max_iter):
         G = leading_column_matrix(Rp)
         s = np.linalg.svd(G, compute_uv=False)
         if s[-1] > 1e-10 * max(s[0], 1.0):
-            return Rp, U
+            return Rp, U, PolyMatrix(Uinv)
         v = np.linalg.svd(G)[2][-1]
-        degs = column_degrees(Rp)
-        active = [j for j in range(n) if abs(v[j]) > 1e-8]
-        jstar = max(active, key=lambda j: degs[j])
-        # column jstar <- sum_j v_j xi^(d_jstar - d_j) column_j
-        op = [[Poly([1.0]) if i == j else Poly([0.0]) for j in range(n)] for i in range(n)]
-        for j in range(n):
-            if j == jstar:
-                op[j][jstar] = Poly([v[j]])
-            elif abs(v[j]) > 0:
-                op[j][jstar] = Poly([v[j]]).shift(int(degs[jstar] - degs[j]))
-        E = PolyMatrix.from_entries(op)
+        degs = np.array(column_degrees(Rp))
+        weight = np.abs(v) * np.linalg.norm(G, axis=0)
+        active = np.flatnonzero(weight > 1e-8 * weight.max())
+        jstar = active[np.argmax(degs[active])]
+        shift = (degs[jstar] - degs).astype(int)
+        e = np.zeros((max(shift.max(), 0) + 1, n, n))
+        e[0] = np.eye(n)
+        for j in np.flatnonzero((v != 0) & (shift >= 0)):
+            e[shift[j], j, jstar] = v[j]
+        E = PolyMatrix(e)  # drops the terms of |v_j| <= TRIM_TOL
+        einv = E.coeffs.copy()
+        pivot = einv[0, jstar, jstar]
+        einv[:, :, jstar] /= -pivot
+        einv[0, jstar, jstar] = 1.0 / pivot
         Rp = Rp @ E
         U = U @ E
-    raise RuntimeError("column reduction failed to terminate")
-
-
-def unimodular_inverse(U: PolyMatrix) -> PolyMatrix:
-    """Polynomial inverse of a unimodular matrix."""
-    d = determinant(U)
-    if d.degree != 0:
-        raise ValueError("matrix is not unimodular (nonconstant determinant)")
-    return adjugate(U).scale(1.0 / d.coeffs[0])
+        Uinv = _matmul(einv, Uinv)
+    raise ValueError(f"column reduction did not terminate in {max_iter} steps")
 
 
 # ---------------------------------------------------------------------------

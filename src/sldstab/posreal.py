@@ -45,11 +45,7 @@ from .qdf import (
     two_var_from_pair,
     two_var_product,
 )
-from .statespace import (
-    express_in_state_basis,
-    minimal_state_map,
-    realize,
-)
+from .statespace import express_in_state_basis, minimal_state_map
 
 FACTOR_TOL = 1e-8
 AXIS_TOL = 1e-7
@@ -362,8 +358,7 @@ def build_standard_slds(R1: PolyMatrix, R2: PolyMatrix) -> StandardSlds:
         raise ValueError("failed to extend the mode-2 state basis to mode 1")
     X1p = vstack(picked)
     X1 = vstack([X2, X1p]) if X2.rows else X1p
-    realize(D1, X1)  # validates X1 as a state map for mode 1
-    Pi = express_in_state_basis(X1p, D2, X2)
+    (Pi,) = express_in_state_basis([X1p], D2, X2)
     # constant feed-through K = lim xi X1p R1^{-1}
     xi = Poly([0.0, 1.0])
     Kmat = polynomial_part(X1p.scale(xi), D1)

@@ -27,6 +27,7 @@ from .statespace import propagator
 AUDIT_REL_TOL = 1e-10
 CONSISTENCY_FLAG_TOL = 1e-6
 ASYMPTOTIC_FACTOR = 1e-6
+CSV_CHUNK_ROWS = 1024  # rows formatted at once by write_trace_csv
 
 
 @dataclass(frozen=True)
@@ -48,15 +49,6 @@ class SwitchingSignal:
             if m == prev_m:
                 raise ValueError("consecutive modes must differ")
             prev_t, prev_m = t, m
-
-    def mode_at(self, t: float) -> int:
-        m = self.initial_mode
-        for te, me in self.events:
-            if te <= t:
-                m = me
-            else:
-                break
-        return m
 
 
 @dataclass
@@ -283,7 +275,8 @@ def write_trace_csv(trace: Trace, path, events_path=None) -> None:
 
     The rows are what ``csv.writer`` writes for the same cells: ``.12g``
     numbers, empty cells after a state shorter than the widest one, and
-    ``\\r\\n`` line ends.
+    ``\\r\\n`` line ends.  Each run of rows with one state dimension is
+    formatted by one ``%`` per chunk of at most ``CSV_CHUNK_ROWS`` rows.
     """
     nx = max((len(x) for x in trace.states), default=0)
     nw = trace.outputs.shape[1] if trace.outputs.size else 0
@@ -295,20 +288,24 @@ def write_trace_csv(trace: Trace, path, events_path=None) -> None:
         + (["V"] if has_v else [])
     )
     tail = ",%.12g" * nw + (",%.12g" if has_v else "") + "\r\n"
-    fmts = {}  # state dimension -> row format
-    columns = [trace.times.tolist(), trace.modes.tolist(), trace.states,
-               trace.outputs.tolist()]
-    if has_v:
-        columns.append(trace.values.tolist())
+    dims = np.fromiter(map(len, trace.states), dtype=int, count=len(trace.states))
+    runs = np.flatnonzero(np.diff(dims, prepend=-1, append=-1))  # run bounds
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for t, m, x, w, *v in zip(*columns):
-            fmt = fmts.get(len(x))
-            if fmt is None:
-                fmt = fmts[len(x)] = (
-                    "%.12g,%d" + ",%.12g" * len(x) + "," * (nx - len(x)) + tail
-                )
-            fh.write(fmt % (t, m, *x.tolist(), *w, *v))
+        for start, stop in zip(runs[:-1], runs[1:]):
+            d = int(dims[start])
+            fmt = "%.12g,%d" + ",%.12g" * d + "," * (nx - d) + tail
+            for a in range(start, stop, CSV_CHUNK_ROWS):
+                b = min(a + CSV_CHUNK_ROWS, stop)
+                cells = [
+                    trace.times[a:b, None],
+                    trace.modes[a:b, None],
+                    np.array(trace.states[a:b], dtype=float).reshape(b - a, d),
+                    trace.outputs[a:b].reshape(b - a, nw),
+                ]
+                if has_v:
+                    cells.append(trace.values[a:b, None])
+                fh.write(fmt * (b - a) % tuple(np.hstack(cells).ravel().tolist()))
     if events_path is not None:
         evs = []
         for ev in trace.events:
@@ -328,9 +325,3 @@ def signal_from_json(doc: dict) -> SwitchingSignal:
         events=tuple((float(t), int(m)) for t, m in doc.get("events", [])),
     )
 
-
-def signal_to_json(signal: SwitchingSignal) -> dict:
-    return {
-        "initial_mode": signal.initial_mode,
-        "events": [[t, m] for t, m in signal.events],
-    }

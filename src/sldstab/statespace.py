@@ -2,11 +2,15 @@
 
 A minimal state map for an autonomous kernel behavior ``ker R(d/dt)`` is a
 polynomial matrix ``X`` whose rows form a basis of the row vectors ``f`` with
-``f R^{-1}`` strictly proper.  The induced realization satisfies
-``xi X(xi) = A X(xi) + B R(xi)`` together with the output map ``w = C x``.
-Both identities are matched on the coefficient stacks of
-:meth:`PolyMatrix.stack`, and ``C`` is solved by the same routine that
-writes any ``G mod R`` over a state map (:func:`express_in_state_basis`).
+``f R^{-1}`` strictly proper.  It is read off the column reduction
+``R U = R'``: the rows of ``U^{-1}``, which the reduction returns, shifted by
+powers of ``xi`` below each column degree of ``R'``.  The induced realization
+satisfies ``xi X(xi) = A X(xi) + B R(xi)`` together with the output map
+``w = C x``.  Both identities are matched on the coefficient stacks of
+:meth:`PolyMatrix.stack`.  :func:`express_in_state_basis` writes any number
+of blocks ``G mod R`` over a state map with one reduction and one
+least-squares solve; ``C`` (from ``I_w mod R``), the normal form and the
+standard construction's ``Pi`` all go through it.
 :func:`propagator` is the one matrix exponential of a mode's dynamics.
 """
 
@@ -26,8 +30,6 @@ from .polymat import (
     column_degrees,
     column_reduce,
     poly_roots,
-    unimodular_inverse,
-    vstack,
 )
 
 REALIZE_TOL = 1e-9
@@ -40,57 +42,66 @@ def minimal_state_map(R: PolyMatrix | Divisor) -> PolyMatrix:
 
     Column-reduce ``R`` to ``R' = R U`` with column degrees ``d_j``; the rows
     ``e_j xi^k`` (``k < d_j``) form a basis for ``R'`` and are mapped back
-    through ``U^{-1}``, then normalized by the canonical representative.
-    Rows are ordered by (column index, power ascending).
+    through ``U^{-1}`` (row ``j`` of ``U^{-1}`` shifted by ``k``), then
+    normalized by the canonical representative.  Rows are ordered by
+    (column index, power ascending).
     """
     div = Divisor.of(R)
-    Rp, U = column_reduce(div)
+    Rp, _, Uinv = column_reduce(div)
     degs = column_degrees(Rp)
     w = div.R.cols
-    Uinv = unimodular_inverse(U)
-    rows = []
-    for j in range(w):
-        dj = degs[j]
-        if dj == MINUS_INF:
-            raise ValueError("column-reduced matrix has a zero column")
-        for k in range(int(dj)):
-            c = np.zeros((k + 1, 1, w))
-            c[k, 0, j] = 1.0
-            rows.append(PolyMatrix(c) @ Uinv)
+    if MINUS_INF in degs:
+        raise ValueError("column-reduced matrix has a zero column")
     n = int(round(div.det.degree))
-    if len(rows) != n:
+    found = int(sum(degs))
+    if found != n:
         raise ValueError(
-            f"state-map construction produced {len(rows)} rows, expected {n}"
+            f"state-map construction produced {found} rows, expected {n}"
         )
     if n == 0:
         return PolyMatrix.zeros(0, w)
-    return canonical_rep(vstack(rows), div)
+    u = Uinv.coeffs
+    rows = np.zeros((u.shape[0] + int(max(degs)) - 1, n, w))
+    at = 0
+    for j, dj in enumerate(degs):
+        for k in range(int(dj)):
+            rows[k : k + u.shape[0], at] = u[:, j]
+            at += 1
+    return canonical_rep(PolyMatrix(rows), div)
 
 
 def express_in_state_basis(
-    G: PolyMatrix,
+    blocks: list[PolyMatrix],
     R: PolyMatrix | Divisor,
     X: PolyMatrix,
     tol: float = STATE_BASIS_TOL,
-) -> np.ndarray:
-    """Solve ``G mod R = F X`` for the constant matrix F.
+) -> list[np.ndarray]:
+    """Solve ``G mod R = F X`` for the constant matrix ``F`` of each block ``G``.
 
-    Raises if ``G mod R`` is not in the row span of ``X`` within ``tol``.
+    The blocks are reduced in one :func:`canonical_rep` call and solved in
+    one least-squares solve over ``X``; the rows are then split by block.
+    Raises if some ``G mod R`` is not in the row span of ``X`` within
+    ``tol``, relative to that block's own scale.
     """
-    Gc = canonical_rep(G, R)
-    grid = max(Gc.coeffs.shape[0], X.coeffs.shape[0])
-    Ga = Gc.stack(grid)
+    reps = canonical_rep(blocks, R)
+    grid = max(X.coeffs.shape[0], *(g.coeffs.shape[0] for g in reps))
     Xa = X.stack(grid)
-    F, *_ = np.linalg.lstsq(Xa.T, Ga.T, rcond=None)
-    F = F.T
-    resid = np.max(np.abs(F @ Xa - Ga)) if Ga.size else 0.0
-    scale = max(1.0, np.max(np.abs(Ga)) if Ga.size else 0.0)
-    if resid > tol * scale:
-        raise ValueError(
-            f"canonical representative not in the state-map row span "
-            f"(residual {resid:.3e})"
-        )
-    return F
+    Ga = [g.stack(grid) for g in reps]
+    F, *_ = np.linalg.lstsq(Xa.T, np.vstack(Ga).T, rcond=None)
+    out = []
+    at = 0
+    for g in Ga:
+        f = F.T[at : at + g.shape[0]]
+        at += g.shape[0]
+        resid = np.max(np.abs(f @ Xa - g)) if g.size else 0.0
+        scale = max(1.0, np.max(np.abs(g)) if g.size else 0.0)
+        if resid > tol * scale:
+            raise ValueError(
+                f"canonical representative not in the state-map row span "
+                f"(residual {resid:.3e})"
+            )
+        out.append(f)
+    return out
 
 
 @dataclass(frozen=True)
@@ -145,7 +156,7 @@ def realize(
     resid = np.max(np.abs(AB @ M - Xb))
     if resid > tol * scale:
         raise ValueError(f"X is not a valid state map (residual {resid:.3e})")
-    C = express_in_state_basis(PolyMatrix.identity(w), div, X)
+    (C,) = express_in_state_basis([PolyMatrix.identity(w)], div, X)
     return StateRealization(R=R, X=X, A=A, B=B, C=C, Rt=Rt, Xa=Xa, Xb=Xb)
 
 

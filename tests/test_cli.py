@@ -68,6 +68,18 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "1->2" in out and "not well-posed" in out
 
+    def test_columns_of_very_different_scale(self, tmp_path, capsys):
+        # [[1e9 xi^2 + 3e9, xi], [1e9 xi^2, xi + 1]], det 1e9 (xi^2 + 3 xi + 3),
+        # is Hurwitz; its leading matrix has the unit null vector (1e-9, -1),
+        # on which an absolute test once left column 1 out of the reduction
+        R = PolyMatrix.from_entries(
+            [[[3e9, 0.0, 1e9], [0.0, 1.0]], [[0.0, 0.0, 1e9], [1.0, 1.0]]]
+        )
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(model_to_json(SldsModel(modes=[R], gluing={}))))
+        assert main(["check", str(path)]) in (0, 2)
+        assert capsys.readouterr().err == ""
+
     def test_verify_only_free_multipliers(self, capsys):
         # certificate from a search that solved for Y_k as free variables,
         # so Y_k differs from B_k^T K_k; the ple_k re-check still accepts it

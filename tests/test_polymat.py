@@ -23,7 +23,6 @@ from sldstab.polymat import (
     polymatrix_to_json,
     polynomial_part,
     roots,
-    unimodular_inverse,
     vstack,
 )
 
@@ -110,6 +109,39 @@ class TestDeterminant:
         R = _random_polymatrix(rng, n, 1)
         assert not determinant(R).is_zero()
         self._assert_adjugate_identity(R)
+
+
+def _exact_coeffs(expr) -> list[float]:
+    return [float(c) for c in sympy.Poly(expr, xi).all_coeffs()[::-1]]
+
+
+@st.composite
+def _integer_square(draw):
+    n = draw(st.integers(1, 4))
+    deg = draw(st.integers(0, 3))
+    vals = draw(st.lists(st.integers(-4, 4), min_size=(deg + 1) * n * n,
+                         max_size=(deg + 1) * n * n))
+    return PolyMatrix(np.array(vals, dtype=float).reshape(deg + 1, n, n))
+
+
+class TestLeibnizKernels:
+    """The batched Leibniz determinant and adjugate against sympy, exactly."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_integer_square())
+    def test_matches_sympy(self, R):
+        exact = _to_exact(R)
+        d = determinant(R)
+        assert d.coeffs.tolist() == _exact_coeffs(exact.det())
+        adj = adjugate(R)
+        ref = exact.adjugate()
+        for i in range(R.rows):
+            for j in range(R.cols):
+                assert adj.entry(i, j).coeffs.tolist() == _exact_coeffs(ref[i, j])
+        assert ((R @ adj) - PolyMatrix.identity(R.rows).scale(d)).max_norm() == 0.0
+        if not d.is_zero():
+            _, U, Uinv = column_reduce(R)
+            assert (U @ Uinv - PolyMatrix.identity(R.rows)).max_norm() <= 1e-12
 
 
 class TestHurwitz:
@@ -243,16 +275,38 @@ class TestColumnReduction:
         R = PolyMatrix.from_entries(
             [[[1.0, 1.0], [1.0, 1.0]], [[1.0], [0.0]]]
         )
-        Rred, U = column_reduce(R)
+        Rred, U, _ = column_reduce(R)
         lead = np.sum(np.array(column_degrees(Rred)))
         assert lead <= determinant(R).degree + 1  # proper column degrees
 
-    def test_unimodular_inverse(self):
-        U = PolyMatrix.from_entries([[[1.0], [0.0, 1.0]], [[0.0], [1.0]]])
-        V = unimodular_inverse(U)
-        prod = U @ V
+    def test_inverse_from_reduction_steps(self):
+        # R = (I + 2 xi e_1 e_2^T)(I + xi^2 e_2 e_1^T)(xi I - A): four steps
+        T1 = PolyMatrix.from_entries([[[1.0], [0.0, 2.0]], [[0.0], [1.0]]])
+        T2 = PolyMatrix.from_entries([[[1.0], [0.0]], [[0.0, 0.0, 1.0], [1.0]]])
+        S = PolyMatrix.from_entries([[[1.0, 1.0], [0.0]], [[-1.0], [2.0, 1.0]]])
+        R = T1 @ T2 @ S
+        Rred, U, Uinv = column_reduce(R)
+        assert U.degree > 0
+        assert ((R @ U) - Rred).max_norm() < 1e-12
         eye = PolyMatrix.identity(2)
-        assert (prod - eye).max_norm() < 1e-9
+        assert (U @ Uinv - eye).max_norm() < 1e-12
+        assert (Uinv @ U - eye).max_norm() < 1e-12
+
+    def test_columns_of_very_different_scale(self):
+        # the null vector (1e-9, -1) of the leading matrix: both columns take
+        # part, and column 0 (degree 2) is the one replaced
+        R = PolyMatrix.from_entries(
+            [[[3e9, 0.0, 1e9], [0.0, 1.0]], [[0.0, 0.0, 1e9], [1.0, 1.0]]]
+        )
+        Rred, U, Uinv = column_reduce(R)
+        assert column_degrees(Rred) == [1.0, 1.0]  # sum = deg det R
+        assert ((R @ U) - Rred).max_norm() < 1e-12 * R.max_norm()
+        assert (U @ Uinv - PolyMatrix.identity(2)).max_norm() < 1e-12
+
+    def test_no_termination_is_a_value_error(self):
+        R = PolyMatrix.from_entries([[[1.0, 1.0], [1.0, 1.0]], [[1.0], [0.0]]])
+        with pytest.raises(ValueError, match="did not terminate"):
+            column_reduce(R, max_iter=0)
 
 
 class TestStrictlyProper:

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sldstab import posreal, qdf
+from sldstab import posreal, qdf, statespace
 from sldstab.cli import main
 from sldstab.fixtures import standard_scalar_pair
 from sldstab.mlf import find_mlf, verify_mlf
@@ -227,3 +228,23 @@ def test_complete_derives_each_object_once(tmp_path, monkeypatch, capsys):
     assert np.allclose(n_b.coeffs, (M @ R2).coeffs)
     assert np.array_equal(d_a.coeffs, R1.coeffs)
     assert np.array_equal(d_b.coeffs, R1.coeffs)
+
+
+def test_mlf_realizes_each_mode_once(tmp_path, monkeypatch):
+    # the standard model's construction is the one check of X1
+    calls = []
+    orig = statespace.realize
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    for mod in list(sys.modules.values()):
+        if mod is not None and mod.__name__.startswith("sldstab"):
+            if getattr(mod, "realize", None) is orig:
+                monkeypatch.setattr(mod, "realize", counted)
+    r1, r2 = MODELS / "standard_scalar_r1.json", MODELS / "standard_scalar_r2.json"
+    out = tmp_path / "cert.json"
+    assert main(["posreal", "mlf", "--r1", str(r1), "--r2", str(r2),
+                 "--out", str(out)]) == 0
+    assert len(calls) == 2

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from sldstab import sim
 from sldstab.fixtures import elcirc, unstable_mode
 from sldstab.mlf import EPS_REL, MlfCertificate, find_mlf, problem_scale
 from sldstab.model import SldsModel, load_model
@@ -17,7 +18,6 @@ from sldstab.sim import (
     audit_mlf,
     derivative_stack,
     signal_from_json,
-    signal_to_json,
     simulate,
     write_trace_csv,
 )
@@ -52,12 +52,6 @@ def _hand_cert(model, kernels):
 
 
 class TestSignal:
-    def test_mode_at(self):
-        sig = SwitchingSignal(1, ((1.0, 2), (2.0, 1)))
-        assert sig.mode_at(0.5) == 1
-        assert sig.mode_at(1.0) == 2
-        assert sig.mode_at(2.5) == 1
-
     def test_nonincreasing_times_rejected(self):
         with pytest.raises(ValueError):
             SwitchingSignal(1, ((1.0, 2), (1.0, 1)))
@@ -72,15 +66,11 @@ class TestSignal:
             SwitchingSignal(1, ((t, 2), (2.0, 1)))
 
     def test_event_at_zero_rejected_from_json(self):
-        # mode_at(0.0) would say 2 while simulate started in mode 1
+        # the schedule would switch to mode 2 at t = 0 while simulate
+        # starts the trajectory in mode 1
         doc = {"initial_mode": 1, "events": [[0.0, 2], [0.5, 1]]}
         with pytest.raises(ValueError, match="event times must be positive"):
             signal_from_json(doc)
-
-    def test_json_round_trip(self):
-        sig = _circuit_signal()
-        back = signal_from_json(json.loads(json.dumps(signal_to_json(sig))))
-        assert back == sig
 
 
 class TestExactPropagation:
@@ -407,4 +397,17 @@ class TestTraceCsvBytes:
             outputs=np.stack([vals, vals[::-1]], axis=1),
             values=vals,
         )
+        self._assert_same_bytes(tr, tmp_path)
+
+    def test_empty_trace(self, tmp_path):
+        tr = Trace(times=np.zeros(0), modes=np.zeros(0, dtype=int), states=[],
+                   outputs=np.zeros((0, 2)), values=None)
+        self._assert_same_bytes(tr, tmp_path)
+        assert (tmp_path / "new.csv").read_bytes() == b"t,mode\r\n"
+
+    def test_runs_split_into_chunks(self, tmp_path, monkeypatch):
+        model = load_model(MODELS / "source_converter_4mode.json")
+        tr = simulate(model, _load_signal("converter_cycle"), [1.0, -0.5],
+                      t_end=0.004, sample_dt=1e-5)
+        monkeypatch.setattr(sim, "CSV_CHUNK_ROWS", 7)
         self._assert_same_bytes(tr, tmp_path)

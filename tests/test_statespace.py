@@ -1,13 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sldstab.polymat import PolyMatrix, determinant, is_strictly_proper, roots
+from sldstab.model import load_model
+from sldstab.polymat import PolyMatrix, canonical_rep, determinant, is_strictly_proper, roots
 from sldstab.statespace import (
     eigenstructure,
+    express_in_state_basis,
     minimal_state_map,
     propagator,
     realize,
 )
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
 def _random_hurwitz_scalar(rng, deg):
@@ -86,6 +92,42 @@ class TestRealize:
             Xs[:, w:] = X.stack(grid)[:, : (grid - 1) * w]
             rhs = real.A @ X.stack(grid) + real.B @ R.stack(grid)
             assert np.max(np.abs(Xs - rhs)) < 1e-9 * max(1.0, np.abs(rhs).max())
+
+
+class TestStackedBlocks:
+    """``express_in_state_basis`` on several blocks against each block alone."""
+
+    @staticmethod
+    def _mode():
+        model = load_model(MODELS / "source_converter_4mode.json")
+        return model.divisors[0], model.state_maps[0]
+
+    def test_each_block_matches_its_lone_reduction(self):
+        div, X = self._mode()
+        rng = np.random.default_rng(7)
+        blocks = [
+            PolyMatrix(scale * rng.standard_normal((4, rows, X.cols)))
+            for scale, rows in ((1e-6, 2), (1e6, 3), (1.0, 1), (1e-6, 1))
+        ]
+        reps = canonical_rep(blocks, div)
+        stacked = express_in_state_basis(blocks, div, X)
+        for G, rep, F in zip(blocks, reps, stacked):
+            lone_rep = canonical_rep(G, div)
+            assert rep.coeffs.shape == lone_rep.coeffs.shape
+            assert np.max(np.abs(rep.coeffs - lone_rep.coeffs)) <= 1e-12 * lone_rep.max_norm()
+            (lone,) = express_in_state_basis([G], div, X)
+            assert F.shape == lone.shape == (G.rows, X.rows)
+            assert np.max(np.abs(F - lone)) <= 1e-12 * np.max(np.abs(lone))
+
+    def test_block_outside_the_span_raises_among_others(self):
+        div, X = self._mode()
+        kept, dropped = X.stack()[:-1], X.row(X.rows - 1)
+        Xs = PolyMatrix.from_stack(kept, X.cols)
+        inside = [Xs.scale(1e6), Xs.row(0)]
+        assert len(express_in_state_basis(inside, div, Xs)) == 2
+        for outside in (dropped, dropped.scale(1e-6)):
+            with pytest.raises(ValueError, match="not in the state-map row span"):
+                express_in_state_basis([inside[0], outside, inside[1]], div, Xs)
 
 
 class TestEigenstructure:
