@@ -30,7 +30,7 @@ print(f"\ncertificate: feasible={cert.feasible} verified={ok} "
 signal = SwitchingSignal(1, ((0.0005, 2), (0.001, 1), (0.0015, 3), (0.002, 4)))
 trace = simulate(model, signal, np.array([1.0, 1.0]), 0.05, 1e-5,
                  certificate=cert)
-report = audit_mlf(trace, cert)
+report = audit_mlf(trace)
 print(f"\nsimulation audit over {len(trace.times)} samples / "
       f"{len(trace.events)} switches: ok={report['ok']}, "
       f"violations={report['violations']}")

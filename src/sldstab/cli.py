@@ -32,32 +32,9 @@ EXIT_INVALID = 1
 EXIT_NO_CERT = 2
 EXIT_AUDIT = 3
 
-_TOLERANCE_KEYS = {"eps", "budget"}
-
-
 def _require_positive(name: str, value) -> None:
-    if not (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and value > 0
-    ):
+    if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite")
-
-
-def _load_tolerances(path) -> dict:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        doc = json.load(fh)
-    unknown = set(doc) - _TOLERANCE_KEYS
-    if unknown:
-        raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
-    for k, v in doc.items():
-        _require_positive(f"tolerance '{k}'", v)
-    if not isinstance(doc.get("budget", 0), int):
-        raise ValueError("tolerance 'budget' must be an integer")
-    return doc
 
 
 def cmd_check(args) -> int:
@@ -81,16 +58,10 @@ def cmd_check(args) -> int:
             print(f"  {name}: margin {m:.6e}")
         print("certificate verifies" if ok else "certificate FAILS verification")
         return EXIT_OK if ok else EXIT_NO_CERT
-    tols = _load_tolerances(args.tolerances)
     for flag, value in (("--eps", args.eps), ("--budget", args.budget)):
         if value is not None:
             _require_positive(flag, value)
-    eps = args.eps if args.eps is not None else tols.get("eps")
-    budget = (
-        args.budget if args.budget is not None
-        else tols.get("budget", DEFAULT_BUDGET)
-    )
-    cert = find_mlf(model, eps=eps, budget=budget)
+    cert = find_mlf(model, eps=args.eps, budget=args.budget)
     print(f"route {cert.route}: feasible={cert.feasible} "
           f"(iterations {cert.solver['iterations']})")
     if not cert.feasible:
@@ -122,7 +93,7 @@ def cmd_simulate(args) -> int:
     print(f"samples: {len(trace.times)}, events: {len(trace.events)}, "
           f"decayed: {asymptotic_check(trace)}")
     if cert is not None:
-        report = audit_mlf(trace, cert)
+        report = audit_mlf(trace)
         print(f"audit: ok={report['ok']} violations={report['violations']} "
               f"worst_interval={report['worst_interval_increase']:.3e} "
               f"worst_switch={report['worst_switch_increase']:.3e}")
@@ -207,8 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted for compatibility: every value runs the one search")
     c.add_argument("--out")
     c.add_argument("--eps", type=float)
-    c.add_argument("--budget", type=int)
-    c.add_argument("--tolerances")
+    c.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     c.add_argument("--verify-only", metavar="CERT")
     c.set_defaults(fn=cmd_check)
 

@@ -26,8 +26,9 @@ The realization identity ``xi X = A X + B R`` reads ``Xb = A Xa + B Rt``, so
 with ``Ybar = B^T Kbar`` the ple expression equals ``Xa^T (A^T Kbar + Kbar A)
 Xa``, which the decay condition already bounds: the polynomial Lyapunov
 equation read in state form.  The search therefore solves for the ``Kbar_k``
-alone and stores ``Ybar_k = B_k^T Kbar_k``; ``verify_mlf`` rebuilds every
-condition, ple included, from the stored ``Kbar_k`` and ``Ybar_k``.
+alone.  ``make_certificate``, which every producer of a certificate calls,
+stores ``Ybar_k = B_k^T Kbar_k``; ``verify_mlf`` rebuilds every condition,
+ple included, from the stored ``Kbar_k`` and ``Ybar_k``.
 """
 
 from __future__ import annotations
@@ -39,10 +40,11 @@ import numpy as np
 import scipy.linalg
 
 from .model import SldsModel
-from .sdp import DEFAULT_BUDGET, LmiProblem
+from .sdp import DEFAULT_BUDGET, LmiProblem, accepts
 from .statespace import realize
 
 EPS_REL = 1e-7
+SCAN_RATIOS = np.geomspace(1e-3, 1e3, 121)  # c_2 / c_1 grid of scan_canonical_family
 
 
 @dataclass
@@ -58,15 +60,6 @@ class MlfCertificate:
     @property
     def feasible(self) -> bool:
         return bool(self.solver.get("feasible", False))
-
-
-def mode_decay_forms(model: SldsModel, kernels) -> list[np.ndarray]:
-    """Closed-form decay matrices ``Fbar_k = A_k^T Kbar_k + Kbar_k A_k``."""
-    out = []
-    for real, K in zip(model.realizations, kernels):
-        K = np.asarray(K, dtype=float)
-        out.append(real.A.T @ K + K @ real.A)
-    return out
 
 
 def _unit_lyapunov(model: SldsModel) -> list[np.ndarray]:
@@ -186,6 +179,37 @@ def assemble_mlf_lmis(
     return prob
 
 
+def make_certificate(
+    model: SldsModel,
+    route: str,
+    kernels,
+    eps: float | None = None,
+    solver: dict | None = None,
+) -> MlfCertificate:
+    """The certificate of the kernels ``K_k``, judged by ``verify_mlf``.
+
+    Sets ``Y_k = B_k^T K_k`` and ``F_k = A_k^T K_k + K_k A_k``; the margins
+    and ``solver["feasible"]`` are those of ``verify_mlf``, and the other
+    ``solver`` entries follow ``feasible`` in the order given.  ``eps``
+    defaults to ``EPS_REL * problem_scale(model)``.
+    """
+    if eps is None:
+        eps = EPS_REL * problem_scale(model)
+    kernels = [np.asarray(K, dtype=float) for K in kernels]
+    pairs = list(zip(model.realizations, kernels))
+    cert = MlfCertificate(
+        route=route,
+        epsilon=eps,
+        kernels=kernels,
+        multipliers=[real.B.T @ K for real, K in pairs],
+        margins={},
+        solver={"feasible": False, **(solver or {})},
+        fbars=[real.A.T @ K + K @ real.A for real, K in pairs],
+    )
+    cert.solver["feasible"], cert.margins = verify_mlf(model, cert)
+    return cert
+
+
 def find_mlf(
     model: SldsModel,
     eps: float | None = None,
@@ -193,9 +217,9 @@ def find_mlf(
 ) -> MlfCertificate:
     """Search for an MLF certificate; check ``.feasible`` on the result.
 
-    The search solves for the ``K_k`` alone and sets ``Y_k = B_k^T K_k``.
-    The stored margins, ``ple_k`` included, and the ``feasible`` flag are
-    those of ``verify_mlf`` on the result.
+    The search solves for the ``K_k`` alone; :func:`make_certificate` sets
+    ``Y_k = B_k^T K_k`` and takes the stored margins, ``ple_k`` included,
+    and the ``feasible`` flag from ``verify_mlf``.
     """
     solutions = _unit_lyapunov(model)
     if eps is None:
@@ -203,47 +227,34 @@ def find_mlf(
     prob = assemble_mlf_lmis(model, eps, multipliers=False)
     report = prob.solve(eps, budget=budget, warm_start=_warm_start(model, solutions))
     kernels = [report.values[f"K{k}"] for k in range(1, model.n_modes + 1)]
-    cert = MlfCertificate(
-        route="lmi",
-        epsilon=eps,
-        kernels=kernels,
-        multipliers=[real.B.T @ K for real, K in zip(model.realizations, kernels)],
-        margins={},
-        solver={"feasible": False, "iterations": report.iterations, "budget": budget},
-        fbars=mode_decay_forms(model, kernels),
-    )
-    cert.solver["feasible"], cert.margins = verify_mlf(model, cert)
-    return cert
+    solver = {"iterations": report.iterations, "budget": budget}
+    return make_certificate(model, "lmi", kernels, eps=eps, solver=solver)
 
 
-def verify_mlf(
-    model: SldsModel, cert: MlfCertificate, eps: float | None = None
-) -> tuple[bool, dict]:
+def verify_mlf(model: SldsModel, cert: MlfCertificate) -> tuple[bool, dict]:
     """Independent margin re-check of a certificate against a model.
 
     Rebuilds all constraints from scratch and evaluates them at the stored
-    kernels; returns (all margins >= eps/2, margins).
+    kernels and multipliers with the certificate's ``epsilon``; returns
+    (``sdp.accepts`` of the margins, margins).
     """
-    if eps is None:
-        eps = cert.epsilon
+    eps = cert.epsilon
     prob = assemble_mlf_lmis(model, eps, strict=(cert.route != "posreal"))
     values = {}
     for k in range(1, model.n_modes + 1):
         values[f"K{k}"] = np.asarray(cert.kernels[k - 1], dtype=float)
         values[f"Y{k}"] = np.asarray(cert.multipliers[k - 1], dtype=float)
     margins = prob.verify(values, eps)
-    ok = all(m >= eps / 2 for m in margins.values())
-    return ok, margins
+    return accepts(margins, eps), margins
 
 
-def scan_canonical_family(
-    model: SldsModel, ratios=None, eps: float | None = None
-) -> dict:
+def scan_canonical_family(model: SldsModel) -> dict:
     """Scan the one-parameter candidate family of scalar-state models.
 
     For models whose modes all have McMillan degree 1 the canonical
     quadratic candidates are ``c_k x_k^2`` with ``c_k > 0``; after scale
-    normalization (``c_1 = 1``) a two-mode model leaves a single free ratio.
+    normalization (``c_1 = 1``) a two-mode model leaves a single free ratio,
+    scanned over ``SCAN_RATIOS`` with ``eps = EPS_REL * problem_scale``.
     Each grid point is evaluated against the three certificate conditions —
     positivity on the mode, decay along the mode, and non-increase at
     switches — and the binding (worst-margin) condition is recorded.
@@ -257,15 +268,12 @@ def scan_canonical_family(
         raise ValueError("family scan is implemented for two-mode models")
     if any(real.n != 1 for real in model.realizations):
         raise ValueError("family scan requires McMillan degree 1 in every mode")
-    if eps is None:
-        eps = EPS_REL * problem_scale(model)
-    if ratios is None:
-        ratios = np.geomspace(1e-3, 1e3, 121)
+    eps = EPS_REL * problem_scale(model)
     prob = assemble_mlf_lmis(model, eps)
     groups = {"positivity": ("pos_",), "decay": ("decay_", "ple_"), "switch": ("switch_",)}
     results = []
     feasible_ratios = []
-    for r in ratios:
+    for r in SCAN_RATIOS:
         values = {}
         for k, real in enumerate(model.realizations, start=1):
             c = 1.0 if k == 1 else float(r)
@@ -278,7 +286,7 @@ def scan_canonical_family(
             for g, pre in groups.items()
         }
         binding = min(group_margins, key=group_margins.get)
-        ok = all(m >= eps / 2 for m in margins.values())
+        ok = accepts(margins, eps)
         if ok:
             feasible_ratios.append(float(r))
         results.append(

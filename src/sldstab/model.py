@@ -5,8 +5,9 @@ representation per mode) plus gluing-condition pairs for the allowed
 transitions.  Each derived object is computed once per model and kept on it:
 
 - at construction, each mode's ``polymat.Divisor`` (``det R_k``, the
-  singularity check, and ``adj R_k``), its minimal state map when none is
-  given, and its realization;
+  singularity check, and ``adj R_k``) from :func:`mode_divisor`, which also
+  rejects a constant ``det R_k`` (a mode without state), its minimal state
+  map when none is given, and its realization;
 - on first use, the normal form of the gluing pairs and the
   re-initialisation maps built from it.
 
@@ -61,7 +62,6 @@ class ReinitMap:
     """State jump ``x+ = L x-`` for a well-posed transition."""
 
     L: np.ndarray
-    residual: float  # least-squares residual of F+ L = F-
 
 
 @dataclass
@@ -71,7 +71,8 @@ class SldsModel:
     The derived data assumes ``modes``, ``gluing`` and ``state_maps`` are not
     changed after construction.  ``divisors`` holds each mode's ``det R_k``
     and ``adj R_k``; every reduction modulo ``R_k`` goes through it.  A
-    caller that has already built divisors of the modes may pass them.
+    caller that has already built them with :func:`mode_divisor`, which
+    rejects a mode without state, may pass them.
     """
 
     modes: list[PolyMatrix]
@@ -90,7 +91,9 @@ class SldsModel:
             if R.cols != w:
                 raise ValueError("all modes must share the variable count")
         if not self.divisors:
-            self.divisors = [_mode_divisor(i, R) for i, R in enumerate(self.modes)]
+            self.divisors = [
+                mode_divisor(k, R) for k, R in enumerate(self.modes, start=1)
+            ]
         if len(self.divisors) != len(self.modes) or any(
             d.R is not R for d, R in zip(self.divisors, self.modes)
         ):
@@ -134,11 +137,22 @@ class SldsModel:
         return reinit_maps(self)
 
 
-def _mode_divisor(i: int, R: PolyMatrix) -> Divisor:
+def mode_divisor(k: int, R: PolyMatrix) -> Divisor:
+    """The divisor of mode ``k`` (1-based); the mode must have a state.
+
+    A singular ``R`` or a constant ``det R`` (state dimension 0) is an
+    error that names the mode.
+    """
     try:
-        return Divisor(R)
+        div = Divisor(R)
     except ValueError:
-        raise ValueError(f"mode {i + 1} matrix is singular") from None
+        raise ValueError(f"mode {k} matrix is singular") from None
+    if div.det.degree < 1:
+        raise ValueError(
+            f"mode {k} has constant det R, so no state; every mode needs "
+            "deg det R >= 1"
+        )
+    return div
 
 
 def normal_form(model: SldsModel) -> dict[tuple[int, int], NormalFormPair]:
@@ -205,9 +219,7 @@ def reinit_maps(model: SldsModel) -> dict[tuple[int, int], ReinitMap]:
     for key, pair in nf.items():
         if not wp[key]:
             raise ValueError(f"transition {key[0]}->{key[1]} is not well-posed")
-        L = np.linalg.pinv(pair.f_plus) @ pair.f_minus
-        resid = float(np.linalg.norm(pair.f_plus @ L - pair.f_minus))
-        out[key] = ReinitMap(L=L, residual=resid)
+        out[key] = ReinitMap(L=np.linalg.pinv(pair.f_plus) @ pair.f_minus)
     return out
 
 

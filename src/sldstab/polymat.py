@@ -408,16 +408,12 @@ def adjugate(R: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(cof.transpose(2, 1, 0))  # adj[j, i] = cofactor (i, j)
 
 
-def roots(p: Poly) -> np.ndarray:
-    return poly_roots(p)
-
-
-def is_hurwitz(R: PolyMatrix | Divisor, tol: float = HURWITZ_TOL) -> bool:
-    """True iff every root of ``det R`` has real part below ``-tol``."""
+def is_hurwitz(R: PolyMatrix | Divisor) -> bool:
+    """True iff every root of ``det R`` has real part below ``-HURWITZ_TOL``."""
     d = Divisor.of(R).det
     if d.degree == 0:
         return True
-    return bool(np.all(poly_roots(d).real < -tol))
+    return bool(np.all(poly_roots(d).real < -HURWITZ_TOL))
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .mlf import EPS_REL, MlfCertificate, mode_decay_forms, problem_scale, verify_mlf
-from .model import SldsModel
+from .mlf import MlfCertificate, make_certificate
+from .model import SldsModel, mode_divisor
 from .polymat import (
     HURWITZ_TOL,
     MINUS_INF,
@@ -322,27 +322,27 @@ def build_standard_slds(R1: PolyMatrix, R2: PolyMatrix) -> StandardSlds:
     if R1.shape != R2.shape or R1.rows != R1.cols:
         raise ValueError("R1 and R2 must be square with equal sizes")
     w = R1.cols
-    D1, D2 = Divisor(R1), Divisor(R2)
+    D1, D2 = (mode_divisor(k, R) for k, R in enumerate((R1, R2), start=1))
     if not is_strictly_proper(R2, D1):
         raise ValueError(
             "R2 R1^{-1} is not strictly proper; the biproper case is out of scope"
         )
     n1 = int(D1.det.degree)
-    n2 = int(max(D2.det.degree, 0))
+    n2 = int(D2.det.degree)
     if n1 - n2 != w:
         raise ValueError(
             f"state-dimension gap n1-n2 = {n1 - n2} differs from w = {w}; "
             "the input pair does not admit a standard construction"
         )
     X2 = minimal_state_map(D2)
-    if X2.rows and not is_strictly_proper(X2, D1):
+    if not is_strictly_proper(X2, D1):
         raise ValueError("mode-2 state rows are not states of mode 1")
     # extend X2 to a minimal state map of mode 1 with rows from its own map
     Xc = minimal_state_map(D1)
     grid = int(max(Xc.degree, X2.degree, 0)) + 1
     base = X2.stack(grid)
     picked = []
-    rank = np.linalg.matrix_rank(base) if base.size else 0
+    rank = np.linalg.matrix_rank(base)
     stack = base
     for i in range(Xc.rows):
         cand = Xc.row(i).stack(grid)
@@ -357,7 +357,7 @@ def build_standard_slds(R1: PolyMatrix, R2: PolyMatrix) -> StandardSlds:
     if len(picked) != n1 - n2:
         raise ValueError("failed to extend the mode-2 state basis to mode 1")
     X1p = vstack(picked)
-    X1 = vstack([X2, X1p]) if X2.rows else X1p
+    X1 = vstack([X2, X1p])
     (Pi,) = express_in_state_basis([X1p], D2, X2)
     # constant feed-through K = lim xi X1p R1^{-1}
     xi = Poly([0.0, 1.0])
@@ -398,34 +398,19 @@ def mlf_from_positive_real(s: StandardSlds) -> MlfCertificate:
     phi = two_var_from_pair(s.R1, s.R2)
     psi1 = divide_by_zeta_plus_eta(phi - two_var_product(Q, Q))
     K1 = to_canonical(psi1, s.X1)
-    if s.X2.rows:
-        L = s.model.reinits[(2, 1)].L
-        K2 = L.T @ K1 @ L
-        K2 = 0.5 * (K2 + K2.T)
-    else:
-        K2 = np.zeros((0, 0))
+    L = s.model.reinits[(2, 1)].L
+    K2 = L.T @ K1 @ L
+    K2 = 0.5 * (K2 + K2.T)
     n2 = s.n2
     # structural identity of the storage kernel: Psi_12 = -Pi^T Psi_22
     P12 = K1[:n2, n2:]
     P22 = K1[n2:, n2:]
-    berr = np.max(np.abs(P12 + s.Pi.T @ P22)) if P12.size else 0.0
+    berr = np.max(np.abs(P12 + s.Pi.T @ P22))
     if berr > 1e-7 * max(1.0, np.max(np.abs(K1))):
         raise ValueError(f"storage kernel violates the block structure ({berr:.3e})")
-    eps = EPS_REL * problem_scale(s.model)
-    mults = [real.B.T @ K for real, K in zip(s.model.realizations, (K1, K2))]
-    cert = MlfCertificate(
-        route="posreal",
-        epsilon=eps,
-        kernels=[K1, K2],
-        multipliers=mults,
-        margins={},
-        solver={"feasible": True, "iterations": 0, "budget": 0},
-        fbars=mode_decay_forms(s.model, [K1, K2]),
+    return make_certificate(
+        s.model, "posreal", [K1, K2], solver={"iterations": 0, "budget": 0}
     )
-    ok, margins = verify_mlf(s.model, cert)
-    cert.margins = margins
-    cert.solver["feasible"] = bool(ok)
-    return cert
 
 
 # ---------------------------------------------------------------------------

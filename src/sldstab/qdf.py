@@ -19,6 +19,7 @@ import numpy as np
 from .polymat import Divisor, PolyMatrix, canonical_rep
 
 CANONICAL_RESIDUAL_TOL = 1e-9
+DIVIDE_TOL = 1e-9  # remainder of divide_by_zeta_plus_eta, relative to the form
 
 
 class TwoVarForm:
@@ -192,11 +193,11 @@ def eval_along_trajectory(psi: TwoVarForm, derivs) -> float:
     return float(d @ psi.flat() @ d)
 
 
-def divide_by_zeta_plus_eta(phi: TwoVarForm, tol: float = 1e-9) -> TwoVarForm:
+def divide_by_zeta_plus_eta(phi: TwoVarForm) -> TwoVarForm:
     """Exact division ``psi = phi / (z + e)`` on the coefficient grid.
 
     Back-substitution along anti-diagonals; raises if the remainder exceeds
-    ``tol`` times the coefficient scale.
+    ``DIVIDE_TOL`` times the coefficient scale.
     """
     m = phi.grid
     w = phi.w
@@ -216,7 +217,7 @@ def divide_by_zeta_plus_eta(phi: TwoVarForm, tol: float = 1e-9) -> TwoVarForm:
             psi[h, k] = acc
     out = TwoVarForm(psi)
     resid = (qdf_derivative(out) - phi).max_norm()
-    if resid > tol * max(1.0, phi.max_norm()):
+    if resid > DIVIDE_TOL * max(1.0, phi.max_norm()):
         raise ValueError(f"form is not divisible by (zeta + eta) (residual {resid:.3e})")
     return out
 

@@ -25,10 +25,12 @@ step factors every size group with one batched Cholesky ``S = L L^T``.  With
 and the line search reads the log-det off ``diag L`` (a failed factorization
 is a point outside the barrier's domain).
 
-Iterates are accepted from the compiled data too: batched eigenvalues per
-size group and the largest equality residual, under the margin rule of
-``verify``.  The closure-based ``verify`` re-checks an accepted iterate and
-the final one, and the report's margins come from it.
+A certificate is accepted by one rule, :func:`accepts`: every margin is at
+least ``eps / 2``.  Iterates are pre-checked on the compiled data
+(batched eigenvalues per size group and the largest equality residual,
+mirroring that rule); the closure-based ``verify`` re-checks an accepted
+iterate and the final one, and the report's margins and ``feasible`` flag
+are :func:`accepts` of its margins.
 
 The search stops without a certificate when a centering ends with
 ``s - 2 nu / t > eps``, where ``nu`` (one plus the sum of the cone sizes) is
@@ -51,6 +53,14 @@ import scipy.linalg
 DEFAULT_BUDGET = 50_000
 # Relative mismatch above which a compiled constraint is rejected (``_compile``).
 AFFINE_TOL = 1e-9
+
+
+def accepts(margins: dict, eps: float) -> bool:
+    """The acceptance rule: every margin is at least ``eps / 2``.
+
+    An empty margin set is accepted.
+    """
+    return all(m >= eps / 2 for m in margins.values())
 
 
 @dataclass(frozen=True)
@@ -257,7 +267,7 @@ class LmiProblem:
 
     @staticmethod
     def _margin(S: np.ndarray, sense: str, shift: float, eps: float) -> float:
-        """Satisfaction margin; the constraint is accepted at margin >= eps/2.
+        """Satisfaction margin, judged by :func:`accepts`.
 
         Non-strict senses (shift == 0) get an ``eps`` bonus so that
         structurally semidefinite expressions, whose extreme eigenvalue is an
@@ -288,8 +298,8 @@ class LmiProblem:
         iteration.  ``budget`` caps the total number of Newton steps, and the
         search stops early once the duality-gap bound shows that no point in
         the search ball can be accepted (module docstring).  Returns a report
-        whose ``feasible`` flag is set only after an independent margin
-        re-check (all margins >= eps / 2).
+        whose ``feasible`` flag is :func:`accepts` of an independent margin
+        re-check.
         """
         compiled = self._compile()
         v0 = self._pack(warm_start) if warm_start else np.zeros(self.n_params)
@@ -324,13 +334,13 @@ class LmiProblem:
         def report(x) -> SolveReport:
             values = self._unpack(vp + N @ x[:nz])
             margins = self.verify(values, eps)
-            ok = min(margins.values(), default=eps) >= eps / 2
-            return SolveReport(
-                feasible=ok, iterations=it, margins=margins, values=values
-            )
+            return SolveReport(accepts(margins, eps), it, margins, values)
 
         def accepted(x) -> bool:
-            """The margin rule of ``verify``, evaluated on the compiled data."""
+            """Mirrors :func:`accepts` of ``verify``'s margins on the compiled data.
+
+            A pre-check only: ``report`` re-checks every iterate it passes.
+            """
             if any(np.min(g.min_eig(x[:nz]) + g.offset) < eps / 2 for g in groups):
                 return False
             if eq_rows:

@@ -202,22 +202,19 @@ def derivative_stack(model: SldsModel, mode: int, x: np.ndarray, depth: int) -> 
     return out
 
 
-def audit_mlf(trace: Trace, certificate: MlfCertificate) -> dict:
+def audit_mlf(trace: Trace) -> dict:
     """Monotonicity audit of the MLF along a simulated trace.
 
-    Checks strict decrease between consecutive samples inside each mode
-    interval and non-increase across events; violations are report content,
-    never exceptions.
+    Reads only the values that ``simulate`` computed for its certificate:
+    ``trace.values`` at the samples and ``v_minus``/``v_plus`` at the
+    events.  Checks strict decrease between consecutive samples inside each
+    mode interval and non-increase across events; violations are report
+    content, never exceptions.  A trace simulated without a certificate has
+    no values and raises ``ValueError``.
     """
     if trace.values is None:
-        # recompute values from the stored states
-        vals = []
-        for m, x in zip(trace.modes, trace.states):
-            K = np.asarray(certificate.kernels[m - 1], dtype=float)
-            vals.append(float(x @ K @ x))
-        values = np.array(vals)
-    else:
-        values = trace.values
+        raise ValueError("trace has no MLF values: simulate it with a certificate")
+    values = trace.values
     finite = np.isfinite(values)
     scale = max(1.0, float(np.max(np.abs(values[finite]), initial=0.0)))
     tol = AUDIT_REL_TOL * scale
@@ -233,14 +230,7 @@ def audit_mlf(trace: Trace, certificate: MlfCertificate) -> dict:
     # a non-finite value (an overflowed trace) can never pass the audit
     n_viol = int(np.count_nonzero(~finite)) + rises.size
     for ev in trace.events:
-        vm = ev.get("v_minus")
-        vp = ev.get("v_plus")
-        if vm is None or vp is None:
-            K = np.asarray(certificate.kernels[ev["from"] - 1], dtype=float)
-            vm = float(ev["x_minus"] @ K @ ev["x_minus"])
-            K = np.asarray(certificate.kernels[ev["to"] - 1], dtype=float)
-            vp = float(ev["x_plus"] @ K @ ev["x_plus"])
-        dv = vp - vm
+        dv = ev["v_plus"] - ev["v_minus"]
         if not np.isfinite(dv):
             n_viol += 1
         elif dv > tol:

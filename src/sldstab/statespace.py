@@ -35,6 +35,7 @@ from .polymat import (
 REALIZE_TOL = 1e-9
 STATE_BASIS_TOL = 1e-9
 EIGVEC_TOL = 1e-8
+ROOT_CLUSTER_TOL = 1e-6  # relative distance at which eigenstructure merges roots
 
 
 def minimal_state_map(R: PolyMatrix | Divisor) -> PolyMatrix:
@@ -58,8 +59,6 @@ def minimal_state_map(R: PolyMatrix | Divisor) -> PolyMatrix:
         raise ValueError(
             f"state-map construction produced {found} rows, expected {n}"
         )
-    if n == 0:
-        return PolyMatrix.zeros(0, w)
     u = Uinv.coeffs
     rows = np.zeros((u.shape[0] + int(max(degs)) - 1, n, w))
     at = 0
@@ -74,14 +73,13 @@ def express_in_state_basis(
     blocks: list[PolyMatrix],
     R: PolyMatrix | Divisor,
     X: PolyMatrix,
-    tol: float = STATE_BASIS_TOL,
 ) -> list[np.ndarray]:
     """Solve ``G mod R = F X`` for the constant matrix ``F`` of each block ``G``.
 
     The blocks are reduced in one :func:`canonical_rep` call and solved in
     one least-squares solve over ``X``; the rows are then split by block.
     Raises if some ``G mod R`` is not in the row span of ``X`` within
-    ``tol``, relative to that block's own scale.
+    ``STATE_BASIS_TOL``, relative to that block's own scale.
     """
     reps = canonical_rep(blocks, R)
     grid = max(X.coeffs.shape[0], *(g.coeffs.shape[0] for g in reps))
@@ -95,7 +93,7 @@ def express_in_state_basis(
         at += g.shape[0]
         resid = np.max(np.abs(f @ Xa - g)) if g.size else 0.0
         scale = max(1.0, np.max(np.abs(g)) if g.size else 0.0)
-        if resid > tol * scale:
+        if resid > STATE_BASIS_TOL * scale:
             raise ValueError(
                 f"canonical representative not in the state-map row span "
                 f"(residual {resid:.3e})"
@@ -131,14 +129,13 @@ class StateRealization:
         return self.R.cols
 
 
-def realize(
-    R: PolyMatrix | Divisor, X: PolyMatrix, tol: float = REALIZE_TOL
-) -> StateRealization:
+def realize(R: PolyMatrix | Divisor, X: PolyMatrix) -> StateRealization:
     """Solve ``xi X = A X + B R`` by coefficient match, and ``I_w mod R = C X``.
 
-    Raises if the residual of the first exceeds ``tol`` (the given X is then
-    not a valid state map for ``ker R``), or if :func:`express_in_state_basis`
-    finds ``I_w mod R`` outside the row span of X.
+    Raises if the residual of the first exceeds ``REALIZE_TOL`` (the given X
+    is then not a valid state map for ``ker R``), or if
+    :func:`express_in_state_basis` finds ``I_w mod R`` outside the row span
+    of X.
     """
     div = Divisor.of(R)
     R = div.R
@@ -154,7 +151,7 @@ def realize(
     A, B = AB[:, :n], AB[:, n:]
     scale = max(1.0, np.max(np.abs(Xa)), R.max_norm())
     resid = np.max(np.abs(AB @ M - Xb))
-    if resid > tol * scale:
+    if resid > REALIZE_TOL * scale:
         raise ValueError(f"X is not a valid state map (residual {resid:.3e})")
     (C,) = express_in_state_basis([PolyMatrix.identity(w)], div, X)
     return StateRealization(R=R, X=X, A=A, B=B, C=C, Rt=Rt, Xa=Xa, Xb=Xb)
@@ -184,9 +181,7 @@ def _cluster_roots(rts: np.ndarray, tol: float) -> list[tuple[complex, int]]:
     return [(complex(g[0]), int(g[1])) for g in out]
 
 
-def eigenstructure(
-    R: PolyMatrix | Divisor, X: PolyMatrix, tol: float = 1e-6
-) -> ModeEigenstructure:
+def eigenstructure(R: PolyMatrix | Divisor, X: PolyMatrix) -> ModeEigenstructure:
     """Roots of ``det R`` with kernel directions and the V matrix.
 
     Requires the algebraic multiplicity of each root to equal
@@ -199,7 +194,7 @@ def eigenstructure(
     R = div.R
     rts = poly_roots(div.det)
     n = len(rts)
-    clusters = _cluster_roots(rts, tol)
+    clusters = _cluster_roots(rts, ROOT_CLUSTER_TOL)
     lams, dirs, vcols = [], [], []
     for lam, mult in clusters:
         if abs(lam.imag) < 1e-9 * max(1.0, abs(lam)):

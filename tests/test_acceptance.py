@@ -16,12 +16,9 @@ import scipy.linalg
 from sldstab.cli import main
 from sldstab.fixtures import ALL_BUILDERS, elcirc, exmath, source_converter
 from sldstab.mlf import (
-    EPS_REL,
-    MlfCertificate,
     assemble_ple_lmi,
     find_mlf,
-    mode_decay_forms,
-    problem_scale,
+    make_certificate,
     scan_canonical_family,
     verify_mlf,
 )
@@ -31,8 +28,8 @@ from sldstab.polymat import (
     canonical_rep,
     determinant,
     is_strictly_proper,
+    poly_roots,
     polynomial_part,
-    roots,
 )
 from sldstab.posreal import (
     build_standard_slds,
@@ -52,19 +49,6 @@ MODELS = Path(__file__).resolve().parents[1] / "models"
 
 def _report(criterion, detail):
     print(f"[criterion {criterion}] PASS: {detail}")
-
-
-def _hand_cert(model, kernels, route="exact"):
-    kernels = [np.asarray(K, dtype=float) for K in kernels]
-    return MlfCertificate(
-        route=route,
-        epsilon=EPS_REL * problem_scale(model),
-        kernels=kernels,
-        multipliers=[r.B.T @ K for r, K in zip(model.realizations, kernels)],
-        margins={},
-        solver={"feasible": True},
-        fbars=mode_decay_forms(model, kernels),
-    )
 
 
 def _random_hurwitz_scalar(rng, deg):
@@ -116,7 +100,7 @@ def test_criterion_1_converter_reproduction():
     K34 = np.zeros((3, 3))
     K34[:2, :2] = K12
     K34[2, 2] = 0.00121
-    pub = _hand_cert(model, [K12, K12, K34, K34])
+    pub = make_certificate(model, "lmi", [K12, K12, K34, K34])
     _, margins = verify_mlf(model, pub)
     assert min(margins.values()) >= -1e-4
 
@@ -133,7 +117,7 @@ def test_criterion_1_converter_reproduction():
     K56 = np.zeros((3, 3))
     K56[:2, :2] = K12b
     K56[2, 2] = 0.00382
-    pub6 = _hand_cert(model6, [K12b, K12b, K34b, K34b, K56, K56])
+    pub6 = make_certificate(model6, "lmi", [K12b, K12b, K34b, K34b, K56, K56])
     _, margins6 = verify_mlf(model6, pub6)
     assert min(margins6.values()) >= -1e-4
 
@@ -149,7 +133,7 @@ def test_criterion_2_circuit_certified_and_audited():
 
     model = elcirc()
     # published MLF: V_k = w_2^2 in both modes (state x = w_2, kernel 1)
-    cert = _hand_cert(model, [[[1.0]], [[1.0]]])
+    cert = make_certificate(model, "lmi", [[[1.0]], [[1.0]]])
     ok, _ = verify_mlf(model, cert)
     assert ok
 
@@ -168,7 +152,7 @@ def test_criterion_2_circuit_certified_and_audited():
             model, sig, [float(rng.uniform(0.5, 2.0))], t_end=5.0,
             sample_dt=0.05, certificate=cert,
         )
-        rep = audit_mlf(tr, cert)
+        rep = audit_mlf(tr)
         assert rep["ok"], f"signal {trial}: {rep}"
         # strict decrease between samples inside modes (value is x^2 > 0)
         assert tr.values[-1] < tr.values[0]
@@ -264,7 +248,7 @@ def test_criterion_4_property_suites():
         model = build()
         for real in model.realizations:
             got = np.sort_complex(np.linalg.eigvals(real.A))
-            want = np.sort_complex(roots(determinant(real.R)))
+            want = np.sort_complex(poly_roots(determinant(real.R)))
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.allclose(got, want, atol=1e-6 * scale)
 

@@ -1,11 +1,13 @@
+import argparse
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sldstab import posreal as pr
-from sldstab.cli import main
+from sldstab.cli import build_parser, main
 from sldstab.fixtures import unstable_mode
 from sldstab.model import SldsModel, load_model, model_to_json
 from sldstab.polymat import PolyMatrix, polymatrix_to_json
@@ -80,18 +82,23 @@ class TestCheck:
         assert main(["check", str(path)]) in (0, 2)
         assert capsys.readouterr().err == ""
 
+    def test_constant_det_mode_rejected(self, tmp_path, capsys):
+        # a mode with constant det R has no state; it is named, not a crash
+        path = tmp_path / "stateless.json"
+        path.write_text(json.dumps(
+            {"variables": 1, "modes": [[[[1.0, 1.0]]], [[[3.0]]]], "gluing": []}
+        ))
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "mode 2" in err and "constant det R" in err
+        assert "zero-size" not in err
+
     def test_verify_only_free_multipliers(self, capsys):
         # certificate from a search that solved for Y_k as free variables,
         # so Y_k differs from B_k^T K_k; the ple_k re-check still accepts it
         cert = str(DATA / "converter4_free_multipliers.cert.json")
         assert main(["check", CONVERTER4, "--verify-only", cert]) == 0
         assert "certificate verifies" in capsys.readouterr().out
-
-    def test_unknown_tolerance_key(self, tmp_path, capsys):
-        tol = tmp_path / "tol.json"
-        tol.write_text(json.dumps({"epsilon": 1e-7}))
-        assert main(["check", ELCIRC, "--tolerances", str(tol)]) == 1
-        assert "unknown tolerance" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -109,37 +116,6 @@ class TestCheck:
         captured = capsys.readouterr()
         assert flag in captured.err
         assert "no certificate" not in captured.out
-
-    @pytest.mark.parametrize(
-        "key, value", [("eps", "Infinity"), ("eps", "NaN"), ("eps", "0"), ("budget", "Infinity")]
-    )
-    def test_bad_tolerance_file_exits_1(self, tmp_path, capsys, key, value):
-        tol = tmp_path / "tol.json"
-        tol.write_text(f'{{"{key}": {value}}}')
-        assert main(["check", ELCIRC, "--tolerances", str(tol)]) == 1
-        assert f"tolerance '{key}'" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["0.5", "5.0", "true"])
-    def test_non_integer_tolerance_budget_exits_1(self, tmp_path, capsys, value):
-        # int() would truncate 0.5 to a zero budget and exit 2 "no certificate"
-        tol = tmp_path / "tol.json"
-        tol.write_text(f'{{"budget": {value}}}')
-        assert main(["check", CONVERTER4, "--tolerances", str(tol)]) == 1
-        captured = capsys.readouterr()
-        assert "tolerance 'budget'" in captured.err
-        assert "no certificate" not in captured.out
-
-    def test_integer_tolerance_budget_accepted(self, tmp_path):
-        tol = tmp_path / "tol.json"
-        tol.write_text('{"budget": 500}')
-        assert main(["check", ELCIRC, "--tolerances", str(tol)]) == 0
-
-    def test_audit_rel_tolerance_rejected(self, tmp_path, capsys):
-        # no code reads audit_rel; accepting it would pretend it has an effect
-        tol = tmp_path / "tol.json"
-        tol.write_text('{"audit_rel": 1e-6}')
-        assert main(["check", ELCIRC, "--tolerances", str(tol)]) == 1
-        assert "unknown tolerance keys: ['audit_rel']" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -264,6 +240,21 @@ class TestPosreal:
             assert main(["posreal", "mlf"] + io_args + ["--out", str(cert)]) == 0, poles
             model_path = str(tmp_path / f"cert_{i}_model.json")
             assert main(["check", model_path, "--verify-only", str(cert)]) == 0, poles
+
+    def test_constant_r2_rejected(self, tmp_path, capsys):
+        # r2 = 3 gives mode 2 no state: sprcheck still answers, the
+        # construction names the mode
+        r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        r1.write_text(json.dumps([[[2.0, 1.0]]]))
+        r2.write_text(json.dumps([[[3.0]]]))
+        io_args = ["--r1", str(r1), "--r2", str(r2)]
+        assert main(["posreal", "sprcheck"] + io_args) == 0
+        for action in ("mlf", "complete"):
+            capsys.readouterr()
+            assert main(["posreal", action] + io_args) == 1
+            err = capsys.readouterr().err
+            assert "mode 2" in err and "constant det R" in err
+            assert "zero-size" not in err
 
     def test_unverified_certificate_not_written(self, tmp_path, capsys, monkeypatch):
         # a negated storage kernel keeps its block structure but is not
@@ -396,3 +387,34 @@ def test_standard_model_emission(tmp_path):
     assert main(["standard", "--r1", R1, "--r2", R2, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert len(doc["modes"]) == 2
+
+
+def _readme_options() -> dict[str, set[str]]:
+    """Options per subcommand in the README's "Command line" block."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    usage: dict[str, set[str]] = {}
+    command = None
+    for line in block.splitlines():
+        words = line.split()
+        if words[:1] == ["slds"]:
+            command = words[1]
+            usage.setdefault(command, set())
+        if command is not None:
+            usage[command] |= set(re.findall(r"--[a-z][a-z0-9-]*", line))
+    return usage
+
+
+def test_readme_usage_matches_parser():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: {
+            o
+            for a in p._actions
+            for o in a.option_strings
+            if o.startswith("--") and o != "--help"
+        }
+        for name, p in sub.choices.items()
+    }
+    assert _readme_options() == options

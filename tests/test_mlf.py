@@ -10,12 +10,11 @@ from sldstab.cli import main
 from sldstab.fixtures import concond, elcirc, exmath, source_converter
 from sldstab.mlf import (
     EPS_REL,
-    MlfCertificate,
     assemble_ple_lmi,
     certificate_from_json,
     certificate_to_json,
     find_mlf,
-    mode_decay_forms,
+    make_certificate,
     problem_scale,
     scan_canonical_family,
     verify_mlf,
@@ -29,20 +28,6 @@ DATA = Path(__file__).resolve().parent / "data"
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
-def _hand_certificate(model, kernels, route="exact"):
-    kernels = [np.asarray(K, dtype=float) for K in kernels]
-    mults = [real.B.T @ K for real, K in zip(model.realizations, kernels)]
-    return MlfCertificate(
-        route=route,
-        epsilon=EPS_REL * problem_scale(model),
-        kernels=kernels,
-        multipliers=mults,
-        margins={},
-        solver={"feasible": True},
-        fbars=mode_decay_forms(model, kernels),
-    )
-
-
 class TestCircuit:
     def test_certifies(self):
         cert = find_mlf(elcirc())
@@ -54,7 +39,7 @@ class TestCircuit:
     def test_known_kernels_verify(self):
         # V_k = 0.5 x_k^2 works for both modes of the switched RC pair
         model = elcirc()
-        cert = _hand_certificate(model, [[[0.5]], [[0.5]]])
+        cert = make_certificate(model, "lmi", [[[0.5]], [[0.5]]])
         ok, margins = verify_mlf(model, cert)
         assert ok
         # capacitor paralleling dumps energy: large slack on the 2 -> 1 jump
@@ -76,7 +61,7 @@ class TestConverter:
         K34[:2, :2] = K12
         K34[2, 2] = 0.00121
         for route in ("exact", "conservative"):
-            cert = _hand_certificate(model, [K12, K12, K34, K34], route=route)
+            cert = make_certificate(model, route, [K12, K12, K34, K34])
             ok, margins = verify_mlf(model, cert)
             assert ok, route
             assert min(margins.values()) >= cert.epsilon / 2
@@ -153,6 +138,34 @@ class TestCertificateContract:
             assert not ok
             failing = [n for n, m in margins.items() if m < cert.epsilon / 2]
             assert failing == [f"ple_{k + 1}"]
+
+
+class TestMakeCertificate:
+    @pytest.mark.parametrize("name", ["elcirc", "source_converter_4mode"])
+    def test_search_certificate_is_made_by_make_certificate(self, name):
+        model = load_model(MODELS / f"{name}.json")
+        cert = find_mlf(model)
+        again = make_certificate(
+            model,
+            "lmi",
+            cert.kernels,
+            eps=cert.epsilon,
+            solver={k: cert.solver[k] for k in ("iterations", "budget")},
+        )
+        # json.dumps compares key order too
+        assert json.dumps(certificate_to_json(again)) == json.dumps(
+            certificate_to_json(cert)
+        )
+        assert list(cert.solver) == ["feasible", "iterations", "budget"]
+
+    def test_default_eps_and_solver(self):
+        model = elcirc()
+        cert = make_certificate(model, "lmi", [[[0.5]], [[0.5]]])
+        assert cert.epsilon == EPS_REL * problem_scale(model)
+        assert cert.solver == {"feasible": True}
+        bad = make_certificate(model, "lmi", [[[0.5]], [[-0.5]]])
+        assert bad.solver == {"feasible": False}
+        assert bad.margins["pos_2"] < 0
 
 
 class TestPleAssembly:

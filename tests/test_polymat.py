@@ -21,8 +21,8 @@ from sldstab.polymat import (
     is_strictly_proper,
     polymatrix_from_json,
     polymatrix_to_json,
+    poly_roots,
     polynomial_part,
-    roots,
     vstack,
 )
 
@@ -59,7 +59,7 @@ class TestPoly:
         assert canonical_rep(num, den).is_zero()
 
     def test_roots(self):
-        r = roots(Poly([2.0, 3.0, 1.0]))
+        r = poly_roots(Poly([2.0, 3.0, 1.0]))
         assert np.allclose(sorted(r.real), [-2.0, -1.0])
 
 

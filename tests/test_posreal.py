@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sldstab import posreal, qdf, statespace
 from sldstab.cli import main
 from sldstab.fixtures import standard_scalar_pair
-from sldstab.mlf import find_mlf, verify_mlf
+from sldstab.mlf import certificate_to_json, find_mlf, make_certificate, verify_mlf
 from sldstab.model import normal_form
 from sldstab.polymat import PolyMatrix, polymatrix_from_json
 from sldstab.posreal import (
@@ -177,6 +177,18 @@ class TestStorageCertificate:
         s = build_standard_slds(*_from_roots(v[0::2], v[1::2]))
         cert = mlf_from_positive_real(s)
         assert cert.feasible, cert.margins
+
+    @pytest.mark.parametrize("roots", [None] + CLUSTERED)
+    def test_certificate_is_made_by_make_certificate(self, roots):
+        R1, R2 = standard_scalar_pair() if roots is None else _from_roots(*roots)
+        s = build_standard_slds(R1, R2)
+        cert = mlf_from_positive_real(s)
+        again = make_certificate(
+            s.model, "posreal", cert.kernels, solver={"iterations": 0, "budget": 0}
+        )
+        assert json.dumps(certificate_to_json(again)) == json.dumps(
+            certificate_to_json(cert)
+        )
 
     def test_verifies_and_lmi_cross_check(self):
         R1, R2 = standard_scalar_pair()

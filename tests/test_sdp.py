@@ -15,7 +15,7 @@ from sldstab.mlf import (
 from sldstab.model import load_model
 from sldstab.polymat import PolyMatrix
 from sldstab.posreal import spectral_factorize
-from sldstab.sdp import LmiProblem
+from sldstab.sdp import LmiProblem, accepts
 from sldstab.statespace import minimal_state_map
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
@@ -173,6 +173,26 @@ class TestVerify:
         good = prob.verify({"K": np.array([[1.0]])}, eps=1e-9)
         bad = prob.verify({"K": np.array([[1.5]])}, eps=1e-9)
         assert good["eq"] > 0 > bad["eq"]
+
+
+class TestAccepts:
+    def test_boundary_margin(self):
+        eps = 1e-7
+        assert accepts({"a": 1.0, "b": eps / 2}, eps)
+        assert not accepts({"a": 1.0, "b": np.nextafter(eps / 2, 0)}, eps)
+
+    def test_empty_margin_set_accepted(self):
+        assert accepts({}, 1e-7)
+
+    def test_nan_margin_rejected(self):
+        assert not accepts({"a": 1.0, "b": np.nan}, 1e-7)
+        assert not accepts({"b": np.nan, "a": 1.0}, 1e-7)
+
+    def test_report_flag_is_accepts_of_its_margins(self):
+        A = np.array([[-2.0, 1.0], [-1.0, -1.0]])
+        rep = _lyapunov_problem(A, 1e-7).solve(eps=1e-7)
+        assert rep.feasible == accepts(rep.margins, 1e-7)
+        assert rep.feasible
 
 
 class TestValidation:

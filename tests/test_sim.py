@@ -8,7 +8,7 @@ import scipy.linalg
 
 from sldstab import sim
 from sldstab.fixtures import elcirc, unstable_mode
-from sldstab.mlf import EPS_REL, MlfCertificate, find_mlf, problem_scale
+from sldstab.mlf import find_mlf, make_certificate
 from sldstab.model import SldsModel, load_model
 from sldstab.polymat import PolyMatrix
 from sldstab.sim import (
@@ -37,18 +37,6 @@ def _circuit_signal(n_events=4, dt=0.5):
         mode = 2 if mode == 1 else 1
         events.append(((i + 1) * dt, mode))
     return SwitchingSignal(initial_mode=1, events=tuple(events))
-
-
-def _hand_cert(model, kernels):
-    kernels = [np.asarray(K, dtype=float) for K in kernels]
-    return MlfCertificate(
-        route="exact",
-        epsilon=EPS_REL * problem_scale(model),
-        kernels=kernels,
-        multipliers=[r.B.T @ K for r, K in zip(model.realizations, kernels)],
-        margins={},
-        solver={"feasible": True},
-    )
 
 
 class TestSignal:
@@ -222,66 +210,76 @@ class TestSteppedPropagation:
 class TestAudit:
     def test_certified_trace_passes(self):
         model = elcirc()
-        cert = _hand_cert(model, [[[0.5]], [[0.5]]])
+        cert = make_certificate(model, "lmi", [[[0.5]], [[0.5]]])
         tr = simulate(
             model, _circuit_signal(6), [1.0], t_end=4.0, sample_dt=0.05,
             certificate=cert,
         )
-        rep = audit_mlf(tr, cert)
+        rep = audit_mlf(tr)
         assert rep["ok"]
         assert rep["violations"] == 0
 
     def test_corrupted_certificate_flagged(self):
+        # a trace carries the values of the certificate it was simulated
+        # with, so a bad certificate is audited by re-simulating with it
         model = elcirc()
-        good = _hand_cert(model, [[[0.5]], [[0.5]]])
-        bad = _hand_cert(model, [[[0.5]], [[5.0]]])
-        tr = simulate(model, _circuit_signal(6), [1.0], t_end=4.0, sample_dt=0.05)
-        rep = audit_mlf(tr, bad)
+        good = make_certificate(model, "lmi", [[[0.5]], [[0.5]]])
+        bad = make_certificate(model, "lmi", [[[0.5]], [[5.0]]])
+        good_run, bad_run = (
+            simulate(
+                model, _circuit_signal(6), [1.0], t_end=4.0, sample_dt=0.05,
+                certificate=cert,
+            )
+            for cert in (good, bad)
+        )
+        assert audit_mlf(good_run)["ok"]
+        rep = audit_mlf(bad_run)
         assert not rep["ok"]
         assert rep["worst_switch_increase"] > 0
-        # the same trace re-audited against the good kernels passes
-        assert audit_mlf(tr, good)["ok"]
+        assert rep["worst_interval_increase"] == 0.0
 
     def test_zero_trajectory(self):
         model = elcirc()
-        cert = _hand_cert(model, [[[0.5]], [[0.5]]])
+        cert = make_certificate(model, "lmi", [[[0.5]], [[0.5]]])
         tr = simulate(
             model, _circuit_signal(2), [0.0], t_end=2.0, sample_dt=0.1,
             certificate=cert,
         )
-        assert audit_mlf(tr, cert)["ok"]
+        assert audit_mlf(tr)["ok"]
         assert asymptotic_check(tr)
 
     def test_non_finite_values_fail(self):
         model = elcirc()
-        cert = _hand_cert(model, [[[0.5]], [[0.5]]])
+        cert = make_certificate(model, "lmi", [[[0.5]], [[0.5]]])
         tr = simulate(
             model, _circuit_signal(6), [1.0], t_end=4.0, sample_dt=0.05,
             certificate=cert,
         )
         tr.values[5] = np.nan
         tr.values[-1] = np.inf
-        rep = audit_mlf(tr, cert)
+        rep = audit_mlf(tr)
         assert not rep["ok"]
         assert rep["violations"] >= 2
         assert np.isfinite(rep["tolerance"])
 
     def test_non_finite_event_values_fail(self):
         model = elcirc()
-        cert = _hand_cert(model, [[[0.5]], [[0.5]]])
+        cert = make_certificate(model, "lmi", [[[0.5]], [[0.5]]])
         tr = simulate(
             model, _circuit_signal(2), [1.0], t_end=2.0, sample_dt=0.1,
             certificate=cert,
         )
         tr.events[0]["v_plus"] = np.nan
-        assert not audit_mlf(tr, cert)["ok"]
+        assert not audit_mlf(tr)["ok"]
 
     def test_audit_recomputes_missing_values(self):
+        # it no longer does: values come only from simulate, and a trace
+        # simulated without a certificate is refused
         model = elcirc()
-        cert = _hand_cert(model, [[[0.5]], [[0.5]]])
         tr = simulate(model, _circuit_signal(6), [1.0], t_end=4.0, sample_dt=0.05)
         assert tr.values is None
-        assert audit_mlf(tr, cert)["ok"]
+        with pytest.raises(ValueError, match="no MLF values"):
+            audit_mlf(tr)
 
 
 class TestAsymptotics:

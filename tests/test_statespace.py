@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from sldstab.model import load_model
-from sldstab.polymat import PolyMatrix, canonical_rep, determinant, is_strictly_proper, roots
+from sldstab.polymat import (
+    PolyMatrix,
+    canonical_rep,
+    determinant,
+    is_strictly_proper,
+    poly_roots,
+)
 from sldstab.statespace import (
     eigenstructure,
     express_in_state_basis,
@@ -64,7 +70,7 @@ class TestRealize:
             X = minimal_state_map(R)
             real = realize(R, X)
             got = np.sort_complex(np.linalg.eigvals(real.A))
-            want = np.sort_complex(roots(determinant(R)))
+            want = np.sort_complex(poly_roots(determinant(R)))
             assert np.allclose(got, want, atol=1e-6 * max(1.0, np.abs(want).max()))
 
     def test_output_map_reconstructs_identity(self):
