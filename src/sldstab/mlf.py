@@ -231,13 +231,41 @@ def find_mlf(
     return make_certificate(model, "lmi", kernels, eps=eps, solver=solver)
 
 
+def check_fits(model: SldsModel, cert: MlfCertificate) -> None:
+    """Raise ``ValueError`` unless the certificate has one ``K_k`` per mode,
+    ``n_k x n_k`` for the mode's state dimension ``n_k``, and a ``Y_k`` of
+    the shape of ``B_k^T K_k``."""
+    n_cert, n_model = len(cert.kernels), model.n_modes
+    if n_cert != n_model:
+        fault = "has no K" if n_cert < n_model else "is not in the model"
+        raise ValueError(
+            f"certificate has {n_cert} modes, the model has {n_model}: "
+            f"mode {min(n_cert, n_model) + 1} {fault}"
+        )
+    for k, (real, K, Y) in enumerate(
+        zip(model.realizations, cert.kernels, cert.multipliers), start=1
+    ):
+        if np.shape(K) != (real.n, real.n):
+            raise ValueError(
+                f"mode {k}: K is {'x'.join(map(str, np.shape(K)))}, "
+                f"the mode has state dimension {real.n}"
+            )
+        if np.shape(Y) != (real.B.shape[1], real.n):
+            raise ValueError(
+                f"mode {k}: Y is {'x'.join(map(str, np.shape(Y)))}, "
+                f"expected {real.B.shape[1]}x{real.n}"
+            )
+
+
 def verify_mlf(model: SldsModel, cert: MlfCertificate) -> tuple[bool, dict]:
     """Independent margin re-check of a certificate against a model.
 
     Rebuilds all constraints from scratch and evaluates them at the stored
     kernels and multipliers with the certificate's ``epsilon``; returns
-    (``sdp.accepts`` of the margins, margins).
+    (``sdp.accepts`` of the margins, margins).  A certificate that does not
+    fit the model raises ``ValueError`` (:func:`check_fits`).
     """
+    check_fits(model, cert)
     eps = cert.epsilon
     prob = assemble_mlf_lmis(model, eps, strict=(cert.route != "posreal"))
     values = {}

@@ -5,22 +5,31 @@ Modes are autonomous LTI systems, so propagation uses the matrix exponential
 re-initialisation maps of the model's gluing conditions.  The audit then
 tests the certificate, not an integrator.
 
-Within a segment the first grid sample and the state ``x(t⁻)`` at the
-segment's end are propagated directly from the segment's start state, so
-jumps and gluing residuals carry no stepping error.  The grid samples in
-between are stepped by ``exp(A_m·dt)``, one step propagator per mode and
-call, which is exact up to the rounding of one matrix-vector product per
-step.
+``simulate`` works one segment (a maximal interval of one mode) at a time.
+It first lists the segments and their grid samples, which depend only on
+the signal and the grid, and checks every transition they use.  It then
+makes one batched ``propagator`` call per visited mode, for the step
+``exp(A_m·dt)`` and for each of the mode's segments the exponentials from
+its start to its first grid sample and to its end.  The first grid sample
+and the state ``x(t⁻)`` at the end are thus propagated directly from the
+segment's start state, so jumps and gluing residuals carry no stepping
+error.  The grid samples in between are stepped in blocks: with the powers
+``P[j] = E^(j+1)`` of the step ``E`` for ``j < STEP_BLOCK``, made by
+doubling, each run of up to ``STEP_BLOCK`` samples is one batched product
+``P[:m] @ x``, so rounding grows with the number of blocks, not of steps.
+The trace keeps the ``(k, n)`` state array of each segment.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .mlf import MlfCertificate
+from .mlf import MlfCertificate, check_fits
 from .model import SldsModel
 from .statespace import propagator
 
@@ -28,6 +37,8 @@ AUDIT_REL_TOL = 1e-10
 CONSISTENCY_FLAG_TOL = 1e-6
 ASYMPTOTIC_FACTOR = 1e-6
 CSV_CHUNK_ROWS = 1024  # rows formatted at once by write_trace_csv
+STEP_BLOCK = 64  # grid samples stepped by one batched product
+MAX_SAMPLES = 10_000_000  # grid samples one simulation may hold
 
 
 @dataclass(frozen=True)
@@ -51,20 +62,70 @@ class SwitchingSignal:
             prev_t, prev_m = t, m
 
 
-@dataclass
 class Trace:
-    """Sampled switched trajectory with one-sided records at events."""
+    """Sampled switched trajectory with one-sided records at events.
 
-    times: np.ndarray
-    modes: np.ndarray  # active mode per sample
-    states: list  # state vector per sample (dimension may vary by mode)
-    outputs: np.ndarray  # external variables w = C x per sample
-    values: np.ndarray | None  # MLF value per sample (certificate attached)
-    events: list = field(default_factory=list)  # per-switch records
-    truncated: bool = False
+    The states are kept in ``blocks``, one ``(k, n)`` array per run of
+    consecutive samples (``simulate`` keeps one per segment); a state's
+    dimension may vary between blocks.  ``states``, one vector per sample,
+    is a list of row views of the blocks, made on first use.  A trace built
+    from such a ``states`` list groups it into blocks of equal dimension.
+    """
+
+    def __init__(
+        self,
+        times: np.ndarray,
+        modes: np.ndarray,  # active mode per sample
+        states: list | None = None,
+        *,
+        outputs: np.ndarray,  # external variables w = C x per sample
+        values: np.ndarray | None,  # MLF value per sample (certificate attached)
+        events: list | None = None,  # per-switch records
+        truncated: bool = False,
+        blocks: list | None = None,
+    ):
+        if (states is None) == (blocks is None):
+            raise ValueError("give a trace either states or blocks")
+        if blocks is None:
+            blocks = []
+            for d, run in itertools.groupby(states, key=len):
+                rows = list(run)
+                blocks.append(np.array(rows, dtype=float).reshape(len(rows), d))
+        self.times = times
+        self.modes = modes
+        self.blocks = blocks
+        self.outputs = outputs
+        self.values = values
+        self.events = [] if events is None else events
+        self.truncated = truncated
+
+    @functools.cached_property
+    def states(self) -> list:
+        return [x for X in self.blocks for x in X]
 
     def w_norms(self) -> np.ndarray:
         return np.linalg.norm(self.outputs, axis=1)
+
+
+def _powers(E: np.ndarray) -> np.ndarray:
+    """``P[j] = E^(j+1)`` for ``j < STEP_BLOCK``, by repeated doubling."""
+    P = np.empty((STEP_BLOCK,) + E.shape)
+    P[0] = E
+    b = 1
+    while b < STEP_BLOCK:
+        c = min(b, STEP_BLOCK - b)
+        P[b:b + c] = P[:c] @ P[b - 1]
+        b += c
+    return P
+
+
+def _step(P: np.ndarray, X: np.ndarray) -> None:
+    """Fill ``X[1:]`` with ``E^i X[0]``, one batched product per block."""
+    s, last = 0, len(X) - 1
+    while s < last:
+        m = min(len(P), last - s)
+        X[s + 1:s + 1 + m] = P[:m] @ X[s]
+        s += m
 
 
 def simulate(
@@ -80,17 +141,22 @@ def simulate(
     Samples on the uniform grid plus both one-sided limits at each event.
     A transition whose gluing conditions cannot hold for the incoming state
     (range condition violated beyond tolerance) flags the trace as truncated
-    and stops there.
+    and stops there.  Invalid input raises ``ValueError`` before anything is
+    propagated: a grid of more than ``MAX_SAMPLES`` samples, a mode out of
+    range, a transition the model lacks or a certificate that does not fit.
     """
     for name, v in (("t_end", t_end), ("sample_dt", sample_dt)):
         if not (np.isfinite(v) and v > 0):
             raise ValueError(f"{name} must be positive and finite, got {v}")
-    events = [(t, m) for t, m in signal.events if t < t_end]
+    n_grid = np.ceil(t_end / sample_dt + 0.5)  # len(np.arange) of the grid
+    if n_grid > MAX_SAMPLES:
+        raise ValueError(
+            f"t_end/sample_dt asks for {n_grid:.6g} grid samples, "
+            f"more than the {MAX_SAMPLES} a simulation may hold"
+        )
     mode = signal.initial_mode
     if not (1 <= mode <= model.n_modes):
         raise ValueError(f"initial mode {mode} out of range")
-    rmaps = model.reinits
-    nf = model.normal_form_pairs
     x = np.asarray(x0, dtype=float).ravel()
     if x.shape[0] != model.realizations[mode - 1].n:
         raise ValueError(
@@ -99,61 +165,80 @@ def simulate(
         )
     if not np.all(np.isfinite(x)):
         raise ValueError(f"x0 must be finite, got {x.tolist()}")
-    kernels = (
-        [np.asarray(K, dtype=float) for K in certificate.kernels]
-        if certificate is not None
-        else None
-    )
+    kernels = None
+    if certificate is not None:
+        check_fits(model, certificate)
+        kernels = [np.asarray(K, dtype=float) for K in certificate.kernels]
+    rmaps = model.reinits
+    nf = model.normal_form_pairs
+
+    # the segments (mode, start, end), each transition checked
+    segments = []
+    start = 0.0
+    for t_switch, next_mode in signal.events:
+        if t_switch >= t_end:
+            break
+        if (mode, next_mode) not in rmaps:
+            raise ValueError(f"signal uses missing transition {mode}->{next_mode}")
+        segments.append((mode, start, t_switch))
+        mode, start = next_mode, t_switch
+    segments.append((mode, start, t_end))
+    seg_modes = np.array([m for m, _, _ in segments])
+    starts = np.array([s for _, s, _ in segments])
+    ends = np.array([e for _, _, e in segments])
+
+    # grid samples g0[i]:g1[i] lie inside [start, end) of segment i; one
+    # within rounding below its start samples the start
+    grid = np.arange(0.0, t_end + 0.5 * sample_dt, sample_dt)
+    g1 = np.searchsorted(grid, ends - 1e-15)
+    g0 = np.concatenate(([0], g1[:-1]))
+    offsets = np.maximum(grid[np.minimum(g0, len(grid) - 1)] - starts, 0.0)
+
+    # one propagator call per visited mode: the step, then per segment the
+    # exponentials to its first grid sample and to its end
+    step, to_first, to_end = {}, {}, {}
+    for m in np.unique(seg_modes).tolist():
+        idx = np.flatnonzero(seg_modes == m)
+        Es = propagator(
+            model.realizations[m - 1].A,
+            np.concatenate(([sample_dt], offsets[idx], ends[idx] - starts[idx])),
+        )
+        step[m] = Es[0]
+        to_first.update(zip(idx.tolist(), Es[1:1 + len(idx)]))
+        to_end.update(zip(idx.tolist(), Es[1 + len(idx):]))
 
     # one (k, n) block per segment: its t+ state (after the first segment),
     # its grid samples and its t- state, all in the segment's mode
-    blocks = []
-    steps = {}  # mode -> exp(A_m · sample_dt), made on first use
-
-    grid = np.arange(0.0, t_end + 0.5 * sample_dt, sample_dt)
+    blocks, seg_times = [], []
+    powers = {}  # mode -> _powers of its step, made on first use
     truncated = False
     event_records = []
-    seg_start = 0.0
-    gi = 0
-    boundaries = events + [(t_end, None)]
-    for t_switch, next_mode in boundaries:
-        A = model.realizations[mode - 1].A
-        # grid samples inside [seg_start, t_switch)
-        g1 = int(np.searchsorted(grid, t_switch - 1e-15))
-        k = g1 - gi
+    for i, (mode, start, end) in enumerate(segments):
+        k = int(g1[i] - g0[i])
         X = np.empty((k + 2, x.shape[0]))
         X[0] = x
         if k:
-            # a grid point within rounding below seg_start samples the start
-            X[1] = propagator(A, max(grid[gi] - seg_start, 0.0)) @ x
+            X[1] = to_first[i] @ x
         if k > 1:
-            E = steps.get(mode)
-            if E is None:
-                E = steps[mode] = propagator(A, sample_dt)
-            for i in range(1, k):
-                np.dot(E, X[i], out=X[i + 1])
-        x_minus = propagator(A, t_switch - seg_start) @ x
-        X[k + 1] = x_minus
+            P = powers.get(mode)
+            if P is None:
+                P = powers[mode] = _powers(step[mode])
+            _step(P, X[1:k + 1])
+        x_minus = X[k + 1] = to_end[i] @ x
         # the first segment's start is its first grid sample, not a t+ state
-        t_plus = [seg_start] if blocks else []
-        blocks.append((
-            np.concatenate((t_plus, grid[gi:g1], [t_switch])),
-            mode,
-            X[1 - len(t_plus):],
-        ))
-        gi = g1
-        if next_mode is None:
+        t_plus = [start] if i else []
+        seg_times.append(np.concatenate((t_plus, grid[g0[i]:g1[i]], [end])))
+        blocks.append(X[1 - len(t_plus):])
+        if i + 1 == len(segments):
             break
+        next_mode = segments[i + 1][0]
         key = (mode, next_mode)
-        if key not in rmaps:
-            raise ValueError(f"signal uses missing transition {mode}->{next_mode}")
-        L = rmaps[key].L
-        x_plus = L @ x_minus
+        x_plus = rmaps[key].L @ x_minus
         pair = nf[key]
         resid = np.linalg.norm(pair.f_plus @ x_plus - pair.f_minus @ x_minus)
         scale = max(1.0, np.linalg.norm(x_minus))
         ev = {
-            "time": t_switch,
+            "time": end,
             "from": mode,
             "to": next_mode,
             "x_minus": x_minus.copy(),
@@ -170,22 +255,22 @@ def simulate(
             ev["inconsistent"] = True
             truncated = True
             break
-        mode = next_mode
         x = x_plus
-        seg_start = t_switch
 
-    states, outputs, values = [], [], []
-    for _, m, X in blocks:
-        states.extend(X)
-        outputs.append(X @ model.realizations[m - 1].C.T)
-        if kernels is not None:
-            values.append(np.einsum("ij,jk,ik->i", X, kernels[m - 1], X))
+    used = seg_modes[:len(blocks)].tolist()
+    outputs = [X @ model.realizations[m - 1].C.T for m, X in zip(used, blocks)]
+    values = None
+    if kernels is not None:
+        values = np.concatenate([
+            np.einsum("ij,jk,ik->i", X, kernels[m - 1], X)
+            for m, X in zip(used, blocks)
+        ])
     return Trace(
-        times=np.concatenate([t for t, _, _ in blocks]),
-        modes=np.concatenate([np.full(len(t), m) for t, m, _ in blocks]),
-        states=states,
+        times=np.concatenate(seg_times),
+        modes=np.concatenate([np.full(len(t), m) for t, m in zip(seg_times, used)]),
+        blocks=blocks,
         outputs=np.concatenate(outputs),
-        values=np.concatenate(values) if kernels is not None else None,
+        values=values,
         events=event_records,
         truncated=truncated,
     )
@@ -265,10 +350,10 @@ def write_trace_csv(trace: Trace, path, events_path=None) -> None:
 
     The rows are what ``csv.writer`` writes for the same cells: ``.12g``
     numbers, empty cells after a state shorter than the widest one, and
-    ``\\r\\n`` line ends.  Each run of rows with one state dimension is
-    formatted by one ``%`` per chunk of at most ``CSV_CHUNK_ROWS`` rows.
+    ``\\r\\n`` line ends.  Each state block is formatted by one ``%`` per
+    chunk of at most ``CSV_CHUNK_ROWS`` rows.
     """
-    nx = max((len(x) for x in trace.states), default=0)
+    nx = max((X.shape[1] for X in trace.blocks), default=0)
     nw = trace.outputs.shape[1] if trace.outputs.size else 0
     has_v = trace.values is not None
     header = (
@@ -278,24 +363,25 @@ def write_trace_csv(trace: Trace, path, events_path=None) -> None:
         + (["V"] if has_v else [])
     )
     tail = ",%.12g" * nw + (",%.12g" if has_v else "") + "\r\n"
-    dims = np.fromiter(map(len, trace.states), dtype=int, count=len(trace.states))
-    runs = np.flatnonzero(np.diff(dims, prepend=-1, append=-1))  # run bounds
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for start, stop in zip(runs[:-1], runs[1:]):
-            d = int(dims[start])
+        row = 0  # trace row of the block's first state
+        for X in trace.blocks:
+            k, d = X.shape
             fmt = "%.12g,%d" + ",%.12g" * d + "," * (nx - d) + tail
-            for a in range(start, stop, CSV_CHUNK_ROWS):
-                b = min(a + CSV_CHUNK_ROWS, stop)
+            for a in range(0, k, CSV_CHUNK_ROWS):
+                b = min(a + CSV_CHUNK_ROWS, k)
+                rows = slice(row + a, row + b)
                 cells = [
-                    trace.times[a:b, None],
-                    trace.modes[a:b, None],
-                    np.array(trace.states[a:b], dtype=float).reshape(b - a, d),
-                    trace.outputs[a:b].reshape(b - a, nw),
+                    trace.times[rows, None],
+                    trace.modes[rows, None],
+                    X[a:b],
+                    trace.outputs[rows].reshape(b - a, nw),
                 ]
                 if has_v:
-                    cells.append(trace.values[a:b, None])
+                    cells.append(trace.values[rows, None])
                 fh.write(fmt * (b - a) % tuple(np.hstack(cells).ravel().tolist()))
+            row += k
     if events_path is not None:
         evs = []
         for ev in trace.events:

@@ -11,7 +11,8 @@ satisfies ``xi X(xi) = A X(xi) + B R(xi)`` together with the output map
 of blocks ``G mod R`` over a state map with one reduction and one
 least-squares solve; ``C`` (from ``I_w mod R``), the normal form and the
 standard construction's ``Pi`` all go through it.
-:func:`propagator` is the one matrix exponential of a mode's dynamics.
+:func:`propagator` is the one matrix exponential of a mode's dynamics, for
+one time or, in one ``expm`` call, for an array of times.
 """
 
 from __future__ import annotations
@@ -248,11 +249,21 @@ def eigenstructure(R: PolyMatrix | Divisor, X: PolyMatrix) -> ModeEigenstructure
     )
 
 
-def propagator(A: np.ndarray, dt: float) -> np.ndarray:
-    """The step propagator ``exp(A dt)`` (scaling-and-squaring expm)."""
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
+def propagator(A: np.ndarray, t) -> np.ndarray:
+    """The propagator ``exp(A t)`` (scaling-and-squaring expm).
+
+    ``t`` is a time, or a 1-D array of times for the ``(len(t), n, n)``
+    stack ``exp(A t_i)`` from one ``expm`` call; each slice equals the
+    propagator of its time alone, bit for bit.
+    """
     A = np.asarray(A, dtype=float)
-    if dt == 0.0 or A.size == 0:
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts < 0):
+        raise ValueError("dt must be nonnegative")
+    if ts.ndim:
+        if ts.size == 0 or A.size == 0:
+            return np.broadcast_to(np.eye(A.shape[0]), ts.shape + A.shape).copy()
+        return scipy.linalg.expm(A * ts[:, None, None])
+    if t == 0.0 or A.size == 0:
         return np.eye(A.shape[0])
-    return scipy.linalg.expm(A * dt)
+    return scipy.linalg.expm(A * t)

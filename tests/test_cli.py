@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,59 @@ class TestSimulate:
         ])
         assert rc == 1
         assert "event times must be positive" in capsys.readouterr().err
+
+    def test_impossible_sample_count_exits_1(self, capsys):
+        # 1e15 grid samples: refused from the count, before any allocation
+        tracemalloc.start()
+        try:
+            rc = main([
+                "simulate", ELCIRC, "--signal", SIGNAL, "--x0", "1.0",
+                "--t-end", "1e6", "--dt", "1e-9",
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        assert "1e+15 grid samples" in capsys.readouterr().err
+        assert peak < 20e6
+
+
+def _cut_to_one_mode(doc):
+    doc["modes"] = doc["modes"][:1]
+    return "mode 2 has no K"
+
+
+def _extra_mode(doc):
+    doc["modes"].append(doc["modes"][0])
+    return "mode 3 is not in the model"
+
+
+def _two_by_two_kernel(doc):
+    m = doc["modes"][1]
+    m["K"] = [[m["K"][0][0], 0.0], [0.0, m["K"][0][0]]]
+    m["Y"] = [row + [0.0] for row in m["Y"]]
+    m.pop("F", None)
+    return "mode 2: K is 2x2, the mode has state dimension 1"
+
+
+@pytest.mark.parametrize("edit", [_cut_to_one_mode, _extra_mode, _two_by_two_kernel])
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_certificate_not_fitting_model_exits_1(tmp_path, capsys, command, edit):
+    cert = tmp_path / "cert.json"
+    assert main(["check", ELCIRC, "--out", str(cert)]) == 0
+    capsys.readouterr()
+    doc = json.loads(cert.read_text())
+    message = edit(doc)
+    cert.write_text(json.dumps(doc))
+    if command == "check":
+        argv = ["check", ELCIRC, "--verify-only", str(cert)]
+    else:
+        argv = ["simulate", ELCIRC, "--signal", SIGNAL, "--x0", "1.0",
+                "--t-end", "7", "--dt", "0.05", "--cert", str(cert)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "verif" not in captured.out and "audit" not in captured.out
 
 
 class TestPosreal:

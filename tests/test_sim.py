@@ -1,10 +1,14 @@
 import csv
+import functools
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sldstab import sim
 from sldstab.fixtures import elcirc, unstable_mode
@@ -156,7 +160,7 @@ class TestSteppedPropagation:
                       certificate=certificate)
         return model, tr
 
-    def test_expm_calls_per_segment_not_per_sample(self, monkeypatch):
+    def test_one_expm_call_per_visited_mode(self, monkeypatch):
         calls = []
         expm = scipy.linalg.expm
 
@@ -165,10 +169,10 @@ class TestSteppedPropagation:
             return expm(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "expm", counted)
-        model, tr = self._converter_run()
-        segments = len(tr.events) + 1
+        _, tr = self._converter_run()
         assert len(tr.times) > 5000
-        assert len(calls) <= 2 * segments + model.n_modes
+        assert len(tr.events) > 5
+        assert len(calls) <= len(set(tr.modes.tolist()))
 
     def _assert_matches_direct(self, model, tr):
         scale = float(np.max(np.abs(tr.outputs)))
@@ -205,6 +209,87 @@ class TestSteppedPropagation:
             for m, x in zip(tr.modes, tr.states)
         ])
         assert np.max(np.abs(tr.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _ring_model(n_modes=3, w=2, seed=5):
+    """Modes ``xi I - A_k`` with the common Lyapunov function ``|w|^2``;
+    modes ``k`` and ``k + 1`` (mod ``n_modes``) switch both ways through a
+    contraction ``w+ = L w-``."""
+    rng = np.random.default_rng(seed)
+    modes = []
+    for _ in range(n_modes):
+        N = rng.standard_normal((w, w))
+        A = (N - N.T) - (0.5 * np.eye(w) + 0.1 * N @ N.T)
+        modes.append(PolyMatrix(np.stack([-A, np.eye(w)])))
+    gluing = {}
+    for k in range(1, n_modes + 1):
+        for a, b in ((k, k % n_modes + 1), (k % n_modes + 1, k)):
+            Q = np.linalg.qr(rng.standard_normal((w, w)))[0]
+            gluing[(a, b)] = (PolyMatrix(0.5 * Q[None]), PolyMatrix.identity(w))
+    return SldsModel(modes=modes, gluing=gluing)
+
+
+@functools.lru_cache(maxsize=None)
+def _property_model(name):
+    """A 2-, 3- or 4-mode model and the time scale of its dynamics."""
+    return {
+        "elcirc": (elcirc(), 1.0),
+        "ring3": (_ring_model(), 1.0),
+        "converter4": (load_model(MODELS / "source_converter_4mode.json"), 1e-3),
+    }[name]
+
+
+def _relative_gap(model, tr):
+    scale = max(float(np.max(np.abs(tr.outputs))),
+                max(float(np.max(np.abs(X))) for X in tr.blocks))
+    return _direct_gap(model, tr) / scale
+
+
+class TestBlockedStepping:
+    """Grid samples stepped in blocks of ``STEP_BLOCK`` powers of the step."""
+
+    @pytest.mark.parametrize(
+        "k",
+        [sim.STEP_BLOCK - 1, sim.STEP_BLOCK, sim.STEP_BLOCK + 1, 3 * sim.STEP_BLOCK + 5],
+    )
+    def test_segment_lengths_match_direct_expm(self, k):
+        model = load_model(MODELS / "source_converter_4mode.json")
+        dt = 1e-5
+        # grid samples 0 .. k-1 in mode 1, then k .. 2k-1 in mode 3
+        sig = SwitchingSignal(1, (((k - 0.5) * dt, 3),))
+        tr = simulate(model, sig, [1.0, -0.5], t_end=(2 * k - 0.25) * dt,
+                      sample_dt=dt)
+        # segment 1: k grid samples and x(t-); segment 2 also x(t+)
+        assert [X.shape for X in tr.blocks] == [(k + 1, 2), (k + 2, 3)]
+        assert _relative_gap(model, tr) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(["elcirc", "ring3", "converter4"]),
+        block=st.sampled_from([1, 3, 8, sim.STEP_BLOCK]),
+        per_unit=st.integers(20, 400),
+        dwells=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_schedules_match_direct_expm(self, name, block, per_unit,
+                                                dwells, seed):
+        model, unit = _property_model(name)
+        rng = np.random.default_rng(seed)
+        successors = {}
+        for k, l in sorted(model.gluing):
+            successors.setdefault(k, []).append(l)
+        mode, t, events = 1, 0.0, []
+        for d in dwells[:-1]:
+            t += d * unit
+            mode = int(rng.choice(successors[mode]))
+            events.append((t, mode))
+        x0 = rng.standard_normal(model.realizations[0].n)
+        with mock.patch.object(sim, "STEP_BLOCK", block):
+            tr = simulate(model, SwitchingSignal(1, tuple(events)), x0,
+                          t_end=t + dwells[-1] * unit, sample_dt=unit / per_unit)
+        assert not tr.truncated
+        assert len(tr.events) == len(events)
+        assert _relative_gap(model, tr) <= 1e-12
 
 
 class TestAudit:
@@ -396,6 +481,41 @@ class TestTraceCsvBytes:
             values=vals,
         )
         self._assert_same_bytes(tr, tmp_path)
+
+    @staticmethod
+    def _special_blocks():
+        # runs of dimension 1, 2, 2 (split), 1 and 2 over the special numbers
+        vals = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300,
+                         123456789012345.0, 1.0 / 3.0])
+        blocks = [vals[:2, None], np.stack([vals[2:4], vals[4:6]], axis=1),
+                  vals[None, 6:], vals[None, 7:], np.stack([vals[::4], vals[1::4]], axis=1)]
+        n = sum(len(X) for X in blocks)
+        cells = dict(times=vals[:n], modes=np.arange(n) % 3 + 1,
+                     outputs=np.stack([vals[:n], vals[::-1][:n]], axis=1),
+                     values=vals[::-1][:n])
+        return blocks, cells
+
+    @pytest.mark.parametrize("source", ["converter", "special"])
+    def test_states_and_blocks_write_same_bytes(self, tmp_path, source):
+        if source == "converter":
+            model = load_model(MODELS / "source_converter_4mode.json")
+            tr = simulate(model, _load_signal("converter_cycle"), [1.0, -0.5],
+                          t_end=0.004, sample_dt=1e-5, certificate=find_mlf(model))
+            blocks = tr.blocks
+            cells = dict(times=tr.times, modes=tr.modes, outputs=tr.outputs,
+                         values=tr.values)
+        else:
+            blocks, cells = self._special_blocks()
+        assert len({X.shape[1] for X in blocks}) == 2
+        rows = [x for X in blocks for x in X]
+        by_rows = Trace(states=rows, **cells)
+        by_blocks = Trace(blocks=blocks, **cells)
+        assert all(np.array_equal(a, b, equal_nan=True)
+                   for a, b in zip(by_rows.states, by_blocks.states))
+        write_trace_csv(by_rows, tmp_path / "rows.csv")
+        write_trace_csv(by_blocks, tmp_path / "blocks.csv")
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "blocks.csv").read_bytes()
+        self._assert_same_bytes(by_blocks, tmp_path)
 
     def test_empty_trace(self, tmp_path):
         tr = Trace(times=np.zeros(0), modes=np.zeros(0, dtype=int), states=[],

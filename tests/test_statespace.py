@@ -184,3 +184,22 @@ def test_propagator_is_the_step_exponential():
     assert np.array_equal(propagator(A, 0.0), np.eye(2))
     with pytest.raises(ValueError, match="nonnegative"):
         propagator(A, -1e-3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("shape", ["full", "upper", "diagonal"])
+def test_batched_propagator_equals_single_calls(n, shape):
+    # the triangular and diagonal shapes take their own expm branches
+    A = np.random.default_rng(n).standard_normal((n, n)) - 2.0 * np.eye(n)
+    A = {"full": A, "upper": np.triu(A), "diagonal": np.diag(np.diag(A))}[shape]
+    ts = np.array([0.0, 1e-6, 0.013, 0.4, 2.0, 7.5, 0.4])
+    stack = propagator(A, ts)
+    assert stack.shape == (len(ts), n, n)
+    assert np.array_equal(stack, np.stack([propagator(A, t) for t in ts]))
+
+
+def test_batched_propagator_edge_cases():
+    A = np.array([[0.0, 1.0], [-2.0, -3.0]])
+    assert propagator(A, np.zeros(0)).shape == (0, 2, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        propagator(A, np.array([0.1, -1e-3]))
