@@ -1,20 +1,16 @@
 """Multiple Lyapunov functions for switched linear differential systems.
 
 Per mode k the certificate is a quadratic differential form
-``Q_k(w) = x^T Kbar_k x`` over the minimal state map, with a multiplier
-``Ybar_k`` of the polynomial Lyapunov equation in coefficient-matrix form:
+``Q_k(w) = x^T Kbar_k x`` over the minimal state map ``x = X_k(d/dt) w``.
+Over the realization ``xi X = A X + B R`` it must satisfy
 
-    Xb^T Kbar Xa + Xa^T Kbar Xb - Xa^T Ybar^T Rt - Rt^T Ybar Xa  <=  0     (ple)
-    A^T Kbar + Kbar A                                            <= -eps I (decay)
-    Kbar                                                         >=  eps I (pos)
+    A^T Kbar + Kbar A    <= -eps I    (decay)
+    Kbar                 >=  eps I    (pos)
 
-where ``Rt = [R_0 ... R_L]`` stacks the coefficient matrices of the kernel
-representation, ``Xa = [X_0 ... X_{L-1} 0]`` and ``Xb`` its one-block shift
-(the coefficient form of ``xi X``).  At a transition k -> l with
-re-initialisation map L the value must not increase, for every state the
-gluing conditions admit:
+and at a transition k -> l with re-initialisation map L it must not
+increase, for every state the gluing conditions admit:
 
-    Kbar_k - L^T Kbar_l L  >=  0                                 (switch)
+    Kbar_k - L^T Kbar_l L  >=  0      (switch)
 
 This is the only switch condition.  Imposing it along the mode-k
 eigendirections instead, ``V_k^H (Kbar_k - L^T Kbar_l L) V_k >= 0`` with
@@ -22,18 +18,20 @@ eigendirections instead, ``V_k^H (Kbar_k - L^T Kbar_l L) V_k >= 0`` with
 Sylvester's law of inertia it has the same feasible set, measures
 violations in other units and needs a non-defective mode.
 
-The realization identity ``xi X = A X + B R`` reads ``Xb = A Xa + B Rt``, so
-with ``Ybar = B^T Kbar`` the ple expression equals ``Xa^T (A^T Kbar + Kbar A)
-Xa``, which the decay condition already bounds: the polynomial Lyapunov
-equation read in state form.  The search therefore solves for the ``Kbar_k``
-alone.  ``make_certificate``, which every producer of a certificate calls,
-stores ``Ybar_k = B_k^T Kbar_k``; ``verify_mlf`` rebuilds every condition,
-ple included, from the stored ``Kbar_k`` and ``Ybar_k``.
+The paper's polynomial Lyapunov equation ``(zeta+eta) Psi = Y^T R + R^T Y
+- Delta`` is the decay condition read in polynomial form: the realization
+identity fixes the multiplier at ``Y(xi) = B^T Kbar X(xi)``, and then
+``(zeta+eta) X^T Kbar X - Y^T R - R^T Y = X^T (A^T Kbar + Kbar A) X``.
+So a certificate is its kernels ``Kbar_k`` alone: the search solves for
+them, the file stores them, and ``verify_mlf`` rebuilds decay, positivity
+and switch conditions from them.  The equation itself is assembled in one
+place, :func:`assemble_ple_lmi`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +50,8 @@ class MlfCertificate:
     route: str  # "lmi" (the search) | "posreal"; any label but "posreal" is strict
     epsilon: float
     kernels: list[np.ndarray]  # Kbar per mode
-    multipliers: list[np.ndarray]  # Ybar per mode
-    margins: dict  # constraint name -> margin at the stored values
+    margins: dict  # constraint name -> margin at the stored kernels
     solver: dict  # iterations, feasible flag, budget
-    fbars: list | None = None  # A^T Kbar + Kbar A per mode
 
     @property
     def feasible(self) -> bool:
@@ -131,21 +127,13 @@ def assemble_ple_lmi(
     return prob
 
 
-def assemble_mlf_lmis(
-    model: SldsModel,
-    eps: float,
-    strict: bool = True,
-    multipliers: bool = True,
-) -> LmiProblem:
-    """Build the feasibility problem for an MLF certificate.
+def assemble_mlf_lmis(model: SldsModel, eps: float, strict: bool = True) -> LmiProblem:
+    """Build the feasibility problem for an MLF certificate in the ``K_k``.
 
     The switch conditions hold on the whole state space (module docstring).
     ``strict=False`` relaxes decay/positivity to the
     semidefinite sense, which is what storage-function certificates satisfy
     (their decay rate is a dissipation form with a nontrivial kernel).
-    ``multipliers=False`` leaves out the ``Y_k`` variables and the ``ple_k``
-    conditions, which ``Y_k = B_k^T K_k`` satisfies whenever ``decay_k``
-    holds (module docstring): that is the problem the search solves.
     """
     prob = LmiProblem()
     shift = eps if strict else 0.0
@@ -159,15 +147,6 @@ def assemble_mlf_lmis(
         def pos(v, k=k):
             return v[f"K{k}"]
 
-        if multipliers:
-            prob.add_matrix(f"Y{k}", real.w, real.n)
-
-            def ple(v, Rt=real.Rt, Xa=real.Xa, Xb=real.Xb, k=k):
-                K, Y = v[f"K{k}"], v[f"Y{k}"]
-                YT = Y.swapaxes(-1, -2)
-                return Xb.T @ K @ Xa + Xa.T @ K @ Xb - Xa.T @ YT @ Rt - Rt.T @ Y @ Xa
-
-            prob.add_constraint(f"ple_{k}", ple, "nsd", 0.0)
         prob.add_constraint(f"decay_{k}", decay, "nsd", shift)
         prob.add_constraint(f"pos_{k}", pos, "psd", shift)
     for (k, l), rm in sorted(model.reinits.items()):
@@ -188,23 +167,18 @@ def make_certificate(
 ) -> MlfCertificate:
     """The certificate of the kernels ``K_k``, judged by ``verify_mlf``.
 
-    Sets ``Y_k = B_k^T K_k`` and ``F_k = A_k^T K_k + K_k A_k``; the margins
-    and ``solver["feasible"]`` are those of ``verify_mlf``, and the other
-    ``solver`` entries follow ``feasible`` in the order given.  ``eps``
-    defaults to ``EPS_REL * problem_scale(model)``.
+    The margins and ``solver["feasible"]`` are those of ``verify_mlf``, and
+    the other ``solver`` entries follow ``feasible`` in the order given.
+    ``eps`` defaults to ``EPS_REL * problem_scale(model)``.
     """
     if eps is None:
         eps = EPS_REL * problem_scale(model)
-    kernels = [np.asarray(K, dtype=float) for K in kernels]
-    pairs = list(zip(model.realizations, kernels))
     cert = MlfCertificate(
         route=route,
         epsilon=eps,
-        kernels=kernels,
-        multipliers=[real.B.T @ K for real, K in pairs],
+        kernels=[np.asarray(K, dtype=float) for K in kernels],
         margins={},
         solver={"feasible": False, **(solver or {})},
-        fbars=[real.A.T @ K + K @ real.A for real, K in pairs],
     )
     cert.solver["feasible"], cert.margins = verify_mlf(model, cert)
     return cert
@@ -217,14 +191,13 @@ def find_mlf(
 ) -> MlfCertificate:
     """Search for an MLF certificate; check ``.feasible`` on the result.
 
-    The search solves for the ``K_k`` alone; :func:`make_certificate` sets
-    ``Y_k = B_k^T K_k`` and takes the stored margins, ``ple_k`` included,
-    and the ``feasible`` flag from ``verify_mlf``.
+    :func:`make_certificate` takes the stored margins and the ``feasible``
+    flag from ``verify_mlf``.
     """
     solutions = _unit_lyapunov(model)
     if eps is None:
         eps = EPS_REL * problem_scale(model, solutions)
-    prob = assemble_mlf_lmis(model, eps, multipliers=False)
+    prob = assemble_mlf_lmis(model, eps)
     report = prob.solve(eps, budget=budget, warm_start=_warm_start(model, solutions))
     kernels = [report.values[f"K{k}"] for k in range(1, model.n_modes + 1)]
     solver = {"iterations": report.iterations, "budget": budget}
@@ -233,8 +206,7 @@ def find_mlf(
 
 def check_fits(model: SldsModel, cert: MlfCertificate) -> None:
     """Raise ``ValueError`` unless the certificate has one ``K_k`` per mode,
-    ``n_k x n_k`` for the mode's state dimension ``n_k``, and a ``Y_k`` of
-    the shape of ``B_k^T K_k``."""
+    ``n_k x n_k`` for the mode's state dimension ``n_k``."""
     n_cert, n_model = len(cert.kernels), model.n_modes
     if n_cert != n_model:
         fault = "has no K" if n_cert < n_model else "is not in the model"
@@ -242,18 +214,11 @@ def check_fits(model: SldsModel, cert: MlfCertificate) -> None:
             f"certificate has {n_cert} modes, the model has {n_model}: "
             f"mode {min(n_cert, n_model) + 1} {fault}"
         )
-    for k, (real, K, Y) in enumerate(
-        zip(model.realizations, cert.kernels, cert.multipliers), start=1
-    ):
+    for k, (real, K) in enumerate(zip(model.realizations, cert.kernels), start=1):
         if np.shape(K) != (real.n, real.n):
             raise ValueError(
                 f"mode {k}: K is {'x'.join(map(str, np.shape(K)))}, "
                 f"the mode has state dimension {real.n}"
-            )
-        if np.shape(Y) != (real.B.shape[1], real.n):
-            raise ValueError(
-                f"mode {k}: Y is {'x'.join(map(str, np.shape(Y)))}, "
-                f"expected {real.B.shape[1]}x{real.n}"
             )
 
 
@@ -261,17 +226,16 @@ def verify_mlf(model: SldsModel, cert: MlfCertificate) -> tuple[bool, dict]:
     """Independent margin re-check of a certificate against a model.
 
     Rebuilds all constraints from scratch and evaluates them at the stored
-    kernels and multipliers with the certificate's ``epsilon``; returns
+    kernels with the certificate's ``epsilon``; returns
     (``sdp.accepts`` of the margins, margins).  A certificate that does not
     fit the model raises ``ValueError`` (:func:`check_fits`).
     """
     check_fits(model, cert)
     eps = cert.epsilon
     prob = assemble_mlf_lmis(model, eps, strict=(cert.route != "posreal"))
-    values = {}
-    for k in range(1, model.n_modes + 1):
-        values[f"K{k}"] = np.asarray(cert.kernels[k - 1], dtype=float)
-        values[f"Y{k}"] = np.asarray(cert.multipliers[k - 1], dtype=float)
+    values = {
+        f"K{k}": np.asarray(K, dtype=float) for k, K in enumerate(cert.kernels, start=1)
+    }
     margins = prob.verify(values, eps)
     return accepts(margins, eps), margins
 
@@ -298,16 +262,11 @@ def scan_canonical_family(model: SldsModel) -> dict:
         raise ValueError("family scan requires McMillan degree 1 in every mode")
     eps = EPS_REL * problem_scale(model)
     prob = assemble_mlf_lmis(model, eps)
-    groups = {"positivity": ("pos_",), "decay": ("decay_", "ple_"), "switch": ("switch_",)}
+    groups = {"positivity": "pos_", "decay": "decay_", "switch": "switch_"}
     results = []
     feasible_ratios = []
     for r in SCAN_RATIOS:
-        values = {}
-        for k, real in enumerate(model.realizations, start=1):
-            c = 1.0 if k == 1 else float(r)
-            K = np.array([[c]])
-            values[f"K{k}"] = K
-            values[f"Y{k}"] = real.B.T @ K
+        values = {"K1": np.array([[1.0]]), "K2": np.array([[float(r)]])}
         margins = prob.verify(values, eps)
         group_margins = {
             g: min(m for name, m in margins.items() if name.startswith(pre))
@@ -351,59 +310,44 @@ def scan_canonical_family(model: SldsModel) -> dict:
 
 
 def certificate_to_json(cert: MlfCertificate) -> dict:
-    modes = []
-    fbars = cert.fbars if cert.fbars is not None else [None] * len(cert.kernels)
-    for k, (K, Y, F) in enumerate(zip(cert.kernels, cert.multipliers, fbars), start=1):
-        entry = {"K": np.asarray(K).tolist(), "Y": np.asarray(Y).tolist()}
-        if F is not None:
-            entry["F"] = np.asarray(F).tolist()
-        entry["margins"] = {
-            name: float(m)
-            for name, m in cert.margins.items()
-            if name.endswith(f"_{k}") and not name.startswith("switch")
-        }
-        modes.append(entry)
-    transitions = []
-    for name, m in sorted(cert.margins.items()):
-        if name.startswith("switch_"):
-            _, k, l = name.split("_")
-            transitions.append(
-                {"from": int(k), "to": int(l), "switch_margin": float(m)}
-            )
     return {
         "route": cert.route,
         "epsilon": cert.epsilon,
-        "modes": modes,
-        "transitions": transitions,
+        "modes": [{"K": np.asarray(K).tolist()} for K in cert.kernels],
         "margins": {k: float(v) for k, v in cert.margins.items()},
         "solver": cert.solver,
     }
 
 
 def certificate_from_json(doc: dict) -> MlfCertificate:
+    """Read a certificate file; keys other than ``certificate_to_json``'s
+    (the ``Y``, ``F``, per-mode margins and ``transitions`` of older files)
+    are ignored.  Rejects an ``epsilon`` that is not positive and finite and
+    a ``K`` that is not a finite symmetric square matrix."""
     for key in ("route", "epsilon", "modes"):
         if key not in doc:
             raise ValueError(f"certificate missing key '{key}'")
-    kernels = [np.asarray(m["K"], dtype=float) for m in doc["modes"]]
-    mults = [np.asarray(m["Y"], dtype=float) for m in doc["modes"]]
-    fbars = None
-    if all("F" in m for m in doc["modes"]):
-        fbars = [np.asarray(m["F"], dtype=float) for m in doc["modes"]]
-    for K, Y in zip(kernels, mults):
+    eps = float(doc["epsilon"])
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"certificate epsilon must be positive and finite, got {eps}")
+    kernels = []
+    for k, mode in enumerate(doc["modes"], start=1):
+        K = np.asarray(mode["K"], dtype=float)
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
-            raise ValueError("kernel K must be square")
+            raise ValueError(f"mode {k}: kernel K must be square")
+        bad = np.argwhere(~np.isfinite(K))
+        if bad.size:
+            where = ", ".join(f"{K[i, j]} at entry ({i + 1},{j + 1})" for i, j in bad)
+            raise ValueError(f"mode {k}: kernel K has a non-finite entry: {where}")
         if not np.allclose(K, K.T, atol=1e-12 * max(1.0, np.abs(K).max())):
-            raise ValueError("kernel K must be symmetric")
-        if Y.ndim != 2 or Y.shape[1] != K.shape[0]:
-            raise ValueError("multiplier Y has incompatible shape")
+            raise ValueError(f"mode {k}: kernel K must be symmetric")
+        kernels.append(K)
     return MlfCertificate(
         route=str(doc["route"]),
-        epsilon=float(doc["epsilon"]),
+        epsilon=eps,
         kernels=kernels,
-        multipliers=mults,
         margins={k: float(v) for k, v in doc.get("margins", {}).items()},
         solver=dict(doc.get("solver", {})),
-        fbars=fbars,
     )
 
 

@@ -9,7 +9,8 @@ import pytest
 
 from sldstab import posreal as pr
 from sldstab.cli import build_parser, main
-from sldstab.fixtures import unstable_mode
+from sldstab.fixtures import elcirc, unstable_mode
+from sldstab.mlf import certificate_to_json, find_mlf
 from sldstab.model import SldsModel, load_model, model_to_json
 from sldstab.polymat import PolyMatrix, polymatrix_to_json
 
@@ -96,7 +97,8 @@ class TestCheck:
 
     def test_verify_only_free_multipliers(self, capsys):
         # certificate from a search that solved for Y_k as free variables,
-        # so Y_k differs from B_k^T K_k; the ple_k re-check still accepts it
+        # so its stored Y_k differ from B_k^T K_k; a certificate is its K_k,
+        # so the stored Y_k are ignored and the K_k verify
         cert = str(DATA / "converter4_free_multipliers.cert.json")
         assert main(["check", CONVERTER4, "--verify-only", cert]) == 0
         assert "certificate verifies" in capsys.readouterr().out
@@ -223,8 +225,6 @@ def _extra_mode(doc):
 def _two_by_two_kernel(doc):
     m = doc["modes"][1]
     m["K"] = [[m["K"][0][0], 0.0], [0.0, m["K"][0][0]]]
-    m["Y"] = [row + [0.0] for row in m["Y"]]
-    m.pop("F", None)
     return "mode 2: K is 2x2, the mode has state dimension 1"
 
 
@@ -418,6 +418,10 @@ def test_expanding_gluing_not_certified(tmp_path):
         assert main(["check", str(path), "--route", route]) == 2, route
 
 
+def _zero_kernels(model_path):
+    return [{"K": np.zeros((r.n, r.n)).tolist()} for r in load_model(model_path).realizations]
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 1: a certificate's own 'route' label selects the "
@@ -425,15 +429,45 @@ def test_expanding_gluing_not_certified(tmp_path):
 )
 @pytest.mark.parametrize("name", ["concond", "source_converter_4mode"])
 def test_zero_posreal_certificate_rejected(tmp_path, name):
-    """K = 0, Y = 0 labelled "posreal" is no Lyapunov function of any model."""
+    """K = 0 labelled "posreal" is no Lyapunov function of any model."""
     model_path = str(MODELS / f"{name}.json")
-    modes = [
-        {"K": np.zeros((r.n, r.n)).tolist(), "Y": np.zeros((r.w, r.n)).tolist()}
-        for r in load_model(model_path).realizations
-    ]
+    modes = _zero_kernels(model_path)
     cert = tmp_path / "zero.json"
     cert.write_text(json.dumps({"route": "posreal", "epsilon": 1e-7, "modes": modes}))
     assert main(["check", model_path, "--verify-only", str(cert)]) == 2
+
+
+@pytest.mark.parametrize(
+    "epsilon, entry",
+    [(0, None), (-1, None), (float("nan"), None), (float("inf"), None),
+     (1e-7, float("nan")), (1e-7, float("inf"))],
+    ids=["eps0", "eps-1", "epsNaN", "epsInf", "KNaN", "KInf"],
+)
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("name", CORPUS)
+def test_certificate_not_finite_exits_1(tmp_path, capsys, name, command, epsilon, entry):
+    """With eps = 0 the strict shifts vanish and K = 0 met every condition."""
+    model_path = str(MODELS / f"{name}.json")
+    modes = _zero_kernels(model_path)
+    if entry is None:
+        message = f"certificate epsilon must be positive and finite, got {float(epsilon)}"
+    else:
+        modes[-1]["K"][0][0] = entry
+        message = f"mode {len(modes)}: kernel K has a non-finite entry: {entry} at entry (1,1)"
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"route": "lmi", "epsilon": epsilon, "modes": modes}))
+    if command == "check":
+        argv = ["check", model_path, "--verify-only", str(cert)]
+    else:
+        signal = tmp_path / "signal.json"
+        signal.write_text(json.dumps({"initial_mode": 1, "events": []}))
+        x0 = ",".join(["1.0"] * len(modes[0]["K"]))
+        argv = ["simulate", model_path, "--signal", str(signal), "--x0", x0,
+                "--t-end", "1", "--dt", "0.1", "--cert", str(cert)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert "verif" not in captured.out and "audit" not in captured.out
 
 
 def test_standard_model_emission(tmp_path):
@@ -472,3 +506,20 @@ def test_readme_usage_matches_parser():
         for name, p in sub.choices.items()
     }
     assert _readme_options() == options
+
+
+def _readme_certificate_keys() -> tuple[set[str], set[str]]:
+    """Top-level and per-mode keys in the README's "Certificate file" table."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Certificate file", 1)[1].split("\n## ", 1)[0]
+    keys = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+    top = {k for k in keys if "[]." not in k}
+    per_mode = {k.split("[].", 1)[1] for k in keys if k.startswith("modes[].")}
+    return top, per_mode
+
+
+def test_readme_certificate_keys_match_writer():
+    doc = certificate_to_json(find_mlf(elcirc()))
+    top, per_mode = _readme_certificate_keys()
+    assert top == set(doc)
+    assert all(set(mode) == per_mode for mode in doc["modes"])

@@ -36,7 +36,7 @@ def _lyapunov_problem(A, eps):
 def _converter_search(model, strict):
     """The K-only search ``find_mlf`` runs, as a bare solve: (problem, eps, report)."""
     eps = EPS_REL * problem_scale(model)
-    prob = assemble_mlf_lmis(model, eps, strict=strict, multipliers=False)
+    prob = assemble_mlf_lmis(model, eps, strict=strict)
     return prob, eps, prob.solve(eps, warm_start=_warm_start(model))
 
 
@@ -283,11 +283,7 @@ class TestBatchedCompile:
     def test_corpus_lmis_match_probing(self, name, strict):
         model = load_model(MODELS / f"{name}.json")
         eps = EPS_REL * problem_scale(model)
-        for multipliers in (False, True):
-            prob = assemble_mlf_lmis(
-                model, eps, strict=strict, multipliers=multipliers
-            )
-            _assert_compiles_like_probing(prob)
+        _assert_compiles_like_probing(assemble_mlf_lmis(model, eps, strict=strict))
 
     def test_posreal_gram_lmi_matches_probing(self, monkeypatch):
         problems = []
