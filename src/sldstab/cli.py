@@ -10,7 +10,9 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -168,8 +170,25 @@ def cmd_standard(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse under the exit-code contract: a usage error exits 1 (invalid
+    input), since 2 means "no certificate".  A word that starts with a minus
+    and a digit, such as the ``-1,0.5`` of ``--x0 -1,0.5``, is a value, not
+    an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="slds", description=__doc__)
+    """The ``slds`` parser, built once per process."""
+    p = _Parser(prog="slds", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("check", help="find/verify a stability certificate")

@@ -4,17 +4,17 @@ A model is a bank of square nonsingular polynomial matrices (one kernel
 representation per mode) plus gluing-condition pairs for the allowed
 transitions.  Each derived object is computed once per model and kept on it:
 
-- at construction, each mode's ``polymat.Divisor`` (``det R_k``, the
-  singularity check, and ``adj R_k``) from :func:`mode_divisor`, which also
-  rejects a constant ``det R_k`` (a mode without state), its minimal state
+- at construction, the check of each mode by :func:`check_mode` (``det R_k``
+  is not zero and not constant, so the mode has a state), its minimal state
   map when none is given, and its realization;
 - on first use, the normal form of the gluing pairs and the
   re-initialisation maps built from it.
 
 Every reduction modulo ``R_k`` (state map, the realization's ``C``, normal
-form, Hurwitz test) divides through the mode's divisor, so
-``det R_k`` and ``adj R_k`` are computed once per mode and model.  The normal
-form reduces once per mode: the ``G-`` of every transition out of mode ``k``
+form, Hurwitz test) divides by the mode matrix itself, which keeps its
+``det R_k`` and ``adj R_k`` (:attr:`PolyMatrix.det`, :attr:`PolyMatrix.adj`),
+so they are computed once per mode and model.  The normal form reduces once
+per mode: the ``G-`` of every transition out of mode ``k``
 and the ``G+`` of every transition into it are stacked into one division
 modulo ``R_k`` and one least-squares solve over ``X_k``, then split by
 transition.  Nothing is shared between models: two loads of one file compute
@@ -32,7 +32,6 @@ from functools import cached_property
 import numpy as np
 
 from .polymat import (
-    Divisor,
     PolyMatrix,
     is_hurwitz,
     polymatrix_from_json,
@@ -69,16 +68,12 @@ class SldsModel:
     """Bank of modes plus gluing conditions, with derived normal form.
 
     The derived data assumes ``modes``, ``gluing`` and ``state_maps`` are not
-    changed after construction.  ``divisors`` holds each mode's ``det R_k``
-    and ``adj R_k``; every reduction modulo ``R_k`` goes through it.  A
-    caller that has already built them with :func:`mode_divisor`, which
-    rejects a mode without state, may pass them.
+    changed after construction.
     """
 
     modes: list[PolyMatrix]
     gluing: dict[tuple[int, int], tuple[PolyMatrix, PolyMatrix]]
     state_maps: list[PolyMatrix] = field(default_factory=list)
-    divisors: list[Divisor] = field(default_factory=list)
     realizations: list[StateRealization] = field(init=False)
 
     def __post_init__(self):
@@ -90,14 +85,8 @@ class SldsModel:
                 raise ValueError(f"mode {i + 1} matrix is not square")
             if R.cols != w:
                 raise ValueError("all modes must share the variable count")
-        if not self.divisors:
-            self.divisors = [
-                mode_divisor(k, R) for k, R in enumerate(self.modes, start=1)
-            ]
-        if len(self.divisors) != len(self.modes) or any(
-            d.R is not R for d, R in zip(self.divisors, self.modes)
-        ):
-            raise ValueError("divisors must be those of the modes")
+        for k, R in enumerate(self.modes, start=1):
+            check_mode(k, R)
         for (k, l), (gm, gp) in self.gluing.items():
             if k == l:
                 raise ValueError("gluing keys must connect distinct modes")
@@ -108,11 +97,11 @@ class SldsModel:
             if gm.cols != w or gp.cols != w:
                 raise ValueError(f"gluing pair ({k},{l}) column count must be {w}")
         if not self.state_maps:
-            self.state_maps = [minimal_state_map(d) for d in self.divisors]
+            self.state_maps = [minimal_state_map(R) for R in self.modes]
         if len(self.state_maps) != len(self.modes):
             raise ValueError("state_maps must match the number of modes")
         self.realizations = [
-            realize(d, X) for d, X in zip(self.divisors, self.state_maps)
+            realize(R, X) for R, X in zip(self.modes, self.state_maps)
         ]
 
     @property
@@ -137,22 +126,21 @@ class SldsModel:
         return reinit_maps(self)
 
 
-def mode_divisor(k: int, R: PolyMatrix) -> Divisor:
-    """The divisor of mode ``k`` (1-based); the mode must have a state.
+def check_mode(k: int, R: PolyMatrix) -> None:
+    """Check that mode ``k`` (1-based) has a state.
 
     A singular ``R`` or a constant ``det R`` (state dimension 0) is an
     error that names the mode.
     """
     try:
-        div = Divisor(R)
+        d = R.det
     except ValueError:
         raise ValueError(f"mode {k} matrix is singular") from None
-    if div.det.degree < 1:
+    if d.degree < 1:
         raise ValueError(
             f"mode {k} has constant det R, so no state; every mode needs "
             "deg det R >= 1"
         )
-    return div
 
 
 def normal_form(model: SldsModel) -> dict[tuple[int, int], NormalFormPair]:
@@ -170,7 +158,7 @@ def normal_form(model: SldsModel) -> dict[tuple[int, int], NormalFormPair]:
     solved = {}
     for mode, items in blocks.items():
         fs = express_in_state_basis(
-            [g for _, _, g in items], model.divisors[mode - 1], model.state_maps[mode - 1]
+            [g for _, _, g in items], model.modes[mode - 1], model.state_maps[mode - 1]
         )
         for (key, side, _), f in zip(items, fs):
             solved[key, side] = f
@@ -224,7 +212,7 @@ def reinit_maps(model: SldsModel) -> dict[tuple[int, int], ReinitMap]:
 
 
 def modes_hurwitz(model: SldsModel) -> list[bool]:
-    return [is_hurwitz(d) for d in model.divisors]
+    return [is_hurwitz(R) for R in model.modes]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Coefficients are stored ascending (index i holds the coefficient of
 ``xi**i``) in double precision.  All values are trimmed against a global
 relative tolerance and treated as immutable; every operation returns a new
-object.
+object.  A :class:`PolyMatrix` keeps its coefficients read-only, so the
+determinant and adjugate it caches for division modulo itself never go
+stale.
 """
 
 from __future__ import annotations
@@ -58,46 +60,12 @@ class Poly:
     def is_zero(self) -> bool:
         return len(self.coeffs) == 1 and self.coeffs[0] == 0.0
 
-    def __add__(self, other):
-        other = as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        c = np.zeros(n)
-        c[: len(self.coeffs)] += self.coeffs
-        c[: len(other.coeffs)] += other.coeffs
-        return Poly(c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly(-self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-as_poly(other))
-
-    def __rsub__(self, other):
-        return as_poly(other) + (-self)
-
-    def __mul__(self, other):
-        other = as_poly(other)
-        if self.is_zero() or other.is_zero():
-            return Poly([0.0])
-        return Poly(np.convolve(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
     def __call__(self, x):
         # Horner evaluation; works for real, complex and array arguments.
         acc = 0.0 * np.asarray(x) + self.coeffs[-1]
         for c in self.coeffs[-2::-1]:
             acc = acc * x + c
         return acc
-
-    def __eq__(self, other):
-        other = as_poly(other)
-        return np.array_equal(self.coeffs, other.coeffs)
-
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)})"
@@ -160,9 +128,12 @@ class PolyMatrix:
     side, ``[M_0 ... M_{g-1}]``, the one layout in which state maps, kernels
     and two-variable forms are matched coefficient by coefficient;
     :meth:`from_stack` reads it back.
-    """
 
-    __slots__ = ("coeffs",)
+    Every division modulo a square ``R`` divides ``F adj(R)`` by ``det R``.
+    :attr:`det` and :attr:`adj` are computed at first use and kept on the
+    matrix, so a matrix reduced many times (a model's mode) pays for them
+    once.  ``coeffs`` is read-only, so they cannot go stale.
+    """
 
     def __init__(self, coeffs):
         c = np.asarray(coeffs, dtype=float)
@@ -178,6 +149,7 @@ class PolyMatrix:
             last = keep[-1] if keep.size else 0
             c = c[: last + 1].copy()
             c[np.abs(c) <= TRIM_TOL * scale] = 0.0
+        c.flags.writeable = False
         self.coeffs = c
 
     # -- constructors -----------------------------------------------------
@@ -229,6 +201,19 @@ class PolyMatrix:
 
     def is_zero(self) -> bool:
         return self.coeffs.shape[0] == 1 and not np.any(self.coeffs)
+
+    @cached_property
+    def det(self) -> Poly:
+        """``det R``; raises if the matrix is not square or is singular."""
+        d = determinant(self)
+        if d.is_zero():
+            raise ValueError("matrix is singular (det identically zero)")
+        return d
+
+    @cached_property
+    def adj(self) -> "PolyMatrix":
+        """``adj R``, with ``R @ adj(R) = det(R) * I``."""
+        return adjugate(self)
 
     def entry(self, i: int, j: int) -> Poly:
         return Poly(self.coeffs[:, i, j])
@@ -408,9 +393,9 @@ def adjugate(R: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(cof.transpose(2, 1, 0))  # adj[j, i] = cofactor (i, j)
 
 
-def is_hurwitz(R: PolyMatrix | Divisor) -> bool:
+def is_hurwitz(R: PolyMatrix) -> bool:
     """True iff every root of ``det R`` has real part below ``-HURWITZ_TOL``."""
-    d = Divisor.of(R).det
+    d = R.det
     if d.degree == 0:
         return True
     return bool(np.all(poly_roots(d).real < -HURWITZ_TOL))
@@ -418,34 +403,6 @@ def is_hurwitz(R: PolyMatrix | Divisor) -> bool:
 
 # ---------------------------------------------------------------------------
 # division modulo a nonsingular R
-
-
-class Divisor:
-    """A nonsingular square ``R`` with its ``det R`` and ``adj R``.
-
-    Every division modulo ``R`` divides ``F adj(R)`` by ``det R``.  A divisor
-    holds both, so a matrix reduced many times (a model's mode) pays for them
-    once: ``det R`` when it is built (the singularity check), ``adj R`` at the
-    first division.  The functions that reduce modulo ``R`` take a divisor or
-    a plain matrix; for a plain matrix they build a divisor for that call.
-    """
-
-    def __init__(self, R: PolyMatrix):
-        if R.rows != R.cols:
-            raise ValueError("expected a square matrix")
-        self.R = R
-        self.det = determinant(R)
-        if self.det.is_zero():
-            raise ValueError("matrix is singular (det identically zero)")
-
-    @cached_property
-    def adj(self) -> PolyMatrix:
-        return adjugate(self.R)
-
-    @classmethod
-    def of(cls, R: PolyMatrix | Divisor) -> Divisor:
-        """``R`` itself if it is a divisor, else a new divisor of ``R``."""
-        return R if isinstance(R, Divisor) else cls(R)
 
 
 def _trim_blocks(c: np.ndarray, bounds) -> np.ndarray:
@@ -458,13 +415,13 @@ def _trim_blocks(c: np.ndarray, bounds) -> np.ndarray:
     return c
 
 
-def _quotient(f: np.ndarray, div: Divisor, bounds) -> np.ndarray:
+def _quotient(f: np.ndarray, R: PolyMatrix, bounds) -> np.ndarray:
     """Untrimmed polynomial part of ``F R^{-1}``, trimming ``F adj(R)`` by blocks."""
-    d = div.det.coeffs
+    d = R.det.coeffs
     m = len(d) - 1
-    rem = _trim_blocks(_matmul(f, div.adj.coeffs), bounds)
+    rem = _trim_blocks(_matmul(f, R.adj.coeffs), bounds)
     if rem.shape[0] <= m:
-        return np.zeros((1, f.shape[1], div.R.cols))
+        return np.zeros((1, f.shape[1], R.cols))
     q = np.zeros((rem.shape[0] - m,) + rem.shape[1:])
     for k in range(q.shape[0] - 1, -1, -1):
         q[k] = rem[k + m] / d[m]
@@ -472,20 +429,19 @@ def _quotient(f: np.ndarray, div: Divisor, bounds) -> np.ndarray:
     return q
 
 
-def polynomial_part(F: PolyMatrix, R: PolyMatrix | Divisor) -> PolyMatrix:
+def polynomial_part(F: PolyMatrix, R: PolyMatrix) -> PolyMatrix:
     """Polynomial part ``N`` of ``F R^{-1} = N + S`` with ``S`` strictly proper.
 
     One long division of the coefficient stack of ``F adj(R)`` by ``det R``,
     all entries at once, one step per quotient degree.
     """
-    div = Divisor.of(R)
-    if F.cols != div.R.rows:
+    if F.cols != R.rows:
         raise ValueError("dimension mismatch between F and R")
-    return PolyMatrix(_quotient(F.coeffs, div, (0, F.rows)))
+    return PolyMatrix(_quotient(F.coeffs, R, (0, F.rows)))
 
 
 def canonical_rep(
-    F: PolyMatrix | Sequence[PolyMatrix], R: PolyMatrix | Divisor
+    F: PolyMatrix | Sequence[PolyMatrix], R: PolyMatrix
 ) -> PolyMatrix | list[PolyMatrix]:
     """Canonical representative of ``F`` modulo ``R``.
 
@@ -497,14 +453,13 @@ def canonical_rep(
     is returned.  Each block is trimmed against its own scale only, so every
     representative equals the block's lone reduction.
     """
-    div = Divisor.of(R)
     blocks = [F] if isinstance(F, PolyMatrix) else list(F)
-    if any(b.cols != div.R.rows for b in blocks):
+    if any(b.cols != R.rows for b in blocks):
         raise ValueError("dimension mismatch between F and R")
     bounds = np.cumsum([0] + [b.rows for b in blocks])
     f = _stack_rows(blocks)
-    q = _trim_blocks(_quotient(f, div, bounds), bounds)
-    nr = _trim_blocks(_matmul(q, div.R.coeffs), bounds)
+    q = _trim_blocks(_quotient(f, R, bounds), bounds)
+    nr = _trim_blocks(_matmul(q, R.coeffs), bounds)
     g = np.zeros((max(f.shape[0], nr.shape[0]),) + f.shape[1:])
     g[: f.shape[0]] += f
     g[: nr.shape[0]] -= nr
@@ -512,7 +467,7 @@ def canonical_rep(
     return reps[0] if isinstance(F, PolyMatrix) else reps
 
 
-def is_strictly_proper(N: PolyMatrix, D: PolyMatrix | Divisor) -> bool:
+def is_strictly_proper(N: PolyMatrix, D: PolyMatrix) -> bool:
     """True iff every entry of ``N D^{-1}`` is strictly proper."""
     return polynomial_part(N, D).is_zero()
 
@@ -541,7 +496,7 @@ def leading_column_matrix(R: PolyMatrix) -> np.ndarray:
 
 
 def column_reduce(
-    R: PolyMatrix | Divisor, max_iter: int = 200
+    R: PolyMatrix, max_iter: int = 200
 ) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     """Column reduction ``R' = R U`` with ``U`` unimodular; returns
     ``(R', U, U^{-1})``.
@@ -556,7 +511,7 @@ def column_reduce(
     ``(e_j* - sum_{j != j*} v_j xi^(d_j* - d_j) e_j) / v_j*``, and ``U^{-1}``
     is accumulated from these.
     """
-    R = Divisor.of(R).R  # raises if R is singular
+    R.det  # raises if R is not square or is singular
     n = R.cols
     Rp = R
     U = PolyMatrix.identity(n)

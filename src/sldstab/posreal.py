@@ -23,11 +23,10 @@ from functools import cached_property
 import numpy as np
 
 from .mlf import MlfCertificate, make_certificate
-from .model import SldsModel, mode_divisor
+from .model import SldsModel, check_mode
 from .polymat import (
     HURWITZ_TOL,
     MINUS_INF,
-    Divisor,
     Poly,
     PolyMatrix,
     determinant,
@@ -87,12 +86,12 @@ class StandardSlds:
     @cached_property
     def spr(self) -> tuple[bool, dict]:
         """``is_strictly_positive_real(R2, R1)``, read off :attr:`boundary`."""
-        return _spr_verdict(self.R2, self.model.divisors[0], self.boundary)
+        return _spr_verdict(self.R2, self.R1, self.boundary)
 
     @cached_property
     def spectral_factor(self) -> PolyMatrix:
         """``Q`` with ``Q(-xi)^T Q(xi)`` equal to :attr:`boundary`."""
-        return spectral_factorize(self.boundary, self.model.divisors[0]).Q
+        return spectral_factorize(self.boundary, self.R1).Q
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +108,7 @@ def para_hermitian_boundary(N: PolyMatrix, D: PolyMatrix) -> PolyMatrix:
     return (D.subs_neg().T @ N) + (N.subs_neg().T @ D)
 
 
-def _uncancelled_rhp_poles(N: PolyMatrix, D: Divisor) -> list[complex]:
+def _uncancelled_rhp_poles(N: PolyMatrix, D: PolyMatrix) -> list[complex]:
     """Closed-right-half-plane roots of det D surviving gcd reduction."""
     rts = poly_roots(D.det)
     bad = [r for r in rts if r.real > -HURWITZ_TOL]
@@ -138,26 +137,23 @@ def _uncancelled_rhp_poles(N: PolyMatrix, D: Divisor) -> list[complex]:
     return poles
 
 
-def is_strictly_positive_real(
-    N: PolyMatrix, D: PolyMatrix | Divisor
-) -> tuple[bool, dict]:
+def is_strictly_positive_real(N: PolyMatrix, D: PolyMatrix) -> tuple[bool, dict]:
     """SPR test for ``G = N D^{-1}`` with a witness on failure.
 
     Checks analyticity in the closed right half-plane (uncancelled poles)
     and strict positivity of the boundary polynomial at ``omega = 0``
     together with absence of imaginary-axis roots of its determinant.
     """
-    if isinstance(D, PolyMatrix):
-        if D.rows != D.cols:
-            raise ValueError("D must be square")
-        try:
-            D = Divisor(D)
-        except ValueError:
-            raise ValueError("D is singular") from None
-    return _spr_verdict(N, D, para_hermitian_boundary(N, D.R))
+    if D.rows != D.cols:
+        raise ValueError("D must be square")
+    try:
+        D.det
+    except ValueError:
+        raise ValueError("D is singular") from None
+    return _spr_verdict(N, D, para_hermitian_boundary(N, D))
 
 
-def _spr_verdict(N: PolyMatrix, D: Divisor, P: PolyMatrix) -> tuple[bool, dict]:
+def _spr_verdict(N: PolyMatrix, D: PolyMatrix, P: PolyMatrix) -> tuple[bool, dict]:
     """``is_strictly_positive_real`` given the boundary form ``P`` of (N, D)."""
     poles = _uncancelled_rhp_poles(N, D)
     if poles:
@@ -184,7 +180,7 @@ def _spr_verdict(N: PolyMatrix, D: Divisor, P: PolyMatrix) -> tuple[bool, dict]:
 # spectral factorization
 
 
-def _scalar_factor(p: Poly, R1: PolyMatrix | Divisor | None) -> PolyMatrix:
+def _scalar_factor(p: Poly, R1: PolyMatrix | None) -> PolyMatrix:
     """Root-splitting factorization of an even scalar ``p(xi) = q(-xi)q(xi)``.
 
     From each ``{lam, -lam}`` root pair, picks the root keeping
@@ -205,7 +201,7 @@ def _scalar_factor(p: Poly, R1: PolyMatrix | Divisor | None) -> PolyMatrix:
             raise ValueError("boundary polynomial is indefinite")
         return PolyMatrix.from_entries([[Poly([np.sqrt(p.coeffs[0])])]])
     rts = list(poly_roots(p))
-    d1 = None if R1 is None else Divisor.of(R1).det
+    d1 = None if R1 is None else R1.det
     chosen = []
     while rts:
         r = rts.pop(0)
@@ -280,7 +276,7 @@ def _gram_factor(P: PolyMatrix) -> PolyMatrix:
 
 
 def spectral_factorize(
-    P: PolyMatrix, R1: PolyMatrix | Divisor | None = None
+    P: PolyMatrix, R1: PolyMatrix | None = None
 ) -> SpectralFactor:
     """Factor a para-Hermitian line polynomial as ``P(xi) = Q(-xi)^T Q(xi)``.
 
@@ -322,23 +318,24 @@ def build_standard_slds(R1: PolyMatrix, R2: PolyMatrix) -> StandardSlds:
     if R1.shape != R2.shape or R1.rows != R1.cols:
         raise ValueError("R1 and R2 must be square with equal sizes")
     w = R1.cols
-    D1, D2 = (mode_divisor(k, R) for k, R in enumerate((R1, R2), start=1))
-    if not is_strictly_proper(R2, D1):
+    for k, R in enumerate((R1, R2), start=1):
+        check_mode(k, R)
+    if not is_strictly_proper(R2, R1):
         raise ValueError(
             "R2 R1^{-1} is not strictly proper; the biproper case is out of scope"
         )
-    n1 = int(D1.det.degree)
-    n2 = int(D2.det.degree)
+    n1 = int(R1.det.degree)
+    n2 = int(R2.det.degree)
     if n1 - n2 != w:
         raise ValueError(
             f"state-dimension gap n1-n2 = {n1 - n2} differs from w = {w}; "
             "the input pair does not admit a standard construction"
         )
-    X2 = minimal_state_map(D2)
-    if not is_strictly_proper(X2, D1):
+    X2 = minimal_state_map(R2)
+    if not is_strictly_proper(X2, R1):
         raise ValueError("mode-2 state rows are not states of mode 1")
     # extend X2 to a minimal state map of mode 1 with rows from its own map
-    Xc = minimal_state_map(D1)
+    Xc = minimal_state_map(R1)
     grid = int(max(Xc.degree, X2.degree, 0)) + 1
     base = X2.stack(grid)
     picked = []
@@ -358,10 +355,10 @@ def build_standard_slds(R1: PolyMatrix, R2: PolyMatrix) -> StandardSlds:
         raise ValueError("failed to extend the mode-2 state basis to mode 1")
     X1p = vstack(picked)
     X1 = vstack([X2, X1p])
-    (Pi,) = express_in_state_basis([X1p], D2, X2)
+    (Pi,) = express_in_state_basis([X1p], R2, X2)
     # constant feed-through K = lim xi X1p R1^{-1}
     xi = Poly([0.0, 1.0])
-    Kmat = polynomial_part(X1p.scale(xi), D1)
+    Kmat = polynomial_part(X1p.scale(xi), R1)
     if Kmat.degree > 0:
         raise ValueError("xi X1' R1^{-1} is not proper")
     K = Kmat.coeffs[0]
@@ -372,9 +369,7 @@ def build_standard_slds(R1: PolyMatrix, R2: PolyMatrix) -> StandardSlds:
         (2, 1): (vstack([X2, PiX2]), X1),
         (1, 2): (X2, X2),
     }
-    model = SldsModel(
-        modes=[R1, R2], gluing=gluing, state_maps=[X1, X2], divisors=[D1, D2]
-    )
+    model = SldsModel(modes=[R1, R2], gluing=gluing, state_maps=[X1, X2])
     return StandardSlds(
         R1=R1, R2=R2, X1=X1, X2=X2, X1p=X1p, Pi=Pi, K=K, model=model
     )
@@ -386,14 +381,13 @@ def build_standard_slds(R1: PolyMatrix, R2: PolyMatrix) -> StandardSlds:
 
 def mlf_from_positive_real(s: StandardSlds) -> MlfCertificate:
     """Storage-function MLF for a standard SLDS with SPR ``R2 R1^{-1}``."""
-    D1, D2 = s.model.divisors
-    if not is_hurwitz(D1) or not is_hurwitz(D2):
+    if not is_hurwitz(s.R1) or not is_hurwitz(s.R2):
         raise ValueError("both modes must be Hurwitz")
     ok, witness = s.spr
     if not ok:
         raise ValueError(f"R2 R1^-1 is not strictly positive real: {witness}")
     Q = s.spectral_factor
-    if not is_strictly_proper(Q, D1):
+    if not is_strictly_proper(Q, s.R1):
         raise ValueError("spectral factor Q R1^{-1} is not strictly proper")
     phi = two_var_from_pair(s.R1, s.R2)
     psi1 = divide_by_zeta_plus_eta(phi - two_var_product(Q, Q))
@@ -431,8 +425,7 @@ def positive_real_completion(s: StandardSlds, cert: MlfCertificate) -> PolyMatri
     ok, witness = s.spr
     if not ok:
         raise ValueError(f"the completion hypothesis fails: {witness}")
-    D1, D2 = s.model.divisors
-    Ppoly = polynomial_part(s.X1p, D2)
+    Ppoly = polynomial_part(s.X1p, s.R2)
     Mconst = s.K.T @ P22
     M = PolyMatrix(Mconst[None, :, :]) @ Ppoly
     # reconstruct (z+e)Psi1 = -Q^T Q + V(z)^T R1(e) + R1(z)^T V(e), V = M R2
@@ -443,14 +436,12 @@ def positive_real_completion(s: StandardSlds, cert: MlfCertificate) -> PolyMatri
     resid = (lhs - rhs).max_norm()
     if resid > 1e-7 * max(1.0, lhs.max_norm()):
         raise ValueError(f"completion identity residual {resid:.3e}")
-    if not check_completion(M, s.R2, D1):
+    if not check_completion(M, s.R2, s.R1):
         raise ValueError("computed M fails the SPR completion check")
     return M
 
 
-def check_completion(
-    M: PolyMatrix, R2: PolyMatrix, R1: PolyMatrix | Divisor
-) -> bool:
+def check_completion(M: PolyMatrix, R2: PolyMatrix, R1: PolyMatrix) -> bool:
     """True iff ``M R2 R1^{-1}`` is strictly positive real."""
     ok, _ = is_strictly_positive_real(M @ R2, R1)
     return ok

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .polymat import Divisor, PolyMatrix, canonical_rep
+from .polymat import PolyMatrix, canonical_rep
 
 CANONICAL_RESIDUAL_TOL = 1e-9
 DIVIDE_TOL = 1e-9  # remainder of divide_by_zeta_plus_eta, relative to the form
@@ -133,19 +133,19 @@ def _factor_flat(psi: TwoVarForm) -> tuple[PolyMatrix, np.ndarray]:
     return PolyMatrix.from_stack(rowsc, psi.w), np.sign(lam)
 
 
-def qdf_mod(phi: TwoVarForm, R: PolyMatrix | Divisor) -> TwoVarForm:
+def qdf_mod(phi: TwoVarForm, R: PolyMatrix) -> TwoVarForm:
     """R-canonical representative of a two-variable form.
 
     Factors ``phi = M(z)^T S M(e)``, reduces ``M`` modulo ``R`` row-wise and
     re-multiplies.
     """
-    div = Divisor.of(R)
-    if div.R.cols != phi.w:
+    R.det  # raises if R is not square or is singular
+    if R.cols != phi.w:
         raise ValueError("variable-count mismatch between form and R")
     M, signs = _factor_flat(phi)
     if M.rows == 0:
         return TwoVarForm(np.zeros((1, 1, phi.w, phi.w)))
-    Mred = canonical_rep(M, div)
+    Mred = canonical_rep(M, R)
     return two_var_product(Mred, Mred, signs)
 
 

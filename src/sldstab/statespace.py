@@ -24,7 +24,6 @@ import scipy.linalg
 
 from .polymat import (
     MINUS_INF,
-    Divisor,
     Poly,
     PolyMatrix,
     canonical_rep,
@@ -39,7 +38,7 @@ EIGVEC_TOL = 1e-8
 ROOT_CLUSTER_TOL = 1e-6  # relative distance at which eigenstructure merges roots
 
 
-def minimal_state_map(R: PolyMatrix | Divisor) -> PolyMatrix:
+def minimal_state_map(R: PolyMatrix) -> PolyMatrix:
     """Deterministic minimal state map for ``ker R(d/dt)``.
 
     Column-reduce ``R`` to ``R' = R U`` with column degrees ``d_j``; the rows
@@ -48,13 +47,12 @@ def minimal_state_map(R: PolyMatrix | Divisor) -> PolyMatrix:
     normalized by the canonical representative.  Rows are ordered by
     (column index, power ascending).
     """
-    div = Divisor.of(R)
-    Rp, _, Uinv = column_reduce(div)
+    Rp, _, Uinv = column_reduce(R)
     degs = column_degrees(Rp)
-    w = div.R.cols
+    w = R.cols
     if MINUS_INF in degs:
         raise ValueError("column-reduced matrix has a zero column")
-    n = int(round(div.det.degree))
+    n = int(round(R.det.degree))
     found = int(sum(degs))
     if found != n:
         raise ValueError(
@@ -67,12 +65,12 @@ def minimal_state_map(R: PolyMatrix | Divisor) -> PolyMatrix:
         for k in range(int(dj)):
             rows[k : k + u.shape[0], at] = u[:, j]
             at += 1
-    return canonical_rep(PolyMatrix(rows), div)
+    return canonical_rep(PolyMatrix(rows), R)
 
 
 def express_in_state_basis(
     blocks: list[PolyMatrix],
-    R: PolyMatrix | Divisor,
+    R: PolyMatrix,
     X: PolyMatrix,
 ) -> list[np.ndarray]:
     """Solve ``G mod R = F X`` for the constant matrix ``F`` of each block ``G``.
@@ -130,7 +128,7 @@ class StateRealization:
         return self.R.cols
 
 
-def realize(R: PolyMatrix | Divisor, X: PolyMatrix) -> StateRealization:
+def realize(R: PolyMatrix, X: PolyMatrix) -> StateRealization:
     """Solve ``xi X = A X + B R`` by coefficient match, and ``I_w mod R = C X``.
 
     Raises if the residual of the first exceeds ``REALIZE_TOL`` (the given X
@@ -138,8 +136,7 @@ def realize(R: PolyMatrix | Divisor, X: PolyMatrix) -> StateRealization:
     :func:`express_in_state_basis` finds ``I_w mod R`` outside the row span
     of X.
     """
-    div = Divisor.of(R)
-    R = div.R
+    R.det  # raises if R is not square or is singular
     n, w = X.rows, R.cols
     L = int(R.degree) if R.degree != MINUS_INF else 0
     grid = max(L + 1, int(X.degree) + 2 if X.degree != MINUS_INF else 1)
@@ -154,7 +151,7 @@ def realize(R: PolyMatrix | Divisor, X: PolyMatrix) -> StateRealization:
     resid = np.max(np.abs(AB @ M - Xb))
     if resid > REALIZE_TOL * scale:
         raise ValueError(f"X is not a valid state map (residual {resid:.3e})")
-    (C,) = express_in_state_basis([PolyMatrix.identity(w)], div, X)
+    (C,) = express_in_state_basis([PolyMatrix.identity(w)], R, X)
     return StateRealization(R=R, X=X, A=A, B=B, C=C, Rt=Rt, Xa=Xa, Xb=Xb)
 
 
@@ -182,7 +179,7 @@ def _cluster_roots(rts: np.ndarray, tol: float) -> list[tuple[complex, int]]:
     return [(complex(g[0]), int(g[1])) for g in out]
 
 
-def eigenstructure(R: PolyMatrix | Divisor, X: PolyMatrix) -> ModeEigenstructure:
+def eigenstructure(R: PolyMatrix, X: PolyMatrix) -> ModeEigenstructure:
     """Roots of ``det R`` with kernel directions and the V matrix.
 
     Requires the algebraic multiplicity of each root to equal
@@ -191,9 +188,7 @@ def eigenstructure(R: PolyMatrix | Divisor, X: PolyMatrix) -> ModeEigenstructure
     not call it, because their switch condition holds on the whole state
     space.
     """
-    div = Divisor.of(R)
-    R = div.R
-    rts = poly_roots(div.det)
+    rts = poly_roots(R.det)
     n = len(rts)
     clusters = _cluster_roots(rts, ROOT_CLUSTER_TOL)
     lams, dirs, vcols = [], [], []

@@ -167,6 +167,17 @@ class TestSimulate:
         assert rc == 1
         assert "2->1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("x0", ["-1,0.5", "-.5,-2e-1"])
+    def test_negative_x0_is_a_value(self, tmp_path, x0):
+        # argparse alone reads a word such as "-1,0.5" as an option
+        signal = str(MODELS / "converter_cycle.json")
+        common = ["simulate", CONVERTER4, "--signal", signal,
+                  "--t-end", "0.002", "--dt", "1e-4"]
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        assert main([*common, "--x0", x0, "--out", str(spaced)]) == 0
+        assert main([*common, f"--x0={x0}", "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
     @pytest.mark.parametrize(
         "flags, name",
         [
@@ -491,6 +502,30 @@ def _readme_options() -> dict[str, set[str]]:
         if command is not None:
             usage[command] |= set(re.findall(r"--[a-z][a-z0-9-]*", line))
     return usage
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", ELCIRC, "--bogus"],
+        ["check"],
+        ["check", ELCIRC, "--route", "fastest"],
+        ["check", ELCIRC, "--budget", "many"],
+        ["simulate", ELCIRC, "--signal", SIGNAL, "--t-end", "1", "--dt", "0.1"],
+        ["frobnicate"],
+    ],
+    ids=["unknown-flag", "no-model", "bad-choice", "bad-type", "missing-required", "no-command"],
+)
+def test_usage_error_exits_1(capsys, argv):
+    # exit code 2 means "no certificate"; a usage error is invalid input
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "slds" in capsys.readouterr().err
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_readme_usage_matches_parser():

@@ -7,8 +7,8 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sldstab import polymat
 from sldstab.polymat import (
-    Divisor,
     Poly,
     PolyMatrix,
     adjugate,
@@ -25,6 +25,7 @@ from sldstab.polymat import (
     polynomial_part,
     vstack,
 )
+from sldstab.statespace import minimal_state_map, realize
 
 xi = sympy.symbols("xi")
 
@@ -472,27 +473,75 @@ def _division_case(draw):
     return R, Fs
 
 
-class TestDivisor:
+class TestDivisionData:
+    """A matrix computes its ``det`` and ``adj`` once; each division reuses them."""
+
+    R_ENTRIES = [[[2.0, 3.0, 1.0], [1.0]], [[0.0, 1.0], [1.0, 1.0]]]
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_division_case())
-    def test_shared_divisor_matches_per_call_division(self, case):
-        # one divisor serves every F, bit for bit as a division of its own
+    def test_reused_matrix_matches_a_fresh_one(self, case):
+        # one R serves every F, bit for bit as a fresh copy of R and the reference
         R, Fs = case
         assume(not determinant(R).is_zero())
-        div = Divisor(R)
         for F in Fs:
             N = _per_call_polynomial_part(F, R)
-            assert np.array_equal(polynomial_part(F, div).coeffs, N.coeffs)
             want = (F - N @ R).coeffs
-            assert np.array_equal(canonical_rep(F, div).coeffs, want)
-            assert np.array_equal(canonical_rep(F, R).coeffs, want)
+            for M in (R, PolyMatrix(R.coeffs)):  # R keeps its det and adj; a copy has none yet
+                assert np.array_equal(polynomial_part(F, M).coeffs, N.coeffs)
+                assert np.array_equal(canonical_rep(F, M).coeffs, want)
 
-    def test_singular_matrix_rejected(self):
-        R = PolyMatrix.from_entries([[[1.0], [1.0]], [[1.0], [1.0]]])
-        with pytest.raises(ValueError, match="singular"):
-            Divisor(R)
+    def test_each_matrix_computes_det_and_adj_once(self, monkeypatch):
+        seen = {"determinant": [], "adjugate": []}
+        for name, args in seen.items():
+            orig = getattr(polymat, name)
 
-    def test_of_passes_a_divisor_through(self):
-        div = Divisor(PolyMatrix.from_entries([[[2.0, 1.0]]]))
-        assert Divisor.of(div) is div
-        assert Divisor.of(div.R) is not div
+            def counted(M, orig=orig, args=args):
+                args.append(M)
+                return orig(M)
+
+            monkeypatch.setattr(polymat, name, counted)
+        R = PolyMatrix.from_entries(self.R_ENTRIES)
+        F = PolyMatrix.from_entries([[[0.0, 0.0, 1.0], [1.0]]])
+        polynomial_part(F, R)
+        canonical_rep([F, F.scale(2.0)], R)
+        is_strictly_proper(F, R)
+        column_reduce(R)
+        realize(R, minimal_state_map(R))
+        is_hurwitz(R)
+        for name, args in seen.items():
+            assert len(args) == 1 and args[0] is R, name
+
+    @pytest.mark.parametrize(
+        "entries, match",
+        [
+            ([[[1.0], [1.0]], [[1.0], [1.0]]], "singular"),
+            ([[[1.0, 1.0], [0.0], [1.0]], [[0.0], [1.0, 1.0], [2.0]]], "square"),
+        ],
+        ids=["singular", "non-square"],
+    )
+    @pytest.mark.parametrize(
+        "entry_point",
+        [
+            lambda R: polynomial_part(PolyMatrix.identity(R.rows), R),
+            lambda R: canonical_rep(PolyMatrix.identity(R.rows), R),
+            lambda R: is_strictly_proper(PolyMatrix.identity(R.rows), R),
+            column_reduce,
+            minimal_state_map,
+            lambda R: realize(R, PolyMatrix.identity(R.cols)),
+            is_hurwitz,
+        ],
+        ids=[
+            "polynomial_part", "canonical_rep", "is_strictly_proper", "column_reduce",
+            "minimal_state_map", "realize", "is_hurwitz",
+        ],
+    )
+    def test_singular_or_non_square_rejected(self, entries, match, entry_point):
+        with pytest.raises(ValueError, match=match):
+            entry_point(PolyMatrix.from_entries(entries))
+
+    def test_coefficients_are_read_only(self):
+        R = PolyMatrix.from_entries(self.R_ENTRIES)
+        assert not R.det.is_zero()
+        with pytest.raises(ValueError, match="read-only"):
+            R.coeffs[0, 0, 0] = 5.0

@@ -106,34 +106,34 @@ class TestStackedBlocks:
     @staticmethod
     def _mode():
         model = load_model(MODELS / "source_converter_4mode.json")
-        return model.divisors[0], model.state_maps[0]
+        return model.modes[0], model.state_maps[0]
 
     def test_each_block_matches_its_lone_reduction(self):
-        div, X = self._mode()
+        R, X = self._mode()
         rng = np.random.default_rng(7)
         blocks = [
             PolyMatrix(scale * rng.standard_normal((4, rows, X.cols)))
             for scale, rows in ((1e-6, 2), (1e6, 3), (1.0, 1), (1e-6, 1))
         ]
-        reps = canonical_rep(blocks, div)
-        stacked = express_in_state_basis(blocks, div, X)
+        reps = canonical_rep(blocks, R)
+        stacked = express_in_state_basis(blocks, R, X)
         for G, rep, F in zip(blocks, reps, stacked):
-            lone_rep = canonical_rep(G, div)
+            lone_rep = canonical_rep(G, R)
             assert rep.coeffs.shape == lone_rep.coeffs.shape
             assert np.max(np.abs(rep.coeffs - lone_rep.coeffs)) <= 1e-12 * lone_rep.max_norm()
-            (lone,) = express_in_state_basis([G], div, X)
+            (lone,) = express_in_state_basis([G], R, X)
             assert F.shape == lone.shape == (G.rows, X.rows)
             assert np.max(np.abs(F - lone)) <= 1e-12 * np.max(np.abs(lone))
 
     def test_block_outside_the_span_raises_among_others(self):
-        div, X = self._mode()
+        R, X = self._mode()
         kept, dropped = X.stack()[:-1], X.row(X.rows - 1)
         Xs = PolyMatrix.from_stack(kept, X.cols)
         inside = [Xs.scale(1e6), Xs.row(0)]
-        assert len(express_in_state_basis(inside, div, Xs)) == 2
+        assert len(express_in_state_basis(inside, R, Xs)) == 2
         for outside in (dropped, dropped.scale(1e-6)):
             with pytest.raises(ValueError, match="not in the state-map row span"):
-                express_in_state_basis([inside[0], outside, inside[1]], div, Xs)
+                express_in_state_basis([inside[0], outside, inside[1]], R, Xs)
 
 
 class TestEigenstructure:
