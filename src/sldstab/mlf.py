@@ -38,6 +38,7 @@ import numpy as np
 import scipy.linalg
 
 from .model import SldsModel
+from .polymat import json_float, json_list, json_object
 from .sdp import DEFAULT_BUDGET, LmiProblem, accepts
 from .statespace import realize
 
@@ -324,15 +325,19 @@ def certificate_from_json(doc: dict) -> MlfCertificate:
     (the ``Y``, ``F``, per-mode margins and ``transitions`` of older files)
     are ignored.  Rejects an ``epsilon`` that is not positive and finite and
     a ``K`` that is not a finite symmetric square matrix."""
+    json_object(doc, "certificate file")
     for key in ("route", "epsilon", "modes"):
         if key not in doc:
             raise ValueError(f"certificate missing key '{key}'")
-    eps = float(doc["epsilon"])
+    eps = json_float(doc["epsilon"], "certificate epsilon")
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"certificate epsilon must be positive and finite, got {eps}")
     kernels = []
-    for k, mode in enumerate(doc["modes"], start=1):
-        K = np.asarray(mode["K"], dtype=float)
+    for k, mode in enumerate(json_list(doc["modes"], "certificate modes"), start=1):
+        try:
+            K = np.asarray(json_object(mode, f"mode {k}")["K"], dtype=float)
+        except TypeError:
+            raise ValueError(f"mode {k}: kernel K must be a matrix of numbers") from None
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise ValueError(f"mode {k}: kernel K must be square")
         bad = np.argwhere(~np.isfinite(K))
@@ -346,8 +351,11 @@ def certificate_from_json(doc: dict) -> MlfCertificate:
         route=str(doc["route"]),
         epsilon=eps,
         kernels=kernels,
-        margins={k: float(v) for k, v in doc.get("margins", {}).items()},
-        solver=dict(doc.get("solver", {})),
+        margins={
+            k: json_float(v, f"margin '{k}'")
+            for k, v in json_object(doc.get("margins", {}), "margins").items()
+        },
+        solver=dict(json_object(doc.get("solver", {}), "solver")),
     )
 
 

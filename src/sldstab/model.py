@@ -6,19 +6,24 @@ transitions.  Each derived object is computed once per model and kept on it:
 
 - at construction, the check of each mode by :func:`check_mode` (``det R_k``
   is not zero and not constant, so the mode has a state), its minimal state
-  map when none is given, and its realization;
-- on first use, the normal form of the gluing pairs and the
-  re-initialisation maps built from it.
+  map when none is given, and its realization's ``A`` and ``B``;
+- on first use, the normal form of the gluing pairs, one thin SVD of each
+  transition's ``F+`` (:attr:`SldsModel.f_plus_svd`), from which both
+  well-posedness and the re-initialisation maps are read, and the maps
+  themselves;
+- on first use of a realization's output map ``C``, which only simulation
+  reads, that map.
 
-Every reduction modulo ``R_k`` (state map, the realization's ``C``, normal
-form, Hurwitz test) divides by the mode matrix itself, which keeps its
-``det R_k`` and ``adj R_k`` (:attr:`PolyMatrix.det`, :attr:`PolyMatrix.adj`),
-so they are computed once per mode and model.  The normal form reduces once
-per mode: the ``G-`` of every transition out of mode ``k``
-and the ``G+`` of every transition into it are stacked into one division
-modulo ``R_k`` and one least-squares solve over ``X_k``, then split by
-transition.  Nothing is shared between models: two loads of one file compute
-everything twice.
+A verdict reads only each mode's ``A`` and the maps ``L``, so ``slds check``
+never computes ``C``.  Every reduction modulo ``R_k`` (state map, the
+realization's ``C``, normal form, Hurwitz test) divides by the mode matrix
+itself, which keeps its ``det R_k`` and ``adj R_k`` (:attr:`PolyMatrix.det`,
+:attr:`PolyMatrix.adj`), so they are computed once per mode and model.  The
+normal form reduces once per mode: the ``G-`` of every transition out of
+mode ``k`` and the ``G+`` of every transition into it are stacked into one
+division modulo ``R_k`` and one least-squares solve over ``X_k``, then
+split by transition.  Nothing is shared between models: two loads of one
+file compute everything twice.
 
 Mode indices are 1-based throughout, matching the JSON schema.
 """
@@ -34,6 +39,9 @@ import numpy as np
 from .polymat import (
     PolyMatrix,
     is_hurwitz,
+    json_int,
+    json_list,
+    json_object,
     polymatrix_from_json,
     polymatrix_to_json,
 )
@@ -125,6 +133,18 @@ class SldsModel:
         """``reinit_maps(self)``, derived on first use."""
         return reinit_maps(self)
 
+    @cached_property
+    def f_plus_svd(self) -> dict[tuple[int, int], tuple | None]:
+        """Thin SVD ``(u, s, vt)`` of each transition's ``F+`` (None when
+        ``F+`` is empty), derived on first use: the one factorization that
+        :func:`is_well_posed` and :func:`reinit_maps` read."""
+        return {
+            key: np.linalg.svd(pair.f_plus, full_matrices=False)
+            if pair.f_plus.size
+            else None
+            for key, pair in self.normal_form_pairs.items()
+        }
+
 
 def check_mode(k: int, R: PolyMatrix) -> None:
     """Check that mode ``k`` (1-based) has a state.
@@ -169,15 +189,15 @@ def normal_form(model: SldsModel) -> dict[tuple[int, int], NormalFormPair]:
 
 
 def is_well_posed(model: SldsModel) -> tuple[dict[tuple[int, int], bool], bool]:
-    """Per-transition and global well-posedness (F+ full column rank)."""
-    nf = model.normal_form_pairs
+    """Per-transition and global well-posedness (F+ full column rank), read
+    off the singular values of :attr:`SldsModel.f_plus_svd`."""
     verdicts = {}
-    for key, pair in nf.items():
-        fp = pair.f_plus
-        if fp.size == 0:
+    for key, pair in model.normal_form_pairs.items():
+        fp, svd = pair.f_plus, model.f_plus_svd[key]
+        if svd is None:
             verdicts[key] = fp.shape[1] == 0
             continue
-        s = np.linalg.svd(fp, compute_uv=False)
+        s = svd[1]
         verdicts[key] = bool(
             fp.shape[0] >= fp.shape[1] and s[-1] > RANK_REL_TOL * max(s[0], 1e-300)
         )
@@ -200,14 +220,20 @@ def is_consistent(model: SldsModel) -> dict[tuple[int, int], bool]:
 
 
 def reinit_maps(model: SldsModel) -> dict[tuple[int, int], ReinitMap]:
-    """Re-initialisation maps ``L = pinv(F+) F-`` for well-posed transitions."""
-    nf = model.normal_form_pairs
+    """Re-initialisation maps ``L = pinv(F+) F-`` for well-posed transitions.
+
+    ``pinv(F+) = V diag(1/s) U^T`` is formed from :attr:`SldsModel.f_plus_svd`
+    with ``np.linalg.pinv``'s own arithmetic.  No singular value is cut off:
+    a well-posed ``F+`` has ``s_min > RANK_REL_TOL s_max``, far above
+    ``pinv``'s cutoff, so ``L`` is bit-equal to ``pinv(F+) @ F-``.
+    """
     wp, _ = is_well_posed(model)
     out = {}
-    for key, pair in nf.items():
+    for key, pair in model.normal_form_pairs.items():
         if not wp[key]:
             raise ValueError(f"transition {key[0]}->{key[1]} is not well-posed")
-        out[key] = ReinitMap(L=np.linalg.pinv(pair.f_plus) @ pair.f_minus)
+        u, s, vt = model.f_plus_svd[key]  # a well-posed F+ is not empty
+        out[key] = ReinitMap(L=(vt.T @ ((1 / s)[:, None] * u.T)) @ pair.f_minus)
     return out
 
 
@@ -249,17 +275,24 @@ def _polymatrix(data, what: str) -> PolyMatrix:
 
 
 def model_from_json(doc: dict) -> SldsModel:
+    """Read a model file; a missing or wrong-typed field is a ``ValueError``
+    that names it."""
+    json_object(doc, "model file")
     for key in ("variables", "modes", "gluing"):
         if key not in doc:
             raise ValueError(f"model file missing key '{key}'")
-    w = int(doc["variables"])
-    modes = [_polymatrix(m, f"mode {i + 1}") for i, m in enumerate(doc["modes"])]
+    w = json_int(doc["variables"], "variables")
+    modes = [
+        _polymatrix(m, f"mode {i + 1}")
+        for i, m in enumerate(json_list(doc["modes"], "modes"))
+    ]
     for i, R in enumerate(modes):
         if R.shape != (w, w):
             raise ValueError(f"mode {i + 1} must be {w}x{w}, got {R.shape}")
     gluing = {}
-    for item in doc["gluing"]:
-        k, l = int(item["from"]), int(item["to"])
+    for i, item in enumerate(json_list(doc["gluing"], "gluing"), start=1):
+        json_object(item, f"gluing entry {i}")
+        k, l = (json_int(item[end], f"gluing entry {i} '{end}'") for end in ("from", "to"))
         if (k, l) in gluing:
             raise ValueError(f"duplicate gluing entry for ({k},{l})")
         gluing[(k, l)] = tuple(
@@ -268,7 +301,7 @@ def model_from_json(doc: dict) -> SldsModel:
         )
     state_maps = [
         _polymatrix(x, f"state map {i + 1}")
-        for i, x in enumerate(doc.get("state_maps", []))
+        for i, x in enumerate(json_list(doc.get("state_maps", []), "state_maps"))
     ]
     return SldsModel(modes=modes, gluing=gluing, state_maps=state_maps)
 

@@ -405,13 +405,26 @@ def is_hurwitz(R: PolyMatrix) -> bool:
 # division modulo a nonsingular R
 
 
+def block_max(row_max: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Largest of ``row_max[lo:hi]`` for each block ``[lo, hi)`` of the
+    ascending ``bounds`` (first 0, last ``len(row_max)``); 0 for an empty
+    block.  One ``maximum.reduceat`` over the whole stack."""
+    sizes = bounds[1:] - bounds[:-1]
+    if sizes.all():
+        return np.maximum.reduceat(row_max, bounds[:-1])
+    out = np.zeros(len(sizes))
+    out[sizes > 0] = np.maximum.reduceat(row_max, bounds[:-1][sizes > 0])
+    return out
+
+
 def _trim_blocks(c: np.ndarray, bounds) -> np.ndarray:
     """Zero, in place, each coefficient at most ``TRIM_TOL`` times the
     largest of its row block ``c[:, lo:hi]``: a :class:`PolyMatrix` trim of
-    every block on its own."""
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        blk = c[:, lo:hi]
-        blk[np.abs(blk) <= TRIM_TOL * np.max(np.abs(blk), initial=0.0)] = 0.0
+    every block on its own, done on the whole stack at once."""
+    bounds = np.asarray(bounds)
+    a = np.abs(c)
+    scale = block_max(np.maximum.reduce(a, axis=(0, 2), initial=0.0), bounds)
+    c[a <= np.repeat(TRIM_TOL * scale, bounds[1:] - bounds[:-1])[:, None]] = 0.0
     return c
 
 
@@ -495,11 +508,9 @@ def leading_column_matrix(R: PolyMatrix) -> np.ndarray:
     return G
 
 
-def column_reduce(
-    R: PolyMatrix, max_iter: int = 200
-) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
+def column_reduce(R: PolyMatrix, max_iter: int = 200) -> tuple[PolyMatrix, PolyMatrix]:
     """Column reduction ``R' = R U`` with ``U`` unimodular; returns
-    ``(R', U, U^{-1})``.
+    ``(R', U^{-1})``.
 
     Repeatedly cancels the highest-column-degree coefficient matrix ``G``
     along a null direction ``v`` until it becomes nonsingular: column ``j*``
@@ -509,18 +520,17 @@ def column_reduce(
     participating column of highest degree.  Each step ``E`` has the closed
     form inverse that maps column ``j*`` to
     ``(e_j* - sum_{j != j*} v_j xi^(d_j* - d_j) e_j) / v_j*``, and ``U^{-1}``
-    is accumulated from these.
+    is accumulated from these; ``U`` itself is never formed.
     """
     R.det  # raises if R is not square or is singular
     n = R.cols
     Rp = R
-    U = PolyMatrix.identity(n)
     Uinv = np.eye(n)[None]
     for _ in range(max_iter):
         G = leading_column_matrix(Rp)
         s = np.linalg.svd(G, compute_uv=False)
         if s[-1] > 1e-10 * max(s[0], 1.0):
-            return Rp, U, PolyMatrix(Uinv)
+            return Rp, PolyMatrix(Uinv)
         v = np.linalg.svd(G)[2][-1]
         degs = np.array(column_degrees(Rp))
         weight = np.abs(v) * np.linalg.norm(G, axis=0)
@@ -537,13 +547,41 @@ def column_reduce(
         einv[:, :, jstar] /= -pivot
         einv[0, jstar, jstar] = 1.0 / pivot
         Rp = Rp @ E
-        U = U @ E
         Uinv = _matmul(einv, Uinv)
     raise ValueError(f"column reduction did not terminate in {max_iter} steps")
 
 
 # ---------------------------------------------------------------------------
 # JSON wire format: entries[row][col] = ascending coefficient list
+#
+# The readers of every file format check each field's JSON type with the
+# helpers below, so a wrong-typed field is a ValueError that names it.
+
+
+def json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def json_float(value, what: str) -> float:
+    """A JSON number; a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def json_int(value, what: str) -> int:
+    """A JSON integer, such as a mode index; ``2.0`` is one, ``2.7`` is not."""
+    if not json_float(value, what).is_integer():
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def polymatrix_to_json(M: PolyMatrix) -> list:
@@ -552,9 +590,16 @@ def polymatrix_to_json(M: PolyMatrix) -> list:
 
 def polymatrix_from_json(data) -> PolyMatrix:
     """Read the wire format; rejects coefficients that are not finite."""
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise ValueError("polynomial matrix must be a list of rows of entries")
     if not data or not data[0]:
         raise ValueError("empty polynomial matrix")
-    c = _stack_entries(data)
+    try:
+        c = _stack_entries(data)
+    except TypeError:
+        raise ValueError(
+            "polynomial matrix entries must be numbers or lists of numbers"
+        ) from None
     bad = np.argwhere(~np.isfinite(c))
     if bad.size:
         where = ", ".join(

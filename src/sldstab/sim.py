@@ -31,6 +31,7 @@ import numpy as np
 
 from .mlf import MlfCertificate, check_fits
 from .model import SldsModel
+from .polymat import json_float, json_int, json_list, json_object
 from .statespace import propagator
 
 AUDIT_REL_TOL = 1e-10
@@ -396,8 +397,16 @@ def write_trace_csv(trace: Trace, path, events_path=None) -> None:
 
 
 def signal_from_json(doc: dict) -> SwitchingSignal:
+    """Read a signal file; a wrong-typed field is a ``ValueError`` that names it."""
+    json_object(doc, "signal file")
+    initial_mode = json_int(doc["initial_mode"], "initial_mode")
+    events = []
+    for i, ev in enumerate(json_list(doc.get("events", []), "events"), start=1):
+        if not isinstance(ev, list) or len(ev) != 2:
+            raise ValueError(f"event {i} must be a [time, mode] pair, got {ev!r}")
+        events.append((json_float(ev[0], f"event {i} time"), json_int(ev[1], f"event {i} mode")))
     return SwitchingSignal(
-        initial_mode=int(doc["initial_mode"]),
-        events=tuple((float(t), int(m)) for t, m in doc.get("events", [])),
+        initial_mode=initial_mode,
+        events=tuple(events),
     )
 

@@ -7,10 +7,12 @@ polynomial matrix ``X`` whose rows form a basis of the row vectors ``f`` with
 powers of ``xi`` below each column degree of ``R'``.  The induced realization
 satisfies ``xi X(xi) = A X(xi) + B R(xi)`` together with the output map
 ``w = C x``.  Both identities are matched on the coefficient stacks of
-:meth:`PolyMatrix.stack`.  :func:`express_in_state_basis` writes any number
-of blocks ``G mod R`` over a state map with one reduction and one
-least-squares solve; ``C`` (from ``I_w mod R``), the normal form and the
-standard construction's ``Pi`` all go through it.
+:meth:`PolyMatrix.stack`.  A verdict reads only ``A``, so :func:`realize`
+solves for ``A`` and ``B`` and leaves ``C`` to its first use, which only
+simulation makes.  :func:`express_in_state_basis` writes any number of
+blocks ``G mod R`` over a state map with one reduction, one least-squares
+solve and one span check over the whole stack; ``C`` (from ``I_w mod R``),
+the normal form and the standard construction's ``Pi`` all go through it.
 :func:`propagator` is the one matrix exponential of a mode's dynamics, for
 one time or, in one ``expm`` call, for an array of times.
 """
@@ -18,6 +20,7 @@ one time or, in one ``expm`` call, for an array of times.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -26,6 +29,7 @@ from .polymat import (
     MINUS_INF,
     Poly,
     PolyMatrix,
+    block_max,
     canonical_rep,
     column_degrees,
     column_reduce,
@@ -47,7 +51,7 @@ def minimal_state_map(R: PolyMatrix) -> PolyMatrix:
     normalized by the canonical representative.  Rows are ordered by
     (column index, power ascending).
     """
-    Rp, _, Uinv = column_reduce(R)
+    Rp, Uinv = column_reduce(R)
     degs = column_degrees(Rp)
     w = R.cols
     if MINUS_INF in degs:
@@ -78,27 +82,25 @@ def express_in_state_basis(
     The blocks are reduced in one :func:`canonical_rep` call and solved in
     one least-squares solve over ``X``; the rows are then split by block.
     Raises if some ``G mod R`` is not in the row span of ``X`` within
-    ``STATE_BASIS_TOL``, relative to that block's own scale.
+    ``STATE_BASIS_TOL``, relative to that block's own scale: each block's
+    residual and scale are row maxima reduced by :func:`block_max`.
     """
     reps = canonical_rep(blocks, R)
     grid = max(X.coeffs.shape[0], *(g.coeffs.shape[0] for g in reps))
     Xa = X.stack(grid)
-    Ga = [g.stack(grid) for g in reps]
-    F, *_ = np.linalg.lstsq(Xa.T, np.vstack(Ga).T, rcond=None)
-    out = []
-    at = 0
-    for g in Ga:
-        f = F.T[at : at + g.shape[0]]
-        at += g.shape[0]
-        resid = np.max(np.abs(f @ Xa - g)) if g.size else 0.0
-        scale = max(1.0, np.max(np.abs(g)) if g.size else 0.0)
-        if resid > STATE_BASIS_TOL * scale:
-            raise ValueError(
-                f"canonical representative not in the state-map row span "
-                f"(residual {resid:.3e})"
-            )
-        out.append(f)
-    return out
+    G = np.vstack([g.stack(grid) for g in reps])
+    F, *_ = np.linalg.lstsq(Xa.T, G.T, rcond=None)
+    F = F.T
+    bounds = np.cumsum([0] + [g.rows for g in reps])
+    resid = block_max(np.abs(F @ Xa - G).max(axis=1, initial=0.0), bounds)
+    scale = np.maximum(1.0, block_max(np.abs(G).max(axis=1, initial=0.0), bounds))
+    bad = np.flatnonzero(resid > STATE_BASIS_TOL * scale)
+    if bad.size:
+        raise ValueError(
+            f"canonical representative not in the state-map row span "
+            f"(residual {resid[bad[0]]:.3e})"
+        )
+    return [F[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -107,17 +109,23 @@ class StateRealization:
 
     ``Rt``, ``Xa`` and ``Xb`` stack the coefficients of ``R``, ``X`` and
     ``xi X`` over one monomial grid, on which ``xi X = A X + B R`` reads
-    ``Xb = A Xa + B Rt``.
+    ``Xb = A Xa + B Rt``.  The output map :attr:`C` is computed on first use.
     """
 
     R: PolyMatrix
     X: PolyMatrix
     A: np.ndarray
     B: np.ndarray
-    C: np.ndarray
     Rt: np.ndarray
     Xa: np.ndarray
     Xb: np.ndarray
+
+    @cached_property
+    def C(self) -> np.ndarray:
+        """Output map ``w = C x``, from ``I_w mod R = C X``; computed on first
+        use, since only simulation reads it."""
+        (C,) = express_in_state_basis([PolyMatrix.identity(self.w)], self.R, self.X)
+        return C
 
     @property
     def n(self) -> int:
@@ -129,15 +137,16 @@ class StateRealization:
 
 
 def realize(R: PolyMatrix, X: PolyMatrix) -> StateRealization:
-    """Solve ``xi X = A X + B R`` by coefficient match, and ``I_w mod R = C X``.
+    """Solve ``xi X = A X + B R`` by coefficient match.
 
-    Raises if the residual of the first exceeds ``REALIZE_TOL`` (the given X
-    is then not a valid state map for ``ker R``), or if
-    :func:`express_in_state_basis` finds ``I_w mod R`` outside the row span
-    of X.
+    Raises if the residual exceeds ``REALIZE_TOL``: the given X is then not
+    a valid state map for ``ker R``.  The output map ``C`` is left to its
+    first use (:attr:`StateRealization.C`); a valid X contains
+    ``I_w mod R`` in its row span, and an ``I_w mod R`` outside it raises
+    only when ``C`` is read.
     """
     R.det  # raises if R is not square or is singular
-    n, w = X.rows, R.cols
+    n = X.rows
     L = int(R.degree) if R.degree != MINUS_INF else 0
     grid = max(L + 1, int(X.degree) + 2 if X.degree != MINUS_INF else 1)
     Xa = X.stack(grid)  # X(xi) over the monomial stack
@@ -151,8 +160,7 @@ def realize(R: PolyMatrix, X: PolyMatrix) -> StateRealization:
     resid = np.max(np.abs(AB @ M - Xb))
     if resid > REALIZE_TOL * scale:
         raise ValueError(f"X is not a valid state map (residual {resid:.3e})")
-    (C,) = express_in_state_basis([PolyMatrix.identity(w)], R, X)
-    return StateRealization(R=R, X=X, A=A, B=B, C=C, Rt=Rt, Xa=Xa, Xb=Xb)
+    return StateRealization(R=R, X=X, A=A, B=B, Rt=Rt, Xa=Xa, Xb=Xb)
 
 
 @dataclass(frozen=True)

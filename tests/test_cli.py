@@ -481,6 +481,84 @@ def test_certificate_not_finite_exits_1(tmp_path, capsys, name, command, epsilon
     assert "verif" not in captured.out and "audit" not in captured.out
 
 
+def _set(path, value):
+    """An edit that sets ``doc[path[0]][path[1]]... = value``."""
+
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+
+    return edit
+
+
+def _replace(value):
+    return lambda doc: value
+
+
+# (file, edit of the valid document, words the error must contain)
+WRONG_TYPED = {
+    "model-gluing-int": ("model", _set(["gluing"], 5), "gluing must be a list"),
+    "model-gluing-entry-int": ("model", _set(["gluing", 0], 5), "gluing entry 1"),
+    "model-modes-int": ("model", _set(["modes"], 5), "modes must be a list"),
+    "model-mode-int": ("model", _set(["modes", 0], 3), "mode 1"),
+    "model-from-null": ("model", _set(["gluing", 0, "from"], None), "'from' must be a number"),
+    "model-from-fraction": ("model", _set(["gluing", 0, "from"], 1.7), "'from' must be an integer"),
+    "model-from-bool": ("model", _set(["gluing", 0, "to"], True), "'to' must be a number"),
+    "model-variables-fraction": ("model", _set(["variables"], 2.5), "variables must be an integer"),
+    "model-coefficient-object": ("model", _set(["modes", 1, 0, 1], {"a": 1}), "mode 2"),
+    "model-not-object": ("model", _replace([1, 2]), "model file must be a JSON object"),
+    "signal-list": ("signal", _replace([1, 2]), "signal file must be a JSON object"),
+    "signal-events-int": ("signal", _set(["events"], 5), "events must be a list"),
+    "signal-initial-null": ("signal", _set(["initial_mode"], None), "initial_mode must be a number"),
+    "signal-event-mode-null": ("signal", _set(["events", 0, 1], None), "event 1 mode must be a number"),
+    "signal-event-mode-fraction": ("signal", _set(["events", 0, 1], 2.7), "event 1 mode must be an integer"),
+    "signal-event-int": ("signal", _set(["events", 0], 5), "event 1 must be a [time, mode] pair"),
+    "cert-modes-int": ("cert", _set(["modes"], 5), "certificate modes must be a list"),
+    "cert-modes-ints": ("cert", _set(["modes"], [5, 6]), "mode 1 must be a JSON object"),
+    "cert-epsilon-null": ("cert", _set(["epsilon"], None), "certificate epsilon must be a number"),
+    "cert-epsilon-list": ("cert", _set(["epsilon"], [1]), "certificate epsilon must be a number"),
+    "cert-margins-int": ("cert", _set(["margins"], 5), "margins must be a JSON object"),
+    "cert-solver-int": ("cert", _set(["solver"], 5), "solver must be a JSON object"),
+    "cert-K-object": ("cert", _set(["modes", 0, "K"], [[{"a": 1}]]), "mode 1: kernel K"),
+    "pair-int": ("r2", _replace(5), "--r2"),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_TYPED), ids=list(WRONG_TYPED))
+def test_wrong_typed_field_exits_1(tmp_path, capsys, case):
+    """A wrong-typed JSON field is invalid input that the error names: no
+    traceback, and no silent rounding of a mode index."""
+    kind, edit, words = WRONG_TYPED[case]
+    docs = {
+        "model": json.loads(Path(ELCIRC).read_text()),
+        "signal": {"initial_mode": 1, "events": [[0.5, 2], [1.0, 1]]},
+        "cert": certificate_to_json(find_mlf(elcirc())),
+        "r2": json.loads(Path(R2).read_text()),
+    }
+    edited = edit(docs[kind])
+    if edited is not None:
+        docs[kind] = edited
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(doc))
+    if kind == "r2":
+        argv = ["posreal", "sprcheck", "--r1", R1, "--r2", paths["r2"]]
+    elif kind == "cert":
+        argv = ["check", paths["model"], "--verify-only", paths["cert"]]
+    elif kind == "model":
+        argv = ["check", paths["model"]]
+    else:
+        argv = ["simulate", paths["model"], "--signal", paths["signal"], "--x0", "1.0",
+                "--t-end", "1.5", "--dt", "0.1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert words in err
+
+
 def test_standard_model_emission(tmp_path):
     out = tmp_path / "std.json"
     assert main(["standard", "--r1", R1, "--r2", R2, "--out", str(out)]) == 0

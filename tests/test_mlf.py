@@ -248,6 +248,26 @@ def _family_draw(seed):
     return model_from_json(_generators().slds_member(np.random.default_rng(seed), w, m)["model"])
 
 
+def _assert_reinits_are_pinv(model):
+    want = {
+        key: (np.linalg.pinv(pair.f_plus) @ pair.f_minus).tobytes()
+        for key, pair in model.normal_form_pairs.items()
+    }
+    assert {key: rm.L.tobytes() for key, rm in model.reinits.items()} == want
+
+
+class TestReinitMapsArePinv:
+    """``L`` from the model's one SVD of ``F+`` is ``pinv(F+) @ F-`` bit for bit."""
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_corpus(self, name):
+        _assert_reinits_are_pinv(load_model(MODELS / f"{name}.json"))
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_seeded_draws(self, seed):
+        _assert_reinits_are_pinv(_family_draw(seed))
+
+
 class TestDecayFormInvariant:
     """The paper's Lyapunov equation with ``Y = B^T K`` is the decay form.
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sldstab import cli as cli_mod
 from sldstab import model as model_mod
 from sldstab import polymat, statespace
 from sldstab.cli import main
@@ -135,6 +136,88 @@ class TestDivisionDataOncePerMode:
             assert main(["check", self.CONVERTER4, "--route", "exact"]) == 0
         counts = _calls_per_mode(seen, modes)
         assert counts == {"determinant": [2] * 4, "adjugate": [2] * 4}
+
+
+CORPUS = ["concond", "elcirc", "exmath", "source_converter_4mode", "source_converter_6mode"]
+
+
+def _loaded_models(monkeypatch) -> list:
+    """Record every model the command line loads."""
+    models = []
+    load = cli_mod.load_model
+    monkeypatch.setattr(cli_mod, "load_model", lambda path: models.append(load(path)) or models[-1])
+    return models
+
+
+class _Proxy:
+    """A module stand-in: the given attributes, the rest from ``target``."""
+
+    def __init__(self, target, **attrs):
+        self._target = target
+        self.__dict__.update(attrs)
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
+
+
+class TestCertifyDerivesOnlyWhatItReads:
+    """A verdict reads each mode's ``A`` and the re-initialisation maps;
+    the output map ``C`` is left to simulation, and each ``F+`` is
+    factored once."""
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_check_computes_no_output_map(self, monkeypatch, tmp_path, name):
+        models = _loaded_models(monkeypatch)
+        path, cert = str(MODELS / f"{name}.json"), str(tmp_path / "cert.json")
+        rc = main(["check", path, "--out", cert])
+        if rc == 0:
+            assert main(["check", path, "--verify-only", cert]) == 0
+        assert models and all(
+            "C" not in real.__dict__ for m in models for real in m.realizations
+        )
+
+    @pytest.mark.parametrize(
+        "events, visited", [([], {1}), ([[0.001, 2]], {1, 2}), (None, {1, 2, 3, 4})]
+    )
+    def test_simulate_computes_output_map_once_per_visited_mode(
+        self, monkeypatch, tmp_path, events, visited
+    ):
+        models = _loaded_models(monkeypatch)
+        calls = []
+        express = statespace.express_in_state_basis
+        monkeypatch.setattr(
+            statespace, "express_in_state_basis",
+            lambda *a: calls.append(a[1]) or express(*a),
+        )
+        signal = MODELS / "converter_cycle.json"
+        if events is not None:
+            signal = tmp_path / "signal.json"
+            signal.write_text(json.dumps({"initial_mode": 1, "events": events}))
+        assert main([
+            "simulate", str(MODELS / "source_converter_4mode.json"), "--signal", str(signal),
+            "--x0", "1,1", "--t-end", "0.004", "--dt", "1e-4", "--out", str(tmp_path / "t.csv"),
+        ]) == 0
+        (model,) = models
+        have_c = {k for k, real in enumerate(model.realizations, start=1) if "C" in real.__dict__}
+        assert have_c == visited
+        assert sorted(calls, key=id) == sorted((model.modes[k - 1] for k in visited), key=id)
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_check_takes_one_svd_per_transition(self, monkeypatch, tmp_path, name):
+        models = _loaded_models(monkeypatch)
+        calls = []
+        svd = np.linalg.svd
+        linalg = _Proxy(
+            np.linalg,
+            svd=lambda a, *args, **kw: calls.append(a.shape) or svd(a, *args, **kw),
+            pinv=None,  # no pinv call: L is formed from the one SVD
+        )
+        monkeypatch.setattr(model_mod, "np", _Proxy(np, linalg=linalg))
+        path, cert = str(MODELS / f"{name}.json"), str(tmp_path / "cert.json")
+        rc = main(["check", path, "--out", cert])
+        if rc == 0:
+            assert main(["check", path, "--verify-only", cert]) == 0
+        assert len(calls) == sum(len(m.gluing) for m in models)
 
 
 class TestCircuitModel:

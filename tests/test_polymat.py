@@ -125,6 +125,15 @@ def _integer_square(draw):
     return PolyMatrix(np.array(vals, dtype=float).reshape(deg + 1, n, n))
 
 
+def _assert_unimodular_reduction(R, Rred, Uinv, tol):
+    """``R' U^{-1} = R`` and ``det U^{-1}`` is a nonzero constant, both
+    within ``tol`` relative to the matrix scale."""
+    assert (Rred @ Uinv - R).max_norm() <= tol * max(1.0, R.max_norm())
+    d = determinant(Uinv).coeffs
+    assert d[0] != 0.0
+    assert np.all(np.abs(d[1:]) <= tol * abs(d[0]))
+
+
 class TestLeibnizKernels:
     """The batched Leibniz determinant and adjugate against sympy, exactly."""
 
@@ -141,8 +150,7 @@ class TestLeibnizKernels:
                 assert adj.entry(i, j).coeffs.tolist() == _exact_coeffs(ref[i, j])
         assert ((R @ adj) - PolyMatrix.identity(R.rows).scale(d)).max_norm() == 0.0
         if not d.is_zero():
-            _, U, Uinv = column_reduce(R)
-            assert (U @ Uinv - PolyMatrix.identity(R.rows)).max_norm() <= 1e-12
+            _assert_unimodular_reduction(R, *column_reduce(R), tol=1e-12)
 
 
 class TestHurwitz:
@@ -276,7 +284,7 @@ class TestColumnReduction:
         R = PolyMatrix.from_entries(
             [[[1.0, 1.0], [1.0, 1.0]], [[1.0], [0.0]]]
         )
-        Rred, U, _ = column_reduce(R)
+        Rred, _ = column_reduce(R)
         lead = np.sum(np.array(column_degrees(Rred)))
         assert lead <= determinant(R).degree + 1  # proper column degrees
 
@@ -286,12 +294,10 @@ class TestColumnReduction:
         T2 = PolyMatrix.from_entries([[[1.0], [0.0]], [[0.0, 0.0, 1.0], [1.0]]])
         S = PolyMatrix.from_entries([[[1.0, 1.0], [0.0]], [[-1.0], [2.0, 1.0]]])
         R = T1 @ T2 @ S
-        Rred, U, Uinv = column_reduce(R)
-        assert U.degree > 0
-        assert ((R @ U) - Rred).max_norm() < 1e-12
-        eye = PolyMatrix.identity(2)
-        assert (U @ Uinv - eye).max_norm() < 1e-12
-        assert (Uinv @ U - eye).max_norm() < 1e-12
+        Rred, Uinv = column_reduce(R)
+        assert Uinv.degree > 0
+        assert column_degrees(Rred) == [1.0, 1.0]
+        _assert_unimodular_reduction(R, Rred, Uinv, tol=1e-12)
 
     def test_columns_of_very_different_scale(self):
         # the null vector (1e-9, -1) of the leading matrix: both columns take
@@ -299,10 +305,9 @@ class TestColumnReduction:
         R = PolyMatrix.from_entries(
             [[[3e9, 0.0, 1e9], [0.0, 1.0]], [[0.0, 0.0, 1e9], [1.0, 1.0]]]
         )
-        Rred, U, Uinv = column_reduce(R)
+        Rred, Uinv = column_reduce(R)
         assert column_degrees(Rred) == [1.0, 1.0]  # sum = deg det R
-        assert ((R @ U) - Rred).max_norm() < 1e-12 * R.max_norm()
-        assert (U @ Uinv - PolyMatrix.identity(2)).max_norm() < 1e-12
+        _assert_unimodular_reduction(R, Rred, Uinv, tol=1e-12)
 
     def test_no_termination_is_a_value_error(self):
         R = PolyMatrix.from_entries([[[1.0, 1.0], [1.0, 1.0]], [[1.0], [0.0]]])
@@ -545,3 +550,51 @@ class TestDivisionData:
         assert not R.det.is_zero()
         with pytest.raises(ValueError, match="read-only"):
             R.coeffs[0, 0, 0] = 5.0
+
+
+def _trim_blocks_per_block(c, bounds):
+    """Reference: the per-block loop that the whole-stack trim replaced."""
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        blk = c[:, lo:hi]
+        blk[np.abs(blk) <= polymat.TRIM_TOL * np.max(np.abs(blk), initial=0.0)] = 0.0
+    return c
+
+
+@st.composite
+def _row_blocks(draw):
+    """A coefficient stack of row blocks, each of its own scale: 1e-8 to 1e8
+    or all zero, with entries spread down to 1e-16 of that scale so that some
+    sit at the trim threshold.  A block may have one row, or none."""
+    rows = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    scales = draw(
+        st.lists(
+            st.sampled_from([0.0] + [10.0**e for e in range(-8, 9)]),
+            min_size=len(rows),
+            max_size=len(rows),
+        )
+    )
+    deg, cols = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = np.concatenate(
+        [
+            scale * rng.standard_normal((deg, r, cols)) * 10.0 ** rng.uniform(-16, 0, (deg, r, cols))
+            for r, scale in zip(rows, scales)
+        ],
+        axis=1,
+    )
+    return c, np.cumsum([0] + rows)
+
+
+class TestWholeStackTrim:
+    """``_trim_blocks`` and ``block_max`` on the whole stack at once equal
+    the per-block loop bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_row_blocks())
+    def test_matches_per_block_loop(self, case):
+        c, bounds = case
+        got = polymat._trim_blocks(c.copy(), bounds)
+        assert got.tobytes() == _trim_blocks_per_block(c.copy(), bounds).tobytes()
+        row_max = np.abs(c).max(axis=(0, 2), initial=0.0)
+        want = [np.max(row_max[lo:hi], initial=0.0) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        assert polymat.block_max(row_max, bounds).tolist() == want

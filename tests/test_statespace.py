@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sldstab.model import load_model
 from sldstab.polymat import (
@@ -12,6 +14,7 @@ from sldstab.polymat import (
     poly_roots,
 )
 from sldstab.statespace import (
+    STATE_BASIS_TOL,
     eigenstructure,
     express_in_state_basis,
     minimal_state_map,
@@ -134,6 +137,62 @@ class TestStackedBlocks:
         for outside in (dropped, dropped.scale(1e-6)):
             with pytest.raises(ValueError, match="not in the state-map row span"):
                 express_in_state_basis([inside[0], outside, inside[1]], R, Xs)
+
+
+def _express_per_block(blocks, R, X):
+    """Reference: the per-block span check that the whole-stack one replaced."""
+    reps = canonical_rep(blocks, R)
+    grid = max(X.coeffs.shape[0], *(g.coeffs.shape[0] for g in reps))
+    Xa = X.stack(grid)
+    Ga = [g.stack(grid) for g in reps]
+    F, *_ = np.linalg.lstsq(Xa.T, np.vstack(Ga).T, rcond=None)
+    out = []
+    at = 0
+    for g in Ga:
+        f = F.T[at : at + g.shape[0]]
+        at += g.shape[0]
+        resid = np.max(np.abs(f @ Xa - g)) if g.size else 0.0
+        scale = max(1.0, np.max(np.abs(g)) if g.size else 0.0)
+        if resid > STATE_BASIS_TOL * scale:
+            raise ValueError("canonical representative not in the state-map row span")
+        out.append(f)
+    return out
+
+
+@st.composite
+def _span_case(draw):
+    """Blocks of scale 1e-8 to 1e8 or all zero, one to three rows each, over
+    the converter's first mode.  When the state map loses a row, a generic
+    block falls outside its span; a block built on the state map stays in."""
+    R, X = TestStackedBlocks._mode()
+    if draw(st.booleans()):
+        X = PolyMatrix.from_stack(X.stack()[:-1], X.cols)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows, kind = rng.integers(1, 4), rng.choice(["span", "generic", "zero"])
+        if kind == "span":  # in the span of X, plus a multiple of R
+            G = PolyMatrix(rng.standard_normal((1, rows, X.rows))) @ X
+            G = G + PolyMatrix(rng.standard_normal((2, rows, R.rows))) @ R
+        else:
+            G = PolyMatrix(rng.standard_normal((4, rows, X.cols)))
+        blocks.append(G.scale(0.0 if kind == "zero" else 10.0 ** rng.integers(-8, 9)))
+    return blocks, R, X
+
+
+class TestWholeStackSpanCheck:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_span_case())
+    def test_matches_per_block_loop(self, case):
+        blocks, R, X = case
+        try:
+            want = _express_per_block(blocks, R, X)
+        except ValueError:
+            with pytest.raises(ValueError, match="not in the state-map row span"):
+                express_in_state_basis(blocks, R, X)
+            return
+        got = express_in_state_basis(blocks, R, X)
+        assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
 
 
 class TestEigenstructure:
