@@ -334,10 +334,11 @@ def certificate_from_json(doc: dict) -> MlfCertificate:
         raise ValueError(f"certificate epsilon must be positive and finite, got {eps}")
     kernels = []
     for k, mode in enumerate(json_list(doc["modes"], "certificate modes"), start=1):
-        try:
-            K = np.asarray(json_object(mode, f"mode {k}")["K"], dtype=float)
-        except TypeError:
-            raise ValueError(f"mode {k}: kernel K must be a matrix of numbers") from None
+        rows = json_list(json_object(mode, f"mode {k}")["K"], f"mode {k}: kernel K")
+        for i, row in enumerate(rows, start=1):
+            for j, v in enumerate(json_list(row, f"mode {k}: kernel K row {i}"), start=1):
+                json_float(v, f"mode {k}: kernel K entry ({i},{j})")
+        K = np.asarray(rows, dtype=float)
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise ValueError(f"mode {k}: kernel K must be square")
         bad = np.argwhere(~np.isfinite(K))

@@ -6,7 +6,9 @@ transitions.  Each derived object is computed once per model and kept on it:
 
 - at construction, the check of each mode by :func:`check_mode` (``det R_k``
   is not zero and not constant, so the mode has a state), its minimal state
-  map when none is given, and its realization's ``A`` and ``B``;
+  map when none is given, and its realization's ``A`` and ``B``, which
+  :func:`realize` solves for only over a minimal state map, so a given map
+  is checked there;
 - on first use, the normal form of the gluing pairs, one thin SVD of each
   transition's ``F+`` (:attr:`SldsModel.f_plus_svd`), from which both
   well-posedness and the re-initialisation maps are read, and the maps

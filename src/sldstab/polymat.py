@@ -589,17 +589,18 @@ def polymatrix_to_json(M: PolyMatrix) -> list:
 
 
 def polymatrix_from_json(data) -> PolyMatrix:
-    """Read the wire format; rejects coefficients that are not finite."""
+    """Read the wire format; rejects coefficients that are not JSON numbers
+    (:func:`json_float`) or not finite."""
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise ValueError("polynomial matrix must be a list of rows of entries")
     if not data or not data[0]:
         raise ValueError("empty polynomial matrix")
-    try:
-        c = _stack_entries(data)
-    except TypeError:
-        raise ValueError(
-            "polynomial matrix entries must be numbers or lists of numbers"
-        ) from None
+    for i, row in enumerate(data, start=1):
+        for j, e in enumerate(row, start=1):
+            for v in e if isinstance(e, list) else (e,):
+                if type(v) is not float and type(v) is not int:  # the common case
+                    json_float(v, f"coefficient of entry ({i},{j})")
+    c = _stack_entries(data)
     bad = np.argwhere(~np.isfinite(c))
     if bad.size:
         where = ", ".join(

@@ -23,8 +23,7 @@ size are stacked, with their coefficient matrices symmetrised once, and each
 step factors every size group with one batched Cholesky ``S = L L^T``.  With
 ``W = L^{-1}`` the Hessian is ``Wf^T Wf`` over the stacked ``vec(W B_j W^T)``,
 and the line search reads the log-det off ``diag L`` (a failed factorization
-is a point outside the barrier's domain).  The objective at the accepted
-trial point is kept for the next step's line search, until ``t`` changes.
+is a point outside the barrier's domain).
 
 A certificate is accepted by one rule, :func:`accepts`: every margin is at
 least ``eps / 2``.  Iterates are pre-checked on the compiled data
@@ -277,12 +276,7 @@ class LmiProblem:
         if sense == "zero":
             return float(eps - np.max(np.abs(S))) if S.size else eps
         H = 0.5 * (S + S.T)
-        return LmiProblem._cone_margin(np.linalg.eigvalsh(H), sense, shift, eps)
-
-    @staticmethod
-    def _cone_margin(lam: np.ndarray, sense: str, shift: float, eps: float) -> float:
-        """:meth:`_margin` of a semidefinite constraint from the ascending
-        eigenvalues ``lam`` of its symmetric part."""
+        lam = np.linalg.eigvalsh(H)
         bonus = eps if shift == 0.0 else 0.0
         if sense == "psd":
             return float(lam[0] - shift + bonus)
@@ -380,13 +374,12 @@ class LmiProblem:
             return t * x[nz] - np.log(ball) - 2.0 * logdet
 
         Ls = factor(x)
-        fx = None  # objective at x for the current t, kept from the line search
         while it < budget and t <= 1e18:
             while it < budget:
                 it += 1
                 if Ls is None:
                     x[nz] *= 2.0
-                    Ls, fx = factor(x), None
+                    Ls = factor(x)
                     continue
                 terms = [g.barrier_terms(L) for g, L in zip(groups, Ls)]
                 grad = sum(g_i for g_i, _ in terms)
@@ -404,16 +397,15 @@ class LmiProblem:
                 except np.linalg.LinAlgError:
                     step, *_ = np.linalg.lstsq(hess, -grad, rcond=None)
                 decrement = -grad @ step
-                f0 = objective(x, Ls) if fx is None else fx
+                f0 = objective(x, Ls)
                 alpha = 1.0
                 while True:
                     trial = x + alpha * step
                     trial_Ls = factor(trial)
-                    f_trial = objective(trial, trial_Ls)
-                    if f_trial < f0 or alpha <= 1e-13:
+                    if objective(trial, trial_Ls) < f0 or alpha <= 1e-13:
                         break
                     alpha *= 0.5
-                x, Ls, fx = trial, trial_Ls, f_trial
+                x, Ls = trial, trial_Ls
                 if accepted(x) and (rep := report(x)).feasible:
                     return rep
                 if decrement < 0.1:
@@ -422,29 +414,13 @@ class LmiProblem:
             # that a point in the ball reaches
             if it >= budget or x[nz] - 2.0 * nu / t > eps:
                 break
-            t, fx = t * 20.0, None
+            t *= 20.0
         return report(x)
 
     def verify(self, values: dict, eps: float) -> dict:
-        """Margins of every constraint at the given variable values.
-
-        Semidefinite constraints of one size share one batched ``eigvalsh``
-        call, which runs the same LAPACK routine on each matrix, so every
-        margin equals :meth:`_margin` of its constraint alone, bit for bit.
-        """
-        vals = [np.asarray(c.expr(values), dtype=float) for c in self.constraints]
-        same_size: dict[tuple, list[int]] = {}
-        for i, (c, S) in enumerate(zip(self.constraints, vals)):
-            if c.sense != "zero" and S.ndim == 2 and S.shape[0] == S.shape[1]:
-                same_size.setdefault(S.shape, []).append(i)
-        lams = {}
-        for idx in same_size.values():
-            S = np.stack([vals[i] for i in idx])
-            lams.update(zip(idx, np.linalg.eigvalsh(0.5 * (S + S.transpose(0, 2, 1)))))
+        """Margins of every constraint at the given variable values."""
         margins = {}
-        for i, (c, S) in enumerate(zip(self.constraints, vals)):
-            if i in lams:
-                margins[c.name] = self._cone_margin(lams[i], c.sense, c.shift, eps)
-            else:
-                margins[c.name] = self._margin(S, c.sense, c.shift, eps)
+        for c in self.constraints:
+            S = np.asarray(c.expr(values), dtype=float)
+            margins[c.name] = self._margin(S, c.sense, c.shift, eps)
         return margins

@@ -9,9 +9,11 @@ satisfies ``xi X(xi) = A X(xi) + B R(xi)`` together with the output map
 ``w = C x``.  Both identities are matched on the coefficient stacks of
 :meth:`PolyMatrix.stack`.  A verdict reads only ``A``, so :func:`realize`
 solves for ``A`` and ``B`` and leaves ``C`` to its first use, which only
-simulation makes.  :func:`express_in_state_basis` writes any number of
-blocks ``G mod R`` over a state map with one reduction, one least-squares
-solve and one span check over the whole stack; ``C`` (from ``I_w mod R``),
+simulation makes; it checks that ``X`` is a minimal state map, which puts
+``I_w mod R`` in the row span of ``X``, so ``C`` exists.
+:func:`express_in_state_basis` writes any number of blocks ``G mod R`` over
+a state map with one reduction, one least-squares solve and one span check
+over the whole stack; ``C`` (from ``I_w mod R``),
 the normal form and the standard construction's ``Pi`` all go through it.
 :func:`propagator` is the one matrix exponential of a mode's dynamics, for
 one time or, in one ``expm`` call, for an array of times.
@@ -139,14 +141,23 @@ class StateRealization:
 def realize(R: PolyMatrix, X: PolyMatrix) -> StateRealization:
     """Solve ``xi X = A X + B R`` by coefficient match.
 
-    Raises if the residual exceeds ``REALIZE_TOL``: the given X is then not
-    a valid state map for ``ker R``.  The output map ``C`` is left to its
-    first use (:attr:`StateRealization.C`); a valid X contains
-    ``I_w mod R`` in its row span, and an ``I_w mod R`` outside it raises
-    only when ``C`` is read.
+    Raises unless X is a minimal state map for ``ker R``: X must have
+    ``deg det R`` rows, linearly independent within ``REALIZE_TOL``, and
+    the residual must not exceed ``REALIZE_TOL``.  These three checks
+    suffice.  With ``xi X = A X + B R``, the constant rows ``a`` with
+    ``a X = p R`` for a polynomial row ``p`` form an ``A``-invariant space
+    (``a A X = (xi p - a B) R``); an eigenvector ``a A = lambda a`` in it
+    gives ``(xi - lambda) p = a B``, so ``p = 0`` and ``a X = 0``, which
+    independent rows exclude.  The rows of X are then independent modulo
+    ``R``, and ``deg det R`` of them span all ``G mod R``, ``I_w mod R``
+    among them.  The output map ``C`` is left
+    to its first use (:attr:`StateRealization.C`).
     """
-    R.det  # raises if R is not square or is singular
-    n = X.rows
+    n, N = X.rows, int(round(R.det.degree))  # R.det raises if R is singular
+    if n != N:
+        raise ValueError(
+            f"X is not a minimal state map: {n} rows for deg det R = {N}"
+        )
     L = int(R.degree) if R.degree != MINUS_INF else 0
     grid = max(L + 1, int(X.degree) + 2 if X.degree != MINUS_INF else 1)
     Xa = X.stack(grid)  # X(xi) over the monomial stack
@@ -160,6 +171,12 @@ def realize(R: PolyMatrix, X: PolyMatrix) -> StateRealization:
     resid = np.max(np.abs(AB @ M - Xb))
     if resid > REALIZE_TOL * scale:
         raise ValueError(f"X is not a valid state map (residual {resid:.3e})")
+    sv = np.linalg.svd(Xa, compute_uv=False)
+    if sv.size and sv[-1] <= REALIZE_TOL * sv[0]:
+        raise ValueError(
+            "X is not a minimal state map: its rows are linearly dependent "
+            f"(singular values {sv[0]:.3e} to {sv[-1]:.3e})"
+        )
     return StateRealization(R=R, X=X, A=A, B=B, Rt=Rt, Xa=Xa, Xb=Xb)
 
 

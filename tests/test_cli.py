@@ -523,6 +523,34 @@ WRONG_TYPED = {
     "cert-solver-int": ("cert", _set(["solver"], 5), "solver must be a JSON object"),
     "cert-K-object": ("cert", _set(["modes", 0, "K"], [[{"a": 1}]]), "mode 1: kernel K"),
     "pair-int": ("r2", _replace(5), "--r2"),
+    "model-coefficient-string": (
+        "model", _set(["modes", 0, 0, 1, 1], "1.5"),
+        "mode 1: coefficient of entry (1,2) must be a number, got '1.5'",
+    ),
+    "model-coefficient-bool": (
+        "model", _set(["modes", 1, 0, 0, 0], True),
+        "mode 2: coefficient of entry (1,1) must be a number, got True",
+    ),
+    "model-entry-bool": (
+        "model", _set(["gluing", 0, "g_plus", 1, 1], False),
+        "gluing 1->2 g_plus: coefficient of entry (2,2) must be a number",
+    ),
+    "model-coefficient-nested": (
+        "model", _set(["modes", 0, 1, 0], [[1.0]]), "mode 1: coefficient of entry (2,1)",
+    ),
+    "pair-coefficient-string": (
+        "r2", _set([0, 0, 1], "1"), "coefficient of entry (1,1) must be a number",
+    ),
+    "cert-K-string": (
+        "cert", _set(["modes", 0, "K", 0, 0], "2"),
+        "mode 1: kernel K entry (1,1) must be a number, got '2'",
+    ),
+    "cert-K-bool": (
+        "cert", _set(["modes", 1, "K", 0, 0], True),
+        "mode 2: kernel K entry (1,1) must be a number, got True",
+    ),
+    "cert-K-row-int": ("cert", _set(["modes", 0, "K", 0], 5), "mode 1: kernel K row 1"),
+    "cert-K-int": ("cert", _set(["modes", 0, "K"], 5), "mode 1: kernel K must be a list"),
 }
 
 
@@ -557,6 +585,23 @@ def test_wrong_typed_field_exits_1(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert words in err
+
+
+def test_partial_state_map_exits_1(tmp_path, capsys):
+    """Two modes R = xi^2 + 3 xi + 2 with a one-row state map X = xi + 1
+    (its realization residual is zero) glued by G = xi + 1, which lies in
+    the span of X: the file is invalid input, not a certificate over a
+    partial state."""
+    R = [[[2.0, 3.0, 1.0]]]
+    G = [[[1.0, 1.0]]]
+    glue = [{"from": k, "to": l, "g_minus": G, "g_plus": G} for k, l in ((1, 2), (2, 1))]
+    doc = {"variables": 1, "modes": [R, R], "gluing": glue, "state_maps": [G, G]}
+    path, out = tmp_path / "partial.json", tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not a minimal state map" in err
+    assert not out.exists()
 
 
 def test_standard_model_emission(tmp_path):

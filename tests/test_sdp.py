@@ -175,46 +175,6 @@ class TestVerify:
         assert good["eq"] > 0 > bad["eq"]
 
 
-def _lone_margins(prob, values, eps):
-    """Reference: ``_margin`` of each constraint on its own."""
-    return {
-        c.name: LmiProblem._margin(np.asarray(c.expr(values), dtype=float), c.sense, c.shift, eps)
-        for c in prob.constraints
-    }
-
-
-class TestBatchedVerify:
-    """``verify`` takes one ``eigvalsh`` per cone size; every margin equals
-    ``_margin`` of its constraint alone, bit for bit, in constraint order."""
-
-    @pytest.mark.parametrize("strict", [False, True])
-    @pytest.mark.parametrize(
-        "name",
-        ["concond", "elcirc", "exmath", "source_converter_4mode", "source_converter_6mode"],
-    )
-    def test_corpus_margins_equal_lone_margins(self, name, strict):
-        model = load_model(MODELS / f"{name}.json")
-        eps = EPS_REL * problem_scale(model)
-        prob = assemble_mlf_lmis(model, eps, strict=strict)
-        rng = np.random.default_rng(5)
-        warm = _warm_start(model)
-        noisy = {k: K + 0.1 * np.max(np.abs(K)) * rng.standard_normal(K.shape) for k, K in warm.items()}
-        for values in (warm, noisy):
-            got, want = prob.verify(values, eps), _lone_margins(prob, values, eps)
-            assert list(got) == list(want)
-            assert [m.hex() for m in got.values()] == [m.hex() for m in want.values()]
-
-    def test_zero_sense_alongside_cones(self):
-        R = PolyMatrix.from_entries([[[2.0, 3.0, 1.0], [1.0]], [[0.0], [1.0, 1.0]]])
-        X = minimal_state_map(R)
-        prob = assemble_ple_lmi(R, X, np.ones((1, X.rows)), require_positive=True, eps=1e-7)
-        rng = np.random.default_rng(6)
-        values = {"K": np.eye(X.rows), "Y": rng.standard_normal((2, X.rows))}
-        got, want = prob.verify(values, 1e-7), _lone_margins(prob, values, 1e-7)
-        assert list(got) == ["ple", "pos"]
-        assert [m.hex() for m in got.values()] == [m.hex() for m in want.values()]
-
-
 class TestAccepts:
     def test_boundary_margin(self):
         eps = 1e-7

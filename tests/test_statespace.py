@@ -85,6 +85,24 @@ class TestRealize:
             Xl = X(lam)
             assert np.allclose(real.C @ Xl, [[1.0]], atol=1e-9)
 
+    # R = xi^2 + 3 xi + 2 with rows of X = xi + 1: xi (xi + 1) = -2 (xi + 1) + R,
+    # so the residual of xi X = A X + B R is zero although X misses a state
+    PARTIAL = [[[[1.0, 1.0]]], [[[1.0, 1.0]], [[2.0, 2.0]]]]
+
+    @pytest.mark.parametrize("rows", PARTIAL, ids=["too-few-rows", "dependent-rows"])
+    def test_rejects_state_map_with_zero_residual_missing_a_state(self, rows):
+        R = PolyMatrix.from_entries([[[2.0, 3.0, 1.0]]])
+        with pytest.raises(ValueError, match="not a minimal state map"):
+            realize(R, PolyMatrix.from_entries(rows))
+
+    def test_accepted_state_map_spans_the_output_map(self):
+        """A state map that realize accepts yields C: two rows of degree
+        one, independent, for deg det R = 2."""
+        R = PolyMatrix.from_entries([[[2.0, 3.0, 1.0]]])
+        real = realize(R, PolyMatrix.from_entries([[[1.0, 1.0]], [[0.0, 1.0]]]))
+        for lam in (-1.0, -2.0):
+            assert np.allclose(real.C @ real.X(lam), [[1.0]], atol=1e-9)
+
     def test_state_equation_residual(self):
         """xi X = A X + B R as polynomial identity, 50 random stable modes."""
         rng = np.random.default_rng(7)
