@@ -24,7 +24,7 @@ from .mlf import (
     save_certificate,
     verify_mlf,
 )
-from .model import is_well_posed, load_model, model_to_json, modes_hurwitz
+from .model import is_well_posed, load_model, model_to_json, modes_hurwitz, save_model
 from .polymat import polymatrix_from_json, polymatrix_to_json
 from .sdp import DEFAULT_BUDGET
 from .sim import audit_mlf, asymptotic_check, signal_from_json, simulate, write_trace_csv
@@ -139,8 +139,7 @@ def cmd_posreal(args) -> int:
             save_certificate(cert, args.out)
             base, ext = os.path.splitext(args.out)
             model_path = base + "_model" + (ext or ".json")
-            with open(model_path, "w") as fh:
-                json.dump(model_to_json(std.model), fh, indent=2)
+            save_model(std.model, model_path)
             print(f"certificate -> {args.out}, model -> {model_path}")
         else:
             print(json.dumps(certificate_to_json(cert), indent=2))
@@ -160,13 +159,11 @@ def cmd_posreal(args) -> int:
 def cmd_standard(args) -> int:
     R1, R2 = _load_pair(args)
     std = pr.build_standard_slds(R1, R2)
-    doc = model_to_json(std.model)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2)
+        save_model(std.model, args.out)
         print(f"standard model written to {args.out}")
     else:
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(model_to_json(std.model), indent=2))
     return EXIT_OK
 
 
@@ -230,7 +227,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -122,9 +122,6 @@ class SldsModel:
     def n_modes(self) -> int:
         return len(self.modes)
 
-    def transitions(self) -> list[tuple[int, int]]:
-        return sorted(self.gluing.keys())
-
     @cached_property
     def normal_form_pairs(self) -> dict[tuple[int, int], NormalFormPair]:
         """``normal_form(self)``, derived on first use."""

@@ -44,6 +44,7 @@ from .qdf import (
     two_var_from_pair,
     two_var_product,
 )
+from .sdp import LmiProblem
 from .statespace import express_in_state_basis, minimal_state_map
 
 FACTOR_TOL = 1e-8
@@ -180,12 +181,11 @@ def _spr_verdict(N: PolyMatrix, D: PolyMatrix, P: PolyMatrix) -> tuple[bool, dic
 # spectral factorization
 
 
-def _scalar_factor(p: Poly, R1: PolyMatrix | None) -> PolyMatrix:
+def _scalar_factor(p: Poly, R1: PolyMatrix) -> PolyMatrix:
     """Root-splitting factorization of an even scalar ``p(xi) = q(-xi)q(xi)``.
 
     From each ``{lam, -lam}`` root pair, picks the root keeping
-    ``col(R1(lam), q(lam))`` full rank when ``R1`` is supplied; ties break
-    toward the left half-plane.
+    ``col(R1(lam), q(lam))`` full rank; ties break toward the left half-plane.
     """
     if p.degree == MINUS_INF:
         raise ValueError("cannot factor the zero polynomial")
@@ -201,7 +201,7 @@ def _scalar_factor(p: Poly, R1: PolyMatrix | None) -> PolyMatrix:
             raise ValueError("boundary polynomial is indefinite")
         return PolyMatrix.from_entries([[Poly([np.sqrt(p.coeffs[0])])]])
     rts = list(poly_roots(p))
-    d1 = None if R1 is None else R1.det
+    d1 = R1.det
     chosen = []
     while rts:
         r = rts.pop(0)
@@ -212,12 +212,11 @@ def _scalar_factor(p: Poly, R1: PolyMatrix | None) -> PolyMatrix:
             raise ValueError("roots do not come in +/- pairs (not para-even)")
         mate = rts.pop(j)
         pick, other = (r, mate) if r.real < mate.real else (mate, r)
-        if d1 is not None:
-            # avoid a common zero of R1 and q: rank col(R1(lam), q(lam)) = w
-            if abs(d1(pick)) <= 1e-7 * max(1.0, d1.coeffs[-1]) and abs(
-                d1(other)
-            ) > 1e-7 * max(1.0, d1.coeffs[-1]):
-                pick = other
+        # avoid a common zero of R1 and q: rank col(R1(lam), q(lam)) = w
+        if abs(d1(pick)) <= 1e-7 * max(1.0, d1.coeffs[-1]) and abs(
+            d1(other)
+        ) > 1e-7 * max(1.0, d1.coeffs[-1]):
+            pick = other
         chosen.append(pick)
     qm = np.sqrt(lead)
     coeffs = qm * np.poly(chosen)[::-1]  # ascending
@@ -226,85 +225,61 @@ def _scalar_factor(p: Poly, R1: PolyMatrix | None) -> PolyMatrix:
     return PolyMatrix(coeffs.real[:, None, None])
 
 
-def _gram_factor(P: PolyMatrix) -> PolyMatrix:
-    """Matrix spectral factor via a Gram-matrix semidefinite program.
+def _gram_factor(P: PolyMatrix, R1: PolyMatrix) -> PolyMatrix:
+    """Matrix spectral factor ``Q = Qbar X1`` over the mode-1 state map.
 
-    Searches a PSD block matrix G (blocks ``G_ij = Q_i^T Q_j``) whose signed
-    anti-diagonal sums reproduce the coefficients of P, then factors G.  The
-    resulting Q may have more than w rows.
+    With ``X1 = minimal_state_map(R1) = sum_i X_i xi^i``, searches a PSD Gram
+    matrix ``G = Qbar^T Qbar`` (``n1 x n1``) with
+    ``sum_{i+j=k} (-1)^i X_i^T G X_j = P_k`` for every ``k``, then factors it.
+    The rows of ``Q`` are combinations of state rows, so ``Q R1^{-1}`` is
+    strictly proper by construction; ``Q`` has ``rank G`` rows.  This is the
+    Gram-matrix method (Choi, Lam & Reznick 1995) in the state basis of the
+    QDF calculus (Willems & Trentelman, SIAM J. Control Optim. 36(5), 1998).
     """
-    from .sdp import LmiProblem  # local import to keep module deps acyclic
-
-    w = P.cols
-    deg = int(max(P.degree, 0))
-    if deg % 2 != 0:
-        raise ValueError("boundary polynomial matrix has odd degree")
-    d = deg // 2
-    nb = d + 1
-    scale = max(1.0, P.max_norm())
-    eps = 1e-9 * scale
-    prob = LmiProblem()
-    prob.add_symmetric("G", nb * w)
-    prob.add_constraint("psd", lambda v: v["G"], "psd", 0.0)
-    Pc = np.zeros((2 * d + 1, w, w))
+    X1 = minimal_state_map(R1)
+    X = X1.coeffs
+    dx = X.shape[0] - 1
+    Pc = np.zeros((max(2 * dx + 1, P.coeffs.shape[0]),) + P.shape)
     Pc[: P.coeffs.shape[0]] = P.coeffs
+    prob = LmiProblem()
+    prob.add_symmetric("G", X1.rows)
+    prob.add_constraint("psd", lambda v: v["G"], "psd", 0.0)
 
     def match(k):
-        def expr(v, k=k):
-            G = v["G"]
-            # G_ij is blocks[..., i, :, j, :]; G may carry a leading stack axis
-            blocks = G.reshape(G.shape[:-2] + (nb, w, nb, w))
-            acc = -Pc[k]
-            for i in range(nb):
-                j = k - i
-                if 0 <= j < nb:
-                    acc = acc + (-1.0) ** i * blocks[..., i, :, j, :]
-            return acc
+        # G may carry a leading stack axis; X_i^T G X_j broadcasts over it
+        lo, hi = max(0, k - dx), min(k, dx)
+        return lambda v: sum(
+            ((-1.0) ** i * X[i].T @ v["G"] @ X[k - i] for i in range(lo, hi + 1)),
+            -Pc[k],
+        )
 
-        return expr
-
-    for k in range(2 * d + 1):
+    for k in range(Pc.shape[0]):
         prob.add_constraint(f"coef_{k}", match(k), "zero", 0.0)
-    report = prob.solve(eps, budget=20_000)
+    report = prob.solve(1e-9 * max(1.0, P.max_norm()), budget=20_000)
     if not report.feasible:
         raise ValueError("boundary form admits no PSD Gram matrix (indefinite?)")
-    G = report.values["G"]
-    lam, U = np.linalg.eigh(0.5 * (G + G.T))
+    lam, U = np.linalg.eigh(report.values["G"])
     keep = lam > 1e-10 * max(1.0, lam[-1])
-    Qt = (np.sqrt(lam[keep])[:, None] * U[:, keep].T)  # r x (nb*w)
-    return PolyMatrix.from_stack(Qt, w)
+    Qbar = np.sqrt(lam[keep])[:, None] * U[:, keep].T
+    return PolyMatrix(Qbar[None]) @ X1
 
 
-def spectral_factorize(
-    P: PolyMatrix, R1: PolyMatrix | None = None
-) -> SpectralFactor:
-    """Factor a para-Hermitian line polynomial as ``P(xi) = Q(-xi)^T Q(xi)``.
+def spectral_factorize(P: PolyMatrix, R1: PolyMatrix) -> SpectralFactor:
+    """Factor a para-Hermitian boundary form as ``P(xi) = Q(-xi)^T Q(xi)``.
 
-    ``P`` is the one-variable boundary form (``P(j w)`` Hermitian PSD for all
-    real ``w``); scalar inputs use exact root splitting, ``w = 2`` uses a
-    Gram-matrix feasibility search, larger sizes are not supported.
+    ``Q R1^{-1}`` is strictly proper, as the storage function of mode 1
+    needs.  A scalar ``P`` is split at its roots into a one-row ``Q``; for
+    ``w >= 2`` one Gram LMI over the mode-1 state map gives ``rank G`` rows.
+    An indefinite ``P`` has no factor (``|Q(j w)|^2 >= 0``) and is rejected.
     """
-    if P.rows != P.cols:
-        raise ValueError("boundary form must be square")
-    w = P.cols
-    scale = max(1.0, P.max_norm())
-    # quick indefiniteness screen on a frequency sweep
-    radius = 1.0 + scale
-    for om in np.linspace(0.0, radius, 17):
-        H = P(1j * om)
-        H = 0.5 * (H + H.conj().T)
-        if np.linalg.eigvalsh(H)[0] < -1e-9 * scale:
-            raise ValueError(f"boundary form is indefinite (negative at omega={om:.3g})")
-    if w == 1:
+    if P.rows != P.cols or R1.shape != P.shape:
+        raise ValueError("boundary form and R1 must be square of equal size")
+    if P.cols == 1:
         Q = _scalar_factor(P.entry(0, 0), R1)
-    elif w == 2:
-        Q = _gram_factor(P)
     else:
-        raise NotImplementedError(
-            "matrix spectral factorization supported only up to 2x2"
-        )
+        Q = _gram_factor(P, R1)
     resid = ((Q.subs_neg().T @ Q) - P).max_norm()
-    if resid > FACTOR_TOL * scale:
+    if resid > FACTOR_TOL * max(1.0, P.max_norm()):
         raise ValueError(f"spectral factorization residual {resid:.3e}")
     return SpectralFactor(Q=Q)
 

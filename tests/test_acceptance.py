@@ -335,9 +335,12 @@ def test_criterion_5_negative_controls(tmp_path, capsys):
 
     # indefinite boundary form is rejected by the factorizer
     with pytest.raises(ValueError, match="indefinite"):
-        spectral_factorize(PolyMatrix.from_entries([[[-1.0]]]))
+        spectral_factorize(PolyMatrix.from_entries([[[-1.0]]]), good)
     with pytest.raises(ValueError):
-        spectral_factorize(PolyMatrix.from_entries([[[1.0, 0.0, 1.0]]]))
+        spectral_factorize(
+            PolyMatrix.from_entries([[[1.0, 0.0, 1.0]]]),
+            PolyMatrix.from_entries([[[2.0, 3.0, 1.0]]]),
+        )
 
     _report(5, "unstable/ill-posed/indefinite inputs rejected with diagnoses")
 

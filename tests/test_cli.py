@@ -259,6 +259,31 @@ def test_certificate_not_fitting_model_exits_1(tmp_path, capsys, command, edit):
     assert "verif" not in captured.out and "audit" not in captured.out
 
 
+def _diagonal_pair(entries):
+    """``(R1, R2)`` with diagonal entries ``(r1, r2)`` (ascending coefficients)."""
+    w = len(entries)
+    return tuple(
+        PolyMatrix.from_entries(
+            [[entries[i][side] if i == j else [0.0] for j in range(w)] for i in range(w)]
+        )
+        for side in (0, 1)
+    )
+
+
+# r1 | r2 per diagonal entry: (xi+1)(xi+4) | 2(xi+2), (xi+0.5)(xi+3) | xi+1,
+# and for w = 3 also (xi+2)(xi+5) | xi+3
+_W2 = [([4.0, 5.0, 1.0], [4.0, 2.0]), ([1.5, 3.5, 1.0], [1.0, 1.0])]
+_W3 = _W2 + [([10.0, 7.0, 1.0], [3.0, 1.0])]
+# unimodular V = [[1, 0.7 + 1.3 xi], [0, 1]] couples the columns and leaves
+# R2 R1^{-1} unchanged
+_V = PolyMatrix.from_entries([[[1.0], [0.7, 1.3]], [[0.0], [1.0]]])
+MATRIX_PAIRS = {
+    "diagonal_w2": lambda: _diagonal_pair(_W2),
+    "coupled_w2": lambda: tuple(R @ _V for R in _diagonal_pair(_W2)),
+    "diagonal_w3": lambda: _diagonal_pair(_W3),
+}
+
+
 class TestPosreal:
     def test_sprcheck(self, capsys):
         assert main(["posreal", "sprcheck", "--r1", R1, "--r2", R2]) == 0
@@ -320,6 +345,26 @@ class TestPosreal:
             err = capsys.readouterr().err
             assert "mode 2" in err and "constant det R" in err
             assert "zero-size" not in err
+
+    @pytest.mark.parametrize("name", ["diagonal_w2", "coupled_w2", "diagonal_w3"])
+    def test_matrix_pairs(self, tmp_path, capsys, name):
+        # a matrix pair is factored over the mode-1 state map: Q R1^{-1} is
+        # strictly proper, so mlf and complete succeed for every w >= 2
+        R1p, R2p = MATRIX_PAIRS[name]()
+        r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        r1.write_text(json.dumps(polymatrix_to_json(R1p)))
+        r2.write_text(json.dumps(polymatrix_to_json(R2p)))
+        io_args = ["--r1", str(r1), "--r2", str(r2)]
+        cert = tmp_path / "cert.json"
+        assert main(["posreal", "sprcheck"] + io_args) == 0
+        assert main(["posreal", "mlf"] + io_args + ["--out", str(cert)]) == 0
+        comp = tmp_path / "comp.json"
+        assert main(["posreal", "complete"] + io_args + ["--out", str(comp)]) == 0
+        assert comp.exists()
+        capsys.readouterr()
+        model_path = str(tmp_path / "cert_model.json")
+        assert main(["check", model_path, "--verify-only", str(cert)]) == 0
+        assert "certificate verifies" in capsys.readouterr().out
 
     def test_unverified_certificate_not_written(self, tmp_path, capsys, monkeypatch):
         # a negated storage kernel keeps its block structure but is not

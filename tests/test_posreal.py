@@ -12,7 +12,7 @@ from sldstab.cli import main
 from sldstab.fixtures import standard_scalar_pair
 from sldstab.mlf import certificate_to_json, find_mlf, make_certificate, verify_mlf
 from sldstab.model import normal_form
-from sldstab.polymat import PolyMatrix, polymatrix_from_json
+from sldstab.polymat import PolyMatrix, is_strictly_proper, polymatrix_from_json
 from sldstab.posreal import (
     build_standard_slds,
     check_completion,
@@ -82,37 +82,78 @@ class TestSprTest:
         assert np.allclose(P.coeffs.ravel(), [12.0])
 
 
+# R1 = diag(xi + 1, xi^2 + 3 xi + 2): a w = 2 mode with three states
+R1_W2 = PolyMatrix.from_entries([[[1.0, 1.0], [0.0]], [[0.0], [2.0, 3.0, 1.0]]])
+
+
+def _interlacing(n):
+    """Seeded scalar pair of degree ``n`` with ``p1 < z1 < ... < z_{n-1} < p_n``."""
+    v = np.sort(np.random.default_rng(n).uniform(0.2, 20.0, 2 * n - 1))
+    return _from_roots(v[0::2], v[1::2])
+
+
 class TestSpectralFactorization:
     def test_constant(self):
-        Q = spectral_factorize(_scalar([12.0])).Q
+        Q = spectral_factorize(_scalar([12.0]), _scalar([2.0, 3.0, 1.0])).Q
         assert Q.coeffs.ravel() == pytest.approx([2.0 * np.sqrt(3.0)])
 
     def test_degree_two(self):
         # 4 - 4 xi^2 = (2 - 2 xi)(2 + 2 xi) = Q(-xi) Q(xi)
-        Q = spectral_factorize(_scalar([4.0, 0.0, -4.0])).Q
+        Q = spectral_factorize(_scalar([4.0, 0.0, -4.0]), _scalar([6.0, 5.0, 1.0])).Q
         P = Q.subs_neg().T @ Q
         assert np.allclose(P.coeffs.ravel()[:3], [4.0, 0.0, -4.0])
 
     def test_indefinite_rejected(self):
         with pytest.raises(ValueError, match="indefinite"):
-            spectral_factorize(_scalar([-1.0]))
+            spectral_factorize(_scalar([-1.0]), _scalar([1.0, 1.0]))
 
     def test_odd_degree_rejected(self):
         with pytest.raises(ValueError):
-            spectral_factorize(_scalar([0.0, 4.0]))
+            spectral_factorize(_scalar([0.0, 4.0]), _scalar([2.0, 3.0, 1.0]))
+
+    @pytest.mark.parametrize("degree", [None, 2, 3, 4, 5])
+    def test_scalar_factor_has_one_row(self, degree):
+        # a scalar factor is one polynomial q with q(-xi) q(xi) = P
+        R1, R2 = standard_scalar_pair() if degree is None else _interlacing(degree)
+        P = para_hermitian_boundary(R2, R1)
+        Q = spectral_factorize(P, R1).Q
+        assert Q.rows == 1
+        resid = ((Q.subs_neg().T @ Q) - P).max_norm()
+        assert resid <= posreal.FACTOR_TOL * max(1.0, P.max_norm())
 
     def test_two_by_two_gram_route(self):
         P = PolyMatrix.from_entries(
             [[[2.0], [0.0]], [[0.0], [2.0, 0.0, -2.0]]]
         )
-        Q = spectral_factorize(P).Q
+        Q = spectral_factorize(P, R1_W2).Q
         resid = ((Q.subs_neg().T @ Q) - P).max_norm()
         assert resid < 1e-7 * P.max_norm()
+        assert is_strictly_proper(Q, R1_W2)
 
-    def test_three_by_three_unsupported(self):
-        P = PolyMatrix.identity(3)
-        with pytest.raises(NotImplementedError):
-            spectral_factorize(P)
+    def test_three_by_three_gram_route(self):
+        # diagonal entries r1 | r2: (xi+1)(xi+4) | 2(xi+2),
+        # (xi+0.5)(xi+3) | xi+1, (xi+2)(xi+5) | xi+3; V couples the columns
+        r1 = [[4.0, 5.0, 1.0], [1.5, 3.5, 1.0], [10.0, 7.0, 1.0]]
+        r2 = [[4.0, 2.0], [1.0, 1.0], [3.0, 1.0]]
+        V = PolyMatrix.from_entries(
+            [[[1.0], [0.7, 1.3], [0.0]], [[0.0], [1.0], [0.0, 0.5]], [[0.0], [0.0], [1.0]]]
+        )
+        R1, R2 = (
+            PolyMatrix.from_entries(
+                [[r[i] if i == j else [0.0] for j in range(3)] for i in range(3)]
+            ) @ V
+            for r in (r1, r2)
+        )
+        P = para_hermitian_boundary(R2, R1)
+        Q = spectral_factorize(P, R1).Q
+        resid = ((Q.subs_neg().T @ Q) - P).max_norm()
+        assert resid <= posreal.FACTOR_TOL * max(1.0, P.max_norm())
+        assert is_strictly_proper(Q, R1)
+
+    def test_indefinite_matrix_form_rejected(self):
+        P = PolyMatrix.from_entries([[[1.0], [0.0]], [[0.0], [-1.0]]])
+        with pytest.raises(ValueError):
+            spectral_factorize(P, R1_W2)
 
 
 class TestStandardConstruction:

@@ -294,7 +294,8 @@ class TestBatchedCompile:
             lambda self, *a, **k: problems.append(self) or solve(self, *a, **k),
         )
         P = PolyMatrix.from_entries([[[2.0], [0.0]], [[0.0], [2.0, 0.0, -2.0]]])
-        spectral_factorize(P)
+        R1 = PolyMatrix.from_entries([[[1.0, 1.0], [0.0]], [[0.0], [2.0, 3.0, 1.0]]])
+        spectral_factorize(P, R1)
         assert len(problems) == 1
         _assert_compiles_like_probing(problems[0])
 
