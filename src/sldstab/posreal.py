@@ -29,6 +29,7 @@ from .polymat import (
     MINUS_INF,
     Poly,
     PolyMatrix,
+    canonical_rep,
     determinant,
     is_hurwitz,
     is_strictly_proper,
@@ -91,8 +92,8 @@ class StandardSlds:
 
     @cached_property
     def spectral_factor(self) -> PolyMatrix:
-        """``Q`` with ``Q(-xi)^T Q(xi)`` equal to :attr:`boundary`."""
-        return spectral_factorize(self.boundary, self.R1).Q
+        """``Q`` with ``Q(-xi)^T Q(xi)`` equal to :attr:`boundary`, over :attr:`X1`."""
+        return spectral_factorize(self.boundary, self.R1, self.X1).Q
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +226,19 @@ def _scalar_factor(p: Poly, R1: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(coeffs.real[:, None, None])
 
 
-def _gram_factor(P: PolyMatrix, R1: PolyMatrix) -> PolyMatrix:
-    """Matrix spectral factor ``Q = Qbar X1`` over the mode-1 state map.
+def _gram_factor(P: PolyMatrix, R1: PolyMatrix, X1: PolyMatrix) -> PolyMatrix:
+    """Matrix spectral factor ``Q = Qbar X1`` over a mode-1 state map.
 
-    With ``X1 = minimal_state_map(R1) = sum_i X_i xi^i``, searches a PSD Gram
-    matrix ``G = Qbar^T Qbar`` (``n1 x n1``) with
+    With ``X1 = sum_i X_i xi^i`` a minimal state map of ``R1``, searches a PSD
+    Gram matrix ``G = Qbar^T Qbar`` (``n1 x n1``) with
     ``sum_{i+j=k} (-1)^i X_i^T G X_j = P_k`` for every ``k``, then factors it.
     The rows of ``Q`` are combinations of state rows, so ``Q R1^{-1}`` is
-    strictly proper by construction; ``Q`` has ``rank G`` rows.  This is the
+    strictly proper; ``Q`` has ``rank G`` rows and is returned as its
+    canonical representative modulo ``R1``, which drops the rounding-level
+    polynomial part the product ``Qbar X1`` can leave.  This is the
     Gram-matrix method (Choi, Lam & Reznick 1995) in the state basis of the
     QDF calculus (Willems & Trentelman, SIAM J. Control Optim. 36(5), 1998).
     """
-    X1 = minimal_state_map(R1)
     X = X1.coeffs
     dx = X.shape[0] - 1
     Pc = np.zeros((max(2 * dx + 1, P.coeffs.shape[0]),) + P.shape)
@@ -261,23 +263,26 @@ def _gram_factor(P: PolyMatrix, R1: PolyMatrix) -> PolyMatrix:
     lam, U = np.linalg.eigh(report.values["G"])
     keep = lam > 1e-10 * max(1.0, lam[-1])
     Qbar = np.sqrt(lam[keep])[:, None] * U[:, keep].T
-    return PolyMatrix(Qbar[None]) @ X1
+    return canonical_rep(PolyMatrix(Qbar[None]) @ X1, R1)
 
 
-def spectral_factorize(P: PolyMatrix, R1: PolyMatrix) -> SpectralFactor:
+def spectral_factorize(
+    P: PolyMatrix, R1: PolyMatrix, X1: PolyMatrix | None = None
+) -> SpectralFactor:
     """Factor a para-Hermitian boundary form as ``P(xi) = Q(-xi)^T Q(xi)``.
 
     ``Q R1^{-1}`` is strictly proper, as the storage function of mode 1
     needs.  A scalar ``P`` is split at its roots into a one-row ``Q``; for
-    ``w >= 2`` one Gram LMI over the mode-1 state map gives ``rank G`` rows.
-    An indefinite ``P`` has no factor (``|Q(j w)|^2 >= 0``) and is rejected.
+    ``w >= 2`` one Gram LMI over the mode-1 state map ``X1`` (derived from
+    ``R1`` when not given) gives ``rank G`` rows.  An indefinite ``P`` has
+    no factor (``|Q(j w)|^2 >= 0``) and is rejected.
     """
     if P.rows != P.cols or R1.shape != P.shape:
         raise ValueError("boundary form and R1 must be square of equal size")
     if P.cols == 1:
         Q = _scalar_factor(P.entry(0, 0), R1)
     else:
-        Q = _gram_factor(P, R1)
+        Q = _gram_factor(P, R1, minimal_state_map(R1) if X1 is None else X1)
     resid = ((Q.subs_neg().T @ Q) - P).max_norm()
     if resid > FACTOR_TOL * max(1.0, P.max_norm()):
         raise ValueError(f"spectral factorization residual {resid:.3e}")

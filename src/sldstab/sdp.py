@@ -20,17 +20,24 @@ produced by the Lyapunov assemblies are homogeneous in the unknowns.
 
 The Newton loop works on the compiled affine data alone.  Cones of equal
 size are stacked, with their coefficient matrices symmetrised once, and each
-step factors every size group with one batched Cholesky ``S = L L^T``.  With
-``W = L^{-1}`` the Hessian is ``Wf^T Wf`` over the stacked ``vec(W B_j W^T)``,
-and the line search reads the log-det off ``diag L`` (a failed factorization
-is a point outside the barrier's domain).
+trial point is factored once: one batched eigendecomposition
+``S = V diag(lam) V^T`` per size group.  It gives the domain test
+(``lam > 0``), the log-det (``sum log lam``), the Hessian factor
+``W = diag(lam)^{-1/2} V^T`` (the Hessian is ``Wf^T Wf`` over the stacked
+``vec(W B_j W^T)``) and, since ``s`` enters every slack as ``s I``, each
+cone's margin ``lam_min - s + offset``.
+
+The barrier parameter starts at ``t0 = max(1, sum_i tr S_i^{-1})`` at the
+starting point: the barrier's pull on ``s`` there, so the start is centred
+along ``s`` and the first centering does not spend its steps growing ``s``
+(Boyd & Vandenberghe, section 11.3.1, choose ``t0`` from the start point).
 
 A certificate is accepted by one rule, :func:`accepts`: every margin is at
-least ``eps / 2``.  Iterates are pre-checked on the compiled data
-(batched eigenvalues per size group and the largest equality residual,
-mirroring that rule); the closure-based ``verify`` re-checks an accepted
-iterate and the final one, and the report's margins and ``feasible`` flag
-are :func:`accepts` of its margins.
+least ``eps / 2``.  Iterates are pre-checked on the compiled data (the
+factored eigenvalues and the largest equality residual, mirroring that
+rule); the closure-based ``verify`` re-checks an accepted iterate and the
+final one, and the report's margins and ``feasible`` flag are
+:func:`accepts` of its margins.
 
 The search stops without a certificate when a centering ends with
 ``s - 2 nu / t > eps``, where ``nu`` (one plus the sum of the cone sizes) is
@@ -142,22 +149,21 @@ class _ConeGroup:
         g, m, _ = self.C.shape
         return self.C + (self.B @ x).reshape(g, m, m)
 
-    def min_eig(self, z: np.ndarray) -> np.ndarray:
-        """Smallest eigenvalue of each slack at ``(z, s = 0)``."""
-        return np.linalg.eigvalsh(self.slack(np.append(z, 0.0)))[:, 0]
-
-    def barrier_terms(self, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def barrier_terms(
+        self, lam: np.ndarray, V: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Gradient and Hessian factor of ``-sum_i log det slack_i``.
 
-        ``L`` holds the slacks' Cholesky factors.  With ``W = L_i^{-1}`` the
-        rows ``vec(W B_ij W^T)`` give the Hessian as ``rows^T rows`` and the
-        gradient as minus their traces.
+        ``lam, V`` are the slacks' eigendecompositions.  With
+        ``W = diag(lam_i)^{-1/2} V_i^T`` the rows ``vec(W B_ij W^T)`` give the
+        Hessian as ``rows^T rows`` and the gradient as minus their traces
+        (every ``m + 1``-th row holds a diagonal entry).
         """
-        g, m, _ = L.shape
-        W = np.linalg.inv(L)
+        g, m, _ = V.shape
+        W = V.transpose(0, 2, 1) / np.sqrt(lam)[:, :, None]
         kron = W[:, :, None, :, None] * W[:, None, :, None, :]  # W (x) W
         rows = kron.reshape(g, m * m, m * m) @ self.B
-        grad = -np.trace(rows.reshape(g, m, m, -1), axis1=1, axis2=2).sum(axis=0)
+        grad = -rows[:, :: m + 1].sum(axis=(0, 1))
         return grad, rows.reshape(g * m * m, -1)
 
 
@@ -336,59 +342,71 @@ class LmiProblem:
             margins = self.verify(values, eps)
             return SolveReport(accepts(margins, eps), it, margins, values)
 
-        def accepted(x) -> bool:
+        def factor(x) -> list:
+            """``(lam, V)``: every group's slack eigendecomposition at ``x``."""
+            return [np.linalg.eigh(g.slack(x)) for g in groups]
+
+        def inside(eigs) -> bool:
+            """Every slack positive definite: the barrier's domain in ``x``."""
+            return all(lam[:, 0].min() > 0.0 for lam, _ in eigs)
+
+        def accepted(x, eigs) -> bool:
             """Mirrors :func:`accepts` of ``verify``'s margins on the compiled data.
 
             A pre-check only: ``report`` re-checks every iterate it passes.
             """
-            if any(np.min(g.min_eig(x[:nz]) + g.offset) < eps / 2 for g in groups):
+            if any(
+                (lam[:, 0] + (g.offset - x[nz])).min() < eps / 2
+                for g, (lam, _) in zip(groups, eigs)
+            ):
                 return False
             if eq_rows:
                 resid = Aeq @ (vp + N @ x[:nz]) + beq
                 return bool(np.max(np.abs(resid), initial=0.0) <= eps / 2)
             return True
 
+        def shifted(eigs, ds) -> list:
+            """The factors after ``s += ds``: ``s`` enters every slack as ``s I``."""
+            return [(lam + ds, V) for lam, V in eigs]
+
         x = np.append(z, 0.0)
-        if accepted(x) and (rep := report(x)).feasible:
+        eigs = factor(x)
+        if accepted(x, eigs) and (rep := report(x)).feasible:
             return rep
         if not groups or nz == 0:
             return report(x)
 
         radius_sq = (1e3 * (1.0 + np.linalg.norm(z) + np.linalg.norm(vp))) ** 2
-        lam_min = min(np.min(g.min_eig(z)) for g in groups)
-        x[nz] = 1.5 * max(0.0, -lam_min) + 0.1 * max(1e-6, abs(lam_min))
-        t = 1.0
+        eye_z = np.eye(nz)
 
-        def factor(x):
-            """Cholesky factors of every group's slack, or None off the domain."""
-            try:
-                return [np.linalg.cholesky(g.slack(x)) for g in groups]
-            except np.linalg.LinAlgError:
-                return None
-
-        def objective(x, Ls):
+        def barrier(x, eigs) -> float:
+            """``-log ball - sum_i log det slack_i``; infinite off the domain."""
             ball = radius_sq - x[:nz] @ x[:nz]
-            if Ls is None or ball <= 0.0:
+            if ball <= 0.0 or not inside(eigs):
                 return np.inf
-            logdet = sum(np.log(np.diagonal(L, axis1=1, axis2=2)).sum() for L in Ls)
-            return t * x[nz] - np.log(ball) - 2.0 * logdet
+            return -np.log(ball) - sum(np.log(lam).sum() for lam, _ in eigs)
 
-        Ls = factor(x)
+        lam_min = min(lam[:, 0].min() for lam, _ in eigs)
+        x[nz] = 1.5 * max(0.0, -lam_min) + 0.1 * max(1e-6, abs(lam_min))
+        eigs = shifted(eigs, x[nz])
+        # centred along s: d/ds (t s - sum log det) = t - sum tr S^{-1} = 0
+        t = max(1.0, sum(np.sum(1.0 / lam) for lam, _ in eigs))
+        phi = barrier(x, eigs)
         while it < budget and t <= 1e18:
             while it < budget:
                 it += 1
-                if Ls is None:
+                if not inside(eigs):
+                    eigs = shifted(eigs, x[nz])
                     x[nz] *= 2.0
-                    Ls = factor(x)
+                    phi = barrier(x, eigs)
                     continue
-                terms = [g.barrier_terms(L) for g, L in zip(groups, Ls)]
+                terms = [g.barrier_terms(*e) for g, e in zip(groups, eigs)]
                 grad = sum(g_i for g_i, _ in terms)
-                Wf = np.concatenate([rows for _, rows in terms])
-                hess = Wf.T @ Wf
+                hess = sum(rows.T @ rows for _, rows in terms)
                 z = x[:nz]
                 ball = radius_sq - z @ z
                 grad[:nz] += 2.0 * z / ball
-                hess[:nz, :nz] += (2.0 / ball) * np.eye(nz) + np.outer(
+                hess[:nz, :nz] += (2.0 / ball) * eye_z + np.outer(
                     4.0 * z / ball**2, z
                 )
                 grad[nz] += t
@@ -397,16 +415,17 @@ class LmiProblem:
                 except np.linalg.LinAlgError:
                     step, *_ = np.linalg.lstsq(hess, -grad, rcond=None)
                 decrement = -grad @ step
-                f0 = objective(x, Ls)
+                f0 = t * x[nz] + phi
                 alpha = 1.0
                 while True:
                     trial = x + alpha * step
-                    trial_Ls = factor(trial)
-                    if objective(trial, trial_Ls) < f0 or alpha <= 1e-13:
+                    trial_eigs = factor(trial)
+                    trial_phi = barrier(trial, trial_eigs)
+                    if t * trial[nz] + trial_phi < f0 or alpha <= 1e-13:
                         break
                     alpha *= 0.5
-                x, Ls = trial, trial_Ls
-                if accepted(x) and (rep := report(x)).feasible:
+                x, eigs, phi = trial, trial_eigs, trial_phi
+                if accepted(x, eigs) and (rep := report(x)).feasible:
                     return rep
                 if decrement < 0.1:
                     break

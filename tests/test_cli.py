@@ -277,10 +277,24 @@ _W3 = _W2 + [([10.0, 7.0, 1.0], [3.0, 1.0])]
 # unimodular V = [[1, 0.7 + 1.3 xi], [0, 1]] couples the columns and leaves
 # R2 R1^{-1} unchanged
 _V = PolyMatrix.from_entries([[[1.0], [0.7, 1.3]], [[0.0], [1.0]]])
+# a V-coupled w = 2 pair from a seeded sweep: over X1 = minimal_state_map(R1)
+# the product Qbar X1 leaves a polynomial part of 1.5e-11 in Q R1^{-1}
+# (against |Q| = 13) unless the factor is reduced modulo R1
+_ROUNDING_W2 = (
+    [[[1.2430986702219466, 10.59934142524174, 19.573726505865007, 9.278166500244826, 1.0],
+      [1.050178159999025, 7.173625562439224, 1.3521965757858734, -20.201591680804608,
+       -12.446397235419425, -1.4325248415306766]],
+     [[0.0], [0.6401332093860964, 3.672695790054054, 1.0]]],
+    [[[1.3228084974806416, 6.958014739637397, 6.561595915503429, 1.279202555905632],
+      [1.1175175609087136, 3.9832218552679715, -4.424248376205412, -8.318970182356606,
+       -1.8324894386843518]],
+     [[0.0], [1.2770002244351997, 1.7017564446825346]]],
+)
 MATRIX_PAIRS = {
     "diagonal_w2": lambda: _diagonal_pair(_W2),
     "coupled_w2": lambda: tuple(R @ _V for R in _diagonal_pair(_W2)),
     "diagonal_w3": lambda: _diagonal_pair(_W3),
+    "rounding_w2": lambda: tuple(PolyMatrix.from_entries(R) for R in _ROUNDING_W2),
 }
 
 
@@ -346,7 +360,7 @@ class TestPosreal:
             assert "mode 2" in err and "constant det R" in err
             assert "zero-size" not in err
 
-    @pytest.mark.parametrize("name", ["diagonal_w2", "coupled_w2", "diagonal_w3"])
+    @pytest.mark.parametrize("name", sorted(MATRIX_PAIRS))
     def test_matrix_pairs(self, tmp_path, capsys, name):
         # a matrix pair is factored over the mode-1 state map: Q R1^{-1} is
         # strictly proper, so mlf and complete succeed for every w >= 2
@@ -365,6 +379,29 @@ class TestPosreal:
         model_path = str(tmp_path / "cert_model.json")
         assert main(["check", model_path, "--verify-only", str(cert)]) == 0
         assert "certificate verifies" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", sorted(MATRIX_PAIRS))
+    def test_factor_over_derived_state_map_is_strictly_proper(self, name):
+        R1p, R2p = MATRIX_PAIRS[name]()
+        P = pr.para_hermitian_boundary(R2p, R1p)
+        assert pr.is_strictly_proper(pr.spectral_factorize(P, R1p).Q, R1p)
+
+    def test_complete_derives_each_state_map_once(self, tmp_path, monkeypatch):
+        # one map per mode; the Gram factor reuses the standard model's X1
+        calls = []
+        orig = pr.minimal_state_map
+        monkeypatch.setattr(
+            pr, "minimal_state_map", lambda R: calls.append(R) or orig(R)
+        )
+        R1p, R2p = MATRIX_PAIRS["coupled_w2"]()
+        r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        r1.write_text(json.dumps(polymatrix_to_json(R1p)))
+        r2.write_text(json.dumps(polymatrix_to_json(R2p)))
+        assert main(["posreal", "complete", "--r1", str(r1), "--r2", str(r2)]) == 0
+        assert [R.coeffs.tobytes() for R in calls] == [
+            R2p.coeffs.tobytes(),
+            R1p.coeffs.tobytes(),
+        ]
 
     def test_unverified_certificate_not_written(self, tmp_path, capsys, monkeypatch):
         # a negated storage kernel keeps its block structure but is not

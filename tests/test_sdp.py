@@ -10,12 +10,14 @@ from sldstab.mlf import (
     _warm_start,
     assemble_mlf_lmis,
     assemble_ple_lmi,
+    find_mlf,
     problem_scale,
+    verify_mlf,
 )
 from sldstab.model import load_model
 from sldstab.polymat import PolyMatrix
 from sldstab.posreal import spectral_factorize
-from sldstab.sdp import LmiProblem, accepts
+from sldstab.sdp import LmiProblem, _ConeGroup, accepts
 from sldstab.statespace import minimal_state_map
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
@@ -236,6 +238,45 @@ class TestNonSymmetricExpression:
         raw, sym = reports
         assert raw.feasible == sym.feasible == (not capped)
         assert raw.iterations == sym.iterations > 0
+
+
+class TestEigenFactor:
+    def test_barrier_terms_match_closed_forms(self):
+        # gradient -tr(S^-1 B_j) and Hessian tr(S^-1 B_j S^-1 B_k), summed
+        # over the stacked cones, from W = diag(lam)^(-1/2) V^T
+        rng = np.random.default_rng(3)
+        g, m, n = 4, 3, 5
+        M = rng.standard_normal((g, m, m))
+        S = M @ M.transpose(0, 2, 1) + 0.5 * np.eye(m)
+        Bm = rng.standard_normal((g, m, m, n))
+        Bm = Bm + Bm.transpose(0, 2, 1, 3)
+        group = _ConeGroup(S, Bm.reshape(g, m * m, n), np.zeros(g))
+        grad, rows = group.barrier_terms(*np.linalg.eigh(S))
+        Si = np.linalg.inv(S)
+        SiB = np.einsum("gab,gbcj->gacj", Si, Bm)
+        want_grad = -np.einsum("gaaj->j", SiB)
+        want_hess = np.einsum("gabj,gbak->jk", SiB, SiB)
+        assert np.allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
+        assert np.allclose(rows.T @ rows, want_hess, rtol=1e-11, atol=1e-11)
+
+
+class TestPhaseOneStart:
+    """``t`` starts at ``max(1, sum_i tr S_i^{-1})``, centred along ``s``.
+
+    ``concond`` (no certificate) and ``family_stall.json`` (certified) keep
+    their verdicts under the tests of ``tests/test_mlf.py``.
+    """
+
+    @pytest.mark.parametrize("name", ["source_converter_4mode", "source_converter_6mode"])
+    def test_converters_certify_in_few_steps(self, name):
+        # from t = 1 the searches took 44 and 49 steps, the first ones only
+        # growing s
+        model = load_model(MODELS / f"{name}.json")
+        cert = find_mlf(model)
+        assert cert.feasible
+        assert 0 < cert.solver["iterations"] <= 36
+        ok, _ = verify_mlf(model, cert)
+        assert ok
 
 
 def _probed(prob: LmiProblem) -> list:
