@@ -17,10 +17,13 @@ transitions.  Each derived object is computed once per model and kept on it:
   reads, that map.
 
 A verdict reads only each mode's ``A`` and the maps ``L``, so ``slds check``
-never computes ``C``.  Every reduction modulo ``R_k`` (state map, the
-realization's ``C``, normal form, Hurwitz test) divides by the mode matrix
-itself, which keeps its ``det R_k`` and ``adj R_k`` (:attr:`PolyMatrix.det`,
-:attr:`PolyMatrix.adj`), so they are computed once per mode and model.  The
+never computes ``C``.  The state map is canonical by construction and needs
+no reduction (:func:`minimal_state_map`).  Every reduction modulo ``R_k``
+(the realization's ``C``, normal form) divides by the mode matrix itself,
+which keeps its ``det R_k`` and ``adj R_k`` (:attr:`PolyMatrix.det`,
+:attr:`PolyMatrix.adj`), so they are computed once per mode and model; the
+Hurwitz test reads the roots kept beside them
+(:attr:`PolyMatrix.det_roots`).  The
 normal form reduces once per mode: the ``G-`` of every transition out of
 mode ``k`` and the ``G+`` of every transition into it are stacked into one
 division modulo ``R_k`` and one least-squares solve over ``X_k``, then
@@ -39,6 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .polymat import (
+    NonFiniteError,
     PolyMatrix,
     is_hurwitz,
     json_int,
@@ -148,11 +152,15 @@ class SldsModel:
 def check_mode(k: int, R: PolyMatrix) -> None:
     """Check that mode ``k`` (1-based) has a state.
 
-    A singular ``R`` or a constant ``det R`` (state dimension 0) is an
-    error that names the mode.
+    A singular ``R``, a ``det R`` that overflows double precision, or a
+    constant ``det R`` (state dimension 0) is an error that names the mode.
     """
     try:
         d = R.det
+    except NonFiniteError:
+        raise ValueError(
+            f"mode {k}: det R overflows double precision; rescale the mode"
+        ) from None
     except ValueError:
         raise ValueError(f"mode {k} matrix is singular") from None
     if d.degree < 1:

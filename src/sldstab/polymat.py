@@ -3,14 +3,16 @@
 Coefficients are stored ascending (index i holds the coefficient of
 ``xi**i``) in double precision.  All values are trimmed against a global
 relative tolerance and treated as immutable; every operation returns a new
-object.  A :class:`PolyMatrix` keeps its coefficients read-only, so the
-determinant and adjugate it caches for division modulo itself never go
-stale.
+object.  A non-finite coefficient, such as an overflowed product, is an
+error (:class:`NonFiniteError`), not a trimmed zero.  A :class:`PolyMatrix`
+keeps its coefficients read-only, so the determinant, its roots and the
+adjugate it caches never go stale.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from functools import cache, cached_property
 
@@ -27,17 +29,21 @@ HURWITZ_TOL = 1e-9
 MINUS_INF = float("-inf")
 
 
-def _trim(c: np.ndarray, tol: float = TRIM_TOL) -> np.ndarray:
+class NonFiniteError(ValueError):
+    """A coefficient is infinite or NaN, as when a product overflows."""
+
+
+def _trim(c: np.ndarray) -> np.ndarray:
     c = np.atleast_1d(np.asarray(c, dtype=float))
     if c.size == 0:
         return np.zeros(1)
-    scale = np.max(np.abs(c))
+    a = np.abs(c)
+    scale = a.max()
+    if not math.isfinite(scale):
+        raise NonFiniteError(f"non-finite coefficient (largest |c| = {scale})")
     if scale == 0.0:
         return np.zeros(1)
-    nz = np.nonzero(np.abs(c) > tol * scale)[0]
-    if nz.size == 0:
-        return np.zeros(1)
-    return c[: nz[-1] + 1].copy()
+    return c[: np.flatnonzero(a > TRIM_TOL * scale)[-1] + 1].copy()
 
 
 class Poly:
@@ -101,22 +107,24 @@ def poly_roots(p: Poly) -> np.ndarray:
     return r
 
 
+def _coeff_list(e) -> list:
+    if isinstance(e, list):
+        return e
+    if isinstance(e, Poly):
+        return e.coeffs.tolist()
+    return np.atleast_1d(np.asarray(e, dtype=float)).tolist()
+
+
 def _stack_entries(grid) -> np.ndarray:
-    """Coefficient stack ``(degree + 1, rows, cols)`` of a nested entry list."""
+    """Coefficient stack ``(degree + 1, rows, cols)`` of a nested entry list,
+    filled by one ``np.array`` call over the zero-padded entries."""
     rows, cols = len(grid), len(grid[0])
     if any(len(row) != cols for row in grid):
         raise ValueError("polynomial matrix rows differ in length")
-    entries = [
-        [p.coeffs if isinstance(p, Poly) else np.atleast_1d(np.asarray(p, dtype=float))
-         for p in row]
-        for row in grid
-    ]
-    deg = max(len(e) for row in entries for e in row)
-    c = np.zeros((deg, rows, cols))
-    for i, row in enumerate(entries):
-        for j, e in enumerate(row):
-            c[: len(e), i, j] = e
-    return c
+    entries = [_coeff_list(e) for row in grid for e in row]
+    deg = max(map(len, entries))
+    flat = np.array([e + [0.0] * (deg - len(e)) for e in entries], dtype=float)
+    return flat.reshape(rows, cols, deg).transpose(2, 0, 1)
 
 
 class PolyMatrix:
@@ -132,7 +140,9 @@ class PolyMatrix:
     Every division modulo a square ``R`` divides ``F adj(R)`` by ``det R``.
     :attr:`det` and :attr:`adj` are computed at first use and kept on the
     matrix, so a matrix reduced many times (a model's mode) pays for them
-    once.  ``coeffs`` is read-only, so they cannot go stale.
+    once; so are the roots of ``det R`` (:attr:`det_roots`), which the
+    Hurwitz and positive-realness tests read.  ``coeffs`` is read-only, so
+    none of them can go stale.
     """
 
     def __init__(self, coeffs):
@@ -141,16 +151,23 @@ class PolyMatrix:
             c = c[None, :, :]
         if c.ndim != 3:
             raise ValueError("expected array of shape (deg+1, rows, cols)")
-        scale = np.max(np.abs(c)) if c.size else 0.0
-        if scale == 0.0:
-            c = np.zeros((1,) + c.shape[1:])
-        else:
-            keep = np.nonzero(np.abs(c).max(axis=(1, 2)) > TRIM_TOL * scale)[0]
-            last = keep[-1] if keep.size else 0
-            c = c[: last + 1].copy()
-            c[np.abs(c) <= TRIM_TOL * scale] = 0.0
-        c.flags.writeable = False
-        self.coeffs = c
+        # one pass: |c|, its maximum per degree and overall; the trailing
+        # degrees at most TRIM_TOL * scale are cut, the rest masked
+        a = np.abs(c)
+        top = a.max(axis=(1, 2), initial=0.0)
+        scale = top.max(initial=0.0)
+        if not math.isfinite(scale):
+            raise NonFiniteError(f"non-finite coefficient (largest |c| = {scale})")
+        cut = TRIM_TOL * scale
+        end = len(top)
+        for t in reversed(top.tolist()):
+            if t > cut:
+                break
+            end -= 1
+        out = np.zeros((max(end, 1),) + c.shape[1:])
+        np.copyto(out[:end], c[:end], where=a[:end] > cut)
+        out.flags.writeable = False
+        self.coeffs = out
 
     # -- constructors -----------------------------------------------------
 
@@ -204,11 +221,19 @@ class PolyMatrix:
 
     @cached_property
     def det(self) -> Poly:
-        """``det R``; raises if the matrix is not square or is singular."""
+        """``det R``; raises if the matrix is not square or is singular, and
+        :class:`NonFiniteError` if the determinant overflows."""
         d = determinant(self)
         if d.is_zero():
             raise ValueError("matrix is singular (det identically zero)")
         return d
+
+    @cached_property
+    def det_roots(self) -> np.ndarray:
+        """The roots of :attr:`det` (:func:`poly_roots`), read-only."""
+        r = poly_roots(self.det)
+        r.flags.writeable = False
+        return r
 
     @cached_property
     def adj(self) -> "PolyMatrix":
@@ -349,15 +374,18 @@ def _leibniz(c: np.ndarray) -> np.ndarray:
 
     The Leibniz sum over all ``n!`` permutations: for each, the product of
     its ``n`` entries along the last (coefficient) axis, then one signed sum.
-    Returns ``(..., n * (D - 1) + 1)`` ascending coefficients.
+    Returns ``(..., n * (D - 1) + 1)`` ascending coefficients.  An overflow
+    leaves an infinite or NaN coefficient, which the caller's trim rejects
+    (:class:`NonFiniteError`).
     """
     n = c.shape[-2]
     perms, signs = _permutations(n)
     factors = c[..., np.arange(n), perms, :]  # (..., n!, n, D)
     prod = factors[..., 0, :]
-    for i in range(1, n):
-        prod = _polymul(prod, factors[..., i, :])
-    return signs @ prod
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n):
+            prod = _polymul(prod, factors[..., i, :])
+        return signs @ prod
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +423,7 @@ def adjugate(R: PolyMatrix) -> PolyMatrix:
 
 def is_hurwitz(R: PolyMatrix) -> bool:
     """True iff every root of ``det R`` has real part below ``-HURWITZ_TOL``."""
-    d = R.det
-    if d.degree == 0:
-        return True
-    return bool(np.all(poly_roots(d).real < -HURWITZ_TOL))
+    return bool(np.all(R.det_roots.real < -HURWITZ_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -595,10 +620,12 @@ def polymatrix_from_json(data) -> PolyMatrix:
         raise ValueError("polynomial matrix must be a list of rows of entries")
     if not data or not data[0]:
         raise ValueError("empty polynomial matrix")
-    for i, row in enumerate(data, start=1):
-        for j, e in enumerate(row, start=1):
-            for v in e if isinstance(e, list) else (e,):
-                if type(v) is not float and type(v) is not int:  # the common case
+    types = {type(v) for row in data for e in row for v in (e if isinstance(e, list) else (e,))}
+    if not types <= {float, int}:
+        # name the first bad coefficient
+        for i, row in enumerate(data, start=1):
+            for j, e in enumerate(row, start=1):
+                for v in e if isinstance(e, list) else (e,):
                     json_float(v, f"coefficient of entry ({i},{j})")
     c = _stack_entries(data)
     bad = np.argwhere(~np.isfinite(c))

@@ -26,11 +26,10 @@ from .mlf import MlfCertificate, make_certificate
 from .model import SldsModel, check_mode
 from .polymat import (
     HURWITZ_TOL,
-    MINUS_INF,
+    NonFiniteError,
     Poly,
     PolyMatrix,
     canonical_rep,
-    determinant,
     is_hurwitz,
     is_strictly_proper,
     poly_roots,
@@ -112,7 +111,7 @@ def para_hermitian_boundary(N: PolyMatrix, D: PolyMatrix) -> PolyMatrix:
 
 def _uncancelled_rhp_poles(N: PolyMatrix, D: PolyMatrix) -> list[complex]:
     """Closed-right-half-plane roots of det D surviving gcd reduction."""
-    rts = poly_roots(D.det)
+    rts = D.det_roots
     bad = [r for r in rts if r.real > -HURWITZ_TOL]
     if not bad:
         return []
@@ -150,6 +149,8 @@ def is_strictly_positive_real(N: PolyMatrix, D: PolyMatrix) -> tuple[bool, dict]
         raise ValueError("D must be square")
     try:
         D.det
+    except NonFiniteError:
+        raise ValueError("det D overflows double precision") from None
     except ValueError:
         raise ValueError("D is singular") from None
     return _spr_verdict(N, D, para_hermitian_boundary(N, D))
@@ -165,16 +166,18 @@ def _spr_verdict(N: PolyMatrix, D: PolyMatrix, P: PolyMatrix) -> tuple[bool, dic
     scale = max(1.0, P.max_norm())
     if lam0[0] <= AXIS_TOL * scale:
         return False, {"reason": "boundary form not positive definite", "omega": 0.0}
-    detP = determinant(P)
-    if detP.is_zero():
+    try:
+        rts = P.det_roots
+    except NonFiniteError:
+        raise
+    except ValueError:  # P.det raises on an identically zero det P
         return False, {"reason": "boundary determinant identically zero", "omega": None}
-    if detP.degree > 0:
-        for r in poly_roots(detP):
-            if abs(r.real) <= AXIS_TOL * max(1.0, abs(r)):
-                return False, {
-                    "reason": "boundary form singular on the imaginary axis",
-                    "omega": float(r.imag),
-                }
+    for r in rts:
+        if abs(r.real) <= AXIS_TOL * max(1.0, abs(r)):
+            return False, {
+                "reason": "boundary form singular on the imaginary axis",
+                "omega": float(r.imag),
+            }
     return True, {}
 
 
@@ -182,14 +185,17 @@ def _spr_verdict(N: PolyMatrix, D: PolyMatrix, P: PolyMatrix) -> tuple[bool, dic
 # spectral factorization
 
 
-def _scalar_factor(p: Poly, R1: PolyMatrix) -> PolyMatrix:
-    """Root-splitting factorization of an even scalar ``p(xi) = q(-xi)q(xi)``.
+def _scalar_factor(P: PolyMatrix, R1: PolyMatrix) -> PolyMatrix:
+    """Root-splitting factorization of an even ``1 x 1`` ``P``, whose one
+    entry ``p(xi) = q(-xi)q(xi)`` is ``det P`` bit for bit.
 
-    From each ``{lam, -lam}`` root pair, picks the root keeping
-    ``col(R1(lam), q(lam))`` full rank; ties break toward the left half-plane.
+    From each ``{lam, -lam}`` root pair of :attr:`PolyMatrix.det_roots`,
+    picks the root keeping ``col(R1(lam), q(lam))`` full rank; ties break
+    toward the left half-plane.
     """
-    if p.degree == MINUS_INF:
+    if P.is_zero():
         raise ValueError("cannot factor the zero polynomial")
+    p = P.det
     deg = int(p.degree)
     if deg % 2 != 0:
         raise ValueError("boundary polynomial has odd degree")
@@ -201,7 +207,7 @@ def _scalar_factor(p: Poly, R1: PolyMatrix) -> PolyMatrix:
         if p.coeffs[0] <= 0:
             raise ValueError("boundary polynomial is indefinite")
         return PolyMatrix.from_entries([[Poly([np.sqrt(p.coeffs[0])])]])
-    rts = list(poly_roots(p))
+    rts = list(P.det_roots)
     d1 = R1.det
     chosen = []
     while rts:
@@ -280,7 +286,7 @@ def spectral_factorize(
     if P.rows != P.cols or R1.shape != P.shape:
         raise ValueError("boundary form and R1 must be square of equal size")
     if P.cols == 1:
-        Q = _scalar_factor(P.entry(0, 0), R1)
+        Q = _scalar_factor(P, R1)
     else:
         Q = _gram_factor(P, R1, minimal_state_map(R1) if X1 is None else X1)
     resid = ((Q.subs_neg().T @ Q) - P).max_norm()

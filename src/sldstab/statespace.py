@@ -4,7 +4,9 @@ A minimal state map for an autonomous kernel behavior ``ker R(d/dt)`` is a
 polynomial matrix ``X`` whose rows form a basis of the row vectors ``f`` with
 ``f R^{-1}`` strictly proper.  It is read off the column reduction
 ``R U = R'``: the rows of ``U^{-1}``, which the reduction returns, shifted by
-powers of ``xi`` below each column degree of ``R'``.  The induced realization
+powers of ``xi`` below each column degree of ``R'``.  Column reducedness
+makes each such row strictly proper over ``R``, so the map is canonical by
+construction and no division modulo ``R`` follows.  The induced realization
 satisfies ``xi X(xi) = A X(xi) + B R(xi)`` together with the output map
 ``w = C x``.  Both identities are matched on the coefficient stacks of
 :meth:`PolyMatrix.stack`.  A verdict reads only ``A``, so :func:`realize`
@@ -35,7 +37,6 @@ from .polymat import (
     canonical_rep,
     column_degrees,
     column_reduce,
-    poly_roots,
 )
 
 REALIZE_TOL = 1e-9
@@ -49,9 +50,14 @@ def minimal_state_map(R: PolyMatrix) -> PolyMatrix:
 
     Column-reduce ``R`` to ``R' = R U`` with column degrees ``d_j``; the rows
     ``e_j xi^k`` (``k < d_j``) form a basis for ``R'`` and are mapped back
-    through ``U^{-1}`` (row ``j`` of ``U^{-1}`` shifted by ``k``), then
-    normalized by the canonical representative.  Rows are ordered by
-    (column index, power ascending).
+    through ``U^{-1}`` (row ``j`` of ``U^{-1}`` shifted by ``k``).  Rows are
+    ordered by (column index, power ascending).
+
+    The map is canonical by construction, so no division modulo ``R``
+    follows.  ``R'`` is column reduced, so ``xi^k e_j R'^{-1}`` is strictly
+    proper for ``k < d_j`` (Kailath, *Linear Systems*, 1980, section 6.3),
+    and ``xi^k e_j U^{-1} R^{-1} = xi^k e_j R'^{-1}``: each row already is
+    its own canonical representative modulo ``R``.
     """
     Rp, Uinv = column_reduce(R)
     degs = column_degrees(Rp)
@@ -71,7 +77,7 @@ def minimal_state_map(R: PolyMatrix) -> PolyMatrix:
         for k in range(int(dj)):
             rows[k : k + u.shape[0], at] = u[:, j]
             at += 1
-    return canonical_rep(PolyMatrix(rows), R)
+    return PolyMatrix(rows)
 
 
 def express_in_state_basis(
@@ -213,7 +219,7 @@ def eigenstructure(R: PolyMatrix, X: PolyMatrix) -> ModeEigenstructure:
     not call it, because their switch condition holds on the whole state
     space.
     """
-    rts = poly_roots(R.det)
+    rts = R.det_roots
     n = len(rts)
     clusters = _cluster_roots(rts, ROOT_CLUSTER_TOL)
     lams, dirs, vcols = [], [], []

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sldstab import polymat
 from sldstab import posreal as pr
 from sldstab.cli import build_parser, main
 from sldstab.fixtures import elcirc, unstable_mode
@@ -488,6 +489,61 @@ def test_non_finite_coefficient_exits_1(tmp_path, capsys, where, value):
     err = capsys.readouterr().err
     assert location in err
     assert f"non-finite coefficient: {number} at entry (1,{2 if where != 'pair' else 1})" in err
+
+
+def test_overflowing_determinant_named(tmp_path, capsys):
+    """A ``det R`` that overflows double precision is an error naming the
+    mode, not a singular mode: here ``det R = 1e320 (xi + 1)(xi + 2)``."""
+    R = [[[1e160, 1e160], [0.0]], [[0.0], [2e160, 1e160]]]
+    eye = [[[1.0], [0.0]], [[0.0], [1.0]]]
+    doc = {
+        "variables": 2,
+        "modes": [R, R],
+        "gluing": [
+            {"from": k, "to": l, "g_minus": eye, "g_plus": eye} for k, l in ((1, 2), (2, 1))
+        ],
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "mode 1" in err and "overflows" in err
+    assert "singular" not in err
+
+
+class TestRootsOncePerCommand:
+    """A command computes each root set once: the roots of a matrix's
+    ``det`` are kept beside it (``PolyMatrix.det_roots``)."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = []
+        orig = polymat.poly_roots
+
+        def counted(p):
+            calls.append(p.coeffs.tobytes())
+            return orig(p)
+
+        monkeypatch.setattr(polymat, "poly_roots", counted)
+        monkeypatch.setattr(pr, "poly_roots", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_check_once_per_mode(self, monkeypatch, name):
+        calls = self._count(monkeypatch)
+        path = MODELS / f"{name}.json"
+        assert main(["check", str(path)]) in (0, 2)
+        assert len(calls) == load_model(path).n_modes
+
+    @pytest.mark.parametrize("action, checks", [("mlf", 0), ("complete", 1)])
+    def test_posreal_once_per_polynomial(self, monkeypatch, action, checks):
+        calls = self._count(monkeypatch)
+        assert main(["posreal", action, "--r1", R1, "--r2", R2]) == 0
+        # det R1, det R2 and det P of the boundary form P, once each; complete
+        # then checks M R2 R1^{-1} with a boundary form of its own (here M = 1,
+        # so that new matrix equals P)
+        assert len(set(calls[:3])) == 3
+        assert len(calls) == 3 + checks
 
 
 @pytest.mark.xfail(

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from sldstab import polymat
 from sldstab.polymat import (
+    TRIM_TOL,
+    NonFiniteError,
     Poly,
     PolyMatrix,
     adjugate,
@@ -409,6 +411,26 @@ class TestFromEntries:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_entry_grid())
+    def test_json_reader_fills_one_array(self, grid):
+        # the wire format of the same grid, with int-valued coefficients as ints
+        def wire(e):
+            if isinstance(e, float):
+                return e
+            vals = e.coeffs.tolist() if isinstance(e, Poly) else e
+            return [int(v) if v.is_integer() and v != 0.0 else v for v in vals]
+
+        doc = [[wire(e) for e in row] for row in grid]
+        want = _per_entry_from_entries(grid).coeffs
+        got = polymatrix_from_json(doc).coeffs
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_bad_coefficient_named_before_ragged_rows(self):
+        with pytest.raises(ValueError, match=r"entry \(2,1\) must be a number, got 'x'"):
+            polymatrix_from_json([[[1.0], [2.0]], [["x"]]])
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError, match="rows differ"):
             polymatrix_from_json([[[1.0], [2.0]], [[1.0]]])
@@ -598,3 +620,135 @@ class TestWholeStackTrim:
         row_max = np.abs(c).max(axis=(0, 2), initial=0.0)
         want = [np.max(row_max[lo:hi], initial=0.0) for lo, hi in zip(bounds[:-1], bounds[1:])]
         assert polymat.block_max(row_max, bounds).tolist() == want
+
+
+def _matrix_trim_reference(c):
+    """Reference: the three-pass ``PolyMatrix`` trim that the one-pass trim
+    replaced (finite input)."""
+    c = np.asarray(c, dtype=float)
+    scale = np.max(np.abs(c)) if c.size else 0.0
+    if scale == 0.0:
+        return np.zeros((1,) + c.shape[1:])
+    keep = np.nonzero(np.abs(c).max(axis=(1, 2)) > TRIM_TOL * scale)[0]
+    last = keep[-1] if keep.size else 0
+    c = c[: last + 1].copy()
+    c[np.abs(c) <= TRIM_TOL * scale] = 0.0
+    return c
+
+
+def _poly_trim_reference(c):
+    """Reference: the ``Poly`` trim before the non-finite check (finite input)."""
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    if c.size == 0:
+        return np.zeros(1)
+    scale = np.max(np.abs(c))
+    if scale == 0.0:
+        return np.zeros(1)
+    nz = np.nonzero(np.abs(c) > TRIM_TOL * scale)[0]
+    if nz.size == 0:
+        return np.zeros(1)
+    return c[: nz[-1] + 1].copy()
+
+
+# entry kinds, as factors of the stack's largest magnitude ``peak``; "cut"
+# is ``TRIM_TOL * peak`` itself, "above" and "below" its float neighbours
+_SMALL_KINDS = ["zero", "negzero", "tiny", "cut", "above", "below"]
+
+
+@st.composite
+def _trim_stack(draw):
+    """A coefficient stack with exact zeros, ``-0.0``, entries at and beside
+    the trim threshold and trailing degrees of only such entries; some are
+    empty, all zero, or a transposed (non-contiguous) view."""
+    deg, rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    peak = draw(st.sampled_from([0.0, 1e-300, 1e-8, 1.0, 3.7, 1e8, 1e300]))
+    tail = draw(st.integers(0, deg))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cut = TRIM_TOL * peak
+    value = {
+        "zero": lambda: 0.0,
+        "negzero": lambda: -0.0,
+        "tiny": lambda: peak * 1e-16 * rng.choice([-1.0, 1.0]),
+        "cut": lambda: cut * rng.choice([-1.0, 1.0]),
+        "above": lambda: np.nextafter(cut, np.inf) * rng.choice([-1.0, 1.0]),
+        "below": lambda: np.nextafter(cut, 0.0) * rng.choice([-1.0, 1.0]),
+        "normal": lambda: peak * rng.uniform(-1.0, 1.0),
+    }
+    c = np.zeros((deg, rows, cols))
+    for k in range(deg):
+        kinds = _SMALL_KINDS + (["normal"] if k < deg - tail else [])
+        for i in range(rows):
+            for j in range(cols):
+                c[k, i, j] = value[draw(st.sampled_from(kinds))]()
+    if deg - tail > 0 and rows and cols:
+        c[draw(st.integers(0, deg - tail - 1)), rng.integers(rows), rng.integers(cols)] = (
+            peak * rng.choice([-1.0, 1.0])
+        )
+    if draw(st.booleans()):
+        c = c.transpose(0, 2, 1)
+    return c
+
+
+class TestOnePassTrim:
+    """``PolyMatrix`` and ``Poly`` trims equal their reference copies bit for
+    bit, sign of zero included; a non-finite coefficient is an error."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(_trim_stack())
+    def test_matches_reference(self, c):
+        got = PolyMatrix(c).coeffs
+        want = _matrix_trim_reference(c)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous and not got.flags.writeable
+        if c.shape[1] and c.shape[2]:
+            col = c[:, 0, 0]
+            assert Poly(col).coeffs.tobytes() == _poly_trim_reference(col).tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 2), (2, 2, 0), (0, 0, 0)])
+    def test_empty_stack_is_zero(self, shape):
+        got = PolyMatrix(np.zeros(shape)).coeffs
+        assert got.shape == (1,) + shape[1:]
+        assert got.tobytes() == _matrix_trim_reference(np.zeros(shape)).tobytes()
+
+    @pytest.mark.parametrize(
+        "coeffs", [[1.0, 2.0, np.inf], [1.0, np.nan, 3.0], [-np.inf], [np.nan, 0.0]]
+    )
+    def test_non_finite_coefficient_rejected(self, coeffs):
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            PolyMatrix(np.array(coeffs)[:, None, None])
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            Poly(coeffs)
+
+    def test_determinant_overflow_rejected(self):
+        # det = 1e320 (xi + 1)(xi + 2) overflows; the error is not "singular"
+        R = PolyMatrix.from_entries([[[1e160, 1e160], [0.0]], [[0.0], [2e160, 1e160]]])
+        with pytest.raises(NonFiniteError):
+            R.det
+        assert determinant(R.scale(1e-150)).degree == 2
+
+
+class TestDetRoots:
+    """``det_roots`` is computed once, beside ``det``, and is read-only."""
+
+    def test_kept_and_read_only(self):
+        R = PolyMatrix.from_entries(TestDivisionData.R_ENTRIES)
+        r = R.det_roots
+        assert R.det_roots is r
+        assert r.tobytes() == poly_roots(R.det).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            r[0] = 0.0
+
+    def test_hurwitz_computes_roots_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(polymat, "poly_roots", lambda p: calls.append(p) or poly_roots(p))
+        R = PolyMatrix.from_entries(TestDivisionData.R_ENTRIES)
+        assert is_hurwitz(R) and is_hurwitz(R)
+        assert len(calls) == 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_integer_polymatrix(1, 1, 4), st.floats(1e-6, 1e6))
+    def test_one_by_one_det_is_its_entry(self, P, scale):
+        P = P.scale(scale)
+        assume(not P.is_zero())
+        assert P.det.coeffs.tobytes() == P.entry(0, 0).coeffs.tobytes()

@@ -1,3 +1,6 @@
+import importlib.util
+import json
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ from sldstab.polymat import (
     determinant,
     is_strictly_proper,
     poly_roots,
+    polymatrix_from_json,
 )
 from sldstab.statespace import (
     STATE_BASIS_TOL,
@@ -60,6 +64,48 @@ class TestMinimalStateMap:
         X = minimal_state_map(R)
         assert X.rows == 1
         assert is_strictly_proper(X, R)
+
+
+@cache
+def _generators():
+    """The benchmark's seeded input generators (numpy only)."""
+    path = MODELS.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def _corpus_modes():
+    """Every mode matrix of the bundled models and pair files, then of 300
+    seeded ``gen.slds_member`` draws, as ``(name, JSON grid)``."""
+    for path in sorted(MODELS.glob("*.json")):
+        doc = json.loads(path.read_text())
+        modes = [doc] if isinstance(doc, list) else doc.get("modes", [])
+        for i, m in enumerate(modes):
+            yield f"{path.stem}:{i + 1}", m
+    shapes = [(w, m) for w in (2, 3) for m in (2, 3, 4)]
+    for seed in range(300):
+        doc = _generators().slds_member(np.random.default_rng(seed), *shapes[seed % 6])
+        for i, m in enumerate(doc["model"]["modes"]):
+            yield f"draw {seed}:{i + 1}", m
+
+
+class TestStateMapIsCanonical:
+    """Column reducedness makes each state-map row its own canonical
+    representative modulo ``R``, so ``minimal_state_map`` divides by nothing:
+    ``canonical_rep`` returns the map bit for bit."""
+
+    def test_corpus_and_draws(self):
+        n = 0
+        for name, doc in _corpus_modes():
+            R = polymatrix_from_json(doc)
+            X = minimal_state_map(R)
+            got = canonical_rep(X, R).coeffs
+            assert got.shape == X.coeffs.shape, name
+            assert got.tobytes() == X.coeffs.tobytes(), name
+            n += 1
+        assert n > 900
 
 
 class TestRealize:
