@@ -25,7 +25,7 @@ from .mlf import (
     verify_mlf,
 )
 from .model import is_well_posed, load_model, model_to_json, modes_hurwitz, save_model
-from .polymat import polymatrix_from_json, polymatrix_to_json
+from .polymat import NonFiniteError, polymatrix_from_json, polymatrix_to_json
 from .sdp import DEFAULT_BUDGET
 from .sim import audit_mlf, asymptotic_check, signal_from_json, simulate, write_trace_csv
 
@@ -228,6 +228,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ValueError, KeyError, OSError) as exc:
+        if isinstance(exc, NonFiniteError) and args.command in ("posreal", "standard"):
+            exc = f"--r1 {args.r1}, --r2 {args.r2}: {exc}; rescale the pair"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

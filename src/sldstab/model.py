@@ -4,11 +4,10 @@ A model is a bank of square nonsingular polynomial matrices (one kernel
 representation per mode) plus gluing-condition pairs for the allowed
 transitions.  Each derived object is computed once per model and kept on it:
 
-- at construction, the check of each mode by :func:`check_mode` (``det R_k``
-  is not zero and not constant, so the mode has a state), its minimal state
-  map when none is given, and its realization's ``A`` and ``B``, which
-  :func:`realize` solves for only over a minimal state map, so a given map
-  is checked there;
+- at construction, the check of each mode by :func:`check_mode` (``R_k`` is
+  nonsingular and ``n_k >= 1``), its minimal state map when none is given,
+  and its realization's ``A`` and ``B``, which :func:`realize` solves for
+  only over a minimal state map, so a given map is checked there;
 - on first use, the normal form of the gluing pairs, one thin SVD of each
   transition's ``F+`` (:attr:`SldsModel.f_plus_svd`), from which both
   well-posedness and the re-initialisation maps are read, and the maps
@@ -17,18 +16,16 @@ transitions.  Each derived object is computed once per model and kept on it:
   reads, that map.
 
 A verdict reads only each mode's ``A`` and the maps ``L``, so ``slds check``
-never computes ``C``.  The state map is canonical by construction and needs
-no reduction (:func:`minimal_state_map`).  Every reduction modulo ``R_k``
-(the realization's ``C``, normal form) divides by the mode matrix itself,
-which keeps its ``det R_k`` and ``adj R_k`` (:attr:`PolyMatrix.det`,
-:attr:`PolyMatrix.adj`), so they are computed once per mode and model; the
-Hurwitz test reads the roots kept beside them
-(:attr:`PolyMatrix.det_roots`).  The
-normal form reduces once per mode: the ``G-`` of every transition out of
-mode ``k`` and the ``G+`` of every transition into it are stacked into one
-division modulo ``R_k`` and one least-squares solve over ``X_k``, then
-split by transition.  Nothing is shared between models: two loads of one
-file compute everything twice.
+never computes ``C``.  Each mode has one derivation, the column reduction
+``R_k U_k = R'_k`` that the mode matrix keeps (:func:`column_reduce`): the
+mode check reads the state dimension ``n_k = sum d_j`` off it, so does the
+state map (:func:`minimal_state_map`), and every reduction modulo ``R_k``
+(the realization's ``C``, the normal form) divides by it.  The Hurwitz test
+reads the eigenvalues of ``A_k``: no determinant, adjugate or root set is
+formed.  The normal form reduces once per mode: the ``G-`` of every
+transition out of mode ``k`` and the ``G+`` of every transition into it are
+stacked into one division and one least-squares solve over ``X_k``, then
+split by transition.  Nothing is shared between models.
 
 Mode indices are 1-based throughout, matching the JSON schema.
 """
@@ -36,15 +33,15 @@ Mode indices are 1-based throughout, matching the JSON schema.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .polymat import (
-    NonFiniteError,
+    HURWITZ_TOL,
     PolyMatrix,
-    is_hurwitz,
     json_int,
     json_list,
     json_object,
@@ -152,18 +149,17 @@ class SldsModel:
 def check_mode(k: int, R: PolyMatrix) -> None:
     """Check that mode ``k`` (1-based) has a state.
 
-    A singular ``R``, a ``det R`` that overflows double precision, or a
-    constant ``det R`` (state dimension 0) is an error that names the mode.
+    Column maxima whose product leaves double precision (``det R`` would
+    overflow), a singular ``R`` or a constant ``det R`` (state dimension
+    ``sum d_j = 0``) is an error that names the mode.
     """
+    if math.prod(p for p in np.abs(R.coeffs).max(axis=(0, 1)).tolist() if p) == math.inf:
+        raise ValueError(f"mode {k}: det R overflows double precision; rescale the mode")
     try:
-        d = R.det
-    except NonFiniteError:
-        raise ValueError(
-            f"mode {k}: det R overflows double precision; rescale the mode"
-        ) from None
-    except ValueError:
-        raise ValueError(f"mode {k} matrix is singular") from None
-    if d.degree < 1:
+        n = sum(R._reduction.degrees)
+    except ValueError as exc:
+        raise ValueError(f"mode {k}: {exc}") from None
+    if n < 1:
         raise ValueError(
             f"mode {k} has constant det R, so no state; every mode needs "
             "deg det R >= 1"
@@ -245,7 +241,8 @@ def reinit_maps(model: SldsModel) -> dict[tuple[int, int], ReinitMap]:
 
 
 def modes_hurwitz(model: SldsModel) -> list[bool]:
-    return [is_hurwitz(R) for R in model.modes]
+    """True per mode iff every eigenvalue of ``A_k`` has real part below ``-HURWITZ_TOL``."""
+    return [bool(np.all(np.linalg.eigvals(r.A).real < -HURWITZ_TOL)) for r in model.realizations]
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ Coefficients are stored ascending (index i holds the coefficient of
 relative tolerance and treated as immutable; every operation returns a new
 object.  A non-finite coefficient, such as an overflowed product, is an
 error (:class:`NonFiniteError`), not a trimmed zero.  A :class:`PolyMatrix`
-keeps its coefficients read-only, so the determinant, its roots and the
-adjugate it caches never go stale.
+keeps its coefficients read-only, so the column reduction it caches, its one
+divisor, never goes stale; so do its determinant and the determinant's roots,
+which only the positive-realness tests read.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +25,7 @@ import numpy as np
 # (circuit determinants legitimately span ~10 decades) while still above
 # double-precision cancellation noise.
 TRIM_TOL = 1e-13
-# Absolute tolerance on real parts for the Hurwitz test.
+# Absolute tolerance on real parts for the Hurwitz tests.
 HURWITZ_TOL = 1e-9
 
 MINUS_INF = float("-inf")
@@ -127,6 +129,16 @@ def _stack_entries(grid) -> np.ndarray:
     return flat.reshape(rows, cols, deg).transpose(2, 0, 1)
 
 
+class _Reduction(NamedTuple):
+    """``R U = R'``: ``R'``, ``U``, ``U^{-1}``, ``R'``'s column degrees and ``R'_hc^{-1}``."""
+
+    Rp: "PolyMatrix"
+    U: "PolyMatrix"
+    Uinv: "PolyMatrix"
+    degrees: tuple[int, ...]
+    hc_inv: np.ndarray
+
+
 class PolyMatrix:
     """A rectangular matrix with :class:`Poly` entries.
 
@@ -137,12 +149,12 @@ class PolyMatrix:
     and two-variable forms are matched coefficient by coefficient;
     :meth:`from_stack` reads it back.
 
-    Every division modulo a square ``R`` divides ``F adj(R)`` by ``det R``.
-    :attr:`det` and :attr:`adj` are computed at first use and kept on the
-    matrix, so a matrix reduced many times (a model's mode) pays for them
-    once; so are the roots of ``det R`` (:attr:`det_roots`), which the
-    Hurwitz and positive-realness tests read.  ``coeffs`` is read-only, so
-    none of them can go stale.
+    Every division modulo a square ``R`` divides by its column reduction
+    ``R U = R'`` (:func:`column_reduce`), which is computed at first use and
+    kept on the matrix, so a matrix reduced many times (a model's mode) pays
+    for it once.  :attr:`det` and its roots (:attr:`det_roots`) are kept the
+    same way for the positive-realness tests, where a determinant is the
+    question.  ``coeffs`` is read-only, so none of them can go stale.
     """
 
     def __init__(self, coeffs):
@@ -236,9 +248,9 @@ class PolyMatrix:
         return r
 
     @cached_property
-    def adj(self) -> "PolyMatrix":
-        """``adj R``, with ``R @ adj(R) = det(R) * I``."""
-        return adjugate(self)
+    def _reduction(self) -> "_Reduction":
+        """:func:`column_reduce` of this matrix; raises if it is not square or is singular."""
+        return column_reduce(self)
 
     def entry(self, i: int, j: int) -> Poly:
         return Poly(self.coeffs[:, i, j])
@@ -342,10 +354,12 @@ def _stack_rows(mats) -> np.ndarray:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two ``(degree + 1, rows, cols)`` stacks, one pass per left degree."""
+    """Product of two ``(degree + 1, rows, cols)`` stacks, one pass per left degree; an
+    overflow leaves a non-finite coefficient for the caller's trim to reject."""
     c = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1], b.shape[2]))
-    for i, ai in enumerate(a):
-        c[i : i + b.shape[0]] += ai @ b
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, ai in enumerate(a):
+            c[i : i + b.shape[0]] += ai @ b
     return c
 
 
@@ -395,8 +409,8 @@ def _leibniz(c: np.ndarray) -> np.ndarray:
 def determinant(R: PolyMatrix) -> Poly:
     """Exact polynomial determinant by the Leibniz sum over permutations.
 
-    The cost grows as ``n!`` in the size ``n``; the bundled models and the
-    benchmark's generated families have at most 3 variables.
+    The cost grows as ``n!`` in the size ``n``; only the positive-realness
+    tests ask for a determinant, and no model load forms one.
     """
     if R.rows != R.cols:
         raise ValueError("determinant requires a square matrix")
@@ -421,11 +435,6 @@ def adjugate(R: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(cof.transpose(2, 1, 0))  # adj[j, i] = cofactor (i, j)
 
 
-def is_hurwitz(R: PolyMatrix) -> bool:
-    """True iff every root of ``det R`` has real part below ``-HURWITZ_TOL``."""
-    return bool(np.all(R.det_roots.real < -HURWITZ_TOL))
-
-
 # ---------------------------------------------------------------------------
 # division modulo a nonsingular R
 
@@ -445,33 +454,49 @@ def block_max(row_max: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 def _trim_blocks(c: np.ndarray, bounds) -> np.ndarray:
     """Zero, in place, each coefficient at most ``TRIM_TOL`` times the
     largest of its row block ``c[:, lo:hi]``: a :class:`PolyMatrix` trim of
-    every block on its own, done on the whole stack at once."""
+    every block on its own, done on the whole stack at once, which also
+    rejects a non-finite coefficient (:class:`NonFiniteError`)."""
     bounds = np.asarray(bounds)
     a = np.abs(c)
     scale = block_max(np.maximum.reduce(a, axis=(0, 2), initial=0.0), bounds)
+    if not math.isfinite(peak := scale.max(initial=0.0)):
+        raise NonFiniteError(f"non-finite coefficient (largest |c| = {peak})")
     c[a <= np.repeat(TRIM_TOL * scale, bounds[1:] - bounds[:-1])[:, None]] = 0.0
     return c
 
 
 def _quotient(f: np.ndarray, R: PolyMatrix, bounds) -> np.ndarray:
-    """Untrimmed polynomial part of ``F R^{-1}``, trimming ``F adj(R)`` by blocks."""
-    d = R.det.coeffs
-    m = len(d) - 1
-    rem = _trim_blocks(_matmul(f, R.adj.coeffs), bounds)
-    if rem.shape[0] <= m:
-        return np.zeros((1, f.shape[1], R.cols))
-    q = np.zeros((rem.shape[0] - m,) + rem.shape[1:])
-    for k in range(q.shape[0] - 1, -1, -1):
-        q[k] = rem[k + m] / d[m]
-        rem[k : k + m + 1] -= d[:, None, None] * q[k]
+    """Untrimmed polynomial part of ``F R^{-1} = F U R'^{-1}``, trimming
+    ``F U`` by blocks.  One downward pass over the excess degrees ``k``
+    removes the coefficients ``C_k`` of ``xi^(k + d_j)`` of every column ``j``
+    at once with the quotient term ``C_k R'_hc^{-1} xi^k``; the remainder
+    left has column degrees below ``d_j``, so it is strictly proper over the
+    column-reduced ``R'`` (Kailath, *Linear Systems*, 1980, section 6.3)."""
+    Rp, U, _, d, hc_inv = R._reduction
+    fu = f.copy() if Rp is R else _matmul(f, U.coeffs)  # R' = R: U = I
+    rem = _trim_blocks(fu, bounds)
+    top = len(rem) - 1 - min(d)  # highest quotient degree
+    if top < 0:
+        return np.zeros((1,) + rem.shape[1:])
+    r, s, shift = Rp.coeffs, rem, [max(d) - dj for dj in d]
+    if any(shift):  # move column j up by its shift: C_k is slice k + max(d)
+        r, s = np.zeros(r.shape), np.zeros((len(rem) + max(shift),) + rem.shape[1:])
+        for j, sh in enumerate(shift):
+            r[sh:, :, j] = Rp.coeffs[: d[j] + 1, :, j]
+            s[sh : sh + len(rem), :, j] = rem[:, :, j]
+    q = np.empty((top + 1,) + rem.shape[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(top, -1, -1):
+            q[k] = s[k + max(d)] @ hc_inv
+            s[k : k + len(r)] -= q[k] @ r
     return q
 
 
 def polynomial_part(F: PolyMatrix, R: PolyMatrix) -> PolyMatrix:
     """Polynomial part ``N`` of ``F R^{-1} = N + S`` with ``S`` strictly proper.
 
-    One long division of the coefficient stack of ``F adj(R)`` by ``det R``,
-    all entries at once, one step per quotient degree.
+    One division of the coefficient stack of ``F U`` by the column-reduced
+    ``R' = R U``, all entries at once, one step per quotient degree.
     """
     if F.cols != R.rows:
         raise ValueError("dimension mismatch between F and R")
@@ -515,49 +540,39 @@ def is_strictly_proper(N: PolyMatrix, D: PolyMatrix) -> bool:
 
 
 def column_degrees(R: PolyMatrix) -> list[float]:
-    degs = []
-    for j in range(R.cols):
-        col = R.coeffs[:, :, j]
-        nz = np.nonzero(np.abs(col).max(axis=1) > 0)[0]
-        degs.append(MINUS_INF if nz.size == 0 else float(nz[-1]))
-    return degs
+    """The degree ``d_j`` of each column; ``-inf`` for a zero column."""
+    nz = np.abs(R.coeffs).max(axis=1) > 0  # (degree + 1, cols)
+    return np.where(nz.any(axis=0), len(nz) - 1 - nz[::-1].argmax(axis=0), MINUS_INF).tolist()
 
 
-def leading_column_matrix(R: PolyMatrix) -> np.ndarray:
-    degs = column_degrees(R)
-    G = np.zeros(R.shape)
-    for j, dj in enumerate(degs):
-        if dj == MINUS_INF:
-            continue
-        G[:, j] = R.coeffs[int(dj), :, j]
-    return G
-
-
-def column_reduce(R: PolyMatrix, max_iter: int = 200) -> tuple[PolyMatrix, PolyMatrix]:
+def column_reduce(R: PolyMatrix, max_iter: int = 200) -> _Reduction:
     """Column reduction ``R' = R U`` with ``U`` unimodular; returns
-    ``(R', U^{-1})``.
+    ``(R', U, U^{-1}, d, R'_hc^{-1})``, ``d`` the column degrees of ``R'``.
 
     Repeatedly cancels the highest-column-degree coefficient matrix ``G``
     along a null direction ``v`` until it becomes nonsingular: column ``j*``
     becomes ``sum_j v_j xi^(d_j* - d_j) column_j``.  A column takes part
     when its term ``|v_j| |G_j|`` is not negligible against the largest, a
     measure that does not change when a column is scaled; ``j*`` is the
-    participating column of highest degree.  Each step ``E`` has the closed
-    form inverse that maps column ``j*`` to
-    ``(e_j* - sum_{j != j*} v_j xi^(d_j* - d_j) e_j) / v_j*``, and ``U^{-1}``
-    is accumulated from these; ``U`` itself is never formed.
+    participating column of highest degree.  ``U`` is the product of these
+    steps ``E``, and ``U^{-1}`` that of their closed form inverses, which map
+    column ``j*`` to ``(e_j* - sum_{j != j*} v_j xi^(d_j* - d_j) e_j) / v_j*``.
+    A column that reduces to zero shows that ``R`` is singular, an error.
     """
-    R.det  # raises if R is not square or is singular
-    n = R.cols
-    Rp = R
-    Uinv = np.eye(n)[None]
+    if R.rows != R.cols:
+        raise ValueError("column reduction requires a square matrix")
+    n, Rp = R.cols, R
+    U = Uinv = np.eye(n)[None]
     for _ in range(max_iter):
-        G = leading_column_matrix(Rp)
-        s = np.linalg.svd(G, compute_uv=False)
-        if s[-1] > 1e-10 * max(s[0], 1.0):
-            return Rp, PolyMatrix(Uinv)
-        v = np.linalg.svd(G)[2][-1]
         degs = np.array(column_degrees(Rp))
+        if degs.min() == MINUS_INF:
+            raise ValueError("matrix is singular (a column reduces to zero)")
+        G = Rp.coeffs[degs.astype(int), :, np.arange(n)].T  # leading column matrix
+        s = np.linalg.svd(G, compute_uv=False)
+        if s[-1] > 1e-10 * s[0]:  # relative: a column of small scale is not a null one
+            d = tuple(int(dj) for dj in degs)
+            return _Reduction(Rp, PolyMatrix(U), PolyMatrix(Uinv), d, np.linalg.inv(G))
+        v = np.linalg.svd(G)[2][-1]
         weight = np.abs(v) * np.linalg.norm(G, axis=0)
         active = np.flatnonzero(weight > 1e-8 * weight.max())
         jstar = active[np.argmax(degs[active])]
@@ -572,6 +587,7 @@ def column_reduce(R: PolyMatrix, max_iter: int = 200) -> tuple[PolyMatrix, PolyM
         einv[:, :, jstar] /= -pivot
         einv[0, jstar, jstar] = 1.0 / pivot
         Rp = Rp @ E
+        U = _matmul(U, E.coeffs)
         Uinv = _matmul(einv, Uinv)
     raise ValueError(f"column reduction did not terminate in {max_iter} steps")
 

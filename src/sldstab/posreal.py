@@ -23,14 +23,14 @@ from functools import cached_property
 import numpy as np
 
 from .mlf import MlfCertificate, make_certificate
-from .model import SldsModel, check_mode
+from .model import SldsModel, check_mode, modes_hurwitz
 from .polymat import (
     HURWITZ_TOL,
     NonFiniteError,
     Poly,
     PolyMatrix,
+    adjugate,
     canonical_rep,
-    is_hurwitz,
     is_strictly_proper,
     poly_roots,
     polynomial_part,
@@ -115,7 +115,7 @@ def _uncancelled_rhp_poles(N: PolyMatrix, D: PolyMatrix) -> list[complex]:
     bad = [r for r in rts if r.real > -HURWITZ_TOL]
     if not bad:
         return []
-    G = N @ D.adj
+    G = N @ adjugate(D)
     poles = []
     # multiplicity of each candidate in det D
     for lam in bad:
@@ -310,18 +310,16 @@ def build_standard_slds(R1: PolyMatrix, R2: PolyMatrix) -> StandardSlds:
         raise ValueError(
             "R2 R1^{-1} is not strictly proper; the biproper case is out of scope"
         )
-    n1 = int(R1.det.degree)
-    n2 = int(R2.det.degree)
+    X2, Xc = minimal_state_map(R2), minimal_state_map(R1)
+    n1, n2 = Xc.rows, X2.rows
     if n1 - n2 != w:
         raise ValueError(
             f"state-dimension gap n1-n2 = {n1 - n2} differs from w = {w}; "
             "the input pair does not admit a standard construction"
         )
-    X2 = minimal_state_map(R2)
     if not is_strictly_proper(X2, R1):
         raise ValueError("mode-2 state rows are not states of mode 1")
     # extend X2 to a minimal state map of mode 1 with rows from its own map
-    Xc = minimal_state_map(R1)
     grid = int(max(Xc.degree, X2.degree, 0)) + 1
     base = X2.stack(grid)
     picked = []
@@ -367,7 +365,7 @@ def build_standard_slds(R1: PolyMatrix, R2: PolyMatrix) -> StandardSlds:
 
 def mlf_from_positive_real(s: StandardSlds) -> MlfCertificate:
     """Storage-function MLF for a standard SLDS with SPR ``R2 R1^{-1}``."""
-    if not is_hurwitz(s.R1) or not is_hurwitz(s.R2):
+    if not all(modes_hurwitz(s.model)):
         raise ValueError("both modes must be Hurwitz")
     ok, witness = s.spr
     if not ok:

@@ -139,7 +139,6 @@ def qdf_mod(phi: TwoVarForm, R: PolyMatrix) -> TwoVarForm:
     Factors ``phi = M(z)^T S M(e)``, reduces ``M`` modulo ``R`` row-wise and
     re-multiplies.
     """
-    R.det  # raises if R is not square or is singular
     if R.cols != phi.w:
         raise ValueError("variable-count mismatch between form and R")
     M, signs = _factor_flat(phi)

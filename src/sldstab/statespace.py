@@ -3,13 +3,14 @@
 A minimal state map for an autonomous kernel behavior ``ker R(d/dt)`` is a
 polynomial matrix ``X`` whose rows form a basis of the row vectors ``f`` with
 ``f R^{-1}`` strictly proper.  It is read off the column reduction
-``R U = R'``: the rows of ``U^{-1}``, which the reduction returns, shifted by
-powers of ``xi`` below each column degree of ``R'``.  Column reducedness
-makes each such row strictly proper over ``R``, so the map is canonical by
-construction and no division modulo ``R`` follows.  The induced realization
-satisfies ``xi X(xi) = A X(xi) + B R(xi)`` together with the output map
-``w = C x``.  Both identities are matched on the coefficient stacks of
-:meth:`PolyMatrix.stack`.  A verdict reads only ``A``, so :func:`realize`
+``R U = R'`` that ``R`` keeps for every division modulo it: the rows of
+``U^{-1}`` shifted by powers of ``xi`` below each column degree ``d_j`` of
+``R'``, ``n = sum d_j = deg det R`` rows, with no determinant formed; each
+is strictly proper over ``R``, so the map is canonical by construction.
+The induced realization satisfies ``xi X(xi) = A X(xi) + B R(xi)`` together
+with the output map ``w = C x``, both matched on the coefficient stacks of
+:meth:`PolyMatrix.stack`.  A verdict reads only ``A`` (its eigenvalues are
+the roots of ``det R``, which the Hurwitz test reads), so :func:`realize`
 solves for ``A`` and ``B`` and leaves ``C`` to its first use, which only
 simulation makes; it checks that ``X`` is a minimal state map, which puts
 ``I_w mod R`` in the row span of ``X``, so ``C`` exists.
@@ -29,15 +30,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .polymat import (
-    MINUS_INF,
-    Poly,
-    PolyMatrix,
-    block_max,
-    canonical_rep,
-    column_degrees,
-    column_reduce,
-)
+from .polymat import MINUS_INF, Poly, PolyMatrix, block_max, canonical_rep
 
 REALIZE_TOL = 1e-9
 STATE_BASIS_TOL = 1e-9
@@ -51,7 +44,7 @@ def minimal_state_map(R: PolyMatrix) -> PolyMatrix:
     Column-reduce ``R`` to ``R' = R U`` with column degrees ``d_j``; the rows
     ``e_j xi^k`` (``k < d_j``) form a basis for ``R'`` and are mapped back
     through ``U^{-1}`` (row ``j`` of ``U^{-1}`` shifted by ``k``).  Rows are
-    ordered by (column index, power ascending).
+    ordered by (column index, power ascending); there are ``sum d_j`` of them.
 
     The map is canonical by construction, so no division modulo ``R``
     follows.  ``R'`` is column reduced, so ``xi^k e_j R'^{-1}`` is strictly
@@ -59,22 +52,12 @@ def minimal_state_map(R: PolyMatrix) -> PolyMatrix:
     and ``xi^k e_j U^{-1} R^{-1} = xi^k e_j R'^{-1}``: each row already is
     its own canonical representative modulo ``R``.
     """
-    Rp, Uinv = column_reduce(R)
-    degs = column_degrees(Rp)
-    w = R.cols
-    if MINUS_INF in degs:
-        raise ValueError("column-reduced matrix has a zero column")
-    n = int(round(R.det.degree))
-    found = int(sum(degs))
-    if found != n:
-        raise ValueError(
-            f"state-map construction produced {found} rows, expected {n}"
-        )
-    u = Uinv.coeffs
-    rows = np.zeros((u.shape[0] + int(max(degs)) - 1, n, w))
+    red = R._reduction  # raises if R is not square or is singular
+    u = red.Uinv.coeffs
+    rows = np.zeros((u.shape[0] + max(red.degrees) - 1, sum(red.degrees), R.cols))
     at = 0
-    for j, dj in enumerate(degs):
-        for k in range(int(dj)):
+    for j, dj in enumerate(red.degrees):
+        for k in range(dj):
             rows[k : k + u.shape[0], at] = u[:, j]
             at += 1
     return PolyMatrix(rows)
@@ -148,23 +131,22 @@ def realize(R: PolyMatrix, X: PolyMatrix) -> StateRealization:
     """Solve ``xi X = A X + B R`` by coefficient match.
 
     Raises unless X is a minimal state map for ``ker R``: X must have
-    ``deg det R`` rows, linearly independent within ``REALIZE_TOL``, and
+    ``n = deg det R`` rows, the sum of the column degrees of ``R``'s column
+    reduction, linearly independent within ``REALIZE_TOL``, and
     the residual must not exceed ``REALIZE_TOL``.  These three checks
     suffice.  With ``xi X = A X + B R``, the constant rows ``a`` with
     ``a X = p R`` for a polynomial row ``p`` form an ``A``-invariant space
     (``a A X = (xi p - a B) R``); an eigenvector ``a A = lambda a`` in it
     gives ``(xi - lambda) p = a B``, so ``p = 0`` and ``a X = 0``, which
     independent rows exclude.  The rows of X are then independent modulo
-    ``R``, and ``deg det R`` of them span all ``G mod R``, ``I_w mod R``
+    ``R``, and ``n`` of them span all ``G mod R``, ``I_w mod R``
     among them.  The output map ``C`` is left
     to its first use (:attr:`StateRealization.C`).
     """
-    n, N = X.rows, int(round(R.det.degree))  # R.det raises if R is singular
+    n, N = X.rows, sum(R._reduction.degrees)  # raises if R is singular
     if n != N:
-        raise ValueError(
-            f"X is not a minimal state map: {n} rows for deg det R = {N}"
-        )
-    L = int(R.degree) if R.degree != MINUS_INF else 0
+        raise ValueError(f"X is not a minimal state map: {n} rows for deg det R = {N}")
+    L = int(R.degree)  # R is not zero: it has a column reduction
     grid = max(L + 1, int(X.degree) + 2 if X.degree != MINUS_INF else 1)
     Xa = X.stack(grid)  # X(xi) over the monomial stack
     Xb = X.scale(Poly([0.0, 1.0])).stack(grid)  # xi * X(xi)

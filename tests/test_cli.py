@@ -2,6 +2,7 @@ import argparse
 import json
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -511,9 +512,49 @@ def test_overflowing_determinant_named(tmp_path, capsys):
     assert "singular" not in err
 
 
+@pytest.mark.parametrize(
+    "mode",
+    [
+        [[[0.0, 1.0], [0.0, 1.0]], [[1.0], [1.0]]],
+        # (xi + 0.3, 0.6)^T (0.1, xi + 0.9): the Leibniz det R rounds to 1.4e-17 xi
+        [[[0.03, 0.1], [0.27, 1.2, 1.0]], [[0.06], [0.54, 0.6]]],
+    ],
+    ids=["equal-columns", "rank-one-product"],
+)
+def test_singular_mode_named(tmp_path, capsys, mode):
+    """A singular mode whose columns are not constant is named as singular:
+    its column reduction reduces a column to zero."""
+    good = [[[1.0, 1.0], [0.0]], [[0.0], [2.0, 1.0]]]
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps({"variables": 2, "modes": [good, mode], "gluing": []}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mode 2: matrix is singular") and err.count("\n") == 1
+
+
+def test_overflowing_pair_named(tmp_path, capsys):
+    """An overflowing product of the ``--r1``/``--r2`` pair is an error that
+    names the inputs, with no numpy warning before it."""
+    r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    r1.write_text(json.dumps([[[1e160, 1e160]]]))
+    r2.write_text(json.dumps([[[1e160]]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["posreal", "sprcheck", "--r1", str(r1), "--r2", str(r2)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f"--r1 {r1}" in lines[0] and "non-finite" in lines[0]
+
+
 class TestRootsOncePerCommand:
-    """A command computes each root set once: the roots of a matrix's
-    ``det`` are kept beside it (``PolyMatrix.det_roots``)."""
+    """A command computes a root set only where a determinant is the
+    question, and then once: ``slds check`` reads the eigenvalues of each
+    ``A_k`` and forms none, while the positive-real route keeps the roots of
+    a matrix's ``det`` beside it (``PolyMatrix.det_roots``)."""
 
     @staticmethod
     def _count(monkeypatch):
@@ -530,20 +571,29 @@ class TestRootsOncePerCommand:
 
     @pytest.mark.parametrize("name", CORPUS)
     def test_check_once_per_mode(self, monkeypatch, name):
-        calls = self._count(monkeypatch)
         path = MODELS / f"{name}.json"
+        n_modes = load_model(path).n_modes
+        calls = self._count(monkeypatch)
+        seen = {"column_reduce": [], "determinant": [], "adjugate": []}
+        for fn, args in seen.items():
+            monkeypatch.setattr(
+                polymat, fn, lambda R, *rest, orig=getattr(polymat, fn), args=args:
+                args.append(R) or orig(R, *rest)
+            )
         assert main(["check", str(path)]) in (0, 2)
-        assert len(calls) == load_model(path).n_modes
+        assert calls == []
+        assert seen["determinant"] == seen["adjugate"] == []
+        assert len(seen["column_reduce"]) == n_modes
 
     @pytest.mark.parametrize("action, checks", [("mlf", 0), ("complete", 1)])
     def test_posreal_once_per_polynomial(self, monkeypatch, action, checks):
         calls = self._count(monkeypatch)
         assert main(["posreal", action, "--r1", R1, "--r2", R2]) == 0
-        # det R1, det R2 and det P of the boundary form P, once each; complete
-        # then checks M R2 R1^{-1} with a boundary form of its own (here M = 1,
-        # so that new matrix equals P)
-        assert len(set(calls[:3])) == 3
-        assert len(calls) == 3 + checks
+        # det R1 (the poles of R2 R1^{-1}) and det P of the boundary form P,
+        # once each; complete then checks M R2 R1^{-1} with a boundary form
+        # of its own (here M = 1, so that new matrix equals P)
+        assert len(set(calls[:2])) == 2
+        assert len(calls) == 2 + checks
 
 
 @pytest.mark.xfail(

@@ -71,14 +71,15 @@ MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
 def _count_division_data(monkeypatch) -> dict:
-    """Record the argument of every ``determinant`` and ``adjugate`` call."""
-    seen = {"determinant": [], "adjugate": []}
+    """Record the argument of every column reduction and of every
+    ``determinant``, ``adjugate`` and ``poly_roots`` call."""
+    seen = {"column_reduce": [], "determinant": [], "adjugate": [], "poly_roots": []}
     for name, args in seen.items():
         orig = getattr(polymat, name)
 
-        def counted(R, orig=orig, args=args):
-            args.append(R.coeffs.copy())
-            return orig(R)
+        def counted(M, *rest, orig=orig, args=args):
+            args.append(M.coeffs.copy())
+            return orig(M, *rest)
 
         for mod in list(sys.modules.values()):
             if mod is not None and mod.__name__.startswith("sldstab"):
@@ -91,6 +92,17 @@ def _calls_per_mode(seen: dict, modes) -> dict:
     return {
         name: [sum(np.array_equal(c, R.coeffs) for c in args) for R in modes]
         for name, args in seen.items()
+    }
+
+
+def _reductions_only(times: int, n_modes: int) -> dict:
+    """The counts of a load path that column-reduces each mode ``times``
+    times and forms no determinant, adjugate or root set."""
+    return {
+        "column_reduce": [times] * n_modes,
+        "determinant": [0] * n_modes,
+        "adjugate": [0] * n_modes,
+        "poly_roots": [0] * n_modes,
     }
 
 
@@ -115,17 +127,21 @@ class TestDivisionDataOncePerMode:
         modes = load_model(self.CONVERTER4).modes
         seen = _count_division_data(monkeypatch)
         assert main(argv) == 0
-        counts = _calls_per_mode(seen, modes)
-        assert counts == {"determinant": [1] * 4, "adjugate": [1] * 4}
+        assert _calls_per_mode(seen, modes) == _reductions_only(1, 4)
+        assert seen["determinant"] == seen["adjugate"] == seen["poly_roots"] == []
 
     def test_posreal_pair_divides_once_per_mode(self, monkeypatch, tmp_path):
         seen = _count_division_data(monkeypatch)
         out = str(tmp_path / "cert.json")
         assert main(["posreal", "mlf", "--r1", self.R1, "--r2", self.R2, "--out", out]) == 0
         modes = [polymatrix_from_json(json.loads(Path(p).read_text())) for p in (self.R1, self.R2)]
+        # the SPR test asks for the poles of R2 R1^{-1}, so det R1 is formed
+        # once; with none in the right half-plane no adjugate is
         assert _calls_per_mode(seen, modes) == {
-            "determinant": [1, 1],
-            "adjugate": [1, 1],
+            "column_reduce": [1, 1],
+            "determinant": [1, 0],
+            "adjugate": [0, 0],
+            "poly_roots": [0, 0],
         }
 
     def test_two_loads_divide_twice(self, monkeypatch):
@@ -134,11 +150,41 @@ class TestDivisionDataOncePerMode:
         seen = _count_division_data(monkeypatch)
         for _ in range(2):
             assert main(["check", self.CONVERTER4, "--route", "exact"]) == 0
-        counts = _calls_per_mode(seen, modes)
-        assert counts == {"determinant": [2] * 4, "adjugate": [2] * 4}
+        assert _calls_per_mode(seen, modes) == _reductions_only(2, 4)
+        assert seen["determinant"] == seen["adjugate"] == seen["poly_roots"] == []
 
 
 CORPUS = ["concond", "elcirc", "exmath", "source_converter_4mode", "source_converter_6mode"]
+
+
+def _walk_signal(model: SldsModel) -> dict:
+    """A schedule from mode 1 that takes the lowest-numbered transition out
+    of the current mode at t = 0.1, 0.2, ..., once per mode."""
+    events, mode = [], 1
+    for i in range(model.n_modes):
+        targets = sorted(l for k, l in model.gluing if k == mode)
+        if not targets:
+            break
+        mode = targets[0]
+        events.append([0.1 * (i + 1), mode])
+    return {"initial_mode": 1, "events": events}
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_corpus_simulation_forms_no_determinant(monkeypatch, tmp_path, name):
+    """``slds simulate`` column-reduces each mode once and forms no
+    determinant, adjugate or root set (``slds check`` on the corpus:
+    ``tests/test_cli.py::TestRootsOncePerCommand::test_check_once_per_mode``)."""
+    path = MODELS / f"{name}.json"
+    model = load_model(path)
+    signal = tmp_path / "signal.json"
+    signal.write_text(json.dumps(_walk_signal(model)))
+    x0 = ",".join(["1.0"] * model.realizations[0].n)
+    seen = _count_division_data(monkeypatch)
+    assert main(["simulate", str(path), "--signal", str(signal), "--x0", x0,
+                 "--t-end", "1", "--dt", "0.05"]) == 0
+    assert _calls_per_mode(seen, model.modes) == _reductions_only(1, model.n_modes)
+    assert seen["determinant"] == seen["adjugate"] == seen["poly_roots"] == []
 
 
 def _loaded_models(monkeypatch) -> list:

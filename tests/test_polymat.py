@@ -19,7 +19,6 @@ from sldstab.polymat import (
     column_degrees,
     column_reduce,
     determinant,
-    is_hurwitz,
     is_strictly_proper,
     polymatrix_from_json,
     polymatrix_to_json,
@@ -27,6 +26,7 @@ from sldstab.polymat import (
     polynomial_part,
     vstack,
 )
+from sldstab.model import SldsModel, modes_hurwitz
 from sldstab.statespace import minimal_state_map, realize
 
 xi = sympy.symbols("xi")
@@ -127,10 +127,14 @@ def _integer_square(draw):
     return PolyMatrix(np.array(vals, dtype=float).reshape(deg + 1, n, n))
 
 
-def _assert_unimodular_reduction(R, Rred, Uinv, tol):
-    """``R' U^{-1} = R`` and ``det U^{-1}`` is a nonzero constant, both
-    within ``tol`` relative to the matrix scale."""
+def _assert_unimodular_reduction(R, Rred, U, Uinv, tol):
+    """``R U = R'``, ``R' U^{-1} = R``, ``U U^{-1} = I`` and ``det U^{-1}``
+    is a nonzero constant, all within ``tol`` relative to the matrix scale."""
+    assert (R @ U - Rred).max_norm() <= tol * max(1.0, Rred.max_norm())
     assert (Rred @ Uinv - R).max_norm() <= tol * max(1.0, R.max_norm())
+    assert (U @ Uinv - PolyMatrix.identity(R.rows)).max_norm() <= tol * max(
+        1.0, U.max_norm() * Uinv.max_norm()
+    )
     d = determinant(Uinv).coeffs
     assert d[0] != 0.0
     assert np.all(np.abs(d[1:]) <= tol * abs(d[0]))
@@ -152,22 +156,31 @@ class TestLeibnizKernels:
                 assert adj.entry(i, j).coeffs.tolist() == _exact_coeffs(ref[i, j])
         assert ((R @ adj) - PolyMatrix.identity(R.rows).scale(d)).max_norm() == 0.0
         if not d.is_zero():
-            _assert_unimodular_reduction(R, *column_reduce(R), tol=1e-12)
+            _assert_unimodular_reduction(R, *column_reduce(R)[:3], tol=1e-12)
+
+
+def _hurwitz_on_a(entries) -> bool:
+    """The Hurwitz verdict of a one-mode model, read off ``eig(A)``, after
+    checking that ``eig(A)`` are the roots of ``det R``."""
+    R = PolyMatrix.from_entries(entries)
+    model = SldsModel(modes=[R], gluing={})
+    got = np.sort_complex(np.linalg.eigvals(model.realizations[0].A))
+    want = np.sort_complex(poly_roots(determinant(R)))
+    assert np.allclose(got, want, atol=1e-9)
+    (verdict,) = modes_hurwitz(model)
+    return verdict
 
 
 class TestHurwitz:
     def test_stable(self):
-        R = PolyMatrix.from_entries([[[2.0, 3.0, 1.0]]])
-        assert is_hurwitz(R)
+        assert _hurwitz_on_a([[[2.0, 3.0, 1.0]]])
 
     def test_root_at_plus_one(self):
-        R = PolyMatrix.from_entries([[[-1.0, 1.0]]])
-        assert not is_hurwitz(R)
+        assert not _hurwitz_on_a([[[-1.0, 1.0]]])
 
     def test_imaginary_axis(self):
         # xi^2 + 1 has roots on the axis
-        R = PolyMatrix.from_entries([[[1.0, 0.0, 1.0]]])
-        assert not is_hurwitz(R)
+        assert not _hurwitz_on_a([[[1.0, 0.0, 1.0]]])
 
 
 class TestCanonicalRep:
@@ -286,7 +299,7 @@ class TestColumnReduction:
         R = PolyMatrix.from_entries(
             [[[1.0, 1.0], [1.0, 1.0]], [[1.0], [0.0]]]
         )
-        Rred, _ = column_reduce(R)
+        Rred, *_ = column_reduce(R)
         lead = np.sum(np.array(column_degrees(Rred)))
         assert lead <= determinant(R).degree + 1  # proper column degrees
 
@@ -296,10 +309,10 @@ class TestColumnReduction:
         T2 = PolyMatrix.from_entries([[[1.0], [0.0]], [[0.0, 0.0, 1.0], [1.0]]])
         S = PolyMatrix.from_entries([[[1.0, 1.0], [0.0]], [[-1.0], [2.0, 1.0]]])
         R = T1 @ T2 @ S
-        Rred, Uinv = column_reduce(R)
-        assert Uinv.degree > 0
+        Rred, U, Uinv, *_ = column_reduce(R)
+        assert U.degree > 0 and Uinv.degree > 0
         assert column_degrees(Rred) == [1.0, 1.0]
-        _assert_unimodular_reduction(R, Rred, Uinv, tol=1e-12)
+        _assert_unimodular_reduction(R, Rred, U, Uinv, tol=1e-12)
 
     def test_columns_of_very_different_scale(self):
         # the null vector (1e-9, -1) of the leading matrix: both columns take
@@ -307,9 +320,9 @@ class TestColumnReduction:
         R = PolyMatrix.from_entries(
             [[[3e9, 0.0, 1e9], [0.0, 1.0]], [[0.0, 0.0, 1e9], [1.0, 1.0]]]
         )
-        Rred, Uinv = column_reduce(R)
+        Rred, U, Uinv, *_ = column_reduce(R)
         assert column_degrees(Rred) == [1.0, 1.0]  # sum = deg det R
-        _assert_unimodular_reduction(R, Rred, Uinv, tol=1e-12)
+        _assert_unimodular_reduction(R, Rred, U, Uinv, tol=1e-12)
 
     def test_no_termination_is_a_value_error(self):
         R = PolyMatrix.from_entries([[[1.0, 1.0], [1.0, 1.0]], [[1.0], [0.0]]])
@@ -500,32 +513,51 @@ def _division_case(draw):
     return R, Fs
 
 
+# the reference division and the column-reduced one round differently
+REFERENCE_DIVISION_TOL = 1e-12
+
+
+def _padded_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest difference of two coefficient stacks, the shorter zero-padded."""
+    g = max(a.shape[0], b.shape[0])
+    out = np.zeros((g,) + a.shape[1:])
+    out[: a.shape[0]] += a
+    out[: b.shape[0]] -= b
+    return float(np.abs(out).max())
+
+
 class TestDivisionData:
-    """A matrix computes its ``det`` and ``adj`` once; each division reuses them."""
+    """A matrix computes its column reduction once; each division reuses it."""
 
     R_ENTRIES = [[[2.0, 3.0, 1.0], [1.0]], [[0.0, 1.0], [1.0, 1.0]]]
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_division_case())
     def test_reused_matrix_matches_a_fresh_one(self, case):
-        # one R serves every F, bit for bit as a fresh copy of R and the reference
+        # one R serves every F, bit for bit as a fresh copy of R, and agrees
+        # with the det/adj reference division to REFERENCE_DIVISION_TOL
         R, Fs = case
         assume(not determinant(R).is_zero())
         for F in Fs:
             N = _per_call_polynomial_part(F, R)
             want = (F - N @ R).coeffs
-            for M in (R, PolyMatrix(R.coeffs)):  # R keeps its det and adj; a copy has none yet
-                assert np.array_equal(polynomial_part(F, M).coeffs, N.coeffs)
-                assert np.array_equal(canonical_rep(F, M).coeffs, want)
+            got = polynomial_part(F, R).coeffs
+            rep = canonical_rep(F, R).coeffs
+            fresh = PolyMatrix(R.coeffs)  # has no reduction yet
+            assert np.array_equal(polynomial_part(F, fresh).coeffs, got)
+            assert np.array_equal(canonical_rep(F, fresh).coeffs, rep)
+            assert _padded_gap(got, N.coeffs) <= REFERENCE_DIVISION_TOL * max(1.0, N.max_norm())
+            scale = max(1.0, F.max_norm(), np.abs(want).max())
+            assert _padded_gap(rep, want) <= REFERENCE_DIVISION_TOL * scale
 
-    def test_each_matrix_computes_det_and_adj_once(self, monkeypatch):
-        seen = {"determinant": [], "adjugate": []}
+    def test_each_matrix_column_reduces_once(self, monkeypatch):
+        seen = {"column_reduce": [], "determinant": [], "adjugate": [], "poly_roots": []}
         for name, args in seen.items():
             orig = getattr(polymat, name)
 
-            def counted(M, orig=orig, args=args):
+            def counted(M, *rest, orig=orig, args=args):
                 args.append(M)
-                return orig(M)
+                return orig(M, *rest)
 
             monkeypatch.setattr(polymat, name, counted)
         R = PolyMatrix.from_entries(self.R_ENTRIES)
@@ -533,11 +565,10 @@ class TestDivisionData:
         polynomial_part(F, R)
         canonical_rep([F, F.scale(2.0)], R)
         is_strictly_proper(F, R)
-        column_reduce(R)
         realize(R, minimal_state_map(R))
-        is_hurwitz(R)
-        for name, args in seen.items():
-            assert len(args) == 1 and args[0] is R, name
+        modes_hurwitz(SldsModel(modes=[R], gluing={}))
+        assert len(seen["column_reduce"]) == 1 and seen["column_reduce"][0] is R
+        assert seen["determinant"] == seen["adjugate"] == seen["poly_roots"] == []
 
     @pytest.mark.parametrize(
         "entries, match",
@@ -556,11 +587,11 @@ class TestDivisionData:
             column_reduce,
             minimal_state_map,
             lambda R: realize(R, PolyMatrix.identity(R.cols)),
-            is_hurwitz,
+            lambda R: modes_hurwitz(SldsModel(modes=[R], gluing={})),
         ],
         ids=[
             "polynomial_part", "canonical_rep", "is_strictly_proper", "column_reduce",
-            "minimal_state_map", "realize", "is_hurwitz",
+            "minimal_state_map", "realize", "modes_hurwitz",
         ],
     )
     def test_singular_or_non_square_rejected(self, entries, match, entry_point):
@@ -739,11 +770,14 @@ class TestDetRoots:
         with pytest.raises(ValueError, match="read-only"):
             r[0] = 0.0
 
-    def test_hurwitz_computes_roots_once(self, monkeypatch):
+    def test_hurwitz_computes_no_roots(self, monkeypatch):
+        # the Hurwitz test reads eig(A); det_roots, read twice, is computed once
         calls = []
         monkeypatch.setattr(polymat, "poly_roots", lambda p: calls.append(p) or poly_roots(p))
         R = PolyMatrix.from_entries(TestDivisionData.R_ENTRIES)
-        assert is_hurwitz(R) and is_hurwitz(R)
+        assert modes_hurwitz(SldsModel(modes=[R], gluing={})) == [True]
+        assert calls == []
+        assert R.det_roots is R.det_roots
         assert len(calls) == 1
 
     @settings(max_examples=200, deadline=None, derandomize=True)

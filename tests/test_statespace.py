@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import time
 from functools import cache
 from pathlib import Path
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sldstab.model import load_model
+from sldstab.cli import main
+from sldstab.model import load_model, model_from_json
 from sldstab.polymat import (
     PolyMatrix,
     canonical_rep,
@@ -106,6 +108,56 @@ class TestStateMapIsCanonical:
             assert got.tobytes() == X.coeffs.tobytes(), name
             n += 1
         assert n > 900
+
+
+def _time_scaled(doc: dict, c: float) -> dict:
+    """The model with every mode ``R(xi)`` replaced by ``R(c xi)``."""
+    modes = [[[[v * c**p for p, v in enumerate(e)] for e in row] for row in R] for R in doc["modes"]]
+    return dict(doc, modes=modes)
+
+
+class TestStateDimensionFromColumnDegrees:
+    """The state dimension is the sum of the column degrees of the column
+    reduction: no trimmed ``det R`` coefficient decides it."""
+
+    @pytest.mark.parametrize("c", [1e3, 1e-3])
+    def test_time_scaled_draws_keep_their_state(self, c):
+        # R(xi) -> R(c xi) changes the time unit only; at c = 1e3 the trimmed
+        # Leibniz det R of 15 of these draws has a spurious leading coefficient,
+        # so a state dimension read off it is 4
+        rng = np.random.default_rng(7)
+        for i in range(20):
+            model = model_from_json(_time_scaled(_generators().slds_member(rng, 3, 3)["model"], c))
+            assert [real.n for real in model.realizations] == [3, 3, 3], i
+            assert len(model.reinits) == 6, i
+
+    def test_column_scaled_converter_certifies(self, tmp_path):
+        # w -> diag(1, 1e4) w makes mode 3 diag(1e-2 + 1e-4 xi, 1.01e-4 +
+        # 5.2e-9 xi + 1e-12 xi^2): column reduced, with leading singular values
+        # 1e-4 and 1e-12, which an absolute floor of 1e-10 would call singular
+        doc = json.loads((MODELS / "source_converter_4mode.json").read_text())
+        cols = np.array([1.0, 1e-4])
+
+        def scaled(M):
+            return [[[v * cols[j] for v in e] for j, e in enumerate(row)] for row in M]
+
+        doc["modes"] = [scaled(R) for R in doc["modes"]]
+        doc["state_maps"] = [scaled(X) for X in doc["state_maps"]]
+        for glue in doc["gluing"]:
+            glue["g_minus"], glue["g_plus"] = scaled(glue["g_minus"]), scaled(glue["g_plus"])
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 0
+
+    def test_wide_draw_certifies_quickly(self, tmp_path):
+        # no n! term: the Leibniz adjugate alone would need several GB at w = 12
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(
+            _generators().slds_member(np.random.default_rng(0), 12, 2)["model"]
+        ))
+        start = time.process_time()
+        assert main(["check", str(path)]) == 0
+        assert time.process_time() - start < 5.0
 
 
 class TestRealize:
