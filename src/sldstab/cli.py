@@ -40,6 +40,9 @@ def _require_positive(name: str, value) -> None:
 
 
 def cmd_check(args) -> int:
+    for flag, value in (("--eps", args.eps), ("--budget", args.budget)):
+        if value is not None:
+            _require_positive(flag, value)
     model = load_model(args.model)
     hur = modes_hurwitz(model)
     if not all(hur):
@@ -60,9 +63,6 @@ def cmd_check(args) -> int:
             print(f"  {name}: margin {m:.6e}")
         print("certificate verifies" if ok else "certificate FAILS verification")
         return EXIT_OK if ok else EXIT_NO_CERT
-    for flag, value in (("--eps", args.eps), ("--budget", args.budget)):
-        if value is not None:
-            _require_positive(flag, value)
     cert = find_mlf(model, eps=args.eps, budget=args.budget)
     print(f"route {cert.route}: feasible={cert.feasible} "
           f"(iterations {cert.solver['iterations']})")

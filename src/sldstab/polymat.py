@@ -510,6 +510,8 @@ def canonical_rep(
 
     Returns ``G' = S R`` where ``S`` is the strictly proper part of
     ``F R^{-1}``; equivalently ``F - N R`` with ``N`` the polynomial part.
+    When ``deg F + deg U`` is below every column degree of ``R' = R U``,
+    ``N`` is zero and ``F`` is returned as it is, with no division.
 
     ``F`` may also be a sequence of blocks with ``R``'s column count: they
     are stacked and divided at once, and the list of their representatives
@@ -519,6 +521,10 @@ def canonical_rep(
     blocks = [F] if isinstance(F, PolyMatrix) else list(F)
     if any(b.cols != R.rows for b in blocks):
         raise ValueError("dimension mismatch between F and R")
+    red = R._reduction
+    if max(b.coeffs.shape[0] for b in blocks) + red.U.coeffs.shape[0] - 2 < min(red.degrees):
+        # deg F + deg U < min_j d_j: F U over R' has a zero quotient, so F - N R = F
+        return F if isinstance(F, PolyMatrix) else blocks
     bounds = np.cumsum([0] + [b.rows for b in blocks])
     f = _stack_rows(blocks)
     q = _trim_blocks(_quotient(f, R, bounds), bounds)
@@ -562,33 +568,43 @@ def column_reduce(R: PolyMatrix, max_iter: int = 200) -> _Reduction:
     if R.rows != R.cols:
         raise ValueError("column reduction requires a square matrix")
     n, Rp = R.cols, R
-    U = Uinv = np.eye(n)[None]
+    U = Uinv = None  # the identity until the first step
     for _ in range(max_iter):
         degs = np.array(column_degrees(Rp))
         if degs.min() == MINUS_INF:
             raise ValueError("matrix is singular (a column reduces to zero)")
         G = Rp.coeffs[degs.astype(int), :, np.arange(n)].T  # leading column matrix
-        s = np.linalg.svd(G, compute_uv=False)
+        _, s, vt = np.linalg.svd(G)  # one SVD: the reducedness test and a null direction
         if s[-1] > 1e-10 * s[0]:  # relative: a column of small scale is not a null one
             d = tuple(int(dj) for dj in degs)
-            return _Reduction(Rp, PolyMatrix(U), PolyMatrix(Uinv), d, np.linalg.inv(G))
-        v = np.linalg.svd(G)[2][-1]
+            if U is None:
+                U = Uinv = PolyMatrix.identity(n)
+            else:
+                U, Uinv = PolyMatrix(U), PolyMatrix(Uinv)
+            return _Reduction(Rp, U, Uinv, d, np.linalg.inv(G))
+        v = vt[-1]
         weight = np.abs(v) * np.linalg.norm(G, axis=0)
         active = np.flatnonzero(weight > 1e-8 * weight.max())
         jstar = active[np.argmax(degs[active])]
         shift = (degs[jstar] - degs).astype(int)
-        e = np.zeros((max(shift.max(), 0) + 1, n, n))
+        # E = I with column j* set to sum_j v_j xi^shift_j e_j, trimmed as
+        # PolyMatrix(E) would be: its largest entry is max(1, |v_j|) (a step
+        # has n > 1, so a diagonal 1 remains), and each v_j at most TRIM_TOL
+        # times that is dropped
+        placed = np.flatnonzero((v != 0) & (shift >= 0))
+        keep = placed[np.abs(v[placed]) > TRIM_TOL * max(1.0, np.abs(v[placed]).max())]
+        e = np.zeros((shift[keep].max(initial=0) + 1, n, n))
         e[0] = np.eye(n)
-        for j in np.flatnonzero((v != 0) & (shift >= 0)):
-            e[shift[j], j, jstar] = v[j]
-        E = PolyMatrix(e)  # drops the terms of |v_j| <= TRIM_TOL
-        einv = E.coeffs.copy()
+        e[0, jstar, jstar] = 0.0
+        e[shift[keep], keep, jstar] = v[keep]
+        einv = e.copy()
         pivot = einv[0, jstar, jstar]
         einv[:, :, jstar] /= -pivot
         einv[0, jstar, jstar] = 1.0 / pivot
-        Rp = Rp @ E
-        U = _matmul(U, E.coeffs)
-        Uinv = _matmul(einv, Uinv)
+        Rp = PolyMatrix(_matmul(Rp.coeffs, e))
+        # I E = E and E^{-1} I = E^{-1} exactly, so the first step multiplies nothing
+        U = e if U is None else _matmul(U, e)
+        Uinv = einv if Uinv is None else _matmul(einv, Uinv)
     raise ValueError(f"column reduction did not terminate in {max_iter} steps")
 
 
@@ -644,8 +660,8 @@ def polymatrix_from_json(data) -> PolyMatrix:
                 for v in e if isinstance(e, list) else (e,):
                     json_float(v, f"coefficient of entry ({i},{j})")
     c = _stack_entries(data)
-    bad = np.argwhere(~np.isfinite(c))
-    if bad.size:
+    if not np.isfinite(c).all():
+        bad = np.argwhere(~np.isfinite(c))
         where = ", ".join(
             f"{c[p, i, j]} at entry ({i + 1},{j + 1}) power {p}" for p, i, j in bad
         )

@@ -163,8 +163,7 @@ def _spr_verdict(N: PolyMatrix, D: PolyMatrix, P: PolyMatrix) -> tuple[bool, dic
         return False, {"reason": "pole in closed right half-plane", "pole": poles[0]}
     P0 = 0.5 * (P(0.0) + P(0.0).T)
     lam0 = np.linalg.eigvalsh(P0)
-    scale = max(1.0, P.max_norm())
-    if lam0[0] <= AXIS_TOL * scale:
+    if lam0[0] <= AXIS_TOL * P.max_norm():  # relative: (c R1, c R2) gives c^2 P
         return False, {"reason": "boundary form not positive definite", "omega": 0.0}
     try:
         rts = P.det_roots
@@ -346,7 +345,8 @@ def build_standard_slds(R1: PolyMatrix, R2: PolyMatrix) -> StandardSlds:
     if Kmat.degree > 0:
         raise ValueError("xi X1' R1^{-1} is not proper")
     K = Kmat.coeffs[0]
-    if abs(np.linalg.det(K)) <= 1e-10:
+    sv = np.linalg.svd(K, compute_uv=False)
+    if sv[-1] <= 1e-10 * sv[0]:  # relative: K of (c R1, c R2) is K / c
         raise ValueError("feed-through matrix K is singular")
     PiX2 = PolyMatrix(Pi[None, :, :]) @ X2
     gluing = {

@@ -57,6 +57,8 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
+from .polymat import block_max
+
 DEFAULT_BUDGET = 50_000
 # Relative mismatch above which a compiled constraint is rejected (``_compile``).
 AFFINE_TOL = 1e-9
@@ -242,47 +244,75 @@ class LmiProblem:
 
         One call per constraint, on the stack of the zero vector and every
         basis vector: ``c0`` is the value at zero, column ``i`` of ``A`` the
-        value at ``e_i`` minus ``c0``.
+        value at ``e_i`` minus ``c0``.  One more call per constraint, on plain
+        matrices at a fixed probe point, checks the compiled maps, all in one
+        pass (:meth:`_check_affine`).
         """
         npar = self.n_params
         vals = self._unpack(np.vstack([np.zeros(npar), np.eye(npar)]))
         probe = np.linspace(-1.0, 1.0, npar)
         probe_vals = self._unpack(probe)
-        compiled = []
-        for c in self.constraints:
-            S = np.asarray(c.expr(vals), dtype=float)
-            if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
-                raise ValueError(f"constraint '{c.name}' is not square")
-            m = S.shape[-1]
-            S = np.broadcast_to(S, (npar + 1, m, m)).reshape(npar + 1, m * m)
-            c0 = S[0].copy()
-            A = np.ascontiguousarray((S[1:] - c0).T)
-            # one plain call checks the compiled map: it catches an expression
-            # that does not broadcast over the stack, or is not affine
-            got = np.asarray(c.expr(probe_vals), dtype=float).ravel()
-            err = np.abs(got - c0 - A @ probe) if got.size == m * m else np.inf
-            scale = np.max(np.abs(c0) + np.abs(A) @ np.abs(probe), initial=0.0)
-            if np.max(err, initial=0.0) > AFFINE_TOL * scale:
-                raise ValueError(
-                    f"constraint '{c.name}' is not affine over stacked variables"
-                )
-            compiled.append((c, c0, A, m))
+        compiled, got = [], []
+        try:
+            for c in self.constraints:
+                S = np.asarray(c.expr(vals), dtype=float)
+                if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
+                    raise ValueError(f"constraint '{c.name}' is not square")
+                m = S.shape[-1]
+                S = np.broadcast_to(S, (npar + 1, m, m)).reshape(npar + 1, m * m)
+                c0 = S[0].copy()
+                A = np.ascontiguousarray((S[1:] - c0).T)
+                g = np.asarray(c.expr(probe_vals), dtype=float).ravel()
+                compiled.append((c, c0, A, m))
+                got.append(g)
+        except Exception:
+            self._check_affine(compiled, got, probe)  # an earlier failure comes first
+            raise
+        self._check_affine(compiled, got, probe)
         return compiled
+
+    @staticmethod
+    def _check_affine(compiled, got, probe) -> None:
+        """Raise for the first constraint whose plain value ``got`` at
+        ``probe`` is not ``c0 + A probe`` within ``AFFINE_TOL`` of its scale:
+        an expression that does not broadcast over the stack, or is not
+        affine.  One product over every constraint's rows, and one
+        :func:`block_max` each for the errors and the scales."""
+        if not compiled:
+            return
+        sizes = [m * m for *_, m in compiled]
+        bounds = np.cumsum([0] + sizes)
+        A = np.concatenate([A for _, _, A, _ in compiled])
+        c0 = np.concatenate([c0 for _, c0, _, _ in compiled])
+        wrong = np.array([g.size != k for g, k in zip(got, sizes)])
+        value = np.concatenate(
+            [np.zeros(k) if bad else g for g, k, bad in zip(got, sizes, wrong)]
+        )
+        err = block_max(np.abs(value - c0 - A @ probe), bounds)
+        err[wrong] = np.inf
+        scale = block_max(np.abs(c0) + np.abs(A) @ np.abs(probe), bounds)
+        bad = np.flatnonzero(err > AFFINE_TOL * scale)
+        if bad.size:
+            name = compiled[bad[0]][0].name
+            raise ValueError(f"constraint '{name}' is not affine over stacked variables")
 
     # -- margins -------------------------------------------------------------
 
     @staticmethod
-    def _margin(S: np.ndarray, sense: str, shift: float, eps: float) -> float:
+    def _margin(
+        S: np.ndarray, sense: str, shift: float, eps: float, lam: np.ndarray | None = None
+    ) -> float:
         """Satisfaction margin, judged by :func:`accepts`.
 
         Non-strict senses (shift == 0) get an ``eps`` bonus so that
         structurally semidefinite expressions, whose extreme eigenvalue is an
-        exact zero up to rounding, still verify.
+        exact zero up to rounding, still verify.  ``lam`` are the ascending
+        eigenvalues of the symmetric part of ``S``, when already computed.
         """
         if sense == "zero":
             return float(eps - np.max(np.abs(S))) if S.size else eps
-        H = 0.5 * (S + S.T)
-        lam = np.linalg.eigvalsh(H)
+        if lam is None:
+            lam = np.linalg.eigvalsh(0.5 * (S + S.T))
         bonus = eps if shift == 0.0 else 0.0
         if sense == "psd":
             return float(lam[0] - shift + bonus)
@@ -437,9 +467,27 @@ class LmiProblem:
         return report(x)
 
     def verify(self, values: dict, eps: float) -> dict:
-        """Margins of every constraint at the given variable values."""
-        margins = {}
-        for c in self.constraints:
+        """Margins of every constraint at the given variable values, in
+        constraint order.
+
+        Each constraint is evaluated on its own; the symmetric parts of the
+        square cones of one shape then go through one batched ``eigvalsh``,
+        whose eigenvalues equal one call per matrix, bit for bit, and
+        :meth:`_margin` reads each cone's margin off them.
+        """
+        out = []
+        shapes: dict[tuple, list] = {}
+        for i, c in enumerate(self.constraints):
             S = np.asarray(c.expr(values), dtype=float)
-            margins[c.name] = self._margin(S, c.sense, c.shift, eps)
-        return margins
+            if c.sense != "zero" and S.ndim == 2 and S.shape[0] == S.shape[1] > 0:
+                shapes.setdefault(S.shape, []).append((i, S))
+                out.append(None)
+            else:
+                out.append(self._margin(S, c.sense, c.shift, eps))
+        for same in shapes.values():
+            H = np.array([S for _, S in same])
+            lams = np.linalg.eigvalsh(0.5 * (H + H.transpose(0, 2, 1)))
+            for (i, S), lam in zip(same, lams):
+                c = self.constraints[i]
+                out[i] = self._margin(S, c.sense, c.shift, eps, lam)
+        return {c.name: m for c, m in zip(self.constraints, out)}

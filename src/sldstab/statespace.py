@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .polymat import MINUS_INF, Poly, PolyMatrix, block_max, canonical_rep
+from .polymat import MINUS_INF, PolyMatrix, block_max, canonical_rep
 
 REALIZE_TOL = 1e-9
 STATE_BASIS_TOL = 1e-9
@@ -149,7 +149,8 @@ def realize(R: PolyMatrix, X: PolyMatrix) -> StateRealization:
     L = int(R.degree)  # R is not zero: it has a column reduction
     grid = max(L + 1, int(X.degree) + 2 if X.degree != MINUS_INF else 1)
     Xa = X.stack(grid)  # X(xi) over the monomial stack
-    Xb = X.scale(Poly([0.0, 1.0])).stack(grid)  # xi * X(xi)
+    Xb = np.zeros_like(Xa)  # xi * X(xi): Xa shifted one block right, grid >= deg X + 2
+    Xb[:, X.cols :] = Xa[:, : -X.cols]
     Rt = R.stack(grid)
     M = np.vstack([Xa, Rt])  # (n + w) x (grid*w)
     sol, *_ = np.linalg.lstsq(M.T, Xb.T, rcond=None)

@@ -27,6 +27,15 @@ SIGNAL = str(MODELS / "elcirc_periodic.json")
 CONVERTER4 = str(MODELS / "source_converter_4mode.json")
 DATA = Path(__file__).resolve().parent / "data"
 
+BAD_SEARCH_FLAGS = [
+    ("--eps", "nan"),
+    ("--eps", "inf"),
+    ("--eps", "0"),
+    ("--eps", "-1"),
+    ("--budget", "-5"),
+    ("--budget", "0"),
+]
+
 
 class TestCheck:
     def test_certifies_circuit(self, capsys):
@@ -105,22 +114,22 @@ class TestCheck:
         assert main(["check", CONVERTER4, "--verify-only", cert]) == 0
         assert "certificate verifies" in capsys.readouterr().out
 
-    @pytest.mark.parametrize(
-        "flag, value",
-        [
-            ("--eps", "nan"),
-            ("--eps", "inf"),
-            ("--eps", "0"),
-            ("--eps", "-1"),
-            ("--budget", "-5"),
-            ("--budget", "0"),
-        ],
-    )
+    @pytest.mark.parametrize("flag, value", BAD_SEARCH_FLAGS)
     def test_bad_search_flag_exits_1(self, capsys, flag, value):
         assert main(["check", ELCIRC, flag, value]) == 1
         captured = capsys.readouterr()
         assert flag in captured.err
         assert "no certificate" not in captured.out
+
+    @pytest.mark.parametrize("flag, value", BAD_SEARCH_FLAGS)
+    def test_bad_search_flag_with_verify_only_exits_1(self, capsys, flag, value):
+        # the flags are checked before the certificate is read, whatever the
+        # route: this certificate verifies under valid flags
+        cert = str(DATA / "converter4_free_multipliers.cert.json")
+        assert main(["check", CONVERTER4, "--verify-only", cert, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
 
 
 class TestSimulate:
@@ -361,6 +370,22 @@ class TestPosreal:
             err = capsys.readouterr().err
             assert "mode 2" in err and "constant det R" in err
             assert "zero-size" not in err
+
+    @pytest.mark.parametrize("c", [1e-8, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e8])
+    def test_scaled_pair_keeps_its_verdict(self, tmp_path, capsys, c):
+        # (c R1, c R2) has the same R2 R1^{-1}, so the SPR verdict must not
+        # depend on c; the storage certificate follows up to c = 1e3 (beyond
+        # it the certificate's own margins are absolute, ROADMAP item 1)
+        io_args = []
+        for flag, path in (("--r1", R1), ("--r2", R2)):
+            scaled = tmp_path / Path(path).name
+            doc = json.loads(Path(path).read_text())
+            scaled.write_text(json.dumps([[[c * v for v in e] for e in row] for row in doc]))
+            io_args += [flag, str(scaled)]
+        assert main(["posreal", "sprcheck"] + io_args) == 0
+        if c <= 1e3:
+            assert main(["posreal", "mlf"] + io_args) == 0
+            assert main(["posreal", "complete"] + io_args) == 0
 
     @pytest.mark.parametrize("name", sorted(MATRIX_PAIRS))
     def test_matrix_pairs(self, tmp_path, capsys, name):

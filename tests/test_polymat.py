@@ -183,7 +183,42 @@ class TestHurwitz:
         assert not _hurwitz_on_a([[[1.0, 0.0, 1.0]]])
 
 
+def _family_mode() -> PolyMatrix:
+    """``T (I + 1.5 xi e_1 e_2^T)(xi I - A)``: the kernel representation
+    ``xi I - A`` times a unimodular factor of degree 1, so ``U`` has degree 1."""
+    A = np.array([[-1.0, 2.0], [-3.0, -4.0]])
+    T = np.array([[1.2, -0.4], [0.3, 1.7]])
+    E1 = np.array([[0.0, 1.5], [0.0, 0.0]])
+    return PolyMatrix(np.stack([-T @ A, T - T @ E1 @ A, T @ E1]))
+
+
 class TestCanonicalRep:
+    def test_zero_quotient_skips_the_division(self, monkeypatch):
+        # deg F + deg U < min_j d_j: the quotient is zero, and F is its own
+        # representative, bit for bit what F - N R gives; at the bound, by
+        # the degree of F or of U, the division runs
+        A = np.array([[-1.0, 2.0], [-3.0, -4.0]])
+        R = PolyMatrix(np.stack([-A, np.eye(2)]))  # column reduced: U = I, d = (1, 1)
+        F = PolyMatrix(np.array([[[0.3, -1.2], [2.0, 0.5]]]))
+        F1 = PolyMatrix(np.array([[[0.3, -1.2]], [[0.0, 0.7]]]))  # degree 1
+        calls = []
+        quotient = polymat._quotient
+        monkeypatch.setattr(polymat, "_quotient", lambda *a: calls.append(a) or quotient(*a))
+        full = F - polynomial_part(F, R) @ R
+        calls.clear()
+        assert np.array_equal(canonical_rep(F, R).coeffs, full.coeffs)
+        first, second = canonical_rep([F, F.row(1)], R)
+        assert np.array_equal(first.coeffs, full.coeffs)
+        assert np.array_equal(second.coeffs, full.row(1).coeffs)
+        assert calls == []
+        for G, S in ((F1, R), (F, _family_mode())):
+            calls.clear()
+            rep = canonical_rep(G, S)
+            assert len(calls) == 1
+            recon = polynomial_part(G, S) @ S + rep
+            assert (recon - G).max_norm() <= 1e-12 * G.max_norm()
+            assert is_strictly_proper(rep, S)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_reconstruction_and_idempotence(self, seed):
         """F = N R + (F mod R) with the remainder strictly proper, 10 cases per seed."""
@@ -322,6 +357,19 @@ class TestColumnReduction:
         )
         Rred, U, Uinv, *_ = column_reduce(R)
         assert column_degrees(Rred) == [1.0, 1.0]  # sum = deg det R
+        _assert_unimodular_reduction(R, Rred, U, Uinv, tol=1e-12)
+
+    def test_one_svd_per_step(self, monkeypatch):
+        # R = T (I + 1.5 xi e_1 e_2^T)(xi I - A), a mode of the benchmark's
+        # family, takes one reduction step; each step, the last included,
+        # takes one SVD of the leading column matrix
+        R = _family_mode()
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(k) or svd(*a, **k))
+        Rred, U, Uinv, d, _ = column_reduce(R)
+        assert len(calls) == 2
+        assert U.degree == 1 and d == (1, 1)
         _assert_unimodular_reduction(R, Rred, U, Uinv, tol=1e-12)
 
     def test_no_termination_is_a_value_error(self):

@@ -177,6 +177,14 @@ class TestStandardConstruction:
         assert np.allclose(s.X1.entry(0, 0).coeffs, s.X2.entry(0, 0).coeffs)
         assert sorted(s.model.gluing) == [(1, 2), (2, 1)]
 
+    def test_feed_through_test_is_relative(self):
+        # R1 = 1e6 diag((xi+1)(xi+2), (xi+1)(xi+4)), R2 = 1e6 diag(xi+3, xi+2):
+        # the regular K = 1e-6 I has det 1e-12, so only a relative test passes it
+        R1 = PolyMatrix.from_entries([[[2e6, 3e6, 1e6], [0.0]], [[0.0], [4e6, 5e6, 1e6]]])
+        R2 = PolyMatrix.from_entries([[[3e6, 1e6], [0.0]], [[0.0], [2e6, 1e6]]])
+        s = build_standard_slds(R1, R2)
+        assert np.allclose(s.K, 1e-6 * np.eye(2), rtol=1e-12, atol=0.0)
+
     def test_biproper_pair_rejected(self):
         R1, _ = standard_scalar_pair()
         with pytest.raises(ValueError, match="proper"):

@@ -354,3 +354,79 @@ class TestBatchedCompile:
         prob.add_constraint("pos", lambda v: v["K"] + v["c"][0, 0], "psd", 1e-6)
         with pytest.raises(ValueError, match="'pos' is not affine"):
             prob.solve(eps=1e-6)
+
+    def test_first_bad_constraint_named(self):
+        # the affinity check runs over every constraint at once, yet names
+        # the first failure in constraint order, also ahead of a later
+        # constraint that is not square
+        def problem(*later):
+            prob = LmiProblem()
+            prob.add_symmetric("K", 2)
+            prob.add_matrix("c", 1, 1)
+            prob.add_constraint("fine", lambda v: v["K"], "psd")
+            prob.add_constraint("first", lambda v: v["K"] * v["c"], "psd")
+            for name, expr in later:
+                prob.add_constraint(name, expr, "psd")
+            return prob
+
+        def square(v):
+            return v["K"] @ v["K"]
+
+        def wide(v):
+            return v["c"] * np.ones((1, 2))
+
+        later_ones = [("second", square)], [("wide", wide)], [("second", square), ("wide", wide)]
+        for later in later_ones:
+            with pytest.raises(ValueError, match="'first' is not affine"):
+                problem(*later)._compile()
+        prob = LmiProblem()
+        prob.add_matrix("c", 1, 1)
+        prob.add_constraint("wide", wide, "psd")
+        prob.add_constraint("second", lambda v: v["c"] * v["c"], "psd")
+        with pytest.raises(ValueError, match="'wide' is not square"):
+            prob._compile()
+
+
+class TestBatchedMargins:
+    def test_one_eigvalsh_per_cone_shape(self, monkeypatch):
+        # the 6-mode converter's 34 constraints come in two cone shapes; the
+        # margins are those of one _margin call per constraint, in order
+        model = load_model(MODELS / "source_converter_6mode.json")
+        cert = find_mlf(model)
+        eps = cert.epsilon
+        prob = assemble_mlf_lmis(model, eps)
+        values = {f"K{k}": K for k, K in enumerate(cert.kernels, start=1)}
+        want = {
+            c.name: LmiProblem._margin(np.asarray(c.expr(values)), c.sense, c.shift, eps)
+            for c in prob.constraints
+        }
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        margins = prob.verify(values, eps)
+        assert len(prob.constraints) == 34
+        assert len(calls) == 2
+        assert list(margins.items()) == list(want.items())
+
+    def test_margins_equal_per_constraint_margins(self):
+        # mixed sizes and senses, a zero-sense constraint, NaN and infinite
+        # entries and a repeated name: values and key order are those of one
+        # _margin call per constraint in order
+        rng = np.random.default_rng(5)
+        mats = {f"S{i}": rng.standard_normal((m, m)) for i, m in enumerate([2, 3, 2, 1, 3, 2, 1])}
+        mats["S0"][0, 0] = np.nan
+        mats["S5"][0, 1] = np.nan
+        mats["S1"][2, 2] = np.inf
+        senses = ["psd", "nsd", "zero", "psd", "nsd", "psd", "nsd"]
+        shifts = [0.0, 1e-3, 0.0, 1e-3, 0.0, 0.0, 0.0]
+        names = ["a", "b", "c", "d", "e", "f", "d"]
+        prob = LmiProblem()
+        for i, (name, sense, shift) in enumerate(zip(names, senses, shifts)):
+            prob.add_constraint(name, lambda v, S=mats[f"S{i}"]: S, sense, shift)
+        eps = 1e-6
+        margins = prob.verify({}, eps)
+        want = {}
+        for c in prob.constraints:
+            want[c.name] = LmiProblem._margin(c.expr({}), c.sense, c.shift, eps)
+        assert list(margins) == list(want) == ["a", "b", "c", "d", "e", "f"]
+        assert np.array_equal(list(margins.values()), list(want.values()), equal_nan=True)
