@@ -148,8 +148,9 @@ def cmd_posreal(args) -> int:
     M = pr.positive_real_completion(std, cert)
     doc = polymatrix_to_json(M)
     if args.out:
+        text = json.dumps(doc, indent=2)
         with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2)
+            fh.write(text)  # one write: json.dump writes once per token
         print(f"completion written to {args.out}")
     else:
         print(json.dumps(doc))

@@ -361,8 +361,9 @@ def certificate_from_json(doc: dict) -> MlfCertificate:
 
 
 def save_certificate(cert: MlfCertificate, path) -> None:
+    text = json.dumps(certificate_to_json(cert), indent=2)
     with open(path, "w") as fh:
-        json.dump(certificate_to_json(cert), fh, indent=2)
+        fh.write(text)  # one write: json.dump writes once per token
 
 
 def load_certificate(path) -> MlfCertificate:

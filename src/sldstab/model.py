@@ -6,8 +6,9 @@ transitions.  Each derived object is computed once per model and kept on it:
 
 - at construction, the check of each mode by :func:`check_mode` (``R_k`` is
   nonsingular and ``n_k >= 1``), its minimal state map when none is given,
-  and its realization's ``A`` and ``B``, which :func:`realize` solves for
-  only over a minimal state map, so a given map is checked there;
+  and its realization's ``A`` and ``B``, which :func:`realize` reads off the
+  column reduction and accepts only over a minimal state map, so a given
+  map is checked there;
 - on first use, the normal form of the gluing pairs, one thin SVD of each
   transition's ``F+`` (:attr:`SldsModel.f_plus_svd`), from which both
   well-posedness and the re-initialisation maps are read, and the maps
@@ -19,13 +20,15 @@ A verdict reads only each mode's ``A`` and the maps ``L``, so ``slds check``
 never computes ``C``.  Each mode has one derivation, the column reduction
 ``R_k U_k = R'_k`` that the mode matrix keeps (:func:`column_reduce`): the
 mode check reads the state dimension ``n_k = sum d_j`` off it, so does the
-state map (:func:`minimal_state_map`), and every reduction modulo ``R_k``
-(the realization's ``C``, the normal form) divides by it.  The Hurwitz test
-reads the eigenvalues of ``A_k``: no determinant, adjugate or root set is
-formed.  The normal form reduces once per mode: the ``G-`` of every
-transition out of mode ``k`` and the ``G+`` of every transition into it are
-stacked into one division and one least-squares solve over ``X_k``, then
-split by transition.  Nothing is shared between models.
+state map (:func:`minimal_state_map`), and the realization and every
+reduction modulo ``R_k`` (the realization's ``C``, the normal form) are read
+off its companion data, with no division and no least-squares solve.  The
+Hurwitz test reads the eigenvalues of ``A_k``: no determinant, adjugate or
+root set is formed.  The normal form makes one pass per mode: the ``G-`` of
+every transition out of mode ``k`` and the ``G+`` of every transition into
+it are stacked into one :func:`express_in_state_basis` call over the
+realization's kept ``T^{-1}``, then split by transition.  Nothing is shared
+between models.
 
 Mode indices are 1-based throughout, matching the JSON schema.
 """
@@ -51,7 +54,6 @@ from .polymat import (
 from .statespace import (
     StateRealization,
     express_in_state_basis,
-    minimal_state_map,
     realize,
 )
 
@@ -107,13 +109,11 @@ class SldsModel:
                 raise ValueError(f"gluing pair ({k},{l}) row counts differ")
             if gm.cols != w or gp.cols != w:
                 raise ValueError(f"gluing pair ({k},{l}) column count must be {w}")
-        if not self.state_maps:
-            self.state_maps = [minimal_state_map(R) for R in self.modes]
-        if len(self.state_maps) != len(self.modes):
+        given = self.state_maps or [None] * len(self.modes)  # None: the minimal map
+        if len(given) != len(self.modes):
             raise ValueError("state_maps must match the number of modes")
-        self.realizations = [
-            realize(R, X) for R, X in zip(self.modes, self.state_maps)
-        ]
+        self.realizations = [realize(R, X) for R, X in zip(self.modes, given)]
+        self.state_maps = [real.X for real in self.realizations]
 
     @property
     def w(self) -> int:
@@ -171,8 +171,8 @@ def normal_form(model: SldsModel) -> dict[tuple[int, int], NormalFormPair]:
 
     Mode ``k``'s blocks, ``G-`` of each transition out of ``k`` and ``G+``
     of each transition into ``k``, go through one
-    :func:`express_in_state_basis` call: one reduction modulo ``R_k`` and
-    one least-squares solve over ``X_k``.
+    :func:`express_in_state_basis` call over the companion data of ``R_k``
+    and the ``T^{-1}`` that the realization keeps for ``X_k``.
     """
     blocks: dict[int, list] = {}  # mode -> [(transition, side, G), ...]
     for (k, l), (gm, gp) in model.gluing.items():
@@ -180,9 +180,8 @@ def normal_form(model: SldsModel) -> dict[tuple[int, int], NormalFormPair]:
         blocks.setdefault(l, []).append(((k, l), 1, gp))
     solved = {}
     for mode, items in blocks.items():
-        fs = express_in_state_basis(
-            [g for _, _, g in items], model.modes[mode - 1], model.state_maps[mode - 1]
-        )
+        real = model.realizations[mode - 1]
+        fs = express_in_state_basis([g for _, _, g in items], real.R, None, real.T_inv)
         for (key, side, _), f in zip(items, fs):
             solved[key, side] = f
     return {
@@ -316,5 +315,6 @@ def load_model(path) -> SldsModel:
 
 
 def save_model(model: SldsModel, path) -> None:
+    text = json.dumps(model_to_json(model), indent=2)
     with open(path, "w") as fh:
-        json.dump(model_to_json(model), fh, indent=2)
+        fh.write(text)  # one write: json.dump writes once per token

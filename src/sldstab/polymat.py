@@ -7,7 +7,9 @@ object.  A non-finite coefficient, such as an overflowed product, is an
 error (:class:`NonFiniteError`), not a trimmed zero.  A :class:`PolyMatrix`
 keeps its coefficients read-only, so the column reduction it caches, its one
 divisor, never goes stale; so do its determinant and the determinant's roots,
-which only the positive-realness tests read.
+which only the positive-realness tests read.  The column reduction also
+carries the companion data of ``R'``, off which :func:`state_coordinates`
+reads row blocks modulo ``R`` with no division.
 """
 
 from __future__ import annotations
@@ -130,13 +132,18 @@ def _stack_entries(grid) -> np.ndarray:
 
 
 class _Reduction(NamedTuple):
-    """``R U = R'``: ``R'``, ``U``, ``U^{-1}``, ``R'``'s column degrees and ``R'_hc^{-1}``."""
+    """``R U = R'``: ``R'``, ``U``, ``U^{-1}``, ``R'``'s column degrees,
+    ``R'_hc^{-1}`` and the companion data ``A_c``, ``B_c``, ``O`` of ``R'``
+    (:func:`column_reduce`)."""
 
     Rp: "PolyMatrix"
     U: "PolyMatrix"
     Uinv: "PolyMatrix"
     degrees: tuple[int, ...]
     hc_inv: np.ndarray
+    Ac: np.ndarray
+    Bc: np.ndarray
+    O: np.ndarray
 
 
 class PolyMatrix:
@@ -323,7 +330,7 @@ class PolyMatrix:
         return PolyMatrix(self.coeffs[:, i : i + 1, :])
 
     def max_norm(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
+        return float(np.abs(self.coeffs).max())
 
     def __repr__(self):
         return f"PolyMatrix(shape={self.shape}, degree={self.degree})"
@@ -472,8 +479,9 @@ def _quotient(f: np.ndarray, R: PolyMatrix, bounds) -> np.ndarray:
     at once with the quotient term ``C_k R'_hc^{-1} xi^k``; the remainder
     left has column degrees below ``d_j``, so it is strictly proper over the
     column-reduced ``R'`` (Kailath, *Linear Systems*, 1980, section 6.3)."""
-    Rp, U, _, d, hc_inv = R._reduction
-    fu = f.copy() if Rp is R else _matmul(f, U.coeffs)  # R' = R: U = I
+    red = R._reduction
+    Rp, d, hc_inv = red.Rp, red.degrees, red.hc_inv
+    fu = f.copy() if Rp is R else _matmul(f, red.U.coeffs)  # R' = R: U = I
     rem = _trim_blocks(fu, bounds)
     top = len(rem) - 1 - min(d)  # highest quotient degree
     if top < 0:
@@ -551,9 +559,65 @@ def column_degrees(R: PolyMatrix) -> list[float]:
     return np.where(nz.any(axis=0), len(nz) - 1 - nz[::-1].argmax(axis=0), MINUS_INF).tolist()
 
 
+def _companion(r: np.ndarray, d: tuple[int, ...], hc_inv: np.ndarray) -> tuple:
+    """``(A_c, B_c, O)`` of a column-reduced ``R' = H diag(xi^d_j) + L_c Psi``
+    with coefficients ``r`` and ``H^{-1} = hc_inv``.
+
+    ``Psi`` has the rows ``xi^k e_j`` (``k < d_j``), ordered by column, then
+    power.  Dividing ``R'`` by ``H`` gives
+    ``xi^d_j e_j = (H^{-1})_j R' - (H^{-1} L_c)_j Psi``, so
+    ``xi Psi = A_c Psi + B_c R'``: ``A_c`` shifts along each chain and ends
+    chain ``j`` with the row ``-(H^{-1} L_c)_j``, and ``B_c`` ends it with
+    ``(H^{-1})_j``.  ``I = O Psi`` modulo ``R'``: row ``j`` of ``O`` is
+    ``e_(j,0)``, or ``-(H^{-1} L_c)_j`` when ``d_j = 0`` (Kailath, *Linear
+    Systems*, 1980, section 6.4).
+    """
+    w, n = len(d), sum(d)
+    lower = np.empty((w, n))  # L_c: column (j, k) is column j's coefficient of xi^k
+    at = 0
+    for j, dj in enumerate(d):
+        lower[:, at : at + dj] = r[:dj, :, j].T
+        at += dj
+    hl = hc_inv @ lower
+    Ac, Bc, O = np.eye(n, k=1), np.zeros((n, w)), -hl
+    at = 0
+    for j, dj in enumerate(d):
+        if dj:  # chain j holds the states at, ..., at + dj - 1
+            at += dj
+            Ac[at - 1], Bc[at - 1] = -hl[j], hc_inv[j]
+            O[j] = 0.0
+            O[j, at - dj] = 1.0
+    return Ac, Bc, O
+
+
+def state_coordinates(blocks: Sequence[PolyMatrix], R: PolyMatrix) -> np.ndarray:
+    """The constant ``F`` with ``G = F Psi U^{-1}`` modulo ``R`` for the
+    blocks ``G`` stacked by rows, over ``R``'s column reduction ``R U = R'``.
+
+    ``G U = F Psi`` modulo ``R' = R U``, and ``xi^i I = O A_c^i Psi`` modulo
+    ``R'`` (:func:`_companion`), so ``F = sum_i (G U)_i O A_c^i``: one
+    product with ``U`` and one with the stacked ``O A_c^i``, no division.
+    ``Psi U^{-1}`` is the minimal state map of ``R``.  No block is trimmed
+    against another.
+    """
+    if any(b.cols != R.rows for b in blocks):
+        raise ValueError("dimension mismatch between F and R")
+    red = R._reduction
+    f = _stack_rows(blocks)
+    fu = f if red.Rp is R else _matmul(f, red.U.coeffs)  # R' = R: U = I
+    powers = np.empty((len(fu),) + red.O.shape)
+    powers[0] = red.O
+    for i in range(1, len(fu)):
+        powers[i] = powers[i - 1] @ red.Ac
+    g, rows, w = fu.shape
+    return fu.transpose(1, 0, 2).reshape(rows, g * w) @ powers.reshape(g * w, -1)
+
+
 def column_reduce(R: PolyMatrix, max_iter: int = 200) -> _Reduction:
     """Column reduction ``R' = R U`` with ``U`` unimodular; returns
-    ``(R', U, U^{-1}, d, R'_hc^{-1})``, ``d`` the column degrees of ``R'``.
+    ``(R', U, U^{-1}, d, R'_hc^{-1}, A_c, B_c, O)``, ``d`` the column
+    degrees of ``R'`` and the last three its companion data
+    (:func:`_companion`).
 
     Repeatedly cancels the highest-column-degree coefficient matrix ``G``
     along a null direction ``v`` until it becomes nonsingular: column ``j*``
@@ -581,7 +645,8 @@ def column_reduce(R: PolyMatrix, max_iter: int = 200) -> _Reduction:
                 U = Uinv = PolyMatrix.identity(n)
             else:
                 U, Uinv = PolyMatrix(U), PolyMatrix(Uinv)
-            return _Reduction(Rp, U, Uinv, d, np.linalg.inv(G))
+            hc_inv = np.linalg.inv(G)
+            return _Reduction(Rp, U, Uinv, d, hc_inv, *_companion(Rp.coeffs, d, hc_inv))
         v = vt[-1]
         weight = np.abs(v) * np.linalg.norm(G, axis=0)
         active = np.flatnonzero(weight > 1e-8 * weight.max())

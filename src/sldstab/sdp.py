@@ -31,6 +31,9 @@ The barrier parameter starts at ``t0 = max(1, sum_i tr S_i^{-1})`` at the
 starting point: the barrier's pull on ``s`` there, so the start is centred
 along ``s`` and the first centering does not spend its steps growing ``s``
 (Boyd & Vandenberghe, section 11.3.1, choose ``t0`` from the start point).
+Every iterate stays in the barrier's domain: a backtracking line search
+that reaches its shortest step (``alpha <= 1e-13``) still off the domain
+ends the centering at the current point instead.
 
 A certificate is accepted by one rule, :func:`accepts`: every margin is at
 least ``eps / 2``.  Iterates are pre-checked on the compiled data (the
@@ -425,11 +428,6 @@ class LmiProblem:
         while it < budget and t <= 1e18:
             while it < budget:
                 it += 1
-                if not inside(eigs):
-                    eigs = shifted(eigs, x[nz])
-                    x[nz] *= 2.0
-                    phi = barrier(x, eigs)
-                    continue
                 terms = [g.barrier_terms(*e) for g, e in zip(groups, eigs)]
                 grad = sum(g_i for g_i, _ in terms)
                 hess = sum(rows.T @ rows for _, rows in terms)
@@ -454,6 +452,8 @@ class LmiProblem:
                     if t * trial[nz] + trial_phi < f0 or alpha <= 1e-13:
                         break
                     alpha *= 0.5
+                if trial_phi == np.inf:
+                    break  # even the shortest trial leaves the domain: stay at x
                 x, eigs, phi = trial, trial_eigs, trial_phi
                 if accepted(x, eigs) and (rep := report(x)).feasible:
                     return rep

@@ -392,8 +392,9 @@ def write_trace_csv(trace: Trace, path, events_path=None) -> None:
                     for k, v in ev.items()
                 }
             )
+        text = json.dumps({"truncated": trace.truncated, "events": evs}, indent=2)
         with open(events_path, "w") as fh:
-            json.dump({"truncated": trace.truncated, "events": evs}, fh, indent=2)
+            fh.write(text)  # one write: json.dump writes once per token
 
 
 def signal_from_json(doc: dict) -> SwitchingSignal:

@@ -8,16 +8,22 @@ polynomial matrix ``X`` whose rows form a basis of the row vectors ``f`` with
 ``R'``, ``n = sum d_j = deg det R`` rows, with no determinant formed; each
 is strictly proper over ``R``, so the map is canonical by construction.
 The induced realization satisfies ``xi X(xi) = A X(xi) + B R(xi)`` together
-with the output map ``w = C x``, both matched on the coefficient stacks of
-:meth:`PolyMatrix.stack`.  A verdict reads only ``A`` (its eigenvalues are
-the roots of ``det R``, which the Hurwitz test reads), so :func:`realize`
-solves for ``A`` and ``B`` and leaves ``C`` to its first use, which only
-simulation makes; it checks that ``X`` is a minimal state map, which puts
-``I_w mod R`` in the row span of ``X``, so ``C`` exists.
-:func:`express_in_state_basis` writes any number of blocks ``G mod R`` over
-a state map with one reduction, one least-squares solve and one span check
-over the whole stack; ``C`` (from ``I_w mod R``),
-the normal form and the standard construction's ``Pi`` all go through it.
+with the output map ``w = C x``.  Over the minimal state map all three are
+read off the companion data ``(A_c, B_c, O)`` that the column reduction
+returns (Kailath, *Linear Systems*, 1980, section 6.4): ``A = A_c``,
+``B = B_c``, and any block ``G`` is ``F X`` modulo ``R`` with
+``F = sum_i (G U)_i O A_c^i`` (:func:`~sldstab.polymat.state_coordinates`),
+``C`` being the case ``G = I_w``.  No division and no least-squares solve
+is made.  A given state map ``X`` enters through its coordinates ``T``
+over the minimal one (``X = T X_min`` modulo ``R``), computed once per
+mode: ``A = T A_c T^{-1}``, ``B = T B_c`` and ``F_X = F T^{-1}``.
+:func:`realize` checks, on the coefficient stacks of
+:meth:`PolyMatrix.stack`, that ``X`` is a minimal state map.  A verdict
+reads only ``A`` (its eigenvalues are the roots of ``det R``, which the
+Hurwitz test reads), so ``C`` is left to its first use, which only
+simulation makes.  :func:`express_in_state_basis` writes any number of
+blocks ``G mod R`` over a state map in one pass; ``C``, the normal form
+and the standard construction's ``Pi`` all go through it.
 :func:`propagator` is the one matrix exponential of a mode's dynamics, for
 one time or, in one ``expm`` call, for an array of times.
 """
@@ -30,7 +36,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .polymat import MINUS_INF, PolyMatrix, block_max, canonical_rep
+from .polymat import MINUS_INF, PolyMatrix, block_max, state_coordinates
 
 REALIZE_TOL = 1e-9
 STATE_BASIS_TOL = 1e-9
@@ -66,23 +72,54 @@ def minimal_state_map(R: PolyMatrix) -> PolyMatrix:
 def express_in_state_basis(
     blocks: list[PolyMatrix],
     R: PolyMatrix,
-    X: PolyMatrix,
+    X: PolyMatrix | None = None,
+    T_inv: np.ndarray | None = None,
 ) -> list[np.ndarray]:
-    """Solve ``G mod R = F X`` for the constant matrix ``F`` of each block ``G``.
+    """Solve ``G = F X`` modulo ``R`` for the constant matrix ``F`` of each block ``G``.
 
-    The blocks are reduced in one :func:`canonical_rep` call and solved in
-    one least-squares solve over ``X``; the rows are then split by block.
-    Raises if some ``G mod R`` is not in the row span of ``X`` within
-    ``STATE_BASIS_TOL``, relative to that block's own scale: each block's
-    residual and scale are row maxima reduced by :func:`block_max`.
+    Over ``R``'s minimal state map ``X_min`` (``X`` None) the whole stack
+    needs no division: :func:`state_coordinates` reads ``F`` off the
+    column reduction.  Another ``X`` enters through its coordinates ``T``
+    (``X = T X_min`` modulo ``R``), computed here in the same pass as the
+    blocks, and ``F = F_min T^{-1}``; with ``T_inv`` given, which
+    :func:`realize` keeps (:attr:`StateRealization.T_inv`), ``X`` is not
+    read.  When ``T`` is not square and nonsingular (``X`` has too few or
+    dependent rows), ``F`` is solved by least squares over ``X``'s
+    coefficient stack instead, and a block whose
+    ``G mod R = F_min X_min`` is not in the row span of ``X`` within
+    ``STATE_BASIS_TOL``, relative to that block's own scale, raises: each
+    block's residual and scale are row maxima reduced by :func:`block_max`.
     """
-    reps = canonical_rep(blocks, R)
-    grid = max(X.coeffs.shape[0], *(g.coeffs.shape[0] for g in reps))
+    bounds = np.cumsum([0] + [b.rows for b in blocks])
+    if X is None or T_inv is not None:
+        F = state_coordinates(blocks, R)
+    else:
+        F = state_coordinates([*blocks, X], R)
+        F, T = F[: bounds[-1]], F[bounds[-1] :]
+        if T.shape[0] != T.shape[1] or not _nonsingular(T):
+            return _span_solve(F, bounds, R, X)
+        T_inv = np.linalg.inv(T)
+    if T_inv is not None:
+        F = F @ T_inv
+    return [F[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _nonsingular(T: np.ndarray) -> bool:
+    """``T`` is nonsingular relative to its own scale, within ``REALIZE_TOL``
+    (an empty ``T``, of a state of dimension 0, is)."""
+    sv = np.linalg.svd(T, compute_uv=False)
+    return bool(not sv.size or sv[-1] > REALIZE_TOL * sv[0])
+
+
+def _span_solve(F: np.ndarray, bounds, R: PolyMatrix, X: PolyMatrix) -> list[np.ndarray]:
+    """Least-squares ``F`` over the coefficient stack of an ``X`` whose rows
+    are not a basis modulo ``R``, with the span check of each block."""
+    Xmin = minimal_state_map(R)
+    grid = max(X.coeffs.shape[0], Xmin.coeffs.shape[0])
     Xa = X.stack(grid)
-    G = np.vstack([g.stack(grid) for g in reps])
+    G = F @ Xmin.stack(grid)  # each block's G mod R
     F, *_ = np.linalg.lstsq(Xa.T, G.T, rcond=None)
     F = F.T
-    bounds = np.cumsum([0] + [g.rows for g in reps])
     resid = block_max(np.abs(F @ Xa - G).max(axis=1, initial=0.0), bounds)
     scale = np.maximum(1.0, block_max(np.abs(G).max(axis=1, initial=0.0), bounds))
     bad = np.flatnonzero(resid > STATE_BASIS_TOL * scale)
@@ -100,7 +137,9 @@ class StateRealization:
 
     ``Rt``, ``Xa`` and ``Xb`` stack the coefficients of ``R``, ``X`` and
     ``xi X`` over one monomial grid, on which ``xi X = A X + B R`` reads
-    ``Xb = A Xa + B Rt``.  The output map :attr:`C` is computed on first use.
+    ``Xb = A Xa + B Rt``.  ``T_inv`` holds the minimal state map's
+    coordinates over X (``X_min = T_inv X`` modulo ``R``), None when X is
+    that map.  The output map :attr:`C` is computed on first use.
     """
 
     R: PolyMatrix
@@ -110,12 +149,13 @@ class StateRealization:
     Rt: np.ndarray
     Xa: np.ndarray
     Xb: np.ndarray
+    T_inv: np.ndarray | None
 
     @cached_property
     def C(self) -> np.ndarray:
-        """Output map ``w = C x``, from ``I_w mod R = C X``; computed on first
-        use, since only simulation reads it."""
-        (C,) = express_in_state_basis([PolyMatrix.identity(self.w)], self.R, self.X)
+        """Output map ``w = C x``, from ``I_w = C X`` modulo ``R``; computed
+        on first use, since only simulation reads it."""
+        (C,) = express_in_state_basis([PolyMatrix.identity(self.w)], self.R, None, self.T_inv)
         return C
 
     @property
@@ -127,46 +167,57 @@ class StateRealization:
         return self.R.cols
 
 
-def realize(R: PolyMatrix, X: PolyMatrix) -> StateRealization:
-    """Solve ``xi X = A X + B R`` by coefficient match.
+def realize(R: PolyMatrix, X: PolyMatrix | None = None) -> StateRealization:
+    """The realization ``xi X = A X + B R`` over the state map X.
+
+    X defaults to :func:`minimal_state_map`, over which ``A = A_c`` and
+    ``B = B_c`` are read off ``R``'s column reduction
+    (:func:`~sldstab.polymat.column_reduce`): ``xi Psi = A_c Psi + B_c R'``
+    times ``U^{-1}``.  A given X enters through its coordinates
+    ``T = F(X)`` (:func:`state_coordinates`), inverted once:
+    ``A = T A_c T^{-1}``, ``B = T B_c``.
 
     Raises unless X is a minimal state map for ``ker R``: X must have
     ``n = deg det R`` rows, the sum of the column degrees of ``R``'s column
-    reduction, linearly independent within ``REALIZE_TOL``, and
-    the residual must not exceed ``REALIZE_TOL``.  These three checks
-    suffice.  With ``xi X = A X + B R``, the constant rows ``a`` with
-    ``a X = p R`` for a polynomial row ``p`` form an ``A``-invariant space
+    reduction, ``T`` must be nonsingular within ``REALIZE_TOL`` relative to
+    its own scale, and the residual of ``Xb = A Xa + B Rt`` must not exceed
+    ``REALIZE_TOL``.  These three checks suffice.  With
+    ``xi X = A X + B R``, the constant rows ``a`` with ``a X = p R`` for a
+    polynomial row ``p`` form an ``A``-invariant space
     (``a A X = (xi p - a B) R``); an eigenvector ``a A = lambda a`` in it
     gives ``(xi - lambda) p = a B``, so ``p = 0`` and ``a X = 0``, which
     independent rows exclude.  The rows of X are then independent modulo
-    ``R``, and ``n`` of them span all ``G mod R``, ``I_w mod R``
-    among them.  The output map ``C`` is left
-    to its first use (:attr:`StateRealization.C`).
+    ``R``, and ``n`` of them span all ``G mod R``, ``I_w mod R`` among them.
+    The residual also rejects an X whose rows are not strictly proper over
+    ``R``.  The output map ``C`` is left to its first use
+    (:attr:`StateRealization.C`).
     """
-    n, N = X.rows, sum(R._reduction.degrees)  # raises if R is singular
-    if n != N:
-        raise ValueError(f"X is not a minimal state map: {n} rows for deg det R = {N}")
+    red = R._reduction  # raises if R is not square or is singular
+    if X is None:
+        X, T_inv, A, B = minimal_state_map(R), None, red.Ac, red.Bc
+    else:
+        n, N = X.rows, sum(red.degrees)
+        if n != N:
+            raise ValueError(f"X is not a minimal state map: {n} rows for deg det R = {N}")
+        T = state_coordinates([X], R)
+        if not _nonsingular(T):
+            raise ValueError(
+                "X is not a minimal state map: its rows are linearly dependent "
+                f"(cond T = {np.linalg.cond(T):.3e})"
+            )
+        T_inv = np.linalg.inv(T)
+        A, B = T @ red.Ac @ T_inv, T @ red.Bc
     L = int(R.degree)  # R is not zero: it has a column reduction
     grid = max(L + 1, int(X.degree) + 2 if X.degree != MINUS_INF else 1)
     Xa = X.stack(grid)  # X(xi) over the monomial stack
     Xb = np.zeros_like(Xa)  # xi * X(xi): Xa shifted one block right, grid >= deg X + 2
     Xb[:, X.cols :] = Xa[:, : -X.cols]
     Rt = R.stack(grid)
-    M = np.vstack([Xa, Rt])  # (n + w) x (grid*w)
-    sol, *_ = np.linalg.lstsq(M.T, Xb.T, rcond=None)
-    AB = sol.T
-    A, B = AB[:, :n], AB[:, n:]
-    scale = max(1.0, np.max(np.abs(Xa)), R.max_norm())
-    resid = np.max(np.abs(AB @ M - Xb))
+    scale = max(1.0, np.abs(Xa).max(initial=0.0), R.max_norm())
+    resid = np.abs(Xb - A @ Xa - B @ Rt).max(initial=0.0)
     if resid > REALIZE_TOL * scale:
         raise ValueError(f"X is not a valid state map (residual {resid:.3e})")
-    sv = np.linalg.svd(Xa, compute_uv=False)
-    if sv.size and sv[-1] <= REALIZE_TOL * sv[0]:
-        raise ValueError(
-            "X is not a minimal state map: its rows are linearly dependent "
-            f"(singular values {sv[0]:.3e} to {sv[-1]:.3e})"
-        )
-    return StateRealization(R=R, X=X, A=A, B=B, Rt=Rt, Xa=Xa, Xb=Xb)
+    return StateRealization(R=R, X=X, A=A, B=B, Rt=Rt, Xa=Xa, Xb=Xb, T_inv=T_inv)
 
 
 @dataclass(frozen=True)

@@ -206,6 +206,26 @@ class _Proxy:
         return getattr(self._target, name)
 
 
+@pytest.mark.parametrize("name", CORPUS)
+def test_model_derivation_divides_nothing(monkeypatch, tmp_path, name):
+    """A model's ``A``, ``B``, ``C``, normal form and ``L`` are read off each
+    mode's column reduction: no division modulo ``R_k`` and no
+    least-squares solve in ``statespace`` or ``model``, with or without the
+    file's state maps."""
+    def refuse(*args, **kw):
+        raise AssertionError("a division or least squares on the model path")
+
+    for mod in (statespace, model_mod):
+        monkeypatch.setattr(mod, "np", _Proxy(np, linalg=_Proxy(np.linalg, lstsq=refuse)))
+    monkeypatch.setattr(polymat, "_quotient", refuse)  # the one division algorithm
+    doc = json.loads((MODELS / f"{name}.json").read_text())
+    for given in (doc, {k: v for k, v in doc.items() if k != "state_maps"}):
+        model = model_from_json(given)
+        for real in model.realizations:
+            assert real.C.shape == (model.w, real.n)
+        assert len(model.reinits) == len(model.gluing)
+
+
 class TestCertifyDerivesOnlyWhatItReads:
     """A verdict reads each mode's ``A`` and the re-initialisation maps;
     the output map ``C`` is left to simulation, and each ``F+`` is

@@ -283,12 +283,34 @@ def test_complete_derives_each_object_once(tmp_path, monkeypatch, capsys):
     M = polymatrix_from_json(json.loads(out.read_text()))
     assert len(calls["spectral_factorize"]) == 1
     assert len(calls["qdf_mod"]) == 0
-    # one boundary form for (R2, R1), one inside check_completion for (M R2, R1)
-    (n_a, d_a), (n_b, d_b) = calls["para_hermitian_boundary"]
+    # one boundary form, for (R2, R1): here M = 1, so M R2 is R2 bit for bit
+    # and the completion check reuses the verdict on R2 R1^{-1}
+    ((n_a, d_a),) = calls["para_hermitian_boundary"]
     assert np.array_equal(n_a.coeffs, R2.coeffs)
-    assert np.allclose(n_b.coeffs, (M @ R2).coeffs)
+    assert np.array_equal((M @ R2).coeffs, R2.coeffs)
     assert np.array_equal(d_a.coeffs, R1.coeffs)
-    assert np.array_equal(d_b.coeffs, R1.coeffs)
+
+
+def test_complete_checks_a_new_product_once(monkeypatch):
+    """A completion ``M`` that changes ``R2`` gets its own SPR check: a
+    second boundary form, for ``(M R2, R1)``."""
+    calls = []
+    orig = posreal.para_hermitian_boundary
+    monkeypatch.setattr(
+        posreal, "para_hermitian_boundary", lambda N, D: calls.append((N, D)) or orig(N, D)
+    )
+    # diag((xi+1)(xi+4), (xi+0.5)(xi+3)) | diag(2(xi+2), xi+1), both times the
+    # unimodular V = [[1, 0.7 + 1.3 xi], [0, 1]]: M is I up to rounding
+    V = PolyMatrix.from_entries([[[1.0], [0.7, 1.3]], [[0.0], [1.0]]])
+    R1 = PolyMatrix.from_entries([[[4.0, 5.0, 1.0], [0.0]], [[0.0], [1.5, 3.5, 1.0]]]) @ V
+    R2 = PolyMatrix.from_entries([[[4.0, 2.0], [0.0]], [[0.0], [1.0, 1.0]]]) @ V
+    s = build_standard_slds(R1, R2)
+    M = positive_real_completion(s, mlf_from_positive_real(s))
+    assert not np.array_equal((M @ R2).coeffs, R2.coeffs)
+    (n_a, d_a), (n_b, d_b) = calls
+    assert np.array_equal(n_a.coeffs, R2.coeffs)
+    assert np.array_equal(n_b.coeffs, (M @ R2).coeffs)
+    assert np.array_equal(d_a.coeffs, R1.coeffs) and np.array_equal(d_b.coeffs, R1.coeffs)
 
 
 def test_mlf_realizes_each_mode_once(tmp_path, monkeypatch):
