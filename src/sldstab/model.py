@@ -8,7 +8,7 @@ transitions.  Each derived object is computed once per model and kept on it:
   nonsingular and ``n_k >= 1``), its minimal state map when none is given,
   and its realization's ``A`` and ``B``, which :func:`realize` reads off the
   column reduction and accepts only over a minimal state map, so a given
-  map is checked there;
+  map is checked there, and every later reduction is over rows that span;
 - on first use, the normal form of the gluing pairs, one thin SVD of each
   transition's ``F+`` (:attr:`SldsModel.f_plus_svd`), from which both
   well-posedness and the re-initialisation maps are read, and the maps
@@ -181,7 +181,7 @@ def normal_form(model: SldsModel) -> dict[tuple[int, int], NormalFormPair]:
     solved = {}
     for mode, items in blocks.items():
         real = model.realizations[mode - 1]
-        fs = express_in_state_basis([g for _, _, g in items], real.R, None, real.T_inv)
+        fs = express_in_state_basis([g for _, _, g in items], real.R, real.T_inv)
         for (key, side, _), f in zip(items, fs):
             solved[key, side] = f
     return {

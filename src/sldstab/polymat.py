@@ -458,35 +458,20 @@ def block_max(row_max: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trim_blocks(c: np.ndarray, bounds) -> np.ndarray:
-    """Zero, in place, each coefficient at most ``TRIM_TOL`` times the
-    largest of its row block ``c[:, lo:hi]``: a :class:`PolyMatrix` trim of
-    every block on its own, done on the whole stack at once, which also
-    rejects a non-finite coefficient (:class:`NonFiniteError`)."""
-    bounds = np.asarray(bounds)
-    a = np.abs(c)
-    scale = block_max(np.maximum.reduce(a, axis=(0, 2), initial=0.0), bounds)
-    if not math.isfinite(peak := scale.max(initial=0.0)):
-        raise NonFiniteError(f"non-finite coefficient (largest |c| = {peak})")
-    c[a <= np.repeat(TRIM_TOL * scale, bounds[1:] - bounds[:-1])[:, None]] = 0.0
-    return c
-
-
-def _quotient(f: np.ndarray, R: PolyMatrix, bounds) -> np.ndarray:
-    """Untrimmed polynomial part of ``F R^{-1} = F U R'^{-1}``, trimming
-    ``F U`` by blocks.  One downward pass over the excess degrees ``k``
+def _quotient(F: PolyMatrix, R: PolyMatrix) -> np.ndarray:
+    """Untrimmed polynomial part of ``F R^{-1} = F U R'^{-1}``, with ``F U``
+    trimmed as one matrix.  One downward pass over the excess degrees ``k``
     removes the coefficients ``C_k`` of ``xi^(k + d_j)`` of every column ``j``
     at once with the quotient term ``C_k R'_hc^{-1} xi^k``; the remainder
     left has column degrees below ``d_j``, so it is strictly proper over the
     column-reduced ``R'`` (Kailath, *Linear Systems*, 1980, section 6.3)."""
     red = R._reduction
     Rp, d, hc_inv = red.Rp, red.degrees, red.hc_inv
-    fu = f.copy() if Rp is R else _matmul(f, red.U.coeffs)  # R' = R: U = I
-    rem = _trim_blocks(fu, bounds)
+    rem = (F if Rp is R else F @ red.U).coeffs  # R' = R: U = I
     top = len(rem) - 1 - min(d)  # highest quotient degree
     if top < 0:
         return np.zeros((1,) + rem.shape[1:])
-    r, s, shift = Rp.coeffs, rem, [max(d) - dj for dj in d]
+    r, s, shift = Rp.coeffs, rem.copy(), [max(d) - dj for dj in d]  # rem is read-only
     if any(shift):  # move column j up by its shift: C_k is slice k + max(d)
         r, s = np.zeros(r.shape), np.zeros((len(rem) + max(shift),) + rem.shape[1:])
         for j, sh in enumerate(shift):
@@ -508,40 +493,24 @@ def polynomial_part(F: PolyMatrix, R: PolyMatrix) -> PolyMatrix:
     """
     if F.cols != R.rows:
         raise ValueError("dimension mismatch between F and R")
-    return PolyMatrix(_quotient(F.coeffs, R, (0, F.rows)))
+    return PolyMatrix(_quotient(F, R))
 
 
-def canonical_rep(
-    F: PolyMatrix | Sequence[PolyMatrix], R: PolyMatrix
-) -> PolyMatrix | list[PolyMatrix]:
+def canonical_rep(F: PolyMatrix, R: PolyMatrix) -> PolyMatrix:
     """Canonical representative of ``F`` modulo ``R``.
 
     Returns ``G' = S R`` where ``S`` is the strictly proper part of
     ``F R^{-1}``; equivalently ``F - N R`` with ``N`` the polynomial part.
     When ``deg F + deg U`` is below every column degree of ``R' = R U``,
     ``N`` is zero and ``F`` is returned as it is, with no division.
-
-    ``F`` may also be a sequence of blocks with ``R``'s column count: they
-    are stacked and divided at once, and the list of their representatives
-    is returned.  Each block is trimmed against its own scale only, so every
-    representative equals the block's lone reduction.
     """
-    blocks = [F] if isinstance(F, PolyMatrix) else list(F)
-    if any(b.cols != R.rows for b in blocks):
+    if F.cols != R.rows:
         raise ValueError("dimension mismatch between F and R")
     red = R._reduction
-    if max(b.coeffs.shape[0] for b in blocks) + red.U.coeffs.shape[0] - 2 < min(red.degrees):
+    if F.coeffs.shape[0] + red.U.coeffs.shape[0] - 2 < min(red.degrees):
         # deg F + deg U < min_j d_j: F U over R' has a zero quotient, so F - N R = F
-        return F if isinstance(F, PolyMatrix) else blocks
-    bounds = np.cumsum([0] + [b.rows for b in blocks])
-    f = _stack_rows(blocks)
-    q = _trim_blocks(_quotient(f, R, bounds), bounds)
-    nr = _trim_blocks(_matmul(q, R.coeffs), bounds)
-    g = np.zeros((max(f.shape[0], nr.shape[0]),) + f.shape[1:])
-    g[: f.shape[0]] += f
-    g[: nr.shape[0]] -= nr
-    reps = [PolyMatrix(g[:, lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return reps[0] if isinstance(F, PolyMatrix) else reps
+        return F
+    return F - PolyMatrix(_quotient(F, R)) @ R
 
 
 def is_strictly_proper(N: PolyMatrix, D: PolyMatrix) -> bool:

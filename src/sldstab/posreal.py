@@ -11,8 +11,14 @@ spectral factor ``Q`` of the boundary form gives the storage function
 for mode 1, and ``Psi_2 = Psi_1 mod R2`` for mode 2.  In state coordinates
 ``Psi_1 = X1(z)^T K1 X1(e)``, and ``Psi_2`` is ``K2 = L21^T K1 L21`` with
 ``L21 = col(I, Pi)`` the 2 -> 1 re-initialisation map, so the 2 -> 1 switch
-condition holds with equality.  Conversely a valid MLF of this structure
-produces a strictly positive-real completion ``M`` with ``M R2 R1^{-1}`` SPR.
+condition holds with equality.  The construction divides nothing: ``Pi``
+(``X1' = Pi X2`` modulo ``R2``) is read off ``R2``'s column reduction
+(:func:`~sldstab.polymat.state_coordinates`), and the feed-through
+``K = lim xi X1' R1^{-1}`` is the ``B`` of mode 1's realization on the
+``X1'`` rows, since ``xi X1 = A1 X1 + B1 R1`` with ``X1 R1^{-1}`` strictly
+proper (Kailath, *Linear Systems*, 1980, section 6.4).  Conversely a valid
+MLF of this structure produces a strictly positive-real completion ``M``
+with ``M R2 R1^{-1}`` SPR.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .polymat import (
     is_strictly_proper,
     poly_roots,
     polynomial_part,
+    state_coordinates,
     vstack,
 )
 from .qdf import (
@@ -45,7 +52,7 @@ from .qdf import (
     two_var_product,
 )
 from .sdp import LmiProblem
-from .statespace import express_in_state_basis, minimal_state_map
+from .statespace import minimal_state_map
 
 FACTOR_TOL = 1e-8
 AXIS_TOL = 1e-7
@@ -68,7 +75,7 @@ class StandardSlds:
     X2: PolyMatrix  # minimal state map of mode 2
     X1p: PolyMatrix  # extra mode-1 state rows
     Pi: np.ndarray  # X1p mod R2 = Pi X2
-    K: np.ndarray  # lim xi X1p R1^{-1} (constant feed-through)
+    K: np.ndarray  # lim xi X1p R1^{-1}: B of mode 1's realization on the X1p rows
     model: SldsModel
 
     @property
@@ -316,8 +323,6 @@ def build_standard_slds(R1: PolyMatrix, R2: PolyMatrix) -> StandardSlds:
             f"state-dimension gap n1-n2 = {n1 - n2} differs from w = {w}; "
             "the input pair does not admit a standard construction"
         )
-    if not is_strictly_proper(X2, R1):
-        raise ValueError("mode-2 state rows are not states of mode 1")
     # extend X2 to a minimal state map of mode 1 with rows from its own map
     grid = int(max(Xc.degree, X2.degree, 0)) + 1
     base = X2.stack(grid)
@@ -338,22 +343,19 @@ def build_standard_slds(R1: PolyMatrix, R2: PolyMatrix) -> StandardSlds:
         raise ValueError("failed to extend the mode-2 state basis to mode 1")
     X1p = vstack(picked)
     X1 = vstack([X2, X1p])
-    (Pi,) = express_in_state_basis([X1p], R2, X2)
-    # constant feed-through K = lim xi X1p R1^{-1}
-    xi = Poly([0.0, 1.0])
-    Kmat = polynomial_part(X1p.scale(xi), R1)
-    if Kmat.degree > 0:
-        raise ValueError("xi X1' R1^{-1} is not proper")
-    K = Kmat.coeffs[0]
-    sv = np.linalg.svd(K, compute_uv=False)
-    if sv[-1] <= 1e-10 * sv[0]:  # relative: K of (c R1, c R2) is K / c
-        raise ValueError("feed-through matrix K is singular")
+    Pi = state_coordinates([X1p], R2)  # X2 is R2's minimal state map
     PiX2 = PolyMatrix(Pi[None, :, :]) @ X2
     gluing = {
         (2, 1): (vstack([X2, PiX2]), X1),
         (1, 2): (X2, X2),
     }
     model = SldsModel(modes=[R1, R2], gluing=gluing, state_maps=[X1, X2])
+    # feed-through K = lim xi X1p R1^{-1}: xi X1 = A1 X1 + B1 R1 with
+    # X1 R1^{-1} strictly proper, so K is B1 on the X1p rows
+    K = model.realizations[0].B[n2:]
+    sv = np.linalg.svd(K, compute_uv=False)
+    if sv[-1] <= 1e-10 * sv[0]:  # relative: K of (c R1, c R2) is K / c
+        raise ValueError("feed-through matrix K is singular")
     return StandardSlds(
         R1=R1, R2=R2, X1=X1, X2=X2, X1p=X1p, Pi=Pi, K=K, model=model
     )

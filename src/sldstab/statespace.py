@@ -18,12 +18,14 @@ is made.  A given state map ``X`` enters through its coordinates ``T``
 over the minimal one (``X = T X_min`` modulo ``R``), computed once per
 mode: ``A = T A_c T^{-1}``, ``B = T B_c`` and ``F_X = F T^{-1}``.
 :func:`realize` checks, on the coefficient stacks of
-:meth:`PolyMatrix.stack`, that ``X`` is a minimal state map.  A verdict
-reads only ``A`` (its eigenvalues are the roots of ``det R``, which the
-Hurwitz test reads), so ``C`` is left to its first use, which only
-simulation makes.  :func:`express_in_state_basis` writes any number of
-blocks ``G mod R`` over a state map in one pass; ``C``, the normal form
-and the standard construction's ``Pi`` all go through it.
+:meth:`PolyMatrix.stack`, that ``X`` is a minimal state map, with its
+residual judged against the terms it sums, so the verdict does not depend
+on the scale of ``X`` or ``R``; only a map it accepts is used, so no
+block is ever solved over rows that do not span.  A verdict reads only
+``A`` (its eigenvalues are the roots of ``det R``, which the Hurwitz test
+reads), so ``C`` is left to its first use, which only simulation makes.
+:func:`express_in_state_basis` writes any number of blocks ``G mod R`` over
+a checked state map in one pass; ``C`` and the normal form go through it.
 :func:`propagator` is the one matrix exponential of a mode's dynamics, for
 one time or, in one ``expm`` call, for an array of times.
 """
@@ -36,10 +38,9 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .polymat import MINUS_INF, PolyMatrix, block_max, state_coordinates
+from .polymat import MINUS_INF, PolyMatrix, state_coordinates
 
 REALIZE_TOL = 1e-9
-STATE_BASIS_TOL = 1e-9
 EIGVEC_TOL = 1e-8
 ROOT_CLUSTER_TOL = 1e-6  # relative distance at which eigenstructure merges roots
 
@@ -70,64 +71,20 @@ def minimal_state_map(R: PolyMatrix) -> PolyMatrix:
 
 
 def express_in_state_basis(
-    blocks: list[PolyMatrix],
-    R: PolyMatrix,
-    X: PolyMatrix | None = None,
-    T_inv: np.ndarray | None = None,
+    blocks: list[PolyMatrix], R: PolyMatrix, T_inv: np.ndarray | None = None
 ) -> list[np.ndarray]:
     """Solve ``G = F X`` modulo ``R`` for the constant matrix ``F`` of each block ``G``.
 
-    Over ``R``'s minimal state map ``X_min`` (``X`` None) the whole stack
-    needs no division: :func:`state_coordinates` reads ``F`` off the
-    column reduction.  Another ``X`` enters through its coordinates ``T``
-    (``X = T X_min`` modulo ``R``), computed here in the same pass as the
-    blocks, and ``F = F_min T^{-1}``; with ``T_inv`` given, which
-    :func:`realize` keeps (:attr:`StateRealization.T_inv`), ``X`` is not
-    read.  When ``T`` is not square and nonsingular (``X`` has too few or
-    dependent rows), ``F`` is solved by least squares over ``X``'s
-    coefficient stack instead, and a block whose
-    ``G mod R = F_min X_min`` is not in the row span of ``X`` within
-    ``STATE_BASIS_TOL``, relative to that block's own scale, raises: each
-    block's residual and scale are row maxima reduced by :func:`block_max`.
+    :func:`state_coordinates` reads ``F`` for the whole stack off the
+    column reduction, over ``R``'s minimal state map ``X_min``; over another
+    state map ``X``, whose coordinates ``T`` (``X = T X_min`` modulo ``R``)
+    :func:`realize` has checked and inverted (:attr:`StateRealization.T_inv`),
+    ``F = F_min T^{-1}``.  No division and no least-squares solve is made.
     """
-    bounds = np.cumsum([0] + [b.rows for b in blocks])
-    if X is None or T_inv is not None:
-        F = state_coordinates(blocks, R)
-    else:
-        F = state_coordinates([*blocks, X], R)
-        F, T = F[: bounds[-1]], F[bounds[-1] :]
-        if T.shape[0] != T.shape[1] or not _nonsingular(T):
-            return _span_solve(F, bounds, R, X)
-        T_inv = np.linalg.inv(T)
+    F = state_coordinates(blocks, R)
     if T_inv is not None:
         F = F @ T_inv
-    return [F[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def _nonsingular(T: np.ndarray) -> bool:
-    """``T`` is nonsingular relative to its own scale, within ``REALIZE_TOL``
-    (an empty ``T``, of a state of dimension 0, is)."""
-    sv = np.linalg.svd(T, compute_uv=False)
-    return bool(not sv.size or sv[-1] > REALIZE_TOL * sv[0])
-
-
-def _span_solve(F: np.ndarray, bounds, R: PolyMatrix, X: PolyMatrix) -> list[np.ndarray]:
-    """Least-squares ``F`` over the coefficient stack of an ``X`` whose rows
-    are not a basis modulo ``R``, with the span check of each block."""
-    Xmin = minimal_state_map(R)
-    grid = max(X.coeffs.shape[0], Xmin.coeffs.shape[0])
-    Xa = X.stack(grid)
-    G = F @ Xmin.stack(grid)  # each block's G mod R
-    F, *_ = np.linalg.lstsq(Xa.T, G.T, rcond=None)
-    F = F.T
-    resid = block_max(np.abs(F @ Xa - G).max(axis=1, initial=0.0), bounds)
-    scale = np.maximum(1.0, block_max(np.abs(G).max(axis=1, initial=0.0), bounds))
-    bad = np.flatnonzero(resid > STATE_BASIS_TOL * scale)
-    if bad.size:
-        raise ValueError(
-            f"canonical representative not in the state-map row span "
-            f"(residual {resid[bad[0]]:.3e})"
-        )
+    bounds = np.cumsum([0] + [b.rows for b in blocks])
     return [F[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
@@ -155,7 +112,7 @@ class StateRealization:
     def C(self) -> np.ndarray:
         """Output map ``w = C x``, from ``I_w = C X`` modulo ``R``; computed
         on first use, since only simulation reads it."""
-        (C,) = express_in_state_basis([PolyMatrix.identity(self.w)], self.R, None, self.T_inv)
+        (C,) = express_in_state_basis([PolyMatrix.identity(self.w)], self.R, self.T_inv)
         return C
 
     @property
@@ -181,7 +138,8 @@ def realize(R: PolyMatrix, X: PolyMatrix | None = None) -> StateRealization:
     ``n = deg det R`` rows, the sum of the column degrees of ``R``'s column
     reduction, ``T`` must be nonsingular within ``REALIZE_TOL`` relative to
     its own scale, and the residual of ``Xb = A Xa + B Rt`` must not exceed
-    ``REALIZE_TOL``.  These three checks suffice.  With
+    ``REALIZE_TOL`` times the largest of ``|Xb|``, ``|A| |Xa|`` and
+    ``|B| |Rt|``, the terms it sums.  These three checks suffice.  With
     ``xi X = A X + B R``, the constant rows ``a`` with ``a X = p R`` for a
     polynomial row ``p`` form an ``A``-invariant space
     (``a A X = (xi p - a B) R``); an eigenvector ``a A = lambda a`` in it
@@ -200,7 +158,8 @@ def realize(R: PolyMatrix, X: PolyMatrix | None = None) -> StateRealization:
         if n != N:
             raise ValueError(f"X is not a minimal state map: {n} rows for deg det R = {N}")
         T = state_coordinates([X], R)
-        if not _nonsingular(T):
+        sv = np.linalg.svd(T, compute_uv=False)  # empty for a state of dimension 0
+        if sv.size and sv[-1] <= REALIZE_TOL * sv[0]:
             raise ValueError(
                 "X is not a minimal state map: its rows are linearly dependent "
                 f"(cond T = {np.linalg.cond(T):.3e})"
@@ -213,7 +172,13 @@ def realize(R: PolyMatrix, X: PolyMatrix | None = None) -> StateRealization:
     Xb = np.zeros_like(Xa)  # xi * X(xi): Xa shifted one block right, grid >= deg X + 2
     Xb[:, X.cols :] = Xa[:, : -X.cols]
     Rt = R.stack(grid)
-    scale = max(1.0, np.abs(Xa).max(initial=0.0), R.max_norm())
+    # relative to the size of the terms the residual sums, so that the
+    # verdict does not depend on the scale of X or of R
+    scale = max(
+        np.abs(Xb).max(initial=0.0),
+        (np.abs(A) @ np.abs(Xa)).max(initial=0.0),
+        (np.abs(B) @ np.abs(Rt)).max(initial=0.0),
+    )
     resid = np.abs(Xb - A @ Xa - B @ Rt).max(initial=0.0)
     if resid > REALIZE_TOL * scale:
         raise ValueError(f"X is not a valid state map (residual {resid:.3e})")

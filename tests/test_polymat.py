@@ -207,9 +207,7 @@ class TestCanonicalRep:
         full = F - polynomial_part(F, R) @ R
         calls.clear()
         assert np.array_equal(canonical_rep(F, R).coeffs, full.coeffs)
-        first, second = canonical_rep([F, F.row(1)], R)
-        assert np.array_equal(first.coeffs, full.coeffs)
-        assert np.array_equal(second.coeffs, full.row(1).coeffs)
+        assert np.array_equal(canonical_rep(F.row(1), R).coeffs, full.row(1).coeffs)
         assert calls == []
         for G, S in ((F1, R), (F, _family_mode())):
             calls.clear()
@@ -611,7 +609,7 @@ class TestDivisionData:
         R = PolyMatrix.from_entries(self.R_ENTRIES)
         F = PolyMatrix.from_entries([[[0.0, 0.0, 1.0], [1.0]]])
         polynomial_part(F, R)
-        canonical_rep([F, F.scale(2.0)], R)
+        canonical_rep(F.scale(2.0), R)
         is_strictly_proper(F, R)
         realize(R, minimal_state_map(R))
         modes_hurwitz(SldsModel(modes=[R], gluing={}))
@@ -653,19 +651,11 @@ class TestDivisionData:
             R.coeffs[0, 0, 0] = 5.0
 
 
-def _trim_blocks_per_block(c, bounds):
-    """Reference: the per-block loop that the whole-stack trim replaced."""
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        blk = c[:, lo:hi]
-        blk[np.abs(blk) <= polymat.TRIM_TOL * np.max(np.abs(blk), initial=0.0)] = 0.0
-    return c
-
-
 @st.composite
 def _row_blocks(draw):
     """A coefficient stack of row blocks, each of its own scale: 1e-8 to 1e8
-    or all zero, with entries spread down to 1e-16 of that scale so that some
-    sit at the trim threshold.  A block may have one row, or none."""
+    or all zero, with entries spread down to 1e-16 of that scale.  A block
+    may have one row, or none."""
     rows = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
     scales = draw(
         st.lists(
@@ -687,15 +677,13 @@ def _row_blocks(draw):
 
 
 class TestWholeStackTrim:
-    """``_trim_blocks`` and ``block_max`` on the whole stack at once equal
-    the per-block loop bit for bit."""
+    """``block_max`` on the whole stack at once equals the per-block loop
+    bit for bit."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_row_blocks())
     def test_matches_per_block_loop(self, case):
         c, bounds = case
-        got = polymat._trim_blocks(c.copy(), bounds)
-        assert got.tobytes() == _trim_blocks_per_block(c.copy(), bounds).tobytes()
         row_max = np.abs(c).max(axis=(0, 2), initial=0.0)
         want = [np.max(row_max[lo:hi], initial=0.0) for lo, hi in zip(bounds[:-1], bounds[1:])]
         assert polymat.block_max(row_max, bounds).tolist() == want

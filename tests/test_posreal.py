@@ -12,7 +12,14 @@ from sldstab.cli import main
 from sldstab.fixtures import standard_scalar_pair
 from sldstab.mlf import certificate_to_json, find_mlf, make_certificate, verify_mlf
 from sldstab.model import normal_form
-from sldstab.polymat import PolyMatrix, is_strictly_proper, polymatrix_from_json
+from sldstab.polymat import (
+    Poly,
+    PolyMatrix,
+    canonical_rep,
+    is_strictly_proper,
+    polymatrix_from_json,
+    polynomial_part,
+)
 from sldstab.posreal import (
     build_standard_slds,
     check_completion,
@@ -156,6 +163,28 @@ class TestSpectralFactorization:
             spectral_factorize(P, R1_W2)
 
 
+def _relative_gap(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def _standard_pairs():
+    """``(name, (R1, R2))``: the bundled pair, the spread pair, the clustered
+    pairs, 90 seeded ``gen.spr_pair`` pairs of degree 2 to 5 and the 4 matrix
+    pairs of ``tests/test_cli.py``."""
+    from test_cli import MATRIX_PAIRS
+    from test_statespace import _generators
+
+    yield "bundled", standard_scalar_pair()
+    yield "spread", _from_roots([0.5, 3.0, 17.0, 95.0], [1.2, 7.0, 40.0])
+    for i, roots in enumerate(CLUSTERED):
+        yield f"clustered {i}", _from_roots(*roots)
+    gen, rng = _generators(), np.random.default_rng(41)
+    for i in range(90):
+        yield f"spr_pair {i}", tuple(_scalar(r) for r in gen.spr_pair(rng, 2 + i % 4))
+    for name, pair in sorted(MATRIX_PAIRS.items()):
+        yield name, pair()
+
+
 class TestStandardConstruction:
     def test_gluing_normal_form_exact_for_widely_spread_roots(self):
         # G+ of 2 -> 1 is X1 itself, so its normal form is exactly I.  The
@@ -184,6 +213,24 @@ class TestStandardConstruction:
         R2 = PolyMatrix.from_entries([[[3e6, 1e6], [0.0]], [[0.0], [2e6, 1e6]]])
         s = build_standard_slds(R1, R2)
         assert np.allclose(s.K, 1e-6 * np.eye(2), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("c", [1.0, 1e-3, 1e3, 1e6])
+    def test_k_and_pi_match_the_division_oracle(self, c):
+        # K is B1 on the X1' rows and Pi is read off R2's column reduction;
+        # both agree with the division they replaced: K the polynomial part
+        # of xi X1' R1^{-1}, Pi the least-squares fit of X1' mod R2 over X2
+        n = 0
+        for name, (R1, R2) in _standard_pairs():
+            s = build_standard_slds(R1.scale(c), R2.scale(c))
+            K = polynomial_part(s.X1p.scale(Poly([0.0, 1.0])), s.R1)
+            assert K.degree <= 0, name
+            assert _relative_gap(s.K, K.coeffs[0]) <= 1e-12, name
+            rep = canonical_rep(s.X1p, s.R2)
+            grid = max(rep.coeffs.shape[0], s.X2.coeffs.shape[0])
+            Pi = np.linalg.lstsq(s.X2.stack(grid).T, rep.stack(grid).T, rcond=None)[0].T
+            assert _relative_gap(s.Pi, Pi) <= 1e-12, name
+            n += 1
+        assert n == 1 + 1 + len(CLUSTERED) + 90 + 4
 
     def test_biproper_pair_rejected(self):
         R1, _ = standard_scalar_pair()

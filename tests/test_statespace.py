@@ -22,7 +22,6 @@ from sldstab.polymat import (
 from sldstab.posreal import build_standard_slds
 from sldstab.statespace import (
     REALIZE_TOL,
-    STATE_BASIS_TOL,
     eigenstructure,
     express_in_state_basis,
     minimal_state_map,
@@ -233,6 +232,36 @@ class TestRealize:
             assert np.max(np.abs(Xs - rhs)) < 1e-9 * max(1.0, np.abs(rhs).max())
 
 
+class TestResidualScale:
+    """``realize`` judges its residual against the terms it sums, so its
+    verdict does not depend on the scale of ``X`` or of ``R``."""
+
+    @pytest.mark.parametrize("c", [1.0, 1e-6, 1e-10, 1e-12])
+    def test_map_that_is_not_strictly_proper_rejected_at_every_scale(self, c):
+        # rows 1 and xi + xi^2 over xi^2 + 3 xi + 2: independent modulo R, but
+        # xi + xi^2 is not strictly proper; a floor of 1 under the scale
+        # once accepted this map at c = 1e-10
+        R = PolyMatrix.from_entries([[[2.0, 3.0, 1.0]]])
+        X = PolyMatrix.from_entries([[[1.0]], [[0.0, 1.0, 1.0]]]).scale(c)
+        with pytest.raises(ValueError, match="not a valid state map"):
+            realize(R, X)
+
+    def test_corpus_accepted_at_every_scale(self):
+        # each corpus mode over its state map, R scaled by 1e-8 ... 1e4 times
+        # X scaled by 1e-8 ... 1e4
+        scales = (1e-8, 1e-4, 1.0, 1e4)
+        for path in sorted(MODELS.glob("*.json")):
+            doc = json.loads(path.read_text())
+            if not (isinstance(doc, dict) and "modes" in doc):
+                continue
+            model = model_from_json(doc)
+            for R, X in zip(model.modes, model.state_maps):
+                for c in scales:
+                    for s in scales:
+                        real = realize(R.scale(c), X.scale(s))
+                        assert real.n == X.rows, (path.stem, c, s)
+
+
 class TestStackedBlocks:
     """``express_in_state_basis`` on several blocks against each block alone."""
 
@@ -248,25 +277,34 @@ class TestStackedBlocks:
             PolyMatrix(scale * rng.standard_normal((4, rows, X.cols)))
             for scale, rows in ((1e-6, 2), (1e6, 3), (1.0, 1), (1e-6, 1))
         ]
-        reps = canonical_rep(blocks, R)
-        stacked = express_in_state_basis(blocks, R, X)
-        for G, rep, F in zip(blocks, reps, stacked):
-            lone_rep = canonical_rep(G, R)
-            assert rep.coeffs.shape == lone_rep.coeffs.shape
-            assert np.max(np.abs(rep.coeffs - lone_rep.coeffs)) <= 1e-12 * lone_rep.max_norm()
-            (lone,) = express_in_state_basis([G], R, X)
-            assert F.shape == lone.shape == (G.rows, X.rows)
+        real = realize(R, X)
+        stacked = express_in_state_basis(blocks, R, real.T_inv)
+        want = _express_per_block(blocks, R, X)
+        for G, F, ref in zip(blocks, stacked, want):
+            (lone,) = express_in_state_basis([G], R, real.T_inv)
+            assert F.shape == lone.shape == ref.shape == (G.rows, X.rows)
             assert np.max(np.abs(F - lone)) <= 1e-12 * np.max(np.abs(lone))
+            assert np.max(np.abs(F - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_block_outside_the_span_raises_among_others(self):
+        # a map that lost a row is no minimal state map: realize rejects it
+        # before any block is expressed, where the division oracle rejects
+        # the block outside its span
         R, X = self._mode()
         kept, dropped = X.stack()[:-1], X.row(X.rows - 1)
         Xs = PolyMatrix.from_stack(kept, X.cols)
         inside = [Xs.scale(1e6), Xs.row(0)]
-        assert len(express_in_state_basis(inside, R, Xs)) == 2
+        assert len(_express_per_block(inside, R, Xs)) == 2
+        with pytest.raises(ValueError, match="X is not a minimal state map"):
+            realize(R, Xs)
+        real = realize(R, X)
         for outside in (dropped, dropped.scale(1e-6)):
+            blocks = [inside[0], outside, inside[1]]
             with pytest.raises(ValueError, match="not in the state-map row span"):
-                express_in_state_basis([inside[0], outside, inside[1]], R, Xs)
+                _express_per_block(blocks, R, Xs)
+            got = express_in_state_basis(blocks, R, real.T_inv)
+            for f, g in zip(got, _express_per_block(blocks, R, X)):
+                assert np.max(np.abs(f - g)) <= 1e-10 * np.max(np.abs(g))
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +312,14 @@ class TestStackedBlocks:
 # of the column reduction replaced
 
 
+STATE_BASIS_TOL = 1e-9
+
+
 def _express_per_block(blocks, R, X):
-    """Reference: ``G mod R`` by division (:func:`canonical_rep`), then one
-    least-squares solve over the coefficient stack of X and the span check
-    of each block on its own."""
-    reps = canonical_rep(blocks, R)
+    """Reference: ``G mod R`` by division (:func:`canonical_rep`, once per
+    block), then one least-squares solve over the coefficient stack of X and
+    the span check of each block on its own, within ``STATE_BASIS_TOL``."""
+    reps = [canonical_rep(G, R) for G in blocks]
     grid = max(X.coeffs.shape[0], *(g.coeffs.shape[0] for g in reps))
     Xa = X.stack(grid)
     Ga = [g.stack(grid) for g in reps]
@@ -470,16 +511,22 @@ class TestWholeStackSpanCheck:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_span_case())
     def test_matches_per_block_loop(self, case):
-        # the same raise or no raise as the reference on every example, and
-        # each F within 1e-10 of the reference's, relative to the block
+        # wherever the reference raises, realize rejects the map first; a
+        # map that lost a row is rejected even where every block is in its
+        # span.  Over a map that realize accepts, the reference never
+        # raises, and each F is within 1e-10 of the reference's, relative to
+        # the block
         blocks, R, X = case
         try:
             want = _express_per_block(blocks, R, X)
         except ValueError:
-            with pytest.raises(ValueError, match="not in the state-map row span"):
-                express_in_state_basis(blocks, R, X)
+            want = None
+        if X.rows != sum(R._reduction.degrees):
+            with pytest.raises(ValueError, match="X is not a minimal state map"):
+                realize(R, X)
             return
-        got = express_in_state_basis(blocks, R, X)
+        assert want is not None
+        got = express_in_state_basis(blocks, R, realize(R, X).T_inv)
         assert [f.shape for f in got] == [f.shape for f in want]
         for f, g in zip(got, want):
             assert np.max(np.abs(f - g), initial=0.0) <= 1e-10 * np.max(np.abs(g), initial=0.0)
