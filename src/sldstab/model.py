@@ -23,7 +23,7 @@ mode check reads the state dimension ``n_k = sum d_j`` off it, so does the
 state map (:func:`minimal_state_map`), and the realization and every
 reduction modulo ``R_k`` (the realization's ``C``, the normal form) are read
 off its companion data, with no division and no least-squares solve.  The
-Hurwitz test reads the eigenvalues of ``A_k``: no determinant, adjugate or
+Hurwitz test reads the eigenvalues of ``A_k``: no determinant or polynomial
 root set is formed.  The normal form makes one pass per mode: the ``G-`` of
 every transition out of mode ``k`` and the ``G+`` of every transition into
 it are stacked into one :func:`express_in_state_basis` call over the

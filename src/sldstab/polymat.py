@@ -3,13 +3,14 @@
 Coefficients are stored ascending (index i holds the coefficient of
 ``xi**i``) in double precision.  All values are trimmed against a global
 relative tolerance and treated as immutable; every operation returns a new
-object.  A non-finite coefficient, such as an overflowed product, is an
-error (:class:`NonFiniteError`), not a trimmed zero.  A :class:`PolyMatrix`
+object.  A non-finite coefficient, such as an overflowed product or sum, is
+an error (:class:`NonFiniteError`), not a trimmed zero.  A :class:`PolyMatrix`
 keeps its coefficients read-only, so the column reduction it caches, its one
-divisor, never goes stale; so do its determinant and the determinant's roots,
-which only the positive-realness tests read.  The column reduction also
-carries the companion data of ``R'``, off which :func:`state_coordinates`
-reads row blocks modulo ``R`` with no division.
+divisor, never goes stale.  The column reduction also carries the companion
+data of ``R'``, off which :func:`state_coordinates` reads row blocks modulo
+``R`` with no division, and whose ``A_c`` has the roots of ``det R`` as its
+eigenvalues (:attr:`PolyMatrix.det_roots`).  The Leibniz :func:`determinant`
+and :func:`poly_roots` are references for the tests; no command calls them.
 """
 
 from __future__ import annotations
@@ -159,9 +160,9 @@ class PolyMatrix:
     Every division modulo a square ``R`` divides by its column reduction
     ``R U = R'`` (:func:`column_reduce`), which is computed at first use and
     kept on the matrix, so a matrix reduced many times (a model's mode) pays
-    for it once.  :attr:`det` and its roots (:attr:`det_roots`) are kept the
-    same way for the positive-realness tests, where a determinant is the
-    question.  ``coeffs`` is read-only, so none of them can go stale.
+    for it once; so are the roots of ``det R`` (:attr:`det_roots`), the
+    eigenvalues of its ``A_c``.  ``coeffs`` is read-only, so neither can go
+    stale.
     """
 
     def __init__(self, coeffs):
@@ -239,18 +240,12 @@ class PolyMatrix:
         return self.coeffs.shape[0] == 1 and not np.any(self.coeffs)
 
     @cached_property
-    def det(self) -> Poly:
-        """``det R``; raises if the matrix is not square or is singular, and
-        :class:`NonFiniteError` if the determinant overflows."""
-        d = determinant(self)
-        if d.is_zero():
-            raise ValueError("matrix is singular (det identically zero)")
-        return d
-
-    @cached_property
     def det_roots(self) -> np.ndarray:
-        """The roots of :attr:`det` (:func:`poly_roots`), read-only."""
-        r = poly_roots(self.det)
+        """The roots of ``det R``, read-only: the eigenvalues of ``A_c``, since
+        ``det R' = det H det(xi I - A_c)`` for the column-reduced
+        ``R' = R U = H diag(xi^d_j) + L_c Psi`` (Kailath, *Linear Systems*,
+        1980, sections 6.3-6.4).  Raises as :func:`column_reduce` does."""
+        r = np.linalg.eigvals(self._reduction.Ac).astype(complex)
         r.flags.writeable = False
         return r
 
@@ -293,7 +288,8 @@ class PolyMatrix:
         n = max(self.coeffs.shape[0], other.coeffs.shape[0])
         c = np.zeros((n,) + self.shape)
         c[: self.coeffs.shape[0]] += self.coeffs
-        c[: other.coeffs.shape[0]] += other.coeffs
+        with np.errstate(over="ignore", invalid="ignore"):  # the trim rejects an overflow
+            c[: other.coeffs.shape[0]] += other.coeffs
         return PolyMatrix(c)
 
     def __neg__(self):
@@ -312,8 +308,9 @@ class PolyMatrix:
         a = as_poly(a)
         da = len(a.coeffs)
         c = np.zeros((da + self.coeffs.shape[0] - 1,) + self.shape)
-        for i, ai in enumerate(a.coeffs):
-            c[i : i + self.coeffs.shape[0]] += ai * self.coeffs
+        with np.errstate(over="ignore", invalid="ignore"):  # the trim rejects an overflow
+            for i, ai in enumerate(a.coeffs):
+                c[i : i + self.coeffs.shape[0]] += ai * self.coeffs
         return PolyMatrix(c)
 
     @property
@@ -356,8 +353,8 @@ def _stack_rows(mats) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # coefficient-array kernels
 #
-# These act on raw coefficient arrays and trim nothing: determinant and
-# adjugate trim only the result they return.
+# These act on raw coefficient arrays and trim nothing: determinant trims
+# only the result it returns.
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -410,36 +407,18 @@ def _leibniz(c: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# determinant / adjugate
+# determinant
 
 
 def determinant(R: PolyMatrix) -> Poly:
     """Exact polynomial determinant by the Leibniz sum over permutations.
 
-    The cost grows as ``n!`` in the size ``n``; only the positive-realness
-    tests ask for a determinant, and no model load forms one.
+    The cost grows as ``n!`` in the size ``n``.  The tests compare the
+    column reduction's degrees and roots against it; no command calls it.
     """
     if R.rows != R.cols:
         raise ValueError("determinant requires a square matrix")
     return Poly(_leibniz(R.coeffs.transpose(1, 2, 0)))
-
-
-def adjugate(R: PolyMatrix) -> PolyMatrix:
-    """Adjugate matrix, satisfying ``R @ adj(R) = det(R) * I``.
-
-    The transposed cofactor matrix: all ``n**2`` minors go through one
-    batched Leibniz sum, so the cost grows as ``n**2 * (n - 1)!``.
-    """
-    if R.rows != R.cols:
-        raise ValueError("adjugate requires a square matrix")
-    n = R.rows
-    if n == 1:
-        return PolyMatrix.identity(1)
-    keep = np.array([[k for k in range(n) if k != i] for i in range(n)])
-    c = R.coeffs.transpose(1, 2, 0)
-    minors = c[keep[:, None, :, None], keep[None, :, None, :]]  # (n, n, n-1, n-1, D)
-    cof = _leibniz(minors) * (-1.0) ** np.add.outer(np.arange(n), np.arange(n))[..., None]
-    return PolyMatrix(cof.transpose(2, 1, 0))  # adj[j, i] = cofactor (i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -590,18 +569,29 @@ def column_reduce(R: PolyMatrix, max_iter: int = 200) -> _Reduction:
 
     Repeatedly cancels the highest-column-degree coefficient matrix ``G``
     along a null direction ``v`` until it becomes nonsingular: column ``j*``
-    becomes ``sum_j v_j xi^(d_j* - d_j) column_j``.  A column takes part
-    when its term ``|v_j| |G_j|`` is not negligible against the largest, a
-    measure that does not change when a column is scaled; ``j*`` is the
-    participating column of highest degree.  ``U`` is the product of these
-    steps ``E``, and ``U^{-1}`` that of their closed form inverses, which map
-    column ``j*`` to ``(e_j* - sum_{j != j*} v_j xi^(d_j* - d_j) e_j) / v_j*``.
-    A column that reduces to zero shows that ``R`` is singular, an error.
+    becomes ``sum_j v_j xi^(d_j* - d_j) column_j``.  Each column carries the
+    size ``s_j`` of the terms it sums: its largest coefficient in ``R``, and
+    ``sum_j |v_j| s_j`` over the columns a step combines.  A column takes
+    part when its term ``|v_j| s_j`` is not negligible against the largest,
+    a measure that does not change when a column is scaled, and its ``v_j``
+    survives the trim of ``E``; ``j*`` is the participating column of
+    highest degree, so the pivot ``v_j*`` is never zero.  The new column is
+    trimmed against its own ``s_j*``, not against the matrix, whose largest
+    coefficient shrinks as the reduction cancels: a coefficient within
+    ``1e-11 s_j*`` is rounding left by this sum or by the sums it was built
+    from, and leading coefficients within ``1e-8 s_j*``, the tolerance at
+    which a term stops taking part, are what the declared cancellation
+    leaves.  Both are zeroed, so every step lowers a column degree.  ``U``
+    is the product of these steps ``E``, and ``U^{-1}`` that of their closed
+    form inverses, which map column ``j*`` to
+    ``(e_j* - sum_{j != j*} v_j xi^(d_j* - d_j) e_j) / v_j*``.  A column that
+    reduces to zero shows that ``R`` is singular, an error.
     """
     if R.rows != R.cols:
         raise ValueError("column reduction requires a square matrix")
     n, Rp = R.cols, R
     U = Uinv = None  # the identity until the first step
+    size = np.abs(R.coeffs).max(axis=(0, 1))  # s_j, the size of column j's terms
     for _ in range(max_iter):
         degs = np.array(column_degrees(Rp))
         if degs.min() == MINUS_INF:
@@ -617,17 +607,17 @@ def column_reduce(R: PolyMatrix, max_iter: int = 200) -> _Reduction:
             hc_inv = np.linalg.inv(G)
             return _Reduction(Rp, U, Uinv, d, hc_inv, *_companion(Rp.coeffs, d, hc_inv))
         v = vt[-1]
-        weight = np.abs(v) * np.linalg.norm(G, axis=0)
-        active = np.flatnonzero(weight > 1e-8 * weight.max())
+        # E = I with column j* set to sum_j v_j xi^shift_j e_j, trimmed as
+        # PolyMatrix(E) would be: its largest entry is 1 (a step has n > 1,
+        # so a diagonal 1 remains, and |v_j| <= 1), and each v_j at most
+        # TRIM_TOL is dropped
+        kept = np.abs(v) > TRIM_TOL
+        term = np.abs(v) * size
+        active = np.flatnonzero(kept & (term > 1e-8 * term.max()))
         jstar = active[np.argmax(degs[active])]
         shift = (degs[jstar] - degs).astype(int)
-        # E = I with column j* set to sum_j v_j xi^shift_j e_j, trimmed as
-        # PolyMatrix(E) would be: its largest entry is max(1, |v_j|) (a step
-        # has n > 1, so a diagonal 1 remains), and each v_j at most TRIM_TOL
-        # times that is dropped
-        placed = np.flatnonzero((v != 0) & (shift >= 0))
-        keep = placed[np.abs(v[placed]) > TRIM_TOL * max(1.0, np.abs(v[placed]).max())]
-        e = np.zeros((shift[keep].max(initial=0) + 1, n, n))
+        keep = np.flatnonzero(kept & (shift >= 0))
+        e = np.zeros((shift[keep].max() + 1, n, n))
         e[0] = np.eye(n)
         e[0, jstar, jstar] = 0.0
         e[shift[keep], keep, jstar] = v[keep]
@@ -635,7 +625,13 @@ def column_reduce(R: PolyMatrix, max_iter: int = 200) -> _Reduction:
         pivot = einv[0, jstar, jstar]
         einv[:, :, jstar] /= -pivot
         einv[0, jstar, jstar] = 1.0 / pivot
-        Rp = PolyMatrix(_matmul(Rp.coeffs, e))
+        rp = _matmul(Rp.coeffs, e)
+        size[jstar] = term[keep].sum()
+        col = rp[:, :, jstar]  # the new column, a view
+        col[np.abs(col) <= 1e-11 * size[jstar]] = 0.0
+        above = np.flatnonzero(np.abs(col).max(axis=1) > 1e-8 * size[jstar])
+        col[above[-1] + 1 if above.size else 0 :] = 0.0
+        Rp = PolyMatrix(rp)
         # I E = E and E^{-1} I = E^{-1} exactly, so the first step multiplies nothing
         U = e if U is None else _matmul(U, e)
         Uinv = einv if Uinv is None else _matmul(einv, Uinv)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .mlf import MlfCertificate, make_certificate
 from .model import SldsModel, check_mode, modes_hurwitz
@@ -35,10 +36,8 @@ from .polymat import (
     NonFiniteError,
     Poly,
     PolyMatrix,
-    adjugate,
     canonical_rep,
     is_strictly_proper,
-    poly_roots,
     polynomial_part,
     state_coordinates,
     vstack,
@@ -117,32 +116,28 @@ def para_hermitian_boundary(N: PolyMatrix, D: PolyMatrix) -> PolyMatrix:
 
 
 def _uncancelled_rhp_poles(N: PolyMatrix, D: PolyMatrix) -> list[complex]:
-    """Closed-right-half-plane roots of det D surviving gcd reduction."""
-    rts = D.det_roots
-    bad = [r for r in rts if r.real > -HURWITZ_TOL]
-    if not bad:
+    """The poles of ``N D^{-1}`` in the closed right half-plane.
+
+    Over ``D``'s column reduction, ``N = F X`` modulo ``D`` for the minimal
+    state map ``X`` (``F = state_coordinates([N], D)``), and
+    ``xi X = A_c X + B_c D``, so ``N D^{-1} = poly + F (xi I - A_c)^{-1} B_c``
+    with ``(A_c, B_c)`` controllable.  Its poles are the eigenvalues of the
+    observable part of ``(A_c, F)``.  Those with real part above
+    ``-HURWITZ_TOL`` are read off the ordered real Schur form
+    ``A_c = Z T Z^T``, whose leading block ``T_11`` acts on the closed right
+    half-plane's invariant subspace: the observable part of
+    ``(T_11, F Z_1)`` takes one rank decision, on its observability matrix
+    with blocks ``F Z_1 (T_11 / |T_11|)^i / |F|``, each at most 1.
+    """
+    if not np.any(D.det_roots.real > -HURWITZ_TOL):
         return []
-    G = N @ adjugate(D)
-    poles = []
-    # multiplicity of each candidate in det D
-    for lam in bad:
-        mult = sum(1 for r in rts if abs(r - lam) <= 1e-7 * max(1.0, abs(lam)))
-        cancelled = True
-        for i in range(G.rows):
-            for j in range(G.cols):
-                e = G.entry(i, j)
-                if e.is_zero():
-                    continue
-                hits = sum(
-                    1
-                    for r in poly_roots(e)
-                    if abs(r - lam) <= 1e-6 * max(1.0, abs(lam))
-                )
-                if hits < mult:
-                    cancelled = False
-        if not cancelled:
-            poles.append(lam)
-    return poles
+    T, Z, k = scipy.linalg.schur(D._reduction.Ac, sort=lambda re, im: re > -HURWITZ_TOL)
+    F, A = state_coordinates([N], D), T[:k, :k]
+    step = A / (np.linalg.norm(A, 2) or 1.0)
+    obs = np.vstack([F @ Z[:, :k] @ np.linalg.matrix_power(step, i) for i in range(k)])
+    _, s, vt = np.linalg.svd(obs / (np.linalg.norm(F, 2) or 1.0))
+    W = vt[: int(np.sum(s > 1e-8))]  # rows span the observable part
+    return list(np.linalg.eigvals(W @ A @ W.T).astype(complex))
 
 
 def is_strictly_positive_real(N: PolyMatrix, D: PolyMatrix) -> tuple[bool, dict]:
@@ -155,16 +150,21 @@ def is_strictly_positive_real(N: PolyMatrix, D: PolyMatrix) -> tuple[bool, dict]
     if D.rows != D.cols:
         raise ValueError("D must be square")
     try:
-        D.det
+        D._reduction
     except NonFiniteError:
-        raise ValueError("det D overflows double precision") from None
-    except ValueError:
-        raise ValueError("D is singular") from None
+        raise
+    except ValueError as exc:
+        raise ValueError(f"D: {exc}") from None
     return _spr_verdict(N, D, para_hermitian_boundary(N, D))
 
 
 def _spr_verdict(N: PolyMatrix, D: PolyMatrix, P: PolyMatrix) -> tuple[bool, dict]:
-    """``is_strictly_positive_real`` given the boundary form ``P`` of (N, D)."""
+    """``is_strictly_positive_real`` given the boundary form ``P`` of (N, D).
+
+    The roots of ``det P`` are :attr:`PolyMatrix.det_roots`, the
+    eigenvalues of ``P``'s column reduction, ``sum d_j`` of them: no
+    rounding-level leading coefficient of a determinant adds a far-out root.
+    """
     poles = _uncancelled_rhp_poles(N, D)
     if poles:
         return False, {"reason": "pole in closed right half-plane", "pole": poles[0]}
@@ -176,7 +176,7 @@ def _spr_verdict(N: PolyMatrix, D: PolyMatrix, P: PolyMatrix) -> tuple[bool, dic
         rts = P.det_roots
     except NonFiniteError:
         raise
-    except ValueError:  # P.det raises on an identically zero det P
+    except ValueError:  # the column reduction of a singular P reduces a column to zero
         return False, {"reason": "boundary determinant identically zero", "omega": None}
     for r in rts:
         if abs(r.real) <= AXIS_TOL * max(1.0, abs(r)):
@@ -192,8 +192,8 @@ def _spr_verdict(N: PolyMatrix, D: PolyMatrix, P: PolyMatrix) -> tuple[bool, dic
 
 
 def _scalar_factor(P: PolyMatrix, R1: PolyMatrix) -> PolyMatrix:
-    """Root-splitting factorization of an even ``1 x 1`` ``P``, whose one
-    entry ``p(xi) = q(-xi)q(xi)`` is ``det P`` bit for bit.
+    """Root-splitting factorization of an even ``1 x 1`` ``P`` with entry
+    ``p(xi) = q(-xi)q(xi)``.
 
     From each ``{lam, -lam}`` root pair of :attr:`PolyMatrix.det_roots`,
     picks the root keeping ``col(R1(lam), q(lam))`` full rank; ties break
@@ -201,7 +201,7 @@ def _scalar_factor(P: PolyMatrix, R1: PolyMatrix) -> PolyMatrix:
     """
     if P.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    p = P.det
+    p = P.entry(0, 0)
     deg = int(p.degree)
     if deg % 2 != 0:
         raise ValueError("boundary polynomial has odd degree")
@@ -214,7 +214,7 @@ def _scalar_factor(P: PolyMatrix, R1: PolyMatrix) -> PolyMatrix:
             raise ValueError("boundary polynomial is indefinite")
         return PolyMatrix.from_entries([[Poly([np.sqrt(p.coeffs[0])])]])
     rts = list(P.det_roots)
-    d1 = R1.det
+    d1 = R1.entry(0, 0)
     chosen = []
     while rts:
         r = rts.pop(0)

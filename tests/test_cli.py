@@ -578,65 +578,61 @@ def test_singular_mode_named(tmp_path, capsys, mode):
 
 
 def test_overflowing_pair_named(tmp_path, capsys):
-    """An overflowing product of the ``--r1``/``--r2`` pair is an error that
-    names the inputs, with no numpy warning before it."""
+    """An overflowing product, or sum of finite products, of the
+    ``--r1``/``--r2`` pair is an error that names the inputs, with no numpy
+    warning before it: at 1e154 each product of the boundary form is finite
+    and their sum overflows."""
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    r1.write_text(json.dumps([[[1e160, 1e160]]]))
-    r2.write_text(json.dumps([[[1e160]]]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["posreal", "sprcheck", "--r1", str(r1), "--r2", str(r2)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert f"--r1 {r1}" in lines[0] and "non-finite" in lines[0]
+    for c in (1e160, 1e154):
+        r1.write_text(json.dumps([[[c, c]]]))
+        r2.write_text(json.dumps([[[c]]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["posreal", "sprcheck", "--r1", str(r1), "--r2", str(r2)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"--r1 {r1}" in lines[0] and "non-finite" in lines[0]
 
 
 class TestRootsOncePerCommand:
-    """A command computes a root set only where a determinant is the
-    question, and then once: ``slds check`` reads the eigenvalues of each
-    ``A_k`` and forms none, while the positive-real route keeps the roots of
-    a matrix's ``det`` beside it (``PolyMatrix.det_roots``)."""
+    """A command reads each root set off a column reduction, once: ``slds
+    check`` reads the eigenvalues of each ``A_k``, and the positive-real
+    route reads ``PolyMatrix.det_roots``, the eigenvalues of a matrix's own
+    ``A_c``.  No command forms a Leibniz determinant or a polynomial's root
+    set."""
 
     @staticmethod
     def _count(monkeypatch):
-        calls = []
-        orig = polymat.poly_roots
-
-        def counted(p):
-            calls.append(p.coeffs.tobytes())
-            return orig(p)
-
-        monkeypatch.setattr(polymat, "poly_roots", counted)
-        monkeypatch.setattr(pr, "poly_roots", counted)
-        return calls
+        seen = {"column_reduce": [], "determinant": [], "poly_roots": []}
+        for fn, args in seen.items():
+            monkeypatch.setattr(
+                polymat, fn, lambda M, *rest, orig=getattr(polymat, fn), args=args:
+                args.append(M.coeffs.tobytes()) or orig(M, *rest)
+            )
+        return seen
 
     @pytest.mark.parametrize("name", CORPUS)
     def test_check_once_per_mode(self, monkeypatch, name):
         path = MODELS / f"{name}.json"
         n_modes = load_model(path).n_modes
-        calls = self._count(monkeypatch)
-        seen = {"column_reduce": [], "determinant": [], "adjugate": []}
-        for fn, args in seen.items():
-            monkeypatch.setattr(
-                polymat, fn, lambda R, *rest, orig=getattr(polymat, fn), args=args:
-                args.append(R) or orig(R, *rest)
-            )
+        seen = self._count(monkeypatch)
         assert main(["check", str(path)]) in (0, 2)
-        assert calls == []
-        assert seen["determinant"] == seen["adjugate"] == []
+        assert seen["determinant"] == seen["poly_roots"] == []
         assert len(seen["column_reduce"]) == n_modes
 
     @pytest.mark.parametrize("action, checks", [("mlf", 0), ("complete", 0)])
     def test_posreal_once_per_polynomial(self, monkeypatch, action, checks):
-        calls = self._count(monkeypatch)
+        seen = self._count(monkeypatch)
         assert main(["posreal", action, "--r1", R1, "--r2", R2]) == 0
-        # det R1 (the poles of R2 R1^{-1}) and det P of the boundary form P,
-        # once each; complete checks M R2 R1^{-1} with no root set of its
-        # own, since here M = 1 and M R2 is R2 bit for bit
-        assert len(set(calls[:2])) == 2
-        assert len(calls) == 2 + checks
+        # R1 (whose reduction gives the poles of R2 R1^{-1}), R2 and the
+        # boundary form P (the roots of det P), once each; complete checks
+        # M R2 R1^{-1} with no reduction of its own, since here M = 1 and
+        # M R2 is R2 bit for bit
+        assert seen["determinant"] == seen["poly_roots"] == []
+        reduced = seen["column_reduce"]
+        assert len(set(reduced)) == len(reduced) == 3 + checks
 
 
 @pytest.mark.xfail(

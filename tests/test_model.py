@@ -72,8 +72,8 @@ MODELS = Path(__file__).resolve().parents[1] / "models"
 
 def _count_division_data(monkeypatch) -> dict:
     """Record the argument of every column reduction and of every
-    ``determinant``, ``adjugate`` and ``poly_roots`` call."""
-    seen = {"column_reduce": [], "determinant": [], "adjugate": [], "poly_roots": []}
+    ``determinant`` and ``poly_roots`` call."""
+    seen = {"column_reduce": [], "determinant": [], "poly_roots": []}
     for name, args in seen.items():
         orig = getattr(polymat, name)
 
@@ -97,11 +97,10 @@ def _calls_per_mode(seen: dict, modes) -> dict:
 
 def _reductions_only(times: int, n_modes: int) -> dict:
     """The counts of a load path that column-reduces each mode ``times``
-    times and forms no determinant, adjugate or root set."""
+    times and forms no Leibniz determinant or polynomial root set."""
     return {
         "column_reduce": [times] * n_modes,
         "determinant": [0] * n_modes,
-        "adjugate": [0] * n_modes,
         "poly_roots": [0] * n_modes,
     }
 
@@ -128,21 +127,17 @@ class TestDivisionDataOncePerMode:
         seen = _count_division_data(monkeypatch)
         assert main(argv) == 0
         assert _calls_per_mode(seen, modes) == _reductions_only(1, 4)
-        assert seen["determinant"] == seen["adjugate"] == seen["poly_roots"] == []
+        assert seen["determinant"] == seen["poly_roots"] == []
 
     def test_posreal_pair_divides_once_per_mode(self, monkeypatch, tmp_path):
         seen = _count_division_data(monkeypatch)
         out = str(tmp_path / "cert.json")
         assert main(["posreal", "mlf", "--r1", self.R1, "--r2", self.R2, "--out", out]) == 0
         modes = [polymatrix_from_json(json.loads(Path(p).read_text())) for p in (self.R1, self.R2)]
-        # the SPR test asks for the poles of R2 R1^{-1}, so det R1 is formed
-        # once; with none in the right half-plane no adjugate is
-        assert _calls_per_mode(seen, modes) == {
-            "column_reduce": [1, 1],
-            "determinant": [1, 0],
-            "adjugate": [0, 0],
-            "poly_roots": [0, 0],
-        }
+        # the SPR test reads the poles of R2 R1^{-1} off the reduction of
+        # R1 that the model holds, and the roots of det P off P's reduction
+        assert _calls_per_mode(seen, modes) == _reductions_only(1, 2)
+        assert seen["determinant"] == seen["poly_roots"] == []
 
     def test_two_loads_divide_twice(self, monkeypatch):
         # nothing is shared between models: no cache outlives a load
@@ -151,7 +146,7 @@ class TestDivisionDataOncePerMode:
         for _ in range(2):
             assert main(["check", self.CONVERTER4, "--route", "exact"]) == 0
         assert _calls_per_mode(seen, modes) == _reductions_only(2, 4)
-        assert seen["determinant"] == seen["adjugate"] == seen["poly_roots"] == []
+        assert seen["determinant"] == seen["poly_roots"] == []
 
 
 CORPUS = ["concond", "elcirc", "exmath", "source_converter_4mode", "source_converter_6mode"]
@@ -173,7 +168,7 @@ def _walk_signal(model: SldsModel) -> dict:
 @pytest.mark.parametrize("name", CORPUS)
 def test_corpus_simulation_forms_no_determinant(monkeypatch, tmp_path, name):
     """``slds simulate`` column-reduces each mode once and forms no
-    determinant, adjugate or root set (``slds check`` on the corpus:
+    Leibniz determinant or polynomial root set (``slds check`` on the corpus:
     ``tests/test_cli.py::TestRootsOncePerCommand::test_check_once_per_mode``)."""
     path = MODELS / f"{name}.json"
     model = load_model(path)
@@ -184,7 +179,7 @@ def test_corpus_simulation_forms_no_determinant(monkeypatch, tmp_path, name):
     assert main(["simulate", str(path), "--signal", str(signal), "--x0", x0,
                  "--t-end", "1", "--dt", "0.05"]) == 0
     assert _calls_per_mode(seen, model.modes) == _reductions_only(1, model.n_modes)
-    assert seen["determinant"] == seen["adjugate"] == seen["poly_roots"] == []
+    assert seen["determinant"] == seen["poly_roots"] == []
 
 
 def _loaded_models(monkeypatch) -> list:

@@ -13,7 +13,6 @@ from sldstab.polymat import (
     NonFiniteError,
     Poly,
     PolyMatrix,
-    adjugate,
     as_poly,
     canonical_rep,
     column_degrees,
@@ -27,6 +26,7 @@ from sldstab.polymat import (
     vstack,
 )
 from sldstab.model import SldsModel, modes_hurwitz
+from sldstab.posreal import para_hermitian_boundary
 from sldstab.statespace import minimal_state_map, realize
 
 xi = sympy.symbols("xi")
@@ -86,33 +86,6 @@ class TestDeterminant:
         got = ours.coeffs[: len(ref)]
         assert np.allclose(got, ref, atol=1e-6 * max(1.0, np.abs(ref).max()))
 
-    @staticmethod
-    def _assert_adjugate_identity(R):
-        n = R.rows
-        prod = R @ adjugate(R)
-        d = determinant(R)
-        for i in range(n):
-            for j in range(n):
-                e = prod.entry(i, j)
-                if i == j:
-                    assert np.allclose(
-                        e.coeffs[: d.coeffs.size], d.coeffs, atol=1e-8
-                    )
-                else:
-                    assert e.is_zero() or np.abs(e.coeffs).max() < 1e-8
-
-    def test_adjugate_identity(self):
-        rng = np.random.default_rng(3)
-        self._assert_adjugate_identity(_random_polymatrix(rng, 3, 1))
-
-    @pytest.mark.parametrize("n", [5, 6])
-    def test_adjugate_identity_beyond_four(self, n):
-        # cofactor expansion at every size: integer data stays exact
-        rng = np.random.default_rng(n)
-        R = _random_polymatrix(rng, n, 1)
-        assert not determinant(R).is_zero()
-        self._assert_adjugate_identity(R)
-
 
 def _exact_coeffs(expr) -> list[float]:
     return [float(c) for c in sympy.Poly(expr, xi).all_coeffs()[::-1]]
@@ -141,7 +114,8 @@ def _assert_unimodular_reduction(R, Rred, U, Uinv, tol):
 
 
 class TestLeibnizKernels:
-    """The batched Leibniz determinant and adjugate against sympy, exactly."""
+    """The batched Leibniz determinant, the tests' reference, against sympy,
+    exactly."""
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(_integer_square())
@@ -149,12 +123,6 @@ class TestLeibnizKernels:
         exact = _to_exact(R)
         d = determinant(R)
         assert d.coeffs.tolist() == _exact_coeffs(exact.det())
-        adj = adjugate(R)
-        ref = exact.adjugate()
-        for i in range(R.rows):
-            for j in range(R.cols):
-                assert adj.entry(i, j).coeffs.tolist() == _exact_coeffs(ref[i, j])
-        assert ((R @ adj) - PolyMatrix.identity(R.rows).scale(d)).max_norm() == 0.0
         if not d.is_zero():
             _assert_unimodular_reduction(R, *column_reduce(R)[:3], tol=1e-12)
 
@@ -327,6 +295,22 @@ class TestPolynomialPartReference:
         assert np.allclose(got, want, atol=1e-12)
 
 
+@st.composite
+def _coupled_pair(draw):
+    """Integer ``(diag(r1_i) V, diag(r2_i) V)`` with ``w = 1..3``, entries of
+    degree at most 4 and ``V`` unit upper triangular of degree at most 1."""
+    w = draw(st.integers(1, 3))
+    coeffs = st.lists(st.integers(-9, 9), min_size=1, max_size=5)
+    diags = [[draw(coeffs) for _ in range(w)] for _ in range(2)]
+    V = [[[1] if i == j else (draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+                              if i < j else [0]) for j in range(w)] for i in range(w)]
+    V = PolyMatrix.from_entries(V)
+    return tuple(
+        PolyMatrix.from_entries([[d[i] if i == j else [0] for j in range(w)] for i in range(w)]) @ V
+        for d in diags
+    )
+
+
 class TestColumnReduction:
     def test_reduces(self):
         R = PolyMatrix.from_entries(
@@ -374,6 +358,24 @@ class TestColumnReduction:
         R = PolyMatrix.from_entries([[[1.0, 1.0], [1.0, 1.0]], [[1.0], [0.0]]])
         with pytest.raises(ValueError, match="did not terminate"):
             column_reduce(R, max_iter=0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_coupled_pair(), st.booleans())
+    def test_degrees_and_roots_of_coupled_products(self, pair, boundary):
+        # R = diag(r1_i) V, or the boundary form of (diag(r2_i) V, R): the
+        # column degrees sum to deg det R, exactly, and each eigenvalue of
+        # A_c is a root of det R up to rounding of the terms R(lam) sums
+        R1, R2 = pair
+        R = para_hermitian_boundary(R2, R1) if boundary else R1
+        exact = sympy.Poly(_to_exact(R).det(method="berkowitz"), xi)
+        assume(not exact.is_zero)
+        with np.errstate(all="raise"):
+            red = column_reduce(R)
+            roots = np.linalg.eigvals(red.Ac)
+        assert sum(red.degrees) == exact.degree()
+        for lam in roots:
+            terms = sum(np.linalg.norm(Ri, 2) * abs(lam) ** i for i, Ri in enumerate(R.coeffs))
+            assert np.linalg.svd(R(lam), compute_uv=False)[-1] <= 1e-8 * terms
 
 
 class TestStrictlyProper:
@@ -522,11 +524,19 @@ def test_vstack():
     assert np.allclose(M.entry(2, 0).coeffs, [0.0, 1.0])
 
 
+def _exact_adjugate(R: PolyMatrix) -> PolyMatrix:
+    """``adj R`` by sympy, exactly, for integer ``R``."""
+    adj = _to_exact(R).adjugate()
+    return PolyMatrix.from_entries(
+        [[_exact_coeffs(adj[i, j]) for j in range(R.cols)] for i in range(R.rows)]
+    )
+
+
 def _per_call_polynomial_part(F: PolyMatrix, R: PolyMatrix) -> PolyMatrix:
     """The division with ``det R`` and ``adj R`` computed for this call only."""
     d = determinant(R).coeffs
     m = len(d) - 1
-    rem = (F @ adjugate(R)).coeffs.copy()
+    rem = (F @ _exact_adjugate(R)).coeffs.copy()
     if rem.shape[0] <= m:
         return PolyMatrix.zeros(F.rows, R.cols)
     q = np.zeros((rem.shape[0] - m,) + rem.shape[1:])
@@ -597,7 +607,7 @@ class TestDivisionData:
             assert _padded_gap(rep, want) <= REFERENCE_DIVISION_TOL * scale
 
     def test_each_matrix_column_reduces_once(self, monkeypatch):
-        seen = {"column_reduce": [], "determinant": [], "adjugate": [], "poly_roots": []}
+        seen = {"column_reduce": [], "determinant": [], "poly_roots": []}
         for name, args in seen.items():
             orig = getattr(polymat, name)
 
@@ -614,7 +624,7 @@ class TestDivisionData:
         realize(R, minimal_state_map(R))
         modes_hurwitz(SldsModel(modes=[R], gluing={}))
         assert len(seen["column_reduce"]) == 1 and seen["column_reduce"][0] is R
-        assert seen["determinant"] == seen["adjugate"] == seen["poly_roots"] == []
+        assert seen["determinant"] == seen["poly_roots"] == []
 
     @pytest.mark.parametrize(
         "entries, match",
@@ -646,7 +656,7 @@ class TestDivisionData:
 
     def test_coefficients_are_read_only(self):
         R = PolyMatrix.from_entries(self.R_ENTRIES)
-        assert not R.det.is_zero()
+        assert len(R.det_roots) == 3
         with pytest.raises(ValueError, match="read-only"):
             R.coeffs[0, 0, 0] = 5.0
 
@@ -791,34 +801,45 @@ class TestOnePassTrim:
         # det = 1e320 (xi + 1)(xi + 2) overflows; the error is not "singular"
         R = PolyMatrix.from_entries([[[1e160, 1e160], [0.0]], [[0.0], [2e160, 1e160]]])
         with pytest.raises(NonFiniteError):
-            R.det
+            determinant(R)
         assert determinant(R.scale(1e-150)).degree == 2
 
 
 class TestDetRoots:
-    """``det_roots`` is computed once, beside ``det``, and is read-only."""
+    """``det_roots`` are the eigenvalues of the column reduction's ``A_c``,
+    computed once and read-only."""
 
     def test_kept_and_read_only(self):
         R = PolyMatrix.from_entries(TestDivisionData.R_ENTRIES)
         r = R.det_roots
         assert R.det_roots is r
-        assert r.tobytes() == poly_roots(R.det).tobytes()
+        assert r.tobytes() == np.linalg.eigvals(R._reduction.Ac).astype(complex).tobytes()
+        want = np.sort_complex(poly_roots(determinant(R)))
+        assert np.allclose(np.sort_complex(r), want, atol=1e-12)
         with pytest.raises(ValueError, match="read-only"):
             r[0] = 0.0
 
     def test_hurwitz_computes_no_roots(self, monkeypatch):
-        # the Hurwitz test reads eig(A); det_roots, read twice, is computed once
-        calls = []
-        monkeypatch.setattr(polymat, "poly_roots", lambda p: calls.append(p) or poly_roots(p))
+        # the Hurwitz test reads eig(A); det_roots, read twice, reuses the
+        # one column reduction and forms no polynomial root set
+        calls = {"column_reduce": [], "poly_roots": []}
+        for name, args in calls.items():
+            orig = getattr(polymat, name)
+            monkeypatch.setattr(polymat, name, lambda M, o=orig, a=args: a.append(M) or o(M))
         R = PolyMatrix.from_entries(TestDivisionData.R_ENTRIES)
         assert modes_hurwitz(SldsModel(modes=[R], gluing={})) == [True]
-        assert calls == []
         assert R.det_roots is R.det_roots
-        assert len(calls) == 1
+        assert calls == {"column_reduce": [R], "poly_roots": []}
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_integer_polymatrix(1, 1, 4), st.floats(1e-6, 1e6))
     def test_one_by_one_det_is_its_entry(self, P, scale):
+        # a 1 x 1 matrix is column reduced: A_c is the companion matrix of
+        # its entry, whose last row holds the entry's monic coefficients
         P = P.scale(scale)
         assume(not P.is_zero())
-        assert P.det.coeffs.tobytes() == P.entry(0, 0).coeffs.tobytes()
+        c = P.entry(0, 0).coeffs
+        red = P._reduction
+        assert red.degrees == (len(c) - 1,) and len(P.det_roots) == len(c) - 1
+        if len(c) > 1:
+            assert np.allclose(-red.Ac[-1] * c[-1], c[:-1], rtol=1e-15, atol=0.0)

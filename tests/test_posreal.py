@@ -1,9 +1,11 @@
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,8 +18,10 @@ from sldstab.polymat import (
     Poly,
     PolyMatrix,
     canonical_rep,
+    column_reduce,
     is_strictly_proper,
     polymatrix_from_json,
+    polymatrix_to_json,
     polynomial_part,
 )
 from sldstab.posreal import (
@@ -32,6 +36,7 @@ from sldstab.posreal import (
 from sldstab.qdf import qdf_mod, sandwich, to_canonical
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
+XI = sympy.symbols("xi")
 
 # interlacing poles and zeros that sit close together
 CLUSTERED = [
@@ -53,6 +58,16 @@ def _from_roots(poles, zeros):
     )
 
 
+# N D^{-1} = diag(1 / (xi+2), 1 / ((xi-2)(xi+3))) with N = diag(xi-1, 1) V and
+# D = diag((xi-1)(xi+2), (xi-2)(xi+3)) V: of det D's right half-plane roots
+# 1 and 2, the pole at 1 cancels
+W2_V = PolyMatrix.from_entries([[[1.0], [0.5, 1.0]], [[0.0], [1.0]]])
+W2_POLES = (
+    PolyMatrix.from_entries([[[-1.0, 1.0], [0.0]], [[0.0], [1.0]]]) @ W2_V,
+    PolyMatrix.from_entries([[[-2.0, 1.0, 1.0], [0.0]], [[0.0], [-6.0, 1.0, 1.0]]]) @ W2_V,
+)
+
+
 class TestSprTest:
     def test_scalar_pair_is_spr(self):
         R1, R2 = standard_scalar_pair()
@@ -60,16 +75,26 @@ class TestSprTest:
         assert ok
 
     def test_right_half_plane_pole(self):
-        ok, witness = is_strictly_positive_real(_scalar([1.0]), _scalar([-1.0, 1.0]))
-        assert not ok
-        assert "pole" in witness["reason"]
+        # 1 / (xi-1); (xi-1) / ((xi-1)^2 (xi+2)), where one of the two poles
+        # at 1 cancels; and W2_POLES' pair, whose pole at 1 cancels and whose
+        # pole at 2 does not
+        for N, D, pole in [
+            (_scalar([1.0]), _scalar([-1.0, 1.0]), 1.0),
+            (_scalar([-1.0, 1.0]), _scalar([2.0, -3.0, 0.0, 1.0]), 1.0),
+            (*W2_POLES, 2.0),
+        ]:
+            ok, witness = is_strictly_positive_real(N, D)
+            assert not ok
+            assert "pole" in witness["reason"]
+            assert witness["pole"] == pytest.approx(pole, abs=1e-9)
 
     def test_cancelled_pole_is_ignored(self):
-        # (xi-1) / ((xi-1)(xi+2)): the unstable pole cancels
-        ok, _ = is_strictly_positive_real(
-            _scalar([-1.0, 1.0]), _scalar([-2.0, 1.0, 1.0])
-        )
-        assert ok
+        # (xi-1) / ((xi-1)(xi+2)): the unstable pole cancels; so do both of
+        # W2_POLES' once N's second row is (xi - 2) times the same V
+        N2 = PolyMatrix.from_entries([[[-1.0, 1.0], [0.0]], [[0.0], [-2.0, 1.0]]]) @ W2_V
+        for N, D in [(_scalar([-1.0, 1.0]), _scalar([-2.0, 1.0, 1.0])), (N2, W2_POLES[1])]:
+            ok, witness = is_strictly_positive_real(N, D)
+            assert ok, witness
 
     def test_negative_boundary(self):
         ok, witness = is_strictly_positive_real(_scalar([-1.0]), _scalar([1.0, 1.0]))
@@ -378,3 +403,60 @@ def test_mlf_realizes_each_mode_once(tmp_path, monkeypatch):
     assert main(["posreal", "mlf", "--r1", str(r1), "--r2", str(r2),
                  "--out", str(out)]) == 0
     assert len(calls) == 2
+
+
+VCOUPLED = json.loads((Path(__file__).parent / "data" / "vcoupled_w3_pair.json").read_text())
+
+
+class TestVCoupledW3Pair:
+    """The ``V``-coupled ``w = 3`` pair of ``tests/data/vcoupled_w3_pair.json``,
+    whose boundary forms are far from column reduced: column degrees 7, 8
+    and 8 for ``deg det P = 10``."""
+
+    @staticmethod
+    def _pair():
+        return tuple(polymatrix_from_json(VCOUPLED[k]) for k in ("r1", "r2"))
+
+    def test_complete_exits_0(self, tmp_path, capsys):
+        # the completion check's P' = boundary(M R2, R1), M = I up to
+        # rounding: the Leibniz det P' kept a leading coefficient of -2.3e-9
+        # against 1.3e4, whose root at omega = -6.4e5 failed the check
+        paths = []
+        for k in ("r1", "r2"):
+            paths.append(tmp_path / f"{k}.json")
+            paths[-1].write_text(json.dumps(VCOUPLED[k]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["posreal", "complete", "--r1", str(paths[0]), "--r2", str(paths[1])]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_boundary_form_mode_is_not_singular(self, tmp_path, capsys):
+        # P is nonsingular (sigma_min P(j) = 3.2), yet its column reduction
+        # divided by a zero pivot and reduced a column to zero; as a mode it
+        # is not Hurwitz, since its roots come in pairs +-lam
+        R1, R2 = self._pair()
+        P = para_hermitian_boundary(R2, R1)
+        assert np.linalg.svd(P(1j), compute_uv=False)[-1] > 1.0
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"variables": 3, "modes": [polymatrix_to_json(P)], "gluing": []}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert "singular" not in out + err
+        assert "not Hurwitz" in out
+
+    def test_boundary_form_degree_is_exact(self):
+        # sum d_j of the float P's reduction is deg det P of the exact
+        # P built from the pair's exact factors diag(r_i) and V
+        R1, R2 = self._pair()
+        red = column_reduce(para_hermitian_boundary(R2, R1))
+
+        def exact(entries):
+            return [sum(sympy.Rational(c) * XI**k for k, c in enumerate(e)) for e in entries]
+
+        V = sympy.Matrix([exact(row) for row in VCOUPLED["V"]])
+        R1e, R2e = (sympy.diag(*exact(VCOUPLED[k])) * V for k in ("r1_diag", "r2_diag"))
+        Pe = R1e.subs(XI, -XI).T * R2e + R2e.subs(XI, -XI).T * R1e
+        degree = sympy.Poly(Pe.det(method="berkowitz"), XI).degree()
+        assert sum(red.degrees) == degree == 10
