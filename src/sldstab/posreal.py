@@ -8,17 +8,18 @@ spectral factor ``Q`` of the boundary form gives the storage function
 
     Psi_1 = (R1(z)^T R2(e) + R2(z)^T R1(e) - Q(z)^T Q(e)) / (z + e)
 
-for mode 1, and ``Psi_2 = Psi_1 mod R2`` for mode 2.  In state coordinates
-``Psi_1 = X1(z)^T K1 X1(e)``, and ``Psi_2`` is ``K2 = L21^T K1 L21`` with
+for mode 1, and ``Psi_2 = Psi_1 mod R2`` for mode 2.  Over mode 1's
+realization ``xi X1 = A1 X1 + B1 R1``, with ``R2 = H X1``, ``Q = Qbar X1`` and
+``Psi_1 = X1(z)^T K1 X1(e)``, the division is the dissipation equality
+``A1^T K1 + K1 A1 = -Qbar^T Qbar``, ``B1^T K1 = H`` (Rantzer, *Syst. Control
+Lett.* 28, 1996), one Lyapunov solve.  ``Psi_2`` is ``K2 = L21^T K1 L21``,
 ``L21 = col(I, Pi)`` the 2 -> 1 re-initialisation map, so the 2 -> 1 switch
-condition holds with equality.  The construction divides nothing: ``Pi``
-(``X1' = Pi X2`` modulo ``R2``) is read off ``R2``'s column reduction
-(:func:`~sldstab.polymat.state_coordinates`), and the feed-through
-``K = lim xi X1' R1^{-1}`` is the ``B`` of mode 1's realization on the
-``X1'`` rows, since ``xi X1 = A1 X1 + B1 R1`` with ``X1 R1^{-1}`` strictly
-proper (Kailath, *Linear Systems*, 1980, section 6.4).  Conversely a valid
-MLF of this structure produces a strictly positive-real completion ``M``
-with ``M R2 R1^{-1}`` SPR.
+condition holds with equality.  ``Pi`` (``X1' = Pi X2`` modulo ``R2``) is
+read off ``R2``'s column reduction (:func:`~sldstab.polymat.state_coordinates`),
+and the feed-through ``K = lim xi X1' R1^{-1}`` is ``B1`` on the ``X1'`` rows
+(Kailath, *Linear Systems*, 1980, section 6.4).  Conversely a valid MLF of
+this structure produces a strictly positive-real completion ``M`` with
+``M R2 R1^{-1}`` SPR.
 """
 
 from __future__ import annotations
@@ -42,16 +43,8 @@ from .polymat import (
     state_coordinates,
     vstack,
 )
-from .qdf import (
-    divide_by_zeta_plus_eta,
-    qdf_derivative,
-    sandwich,
-    to_canonical,
-    two_var_from_pair,
-    two_var_product,
-)
 from .sdp import LmiProblem
-from .statespace import minimal_state_map
+from .statespace import express_in_state_basis, minimal_state_map
 
 FACTOR_TOL = 1e-8
 AXIS_TOL = 1e-7
@@ -96,9 +89,12 @@ class StandardSlds:
         return _spr_verdict(self.R2, self.R1, self.boundary)
 
     @cached_property
-    def spectral_factor(self) -> PolyMatrix:
-        """``Q`` with ``Q(-xi)^T Q(xi)`` equal to :attr:`boundary`, over :attr:`X1`."""
-        return spectral_factorize(self.boundary, self.R1, self.X1).Q
+    def supply(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(Qbar, H)`` with ``Q = Qbar X1`` and ``R2 = H X1`` modulo ``R1``,
+        ``Q`` the spectral factor of :attr:`boundary` over :attr:`X1`."""
+        Q = spectral_factorize(self.boundary, self.R1, self.X1).Q
+        T_inv = self.model.realizations[0].T_inv
+        return tuple(express_in_state_basis([Q, self.R2], self.R1, T_inv))
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +244,7 @@ def _gram_factor(P: PolyMatrix, R1: PolyMatrix, X1: PolyMatrix) -> PolyMatrix:
     strictly proper; ``Q`` has ``rank G`` rows and is returned as its
     canonical representative modulo ``R1``, which drops the rounding-level
     polynomial part the product ``Qbar X1`` can leave.  This is the
-    Gram-matrix method (Choi, Lam & Reznick 1995) in the state basis of the
-    QDF calculus (Willems & Trentelman, SIAM J. Control Optim. 36(5), 1998).
+    Gram-matrix method (Choi, Lam & Reznick 1995) over a state basis.
     """
     X = X1.coeffs
     dx = X.shape[0] - 1
@@ -296,7 +291,7 @@ def spectral_factorize(
     else:
         Q = _gram_factor(P, R1, minimal_state_map(R1) if X1 is None else X1)
     resid = ((Q.subs_neg().T @ Q) - P).max_norm()
-    if resid > FACTOR_TOL * max(1.0, P.max_norm()):
+    if resid > FACTOR_TOL * P.max_norm():
         raise ValueError(f"spectral factorization residual {resid:.3e}")
     return SpectralFactor(Q=Q)
 
@@ -365,6 +360,27 @@ def build_standard_slds(R1: PolyMatrix, R2: PolyMatrix) -> StandardSlds:
 # storage-function MLF (algebraic route)
 
 
+def _check_dissipation(s: StandardSlds, K1: np.ndarray) -> None:
+    """Raise unless ``A1^T K1 + K1 A1 = -Qbar^T Qbar`` and ``B1^T K1 = H`` hold
+    within ``FACTOR_TOL`` of the terms each sums.  Together they make
+    ``Qbar X1`` a strictly proper factor of the boundary form and give
+    ``Psi_12 = -Pi^T Psi_22`` (``B1 = col(0, K)``, ``H_2 = -H_p Pi``).  A
+    factor with no rows leaves ``K1 = 0``, which misses ``H`` by all of it."""
+    A, B = s.model.realizations[0].A, s.model.realizations[0].B
+    Qbar, H = s.supply
+    gap = 0.0
+    for resid, terms in (
+        (A.T @ K1 + K1 @ A + Qbar.T @ Qbar,
+         (abs(A.T) @ abs(K1), abs(K1) @ abs(A), abs(Qbar.T) @ abs(Qbar))),
+        (B.T @ K1 - H, (abs(B.T) @ abs(K1), abs(H))),
+    ):
+        r = np.abs(resid).max(initial=0.0)
+        if r > 0.0:  # then some term is nonzero
+            gap = max(gap, r / max(t.max(initial=0.0) for t in terms))
+    if gap > FACTOR_TOL:
+        raise ValueError(f"storage kernel fails the dissipation equality ({gap:.1e})")
+
+
 def mlf_from_positive_real(s: StandardSlds) -> MlfCertificate:
     """Storage-function MLF for a standard SLDS with SPR ``R2 R1^{-1}``."""
     if not all(modes_hurwitz(s.model)):
@@ -372,25 +388,14 @@ def mlf_from_positive_real(s: StandardSlds) -> MlfCertificate:
     ok, witness = s.spr
     if not ok:
         raise ValueError(f"R2 R1^-1 is not strictly positive real: {witness}")
-    Q = s.spectral_factor
-    if not is_strictly_proper(Q, s.R1):
-        raise ValueError("spectral factor Q R1^{-1} is not strictly proper")
-    phi = two_var_from_pair(s.R1, s.R2)
-    psi1 = divide_by_zeta_plus_eta(phi - two_var_product(Q, Q))
-    K1 = to_canonical(psi1, s.X1)
+    Qbar, _ = s.supply
+    K1 = scipy.linalg.solve_lyapunov(s.model.realizations[0].A.T, -Qbar.T @ Qbar)
+    K1 = 0.5 * (K1 + K1.T)
+    _check_dissipation(s, K1)
     L = s.model.reinits[(2, 1)].L
     K2 = L.T @ K1 @ L
     K2 = 0.5 * (K2 + K2.T)
-    n2 = s.n2
-    # structural identity of the storage kernel: Psi_12 = -Pi^T Psi_22
-    P12 = K1[:n2, n2:]
-    P22 = K1[n2:, n2:]
-    berr = np.max(np.abs(P12 + s.Pi.T @ P22))
-    if berr > 1e-7 * max(1.0, np.max(np.abs(K1))):
-        raise ValueError(f"storage kernel violates the block structure ({berr:.3e})")
-    return make_certificate(
-        s.model, "posreal", [K1, K2], solver={"iterations": 0, "budget": 0}
-    )
+    return make_certificate(s.model, "posreal", [K1, K2], solver={"iterations": 0, "budget": 0})
 
 
 # ---------------------------------------------------------------------------
@@ -401,30 +406,22 @@ def positive_real_completion(s: StandardSlds, cert: MlfCertificate) -> PolyMatri
     """Completion ``M`` with ``M R2 R1^{-1}`` strictly positive real.
 
     Uses the closed form ``M = K^T Psi_22 P`` where ``P`` is the polynomial
-    part of ``X1' R2^{-1}``; validated by reconstructing the dissipation
-    identity and re-running the SPR check on ``M R2 R1^{-1}``, unless
-    ``M R2`` is ``R2`` itself, whose check :attr:`StandardSlds.spr` made.
+    part of ``X1' R2^{-1}``.  The certificate's ``K1`` must pass the
+    dissipation equality, whose ``B1^T K1 = H`` makes ``K^T Psi_22`` the
+    ``X1'`` block ``H_p`` of ``H``: read off ``H``, it keeps the Lyapunov
+    solve's rounding out of ``M``.  ``M R2 R1^{-1}`` is checked afresh
+    unless ``M R2`` is ``R2`` itself, whose check :attr:`StandardSlds.spr` made.
     """
-    K1 = np.asarray(cert.kernels[0], dtype=float)
-    n2 = s.n2
-    P22 = K1[n2:, n2:]
     # hypothesis: R2 R1^-1 is SPR, so the dissipation rate has full rank on the axis
     ok, witness = s.spr
     if not ok:
         raise ValueError(f"the completion hypothesis fails: {witness}")
-    Ppoly = polynomial_part(s.X1p, s.R2)
-    Mconst = s.K.T @ P22
-    M = PolyMatrix(Mconst[None, :, :]) @ Ppoly
-    # reconstruct (z+e)Psi1 = -Q^T Q + V(z)^T R1(e) + R1(z)^T V(e), V = M R2
-    Q = s.spectral_factor
+    _check_dissipation(s, np.asarray(cert.kernels[0], dtype=float))
+    _, H = s.supply
+    M = PolyMatrix(H[None, :, s.n2 :]) @ polynomial_part(s.X1p, s.R2)
+    # a V = M R2 equal to R2 bit for bit (M = I, as on the bundled pair) has
+    # the verdict of s.spr, which holds; any other V is checked afresh
     V = M @ s.R2
-    lhs = qdf_derivative(sandwich(s.X1, K1))
-    rhs = two_var_from_pair(V, s.R1) - two_var_product(Q, Q)
-    resid = (lhs - rhs).max_norm()
-    if resid > 1e-7 * max(1.0, lhs.max_norm()):
-        raise ValueError(f"completion identity residual {resid:.3e}")
-    # a V equal to R2 bit for bit (M = I, as on the bundled pair) has the
-    # verdict of s.spr, which holds; any other V is checked afresh
     if not np.array_equal(V.coeffs, s.R2.coeffs) and not check_completion(M, s.R2, s.R1):
         raise ValueError("computed M fails the SPR completion check")
     return M

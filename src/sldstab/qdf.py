@@ -1,6 +1,6 @@
-"""Two-variable polynomial matrices and quadratic differential forms.
-
-A symmetric two-variable polynomial matrix ``Phi(z, e) = sum Phi_hk z^h e^k``
+"""Two-variable polynomial matrices and quadratic differential forms: the
+tests' reference for the storage function, which no command calls (the
+positive-real route works in mode 1's state coordinates).  A symmetric two-variable polynomial matrix ``Phi(z, e) = sum Phi_hk z^h e^k``
 is stored as a square grid of real ``w x w`` coefficient blocks.  Its
 quadratic differential form acts on a trajectory through the stack of
 derivatives ``w, w', w'', ...``.

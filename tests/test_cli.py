@@ -408,12 +408,25 @@ class TestPosreal:
         assert "certificate verifies" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "name, c", [("coupled_w2", 1e3), ("coupled_w2", 1e6), ("rounding_w2", 1e6)]
+        "name, c",
+        [
+            ("coupled_w2", 1e3),
+            ("coupled_w2", 1e6),
+            ("rounding_w2", 1e6),
+            ("coupled_w2", 1e-6),
+            ("coupled_w2", 1e-8),
+            ("diagonal_w3", 1e-8),
+            ("rounding_w2", 1e-6),
+        ],
     )
     def test_scaled_matrix_pair_keeps_s_finite(self, tmp_path, capsys, name, c):
-        # the Gram LMI of these scaled pairs once took a line-search trial
+        # the Gram LMI of the pairs scaled up once took a line-search trial
         # off the barrier's domain with s < 0 and doubled s until it
-        # overflowed; the verdict (no certificate, ROADMAP item 8) stays
+        # overflowed.  Scaled down, its rank cut 1e-10 max(1, lambda) leaves
+        # Q with no rows, and K1 = 0 is not a Lyapunov function: the checks
+        # of the factor residual and the dissipation equality, relative to
+        # the terms they sum, must reject it.  Either way the verdict is no
+        # certificate (ROADMAP item 8)
         io_args = []
         for flag, R in zip(("--r1", "--r2"), MATRIX_PAIRS[name]()):
             path = tmp_path / f"{flag[2:]}.json"
@@ -449,10 +462,12 @@ class TestPosreal:
         ]
 
     def test_unverified_certificate_not_written(self, tmp_path, capsys, monkeypatch):
-        # a negated storage kernel keeps its block structure but is not
+        # negated storage kernels keep their block structure but are not
         # positive, so neither action may report success or write a file
-        to_canonical = pr.to_canonical
-        monkeypatch.setattr(pr, "to_canonical", lambda *a: -to_canonical(*a))
+        make_certificate = pr.make_certificate
+        monkeypatch.setattr(
+            pr, "make_certificate", lambda m, r, ks, **kw: make_certificate(m, r, [-K for K in ks], **kw)
+        )
         io_args = ["--r1", R1, "--r2", R2]
         assert main(["posreal", "sprcheck"] + io_args) == 0
         for action in ("mlf", "complete"):

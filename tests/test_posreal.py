@@ -33,7 +33,14 @@ from sldstab.posreal import (
     positive_real_completion,
     spectral_factorize,
 )
-from sldstab.qdf import qdf_mod, sandwich, to_canonical
+from sldstab.qdf import (
+    divide_by_zeta_plus_eta,
+    qdf_mod,
+    sandwich,
+    to_canonical,
+    two_var_from_pair,
+    two_var_product,
+)
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 XI = sympy.symbols("xi")
@@ -290,6 +297,19 @@ class TestStorageCertificate:
         K2_qdf = to_canonical(qdf_mod(sandwich(s.X1, K1), R2), s.X2)
         assert np.max(np.abs(K2_qdf - K2)) <= 1e-7 * np.max(np.abs(K1))
 
+    def test_storage_kernel_matches_the_qdf_division(self):
+        # the Lyapunov solve gives the kernel that the two-variable division
+        # (R1(z)^T R2(e) + R2(z)^T R1(e) - Q(z)^T Q(e)) / (z + e) writes over X1
+        n = 0
+        for name, (R1, R2) in _standard_pairs():
+            s = build_standard_slds(R1, R2)
+            K1 = mlf_from_positive_real(s).kernels[0]
+            Q = spectral_factorize(s.boundary, R1, s.X1).Q
+            psi1 = divide_by_zeta_plus_eta(two_var_from_pair(R1, R2) - two_var_product(Q, Q))
+            assert _relative_gap(K1, to_canonical(psi1, s.X1)) <= 1e-9, name
+            n += 1
+        assert n == 1 + 1 + len(CLUSTERED) + 90 + 4
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(st.integers(1, 20), min_size=7, max_size=7, unique=True))
     def test_interlacing_half_integer_pairs_certify(self, grid):
@@ -371,11 +391,8 @@ def test_complete_checks_a_new_product_once(monkeypatch):
     monkeypatch.setattr(
         posreal, "para_hermitian_boundary", lambda N, D: calls.append((N, D)) or orig(N, D)
     )
-    # diag((xi+1)(xi+4), (xi+0.5)(xi+3)) | diag(2(xi+2), xi+1), both times the
-    # unimodular V = [[1, 0.7 + 1.3 xi], [0, 1]]: M is I up to rounding
-    V = PolyMatrix.from_entries([[[1.0], [0.7, 1.3]], [[0.0], [1.0]]])
-    R1 = PolyMatrix.from_entries([[[4.0, 5.0, 1.0], [0.0]], [[0.0], [1.5, 3.5, 1.0]]]) @ V
-    R2 = PolyMatrix.from_entries([[[4.0, 2.0], [0.0]], [[0.0], [1.0, 1.0]]]) @ V
+    # M is I up to rounding (3e-15 off), so M R2 is not R2 bit for bit
+    R1, R2 = dict(_standard_pairs())["rounding_w2"]
     s = build_standard_slds(R1, R2)
     M = positive_real_completion(s, mlf_from_positive_real(s))
     assert not np.array_equal((M @ R2).coeffs, R2.coeffs)
@@ -416,6 +433,18 @@ class TestVCoupledW3Pair:
     @staticmethod
     def _pair():
         return tuple(polymatrix_from_json(VCOUPLED[k]) for k in ("r1", "r2"))
+
+    def test_is_draw_21_of_the_census(self):
+        # tests/census_w3.py rebuilds the pair from its description
+        from census_w3 import vcoupled_w3_draws
+
+        *_, draw = vcoupled_w3_draws(np.random.default_rng(7), 22)
+        for key in ("r1_diag", "r2_diag"):
+            assert [list(map(float, r)) for r in draw[key]] == VCOUPLED[key]
+        for key in ("V", "r1", "r2"):
+            M = draw[key]
+            grid = [[list(map(float, M.coeffs[:, i, j])) for j in range(M.cols)] for i in range(M.rows)]
+            assert grid == VCOUPLED[key], key
 
     def test_complete_exits_0(self, tmp_path, capsys):
         # the completion check's P' = boundary(M R2, R1), M = I up to
