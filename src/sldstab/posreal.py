@@ -17,9 +17,11 @@ Lett.* 28, 1996), one Lyapunov solve.  ``Psi_2`` is ``K2 = L21^T K1 L21``,
 condition holds with equality.  ``Pi`` (``X1' = Pi X2`` modulo ``R2``) is
 read off ``R2``'s column reduction (:func:`~sldstab.polymat.state_coordinates`),
 and the feed-through ``K = lim xi X1' R1^{-1}`` is ``B1`` on the ``X1'`` rows
-(Kailath, *Linear Systems*, 1980, section 6.4).  Conversely a valid MLF of
-this structure produces a strictly positive-real completion ``M`` with
-``M R2 R1^{-1}`` SPR.
+(Kailath, *Linear Systems*, 1980, section 6.4).  ``X1 = col(X2, X1')`` takes
+``X1'`` from the rows of ``R1``'s own minimal state map: those that a pivoted
+QR of ``X2``'s state coordinates modulo ``R1`` leaves out.  Conversely the
+storage certificate yields the completion ``M = I``, with ``M R2 R1^{-1}``
+SPR.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .polymat import (
     PolyMatrix,
     canonical_rep,
     is_strictly_proper,
-    polynomial_part,
     state_coordinates,
     vstack,
 )
@@ -318,25 +319,16 @@ def build_standard_slds(R1: PolyMatrix, R2: PolyMatrix) -> StandardSlds:
             f"state-dimension gap n1-n2 = {n1 - n2} differs from w = {w}; "
             "the input pair does not admit a standard construction"
         )
-    # extend X2 to a minimal state map of mode 1 with rows from its own map
-    grid = int(max(Xc.degree, X2.degree, 0)) + 1
-    base = X2.stack(grid)
-    picked = []
-    rank = np.linalg.matrix_rank(base)
-    stack = base
-    for i in range(Xc.rows):
-        cand = Xc.row(i).stack(grid)
-        trial = np.vstack([stack, cand])
-        r = np.linalg.matrix_rank(trial)
-        if r > rank:
-            rank = r
-            stack = trial
-            picked.append(Xc.row(i))
-        if rank == n1:
-            break
-    if len(picked) != n1 - n2:
-        raise ValueError("failed to extend the mode-2 state basis to mode 1")
-    X1p = vstack(picked)
+    # X2 = S Xc modulo R1 (Xc is state_coordinates' basis); extend X2 by the
+    # rows of Xc that a pivoted QR of S leaves out
+    S = state_coordinates([X2], R1)
+    r, piv = scipy.linalg.qr(S, mode="r", pivoting=True)
+    d = np.abs(np.diag(r))
+    if d[-1] <= 1e-10 * d[0]:  # relative, as the feed-through test below
+        raise ValueError(
+            "mode 2's state map X2 is rank-deficient in mode 1's state coordinates"
+        )
+    X1p = vstack([Xc.row(i) for i in sorted(piv[n2:])])
     X1 = vstack([X2, X1p])
     Pi = state_coordinates([X1p], R2)  # X2 is R2's minimal state map
     PiX2 = PolyMatrix(Pi[None, :, :]) @ X2
@@ -403,31 +395,24 @@ def mlf_from_positive_real(s: StandardSlds) -> MlfCertificate:
 
 
 def positive_real_completion(s: StandardSlds, cert: MlfCertificate) -> PolyMatrix:
-    """Completion ``M`` with ``M R2 R1^{-1}`` strictly positive real.
+    """Completion ``M`` with ``M R2 R1^{-1}`` strictly positive real: ``M = I``.
 
-    Uses the closed form ``M = K^T Psi_22 P`` where ``P`` is the polynomial
-    part of ``X1' R2^{-1}``.  The certificate's ``K1`` must pass the
-    dissipation equality, whose ``B1^T K1 = H`` makes ``K^T Psi_22`` the
-    ``X1'`` block ``H_p`` of ``H``: read off ``H``, it keeps the Lyapunov
-    solve's rounding out of ``M``.  ``M R2 R1^{-1}`` is checked afresh
-    unless ``M R2`` is ``R2`` itself, whose check :attr:`StandardSlds.spr` made.
+    The closed form ``M = H_p P`` (``H_p`` the ``X1'`` block of ``H``, ``P``
+    the polynomial part of ``X1' R2^{-1}``) is ``I`` for every standard pair:
+
+    - ``X1' = P R2 + Pi X2`` exactly;
+    - ``R2 = H X1`` exactly, because ``R2 R1^{-1}`` is strictly proper;
+    - so ``(I - H_p P) R2 = (H_2 + H_p Pi) X2``: the left side is a polynomial
+      multiple of ``R2`` and the right side is strictly proper against it, so
+      both are 0.
+
+    ``M R2 R1^{-1}`` is then ``R2 R1^{-1}``, whose SPR verdict is
+    :attr:`StandardSlds.spr`.  The certificate's ``K1`` must pass the
+    dissipation equality.
     """
     # hypothesis: R2 R1^-1 is SPR, so the dissipation rate has full rank on the axis
     ok, witness = s.spr
     if not ok:
         raise ValueError(f"the completion hypothesis fails: {witness}")
     _check_dissipation(s, np.asarray(cert.kernels[0], dtype=float))
-    _, H = s.supply
-    M = PolyMatrix(H[None, :, s.n2 :]) @ polynomial_part(s.X1p, s.R2)
-    # a V = M R2 equal to R2 bit for bit (M = I, as on the bundled pair) has
-    # the verdict of s.spr, which holds; any other V is checked afresh
-    V = M @ s.R2
-    if not np.array_equal(V.coeffs, s.R2.coeffs) and not check_completion(M, s.R2, s.R1):
-        raise ValueError("computed M fails the SPR completion check")
-    return M
-
-
-def check_completion(M: PolyMatrix, R2: PolyMatrix, R1: PolyMatrix) -> bool:
-    """True iff ``M R2 R1^{-1}`` is strictly positive real."""
-    ok, _ = is_strictly_positive_real(M @ R2, R1)
-    return ok
+    return PolyMatrix.identity(s.R2.rows)

@@ -33,7 +33,6 @@ from sldstab.polymat import (
 )
 from sldstab.posreal import (
     build_standard_slds,
-    check_completion,
     is_strictly_positive_real,
     mlf_from_positive_real,
     para_hermitian_boundary,
@@ -186,7 +185,7 @@ def test_criterion_3_standard_scalar_chain():
 
     M = positive_real_completion(s, cert)
     assert np.allclose(M.coeffs.ravel(), [1.0], atol=1e-8)
-    assert check_completion(M, R2, R1)
+    assert is_strictly_positive_real(M @ R2, R1)[0]
 
     lmi = find_mlf(s.model)
     assert lmi.feasible

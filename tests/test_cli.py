@@ -642,9 +642,8 @@ class TestRootsOncePerCommand:
         seen = self._count(monkeypatch)
         assert main(["posreal", action, "--r1", R1, "--r2", R2]) == 0
         # R1 (whose reduction gives the poles of R2 R1^{-1}), R2 and the
-        # boundary form P (the roots of det P), once each; complete checks
-        # M R2 R1^{-1} with no reduction of its own, since here M = 1 and
-        # M R2 is R2 bit for bit
+        # boundary form P (the roots of det P), once each; complete returns
+        # M = I, which needs no reduction of its own
         assert seen["determinant"] == seen["poly_roots"] == []
         reduced = seen["column_reduce"]
         assert len(set(reduced)) == len(reduced) == 3 + checks

@@ -26,7 +26,6 @@ from sldstab.polymat import (
 )
 from sldstab.posreal import (
     build_standard_slds,
-    check_completion,
     is_strictly_positive_real,
     mlf_from_positive_real,
     para_hermitian_boundary,
@@ -348,11 +347,26 @@ class TestCompletion:
         cert = mlf_from_positive_real(s)
         M = positive_real_completion(s, cert)
         assert np.allclose(M.coeffs.ravel(), [1.0], atol=1e-8)
-        assert check_completion(M, R2, R1)
+        assert is_strictly_positive_real(M @ R2, R1)[0]
 
     def test_check_completion_rejects_bad_m(self):
+        # M = -1 turns the SPR R2 R1^{-1} into -R2 R1^{-1}, which is not SPR
         R1, R2 = standard_scalar_pair()
-        assert not check_completion(_scalar([-1.0]), R2, R1)
+        assert not is_strictly_positive_real(-R2, R1)[0]
+
+    def test_complete_returns_the_identity(self):
+        # positive_real_completion returns I exactly; the closed form
+        # M = H_p P, P the polynomial part of X1' R2^{-1}, is I to rounding
+        n = 0
+        for name, (R1, R2) in _standard_pairs():
+            s = build_standard_slds(R1, R2)
+            M = positive_real_completion(s, mlf_from_positive_real(s))
+            assert np.array_equal(M.coeffs, np.eye(R1.rows)[None]), name
+            _, H = s.supply
+            closed = PolyMatrix(H[None, :, s.n2 :]) @ polynomial_part(s.X1p, R2)
+            assert (closed - PolyMatrix.identity(R1.rows)).max_norm() <= 1e-12, name
+            n += 1
+        assert n == 1 + 1 + len(CLUSTERED) + 90 + 4
 
 
 def test_complete_derives_each_object_once(tmp_path, monkeypatch, capsys):
@@ -375,31 +389,11 @@ def test_complete_derives_each_object_once(tmp_path, monkeypatch, capsys):
     M = polymatrix_from_json(json.loads(out.read_text()))
     assert len(calls["spectral_factorize"]) == 1
     assert len(calls["qdf_mod"]) == 0
-    # one boundary form, for (R2, R1): here M = 1, so M R2 is R2 bit for bit
-    # and the completion check reuses the verdict on R2 R1^{-1}
+    # one boundary form, for (R2, R1): the completion M = I builds none
     ((n_a, d_a),) = calls["para_hermitian_boundary"]
     assert np.array_equal(n_a.coeffs, R2.coeffs)
     assert np.array_equal((M @ R2).coeffs, R2.coeffs)
     assert np.array_equal(d_a.coeffs, R1.coeffs)
-
-
-def test_complete_checks_a_new_product_once(monkeypatch):
-    """A completion ``M`` that changes ``R2`` gets its own SPR check: a
-    second boundary form, for ``(M R2, R1)``."""
-    calls = []
-    orig = posreal.para_hermitian_boundary
-    monkeypatch.setattr(
-        posreal, "para_hermitian_boundary", lambda N, D: calls.append((N, D)) or orig(N, D)
-    )
-    # M is I up to rounding (3e-15 off), so M R2 is not R2 bit for bit
-    R1, R2 = dict(_standard_pairs())["rounding_w2"]
-    s = build_standard_slds(R1, R2)
-    M = positive_real_completion(s, mlf_from_positive_real(s))
-    assert not np.array_equal((M @ R2).coeffs, R2.coeffs)
-    (n_a, d_a), (n_b, d_b) = calls
-    assert np.array_equal(n_a.coeffs, R2.coeffs)
-    assert np.array_equal(n_b.coeffs, (M @ R2).coeffs)
-    assert np.array_equal(d_a.coeffs, R1.coeffs) and np.array_equal(d_b.coeffs, R1.coeffs)
 
 
 def test_mlf_realizes_each_mode_once(tmp_path, monkeypatch):
@@ -447,9 +441,10 @@ class TestVCoupledW3Pair:
             assert grid == VCOUPLED[key], key
 
     def test_complete_exits_0(self, tmp_path, capsys):
-        # the completion check's P' = boundary(M R2, R1), M = I up to
-        # rounding: the Leibniz det P' kept a leading coefficient of -2.3e-9
-        # against 1.3e4, whose root at omega = -6.4e5 failed the check
+        # the completion M = I builds no boundary form of its own; a check of
+        # P' = boundary(M R2, R1) with M = I up to rounding once failed here,
+        # at a root omega = -6.4e5 of the Leibniz det P' (its leading
+        # coefficient -2.3e-9 against 1.3e4)
         paths = []
         for k in ("r1", "r2"):
             paths.append(tmp_path / f"{k}.json")
@@ -489,3 +484,25 @@ class TestVCoupledW3Pair:
         Pe = R1e.subs(XI, -XI).T * R2e + R2e.subs(XI, -XI).T * R1e
         degree = sympy.Poly(Pe.det(method="berkowitz"), XI).degree()
         assert sum(red.degrees) == degree == 10
+
+
+@pytest.mark.parametrize("seed, k", [(11, 4), (11, 55), (7, 46), (7, 19)])
+def test_census_pair_certifies_and_completes(tmp_path, seed, k):
+    """``tests/census_w3.py`` pairs: each certifies, its certificate verifies
+    and ``complete`` writes ``I``.  A rank test on raw coefficient stacks
+    failed to extend pair 46's and pair 4's ``X2``, and extended pair 55's by
+    a row dependent to 1e-12.  Pair 19 passed it; with ``X1'`` from an
+    orthonormal complement, its closed-form ``M`` was ``I`` only to 4e-11,
+    and a second SPR test on the boundary form of ``M R2`` rejected it."""
+    from census_w3 import vcoupled_w3_draws
+
+    *_, draw = vcoupled_w3_draws(np.random.default_rng(seed), k + 1)
+    pair = []
+    for key in ("r1", "r2"):
+        pair += [f"--{key}", str(tmp_path / f"{key}.json")]
+        (tmp_path / f"{key}.json").write_text(json.dumps(polymatrix_to_json(draw[key])))
+    cert, M = tmp_path / "cert.json", tmp_path / "m.json"
+    assert main(["posreal", "mlf", *pair, "--out", str(cert)]) == 0
+    assert main(["check", str(tmp_path / "cert_model.json"), "--verify-only", str(cert)]) == 0
+    assert main(["posreal", "complete", *pair, "--out", str(M)]) == 0
+    assert polymatrix_from_json(json.loads(M.read_text())).coeffs.tolist() == [np.eye(3).tolist()]
