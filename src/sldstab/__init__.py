@@ -9,7 +9,7 @@ audits certificates against exact simulations.
 
 from .mlf import MlfCertificate, find_mlf, verify_mlf
 from .model import SldsModel, is_consistent, is_well_posed, load_model, reinit_maps, save_model
-from .polymat import Poly, PolyMatrix
+from .polymat import PolyMatrix
 from .posreal import (
     StandardSlds,
     build_standard_slds,
@@ -25,7 +25,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MlfCertificate",
-    "Poly",
     "PolyMatrix",
     "SldsModel",
     "StandardSlds",

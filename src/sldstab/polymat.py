@@ -1,7 +1,8 @@
-"""Univariate real polynomials and polynomial matrices.
+"""Real polynomial matrices in one variable ``xi``; a scalar polynomial is a
+``1 x 1`` matrix.
 
 Coefficients are stored ascending (index i holds the coefficient of
-``xi**i``) in double precision.  All values are trimmed against a global
+``xi**i``) in double precision.  Every matrix is trimmed against a global
 relative tolerance and treated as immutable; every operation returns a new
 object.  A non-finite coefficient, such as an overflowed product or sum, is
 an error (:class:`NonFiniteError`), not a trimmed zero.  A :class:`PolyMatrix`
@@ -9,8 +10,9 @@ keeps its coefficients read-only, so the column reduction it caches, its one
 divisor, never goes stale.  The column reduction also carries the companion
 data of ``R'``, off which :func:`state_coordinates` reads row blocks modulo
 ``R`` with no division, and whose ``A_c`` has the roots of ``det R`` as its
-eigenvalues (:attr:`PolyMatrix.det_roots`).  The Leibniz :func:`determinant`
-and :func:`poly_roots` are references for the tests; no command calls them.
+eigenvalues (:attr:`PolyMatrix.det_roots`).  The Leibniz :func:`determinant`,
+a ``1 x 1`` matrix, and :func:`poly_roots` of one are references for the
+tests; no command calls them.
 """
 
 from __future__ import annotations
@@ -38,85 +40,9 @@ class NonFiniteError(ValueError):
     """A coefficient is infinite or NaN, as when a product overflows."""
 
 
-def _trim(c: np.ndarray) -> np.ndarray:
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if c.size == 0:
-        return np.zeros(1)
-    a = np.abs(c)
-    scale = a.max()
-    if not math.isfinite(scale):
-        raise NonFiniteError(f"non-finite coefficient (largest |c| = {scale})")
-    if scale == 0.0:
-        return np.zeros(1)
-    return c[: np.flatnonzero(a > TRIM_TOL * scale)[-1] + 1].copy()
-
-
-class Poly:
-    """A real univariate polynomial with ascending coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        if isinstance(coeffs, Poly):
-            coeffs = coeffs.coeffs
-        self.coeffs = _trim(coeffs)
-
-    @property
-    def degree(self) -> float:
-        """Degree; ``-inf`` for the zero polynomial."""
-        if self.is_zero():
-            return MINUS_INF
-        return float(len(self.coeffs) - 1)
-
-    def is_zero(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == 0.0
-
-    def __call__(self, x):
-        # Horner evaluation; works for real, complex and array arguments.
-        acc = 0.0 * np.asarray(x) + self.coeffs[-1]
-        for c in self.coeffs[-2::-1]:
-            acc = acc * x + c
-        return acc
-
-    def __repr__(self):
-        return f"Poly({list(self.coeffs)})"
-
-
-def as_poly(p) -> Poly:
-    if isinstance(p, Poly):
-        return p
-    if np.isscalar(p):
-        return Poly([float(p)])
-    return Poly(p)
-
-
-def poly_roots(p: Poly) -> np.ndarray:
-    """All complex roots with multiplicity, via balanced companion eigenvalues.
-
-    Conjugate pairing is enforced: roots whose imaginary parts fail to cancel
-    within ``1e-8 * |root|`` of their mirror are symmetrized.
-    """
-    p = as_poly(p)
-    if p.is_zero():
-        raise ValueError("zero polynomial has no well-defined root set")
-    if p.degree == 0:
-        return np.array([], dtype=complex)
-    r = np.roots(p.coeffs[::-1]).astype(complex)
-    # Symmetrize against the conjugate multiset.
-    order = np.lexsort((r.imag, r.real))
-    r = r[order]
-    conj = np.conj(r)
-    conj = conj[np.lexsort((conj.imag, conj.real))]
-    r = 0.5 * (r + conj)
-    r.imag[np.abs(r.imag) < 1e-8 * np.maximum(np.abs(r), 1.0)] = 0.0
-    return r
-
-
 def _coeff_list(e) -> list:
     if isinstance(e, list):
         return e
-    if isinstance(e, Poly):
-        return e.coeffs.tolist()
     return np.atleast_1d(np.asarray(e, dtype=float)).tolist()
 
 
@@ -148,7 +74,8 @@ class _Reduction(NamedTuple):
 
 
 class PolyMatrix:
-    """A rectangular matrix with :class:`Poly` entries.
+    """A rectangular matrix with real polynomial entries; a ``1 x 1`` matrix
+    is the package's scalar polynomial (:meth:`entry`, :func:`determinant`).
 
     Internally a single float array ``coeffs`` of shape
     ``(degree + 1, rows, cols)``; slice ``coeffs[i]`` is the constant matrix
@@ -193,7 +120,8 @@ class PolyMatrix:
 
     @classmethod
     def from_entries(cls, grid) -> "PolyMatrix":
-        """Build from a nested list of Poly / coefficient-list / scalar entries.
+        """Build from a nested list of entries, each a list of ascending
+        coefficients or a scalar.
 
         The entries are stacked untrimmed; the matrix-wide trim of ``__init__``
         zeroes every coefficient a per-entry trim would drop.
@@ -254,8 +182,9 @@ class PolyMatrix:
         """:func:`column_reduce` of this matrix; raises if it is not square or is singular."""
         return column_reduce(self)
 
-    def entry(self, i: int, j: int) -> Poly:
-        return Poly(self.coeffs[:, i, j])
+    def entry(self, i: int, j: int) -> "PolyMatrix":
+        """Entry ``(i, j)`` as a ``1 x 1`` matrix, the scalar polynomial."""
+        return PolyMatrix(self.coeffs[:, i : i + 1, j : j + 1])
 
     def stack(self, grid: int | None = None) -> np.ndarray:
         """Coefficient stack ``[M_0 ... M_{grid-1}]``, ``rows x grid*cols``.
@@ -304,12 +233,12 @@ class PolyMatrix:
         return PolyMatrix(_matmul(self.coeffs, other.coeffs))
 
     def scale(self, a) -> "PolyMatrix":
-        """Multiply by a real scalar or a scalar :class:`Poly`."""
-        a = as_poly(a)
-        da = len(a.coeffs)
-        c = np.zeros((da + self.coeffs.shape[0] - 1,) + self.shape)
+        """Multiply by a real scalar or a scalar polynomial given by its
+        ascending coefficients."""
+        a = np.atleast_1d(np.asarray(a, dtype=float))
+        c = np.zeros((len(a) + self.coeffs.shape[0] - 1,) + self.shape)
         with np.errstate(over="ignore", invalid="ignore"):  # the trim rejects an overflow
-            for i, ai in enumerate(a.coeffs):
+            for i, ai in enumerate(a):
                 c[i : i + self.coeffs.shape[0]] += ai * self.coeffs
         return PolyMatrix(c)
 
@@ -410,15 +339,37 @@ def _leibniz(c: np.ndarray) -> np.ndarray:
 # determinant
 
 
-def determinant(R: PolyMatrix) -> Poly:
-    """Exact polynomial determinant by the Leibniz sum over permutations.
+def determinant(R: PolyMatrix) -> PolyMatrix:
+    """Exact polynomial determinant, a ``1 x 1`` matrix, by the Leibniz sum
+    over permutations.
 
     The cost grows as ``n!`` in the size ``n``.  The tests compare the
     column reduction's degrees and roots against it; no command calls it.
     """
     if R.rows != R.cols:
         raise ValueError("determinant requires a square matrix")
-    return Poly(_leibniz(R.coeffs.transpose(1, 2, 0)))
+    return PolyMatrix(_leibniz(R.coeffs.transpose(1, 2, 0))[:, None, None])
+
+
+def poly_roots(p: PolyMatrix) -> np.ndarray:
+    """All complex roots with multiplicity of the ``1 x 1`` polynomial ``p``,
+    via balanced companion eigenvalues.
+
+    Conjugate pairing is enforced: roots whose imaginary parts fail to cancel
+    within ``1e-8 * |root|`` of their mirror are symmetrized.
+    """
+    if p.is_zero():
+        raise ValueError("zero polynomial has no well-defined root set")
+    if p.degree == 0:
+        return np.array([], dtype=complex)
+    r = np.roots(p.coeffs[::-1, 0, 0]).astype(complex)
+    # Symmetrize against the conjugate multiset.
+    r = r[np.lexsort((r.imag, r.real))]
+    conj = np.conj(r)
+    conj = conj[np.lexsort((conj.imag, conj.real))]
+    r = 0.5 * (r + conj)
+    r.imag[np.abs(r.imag) < 1e-8 * np.maximum(np.abs(r), 1.0)] = 0.0
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +431,9 @@ def canonical_rep(F: PolyMatrix, R: PolyMatrix) -> PolyMatrix:
 
     Returns ``G' = S R`` where ``S`` is the strictly proper part of
     ``F R^{-1}``; equivalently ``F - N R`` with ``N`` the polynomial part.
-    When ``deg F + deg U`` is below every column degree of ``R' = R U``,
-    ``N`` is zero and ``F`` is returned as it is, with no division.
     """
     if F.cols != R.rows:
         raise ValueError("dimension mismatch between F and R")
-    red = R._reduction
-    if F.coeffs.shape[0] + red.U.coeffs.shape[0] - 2 < min(red.degrees):
-        # deg F + deg U < min_j d_j: F U over R' has a zero quotient, so F - N R = F
-        return F
     return F - PolyMatrix(_quotient(F, R)) @ R
 
 
@@ -585,7 +530,9 @@ def column_reduce(R: PolyMatrix, max_iter: int = 200) -> _Reduction:
     is the product of these steps ``E``, and ``U^{-1}`` that of their closed
     form inverses, which map column ``j*`` to
     ``(e_j* - sum_{j != j*} v_j xi^(d_j* - d_j) e_j) / v_j*``.  A column that
-    reduces to zero shows that ``R`` is singular, an error.
+    reduces to zero shows that ``R`` is singular, an error; so is a leading
+    column matrix whose inverse leaves double precision
+    (:class:`NonFiniteError`).
     """
     if R.rows != R.cols:
         raise ValueError("column reduction requires a square matrix")
@@ -605,6 +552,11 @@ def column_reduce(R: PolyMatrix, max_iter: int = 200) -> _Reduction:
             else:
                 U, Uinv = PolyMatrix(U), PolyMatrix(Uinv)
             hc_inv = np.linalg.inv(G)
+            if not np.isfinite(hc_inv).all():
+                raise NonFiniteError(
+                    "the leading column matrix has no inverse in double precision; "
+                    "rescale the mode"
+                )
             return _Reduction(Rp, U, Uinv, d, hc_inv, *_companion(Rp.coeffs, d, hc_inv))
         v = vt[-1]
         # E = I with column j* set to sum_j v_j xi^shift_j e_j, trimmed as
@@ -672,7 +624,7 @@ def json_int(value, what: str) -> int:
 
 
 def polymatrix_to_json(M: PolyMatrix) -> list:
-    return [[list(map(float, M.entry(i, j).coeffs)) for j in range(M.cols)] for i in range(M.rows)]
+    return [[M.entry(i, j).coeffs[:, 0, 0].tolist() for j in range(M.cols)] for i in range(M.rows)]
 
 
 def polymatrix_from_json(data) -> PolyMatrix:

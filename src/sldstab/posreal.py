@@ -37,7 +37,6 @@ from .model import SldsModel, check_mode, modes_hurwitz
 from .polymat import (
     HURWITZ_TOL,
     NonFiniteError,
-    Poly,
     PolyMatrix,
     canonical_rep,
     is_strictly_proper,
@@ -198,20 +197,20 @@ def _scalar_factor(P: PolyMatrix, R1: PolyMatrix) -> PolyMatrix:
     """
     if P.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    p = P.entry(0, 0)
-    deg = int(p.degree)
+    p = P.coeffs[:, 0, 0]
+    deg = int(P.degree)
     if deg % 2 != 0:
         raise ValueError("boundary polynomial has odd degree")
     m = deg // 2
-    lead = p.coeffs[-1] * (-1.0) ** m
+    lead = p[-1] * (-1.0) ** m
     if lead <= 0:
         raise ValueError("boundary polynomial is indefinite (negative at infinity)")
     if m == 0:
-        if p.coeffs[0] <= 0:
+        if p[0] <= 0:
             raise ValueError("boundary polynomial is indefinite")
-        return PolyMatrix.from_entries([[Poly([np.sqrt(p.coeffs[0])])]])
+        return PolyMatrix.from_entries([[np.sqrt(p[0])]])
     rts = list(P.det_roots)
-    d1 = R1.entry(0, 0)
+    zero_tol = 1e-7 * max(1.0, R1.coeffs[-1, 0, 0])
     chosen = []
     while rts:
         r = rts.pop(0)
@@ -223,9 +222,7 @@ def _scalar_factor(P: PolyMatrix, R1: PolyMatrix) -> PolyMatrix:
         mate = rts.pop(j)
         pick, other = (r, mate) if r.real < mate.real else (mate, r)
         # avoid a common zero of R1 and q: rank col(R1(lam), q(lam)) = w
-        if abs(d1(pick)) <= 1e-7 * max(1.0, d1.coeffs[-1]) and abs(
-            d1(other)
-        ) > 1e-7 * max(1.0, d1.coeffs[-1]):
+        if abs(R1(pick)[0, 0]) <= zero_tol and abs(R1(other)[0, 0]) > zero_tol:
             pick = other
         chosen.append(pick)
     qm = np.sqrt(lead)

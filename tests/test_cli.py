@@ -550,9 +550,10 @@ def test_non_finite_coefficient_exits_1(tmp_path, capsys, where, value):
     assert f"non-finite coefficient: {number} at entry (1,{2 if where != 'pair' else 1})" in err
 
 
-def test_overflowing_determinant_named(tmp_path, capsys):
-    """A ``det R`` that overflows double precision is an error naming the
-    mode, not a singular mode: here ``det R = 1e320 (xi + 1)(xi + 2)``."""
+def test_determinant_past_double_precision_certifies(tmp_path, capsys):
+    """A mode whose ``det R`` leaves double precision, here
+    ``det R = 1e320 (xi + 1)(xi + 2)``, is no error: no command forms the
+    determinant, and the column reduction's ``R'_hc^{-1}`` is finite."""
     R = [[[1e160, 1e160], [0.0]], [[0.0], [2e160, 1e160]]]
     eye = [[[1.0], [0.0]], [[0.0], [1.0]]]
     doc = {
@@ -564,10 +565,47 @@ def test_overflowing_determinant_named(tmp_path, capsys):
     }
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))
-    assert main(["check", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert "mode 1" in err and "overflows" in err
-    assert "singular" not in err
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _modes_scaled(name: str, k: int, tmp_path) -> str:
+    """The corpus model ``name`` with every mode matrix scaled by ``2**k``,
+    exactly, and its gluing pairs and state maps as they are."""
+    doc = json.loads((MODELS / f"{name}.json").read_text())
+    doc["modes"] = [[[[c * 2.0**k for c in e] for e in row] for row in R] for R in doc["modes"]]
+    path = tmp_path / f"{name}_{k}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_mode_scale_keeps_the_certificate(tmp_path, capsys, name):
+    """``ker 2^k R = ker R``: from ``2^-600`` to ``2^1000``, where ``det R``
+    leaves double precision, every mode scaled by ``2^k`` gives the exit code
+    and the certificate bytes of the model as it is."""
+    cert = tmp_path / "cert.json"
+    rc = main(["check", str(MODELS / f"{name}.json"), "--out", str(cert)])
+    assert rc == (2 if name == "concond" else 0)
+    for k in (-600, -200, -20, 20, 200, 600, 1000):
+        scaled = tmp_path / f"cert_{k}.json"
+        assert main(["check", _modes_scaled(name, k, tmp_path), "--out", str(scaled)]) == rc, k
+        assert scaled.exists() == (rc == 0)
+        if rc == 0:
+            assert scaled.read_bytes() == cert.read_bytes(), k
+
+
+@pytest.mark.parametrize("name", ["source_converter_4mode", "source_converter_6mode"])
+def test_leading_inverse_past_double_precision_named(tmp_path, capsys, name):
+    """At ``2^-1000`` the inverse of a converter mode's leading column matrix
+    overflows: an error that names the mode, with no numpy warning before it."""
+    path = _modes_scaled(name, -1000, tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", path]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert re.match(r"error: mode \d+: the leading column matrix has no inverse", lines[0])
 
 
 @pytest.mark.parametrize(

@@ -11,9 +11,7 @@ from sldstab import polymat
 from sldstab.polymat import (
     TRIM_TOL,
     NonFiniteError,
-    Poly,
     PolyMatrix,
-    as_poly,
     canonical_rep,
     column_degrees,
     column_reduce,
@@ -36,7 +34,7 @@ def _to_sympy(M: PolyMatrix) -> sympy.Matrix:
     out = sympy.zeros(M.rows, M.cols)
     for i in range(M.rows):
         for j in range(M.cols):
-            c = M.entry(i, j).coeffs
+            c = M.entry(i, j).coeffs[:, 0, 0]
             out[i, j] = sum(sympy.Float(v) * xi**k for k, v in enumerate(c))
     return out
 
@@ -47,22 +45,22 @@ def _random_polymatrix(rng, n, deg):
 
 class TestPoly:
     def test_eval_and_degree(self):
-        p = Poly([2.0, 3.0, 1.0])  # 2 + 3 xi + xi^2
+        p = PolyMatrix.from_entries([[[2.0, 3.0, 1.0]]])  # 2 + 3 xi + xi^2
         assert p.degree == 2
-        assert p(0.0) == pytest.approx(2.0)
-        assert p(-1.0) == pytest.approx(0.0)
-        assert p(2.0) == pytest.approx(12.0)
+        assert p(0.0)[0, 0] == pytest.approx(2.0)
+        assert p(-1.0)[0, 0] == pytest.approx(0.0)
+        assert p(2.0)[0, 0] == pytest.approx(12.0)
 
     def test_divmod(self):
         # (xi^2 + 3 xi + 2) / (xi + 1) = xi + 2 with zero remainder
         num = PolyMatrix.from_entries([[[2.0, 3.0, 1.0]]])
         den = PolyMatrix.from_entries([[[1.0, 1.0]]])
         q = polynomial_part(num, den)
-        assert np.allclose(q.entry(0, 0).coeffs, [2.0, 1.0])
+        assert np.allclose(q.entry(0, 0).coeffs[:, 0, 0], [2.0, 1.0])
         assert canonical_rep(num, den).is_zero()
 
     def test_roots(self):
-        r = poly_roots(Poly([2.0, 3.0, 1.0]))
+        r = poly_roots(PolyMatrix.from_entries([[[2.0, 3.0, 1.0]]]))
         assert np.allclose(sorted(r.real), [-2.0, -1.0])
 
 
@@ -74,7 +72,7 @@ class TestDeterminant:
         )
         d = determinant(R)
         assert d.degree == 2
-        assert np.allclose(d.coeffs, [-1.0, -2.0, -1.0])
+        assert np.allclose(d.coeffs[:, 0, 0], [-1.0, -2.0, -1.0])
 
     @pytest.mark.parametrize("n,deg", [(2, 2), (3, 1), (4, 2), (5, 1), (5, 2), (6, 1)])
     def test_matches_symbolic(self, n, deg):
@@ -83,7 +81,7 @@ class TestDeterminant:
         ours = determinant(R)
         ref = sympy.Poly(_to_sympy(R).det(), xi).all_coeffs()[::-1]
         ref = np.array([float(v) for v in ref])
-        got = ours.coeffs[: len(ref)]
+        got = ours.coeffs[: len(ref), 0, 0]
         assert np.allclose(got, ref, atol=1e-6 * max(1.0, np.abs(ref).max()))
 
 
@@ -108,7 +106,7 @@ def _assert_unimodular_reduction(R, Rred, U, Uinv, tol):
     assert (U @ Uinv - PolyMatrix.identity(R.rows)).max_norm() <= tol * max(
         1.0, U.max_norm() * Uinv.max_norm()
     )
-    d = determinant(Uinv).coeffs
+    d = determinant(Uinv).coeffs[:, 0, 0]
     assert d[0] != 0.0
     assert np.all(np.abs(d[1:]) <= tol * abs(d[0]))
 
@@ -122,7 +120,7 @@ class TestLeibnizKernels:
     def test_matches_sympy(self, R):
         exact = _to_exact(R)
         d = determinant(R)
-        assert d.coeffs.tolist() == _exact_coeffs(exact.det())
+        assert d.coeffs[:, 0, 0].tolist() == _exact_coeffs(exact.det())
         if not d.is_zero():
             _assert_unimodular_reduction(R, *column_reduce(R)[:3], tol=1e-12)
 
@@ -161,10 +159,11 @@ def _family_mode() -> PolyMatrix:
 
 
 class TestCanonicalRep:
-    def test_zero_quotient_skips_the_division(self, monkeypatch):
+    def test_zero_quotient_leaves_f(self, monkeypatch):
         # deg F + deg U < min_j d_j: the quotient is zero, and F is its own
         # representative, bit for bit what F - N R gives; at the bound, by
-        # the degree of F or of U, the division runs
+        # the degree of F or of U, the quotient is not zero.  Each call
+        # divides once
         A = np.array([[-1.0, 2.0], [-3.0, -4.0]])
         R = PolyMatrix(np.stack([-A, np.eye(2)]))  # column reduced: U = I, d = (1, 1)
         F = PolyMatrix(np.array([[[0.3, -1.2], [2.0, 0.5]]]))
@@ -173,10 +172,9 @@ class TestCanonicalRep:
         quotient = polymat._quotient
         monkeypatch.setattr(polymat, "_quotient", lambda *a: calls.append(a) or quotient(*a))
         full = F - polynomial_part(F, R) @ R
-        calls.clear()
         assert np.array_equal(canonical_rep(F, R).coeffs, full.coeffs)
+        assert np.array_equal(canonical_rep(F, R).coeffs, F.coeffs)
         assert np.array_equal(canonical_rep(F.row(1), R).coeffs, full.row(1).coeffs)
-        assert calls == []
         for G, S in ((F1, R), (F, _family_mode())):
             calls.clear()
             rep = canonical_rep(G, S)
@@ -192,7 +190,7 @@ class TestCanonicalRep:
         for _ in range(10):
             n = int(rng.integers(1, 4))
             R = _random_polymatrix(rng, n, int(rng.integers(1, 3)))
-            if abs(determinant(R).coeffs[-1]) < 1e-9:
+            if abs(determinant(R).coeffs[-1, 0, 0]) < 1e-9:
                 continue
             F = PolyMatrix(
                 rng.integers(-3, 4, size=(3, int(rng.integers(1, 3)), n)).astype(float)
@@ -218,12 +216,12 @@ class TestCanonicalRep:
         R = PolyMatrix.from_entries([[[2.0, 3.0, 1.0]]])
         F = PolyMatrix.from_entries([[[0.0, 0.0, 1.0]]])
         C = canonical_rep(F, R)
-        assert np.allclose(C.entry(0, 0).coeffs, [-2.0, -3.0])
+        assert np.allclose(C.entry(0, 0).coeffs[:, 0, 0], [-2.0, -3.0])
 
 
 def _to_exact(M: PolyMatrix) -> sympy.Matrix:
     return sympy.Matrix(M.rows, M.cols, lambda i, j: sympy.Poly(
-        [sympy.Rational(c) for c in M.entry(i, j).coeffs[::-1]], xi
+        [sympy.Rational(c) for c in M.entry(i, j).coeffs[::-1, 0, 0]], xi
     ).as_expr())
 
 
@@ -250,7 +248,7 @@ class TestPolynomialPartReference:
         for _ in range(4):
             n = int(rng.integers(1, 4))
             R = _random_polymatrix(rng, n, int(rng.integers(1, 3)))
-            if abs(determinant(R).coeffs[-1]) < 1e-9:
+            if abs(determinant(R).coeffs[-1, 0, 0]) < 1e-9:
                 continue
             F = PolyMatrix(
                 rng.integers(-3, 4, size=(int(rng.integers(1, 5)), 2, n)).astype(float)
@@ -290,7 +288,7 @@ class TestPolynomialPartReference:
         ref = _sympy_polynomial_part(N, D)[0, 0]
         assert (ref == 0) == strict
         assert is_strictly_proper(N, D) == strict
-        got = polynomial_part(N, D).entry(0, 0).coeffs
+        got = polynomial_part(N, D).entry(0, 0).coeffs[:, 0, 0]
         want = [float(c) for c in sympy.Poly(ref, xi).all_coeffs()[::-1]]
         assert np.allclose(got, want, atol=1e-12)
 
@@ -403,13 +401,13 @@ MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
 def _per_entry_from_entries(grid) -> PolyMatrix:
-    """The build with one trimmed ``Poly`` per entry, stacked afterwards."""
-    polys = [[as_poly(e) for e in row] for row in grid]
-    deg = max(len(p.coeffs) for row in polys for p in row)
+    """The build with each entry trimmed on its own, stacked afterwards."""
+    polys = [[_poly_trim_reference(e) for e in row] for row in grid]
+    deg = max(len(p) for row in polys for p in row)
     c = np.zeros((deg, len(grid), len(grid[0])))
     for i, row in enumerate(polys):
         for j, p in enumerate(row):
-            c[: len(p.coeffs), i, j] = p.coeffs
+            c[: len(p), i, j] = p
     return PolyMatrix(c)
 
 
@@ -429,7 +427,7 @@ def _corpus_grids():
 
 @st.composite
 def _entry(draw):
-    """A coefficient list, ``Poly`` or scalar, some with tiny trailing terms."""
+    """A coefficient list or scalar, some lists with tiny trailing terms."""
     coeffs = draw(st.lists(
         st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False),
         min_size=1, max_size=4,
@@ -440,10 +438,7 @@ def _entry(draw):
         max_size=3,
     ))
     coeffs = coeffs + [t * peak for t in tail]
-    kind = draw(st.sampled_from(["list", "poly", "scalar"]))
-    if kind == "poly":
-        return Poly(coeffs)
-    return coeffs[0] if kind == "scalar" else coeffs
+    return coeffs[0] if draw(st.booleans()) else coeffs
 
 
 @st.composite
@@ -453,7 +448,7 @@ def _entry_grid(draw):
 
 
 class TestFromEntries:
-    """One stacked build equals the per-entry ``Poly`` build bit for bit."""
+    """One stacked build equals the per-entry trimmed build bit for bit."""
 
     def test_corpus(self):
         grids = list(_corpus_grids())
@@ -479,8 +474,7 @@ class TestFromEntries:
         def wire(e):
             if isinstance(e, float):
                 return e
-            vals = e.coeffs.tolist() if isinstance(e, Poly) else e
-            return [int(v) if v.is_integer() and v != 0.0 else v for v in vals]
+            return [int(v) if v.is_integer() and v != 0.0 else v for v in e]
 
         doc = [[wire(e) for e in row] for row in grid]
         want = _per_entry_from_entries(grid).coeffs
@@ -521,7 +515,7 @@ def test_vstack():
     B = PolyMatrix.from_entries([[[0.0, 1.0], [0.0]]])
     M = vstack([A, B])
     assert M.shape == (3, 2)
-    assert np.allclose(M.entry(2, 0).coeffs, [0.0, 1.0])
+    assert np.allclose(M.entry(2, 0).coeffs[:, 0, 0], [0.0, 1.0])
 
 
 def _exact_adjugate(R: PolyMatrix) -> PolyMatrix:
@@ -534,7 +528,7 @@ def _exact_adjugate(R: PolyMatrix) -> PolyMatrix:
 
 def _per_call_polynomial_part(F: PolyMatrix, R: PolyMatrix) -> PolyMatrix:
     """The division with ``det R`` and ``adj R`` computed for this call only."""
-    d = determinant(R).coeffs
+    d = determinant(R).coeffs[:, 0, 0]
     m = len(d) - 1
     rem = (F @ _exact_adjugate(R)).coeffs.copy()
     if rem.shape[0] <= m:
@@ -714,7 +708,8 @@ def _matrix_trim_reference(c):
 
 
 def _poly_trim_reference(c):
-    """Reference: the ``Poly`` trim before the non-finite check (finite input)."""
+    """Reference: one entry trimmed on its own, trailing terms at most
+    ``TRIM_TOL`` of its largest cut (finite input)."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
     if c.size == 0:
         return np.zeros(1)
@@ -767,8 +762,8 @@ def _trim_stack(draw):
 
 
 class TestOnePassTrim:
-    """``PolyMatrix`` and ``Poly`` trims equal their reference copies bit for
-    bit, sign of zero included; a non-finite coefficient is an error."""
+    """The ``PolyMatrix`` trim equals its reference copy bit for bit, sign of
+    zero included; a non-finite coefficient is an error."""
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(_trim_stack())
@@ -778,9 +773,6 @@ class TestOnePassTrim:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert got.flags.c_contiguous and not got.flags.writeable
-        if c.shape[1] and c.shape[2]:
-            col = c[:, 0, 0]
-            assert Poly(col).coeffs.tobytes() == _poly_trim_reference(col).tobytes()
 
     @pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 2), (2, 2, 0), (0, 0, 0)])
     def test_empty_stack_is_zero(self, shape):
@@ -794,8 +786,6 @@ class TestOnePassTrim:
     def test_non_finite_coefficient_rejected(self, coeffs):
         with pytest.raises(NonFiniteError, match="non-finite"):
             PolyMatrix(np.array(coeffs)[:, None, None])
-        with pytest.raises(NonFiniteError, match="non-finite"):
-            Poly(coeffs)
 
     def test_determinant_overflow_rejected(self):
         # det = 1e320 (xi + 1)(xi + 2) overflows; the error is not "singular"
@@ -838,7 +828,7 @@ class TestDetRoots:
         # its entry, whose last row holds the entry's monic coefficients
         P = P.scale(scale)
         assume(not P.is_zero())
-        c = P.entry(0, 0).coeffs
+        c = P.entry(0, 0).coeffs[:, 0, 0]
         red = P._reduction
         assert red.degrees == (len(c) - 1,) and len(P.det_roots) == len(c) - 1
         if len(c) > 1:
