@@ -26,6 +26,14 @@ So a certificate is its kernels ``Kbar_k`` alone: the search solves for
 them, the file stores them, and ``verify_mlf`` rebuilds decay, positivity
 and switch conditions from them.  The equation itself is assembled in one
 place, :func:`assemble_ple_lmi`.
+
+The search starts from the per-mode solutions ``K_k`` of ``A_k^T K_k +
+K_k A_k = -I``, scaled by ``c_k`` over the transition graph so that every
+switch condition holds with a relative gap (:func:`_switch_scales`).  Such
+scales exist exactly when the graph's weights ``log r_kl + gamma`` have no
+cycle of positive weight.  When the scaled start verifies, it is the
+certificate (``iterations`` 0) and no LMI is built; otherwise the LMI
+search runs from it.
 """
 
 from __future__ import annotations
@@ -44,6 +52,12 @@ from .statespace import realize
 
 EPS_REL = 1e-7
 SCAN_RATIOS = np.geomspace(1e-3, 1e3, 121)  # c_2 / c_1 grid of scan_canonical_family
+# gamma of the scaled start: c_k / c_l exceeds the least ratio r_kl by the
+# factor exp(gamma) = 1.1, so each switch condition holds with a 10 % relative
+# gap that rounding cannot close, not at the eps bonus.  It also makes every
+# cycle with r = 1 on each transition (L = I both ways) positive: such models
+# keep the unscaled start.
+SWITCH_GAP = math.log(1.1)
 
 
 @dataclass
@@ -79,11 +93,63 @@ def problem_scale(model: SldsModel, solutions=None) -> float:
     return max(best, 1e-300)
 
 
+def _switch_scales(kernels: list[np.ndarray], maps: dict) -> np.ndarray | None:
+    """Scales ``c_k >= 1`` with ``c_k K_k - c_l L^T K_l L >= (1 - e^-gamma) c_k K_k``
+    for every transition ``(k, l) -> L`` of ``maps`` (modes count from 1,
+    ``gamma = SWITCH_GAP``), or ``None`` when no such scales exist.
+
+    With ``r_kl = lambda_max(K_k^{-1/2} L^T K_l L K_k^{-1/2})`` the switch
+    condition reads ``c_k / c_l >= e^gamma r_kl``, i.e. ``y_k >= y_l +
+    log r_kl + gamma`` for ``y = log c``: a longest-path problem on the
+    transition graph (Branicky, IEEE TAC 43(4), 1998), solved by
+    Bellman-Ford from ``y = 0`` in at most ``m`` rounds.  A graph whose
+    ``m``-th round still relaxes has a cycle of positive weight, and then
+    no scales exist (Karp, Discrete Math. 23, 1978).  Neither do they when
+    a ``K_k`` is not positive definite.
+    """
+    inv_factors = []  # C_k^-1 for K_k = C_k C_k^T
+    for K in kernels:
+        try:
+            inv_factors.append(np.linalg.inv(np.linalg.cholesky(K)))
+        except np.linalg.LinAlgError:
+            return None
+    edges = []
+    for (k, l), L in sorted(maps.items()):
+        W = inv_factors[k - 1] @ L.T
+        W = W @ kernels[l - 1] @ W.T  # similar to K_k^-1 L^T K_l L
+        r = float(np.max(np.linalg.eigvalsh(0.5 * (W + W.T)), initial=0.0))
+        if r > 0.0:  # r = 0: the switch holds at every scale
+            edges.append((k - 1, l - 1, math.log(r) + SWITCH_GAP))
+    y = np.zeros(len(kernels))
+    for _ in range(len(kernels)):
+        changed = False
+        for k, l, w in edges:
+            if y[l] + w > y[k]:
+                y[k] = y[l] + w
+                changed = True
+        if not changed:
+            c = np.exp(y - y.min())
+            return c if np.all(np.isfinite(c)) else None
+    return None  # a positive cycle
+
+
 def _warm_start(model: SldsModel, solutions=None) -> dict:
-    """Per-mode Lyapunov solutions ``A^T K + K A = -I``, symmetrised."""
+    """The start of the search: the per-mode Lyapunov solutions
+    ``A^T K + K A = -I``, symmetrised and scaled by :func:`_switch_scales`.
+
+    Scaled, the kernels decay along their modes and meet every switch
+    condition with a relative gap of ``1 - e^-SWITCH_GAP``, so they are
+    usually a certificate already.  Where no scales exist (a cycle of
+    positive weight, or a ``K_k`` that is not positive definite) the
+    kernels stay unscaled.
+    """
     if solutions is None:
         solutions = _unit_lyapunov(model)
-    return {f"K{k}": 0.5 * (K + K.T) for k, K in enumerate(solutions, start=1)}
+    kernels = [0.5 * (K + K.T) for K in solutions]
+    scales = _switch_scales(kernels, {key: rm.L for key, rm in model.reinits.items()})
+    if scales is not None:
+        kernels = [c * K for c, K in zip(scales, kernels)]
+    return {f"K{k}": K for k, K in enumerate(kernels, start=1)}
 
 
 def assemble_ple_lmi(
@@ -192,16 +258,24 @@ def find_mlf(
 ) -> MlfCertificate:
     """Search for an MLF certificate; check ``.feasible`` on the result.
 
-    :func:`make_certificate` takes the stored margins and the ``feasible``
-    flag from ``verify_mlf``.
+    The start kernels (:func:`_warm_start`) go through
+    :func:`make_certificate` first: when they verify, they are the
+    certificate, with ``iterations`` 0, and no LMI is compiled.  Otherwise
+    the LMI search runs from the same start.  :func:`make_certificate`
+    takes the stored margins and the ``feasible`` flag from ``verify_mlf``.
     """
     solutions = _unit_lyapunov(model)
     if eps is None:
         eps = EPS_REL * problem_scale(model, solutions)
-    prob = assemble_mlf_lmis(model, eps)
-    report = prob.solve(eps, budget=budget, warm_start=_warm_start(model, solutions))
-    kernels = [report.values[f"K{k}"] for k in range(1, model.n_modes + 1)]
+    start = _warm_start(model, solutions)
+    names = [f"K{k}" for k in range(1, model.n_modes + 1)]
+    solver = {"iterations": 0, "budget": budget}
+    cert = make_certificate(model, "lmi", [start[n] for n in names], eps=eps, solver=solver)
+    if cert.feasible:
+        return cert
+    report = assemble_mlf_lmis(model, eps).solve(eps, budget=budget, warm_start=start)
     solver = {"iterations": report.iterations, "budget": budget}
+    kernels = [report.values[n] for n in names]
     return make_certificate(model, "lmi", kernels, eps=eps, solver=solver)
 
 

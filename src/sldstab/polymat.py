@@ -140,10 +140,6 @@ class PolyMatrix:
     def identity(cls, n: int) -> "PolyMatrix":
         return cls(np.eye(n)[None, :, :])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "PolyMatrix":
-        return cls(np.zeros((1, rows, cols)))
-
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -231,16 +227,6 @@ class PolyMatrix:
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.shape} @ {other.shape}")
         return PolyMatrix(_matmul(self.coeffs, other.coeffs))
-
-    def scale(self, a) -> "PolyMatrix":
-        """Multiply by a real scalar or a scalar polynomial given by its
-        ascending coefficients."""
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        c = np.zeros((len(a) + self.coeffs.shape[0] - 1,) + self.shape)
-        with np.errstate(over="ignore", invalid="ignore"):  # the trim rejects an overflow
-            for i, ai in enumerate(a):
-                c[i : i + self.coeffs.shape[0]] += ai * self.coeffs
-        return PolyMatrix(c)
 
     @property
     def T(self) -> "PolyMatrix":

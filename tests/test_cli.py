@@ -16,6 +16,8 @@ from sldstab.mlf import certificate_to_json, find_mlf
 from sldstab.model import SldsModel, load_model, model_to_json
 from sldstab.polymat import PolyMatrix, polymatrix_to_json
 
+import polytools
+
 ROOT = Path(__file__).resolve().parents[1]
 MODELS = ROOT / "models"
 
@@ -430,7 +432,7 @@ class TestPosreal:
         io_args = []
         for flag, R in zip(("--r1", "--r2"), MATRIX_PAIRS[name]()):
             path = tmp_path / f"{flag[2:]}.json"
-            path.write_text(json.dumps(polymatrix_to_json(R.scale(c))))
+            path.write_text(json.dumps(polymatrix_to_json(polytools.scale(R, c))))
             io_args += [flag, str(path)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,16 +1,24 @@
 import importlib.util
+import itertools
 import json
+import math
 from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sldstab.cli import main
-from sldstab.fixtures import concond, elcirc, exmath, source_converter
+from sldstab.fixtures import concond, elcirc, exmath, source_converter, unstable_mode
 from sldstab.mlf import (
     EPS_REL,
+    SWITCH_GAP,
+    _switch_scales,
+    _unit_lyapunov,
+    _warm_start,
     assemble_ple_lmi,
     certificate_from_json,
     certificate_to_json,
@@ -24,6 +32,7 @@ from sldstab.model import load_model, model_from_json
 from sldstab.polymat import PolyMatrix, polymatrix_from_json
 from sldstab.posreal import build_standard_slds
 from sldstab.qdf import qdf_derivative, qdf_mod, sandwich, two_var_from_pair
+from sldstab.sdp import LmiProblem
 from sldstab.statespace import minimal_state_map
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -303,6 +312,135 @@ class TestDecayFormInvariant:
             g = max(lhs.grid, rhs.grid)
             scale = max(1.0, float(np.max(np.abs(rhs.pad(g)))))
             assert np.max(np.abs(lhs.pad(g) - rhs.pad(g))) < 1e-8 * scale
+
+
+def _reinit_maps(model):
+    return {key: rm.L for key, rm in model.reinits.items()}
+
+
+def _log_ratio(kernels, maps, k, l):
+    """``log r_kl + gamma``, with ``r_kl`` the largest generalized eigenvalue
+    of ``(L^T K_l L, K_k)``; minus infinity when ``r_kl`` is not positive."""
+    L = maps[(k, l)]
+    r = scipy.linalg.eigh(L.T @ kernels[l - 1] @ L, kernels[k - 1], eigvals_only=True)[-1]
+    return math.log(r) + SWITCH_GAP if r > 0 else -math.inf
+
+
+def _positive_cycles(kernels, maps):
+    """Every simple cycle of the transition graph whose ``log r + gamma``
+    weights sum above zero, found by walking all of them."""
+    out = []
+    modes = range(1, len(kernels) + 1)
+    for size in range(2, len(kernels) + 1):
+        for cycle in itertools.permutations(modes, size):
+            if cycle[0] != min(cycle):
+                continue  # each cycle once, from its least mode
+            steps = list(zip(cycle, cycle[1:] + cycle[:1]))
+            if all(step in maps for step in steps):
+                if sum(_log_ratio(kernels, maps, k, l) for k, l in steps) > 0:
+                    out.append(cycle)
+    return out
+
+
+def _unscaled(model):
+    return [0.5 * (K + K.T) for K in _unit_lyapunov(model)]
+
+
+class TestScaledStart:
+    """The start scales each mode's unit-Lyapunov kernel by ``c_k`` so that
+    every switch condition holds with a 10 % relative gap, when the
+    transition graph's ``log r + gamma`` weights have no positive cycle."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_family_draw(self, seed, monkeypatch):
+        # a draw whose graph admits the scaling is certified by its start:
+        # no LMI compiled, no Newton step, and margins well above the eps
+        # bonus; a draw that does not has a positive cycle
+        model = _family_draw(seed)
+        kernels, maps = _unscaled(model), _reinit_maps(model)
+        if _switch_scales(kernels, maps) is None:
+            assert _positive_cycles(kernels, maps)
+            return
+        compiles = []
+        compile_ = LmiProblem._compile
+        monkeypatch.setattr(
+            LmiProblem, "_compile", lambda self: compiles.append(1) or compile_(self)
+        )
+        cert = find_mlf(model)
+        assert cert.feasible
+        assert cert.solver["iterations"] == 0
+        assert compiles == []
+        assert min(cert.margins.values()) >= 1e3 * cert.epsilon
+
+    def test_most_family_draws_scale(self):
+        scaled = [
+            _switch_scales(_unscaled(m), _reinit_maps(m)) is not None
+            for m in map(_family_draw, range(30))
+        ]
+        assert sum(scaled) >= 20
+
+    def test_elcirc_switch_headroom(self):
+        # unscaled, switch_1_2 is an exact 0 and passes on the eps bonus alone
+        cert = find_mlf(elcirc())
+        assert cert.solver["iterations"] == 0
+        assert cert.margins["switch_1_2"] >= 1e5 * cert.epsilon
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(concond, id="concond"),
+            pytest.param(exmath, id="exmath"),
+            pytest.param(partial(source_converter, 4), id="source_converter_4mode"),
+            pytest.param(partial(source_converter, 6), id="source_converter_6mode"),
+            pytest.param(unstable_mode, id="unstable_mode"),
+        ],
+    )
+    def test_unscaled_where_no_scaling_exists(self, build):
+        # a positive cycle (L = I both ways between the converters' modes,
+        # and between exmath's), or a kernel that is not positive definite
+        # (a mode that is not Hurwitz): the start stays unscaled
+        model = build()
+        start = _warm_start(model)
+        assert [start[f"K{k}"].tobytes() for k in range(1, model.n_modes + 1)] == [
+            K.tobytes() for K in _unscaled(model)
+        ]
+        find_mlf(model)
+
+
+def _random_graph(seed):
+    """SPD kernels of 2-4 modes with state dimensions 1-3, and maps ``L`` on
+    a random set of transitions."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 5))
+    dims = rng.integers(1, 4, m)
+    kernels = []
+    for n in dims:
+        M = rng.standard_normal((n, n))
+        kernels.append(M @ M.T + 0.1 * np.eye(n))
+    maps = {}
+    for k, l in itertools.permutations(range(1, m + 1), 2):
+        if rng.random() < 0.6:
+            gain = 10.0 ** rng.uniform(-1.5, 0.5)
+            maps[(k, l)] = gain * rng.standard_normal((dims[l - 1], dims[k - 1]))
+    return kernels, maps
+
+
+class TestSwitchScalesProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    def test_gap_or_positive_cycle(self, seed):
+        kernels, maps = _random_graph(seed)
+        scales = _switch_scales(kernels, maps)
+        if scales is None:
+            assert _positive_cycles(kernels, maps)
+            return
+        assert scales.min() == 1.0
+        gap = 1.0 - math.exp(-SWITCH_GAP)
+        for (k, l), L in maps.items():
+            Kk, Kl = scales[k - 1] * kernels[k - 1], scales[l - 1] * L.T @ kernels[l - 1] @ L
+            lam = np.linalg.eigvalsh(Kk - Kl)[0]
+            rounding = 1e-12 * (np.abs(Kk).max() + np.abs(Kl).max())
+            assert lam >= gap * np.linalg.eigvalsh(Kk)[0] - rounding
 
 
 class TestFamilyScan:

@@ -27,6 +27,8 @@ from sldstab.model import SldsModel, modes_hurwitz
 from sldstab.posreal import para_hermitian_boundary
 from sldstab.statespace import minimal_state_map, realize
 
+import polytools
+
 xi = sympy.symbols("xi")
 
 
@@ -532,7 +534,7 @@ def _per_call_polynomial_part(F: PolyMatrix, R: PolyMatrix) -> PolyMatrix:
     m = len(d) - 1
     rem = (F @ _exact_adjugate(R)).coeffs.copy()
     if rem.shape[0] <= m:
-        return PolyMatrix.zeros(F.rows, R.cols)
+        return polytools.zeros(F.rows, R.cols)
     q = np.zeros((rem.shape[0] - m,) + rem.shape[1:])
     for k in range(q.shape[0] - 1, -1, -1):
         q[k] = rem[k + m] / d[m]
@@ -613,7 +615,7 @@ class TestDivisionData:
         R = PolyMatrix.from_entries(self.R_ENTRIES)
         F = PolyMatrix.from_entries([[[0.0, 0.0, 1.0], [1.0]]])
         polynomial_part(F, R)
-        canonical_rep(F.scale(2.0), R)
+        canonical_rep(polytools.scale(F, 2.0), R)
         is_strictly_proper(F, R)
         realize(R, minimal_state_map(R))
         modes_hurwitz(SldsModel(modes=[R], gluing={}))
@@ -792,7 +794,7 @@ class TestOnePassTrim:
         R = PolyMatrix.from_entries([[[1e160, 1e160], [0.0]], [[0.0], [2e160, 1e160]]])
         with pytest.raises(NonFiniteError):
             determinant(R)
-        assert determinant(R.scale(1e-150)).degree == 2
+        assert determinant(polytools.scale(R, 1e-150)).degree == 2
 
 
 class TestDetRoots:
@@ -826,7 +828,7 @@ class TestDetRoots:
     def test_one_by_one_det_is_its_entry(self, P, scale):
         # a 1 x 1 matrix is column reduced: A_c is the companion matrix of
         # its entry, whose last row holds the entry's monic coefficients
-        P = P.scale(scale)
+        P = polytools.scale(P, scale)
         assume(not P.is_zero())
         c = P.entry(0, 0).coeffs[:, 0, 0]
         red = P._reduction

@@ -40,6 +40,8 @@ from sldstab.qdf import (
     two_var_product,
 )
 
+import polytools
+
 MODELS = Path(__file__).resolve().parents[1] / "models"
 XI = sympy.symbols("xi")
 
@@ -251,8 +253,8 @@ class TestStandardConstruction:
         # of xi X1' R1^{-1}, Pi the least-squares fit of X1' mod R2 over X2
         n = 0
         for name, (R1, R2) in _standard_pairs():
-            s = build_standard_slds(R1.scale(c), R2.scale(c))
-            K = polynomial_part(s.X1p.scale([0.0, 1.0]), s.R1)
+            s = build_standard_slds(polytools.scale(R1, c), polytools.scale(R2, c))
+            K = polynomial_part(polytools.scale(s.X1p, [0.0, 1.0]), s.R1)
             assert K.degree <= 0, name
             assert _relative_gap(s.K, K.coeffs[0]) <= 1e-12, name
             rep = canonical_rep(s.X1p, s.R2)

@@ -29,6 +29,8 @@ from sldstab.statespace import (
     realize,
 )
 
+import polytools
+
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
@@ -242,7 +244,7 @@ class TestResidualScale:
         # xi + xi^2 is not strictly proper; a floor of 1 under the scale
         # once accepted this map at c = 1e-10
         R = PolyMatrix.from_entries([[[2.0, 3.0, 1.0]]])
-        X = PolyMatrix.from_entries([[[1.0]], [[0.0, 1.0, 1.0]]]).scale(c)
+        X = polytools.scale(PolyMatrix.from_entries([[[1.0]], [[0.0, 1.0, 1.0]]]), c)
         with pytest.raises(ValueError, match="not a valid state map"):
             realize(R, X)
 
@@ -258,7 +260,7 @@ class TestResidualScale:
             for R, X in zip(model.modes, model.state_maps):
                 for c in scales:
                     for s in scales:
-                        real = realize(R.scale(c), X.scale(s))
+                        real = realize(polytools.scale(R, c), polytools.scale(X, s))
                         assert real.n == X.rows, (path.stem, c, s)
 
 
@@ -293,12 +295,12 @@ class TestStackedBlocks:
         R, X = self._mode()
         kept, dropped = X.stack()[:-1], X.row(X.rows - 1)
         Xs = PolyMatrix.from_stack(kept, X.cols)
-        inside = [Xs.scale(1e6), Xs.row(0)]
+        inside = [polytools.scale(Xs, 1e6), Xs.row(0)]
         assert len(_express_per_block(inside, R, Xs)) == 2
         with pytest.raises(ValueError, match="X is not a minimal state map"):
             realize(R, Xs)
         real = realize(R, X)
-        for outside in (dropped, dropped.scale(1e-6)):
+        for outside in (dropped, polytools.scale(dropped, 1e-6)):
             blocks = [inside[0], outside, inside[1]]
             with pytest.raises(ValueError, match="not in the state-map row span"):
                 _express_per_block(blocks, R, Xs)
@@ -503,7 +505,7 @@ def _span_case(draw):
             G = G + PolyMatrix(rng.standard_normal((2, rows, R.rows))) @ R
         else:
             G = PolyMatrix(rng.standard_normal((4, rows, X.cols)))
-        blocks.append(G.scale(0.0 if kind == "zero" else 10.0 ** rng.integers(-8, 9)))
+        blocks.append(polytools.scale(G, 0.0 if kind == "zero" else 10.0 ** rng.integers(-8, 9)))
     return blocks, R, X
 
 
