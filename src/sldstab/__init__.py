@@ -8,7 +8,7 @@ audits certificates against exact simulations.
 """
 
 from .mlf import MlfCertificate, find_mlf, verify_mlf
-from .model import SldsModel, is_consistent, is_well_posed, load_model, reinit_maps, save_model
+from .model import SldsModel, is_well_posed, load_model, reinit_maps, save_model
 from .polymat import PolyMatrix
 from .posreal import (
     StandardSlds,
@@ -35,7 +35,6 @@ __all__ = [
     "asymptotic_check",
     "build_standard_slds",
     "find_mlf",
-    "is_consistent",
     "is_strictly_positive_real",
     "is_well_posed",
     "load_model",

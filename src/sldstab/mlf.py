@@ -395,20 +395,20 @@ def certificate_to_json(cert: MlfCertificate) -> dict:
 
 
 def certificate_from_json(doc: dict) -> MlfCertificate:
-    """Read a certificate file; keys other than ``certificate_to_json``'s
-    (the ``Y``, ``F``, per-mode margins and ``transitions`` of older files)
-    are ignored.  Rejects an ``epsilon`` that is not positive and finite and
-    a ``K`` that is not a finite symmetric square matrix."""
-    json_object(doc, "certificate file")
-    for key in ("route", "epsilon", "modes"):
-        if key not in doc:
-            raise ValueError(f"certificate missing key '{key}'")
+    """Read a certificate file; a missing or wrong-typed field is a
+    ``ValueError`` that names it, and keys other than
+    ``certificate_to_json``'s (the ``Y``, ``F``, per-mode margins and
+    ``transitions`` of older files) are ignored.  Rejects an ``epsilon``
+    that is not positive and finite and a ``K`` that is not a finite
+    symmetric square matrix."""
+    json_object(doc, "certificate file", ("route", "epsilon", "modes"))
     eps = json_float(doc["epsilon"], "certificate epsilon")
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"certificate epsilon must be positive and finite, got {eps}")
     kernels = []
     for k, mode in enumerate(json_list(doc["modes"], "certificate modes"), start=1):
-        rows = json_list(json_object(mode, f"mode {k}")["K"], f"mode {k}: kernel K")
+        mode = json_object(mode, f"certificate mode {k}", ("K",))
+        rows = json_list(mode["K"], f"mode {k}: kernel K")
         for i, row in enumerate(rows, start=1):
             for j, v in enumerate(json_list(row, f"mode {k}: kernel K row {i}"), start=1):
                 json_float(v, f"mode {k}: kernel K entry ({i},{j})")

@@ -57,7 +57,6 @@ from .statespace import (
 )
 
 RANK_REL_TOL = 1e-9
-CONSISTENCY_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -203,21 +202,6 @@ def is_well_posed(model: SldsModel) -> tuple[dict[tuple[int, int], bool], bool]:
     return verdicts, all(verdicts.values())
 
 
-def is_consistent(model: SldsModel) -> dict[tuple[int, int], bool]:
-    """True per transition iff ``range(F-) is contained in range(F+)``."""
-    nf = model.normal_form_pairs
-    out = {}
-    for key, pair in nf.items():
-        fm, fp = pair.f_minus, pair.f_plus
-        if not np.any(fm):
-            out[key] = True
-            continue
-        sol, *_ = np.linalg.lstsq(fp, fm, rcond=None)
-        resid = np.linalg.norm(fp @ sol - fm)
-        out[key] = bool(resid <= CONSISTENCY_REL_TOL * np.linalg.norm(fm))
-    return out
-
-
 def reinit_maps(model: SldsModel) -> dict[tuple[int, int], ReinitMap]:
     """Re-initialisation maps ``L = pinv(F+) F-`` for well-posed transitions.
 
@@ -277,10 +261,7 @@ def _polymatrix(data, what: str) -> PolyMatrix:
 def model_from_json(doc: dict) -> SldsModel:
     """Read a model file; a missing or wrong-typed field is a ``ValueError``
     that names it."""
-    json_object(doc, "model file")
-    for key in ("variables", "modes", "gluing"):
-        if key not in doc:
-            raise ValueError(f"model file missing key '{key}'")
+    json_object(doc, "model file", ("variables", "modes", "gluing"))
     w = json_int(doc["variables"], "variables")
     modes = [
         _polymatrix(m, f"mode {i + 1}")
@@ -291,7 +272,7 @@ def model_from_json(doc: dict) -> SldsModel:
             raise ValueError(f"mode {i + 1} must be {w}x{w}, got {R.shape}")
     gluing = {}
     for i, item in enumerate(json_list(doc["gluing"], "gluing"), start=1):
-        json_object(item, f"gluing entry {i}")
+        json_object(item, f"gluing entry {i}", ("from", "to", "g_minus", "g_plus"))
         k, l = (json_int(item[end], f"gluing entry {i} '{end}'") for end in ("from", "to"))
         if (k, l) in gluing:
             raise ValueError(f"duplicate gluing entry for ({k},{l})")

@@ -6,11 +6,15 @@ Coefficients are stored ascending (index i holds the coefficient of
 relative tolerance and treated as immutable; every operation returns a new
 object.  A non-finite coefficient, such as an overflowed product or sum, is
 an error (:class:`NonFiniteError`), not a trimmed zero.  A :class:`PolyMatrix`
-keeps its coefficients read-only, so the column reduction it caches, its one
-divisor, never goes stale.  The column reduction also carries the companion
-data of ``R'``, off which :func:`state_coordinates` reads row blocks modulo
-``R`` with no division, and whose ``A_c`` has the roots of ``det R`` as its
-eigenvalues (:attr:`PolyMatrix.det_roots`).  The Leibniz :func:`determinant`,
+keeps its coefficients read-only, so the column reduction ``R U = R'`` it
+caches never goes stale.  Everything modulo ``R`` is read off that one
+reduction, and the package divides no polynomial matrix by another:
+:func:`is_strictly_proper` compares the column degrees of ``N U`` with those
+of ``R'``, :func:`minimal_state_map` is the rows of ``U^{-1}`` shifted below
+them, and the companion data of ``R'`` give the state coordinates of any row
+block (:func:`state_coordinates`) and so its :func:`canonical_rep`.  The
+``A_c`` of ``R'`` has the roots of ``det R`` as its eigenvalues
+(:attr:`PolyMatrix.det_roots`).  The Leibniz :func:`determinant`,
 a ``1 x 1`` matrix, and :func:`poly_roots` of one are references for the
 tests; no command calls them.
 """
@@ -59,15 +63,13 @@ def _stack_entries(grid) -> np.ndarray:
 
 
 class _Reduction(NamedTuple):
-    """``R U = R'``: ``R'``, ``U``, ``U^{-1}``, ``R'``'s column degrees,
-    ``R'_hc^{-1}`` and the companion data ``A_c``, ``B_c``, ``O`` of ``R'``
-    (:func:`column_reduce`)."""
+    """``R U = R'``: ``R'``, ``U``, ``U^{-1}``, ``R'``'s column degrees and
+    the companion data ``A_c``, ``B_c``, ``O`` of ``R'`` (:func:`column_reduce`)."""
 
     Rp: "PolyMatrix"
     U: "PolyMatrix"
     Uinv: "PolyMatrix"
     degrees: tuple[int, ...]
-    hc_inv: np.ndarray
     Ac: np.ndarray
     Bc: np.ndarray
     O: np.ndarray
@@ -84,7 +86,7 @@ class PolyMatrix:
     and two-variable forms are matched coefficient by coefficient;
     :meth:`from_stack` reads it back.
 
-    Every division modulo a square ``R`` divides by its column reduction
+    All work modulo a square ``R`` reads its column reduction
     ``R U = R'`` (:func:`column_reduce`), which is computed at first use and
     kept on the matrix, so a matrix reduced many times (a model's mode) pays
     for it once; so are the roots of ``det R`` (:attr:`det_roots`), the
@@ -359,7 +361,7 @@ def poly_roots(p: PolyMatrix) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# division modulo a nonsingular R
+# block maxima of a row stack
 
 
 def block_max(row_max: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -372,60 +374,6 @@ def block_max(row_max: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     out = np.zeros(len(sizes))
     out[sizes > 0] = np.maximum.reduceat(row_max, bounds[:-1][sizes > 0])
     return out
-
-
-def _quotient(F: PolyMatrix, R: PolyMatrix) -> np.ndarray:
-    """Untrimmed polynomial part of ``F R^{-1} = F U R'^{-1}``, with ``F U``
-    trimmed as one matrix.  One downward pass over the excess degrees ``k``
-    removes the coefficients ``C_k`` of ``xi^(k + d_j)`` of every column ``j``
-    at once with the quotient term ``C_k R'_hc^{-1} xi^k``; the remainder
-    left has column degrees below ``d_j``, so it is strictly proper over the
-    column-reduced ``R'`` (Kailath, *Linear Systems*, 1980, section 6.3)."""
-    red = R._reduction
-    Rp, d, hc_inv = red.Rp, red.degrees, red.hc_inv
-    rem = (F if Rp is R else F @ red.U).coeffs  # R' = R: U = I
-    top = len(rem) - 1 - min(d)  # highest quotient degree
-    if top < 0:
-        return np.zeros((1,) + rem.shape[1:])
-    r, s, shift = Rp.coeffs, rem.copy(), [max(d) - dj for dj in d]  # rem is read-only
-    if any(shift):  # move column j up by its shift: C_k is slice k + max(d)
-        r, s = np.zeros(r.shape), np.zeros((len(rem) + max(shift),) + rem.shape[1:])
-        for j, sh in enumerate(shift):
-            r[sh:, :, j] = Rp.coeffs[: d[j] + 1, :, j]
-            s[sh : sh + len(rem), :, j] = rem[:, :, j]
-    q = np.empty((top + 1,) + rem.shape[1:])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(top, -1, -1):
-            q[k] = s[k + max(d)] @ hc_inv
-            s[k : k + len(r)] -= q[k] @ r
-    return q
-
-
-def polynomial_part(F: PolyMatrix, R: PolyMatrix) -> PolyMatrix:
-    """Polynomial part ``N`` of ``F R^{-1} = N + S`` with ``S`` strictly proper.
-
-    One division of the coefficient stack of ``F U`` by the column-reduced
-    ``R' = R U``, all entries at once, one step per quotient degree.
-    """
-    if F.cols != R.rows:
-        raise ValueError("dimension mismatch between F and R")
-    return PolyMatrix(_quotient(F, R))
-
-
-def canonical_rep(F: PolyMatrix, R: PolyMatrix) -> PolyMatrix:
-    """Canonical representative of ``F`` modulo ``R``.
-
-    Returns ``G' = S R`` where ``S`` is the strictly proper part of
-    ``F R^{-1}``; equivalently ``F - N R`` with ``N`` the polynomial part.
-    """
-    if F.cols != R.rows:
-        raise ValueError("dimension mismatch between F and R")
-    return F - PolyMatrix(_quotient(F, R)) @ R
-
-
-def is_strictly_proper(N: PolyMatrix, D: PolyMatrix) -> bool:
-    """True iff every entry of ``N D^{-1}`` is strictly proper."""
-    return polynomial_part(N, D).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +424,7 @@ def state_coordinates(blocks: Sequence[PolyMatrix], R: PolyMatrix) -> np.ndarray
     ``G U = F Psi`` modulo ``R' = R U``, and ``xi^i I = O A_c^i Psi`` modulo
     ``R'`` (:func:`_companion`), so ``F = sum_i (G U)_i O A_c^i``: one
     product with ``U`` and one with the stacked ``O A_c^i``, no division.
-    ``Psi U^{-1}`` is the minimal state map of ``R``.  No block is trimmed
+    ``Psi U^{-1}`` is :func:`minimal_state_map`.  No block is trimmed
     against another.
     """
     if any(b.cols != R.rows for b in blocks):
@@ -494,9 +442,9 @@ def state_coordinates(blocks: Sequence[PolyMatrix], R: PolyMatrix) -> np.ndarray
 
 def column_reduce(R: PolyMatrix, max_iter: int = 200) -> _Reduction:
     """Column reduction ``R' = R U`` with ``U`` unimodular; returns
-    ``(R', U, U^{-1}, d, R'_hc^{-1}, A_c, B_c, O)``, ``d`` the column
-    degrees of ``R'`` and the last three its companion data
-    (:func:`_companion`).
+    ``(R', U, U^{-1}, d, A_c, B_c, O)``, ``d`` the column degrees of ``R'``
+    and the last three its companion data (:func:`_companion`), formed with
+    ``R'_hc^{-1}``, the inverse of its leading column matrix.
 
     Repeatedly cancels the highest-column-degree coefficient matrix ``G``
     along a null direction ``v`` until it becomes nonsingular: column ``j*``
@@ -543,7 +491,7 @@ def column_reduce(R: PolyMatrix, max_iter: int = 200) -> _Reduction:
                     "the leading column matrix has no inverse in double precision; "
                     "rescale the mode"
                 )
-            return _Reduction(Rp, U, Uinv, d, hc_inv, *_companion(Rp.coeffs, d, hc_inv))
+            return _Reduction(Rp, U, Uinv, d, *_companion(Rp.coeffs, d, hc_inv))
         v = vt[-1]
         # E = I with column j* set to sum_j v_j xi^shift_j e_j, trimmed as
         # PolyMatrix(E) would be: its largest entry is 1 (a step has n > 1,
@@ -577,15 +525,78 @@ def column_reduce(R: PolyMatrix, max_iter: int = 200) -> _Reduction:
 
 
 # ---------------------------------------------------------------------------
+# modulo a nonsingular R, off its column reduction
+
+
+def minimal_state_map(R: PolyMatrix) -> PolyMatrix:
+    """Deterministic minimal state map for ``ker R(d/dt)``.
+
+    Column-reduce ``R`` to ``R' = R U`` with column degrees ``d_j``; the rows
+    ``e_j xi^k`` (``k < d_j``) form a basis for ``R'`` and are mapped back
+    through ``U^{-1}`` (row ``j`` of ``U^{-1}`` shifted by ``k``).  Rows are
+    ordered by (column index, power ascending); there are ``sum d_j`` of them.
+
+    The map is canonical by construction: ``R'`` is column reduced, so
+    ``xi^k e_j R'^{-1}`` is strictly proper for ``k < d_j`` (Kailath,
+    *Linear Systems*, 1980, section 6.3), and
+    ``xi^k e_j U^{-1} R^{-1} = xi^k e_j R'^{-1}``: each row already is its
+    own canonical representative modulo ``R``.
+    """
+    red = R._reduction  # raises if R is not square or is singular
+    u = red.Uinv.coeffs
+    rows = np.zeros((u.shape[0] + max(red.degrees) - 1, sum(red.degrees), R.cols))
+    at = 0
+    for j, dj in enumerate(red.degrees):
+        for k in range(dj):
+            rows[k : k + u.shape[0], at] = u[:, j]
+            at += 1
+    return PolyMatrix(rows)
+
+
+def is_strictly_proper(N: PolyMatrix, D: PolyMatrix) -> bool:
+    """True iff every entry of ``N D^{-1}`` is strictly proper.
+
+    Over ``D``'s column reduction ``D U = D'`` with column degrees ``d_j``,
+    ``N D^{-1} = N U D'^{-1}`` is strictly proper iff each column ``j`` of
+    ``N U`` has degree below ``d_j`` (Kailath, *Linear Systems*, 1980,
+    section 6.3).  ``N U`` is trimmed as one matrix; no division is made.
+    """
+    if N.cols != D.rows:
+        raise ValueError("dimension mismatch between F and R")
+    red = D._reduction
+    nu = N if red.Rp is D else N @ red.U  # D' = D: U = I
+    return all(c < d for c, d in zip(column_degrees(nu), red.degrees))
+
+
+def canonical_rep(F: PolyMatrix, R: PolyMatrix) -> PolyMatrix:
+    """Canonical representative of ``F`` modulo ``R``: the ``G`` with
+    ``G R^{-1}`` strictly proper and ``F - G`` a multiple ``N R``.
+
+    ``F`` itself when it is strictly proper over ``R``; otherwise
+    ``F_X X_min``, with ``X_min`` the minimal state map of ``R`` and ``F_X``
+    the state coordinates of ``F`` over it (:func:`state_coordinates`),
+    both read off the column reduction.
+    """
+    if is_strictly_proper(F, R):
+        return F
+    return PolyMatrix(state_coordinates([F], R)[None]) @ minimal_state_map(R)
+
+
+# ---------------------------------------------------------------------------
 # JSON wire format: entries[row][col] = ascending coefficient list
 #
-# The readers of every file format check each field's JSON type with the
-# helpers below, so a wrong-typed field is a ValueError that names it.
+# The readers of every file format check each field's JSON type, and each
+# object's required keys, with the helpers below, so a wrong-typed field or
+# a missing key is a ValueError that names it.
 
 
-def json_object(value, what: str) -> dict:
+def json_object(value, what: str, keys: Sequence[str] = ()) -> dict:
+    """A JSON object that has each of ``keys``; a missing key is named."""
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    for key in keys:
+        if key not in value:
+            raise ValueError(f"{what} missing key '{key}'")
     return value
 
 

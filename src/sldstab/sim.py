@@ -398,8 +398,9 @@ def write_trace_csv(trace: Trace, path, events_path=None) -> None:
 
 
 def signal_from_json(doc: dict) -> SwitchingSignal:
-    """Read a signal file; a wrong-typed field is a ``ValueError`` that names it."""
-    json_object(doc, "signal file")
+    """Read a signal file; a missing or wrong-typed field is a ``ValueError``
+    that names it."""
+    json_object(doc, "signal file", ("initial_mode",))
     initial_mode = json_int(doc["initial_mode"], "initial_mode")
     events = []
     for i, ev in enumerate(json_list(doc.get("events", []), "events"), start=1):

@@ -2,11 +2,12 @@
 
 A minimal state map for an autonomous kernel behavior ``ker R(d/dt)`` is a
 polynomial matrix ``X`` whose rows form a basis of the row vectors ``f`` with
-``f R^{-1}`` strictly proper.  It is read off the column reduction
-``R U = R'`` that ``R`` keeps for every division modulo it: the rows of
-``U^{-1}`` shifted by powers of ``xi`` below each column degree ``d_j`` of
-``R'``, ``n = sum d_j = deg det R`` rows, with no determinant formed; each
-is strictly proper over ``R``, so the map is canonical by construction.
+``f R^{-1}`` strictly proper.  :func:`~sldstab.polymat.minimal_state_map`
+reads it off the column reduction ``R U = R'`` that ``R`` keeps for all
+work modulo it: the rows of ``U^{-1}`` shifted by powers of ``xi`` below
+each column degree ``d_j`` of ``R'``, ``n = sum d_j = deg det R`` rows,
+with no determinant formed; each is strictly proper over ``R``, so the map
+is canonical by construction.
 The induced realization satisfies ``xi X(xi) = A X(xi) + B R(xi)`` together
 with the output map ``w = C x``.  Over the minimal state map all three are
 read off the companion data ``(A_c, B_c, O)`` that the column reduction
@@ -38,36 +39,11 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .polymat import MINUS_INF, PolyMatrix, state_coordinates
+from .polymat import MINUS_INF, PolyMatrix, minimal_state_map, state_coordinates
 
 REALIZE_TOL = 1e-9
 EIGVEC_TOL = 1e-8
 ROOT_CLUSTER_TOL = 1e-6  # relative distance at which eigenstructure merges roots
-
-
-def minimal_state_map(R: PolyMatrix) -> PolyMatrix:
-    """Deterministic minimal state map for ``ker R(d/dt)``.
-
-    Column-reduce ``R`` to ``R' = R U`` with column degrees ``d_j``; the rows
-    ``e_j xi^k`` (``k < d_j``) form a basis for ``R'`` and are mapped back
-    through ``U^{-1}`` (row ``j`` of ``U^{-1}`` shifted by ``k``).  Rows are
-    ordered by (column index, power ascending); there are ``sum d_j`` of them.
-
-    The map is canonical by construction, so no division modulo ``R``
-    follows.  ``R'`` is column reduced, so ``xi^k e_j R'^{-1}`` is strictly
-    proper for ``k < d_j`` (Kailath, *Linear Systems*, 1980, section 6.3),
-    and ``xi^k e_j U^{-1} R^{-1} = xi^k e_j R'^{-1}``: each row already is
-    its own canonical representative modulo ``R``.
-    """
-    red = R._reduction  # raises if R is not square or is singular
-    u = red.Uinv.coeffs
-    rows = np.zeros((u.shape[0] + max(red.degrees) - 1, sum(red.degrees), R.cols))
-    at = 0
-    for j, dj in enumerate(red.degrees):
-        for k in range(dj):
-            rows[k : k + u.shape[0], at] = u[:, j]
-            at += 1
-    return PolyMatrix(rows)
 
 
 def express_in_state_basis(

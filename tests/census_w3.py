@@ -8,10 +8,12 @@ by row.  ``tests/data/vcoupled_w3_pair.json`` is the draw at index 21 of
 ``default_rng(7)``.
 
 Run as a script, it sweeps the first 60 draws of ``default_rng(7)`` and of
-``default_rng(11)`` through ``slds posreal sprcheck``, ``mlf`` and
-``complete``, prints every pair that stops and exits 1 unless the stops are
-exactly ``KNOWN_STOPS`` (about 70 s on a 2-core VM, which keeps it out of
-the test suite; CI runs it as its own job)::
+``default_rng(11)`` through ``slds posreal sprcheck``, ``mlf --out`` and
+``complete``; each certificate that ``mlf`` writes must pass ``slds check
+--verify-only`` on the model written beside it (action ``verify``).  It
+prints every pair that stops and exits 1 unless the stops are exactly
+``KNOWN_STOPS`` (about 70 s on a 2-core VM, which keeps it out of the test
+suite; CI runs it as its own job)::
 
     PYTHONPATH=src python tests/census_w3.py
 """
@@ -63,21 +65,34 @@ def vcoupled_w3_draws(rng, count):
         }
 
 
+def _run(argv):
+    """Exit code and last output line of one command."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = main(argv)
+    return code, out.getvalue().strip().splitlines()[-1]
+
+
 def sweep(seed, count=60):
     """``(draw, action, exit code, last output line)`` for every action of
     every draw that does not exit 0."""
     stops = []
     with tempfile.TemporaryDirectory() as tmp:
         paths = [Path(tmp) / "r1.json", Path(tmp) / "r2.json"]
+        pair = ["--r1", str(paths[0]), "--r2", str(paths[1])]
+        cert, model = Path(tmp) / "cert.json", Path(tmp) / "cert_model.json"
         for k, draw in enumerate(vcoupled_w3_draws(np.random.default_rng(seed), count)):
             for path, key in zip(paths, ("r1", "r2")):
                 path.write_text(json.dumps(polymatrix_to_json(draw[key])))
             for action in ("sprcheck", "mlf", "complete"):
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-                    code = main(["posreal", action, "--r1", str(paths[0]), "--r2", str(paths[1])])
+                out = ["--out", str(cert)] if action == "mlf" else []
+                code, last = _run(["posreal", action, *pair, *out])
                 if code:
-                    stops.append((k, action, code, out.getvalue().strip().splitlines()[-1]))
+                    stops.append((k, action, code, last))
+                elif action == "mlf":  # this pair's certificate and model
+                    code, last = _run(["check", str(model), "--verify-only", str(cert)])
+                    if code:
+                        stops.append((k, "verify", code, last))
     return stops
 
 
@@ -90,6 +105,7 @@ if __name__ == "__main__":
             seen.add((seed, k, action, code))
         counts = Counter(action for _, action, _, _ in stops)
         print(f"default_rng({seed}): {60 - counts['mlf']} of 60 pass mlf, "
+              f"{60 - counts['mlf'] - counts['verify']} verify, "
               f"{60 - counts['complete']} pass complete, stops {dict(counts)}")
     if seen != KNOWN_STOPS:
         print(f"new stops {sorted(seen - KNOWN_STOPS)}, "

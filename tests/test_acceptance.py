@@ -29,7 +29,6 @@ from sldstab.polymat import (
     determinant,
     is_strictly_proper,
     poly_roots,
-    polynomial_part,
 )
 from sldstab.posreal import (
     build_standard_slds,
@@ -42,6 +41,8 @@ from sldstab.posreal import (
 from sldstab.qdf import eval_along_trajectory, qdf_derivative, sandwich
 from sldstab.sim import SwitchingSignal, audit_mlf, derivative_stack, simulate
 from sldstab.statespace import minimal_state_map, realize
+
+from polytools import polynomial_part
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 

@@ -778,6 +778,18 @@ def _replace(value):
     return lambda doc: value
 
 
+def _delete(path):
+    """An edit that deletes ``doc[path[0]][path[1]]...``."""
+
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        del doc[last]
+
+    return edit
+
+
 # (file, edit of the valid document, words the error must contain)
 WRONG_TYPED = {
     "model-gluing-int": ("model", _set(["gluing"], 5), "gluing must be a list"),
@@ -835,11 +847,24 @@ WRONG_TYPED = {
 }
 
 
-@pytest.mark.parametrize("case", list(WRONG_TYPED), ids=list(WRONG_TYPED))
-def test_wrong_typed_field_exits_1(tmp_path, capsys, case):
-    """A wrong-typed JSON field is invalid input that the error names: no
-    traceback, and no silent rounding of a mode index."""
-    kind, edit, words = WRONG_TYPED[case]
+# (file, edit of the valid document, the error message): a key missing
+# from a nested object names the key and the object
+MISSING_KEY = {
+    "signal-initial-mode": ("signal", _delete(["initial_mode"]),
+                            "signal file missing key 'initial_mode'"),
+    "model-from": ("model", _delete(["gluing", 1, "from"]), "gluing entry 2 missing key 'from'"),
+    "model-to": ("model", _delete(["gluing", 0, "to"]), "gluing entry 1 missing key 'to'"),
+    "model-g-minus": ("model", _delete(["gluing", 0, "g_minus"]),
+                      "gluing entry 1 missing key 'g_minus'"),
+    "model-g-plus": ("model", _delete(["gluing", 1, "g_plus"]),
+                     "gluing entry 2 missing key 'g_plus'"),
+    "cert-K": ("cert", _delete(["modes", 1, "K"]), "certificate mode 2 missing key 'K'"),
+}
+
+
+def _run_edited(tmp_path, capsys, kind, edit):
+    """Run the command that reads a ``kind`` file on the edited document;
+    the exit code and stderr."""
     docs = {
         "model": json.loads(Path(ELCIRC).read_text()),
         "signal": {"initial_mode": 1, "events": [[0.5, 2], [1.0, 1]]},
@@ -862,10 +887,28 @@ def test_wrong_typed_field_exits_1(tmp_path, capsys, case):
     else:
         argv = ["simulate", paths["model"], "--signal", paths["signal"], "--x0", "1.0",
                 "--t-end", "1.5", "--dt", "0.1"]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
+    return main(argv), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", list(WRONG_TYPED), ids=list(WRONG_TYPED))
+def test_wrong_typed_field_exits_1(tmp_path, capsys, case):
+    """A wrong-typed JSON field is invalid input that the error names: no
+    traceback, and no silent rounding of a mode index."""
+    kind, edit, words = WRONG_TYPED[case]
+    code, err = _run_edited(tmp_path, capsys, kind, edit)
+    assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
     assert words in err
+
+
+@pytest.mark.parametrize("case", list(MISSING_KEY), ids=list(MISSING_KEY))
+def test_missing_key_exits_1(tmp_path, capsys, case):
+    """A key missing from a signal, a gluing entry or a certificate mode is
+    invalid input that the error names, with the entry it is missing from."""
+    kind, edit, message = MISSING_KEY[case]
+    code, err = _run_edited(tmp_path, capsys, kind, edit)
+    assert code == 1
+    assert err == f"error: {message}\n"
 
 
 def test_partial_state_map_exits_1(tmp_path, capsys):

@@ -20,7 +20,6 @@ from sldstab.polymat import (
     polymatrix_from_json,
     polymatrix_to_json,
     poly_roots,
-    polynomial_part,
     vstack,
 )
 from sldstab.model import SldsModel, modes_hurwitz
@@ -28,6 +27,7 @@ from sldstab.posreal import para_hermitian_boundary
 from sldstab.statespace import minimal_state_map, realize
 
 import polytools
+from polytools import polynomial_part
 
 xi = sympy.symbols("xi")
 
@@ -163,20 +163,22 @@ def _family_mode() -> PolyMatrix:
 class TestCanonicalRep:
     def test_zero_quotient_leaves_f(self, monkeypatch):
         # deg F + deg U < min_j d_j: the quotient is zero, and F is its own
-        # representative, bit for bit what F - N R gives; at the bound, by
-        # the degree of F or of U, the quotient is not zero.  Each call
-        # divides once
+        # representative, bit for bit what F - N R gives, and no state
+        # coordinates are read; at the bound, by the degree of F or of U,
+        # the quotient is not zero, and the call reads F's state
+        # coordinates once
         A = np.array([[-1.0, 2.0], [-3.0, -4.0]])
         R = PolyMatrix(np.stack([-A, np.eye(2)]))  # column reduced: U = I, d = (1, 1)
         F = PolyMatrix(np.array([[[0.3, -1.2], [2.0, 0.5]]]))
         F1 = PolyMatrix(np.array([[[0.3, -1.2]], [[0.0, 0.7]]]))  # degree 1
         calls = []
-        quotient = polymat._quotient
-        monkeypatch.setattr(polymat, "_quotient", lambda *a: calls.append(a) or quotient(*a))
+        coords = polymat.state_coordinates
+        monkeypatch.setattr(polymat, "state_coordinates", lambda *a: calls.append(a) or coords(*a))
         full = F - polynomial_part(F, R) @ R
         assert np.array_equal(canonical_rep(F, R).coeffs, full.coeffs)
         assert np.array_equal(canonical_rep(F, R).coeffs, F.coeffs)
         assert np.array_equal(canonical_rep(F.row(1), R).coeffs, full.row(1).coeffs)
+        assert calls == []
         for G, S in ((F1, R), (F, _family_mode())):
             calls.clear()
             rep = canonical_rep(G, S)
@@ -579,7 +581,8 @@ def _padded_gap(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class TestDivisionData:
-    """A matrix computes its column reduction once; each division reuses it."""
+    """A matrix computes its column reduction once; all work modulo it,
+    and the tests' reference division, reuses it."""
 
     R_ENTRIES = [[[2.0, 3.0, 1.0], [1.0]], [[0.0, 1.0], [1.0, 1.0]]]
 
@@ -587,7 +590,9 @@ class TestDivisionData:
     @given(_division_case())
     def test_reused_matrix_matches_a_fresh_one(self, case):
         # one R serves every F, bit for bit as a fresh copy of R, and agrees
-        # with the det/adj reference division to REFERENCE_DIVISION_TOL
+        # with the det/adj reference division to REFERENCE_DIVISION_TOL; the
+        # strict-properness verdict is the reference's, and the
+        # representative is strictly proper
         R, Fs = case
         assume(not determinant(R).is_zero())
         for F in Fs:
@@ -601,6 +606,8 @@ class TestDivisionData:
             assert _padded_gap(got, N.coeffs) <= REFERENCE_DIVISION_TOL * max(1.0, N.max_norm())
             scale = max(1.0, F.max_norm(), np.abs(want).max())
             assert _padded_gap(rep, want) <= REFERENCE_DIVISION_TOL * scale
+            assert is_strictly_proper(F, R) == N.is_zero()
+            assert is_strictly_proper(canonical_rep(F, R), R)
 
     def test_each_matrix_column_reduces_once(self, monkeypatch):
         seen = {"column_reduce": [], "determinant": [], "poly_roots": []}

@@ -318,10 +318,11 @@ STATE_BASIS_TOL = 1e-9
 
 
 def _express_per_block(blocks, R, X):
-    """Reference: ``G mod R`` by division (:func:`canonical_rep`, once per
-    block), then one least-squares solve over the coefficient stack of X and
-    the span check of each block on its own, within ``STATE_BASIS_TOL``."""
-    reps = [canonical_rep(G, R) for G in blocks]
+    """Reference: ``G mod R`` by division (``G - N R``, ``N`` the reference
+    :func:`polytools.polynomial_part`, once per block), then one
+    least-squares solve over the coefficient stack of X and the span check
+    of each block on its own, within ``STATE_BASIS_TOL``."""
+    reps = [G - polytools.polynomial_part(G, R) @ R for G in blocks]
     grid = max(X.coeffs.shape[0], *(g.coeffs.shape[0] for g in reps))
     Xa = X.stack(grid)
     Ga = [g.stack(grid) for g in reps]
