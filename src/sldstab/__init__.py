@@ -18,7 +18,6 @@ from .posreal import (
     positive_real_completion,
     spectral_factorize,
 )
-from .qdf import TwoVarForm
 from .sim import SwitchingSignal, Trace, audit_mlf, asymptotic_check, simulate
 
 __version__ = "0.1.0"
@@ -30,7 +29,6 @@ __all__ = [
     "StandardSlds",
     "SwitchingSignal",
     "Trace",
-    "TwoVarForm",
     "audit_mlf",
     "asymptotic_check",
     "build_standard_slds",

@@ -131,11 +131,6 @@ def standard_scalar_pair() -> tuple[PolyMatrix, PolyMatrix]:
     return _pm([[[2.0, 3.0, 1.0]]]), _pm([[[3.0, 1.0]]])
 
 
-def unstable_mode() -> SldsModel:
-    """Single anti-Hurwitz mode d/dt - 1, used as a negative control."""
-    return SldsModel(modes=[_pm([[[-1.0, 1.0]]])], gluing={})
-
-
 ALL_BUILDERS = {
     "elcirc": elcirc,
     "exmath": exmath,

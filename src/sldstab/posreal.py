@@ -12,7 +12,10 @@ for mode 1, and ``Psi_2 = Psi_1 mod R2`` for mode 2.  Over mode 1's
 realization ``xi X1 = A1 X1 + B1 R1``, with ``R2 = H X1``, ``Q = Qbar X1`` and
 ``Psi_1 = X1(z)^T K1 X1(e)``, the division is the dissipation equality
 ``A1^T K1 + K1 A1 = -Qbar^T Qbar``, ``B1^T K1 = H`` (Rantzer, *Syst. Control
-Lett.* 28, 1996), one Lyapunov solve.  ``Psi_2`` is ``K2 = L21^T K1 L21``,
+Lett.* 28, 1996).  For ``w = 1``, ``Q`` is found by root splitting and ``K1``
+is one Lyapunov solve.  For ``w >= 2``, ``K1`` is one LMI in the KYP set
+``{B1^T K1 = H, A1^T K1 + K1 A1 <= 0}``, the kernels whose decay form is
+some ``-Qbar^T Qbar``, so no factor is formed.  ``Psi_2`` is ``K2 = L21^T K1 L21``,
 ``L21 = col(I, Pi)`` the 2 -> 1 re-initialisation map, so the 2 -> 1 switch
 condition holds with equality.  ``Pi`` (``X1' = Pi X2`` modulo ``R2``) is
 read off ``R2``'s column reduction (:func:`~sldstab.polymat.state_coordinates`),
@@ -38,12 +41,11 @@ from .polymat import (
     HURWITZ_TOL,
     NonFiniteError,
     PolyMatrix,
-    canonical_rep,
     is_strictly_proper,
     state_coordinates,
     vstack,
 )
-from .sdp import LmiProblem
+from .sdp import DEFAULT_BUDGET, LmiProblem
 from .statespace import express_in_state_basis, minimal_state_map
 
 FACTOR_TOL = 1e-8
@@ -89,11 +91,14 @@ class StandardSlds:
         return _spr_verdict(self.R2, self.R1, self.boundary)
 
     @cached_property
-    def supply(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(Qbar, H)`` with ``Q = Qbar X1`` and ``R2 = H X1`` modulo ``R1``,
-        ``Q`` the spectral factor of :attr:`boundary` over :attr:`X1`."""
-        Q = spectral_factorize(self.boundary, self.R1, self.X1).Q
+    def supply(self) -> tuple[np.ndarray | None, np.ndarray]:
+        """``(Qbar, H)`` with ``R2 = H X1`` modulo ``R1``.  For ``w = 1``,
+        ``Q = Qbar X1`` is the root-splitting factor of :attr:`boundary`; a
+        matrix pair's storage is the KYP LMI's, and its ``Qbar`` is None."""
         T_inv = self.model.realizations[0].T_inv
+        if self.R1.cols > 1:
+            return None, express_in_state_basis([self.R2], self.R1, T_inv)[0]
+        Q = spectral_factorize(self.boundary, self.R1).Q
         return tuple(express_in_state_basis([Q, self.R2], self.R1, T_inv))
 
 
@@ -232,62 +237,18 @@ def _scalar_factor(P: PolyMatrix, R1: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(coeffs.real[:, None, None])
 
 
-def _gram_factor(P: PolyMatrix, R1: PolyMatrix, X1: PolyMatrix) -> PolyMatrix:
-    """Matrix spectral factor ``Q = Qbar X1`` over a mode-1 state map.
-
-    With ``X1 = sum_i X_i xi^i`` a minimal state map of ``R1``, searches a PSD
-    Gram matrix ``G = Qbar^T Qbar`` (``n1 x n1``) with
-    ``sum_{i+j=k} (-1)^i X_i^T G X_j = P_k`` for every ``k``, then factors it.
-    The rows of ``Q`` are combinations of state rows, so ``Q R1^{-1}`` is
-    strictly proper; ``Q`` has ``rank G`` rows and is returned as its
-    canonical representative modulo ``R1``, which drops the rounding-level
-    polynomial part the product ``Qbar X1`` can leave.  This is the
-    Gram-matrix method (Choi, Lam & Reznick 1995) over a state basis.
-    """
-    X = X1.coeffs
-    dx = X.shape[0] - 1
-    Pc = np.zeros((max(2 * dx + 1, P.coeffs.shape[0]),) + P.shape)
-    Pc[: P.coeffs.shape[0]] = P.coeffs
-    prob = LmiProblem()
-    prob.add_symmetric("G", X1.rows)
-    prob.add_constraint("psd", lambda v: v["G"], "psd", 0.0)
-
-    def match(k):
-        # G may carry a leading stack axis; X_i^T G X_j broadcasts over it
-        lo, hi = max(0, k - dx), min(k, dx)
-        return lambda v: sum(
-            ((-1.0) ** i * X[i].T @ v["G"] @ X[k - i] for i in range(lo, hi + 1)),
-            -Pc[k],
-        )
-
-    for k in range(Pc.shape[0]):
-        prob.add_constraint(f"coef_{k}", match(k), "zero", 0.0)
-    report = prob.solve(1e-9 * max(1.0, P.max_norm()), budget=20_000)
-    if not report.feasible:
-        raise ValueError("boundary form admits no PSD Gram matrix (indefinite?)")
-    lam, U = np.linalg.eigh(report.values["G"])
-    keep = lam > 1e-10 * max(1.0, lam[-1])
-    Qbar = np.sqrt(lam[keep])[:, None] * U[:, keep].T
-    return canonical_rep(PolyMatrix(Qbar[None]) @ X1, R1)
-
-
-def spectral_factorize(
-    P: PolyMatrix, R1: PolyMatrix, X1: PolyMatrix | None = None
-) -> SpectralFactor:
-    """Factor a para-Hermitian boundary form as ``P(xi) = Q(-xi)^T Q(xi)``.
-
-    ``Q R1^{-1}`` is strictly proper, as the storage function of mode 1
-    needs.  A scalar ``P`` is split at its roots into a one-row ``Q``; for
-    ``w >= 2`` one Gram LMI over the mode-1 state map ``X1`` (derived from
-    ``R1`` when not given) gives ``rank G`` rows.  An indefinite ``P`` has
-    no factor (``|Q(j w)|^2 >= 0``) and is rejected.
+def spectral_factorize(P: PolyMatrix, R1: PolyMatrix) -> SpectralFactor:
+    """Factor a scalar boundary form as ``P(xi) = Q(-xi) Q(xi)``, with
+    ``Q R1^{-1}`` strictly proper as mode 1's storage needs, by root
+    splitting.  An indefinite ``P`` has no factor (``|Q(j w)|^2 >= 0``) and
+    is rejected.  A matrix pair (``w >= 2``) raises ``ValueError``: its
+    storage is one KYP LMI in ``K1``, which needs no factor.
     """
     if P.rows != P.cols or R1.shape != P.shape:
         raise ValueError("boundary form and R1 must be square of equal size")
-    if P.cols == 1:
-        Q = _scalar_factor(P, R1)
-    else:
-        Q = _gram_factor(P, R1, minimal_state_map(R1) if X1 is None else X1)
+    if P.cols != 1:
+        raise ValueError("only a scalar (w = 1) boundary form is factored")
+    Q = _scalar_factor(P, R1)
     resid = ((Q.subs_neg().T @ Q) - P).max_norm()
     if resid > FACTOR_TOL * P.max_norm():
         raise ValueError(f"spectral factorization residual {resid:.3e}")
@@ -349,25 +310,57 @@ def build_standard_slds(R1: PolyMatrix, R2: PolyMatrix) -> StandardSlds:
 # storage-function MLF (algebraic route)
 
 
-def _check_dissipation(s: StandardSlds, K1: np.ndarray) -> None:
-    """Raise unless ``A1^T K1 + K1 A1 = -Qbar^T Qbar`` and ``B1^T K1 = H`` hold
-    within ``FACTOR_TOL`` of the terms each sums.  Together they make
-    ``Qbar X1`` a strictly proper factor of the boundary form and give
-    ``Psi_12 = -Pi^T Psi_22`` (``B1 = col(0, K)``, ``H_2 = -H_p Pi``).  A
-    factor with no rows leaves ``K1 = 0``, which misses ``H`` by all of it."""
+def _kyp_storage(s: StandardSlds):
+    """A matrix pair's ``K1`` from the KYP LMI ``B1^T K1 = H``,
+    ``A1^T K1 + K1 A1 <= 0`` (one symmetric unknown), and its Newton steps.
+
+    The equality is the symmetric block ``[[0, E^T], [E, 0]]``,
+    ``E = B1^T K1 - H``, as :class:`~sldstab.sdp.LmiProblem` takes square
+    constraints.  ``B1`` and ``H`` enter at unit max-norm and ``K1`` is
+    scaled back by ``|H| / |B1|``: ``(c R1, c R2)`` poses one LMI for all ``c``.
+    """
     A, B = s.model.realizations[0].A, s.model.realizations[0].B
-    Qbar, H = s.supply
+    _, H = s.supply
+    b, h = np.abs(B).max(), np.abs(H).max()
+    Bs, Hs = B / b, H / h
+    n, w = B.shape
+
+    def gap(v):
+        E = Bs.T @ v["K"] - Hs
+        S = np.zeros(E.shape[:-2] + (n + w, n + w))
+        S[..., n:, :n], S[..., :n, n:] = E, np.swapaxes(E, -1, -2)
+        return S
+
+    prob = LmiProblem()
+    prob.add_symmetric("K", n)
+    prob.add_constraint("supply", gap, "zero")
+    prob.add_constraint("decay", lambda v: A.T @ v["K"] + v["K"] @ A, "nsd")
+    report = prob.solve(FACTOR_TOL)
+    if not report.feasible:
+        raise ValueError("no K1 found with B1^T K1 = H and A1^T K1 + K1 A1 <= 0")
+    return (h / b) * report.values["K"], report.iterations
+
+
+def _check_dissipation(s: StandardSlds, K1: np.ndarray) -> None:
+    """Raise unless ``B1^T K1 = H`` holds and ``A1^T K1 + K1 A1`` is negative
+    semidefinite, each within ``FACTOR_TOL`` of the terms it sums.  Then
+    ``A1^T K1 + K1 A1 = -Qbar^T Qbar`` for some ``Qbar``, ``Qbar X1`` is a
+    strictly proper factor of the boundary form, and ``Psi_12 = -Pi^T
+    Psi_22`` (``B1 = col(0, K)``, ``H_2 = -H_p Pi``).  ``K1 = 0`` misses
+    ``H`` by all of it."""
+    A, B = s.model.realizations[0].A, s.model.realizations[0].B
+    _, H = s.supply
+    decay = A.T @ K1 + K1 @ A
     gap = 0.0
     for resid, terms in (
-        (A.T @ K1 + K1 @ A + Qbar.T @ Qbar,
-         (abs(A.T) @ abs(K1), abs(K1) @ abs(A), abs(Qbar.T) @ abs(Qbar))),
-        (B.T @ K1 - H, (abs(B.T) @ abs(K1), abs(H))),
+        (np.linalg.eigvalsh(0.5 * (decay + decay.T))[-1],
+         (abs(A.T) @ abs(K1), abs(K1) @ abs(A))),
+        (np.abs(B.T @ K1 - H).max(initial=0.0), (abs(B.T) @ abs(K1), abs(H))),
     ):
-        r = np.abs(resid).max(initial=0.0)
-        if r > 0.0:  # then some term is nonzero
-            gap = max(gap, r / max(t.max(initial=0.0) for t in terms))
+        if resid > 0.0:  # then some term is nonzero
+            gap = max(gap, resid / max(t.max(initial=0.0) for t in terms))
     if gap > FACTOR_TOL:
-        raise ValueError(f"storage kernel fails the dissipation equality ({gap:.1e})")
+        raise ValueError(f"storage kernel fails the dissipation inequality ({gap:.1e})")
 
 
 def mlf_from_positive_real(s: StandardSlds) -> MlfCertificate:
@@ -378,13 +371,18 @@ def mlf_from_positive_real(s: StandardSlds) -> MlfCertificate:
     if not ok:
         raise ValueError(f"R2 R1^-1 is not strictly positive real: {witness}")
     Qbar, _ = s.supply
-    K1 = scipy.linalg.solve_lyapunov(s.model.realizations[0].A.T, -Qbar.T @ Qbar)
-    K1 = 0.5 * (K1 + K1.T)
+    if Qbar is None:
+        K1, steps = _kyp_storage(s)
+        solver = {"iterations": steps, "budget": DEFAULT_BUDGET}
+    else:
+        K1 = scipy.linalg.solve_lyapunov(s.model.realizations[0].A.T, -Qbar.T @ Qbar)
+        K1 = 0.5 * (K1 + K1.T)
+        solver = {"iterations": 0, "budget": 0}
     _check_dissipation(s, K1)
     L = s.model.reinits[(2, 1)].L
     K2 = L.T @ K1 @ L
     K2 = 0.5 * (K2 + K2.T)
-    return make_certificate(s.model, "posreal", [K1, K2], solver={"iterations": 0, "budget": 0})
+    return make_certificate(s.model, "posreal", [K1, K2], solver=solver)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +403,7 @@ def positive_real_completion(s: StandardSlds, cert: MlfCertificate) -> PolyMatri
 
     ``M R2 R1^{-1}`` is then ``R2 R1^{-1}``, whose SPR verdict is
     :attr:`StandardSlds.spr`.  The certificate's ``K1`` must pass the
-    dissipation equality.
+    dissipation check.
     """
     # hypothesis: R2 R1^-1 is SPR, so the dissipation rate has full rank on the axis
     ok, witness = s.spr

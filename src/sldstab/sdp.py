@@ -31,9 +31,10 @@ The barrier parameter starts at ``t0 = max(1, sum_i tr S_i^{-1})`` at the
 starting point: the barrier's pull on ``s`` there, so the start is centred
 along ``s`` and the first centering does not spend its steps growing ``s``
 (Boyd & Vandenberghe, section 11.3.1, choose ``t0`` from the start point).
-Every iterate stays in the barrier's domain: a backtracking line search
-that reaches its shortest step (``alpha <= 1e-13``) still off the domain
-ends the centering at the current point instead.
+Every iterate decreases the centering objective: a backtracking line
+search that reaches its shortest step (``alpha <= 1e-13``) without a
+decrease, off the barrier's domain or not, ends the centering at the
+current point instead of taking that step.
 
 A certificate is accepted by one rule, :func:`accepts`: every margin is at
 least ``eps / 2``.  Iterates are pre-checked on the compiled data (the
@@ -452,8 +453,8 @@ class LmiProblem:
                     if t * trial[nz] + trial_phi < f0 or alpha <= 1e-13:
                         break
                     alpha *= 0.5
-                if trial_phi == np.inf:
-                    break  # even the shortest trial leaves the domain: stay at x
+                if not t * trial[nz] + trial_phi < f0:
+                    break  # even the shortest trial decreases nothing: stay at x
                 x, eigs, phi = trial, trial_eigs, trial_phi
                 if accepted(x, eigs) and (rep := report(x)).feasible:
                     return rep

@@ -277,17 +277,6 @@ def simulate(
     )
 
 
-def derivative_stack(model: SldsModel, mode: int, x: np.ndarray, depth: int) -> np.ndarray:
-    """Rows ``d^j w / dt^j = C A^j x`` for ``j = 0 .. depth-1``."""
-    real = model.realizations[mode - 1]
-    out = np.zeros((depth, real.w))
-    xj = np.asarray(x, dtype=float)
-    for j in range(depth):
-        out[j] = real.C @ xj
-        xj = real.A @ xj
-    return out
-
-
 def audit_mlf(trace: Trace) -> dict:
     """Monotonicity audit of the MLF along a simulated trace.
 

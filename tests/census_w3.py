@@ -7,13 +7,13 @@ is unit upper triangular with entries ``U(-1, 1) + U(-2, 2) xi``, drawn row
 by row.  ``tests/data/vcoupled_w3_pair.json`` is the draw at index 21 of
 ``default_rng(7)``.
 
-Run as a script, it sweeps the first 60 draws of ``default_rng(7)`` and of
-``default_rng(11)`` through ``slds posreal sprcheck``, ``mlf --out`` and
-``complete``; each certificate that ``mlf`` writes must pass ``slds check
---verify-only`` on the model written beside it (action ``verify``).  It
-prints every pair that stops and exits 1 unless the stops are exactly
-``KNOWN_STOPS`` (about 70 s on a 2-core VM, which keeps it out of the test
-suite; CI runs it as its own job)::
+:func:`sweep` takes the first 60 draws of a seed through ``slds posreal
+sprcheck``, ``mlf --out`` and ``complete``; each certificate that ``mlf``
+writes must pass ``slds check --verify-only`` on the model written beside it
+(action ``verify``).  ``tests/test_posreal.py::test_census_w3_has_no_stops``
+runs it for ``default_rng(7)`` and ``default_rng(11)`` (about 4 s on a
+2-core VM).  Run as a script, it prints every pair that stops and exits 1
+on any stop::
 
     PYTHONPATH=src python tests/census_w3.py
 """
@@ -31,10 +31,6 @@ import numpy as np
 from sldstab.cli import main
 from sldstab.polymat import PolyMatrix, polymatrix_to_json
 from test_statespace import _generators
-
-# (seed, draw, action, exit code) of every stop: pair 51 of default_rng(11)
-# finds no PSD Gram matrix for its boundary form (ROADMAP item 2)
-KNOWN_STOPS = {(11, 51, "mlf", 2), (11, 51, "complete", 2)}
 
 
 def _diag(entries) -> PolyMatrix:
@@ -97,17 +93,14 @@ def sweep(seed, count=60):
 
 
 if __name__ == "__main__":
-    seen = set()
+    stopped = False
     for seed in (7, 11):
         stops = sweep(seed)
         for k, action, code, line in stops:
             print(f"default_rng({seed}) pair {k}: {action} exit {code}: {line}")
-            seen.add((seed, k, action, code))
+        stopped = stopped or bool(stops)
         counts = Counter(action for _, action, _, _ in stops)
         print(f"default_rng({seed}): {60 - counts['mlf']} of 60 pass mlf, "
               f"{60 - counts['mlf'] - counts['verify']} verify, "
               f"{60 - counts['complete']} pass complete, stops {dict(counts)}")
-    if seen != KNOWN_STOPS:
-        print(f"new stops {sorted(seen - KNOWN_STOPS)}, "
-              f"gone stops {sorted(KNOWN_STOPS - seen)}")
-        sys.exit(1)
+    sys.exit(1 if stopped else 0)

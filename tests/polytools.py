@@ -1,8 +1,8 @@
 """Polynomial-matrix helpers that only the tests use.
 
-No command scales a polynomial matrix, builds a zero one or divides one by
-another, so these live with the tests rather than on
-:class:`sldstab.polymat.PolyMatrix`.
+No command scales a polynomial matrix, builds a zero one, divides one by
+another or factors a storage kernel's decay form, so these live with the
+tests rather than on :class:`sldstab.polymat.PolyMatrix`.
 """
 
 import numpy as np
@@ -59,3 +59,13 @@ def polynomial_part(F: PolyMatrix, R: PolyMatrix) -> PolyMatrix:
             q[k] = s[k + max(d)] @ hc_inv
             s[k : k + len(r)] -= q[k] @ r
     return PolyMatrix(q)
+
+
+def decay_factor(A: np.ndarray, K: np.ndarray, X: PolyMatrix) -> PolyMatrix:
+    """``Q = Qbar X`` with ``Qbar^T Qbar`` the positive part of the decay form
+    ``-(A^T K + K A)`` of a storage kernel ``K`` over the state map ``X``
+    (``xi X = A X + B R``): the spectral factor of the boundary form that
+    the dissipation equality pairs with ``K``."""
+    D = -(A.T @ K + K @ A)
+    lam, V = np.linalg.eigh(0.5 * (D + D.T))
+    return PolyMatrix((np.sqrt(np.clip(lam, 0.0, None))[:, None] * V.T)[None]) @ X

@@ -39,9 +39,10 @@ from sldstab.posreal import (
     spectral_factorize,
 )
 from sldstab.qdf import eval_along_trajectory, qdf_derivative, sandwich
-from sldstab.sim import SwitchingSignal, audit_mlf, derivative_stack, simulate
+from sldstab.sim import SwitchingSignal, audit_mlf, simulate
 from sldstab.statespace import minimal_state_map, realize
 
+from modeltools import derivative_stack
 from polytools import polynomial_part
 
 MODELS = Path(__file__).resolve().parents[1] / "models"

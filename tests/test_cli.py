@@ -11,12 +11,13 @@ import pytest
 from sldstab import polymat
 from sldstab import posreal as pr
 from sldstab.cli import build_parser, main
-from sldstab.fixtures import elcirc, unstable_mode
+from sldstab.fixtures import elcirc
 from sldstab.mlf import certificate_to_json, find_mlf
 from sldstab.model import SldsModel, load_model, model_to_json
 from sldstab.polymat import PolyMatrix, polymatrix_to_json
 
 import polytools
+from modeltools import unstable_mode
 
 ROOT = Path(__file__).resolve().parents[1]
 MODELS = ROOT / "models"
@@ -291,8 +292,8 @@ _W3 = _W2 + [([10.0, 7.0, 1.0], [3.0, 1.0])]
 # R2 R1^{-1} unchanged
 _V = PolyMatrix.from_entries([[[1.0], [0.7, 1.3]], [[0.0], [1.0]]])
 # a V-coupled w = 2 pair from a seeded sweep: over X1 = minimal_state_map(R1)
-# the product Qbar X1 leaves a polynomial part of 1.5e-11 in Q R1^{-1}
-# (against |Q| = 13) unless the factor is reduced modulo R1
+# the product Qbar X1 of a Gram factor left a polynomial part of 1.5e-11 in
+# Q R1^{-1} (against |Q| = 13) unless the factor was reduced modulo R1
 _ROUNDING_W2 = (
     [[[1.2430986702219466, 10.59934142524174, 19.573726505865007, 9.278166500244826, 1.0],
       [1.050178159999025, 7.173625562439224, 1.3521965757858734, -20.201591680804608,
@@ -409,6 +410,16 @@ class TestPosreal:
         assert main(["check", model_path, "--verify-only", str(cert)]) == 0
         assert "certificate verifies" in capsys.readouterr().out
 
+    @staticmethod
+    def _scaled_pair(tmp_path, name, c):
+        """``--r1``/``--r2`` arguments of ``MATRIX_PAIRS[name]`` times ``c``."""
+        io_args = []
+        for flag, R in zip(("--r1", "--r2"), MATRIX_PAIRS[name]()):
+            path = tmp_path / f"{flag[2:]}.json"
+            path.write_text(json.dumps(polymatrix_to_json(polytools.scale(R, c))))
+            io_args += [flag, str(path)]
+        return io_args
+
     @pytest.mark.parametrize(
         "name, c",
         [
@@ -422,32 +433,55 @@ class TestPosreal:
         ],
     )
     def test_scaled_matrix_pair_keeps_s_finite(self, tmp_path, capsys, name, c):
-        # the Gram LMI of the pairs scaled up once took a line-search trial
-        # off the barrier's domain with s < 0 and doubled s until it
-        # overflowed.  Scaled down, its rank cut 1e-10 max(1, lambda) leaves
-        # Q with no rows, and K1 = 0 is not a Lyapunov function: the checks
-        # of the factor residual and the dissipation equality, relative to
-        # the terms they sum, must reject it.  Either way the verdict is no
-        # certificate (ROADMAP item 8)
-        io_args = []
-        for flag, R in zip(("--r1", "--r2"), MATRIX_PAIRS[name]()):
-            path = tmp_path / f"{flag[2:]}.json"
-            path.write_text(json.dumps(polymatrix_to_json(polytools.scale(R, c))))
-            io_args += [flag, str(path)]
+        # a Gram LMI on the boundary form's coefficients once took a
+        # line-search trial off the barrier's domain with s < 0 and doubled s
+        # until it overflowed; scaled down, its rank cut left K1 = 0.  The
+        # KYP LMI sees B1 and H at unit max-norm, so up to c = 1e3 it
+        # certifies and the certificate verifies.  At 1e6 its kernel fails
+        # verify_mlf on the certificate's absolute eps (ROADMAP item 1)
+        io_args = self._scaled_pair(tmp_path, name, c)
+        cert = tmp_path / "cert.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(all="raise"):
-                assert main(["posreal", "mlf"] + io_args) == 2
-        assert "no certificate" in capsys.readouterr().out
+                code = main(["posreal", "mlf"] + io_args + ["--out", str(cert)])
+        out = capsys.readouterr().out
+        if c > 1e3:
+            assert code == 2
+            assert "certificate FAILS verification" in out
+            assert not cert.exists()
+        else:
+            assert code == 0
+            model_path = str(tmp_path / "cert_model.json")
+            assert main(["check", model_path, "--verify-only", str(cert)]) == 0
+
+    @pytest.mark.parametrize("c", [1e-8, 1e-6, 1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("name", sorted(MATRIX_PAIRS))
+    def test_scaled_matrix_pair_keeps_its_verdict(self, tmp_path, capsys, name, c):
+        # (c R1, c R2) poses the same KYP LMI at the same tolerance: every
+        # action succeeds and the certificate verifies on its written model
+        io_args = self._scaled_pair(tmp_path, name, c)
+        cert = tmp_path / "cert.json"
+        assert main(["posreal", "sprcheck"] + io_args) == 0
+        assert main(["posreal", "mlf"] + io_args + ["--out", str(cert)]) == 0
+        assert main(["posreal", "complete"] + io_args) == 0
+        model_path = str(tmp_path / "cert_model.json")
+        assert main(["check", model_path, "--verify-only", str(cert)]) == 0
 
     @pytest.mark.parametrize("name", sorted(MATRIX_PAIRS))
     def test_factor_over_derived_state_map_is_strictly_proper(self, name):
+        # Q = Qbar X1, read off the decay form of the KYP kernel over the
+        # standard construction's X1, factors P and Q R1^{-1} is strictly proper
         R1p, R2p = MATRIX_PAIRS[name]()
+        s = pr.build_standard_slds(R1p, R2p)
+        K1 = pr.mlf_from_positive_real(s).kernels[0]
+        Q = polytools.decay_factor(s.model.realizations[0].A, K1, s.X1)
         P = pr.para_hermitian_boundary(R2p, R1p)
-        assert pr.is_strictly_proper(pr.spectral_factorize(P, R1p).Q, R1p)
+        assert ((Q.subs_neg().T @ Q) - P).max_norm() <= pr.FACTOR_TOL * P.max_norm()
+        assert pr.is_strictly_proper(Q, R1p)
 
     def test_complete_derives_each_state_map_once(self, tmp_path, monkeypatch):
-        # one map per mode; the Gram factor reuses the standard model's X1
+        # one map per mode: the KYP LMI reads the standard model's realization
         calls = []
         orig = pr.minimal_state_map
         monkeypatch.setattr(
@@ -687,6 +721,24 @@ class TestRootsOncePerCommand:
         assert seen["determinant"] == seen["poly_roots"] == []
         reduced = seen["column_reduce"]
         assert len(set(reduced)) == len(reduced) == 3 + checks
+
+
+def test_stalled_line_search_ends_the_search(tmp_path, capsys):
+    """Draw 10 of ``gen.slds_member(default_rng(7), 3, 3)`` at ``R(10^3 xi)``:
+    at ``t = 6.4e7`` the line search halves its step to 5.7e-14 without a
+    decrease.  Taking that step anyway left ``x`` where it was, with a Newton
+    decrement above 0.1, for the rest of the 50,000-step budget; a line
+    search that decreases nothing now ends the centering, and the stall rule
+    the search."""
+    from test_statespace import _generators, _time_scaled
+
+    rng = np.random.default_rng(7)
+    *_, doc = (_generators().slds_member(rng, 3, 3)["model"] for _ in range(11))
+    path = tmp_path / "draw10.json"
+    path.write_text(json.dumps(_time_scaled(doc, 1e3)))
+    assert main(["check", str(path)]) == 2
+    steps = int(re.search(r"iterations (\d+)", capsys.readouterr().out).group(1))
+    assert steps <= 150
 
 
 @pytest.mark.xfail(

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sldstab.cli import main
-from sldstab.fixtures import concond, elcirc, exmath, source_converter, unstable_mode
+from sldstab.fixtures import concond, elcirc, exmath, source_converter
 from sldstab.mlf import (
     EPS_REL,
     SWITCH_GAP,
@@ -34,6 +34,8 @@ from sldstab.posreal import build_standard_slds
 from sldstab.qdf import qdf_derivative, qdf_mod, sandwich, two_var_from_pair
 from sldstab.sdp import LmiProblem
 from sldstab.statespace import minimal_state_map
+
+from modeltools import unstable_mode
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).resolve().parent / "data"

@@ -7,7 +7,7 @@ import pytest
 
 from sldstab import cli as cli_mod
 from sldstab import model as model_mod
-from sldstab import polymat, statespace
+from sldstab import polymat, posreal, statespace
 from sldstab.cli import main
 from sldstab.fixtures import concond, elcirc, exmath, source_converter
 from sldstab.mlf import find_mlf, verify_mlf
@@ -211,7 +211,7 @@ def test_model_derivation_divides_nothing(monkeypatch, tmp_path, name):
 
     for mod in (statespace, model_mod):
         monkeypatch.setattr(mod, "np", _Proxy(np, linalg=_Proxy(np.linalg, lstsq=refuse)))
-    for mod in (polymat, statespace, model_mod):  # no polynomial remainder is formed
+    for mod in (polymat, statespace, model_mod, posreal):  # no polynomial remainder is formed
         monkeypatch.setattr(mod, "canonical_rep", refuse, raising=False)
     doc = json.loads((MODELS / f"{name}.json").read_text())
     for given in (doc, {k: v for k, v in doc.items() if k != "state_maps"}):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -159,16 +160,19 @@ class TestSpectralFactorization:
         resid = ((Q.subs_neg().T @ Q) - P).max_norm()
         assert resid <= posreal.FACTOR_TOL * max(1.0, P.max_norm())
 
-    def test_two_by_two_gram_route(self):
-        P = PolyMatrix.from_entries(
-            [[[2.0], [0.0]], [[0.0], [2.0, 0.0, -2.0]]]
-        )
-        Q = spectral_factorize(P, R1_W2).Q
+    def test_two_by_two_kyp_route(self):
+        # R2 = diag(1, (xi + 1) / 2) gives P = diag(2, 2 - 2 xi^2); the KYP
+        # kernel's decay form factors it
+        R2 = PolyMatrix.from_entries([[[1.0], [0.0]], [[0.0], [0.5, 0.5]]])
+        P = PolyMatrix.from_entries([[[2.0], [0.0]], [[0.0], [2.0, 0.0, -2.0]]])
+        s = build_standard_slds(R1_W2, R2)
+        assert (s.boundary - P).max_norm() == 0.0
+        Q = _kyp_factor(s)
         resid = ((Q.subs_neg().T @ Q) - P).max_norm()
-        assert resid < 1e-7 * P.max_norm()
+        assert resid <= posreal.FACTOR_TOL * P.max_norm()
         assert is_strictly_proper(Q, R1_W2)
 
-    def test_three_by_three_gram_route(self):
+    def test_three_by_three_kyp_route(self):
         # diagonal entries r1 | r2: (xi+1)(xi+4) | 2(xi+2),
         # (xi+0.5)(xi+3) | xi+1, (xi+2)(xi+5) | xi+3; V couples the columns
         r1 = [[4.0, 5.0, 1.0], [1.5, 3.5, 1.0], [10.0, 7.0, 1.0]]
@@ -183,15 +187,24 @@ class TestSpectralFactorization:
             for r in (r1, r2)
         )
         P = para_hermitian_boundary(R2, R1)
-        Q = spectral_factorize(P, R1).Q
+        Q = _kyp_factor(build_standard_slds(R1, R2))
         resid = ((Q.subs_neg().T @ Q) - P).max_norm()
-        assert resid <= posreal.FACTOR_TOL * max(1.0, P.max_norm())
+        assert resid <= posreal.FACTOR_TOL * P.max_norm()
         assert is_strictly_proper(Q, R1)
 
     def test_indefinite_matrix_form_rejected(self):
-        P = PolyMatrix.from_entries([[[1.0], [0.0]], [[0.0], [-1.0]]])
-        with pytest.raises(ValueError):
-            spectral_factorize(P, R1_W2)
+        # only a scalar boundary form is factored: a matrix pair's storage is
+        # the KYP LMI's, definite P or not
+        for diag in (-1.0, 1.0):
+            P = PolyMatrix.from_entries([[[1.0], [0.0]], [[0.0], [diag]]])
+            with pytest.raises(ValueError, match="scalar"):
+                spectral_factorize(P, R1_W2)
+
+
+def _kyp_factor(s) -> PolyMatrix:
+    """``Q = Qbar X1`` read off the decay form of the storage kernel ``K1``."""
+    K1 = mlf_from_positive_real(s).kernels[0]
+    return polytools.decay_factor(s.model.realizations[0].A, K1, s.X1)
 
 
 def _relative_gap(got, want) -> float:
@@ -297,13 +310,21 @@ class TestStorageCertificate:
         assert np.max(np.abs(K2_qdf - K2)) <= 1e-7 * np.max(np.abs(K1))
 
     def test_storage_kernel_matches_the_qdf_division(self):
-        # the Lyapunov solve gives the kernel that the two-variable division
-        # (R1(z)^T R2(e) + R2(z)^T R1(e) - Q(z)^T Q(e)) / (z + e) writes over X1
+        # K1 is the kernel that the two-variable division
+        # (R1(z)^T R2(e) + R2(z)^T R1(e) - Q(z)^T Q(e)) / (z + e) writes over
+        # X1: for w = 1 with the root-splitting Q, for a matrix pair with the
+        # Q read off K1's decay form
         n = 0
         for name, (R1, R2) in _standard_pairs():
             s = build_standard_slds(R1, R2)
             K1 = mlf_from_positive_real(s).kernels[0]
-            Q = spectral_factorize(s.boundary, R1, s.X1).Q
+            if R1.cols == 1:
+                Q = spectral_factorize(s.boundary, R1).Q
+            else:
+                Q = _kyp_factor(s)
+                resid = ((Q.subs_neg().T @ Q) - s.boundary).max_norm()
+                assert resid <= posreal.FACTOR_TOL * s.boundary.max_norm(), name
+                assert is_strictly_proper(Q, R1), name
             psi1 = divide_by_zeta_plus_eta(two_var_from_pair(R1, R2) - two_var_product(Q, Q))
             assert _relative_gap(K1, to_canonical(psi1, s.X1)) <= 1e-9, name
             n += 1
@@ -338,6 +359,28 @@ class TestStorageCertificate:
         assert ok
         lmi = find_mlf(s.model)
         assert lmi.feasible
+
+    @pytest.mark.parametrize("name", ["bundled", "coupled_w2", "diagonal_w3"])
+    def test_dissipation_check_rejects_a_wrong_kernel(self, name):
+        # the check passes the storage kernel and refuses one that misses
+        # B1^T K1 = H, and one that keeps it with an indefinite decay form
+        from test_cli import MATRIX_PAIRS
+
+        pair = standard_scalar_pair() if name == "bundled" else MATRIX_PAIRS[name]()
+        s = build_standard_slds(*pair)
+        K1 = mlf_from_positive_real(s).kernels[0]
+        posreal._check_dissipation(s, K1)
+        with pytest.raises(ValueError, match="dissipation"):
+            posreal._check_dissipation(s, 2.0 * K1)
+        A, B = s.model.realizations[0].A, s.model.realizations[0].B
+        z = scipy.linalg.null_space(B.T)[:, 0]  # B1^T z = 0
+        bad = K1 + 100.0 * np.abs(K1).max() * np.outer(z, z)
+        _, H = s.supply
+        assert np.abs(B.T @ bad - H).max() <= 1e-12 * np.abs(H).max()
+        lam = np.linalg.eigvalsh(A.T @ bad + bad @ A)
+        assert lam[0] < 0.0 < lam[-1]
+        with pytest.raises(ValueError, match="dissipation"):
+            posreal._check_dissipation(s, bad)
 
 
 class TestCompletion:
@@ -486,14 +529,18 @@ class TestVCoupledW3Pair:
         assert sum(red.degrees) == degree == 10
 
 
-@pytest.mark.parametrize("seed, k", [(11, 4), (11, 55), (7, 46), (7, 19)])
+@pytest.mark.parametrize("seed, k", [(11, 4), (11, 55), (7, 46), (7, 19), (11, 51)])
 def test_census_pair_certifies_and_completes(tmp_path, seed, k):
     """``tests/census_w3.py`` pairs: each certifies, its certificate verifies
     and ``complete`` writes ``I``.  A rank test on raw coefficient stacks
     failed to extend pair 46's and pair 4's ``X2``, and extended pair 55's by
     a row dependent to 1e-12.  Pair 19 passed it; with ``X1'`` from an
     orthonormal complement, its closed-form ``M`` was ``I`` only to 4e-11,
-    and a second SPR test on the boundary form of ``M R2`` rejected it."""
+    and a second SPR test on the boundary form of ``M R2`` rejected it.
+    Pair 51's boundary form had no PSD Gram matrix that a coefficient-wise
+    Gram LMI could find; its storage is nearly marginal (``lambda_min`` of
+    ``K1`` and ``lambda_max`` of its decay form are 1e-9 and -3e-10 of the
+    largest magnitudes)."""
     from census_w3 import vcoupled_w3_draws
 
     *_, draw = vcoupled_w3_draws(np.random.default_rng(seed), k + 1)
@@ -506,3 +553,29 @@ def test_census_pair_certifies_and_completes(tmp_path, seed, k):
     assert main(["check", str(tmp_path / "cert_model.json"), "--verify-only", str(cert)]) == 0
     assert main(["posreal", "complete", *pair, "--out", str(M)]) == 0
     assert polymatrix_from_json(json.loads(M.read_text())).coeffs.tolist() == [np.eye(3).tolist()]
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_census_w3_has_no_stops(seed):
+    """The first 60 draws of ``tests/census_w3.py`` for the seed pass
+    ``sprcheck``, ``mlf --out``, ``check --verify-only`` and ``complete``."""
+    from census_w3 import sweep
+
+    assert sweep(seed) == []
+
+
+def test_matrix_storage_divides_nothing(monkeypatch):
+    """A matrix pair's storage and completion form no remainder modulo
+    ``R1``: the KYP LMI reads ``K1`` in mode 1's state coordinates."""
+    from test_cli import MATRIX_PAIRS
+
+    def refuse(*args, **kw):
+        raise AssertionError("a remainder modulo R on the positive-real path")
+
+    for mod in (sys.modules["sldstab.polymat"], posreal):
+        monkeypatch.setattr(mod, "canonical_rep", refuse, raising=False)
+    for name, pair in sorted(MATRIX_PAIRS.items()):
+        s = build_standard_slds(*pair())
+        cert = mlf_from_positive_real(s)
+        assert cert.feasible, name
+        assert positive_real_completion(s, cert).rows == s.R1.rows

@@ -16,7 +16,7 @@ from sldstab.mlf import (
 )
 from sldstab.model import load_model
 from sldstab.polymat import PolyMatrix
-from sldstab.posreal import spectral_factorize
+from sldstab.posreal import build_standard_slds, mlf_from_positive_real
 from sldstab.sdp import LmiProblem, _ConeGroup, accepts
 from sldstab.statespace import minimal_state_map
 
@@ -326,7 +326,8 @@ class TestBatchedCompile:
         eps = EPS_REL * problem_scale(model)
         _assert_compiles_like_probing(assemble_mlf_lmis(model, eps, strict=strict))
 
-    def test_posreal_gram_lmi_matches_probing(self, monkeypatch):
+    def test_posreal_kyp_lmi_matches_probing(self, monkeypatch):
+        # the storage of a w = 2 pair is one KYP LMI in K1
         problems = []
         solve = LmiProblem.solve
         monkeypatch.setattr(
@@ -334,9 +335,9 @@ class TestBatchedCompile:
             "solve",
             lambda self, *a, **k: problems.append(self) or solve(self, *a, **k),
         )
-        P = PolyMatrix.from_entries([[[2.0], [0.0]], [[0.0], [2.0, 0.0, -2.0]]])
         R1 = PolyMatrix.from_entries([[[1.0, 1.0], [0.0]], [[0.0], [2.0, 3.0, 1.0]]])
-        spectral_factorize(P, R1)
+        R2 = PolyMatrix.from_entries([[[1.0], [0.0]], [[0.0], [0.5, 0.5]]])
+        assert mlf_from_positive_real(build_standard_slds(R1, R2)).feasible
         assert len(problems) == 1
         _assert_compiles_like_probing(problems[0])
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sldstab import sim
-from sldstab.fixtures import elcirc, unstable_mode
+from sldstab.fixtures import elcirc
 from sldstab.mlf import find_mlf, make_certificate
 from sldstab.model import SldsModel, load_model
 from sldstab.polymat import PolyMatrix
@@ -20,12 +20,12 @@ from sldstab.sim import (
     Trace,
     asymptotic_check,
     audit_mlf,
-    derivative_stack,
     signal_from_json,
     simulate,
     write_trace_csv,
 )
 
+from modeltools import derivative_stack, unstable_mode
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
