@@ -31,9 +31,8 @@ The search starts from the per-mode solutions ``K_k`` of ``A_k^T K_k +
 K_k A_k = -I``, scaled by ``c_k`` over the transition graph so that every
 switch condition holds with a relative gap (:func:`_switch_scales`).  Such
 scales exist exactly when the graph's weights ``log r_kl + gamma`` have no
-cycle of positive weight.  When the scaled start verifies, it is the
-certificate (``iterations`` 0) and no LMI is built; otherwise the LMI
-search runs from it.
+cycle of positive weight.  A start that verifies is the certificate
+(``iterations`` 0, nothing compiled); otherwise the search runs from it.
 """
 
 from __future__ import annotations
@@ -232,10 +231,9 @@ def make_certificate(
     eps: float | None = None,
     solver: dict | None = None,
 ) -> MlfCertificate:
-    """The certificate of the kernels ``K_k``, judged by ``verify_mlf``.
-
-    The margins and ``solver["feasible"]`` are those of ``verify_mlf``, and
-    the other ``solver`` entries follow ``feasible`` in the order given.
+    """The certificate of given kernels ``K_k`` (positive-real route, demos),
+    judged by ``verify_mlf``: its margins and ``solver["feasible"]``, the
+    other ``solver`` entries following ``feasible`` in the order given.
     ``eps`` defaults to ``EPS_REL * problem_scale(model)``.
     """
     if eps is None:
@@ -258,25 +256,19 @@ def find_mlf(
 ) -> MlfCertificate:
     """Search for an MLF certificate; check ``.feasible`` on the result.
 
-    The start kernels (:func:`_warm_start`) go through
-    :func:`make_certificate` first: when they verify, they are the
-    certificate, with ``iterations`` 0, and no LMI is compiled.  Otherwise
-    the LMI search runs from the same start.  :func:`make_certificate`
-    takes the stored margins and the ``feasible`` flag from ``verify_mlf``.
+    One problem (:func:`assemble_mlf_lmis`), solved once from the scaled
+    start (:func:`_warm_start`), so each kernel set is judged once: the
+    margins and ``feasible`` flag are the solve report's, which evaluates
+    the constraints that ``verify_mlf`` rebuilds.
     """
     solutions = _unit_lyapunov(model)
     if eps is None:
         eps = EPS_REL * problem_scale(model, solutions)
     start = _warm_start(model, solutions)
-    names = [f"K{k}" for k in range(1, model.n_modes + 1)]
-    solver = {"iterations": 0, "budget": budget}
-    cert = make_certificate(model, "lmi", [start[n] for n in names], eps=eps, solver=solver)
-    if cert.feasible:
-        return cert
     report = assemble_mlf_lmis(model, eps).solve(eps, budget=budget, warm_start=start)
-    solver = {"iterations": report.iterations, "budget": budget}
-    kernels = [report.values[n] for n in names]
-    return make_certificate(model, "lmi", kernels, eps=eps, solver=solver)
+    solver = {"feasible": report.feasible, "iterations": report.iterations, "budget": budget}
+    kernels = [report.values[name] for name in start]
+    return MlfCertificate("lmi", eps, kernels, report.margins, solver)
 
 
 def check_fits(model: SldsModel, cert: MlfCertificate) -> None:

@@ -37,11 +37,11 @@ decrease, off the barrier's domain or not, ends the centering at the
 current point instead of taking that step.
 
 A certificate is accepted by one rule, :func:`accepts`: every margin is at
-least ``eps / 2``.  Iterates are pre-checked on the compiled data (the
-factored eigenvalues and the largest equality residual, mirroring that
-rule); the closure-based ``verify`` re-checks an accepted iterate and the
-final one, and the report's margins and ``feasible`` flag are
-:func:`accepts` of its margins.
+least ``eps / 2``.  The closure-based ``verify`` judges a warm start
+before anything is compiled.  Iterates are pre-checked on the compiled data
+(the factored eigenvalues and the largest equality residual, mirroring that
+rule); ``verify`` re-checks an accepted iterate and the final one, and the
+report's margins and ``feasible`` flag are :func:`accepts` of its margins.
 
 The search stops without a certificate when a centering ends with
 ``s - 2 nu / t > eps``, where ``nu`` (one plus the sum of the cone sizes) is
@@ -339,8 +339,13 @@ class LmiProblem:
         search stops early once the duality-gap bound shows that no point in
         the search ball can be accepted (module docstring).  Returns a report
         whose ``feasible`` flag is :func:`accepts` of an independent margin
-        re-check.
+        re-check.  A ``warm_start`` that :meth:`verify` accepts is returned
+        as given, with 0 iterations, before anything is compiled.
         """
+        if warm_start:
+            margins = self.verify(warm_start, eps)
+            if accepts(margins, eps):
+                return SolveReport(True, 0, margins, dict(warm_start))
         compiled = self._compile()
         v0 = self._pack(warm_start) if warm_start else np.zeros(self.n_params)
         npar = self.n_params

@@ -22,6 +22,16 @@ def derivative_stack(model: SldsModel, mode: int, x: np.ndarray, depth: int) -> 
     return out
 
 
-def unstable_mode() -> SldsModel:
-    """Single anti-Hurwitz mode d/dt - 1, used as a negative control."""
-    return SldsModel(modes=[PolyMatrix.from_entries([[[-1.0, 1.0]]])], gluing={})
+def unstable_mode(rate: float = 1.0) -> SldsModel:
+    """Single anti-Hurwitz mode ``d/dt - rate``, used as a negative control."""
+    return SldsModel(modes=[PolyMatrix.from_entries([[[-rate, 1.0]]])], gluing={})
+
+
+def inconsistent_gluing(row_scale: float = 1.0) -> SldsModel:
+    """Two copies of ``d/dt + 1`` glued by ``w_minus = w_plus`` and
+    ``w_minus = 0``, both rows times ``row_scale``: a switch from a nonzero
+    state violates the second row."""
+    R = PolyMatrix.from_entries([[[1.0, 1.0]]])
+    Gm = PolyMatrix.from_entries([[[row_scale]], [[row_scale]]])
+    Gp = PolyMatrix.from_entries([[[row_scale]], [[0.0]]])
+    return SldsModel(modes=[R, R], gluing={(1, 2): (Gm, Gp)})

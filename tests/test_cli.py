@@ -17,7 +17,7 @@ from sldstab.model import SldsModel, load_model, model_to_json
 from sldstab.polymat import PolyMatrix, polymatrix_to_json
 
 import polytools
-from modeltools import unstable_mode
+from modeltools import inconsistent_gluing, unstable_mode
 
 ROOT = Path(__file__).resolve().parents[1]
 MODELS = ROOT / "models"
@@ -235,6 +235,30 @@ class TestSimulate:
         assert rc == 1
         assert "1e+15 grid samples" in capsys.readouterr().err
         assert peak < 20e6
+
+    @pytest.mark.parametrize("c", [1.0, 1e-6, 1e-12])
+    def test_growing_mlf_fails_the_audit_at_any_kernel_scale(self, tmp_path, capsys, c):
+        # mode xi - 0.1 grows V = c x^2 by 22 % over t in [0, 1]: a small c
+        # must not pass the audit
+        model, sig, cert = (tmp_path / f"{n}.json" for n in ("model", "sig", "cert"))
+        model.write_text(json.dumps(model_to_json(unstable_mode(0.1))))
+        sig.write_text(json.dumps({"initial_mode": 1, "events": []}))
+        cert.write_text(json.dumps({"route": "lmi", "epsilon": 1e-7, "modes": [{"K": [[c]]}]}))
+        rc = main(["simulate", str(model), "--signal", str(sig), "--x0", "1.0",
+                   "--t-end", "1.0", "--dt", "0.1", "--cert", str(cert)])
+        assert rc == 3
+        assert "audit: ok=False" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("x0", ["1.0", "1e-6", "1e-9"])
+    def test_inconsistent_switch_exits_1_at_any_state_scale(self, tmp_path, capsys, x0):
+        # gluing demands w_minus = 0 at the switch; a generic state violates it
+        model, sig = tmp_path / "model.json", tmp_path / "sig.json"
+        model.write_text(json.dumps(model_to_json(inconsistent_gluing())))
+        sig.write_text(json.dumps({"initial_mode": 1, "events": [[0.5, 2]]}))
+        rc = main(["simulate", str(model), "--signal", str(sig), "--x0", x0,
+                   "--t-end", "1.0", "--dt", "0.1"])
+        assert rc == 1
+        assert "inconsistent transition" in capsys.readouterr().out
 
 
 def _cut_to_one_mode(doc):

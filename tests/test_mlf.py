@@ -11,6 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sldstab import mlf
 from sldstab.cli import main
 from sldstab.fixtures import concond, elcirc, exmath, source_converter
 from sldstab.mlf import (
@@ -168,9 +169,60 @@ class TestLegacyCertificateFiles:
         assert "certificate verifies" in capsys.readouterr().out
 
 
+def _counted_find_mlf(model, monkeypatch):
+    """``find_mlf(model)`` and how often it called ``assemble_mlf_lmis``,
+    ``LmiProblem.verify`` and ``LmiProblem._compile``."""
+    calls = {"assemble": 0, "verify": 0, "compile": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(mlf, "assemble_mlf_lmis", counted("assemble", mlf.assemble_mlf_lmis))
+    monkeypatch.setattr(LmiProblem, "verify", counted("verify", LmiProblem.verify))
+    monkeypatch.setattr(LmiProblem, "_compile", counted("compile", LmiProblem._compile))
+    try:
+        return find_mlf(model), calls
+    finally:
+        monkeypatch.undo()
+
+
+class TestJudgedOnce:
+    """``find_mlf`` builds one problem and judges each kernel set once: the
+    start before anything is compiled, and the search's answer once more."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(concond, id="concond"),
+            pytest.param(partial(source_converter, 4), id="source_converter_4mode"),
+            pytest.param(partial(source_converter, 6), id="source_converter_6mode"),
+        ],
+    )
+    def test_search_builds_one_problem(self, build, monkeypatch):
+        model = build()
+        cert, calls = _counted_find_mlf(model, monkeypatch)
+        assert cert.solver["iterations"] > 0
+        assert calls == {"assemble": 1, "verify": 2, "compile": 1}
+        assert (cert.feasible, cert.margins) == verify_mlf(model, cert)
+
+    @pytest.mark.parametrize("build", [elcirc, exmath], ids=["elcirc", "exmath"])
+    def test_start_certificate_compiles_nothing(self, build, monkeypatch):
+        model = build()
+        cert, calls = _counted_find_mlf(model, monkeypatch)
+        assert cert.feasible
+        assert cert.solver["iterations"] == 0
+        assert calls == {"assemble": 1, "verify": 1, "compile": 0}
+        assert (cert.feasible, cert.margins) == verify_mlf(model, cert)
+
+
 class TestMakeCertificate:
     @pytest.mark.parametrize("name", ["elcirc", "source_converter_4mode"])
     def test_search_certificate_is_made_by_make_certificate(self, name):
+        # make_certificate of the search's kernels is the search's certificate
         model = load_model(MODELS / f"{name}.json")
         cert = find_mlf(model)
         again = make_certificate(
@@ -363,15 +415,11 @@ class TestScaledStart:
         if _switch_scales(kernels, maps) is None:
             assert _positive_cycles(kernels, maps)
             return
-        compiles = []
-        compile_ = LmiProblem._compile
-        monkeypatch.setattr(
-            LmiProblem, "_compile", lambda self: compiles.append(1) or compile_(self)
-        )
-        cert = find_mlf(model)
+        cert, calls = _counted_find_mlf(model, monkeypatch)
         assert cert.feasible
         assert cert.solver["iterations"] == 0
-        assert compiles == []
+        assert calls == {"assemble": 1, "verify": 1, "compile": 0}
+        assert (cert.feasible, cert.margins) == verify_mlf(model, cert)
         assert min(cert.margins.values()) >= 1e3 * cert.epsilon
 
     def test_most_family_draws_scale(self):

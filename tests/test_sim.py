@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sldstab import sim
 from sldstab.fixtures import elcirc
-from sldstab.mlf import find_mlf, make_certificate
+from sldstab.mlf import MlfCertificate, find_mlf, make_certificate
 from sldstab.model import SldsModel, load_model
 from sldstab.polymat import PolyMatrix
 from sldstab.sim import (
@@ -25,7 +25,7 @@ from sldstab.sim import (
     write_trace_csv,
 )
 
-from modeltools import derivative_stack, unstable_mode
+from modeltools import derivative_stack, inconsistent_gluing, unstable_mode
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
@@ -357,6 +357,29 @@ class TestAudit:
         tr.events[0]["v_plus"] = np.nan
         assert not audit_mlf(tr)["ok"]
 
+    @pytest.mark.parametrize("c", [1.0, 1e-6, 1e-12])
+    def test_growing_mlf_fails_at_any_kernel_scale(self, c):
+        # mode xi - 0.1 grows V = c x^2 by 22 % over t in [0, 1]; V is
+        # homogeneous in K, so shrinking K must not bring the rise under tol
+        cert = MlfCertificate("lmi", 1e-7, [np.array([[c]])], {}, {})
+        tr = simulate(unstable_mode(0.1), SwitchingSignal(1, ()), [1.0], t_end=1.0,
+                      sample_dt=0.1, certificate=cert)
+        assert tr.values[-1] / tr.values[0] == pytest.approx(np.exp(0.2))
+        rep = audit_mlf(tr)
+        assert not rep["ok"]
+        assert rep["violations"] == 10
+        assert rep["tolerance"] == pytest.approx(sim.AUDIT_REL_TOL * tr.values[-1])
+
+    @pytest.mark.parametrize("c", [1e-6, 1e-12])
+    def test_certified_trace_passes_at_any_kernel_scale(self, c):
+        model = elcirc()
+        cert = make_certificate(model, "lmi", [[[0.5 * c]], [[0.5 * c]]])
+        tr = simulate(
+            model, _circuit_signal(6), [1.0], t_end=4.0, sample_dt=0.05,
+            certificate=cert,
+        )
+        assert audit_mlf(tr)["ok"]
+
     def test_audit_recomputes_missing_values(self):
         # it no longer does: values come only from simulate, and a trace
         # simulated without a certificate is refused
@@ -380,17 +403,27 @@ class TestAsymptotics:
 
 
 class TestTruncation:
-    def test_inconsistent_transition_truncates(self):
-        # gluing demands w_minus = 0 at the switch; a generic state violates it
-        R = PolyMatrix.from_entries([[[1.0, 1.0]]])
-        Gm = PolyMatrix.from_entries([[[1.0]], [[1.0]]])
-        Gp = PolyMatrix.from_entries([[[1.0]], [[0.0]]])
-        model = SldsModel(modes=[R, R], gluing={(1, 2): (Gm, Gp)})
+    @pytest.mark.parametrize("row_scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("x0", [1.0, 1e-3, 1e-6, 1e-9])
+    def test_inconsistent_transition_truncates(self, x0, row_scale):
+        # gluing demands w_minus = 0 at the switch; a generic state violates
+        # it at any scale of the state or of the gluing rows, since the
+        # residual is judged against the terms it sums
+        model = inconsistent_gluing(row_scale)
         sig = SwitchingSignal(1, ((0.5, 2),))
-        tr = simulate(model, sig, [1.0], t_end=1.0, sample_dt=0.1)
+        tr = simulate(model, sig, [x0], t_end=1.0, sample_dt=0.1)
         assert tr.truncated
         assert tr.events[-1].get("inconsistent")
         assert tr.times[-1] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("row_scale", [1e-6, 1.0, 1e6])
+    def test_zero_state_does_not_truncate(self, row_scale):
+        model = inconsistent_gluing(row_scale)
+        sig = SwitchingSignal(1, ((0.5, 2),))
+        tr = simulate(model, sig, [0.0], t_end=1.0, sample_dt=0.1)
+        assert not tr.truncated
+        assert tr.events[-1]["gluing_residual"] == 0.0
+        assert tr.times[-1] == 1.0
 
 
 class TestDerivativeStack:
@@ -476,7 +509,7 @@ class TestTraceCsvBytes:
         tr = Trace(
             times=vals,
             modes=np.arange(len(vals)) % 2 + 1,
-            states=[vals[i:i + 1 + i % 2] for i in range(len(vals))],
+            blocks=[vals[None, i:i + 1 + i % 2] for i in range(len(vals))],
             outputs=np.stack([vals, vals[::-1]], axis=1),
             values=vals,
         )
@@ -496,7 +529,7 @@ class TestTraceCsvBytes:
         return blocks, cells
 
     @pytest.mark.parametrize("source", ["converter", "special"])
-    def test_states_and_blocks_write_same_bytes(self, tmp_path, source):
+    def test_mixed_blocks_write_csv_writer_bytes(self, tmp_path, source):
         if source == "converter":
             model = load_model(MODELS / "source_converter_4mode.json")
             tr = simulate(model, _load_signal("converter_cycle"), [1.0, -0.5],
@@ -507,18 +540,12 @@ class TestTraceCsvBytes:
         else:
             blocks, cells = self._special_blocks()
         assert len({X.shape[1] for X in blocks}) == 2
-        rows = [x for X in blocks for x in X]
-        by_rows = Trace(states=rows, **cells)
-        by_blocks = Trace(blocks=blocks, **cells)
-        assert all(np.array_equal(a, b, equal_nan=True)
-                   for a, b in zip(by_rows.states, by_blocks.states))
-        write_trace_csv(by_rows, tmp_path / "rows.csv")
-        write_trace_csv(by_blocks, tmp_path / "blocks.csv")
-        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "blocks.csv").read_bytes()
-        self._assert_same_bytes(by_blocks, tmp_path)
+        tr = Trace(blocks=blocks, **cells)
+        assert [len(x) for x in tr.states] == [X.shape[1] for X in blocks for _ in X]
+        self._assert_same_bytes(tr, tmp_path)
 
     def test_empty_trace(self, tmp_path):
-        tr = Trace(times=np.zeros(0), modes=np.zeros(0, dtype=int), states=[],
+        tr = Trace(times=np.zeros(0), modes=np.zeros(0, dtype=int), blocks=[],
                    outputs=np.zeros((0, 2)), values=None)
         self._assert_same_bytes(tr, tmp_path)
         assert (tmp_path / "new.csv").read_bytes() == b"t,mode\r\n"
