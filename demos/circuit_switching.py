@@ -8,14 +8,15 @@ for the certificate it was simulated with: kernels (0.5, 5.0), which grow
 at every 1->2 event, are audited by simulating with them.
 """
 
+from pathlib import Path
+
 import numpy as np
 
-from sldstab import audit_mlf, find_mlf, simulate
-from sldstab.fixtures import elcirc
+from sldstab import audit_mlf, find_mlf, load_model, simulate
 from sldstab.mlf import make_certificate
 from sldstab.sim import SwitchingSignal
 
-model = elcirc()
+model = load_model(Path(__file__).resolve().parents[1] / "models" / "elcirc.json")
 cert = find_mlf(model)
 print(f"certificate found: {cert.feasible} "
       f"(kernels {[np.asarray(K).tolist() for K in cert.kernels]})")

@@ -5,14 +5,15 @@ Walks the full pipeline: mode frequencies, eigenstructure, LMI certificate,
 and an exact switched simulation audited against the certificate.
 """
 
+from pathlib import Path
+
 import numpy as np
 
-from sldstab import SldsModel, audit_mlf, find_mlf, simulate, verify_mlf
-from sldstab.fixtures import source_converter
+from sldstab import audit_mlf, find_mlf, load_model, simulate, verify_mlf
 from sldstab.sim import SwitchingSignal
 from sldstab.statespace import eigenstructure
 
-model = source_converter(4)
+model = load_model(Path(__file__).resolve().parents[1] / "models" / "source_converter_4mode.json")
 
 print("mode characteristic frequencies:")
 for k, real in enumerate(model.realizations, start=1):

@@ -9,6 +9,9 @@ positive-real completion M = I: the closed form M = H_p P is the identity
 exactly, so M R2 R1^{-1} is R2 R1^{-1} and strictly positive real.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from sldstab import (
@@ -19,10 +22,14 @@ from sldstab import (
     positive_real_completion,
     spectral_factorize,
 )
-from sldstab.fixtures import standard_scalar_pair
+from sldstab.polymat import polymatrix_from_json
 from sldstab.posreal import para_hermitian_boundary
 
-R1, R2 = standard_scalar_pair()
+MODELS = Path(__file__).resolve().parents[1] / "models"
+R1, R2 = (
+    polymatrix_from_json(json.loads((MODELS / f"standard_scalar_{r}.json").read_text()))
+    for r in ("r1", "r2")
+)
 ok, witness = is_strictly_positive_real(R2, R1)
 print(f"R2 R1^-1 strictly positive real: {ok}")
 

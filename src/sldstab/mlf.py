@@ -24,8 +24,8 @@ identity fixes the multiplier at ``Y(xi) = B^T Kbar X(xi)``, and then
 ``(zeta+eta) X^T Kbar X - Y^T R - R^T Y = X^T (A^T Kbar + Kbar A) X``.
 So a certificate is its kernels ``Kbar_k`` alone: the search solves for
 them, the file stores them, and ``verify_mlf`` rebuilds decay, positivity
-and switch conditions from them.  The equation itself is assembled in one
-place, :func:`assemble_ple_lmi`.
+and switch conditions from them.  The equation is never assembled: its
+decay form is the condition that is solved and checked.
 
 The search starts from the per-mode solutions ``K_k`` of ``A_k^T K_k +
 K_k A_k = -I``, scaled by ``c_k`` over the transition graph so that every
@@ -47,10 +47,8 @@ import scipy.linalg
 from .model import SldsModel
 from .polymat import json_float, json_list, json_object
 from .sdp import DEFAULT_BUDGET, LmiProblem, accepts
-from .statespace import realize
 
 EPS_REL = 1e-7
-SCAN_RATIOS = np.geomspace(1e-3, 1e3, 121)  # c_2 / c_1 grid of scan_canonical_family
 # gamma of the scaled start: c_k / c_l exceeds the least ratio r_kl by the
 # factor exp(gamma) = 1.1, so each switch condition holds with a 10 % relative
 # gap that rounding cannot close, not at the eps bonus.  It also makes every
@@ -145,52 +143,10 @@ def _warm_start(model: SldsModel, solutions=None) -> dict:
     if solutions is None:
         solutions = _unit_lyapunov(model)
     kernels = [0.5 * (K + K.T) for K in solutions]
-    scales = _switch_scales(kernels, {key: rm.L for key, rm in model.reinits.items()})
+    scales = _switch_scales(kernels, model.reinits)
     if scales is not None:
         kernels = [c * K for c, K in zip(scales, kernels)]
     return {f"K{k}": K for k, K in enumerate(kernels, start=1)}
-
-
-def assemble_ple_lmi(
-    R, X, Qbar, require_positive: bool = False, eps: float = 0.0
-) -> LmiProblem:
-    """Single-mode polynomial Lyapunov equation with a fixed supply rate.
-
-    Encodes, over the stacked coefficient matrices, the equality
-
-        (zeta+eta) X(zeta)^T Kbar X(eta)
-            = Y(zeta)^T R(eta) + R(zeta)^T Y(eta) - Q(zeta)^T Q(eta)
-
-    with ``Q = Qbar X`` given and ``(Kbar, Ybar)`` unknown.  With
-    ``require_positive`` an additional ``Kbar >= eps I`` constraint is added.
-    """
-    real = realize(R, X)
-    Rt, Xa, Xb, w = real.Rt, real.Xa, real.Xb, real.w
-    Qbar = np.atleast_2d(np.asarray(Qbar, dtype=float))
-    if Qbar.shape[1] != real.n:
-        raise ValueError(
-            f"Qbar has {Qbar.shape[1]} columns, state dimension is {real.n}"
-        )
-    QX = Qbar @ Xa
-
-    prob = LmiProblem()
-    prob.add_symmetric("K", real.n)
-    prob.add_matrix("Y", w, real.n)
-
-    def ple(v):
-        K, Y = v["K"], v["Y"]
-        return (
-            Xb.T @ K @ Xa
-            + Xa.T @ K @ Xb
-            - Xa.T @ Y.swapaxes(-1, -2) @ Rt
-            - Rt.T @ Y @ Xa
-            + QX.T @ QX
-        )
-
-    prob.add_constraint("ple", ple, "zero")
-    if require_positive:
-        prob.add_constraint("pos", lambda v: v["K"], "psd", eps)
-    return prob
 
 
 def assemble_mlf_lmis(model: SldsModel, eps: float, strict: bool = True) -> LmiProblem:
@@ -215,9 +171,9 @@ def assemble_mlf_lmis(model: SldsModel, eps: float, strict: bool = True) -> LmiP
 
         prob.add_constraint(f"decay_{k}", decay, "nsd", shift)
         prob.add_constraint(f"pos_{k}", pos, "psd", shift)
-    for (k, l), rm in sorted(model.reinits.items()):
+    for (k, l), L in sorted(model.reinits.items()):
 
-        def switch(v, L=rm.L, k=k, l=l):
+        def switch(v, L=L, k=k, l=l):
             return v[f"K{k}"] - L.T @ v[f"K{l}"] @ L
 
         prob.add_constraint(f"switch_{k}_{l}", switch, "psd", 0.0)
@@ -307,71 +263,6 @@ def verify_mlf(model: SldsModel, cert: MlfCertificate) -> tuple[bool, dict]:
     return accepts(margins, eps), margins
 
 
-def scan_canonical_family(model: SldsModel) -> dict:
-    """Scan the one-parameter candidate family of scalar-state models.
-
-    For models whose modes all have McMillan degree 1 the canonical
-    quadratic candidates are ``c_k x_k^2`` with ``c_k > 0``; after scale
-    normalization (``c_1 = 1``) a two-mode model leaves a single free ratio,
-    scanned over ``SCAN_RATIOS`` with ``eps = EPS_REL * problem_scale``.
-    Each grid point is evaluated against the three certificate conditions —
-    positivity on the mode, decay along the mode, and non-increase at
-    switches — and the binding (worst-margin) condition is recorded.
-
-    The scan verdict is cross-checked against the LMI search so that the
-    report is self-consistent; see the README's "known discrepancies" note
-    for the documented external disagreement on the averaging-gluing
-    two-mode example.
-    """
-    if model.n_modes != 2:
-        raise ValueError("family scan is implemented for two-mode models")
-    if any(real.n != 1 for real in model.realizations):
-        raise ValueError("family scan requires McMillan degree 1 in every mode")
-    eps = EPS_REL * problem_scale(model)
-    prob = assemble_mlf_lmis(model, eps)
-    groups = {"positivity": "pos_", "decay": "decay_", "switch": "switch_"}
-    results = []
-    feasible_ratios = []
-    for r in SCAN_RATIOS:
-        values = {"K1": np.array([[1.0]]), "K2": np.array([[float(r)]])}
-        margins = prob.verify(values, eps)
-        group_margins = {
-            g: min(m for name, m in margins.items() if name.startswith(pre))
-            for g, pre in groups.items()
-        }
-        binding = min(group_margins, key=group_margins.get)
-        ok = accepts(margins, eps)
-        if ok:
-            feasible_ratios.append(float(r))
-        results.append(
-            {
-                "ratio": float(r),
-                "margins": {k: float(v) for k, v in margins.items()},
-                "group_margins": {k: float(v) for k, v in group_margins.items()},
-                "binding": binding,
-                "feasible": ok,
-            }
-        )
-    cert = find_mlf(model)
-    scan_feasible = bool(feasible_ratios)
-    return {
-        "family": "K_k = c_k (scalar states); c_1 normalized to 1",
-        "epsilon": float(eps),
-        "results": results,
-        "feasible_ratios": feasible_ratios,
-        "scan_feasible": scan_feasible,
-        "lmi_feasible": cert.feasible,
-        "consistent": scan_feasible == cert.feasible,
-        "note": (
-            "This verdict is computed, not asserted: external analyses of the "
-            "averaging-gluing two-mode example report that no quadratic "
-            "candidate works and the system is unstable, which disagrees with "
-            "a direct reading of the mode equations used here.  See the "
-            "documented open question in the README."
-        ),
-    }
-
-
 # ---------------------------------------------------------------------------
 # certificate JSON
 
@@ -391,8 +282,9 @@ def certificate_from_json(doc: dict) -> MlfCertificate:
     ``ValueError`` that names it, and keys other than
     ``certificate_to_json``'s (the ``Y``, ``F``, per-mode margins and
     ``transitions`` of older files) are ignored.  Rejects an ``epsilon``
-    that is not positive and finite and a ``K`` that is not a finite
-    symmetric square matrix."""
+    that is not positive and finite and a ``K`` that is not a finite square
+    matrix with ``max|K - K^T| <= 1e-12 max|K|``, a test that does not
+    depend on the scale of ``K``."""
     json_object(doc, "certificate file", ("route", "epsilon", "modes"))
     eps = json_float(doc["epsilon"], "certificate epsilon")
     if not (math.isfinite(eps) and eps > 0):
@@ -411,7 +303,7 @@ def certificate_from_json(doc: dict) -> MlfCertificate:
         if bad.size:
             where = ", ".join(f"{K[i, j]} at entry ({i + 1},{j + 1})" for i, j in bad)
             raise ValueError(f"mode {k}: kernel K has a non-finite entry: {where}")
-        if not np.allclose(K, K.T, atol=1e-12 * max(1.0, np.abs(K).max())):
+        if np.abs(K - K.T).max(initial=0.0) > 1e-12 * np.abs(K).max(initial=0.0):
             raise ValueError(f"mode {k}: kernel K must be symmetric")
         kernels.append(K)
     return MlfCertificate(

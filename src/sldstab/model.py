@@ -67,13 +67,6 @@ class NormalFormPair:
     f_plus: np.ndarray
 
 
-@dataclass(frozen=True)
-class ReinitMap:
-    """State jump ``x+ = L x-`` for a well-posed transition."""
-
-    L: np.ndarray
-
-
 @dataclass
 class SldsModel:
     """Bank of modes plus gluing conditions, with derived normal form.
@@ -127,7 +120,7 @@ class SldsModel:
         return normal_form(self)
 
     @cached_property
-    def reinits(self) -> dict[tuple[int, int], ReinitMap]:
+    def reinits(self) -> dict[tuple[int, int], np.ndarray]:
         """``reinit_maps(self)``, derived on first use."""
         return reinit_maps(self)
 
@@ -202,8 +195,9 @@ def is_well_posed(model: SldsModel) -> tuple[dict[tuple[int, int], bool], bool]:
     return verdicts, all(verdicts.values())
 
 
-def reinit_maps(model: SldsModel) -> dict[tuple[int, int], ReinitMap]:
-    """Re-initialisation maps ``L = pinv(F+) F-`` for well-posed transitions.
+def reinit_maps(model: SldsModel) -> dict[tuple[int, int], np.ndarray]:
+    """Re-initialisation maps ``L = pinv(F+) F-`` for well-posed transitions:
+    the state jump ``x+ = L x-`` of each transition.
 
     ``pinv(F+) = V diag(1/s) U^T`` is formed from :attr:`SldsModel.f_plus_svd`
     with ``np.linalg.pinv``'s own arithmetic.  No singular value is cut off:
@@ -216,7 +210,7 @@ def reinit_maps(model: SldsModel) -> dict[tuple[int, int], ReinitMap]:
         if not wp[key]:
             raise ValueError(f"transition {key[0]}->{key[1]} is not well-posed")
         u, s, vt = model.f_plus_svd[key]  # a well-posed F+ is not empty
-        out[key] = ReinitMap(L=(vt.T @ ((1 / s)[:, None] * u.T)) @ pair.f_minus)
+        out[key] = (vt.T @ ((1 / s)[:, None] * u.T)) @ pair.f_minus
     return out
 
 

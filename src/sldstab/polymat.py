@@ -36,6 +36,8 @@ import numpy as np
 TRIM_TOL = 1e-13
 # Absolute tolerance on real parts for the Hurwitz tests.
 HURWITZ_TOL = 1e-9
+# Steps after which column_reduce gives up: each step lowers a column degree.
+COLUMN_REDUCE_MAX_ITER = 200
 
 MINUS_INF = float("-inf")
 
@@ -440,7 +442,7 @@ def state_coordinates(blocks: Sequence[PolyMatrix], R: PolyMatrix) -> np.ndarray
     return fu.transpose(1, 0, 2).reshape(rows, g * w) @ powers.reshape(g * w, -1)
 
 
-def column_reduce(R: PolyMatrix, max_iter: int = 200) -> _Reduction:
+def column_reduce(R: PolyMatrix) -> _Reduction:
     """Column reduction ``R' = R U`` with ``U`` unimodular; returns
     ``(R', U, U^{-1}, d, A_c, B_c, O)``, ``d`` the column degrees of ``R'``
     and the last three its companion data (:func:`_companion`), formed with
@@ -473,7 +475,7 @@ def column_reduce(R: PolyMatrix, max_iter: int = 200) -> _Reduction:
     n, Rp = R.cols, R
     U = Uinv = None  # the identity until the first step
     size = np.abs(R.coeffs).max(axis=(0, 1))  # s_j, the size of column j's terms
-    for _ in range(max_iter):
+    for _ in range(COLUMN_REDUCE_MAX_ITER):
         degs = np.array(column_degrees(Rp))
         if degs.min() == MINUS_INF:
             raise ValueError("matrix is singular (a column reduces to zero)")
@@ -521,7 +523,9 @@ def column_reduce(R: PolyMatrix, max_iter: int = 200) -> _Reduction:
         # I E = E and E^{-1} I = E^{-1} exactly, so the first step multiplies nothing
         U = e if U is None else _matmul(U, e)
         Uinv = einv if Uinv is None else _matmul(einv, Uinv)
-    raise ValueError(f"column reduction did not terminate in {max_iter} steps")
+    raise ValueError(
+        f"column reduction did not terminate in {COLUMN_REDUCE_MAX_ITER} steps"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -379,7 +379,7 @@ def mlf_from_positive_real(s: StandardSlds) -> MlfCertificate:
         K1 = 0.5 * (K1 + K1.T)
         solver = {"iterations": 0, "budget": 0}
     _check_dissipation(s, K1)
-    L = s.model.reinits[(2, 1)].L
+    L = s.model.reinits[(2, 1)]
     K2 = L.T @ K1 @ L
     K2 = 0.5 * (K2 + K2.T)
     return make_certificate(s.model, "posreal", [K1, K2], solver=solver)

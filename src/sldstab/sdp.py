@@ -1,11 +1,11 @@
 """Small feasibility solver for linear matrix inequalities.
 
-The problem is a set of named matrix variables (optionally symmetric) plus
-affine matrix-valued constraints with a semidefiniteness sense.  Constraints
+The problem is a set of named symmetric matrix variables plus affine
+matrix-valued constraints with a semidefiniteness sense.  Constraints
 are given as plain Python callables; the affine map is recovered numerically
 by probing with basis vectors, so callers never build coefficient tensors by
 hand.  The probe calls each constraint once, with every variable given as a
-stack ``(n_params + 1, rows, cols)`` of its values at zero and at each basis
+stack ``(n_params + 1, n, n)`` of its values at zero and at each basis
 vector.  Constraints must therefore act on the last two axes and broadcast
 over the leading one: ``swapaxes(-1, -2)`` for a transpose, ``[..., i, j]``
 for an index.  One further call on plain matrices, at a fixed point, checks
@@ -78,21 +78,19 @@ def accepts(margins: dict, eps: float) -> bool:
 
 @dataclass(frozen=True)
 class _VarBlock:
+    """A symmetric ``n x n`` variable: its upper triangle is the parameters."""
+
     name: str
-    rows: int
-    cols: int
-    symmetric: bool
+    n: int
 
     @property
     def n_params(self) -> int:
-        if self.symmetric:
-            return self.rows * (self.rows + 1) // 2
-        return self.rows * self.cols
+        return self.n * (self.n + 1) // 2
 
     @cached_property
     def triu(self) -> tuple[np.ndarray, np.ndarray]:
-        """Indices of the upper triangle that holds a symmetric block's parameters."""
-        return np.triu_indices(self.rows)
+        """Indices of the upper triangle that holds the parameters."""
+        return np.triu_indices(self.n)
 
 
 @dataclass(frozen=True)
@@ -189,12 +187,7 @@ class LmiProblem:
     def add_symmetric(self, name: str, n: int) -> None:
         if name in self._blocks:
             raise ValueError(f"duplicate variable '{name}'")
-        self._blocks[name] = _VarBlock(name, n, n, symmetric=True)
-
-    def add_matrix(self, name: str, rows: int, cols: int) -> None:
-        if name in self._blocks:
-            raise ValueError(f"duplicate variable '{name}'")
-        self._blocks[name] = _VarBlock(name, rows, cols, symmetric=False)
+        self._blocks[name] = _VarBlock(name, n)
 
     def add_constraint(self, name, expr, sense, shift=0.0) -> None:
         if sense not in ("psd", "nsd", "zero"):
@@ -215,13 +208,10 @@ class LmiProblem:
         for b in self._blocks.values():
             chunk = v[..., pos : pos + b.n_params]
             pos += b.n_params
-            if b.symmetric:
-                rows, cols = b.triu
-                M = np.empty(lead + (b.rows, b.rows))
-                M[..., rows, cols] = chunk
-                M[..., cols, rows] = chunk
-            else:
-                M = chunk.reshape(lead + (b.rows, b.cols))
+            rows, cols = b.triu
+            M = np.empty(lead + (b.n, b.n))
+            M[..., rows, cols] = chunk
+            M[..., cols, rows] = chunk
             out[b.name] = M
         return out
 
@@ -229,16 +219,11 @@ class LmiProblem:
         parts = []
         for b in self._blocks.values():
             M = np.asarray(values[b.name], dtype=float)
-            if M.shape != (b.rows, b.cols):
+            if M.shape != (b.n, b.n):
                 raise ValueError(
-                    f"variable '{b.name}' has shape {M.shape}, "
-                    f"expected {(b.rows, b.cols)}"
+                    f"variable '{b.name}' has shape {M.shape}, expected {(b.n, b.n)}"
                 )
-            if b.symmetric:
-                M = 0.5 * (M + M.T)
-                parts.append(M[b.triu])
-            else:
-                parts.append(M.ravel())
+            parts.append((0.5 * (M + M.T))[b.triu])
         return np.concatenate(parts) if parts else np.zeros(0)
 
     # -- affine compilation by probing --------------------------------------

@@ -22,7 +22,6 @@ The trace keeps the ``(k, n)`` state array of each segment.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 
@@ -67,8 +66,7 @@ class Trace:
 
     The states are kept in ``blocks``, one ``(k, n)`` array per run of
     consecutive samples (``simulate`` keeps one per segment); a state's
-    dimension may vary between blocks.  ``states``, one vector per sample,
-    is a list of row views of the blocks, made on first use.
+    dimension may vary between blocks.
     """
 
     def __init__(
@@ -89,10 +87,6 @@ class Trace:
         self.values = values
         self.events = [] if events is None else events
         self.truncated = truncated
-
-    @functools.cached_property
-    def states(self) -> list:
-        return [x for X in self.blocks for x in X]
 
     def w_norms(self) -> np.ndarray:
         return np.linalg.norm(self.outputs, axis=1)
@@ -224,7 +218,7 @@ def simulate(
             break
         next_mode = segments[i + 1][0]
         key = (mode, next_mode)
-        x_plus = rmaps[key].L @ x_minus
+        x_plus = rmaps[key] @ x_minus
         pair = nf[key]
         glued_plus, glued_minus = pair.f_plus @ x_plus, pair.f_minus @ x_minus
         # judged against the terms it sums, at any scale of the state

@@ -66,22 +66,18 @@ def express_in_state_basis(
 
 @dataclass(frozen=True)
 class StateRealization:
-    """Companion-style realization of ``ker R(d/dt)`` over a state map X.
+    """Companion-style realization ``xi X = A X + B R`` of ``ker R(d/dt)``
+    over a state map X.
 
-    ``Rt``, ``Xa`` and ``Xb`` stack the coefficients of ``R``, ``X`` and
-    ``xi X`` over one monomial grid, on which ``xi X = A X + B R`` reads
-    ``Xb = A Xa + B Rt``.  ``T_inv`` holds the minimal state map's
-    coordinates over X (``X_min = T_inv X`` modulo ``R``), None when X is
-    that map.  The output map :attr:`C` is computed on first use.
+    ``T_inv`` holds the minimal state map's coordinates over X (``X_min =
+    T_inv X`` modulo ``R``), None when X is that map.  The output map
+    :attr:`C` is computed on first use.
     """
 
     R: PolyMatrix
     X: PolyMatrix
     A: np.ndarray
     B: np.ndarray
-    Rt: np.ndarray
-    Xa: np.ndarray
-    Xb: np.ndarray
     T_inv: np.ndarray | None
 
     @cached_property
@@ -113,9 +109,10 @@ def realize(R: PolyMatrix, X: PolyMatrix | None = None) -> StateRealization:
     Raises unless X is a minimal state map for ``ker R``: X must have
     ``n = deg det R`` rows, the sum of the column degrees of ``R``'s column
     reduction, ``T`` must be nonsingular within ``REALIZE_TOL`` relative to
-    its own scale, and the residual of ``Xb = A Xa + B Rt`` must not exceed
-    ``REALIZE_TOL`` times the largest of ``|Xb|``, ``|A| |Xa|`` and
-    ``|B| |Rt|``, the terms it sums.  These three checks suffice.  With
+    its own scale, and the residual of ``xi X = A X + B R`` must not exceed
+    ``REALIZE_TOL`` times the largest of its terms.  It is taken on the
+    coefficient stacks ``Xb = A Xa + B Rt`` of ``xi X``, ``X`` and ``R``
+    over one monomial grid.  These three checks suffice.  With
     ``xi X = A X + B R``, the constant rows ``a`` with ``a X = p R`` for a
     polynomial row ``p`` form an ``A``-invariant space
     (``a A X = (xi p - a B) R``); an eigenvector ``a A = lambda a`` in it
@@ -158,7 +155,7 @@ def realize(R: PolyMatrix, X: PolyMatrix | None = None) -> StateRealization:
     resid = np.abs(Xb - A @ Xa - B @ Rt).max(initial=0.0)
     if resid > REALIZE_TOL * scale:
         raise ValueError(f"X is not a valid state map (residual {resid:.3e})")
-    return StateRealization(R=R, X=X, A=A, B=B, Rt=Rt, Xa=Xa, Xb=Xb, T_inv=T_inv)
+    return StateRealization(R=R, X=X, A=A, B=B, T_inv=T_inv)
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,7 @@ import pytest
 import scipy.linalg
 
 from sldstab.cli import main
-from sldstab.fixtures import ALL_BUILDERS, elcirc, exmath, source_converter
-from sldstab.mlf import (
-    assemble_ple_lmi,
-    find_mlf,
-    make_certificate,
-    scan_canonical_family,
-    verify_mlf,
-)
+from sldstab.mlf import find_mlf, make_certificate, verify_mlf
 from sldstab.model import SldsModel, is_well_posed, load_model
 from sldstab.polymat import (
     PolyMatrix,
@@ -42,7 +35,14 @@ from sldstab.qdf import eval_along_trajectory, qdf_derivative, sandwich
 from sldstab.sim import SwitchingSignal, audit_mlf, simulate
 from sldstab.statespace import minimal_state_map, realize
 
-from modeltools import derivative_stack
+from modeltools import (
+    CORPUS,
+    corpus_model,
+    derivative_stack,
+    ple_residual,
+    scan_canonical_family,
+    trace_states,
+)
 from polytools import polynomial_part
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
@@ -132,7 +132,7 @@ def test_criterion_2_circuit_certified_and_audited():
     t0 = time.perf_counter()
     assert main(["check", str(MODELS / "elcirc.json")]) == 0
 
-    model = elcirc()
+    model = corpus_model("elcirc")
     # published MLF: V_k = w_2^2 in both modes (state x = w_2, kernel 1)
     cert = make_certificate(model, "lmi", [[[1.0]], [[1.0]]])
     ok, _ = verify_mlf(model, cert)
@@ -218,11 +218,10 @@ def test_criterion_4_property_suites():
         real = realize(R, X)
         K = scipy.linalg.solve_lyapunov(real.A.T, -np.eye(real.n))
         Y = real.B.T @ K
-        prob = assemble_ple_lmi(R, X, np.eye(real.n))
-        margins = prob.verify({"K": K, "Y": Y}, eps=0.0)
-        # zero-sense margin is -max|residual|; require residual <= 1e-9 * scale
+        resid = ple_residual(R, X, np.eye(real.n), K, Y)
+        # require residual <= 1e-9 * scale
         scale = max(1.0, float(np.max(np.abs(K))), R.max_norm() ** 2)
-        assert -margins["ple"] <= 1e-9 * scale
+        assert np.abs(resid).max() <= 1e-9 * scale
 
     # (b) canonical_rep reconstruction + idempotence, 200 random pairs
     done = 0
@@ -244,18 +243,18 @@ def test_criterion_4_property_suites():
         assert (CC - C).max_norm() < 1e-7 * max(1.0, C.max_norm())
         done += 1
 
-    # (c) eigenvalues(A_k) = roots(det R_k) on every fixture
-    for build in ALL_BUILDERS.values():
-        model = build()
+    # (c) eigenvalues(A_k) = roots(det R_k) on every corpus model
+    for name in CORPUS:
+        model = corpus_model(name)
         for real in model.realizations:
             got = np.sort_complex(np.linalg.eigvals(real.A))
             want = np.sort_complex(poly_roots(determinant(real.R)))
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.allclose(got, want, atol=1e-6 * scale)
 
-    # (d) simulator mode fidelity and gluing fidelity on switched fixtures
+    # (d) simulator mode fidelity and gluing fidelity on switched corpus models
     for name in ("elcirc", "source_converter_4mode"):
-        model = ALL_BUILDERS[name]()
+        model = corpus_model(name)
         keys = sorted(model.gluing)
         tscale = 1.0 if name == "elcirc" else 1e-4
         # build an admissible alternating signal from the gluing graph
@@ -275,7 +274,7 @@ def test_criterion_4_property_suites():
             scale = max(1.0, float(np.linalg.norm(ev["x_minus"])))
             assert ev["gluing_residual"] < 1e-8 * scale
         # mode fidelity: R(d/dt) w = 0 along each sampled state
-        for m_act, x in zip(tr.modes, tr.states):
+        for m_act, x in zip(tr.modes, trace_states(tr)):
             real = model.realizations[m_act - 1]
             depth = real.R.coeffs.shape[0]
             stack = derivative_stack(model, int(m_act), x, depth)
@@ -348,7 +347,7 @@ def test_criterion_5_negative_controls(tmp_path, capsys):
 
 def test_criterion_6_family_scan_self_consistency():
     """Averaging-gluing two-mode example: computed verdict, open question noted."""
-    report = scan_canonical_family(exmath())
+    report = scan_canonical_family(corpus_model("exmath"))
     assert report["consistent"], "scan verdict disagrees with the LMI outcome"
     assert report["scan_feasible"] == report["lmi_feasible"]
     # full residuals present for every grid point

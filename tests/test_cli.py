@@ -1,8 +1,10 @@
 import argparse
+import copy
 import json
 import re
 import tracemalloc
 import warnings
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -11,13 +13,12 @@ import pytest
 from sldstab import polymat
 from sldstab import posreal as pr
 from sldstab.cli import build_parser, main
-from sldstab.fixtures import elcirc
 from sldstab.mlf import certificate_to_json, find_mlf
 from sldstab.model import SldsModel, load_model, model_to_json
 from sldstab.polymat import PolyMatrix, polymatrix_to_json
 
 import polytools
-from modeltools import inconsistent_gluing, unstable_mode
+from modeltools import corpus_model, inconsistent_gluing, unstable_mode
 
 ROOT = Path(__file__).resolve().parents[1]
 MODELS = ROOT / "models"
@@ -938,31 +939,35 @@ MISSING_KEY = {
 }
 
 
+@cache
+def _certificate(model_path):
+    return certificate_to_json(find_mlf(load_model(model_path)))
+
+
 def _run_edited(tmp_path, capsys, kind, edit):
     """Run the command that reads a ``kind`` file on the edited document;
-    the exit code and stderr."""
+    the exit code and stderr.  A ``cert`` is elcirc's certificate and a
+    ``converter-cert`` the 4-mode converter's, each checked against its
+    model with ``--verify-only``."""
     docs = {
-        "model": json.loads(Path(ELCIRC).read_text()),
-        "signal": {"initial_mode": 1, "events": [[0.5, 2], [1.0, 1]]},
-        "cert": certificate_to_json(find_mlf(elcirc())),
-        "r2": json.loads(Path(R2).read_text()),
+        "model": lambda: json.loads(Path(ELCIRC).read_text()),
+        "signal": lambda: {"initial_mode": 1, "events": [[0.5, 2], [1.0, 1]]},
+        "cert": lambda: copy.deepcopy(_certificate(ELCIRC)),
+        "converter-cert": lambda: copy.deepcopy(_certificate(CONVERTER4)),
+        "r2": lambda: json.loads(Path(R2).read_text()),
     }
-    edited = edit(docs[kind])
-    if edited is not None:
-        docs[kind] = edited
-    paths = {}
-    for name, doc in docs.items():
-        paths[name] = str(tmp_path / f"{name}.json")
-        Path(paths[name]).write_text(json.dumps(doc))
-    if kind == "r2":
-        argv = ["posreal", "sprcheck", "--r1", R1, "--r2", paths["r2"]]
-    elif kind == "cert":
-        argv = ["check", paths["model"], "--verify-only", paths["cert"]]
-    elif kind == "model":
-        argv = ["check", paths["model"]]
-    else:
-        argv = ["simulate", paths["model"], "--signal", paths["signal"], "--x0", "1.0",
-                "--t-end", "1.5", "--dt", "0.1"]
+    doc = docs[kind]()
+    edited = edit(doc)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc if edited is None else edited))
+    argv = {
+        "r2": ["posreal", "sprcheck", "--r1", R1, "--r2", str(path)],
+        "cert": ["check", ELCIRC, "--verify-only", str(path)],
+        "converter-cert": ["check", CONVERTER4, "--verify-only", str(path)],
+        "model": ["check", str(path)],
+        "signal": ["simulate", ELCIRC, "--signal", str(path), "--x0", "1.0",
+                   "--t-end", "1.5", "--dt", "0.1"],
+    }[kind]
     return main(argv), capsys.readouterr().err
 
 
@@ -985,6 +990,31 @@ def test_missing_key_exits_1(tmp_path, capsys, case):
     code, err = _run_edited(tmp_path, capsys, kind, edit)
     assert code == 1
     assert err == f"error: {message}\n"
+
+
+def _scaled_asymmetric(c):
+    """Every ``K_k`` and ``epsilon`` times ``c``, then ``K_1`` skewed by
+    ``+-0.3 max|K_1|`` at entries (1,2) and (2,1)."""
+
+    def edit(doc):
+        doc["epsilon"] *= c
+        for mode in doc["modes"]:
+            mode["K"] = (c * np.asarray(mode["K"])).tolist()
+        K = doc["modes"][0]["K"]
+        skew = 0.3 * np.abs(np.asarray(K)).max()
+        K[0][1] += skew
+        K[1][0] -= skew
+
+    return edit
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-16])
+def test_scaled_asymmetric_kernel_exits_1(tmp_path, capsys, c):
+    """A kernel skewed by 30 % of its largest entry is not symmetric at any
+    scale of the certificate: the reader's test has no absolute floor."""
+    code, err = _run_edited(tmp_path, capsys, "converter-cert", _scaled_asymmetric(c))
+    assert code == 1
+    assert err == "error: mode 1: kernel K must be symmetric\n"
 
 
 def test_partial_state_map_exits_1(tmp_path, capsys):
@@ -1077,7 +1107,7 @@ def _readme_certificate_keys() -> tuple[set[str], set[str]]:
 
 
 def test_readme_certificate_keys_match_writer():
-    doc = certificate_to_json(find_mlf(elcirc()))
+    doc = certificate_to_json(find_mlf(corpus_model("elcirc")))
     top, per_mode = _readme_certificate_keys()
     assert top == set(doc)
     assert all(set(mode) == per_mode for mode in doc["modes"])

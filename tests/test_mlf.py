@@ -13,49 +13,52 @@ from hypothesis import strategies as st
 
 from sldstab import mlf
 from sldstab.cli import main
-from sldstab.fixtures import concond, elcirc, exmath, source_converter
 from sldstab.mlf import (
     EPS_REL,
     SWITCH_GAP,
     _switch_scales,
     _unit_lyapunov,
     _warm_start,
-    assemble_ple_lmi,
     certificate_from_json,
     certificate_to_json,
     find_mlf,
     make_certificate,
     problem_scale,
-    scan_canonical_family,
     verify_mlf,
 )
 from sldstab.model import load_model, model_from_json
-from sldstab.polymat import PolyMatrix, polymatrix_from_json
+from sldstab.polymat import PolyMatrix
 from sldstab.posreal import build_standard_slds
 from sldstab.qdf import qdf_derivative, qdf_mod, sandwich, two_var_from_pair
 from sldstab.sdp import LmiProblem
 from sldstab.statespace import minimal_state_map
 
-from modeltools import unstable_mode
+from modeltools import (
+    CORPUS,
+    corpus_model,
+    ple_residual,
+    scan_canonical_family,
+    standard_scalar_pair,
+    unstable_mode,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).resolve().parent / "data"
 LEGACY = DATA / "legacy"
 MODELS = ROOT / "models"
-CORPUS = ["concond", "elcirc", "exmath", "source_converter_4mode", "source_converter_6mode"]
 
 
 class TestCircuit:
     def test_certifies(self):
-        cert = find_mlf(elcirc())
+        cert = find_mlf(corpus_model("elcirc"))
         assert cert.feasible
-        ok, margins = verify_mlf(elcirc(), cert)
+        ok, margins = verify_mlf(corpus_model("elcirc"), cert)
         assert ok
         assert min(margins.values()) >= cert.epsilon / 2
 
     def test_known_kernels_verify(self):
         # V_k = 0.5 x_k^2 works for both modes of the switched RC pair
-        model = elcirc()
+        model = corpus_model("elcirc")
         cert = make_certificate(model, "lmi", [[[0.5]], [[0.5]]])
         ok, margins = verify_mlf(model, cert)
         assert ok
@@ -65,14 +68,14 @@ class TestCircuit:
 
 class TestConverter:
     def test_both_routes_certify(self):
-        model = source_converter(4)
+        model = corpus_model("source_converter_4mode")
         cert = find_mlf(model)
         assert cert.feasible, cert.route
         ok, _ = verify_mlf(model, cert)
         assert ok, cert.route
 
     def test_published_kernels_verify(self):
-        model = source_converter(4)
+        model = corpus_model("source_converter_4mode")
         K12 = np.array([[0.00123, -0.00002], [-0.00002, 0.00112]])
         K34 = np.zeros((3, 3))
         K34[:2, :2] = K12
@@ -84,14 +87,14 @@ class TestConverter:
             assert min(margins.values()) >= cert.epsilon / 2
 
     def test_six_mode_certifies(self):
-        cert = find_mlf(source_converter(6))
+        cert = find_mlf(corpus_model("source_converter_6mode"))
         assert cert.feasible
 
 
 class TestLyapunovOnce:
     def test_one_solve_per_mode(self, monkeypatch):
         # the scale of eps and the warm start come from one solve per mode
-        model = source_converter(6)
+        model = corpus_model("source_converter_6mode")
         calls = []
         solve = scipy.linalg.solve_lyapunov
         monkeypatch.setattr(
@@ -112,7 +115,7 @@ class TestDefectiveMode:
         assert "route lmi: feasible=False" in out
 
     def test_conservative_route_reports_no_certificate(self):
-        cert = find_mlf(concond())
+        cert = find_mlf(corpus_model("concond"))
         assert not cert.feasible
         # honest failure: margins are reported, not clamped
         assert min(cert.margins.values()) < 0
@@ -194,24 +197,17 @@ class TestJudgedOnce:
     """``find_mlf`` builds one problem and judges each kernel set once: the
     start before anything is compiled, and the search's answer once more."""
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            pytest.param(concond, id="concond"),
-            pytest.param(partial(source_converter, 4), id="source_converter_4mode"),
-            pytest.param(partial(source_converter, 6), id="source_converter_6mode"),
-        ],
-    )
-    def test_search_builds_one_problem(self, build, monkeypatch):
-        model = build()
+    @pytest.mark.parametrize("name", ["concond", "source_converter_4mode", "source_converter_6mode"])
+    def test_search_builds_one_problem(self, name, monkeypatch):
+        model = corpus_model(name)
         cert, calls = _counted_find_mlf(model, monkeypatch)
         assert cert.solver["iterations"] > 0
         assert calls == {"assemble": 1, "verify": 2, "compile": 1}
         assert (cert.feasible, cert.margins) == verify_mlf(model, cert)
 
-    @pytest.mark.parametrize("build", [elcirc, exmath], ids=["elcirc", "exmath"])
-    def test_start_certificate_compiles_nothing(self, build, monkeypatch):
-        model = build()
+    @pytest.mark.parametrize("name", ["elcirc", "exmath"])
+    def test_start_certificate_compiles_nothing(self, name, monkeypatch):
+        model = corpus_model(name)
         cert, calls = _counted_find_mlf(model, monkeypatch)
         assert cert.feasible
         assert cert.solver["iterations"] == 0
@@ -239,7 +235,7 @@ class TestMakeCertificate:
         assert list(cert.solver) == ["feasible", "iterations", "budget"]
 
     def test_default_eps_and_solver(self):
-        model = elcirc()
+        model = corpus_model("elcirc")
         cert = make_certificate(model, "lmi", [[[0.5]], [[0.5]]])
         assert cert.epsilon == EPS_REL * problem_scale(model)
         assert cert.solver == {"feasible": True}
@@ -249,52 +245,35 @@ class TestMakeCertificate:
 
 
 class TestPleAssembly:
+    """Known answers of the paper's polynomial Lyapunov equation, assembled
+    on the coefficient stacks by the tests' residual oracle."""
+
     def test_scalar_known_answer(self):
         # R = xi + 1, supply Q = sqrt(2): Kbar = 1, Ybar = 1
         R = PolyMatrix.from_entries([[[1.0, 1.0]]])
         X = minimal_state_map(R)
-        prob = assemble_ple_lmi(R, X, [[np.sqrt(2.0)]])
-        margins = prob.verify(
-            {"K": np.array([[1.0]]), "Y": np.array([[1.0]])}, eps=1e-9
-        )
-        assert margins["ple"] > 0
+        resid = ple_residual(R, X, [[np.sqrt(2.0)]], [[1.0]], [[1.0]])
+        assert np.abs(resid).max() < 1e-9
 
     def test_degree_two_known_answer(self):
         # R = xi^2 + 3 xi + 2 with Q = 2 sqrt(3) on the first state row
         R = PolyMatrix.from_entries([[[2.0, 3.0, 1.0]]])
         X = minimal_state_map(R)
-        prob = assemble_ple_lmi(
-            R, X, [[2.0 * np.sqrt(3.0), 0.0]], require_positive=True, eps=1e-9
-        )
         K = np.array([[11.0, 3.0], [3.0, 1.0]])
         Y = np.array([[3.0, 1.0]])
-        margins = prob.verify({"K": K, "Y": Y}, eps=1e-9)
-        assert all(m > 0 for m in margins.values())
-
-    def test_zero_supply_forces_zero_kernel(self):
-        R = PolyMatrix.from_entries([[[1.0, 1.0]]])
-        X = minimal_state_map(R)
-        rep = assemble_ple_lmi(R, X, [[0.0]]).solve(eps=1e-9)
-        assert rep.feasible
-        assert np.allclose(rep.values["K"], 0.0, atol=1e-8)
+        resid = ple_residual(R, X, [[2.0 * np.sqrt(3.0), 0.0]], K, Y)
+        assert np.abs(resid).max() < 1e-9
+        assert np.linalg.eigvalsh(K)[0] > 1e-9
 
     def test_wrong_supply_width_rejected(self):
         R = PolyMatrix.from_entries([[[2.0, 3.0, 1.0]]])
         X = minimal_state_map(R)
         with pytest.raises(ValueError):
-            assemble_ple_lmi(R, X, [[1.0, 0.0, 0.0]])
-
-
-def _corpus_model(name):
-    return load_model(MODELS / f"{name}.json")
+            ple_residual(R, X, [[1.0, 0.0, 0.0]], np.eye(2), np.zeros((1, 2)))
 
 
 def _posreal_standard_model():
-    pair = [
-        polymatrix_from_json(json.loads((MODELS / f"standard_scalar_{r}.json").read_text()))
-        for r in ("r1", "r2")
-    ]
-    return build_standard_slds(*pair).model
+    return build_standard_slds(*standard_scalar_pair()).model
 
 
 @cache
@@ -316,7 +295,7 @@ def _assert_reinits_are_pinv(model):
         key: (np.linalg.pinv(pair.f_plus) @ pair.f_minus).tobytes()
         for key, pair in model.normal_form_pairs.items()
     }
-    assert {key: rm.L.tobytes() for key, rm in model.reinits.items()} == want
+    assert {key: L.tobytes() for key, L in model.reinits.items()} == want
 
 
 class TestReinitMapsArePinv:
@@ -344,7 +323,7 @@ class TestDecayFormInvariant:
 
     @pytest.mark.parametrize(
         "build",
-        [pytest.param(partial(_corpus_model, name), id=name) for name in CORPUS]
+        [pytest.param(partial(corpus_model, name), id=name) for name in CORPUS]
         + [pytest.param(_posreal_standard_model, id="posreal_pair")]
         + [pytest.param(partial(_family_draw, seed), id=f"slds_member{seed}") for seed in range(20)],
     )
@@ -366,10 +345,6 @@ class TestDecayFormInvariant:
             g = max(lhs.grid, rhs.grid)
             scale = max(1.0, float(np.max(np.abs(rhs.pad(g)))))
             assert np.max(np.abs(lhs.pad(g) - rhs.pad(g))) < 1e-8 * scale
-
-
-def _reinit_maps(model):
-    return {key: rm.L for key, rm in model.reinits.items()}
 
 
 def _log_ratio(kernels, maps, k, l):
@@ -411,7 +386,7 @@ class TestScaledStart:
         # no LMI compiled, no Newton step, and margins well above the eps
         # bonus; a draw that does not has a positive cycle
         model = _family_draw(seed)
-        kernels, maps = _unscaled(model), _reinit_maps(model)
+        kernels, maps = _unscaled(model), model.reinits
         if _switch_scales(kernels, maps) is None:
             assert _positive_cycles(kernels, maps)
             return
@@ -424,26 +399,24 @@ class TestScaledStart:
 
     def test_most_family_draws_scale(self):
         scaled = [
-            _switch_scales(_unscaled(m), _reinit_maps(m)) is not None
+            _switch_scales(_unscaled(m), m.reinits) is not None
             for m in map(_family_draw, range(30))
         ]
         assert sum(scaled) >= 20
 
     def test_elcirc_switch_headroom(self):
         # unscaled, switch_1_2 is an exact 0 and passes on the eps bonus alone
-        cert = find_mlf(elcirc())
+        cert = find_mlf(corpus_model("elcirc"))
         assert cert.solver["iterations"] == 0
         assert cert.margins["switch_1_2"] >= 1e5 * cert.epsilon
 
     @pytest.mark.parametrize(
         "build",
         [
-            pytest.param(concond, id="concond"),
-            pytest.param(exmath, id="exmath"),
-            pytest.param(partial(source_converter, 4), id="source_converter_4mode"),
-            pytest.param(partial(source_converter, 6), id="source_converter_6mode"),
-            pytest.param(unstable_mode, id="unstable_mode"),
-        ],
+            pytest.param(partial(corpus_model, name), id=name)
+            for name in ("concond", "exmath", "source_converter_4mode", "source_converter_6mode")
+        ]
+        + [pytest.param(unstable_mode, id="unstable_mode")],
     )
     def test_unscaled_where_no_scaling_exists(self, build):
         # a positive cycle (L = I both ways between the converters' modes,
@@ -495,7 +468,7 @@ class TestSwitchScalesProperty:
 
 class TestFamilyScan:
     def test_report_is_self_consistent(self):
-        report = scan_canonical_family(exmath())
+        report = scan_canonical_family(corpus_model("exmath"))
         assert report["consistent"]
         assert report["scan_feasible"] == report["lmi_feasible"]
         # every grid point names its binding condition group
@@ -510,14 +483,14 @@ class TestFamilyScan:
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
-            scan_canonical_family(source_converter(4))
+            scan_canonical_family(corpus_model("source_converter_4mode"))
         with pytest.raises(ValueError):
-            scan_canonical_family(concond())
+            scan_canonical_family(corpus_model("concond"))
 
 
 class TestJson:
     def test_round_trip(self):
-        model = elcirc()
+        model = corpus_model("elcirc")
         cert = find_mlf(model)
         back = certificate_from_json(certificate_to_json(cert))
         assert back.route == cert.route
@@ -526,9 +499,12 @@ class TestJson:
         ok, _ = verify_mlf(model, back)
         assert ok
 
-    def test_rejects_asymmetric_kernel(self):
-        cert = find_mlf(elcirc())
+    @pytest.mark.parametrize("c", [1.0, 1e-8, 1e-16])
+    def test_rejects_asymmetric_kernel(self, c):
+        # the symmetry test is relative to the kernel's own scale
+        cert = find_mlf(corpus_model("elcirc"))
         doc = certificate_to_json(cert)
-        doc["modes"][0]["K"] = [[1.0, 2.0], [0.0, 1.0]]
-        with pytest.raises(ValueError):
+        doc["epsilon"] *= c
+        doc["modes"][0]["K"] = [[c, 2.0 * c], [0.0, c]]
+        with pytest.raises(ValueError, match="mode 1: kernel K must be symmetric"):
             certificate_from_json(doc)

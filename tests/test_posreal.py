@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from sldstab import posreal, qdf, statespace
 from sldstab.cli import main
-from sldstab.fixtures import standard_scalar_pair
 from sldstab.mlf import certificate_to_json, find_mlf, make_certificate, verify_mlf
 from sldstab.model import normal_form
 from sldstab.polymat import (
@@ -40,6 +39,7 @@ from sldstab.qdf import (
 )
 
 import polytools
+from modeltools import standard_scalar_pair
 from polytools import polynomial_part
 
 MODELS = Path(__file__).resolve().parents[1] / "models"

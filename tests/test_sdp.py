@@ -4,12 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sldstab.fixtures import source_converter
 from sldstab.mlf import (
     EPS_REL,
     _warm_start,
     assemble_mlf_lmis,
-    assemble_ple_lmi,
     find_mlf,
     problem_scale,
     verify_mlf,
@@ -18,7 +16,8 @@ from sldstab.model import load_model
 from sldstab.polymat import PolyMatrix
 from sldstab.posreal import build_standard_slds, mlf_from_positive_real
 from sldstab.sdp import LmiProblem, _ConeGroup, accepts
-from sldstab.statespace import minimal_state_map
+
+from modeltools import corpus_model
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
@@ -74,19 +73,6 @@ class TestFeasible:
         assert rep.feasible
         assert rep.iterations == 0
 
-    def test_rectangular_variable(self):
-        prob = LmiProblem()
-        prob.add_symmetric("K", 1)
-        prob.add_matrix("Y", 1, 2)
-        target = np.array([[3.0, -1.0]])
-        prob.add_constraint(
-            "fix", lambda v: np.eye(2) * (v["Y"] - target), "zero"
-        )
-        prob.add_constraint("pos", lambda v: v["K"], "psd", shift=1e-6)
-        rep = prob.solve(eps=1e-6)
-        assert rep.feasible
-        assert np.allclose(rep.values["Y"], target, atol=1e-9)
-
 
 def _contradictory_problem(n):
     """``K >= I`` and ``K <= -I``: no point comes within 1 of feasibility."""
@@ -131,7 +117,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_identical_runs_with_several_block_sizes(self, strict):
-        model = source_converter(6)
+        model = corpus_model("source_converter_6mode")
         r1, r2 = (_converter_search(model, strict)[2] for _ in range(2))
         assert r1.iterations == r2.iterations > 0
         for name in r1.values:
@@ -153,7 +139,7 @@ class TestVerify:
     def test_report_margins_are_verify_margins(self, strict):
         # the 6-mode converter's cones come in several sizes, so the search
         # runs on more than one stacked group
-        model = source_converter(6)
+        model = corpus_model("source_converter_6mode")
         prob, eps, rep = _converter_search(model, strict)
         assert rep.feasible and rep.iterations > 0
         margins = prob.verify(rep.values, eps)
@@ -202,7 +188,7 @@ class TestValidation:
         prob = LmiProblem()
         prob.add_symmetric("K", 2)
         with pytest.raises(ValueError):
-            prob.add_matrix("K", 1, 1)
+            prob.add_symmetric("K", 1)
 
     def test_unknown_sense(self):
         prob = LmiProblem()
@@ -211,8 +197,8 @@ class TestValidation:
 
     def test_nonsquare_constraint(self):
         prob = LmiProblem()
-        prob.add_matrix("Y", 1, 2)
-        prob.add_constraint("c", lambda v: v["Y"], "psd")
+        prob.add_symmetric("Y", 2)
+        prob.add_constraint("c", lambda v: v["Y"][..., :1, :], "psd")
         with pytest.raises(ValueError):
             prob.solve(eps=1e-8)
 
@@ -227,7 +213,7 @@ class TestNonSymmetricExpression:
         for M in (N, 0.5 * (N + N.T)):
             prob = LmiProblem()
             prob.add_symmetric("K", 2)
-            prob.add_matrix("c", 1, 1)
+            prob.add_symmetric("c", 1)
             prob.add_constraint(
                 "pos", lambda v, M=M: v["K"] + M * v["c"], "psd", shift=1e-6
             )
@@ -341,17 +327,11 @@ class TestBatchedCompile:
         assert len(problems) == 1
         _assert_compiles_like_probing(problems[0])
 
-    def test_ple_lmi_matches_probing(self):
-        R = PolyMatrix.from_entries([[[2.0, 3.0, 1.0], [1.0]], [[0.0], [1.0, 1.0]]])
-        X = minimal_state_map(R)
-        prob = assemble_ple_lmi(R, X, np.ones((1, X.rows)), require_positive=True)
-        _assert_compiles_like_probing(prob)
-
     def test_non_broadcasting_expression_rejected(self):
         # v["c"][0, 0] picks one entry of the whole stack, not of each value
         prob = LmiProblem()
         prob.add_symmetric("K", 2)
-        prob.add_matrix("c", 1, 1)
+        prob.add_symmetric("c", 1)
         prob.add_constraint("pos", lambda v: v["K"] + v["c"][0, 0], "psd", 1e-6)
         with pytest.raises(ValueError, match="'pos' is not affine"):
             prob.solve(eps=1e-6)
@@ -363,7 +343,7 @@ class TestBatchedCompile:
         def problem(*later):
             prob = LmiProblem()
             prob.add_symmetric("K", 2)
-            prob.add_matrix("c", 1, 1)
+            prob.add_symmetric("c", 1)
             prob.add_constraint("fine", lambda v: v["K"], "psd")
             prob.add_constraint("first", lambda v: v["K"] * v["c"], "psd")
             for name, expr in later:
@@ -381,7 +361,7 @@ class TestBatchedCompile:
             with pytest.raises(ValueError, match="'first' is not affine"):
                 problem(*later)._compile()
         prob = LmiProblem()
-        prob.add_matrix("c", 1, 1)
+        prob.add_symmetric("c", 1)
         prob.add_constraint("wide", wide, "psd")
         prob.add_constraint("second", lambda v: v["c"] * v["c"], "psd")
         with pytest.raises(ValueError, match="'wide' is not square"):

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sldstab import sim
-from sldstab.fixtures import elcirc
 from sldstab.mlf import MlfCertificate, find_mlf, make_certificate
 from sldstab.model import SldsModel, load_model
 from sldstab.polymat import PolyMatrix
@@ -25,7 +24,13 @@ from sldstab.sim import (
     write_trace_csv,
 )
 
-from modeltools import derivative_stack, inconsistent_gluing, unstable_mode
+from modeltools import (
+    corpus_model,
+    derivative_stack,
+    inconsistent_gluing,
+    trace_states,
+    unstable_mode,
+)
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
@@ -68,26 +73,26 @@ class TestSignal:
 class TestExactPropagation:
     def test_piecewise_exponential(self):
         """Trace samples match expm of the active mode exactly (1e-12)."""
-        model = elcirc()
+        model = corpus_model("elcirc")
         sig = _circuit_signal(2, dt=0.4)
         tr = simulate(model, sig, [1.0], t_end=1.0, sample_dt=0.05)
         A1 = model.realizations[0].A
-        for t, m, x in zip(tr.times, tr.modes, tr.states):
+        for t, m, x in zip(tr.times, tr.modes, trace_states(tr)):
             if t <= 0.4 and m == 1:
                 want = scipy.linalg.expm(A1 * t) @ np.array([1.0])
                 assert abs(x[0] - want[0]) < 1e-12
 
     def test_semigroup_property(self):
         # splitting a mode interval at an arbitrary point changes nothing
-        model = elcirc()
+        model = corpus_model("elcirc")
         sig = SwitchingSignal(1, ())
         tr = simulate(model, sig, [1.0], t_end=1.0, sample_dt=0.25)
         A1 = model.realizations[0].A
         half = scipy.linalg.expm(A1 * 0.5)
-        assert abs((half @ half @ [1.0])[0] - tr.states[-1][0]) < 1e-12
+        assert abs((half @ half @ [1.0])[0] - trace_states(tr)[-1][0]) < 1e-12
 
     def test_jump_maps(self):
-        model = elcirc()
+        model = corpus_model("elcirc")
         sig = _circuit_signal(2, dt=0.5)
         tr = simulate(model, sig, [1.0], t_end=1.5, sample_dt=0.1)
         ev12, ev21 = tr.events
@@ -97,7 +102,7 @@ class TestExactPropagation:
         assert ev12["gluing_residual"] < 1e-12
 
     def test_validation(self):
-        model = elcirc()
+        model = corpus_model("elcirc")
         with pytest.raises(ValueError):
             simulate(model, _circuit_signal(), [1.0], t_end=-1.0, sample_dt=0.1)
         with pytest.raises(ValueError, match="dimension"):
@@ -119,7 +124,7 @@ class TestExactPropagation:
     )
     def test_non_finite_input_named(self, x0, t_end, dt, name):
         with pytest.raises(ValueError, match=name):
-            simulate(elcirc(), _circuit_signal(), x0, t_end=t_end, sample_dt=dt)
+            simulate(corpus_model("elcirc"), _circuit_signal(), x0, t_end=t_end, sample_dt=dt)
 
 
 def _direct_gap(model, trace):
@@ -130,7 +135,8 @@ def _direct_gap(model, trace):
     is the number of mode changes before it.  The exponentials of a segment
     come from one stacked ``scipy.linalg.expm`` call, one matrix per sample.
     """
-    starts = [(0.0, trace.states[0])]
+    states = trace_states(trace)
+    starts = [(0.0, states[0])]
     starts += [(ev["time"], ev["x_plus"]) for ev in trace.events]
     seg = np.concatenate(([0], np.cumsum(trace.modes[1:] != trace.modes[:-1])))
     assert seg[-1] == len(starts) - 1
@@ -140,7 +146,7 @@ def _direct_gap(model, trace):
         real = model.realizations[int(trace.modes[idx[0]]) - 1]
         dts = np.maximum(trace.times[idx] - t0, 0.0)
         want = scipy.linalg.expm(real.A[None] * dts[:, None, None]) @ x_start
-        X = np.array([trace.states[i] for i in idx])
+        X = np.array([states[i] for i in idx])
         worst = max(
             worst,
             float(np.max(np.abs(X - want))),
@@ -180,11 +186,11 @@ class TestSteppedPropagation:
 
     def test_converter_cycle_matches_direct_expm(self):
         model, tr = self._converter_run()
-        assert {len(x) for x in tr.states} == {2, 3}
+        assert {len(x) for x in trace_states(tr)} == {2, 3}
         self._assert_matches_direct(model, tr)
 
     def test_elcirc_periodic_matches_direct_expm(self):
-        model = elcirc()
+        model = corpus_model("elcirc")
         tr = simulate(model, _load_signal("elcirc_periodic"), [1.0],
                       t_end=7.0, sample_dt=1e-3)
         assert len(tr.events) == 6
@@ -206,7 +212,7 @@ class TestSteppedPropagation:
         _, tr = self._converter_run(certificate=cert)
         want = np.array([
             x @ np.asarray(cert.kernels[m - 1]) @ x
-            for m, x in zip(tr.modes, tr.states)
+            for m, x in zip(tr.modes, trace_states(tr))
         ])
         assert np.max(np.abs(tr.values - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -233,7 +239,7 @@ def _ring_model(n_modes=3, w=2, seed=5):
 def _property_model(name):
     """A 2-, 3- or 4-mode model and the time scale of its dynamics."""
     return {
-        "elcirc": (elcirc(), 1.0),
+        "elcirc": (corpus_model("elcirc"), 1.0),
         "ring3": (_ring_model(), 1.0),
         "converter4": (load_model(MODELS / "source_converter_4mode.json"), 1e-3),
     }[name]
@@ -294,7 +300,7 @@ class TestBlockedStepping:
 
 class TestAudit:
     def test_certified_trace_passes(self):
-        model = elcirc()
+        model = corpus_model("elcirc")
         cert = make_certificate(model, "lmi", [[[0.5]], [[0.5]]])
         tr = simulate(
             model, _circuit_signal(6), [1.0], t_end=4.0, sample_dt=0.05,
@@ -307,7 +313,7 @@ class TestAudit:
     def test_corrupted_certificate_flagged(self):
         # a trace carries the values of the certificate it was simulated
         # with, so a bad certificate is audited by re-simulating with it
-        model = elcirc()
+        model = corpus_model("elcirc")
         good = make_certificate(model, "lmi", [[[0.5]], [[0.5]]])
         bad = make_certificate(model, "lmi", [[[0.5]], [[5.0]]])
         good_run, bad_run = (
@@ -324,7 +330,7 @@ class TestAudit:
         assert rep["worst_interval_increase"] == 0.0
 
     def test_zero_trajectory(self):
-        model = elcirc()
+        model = corpus_model("elcirc")
         cert = make_certificate(model, "lmi", [[[0.5]], [[0.5]]])
         tr = simulate(
             model, _circuit_signal(2), [0.0], t_end=2.0, sample_dt=0.1,
@@ -334,7 +340,7 @@ class TestAudit:
         assert asymptotic_check(tr)
 
     def test_non_finite_values_fail(self):
-        model = elcirc()
+        model = corpus_model("elcirc")
         cert = make_certificate(model, "lmi", [[[0.5]], [[0.5]]])
         tr = simulate(
             model, _circuit_signal(6), [1.0], t_end=4.0, sample_dt=0.05,
@@ -348,7 +354,7 @@ class TestAudit:
         assert np.isfinite(rep["tolerance"])
 
     def test_non_finite_event_values_fail(self):
-        model = elcirc()
+        model = corpus_model("elcirc")
         cert = make_certificate(model, "lmi", [[[0.5]], [[0.5]]])
         tr = simulate(
             model, _circuit_signal(2), [1.0], t_end=2.0, sample_dt=0.1,
@@ -372,7 +378,7 @@ class TestAudit:
 
     @pytest.mark.parametrize("c", [1e-6, 1e-12])
     def test_certified_trace_passes_at_any_kernel_scale(self, c):
-        model = elcirc()
+        model = corpus_model("elcirc")
         cert = make_certificate(model, "lmi", [[[0.5 * c]], [[0.5 * c]]])
         tr = simulate(
             model, _circuit_signal(6), [1.0], t_end=4.0, sample_dt=0.05,
@@ -383,7 +389,7 @@ class TestAudit:
     def test_audit_recomputes_missing_values(self):
         # it no longer does: values come only from simulate, and a trace
         # simulated without a certificate is refused
-        model = elcirc()
+        model = corpus_model("elcirc")
         tr = simulate(model, _circuit_signal(6), [1.0], t_end=4.0, sample_dt=0.05)
         assert tr.values is None
         with pytest.raises(ValueError, match="no MLF values"):
@@ -392,7 +398,7 @@ class TestAudit:
 
 class TestAsymptotics:
     def test_stable_decay(self):
-        model = elcirc()
+        model = corpus_model("elcirc")
         tr = simulate(model, SwitchingSignal(1, ()), [1.0], t_end=20.0, sample_dt=0.5)
         assert asymptotic_check(tr)
 
@@ -428,7 +434,7 @@ class TestTruncation:
 
 class TestDerivativeStack:
     def test_matches_finite_differences(self):
-        model = elcirc()
+        model = corpus_model("elcirc")
         x = np.array([0.7])
         stack = derivative_stack(model, 1, x, depth=3)
         A = model.realizations[0].A
@@ -440,7 +446,7 @@ class TestDerivativeStack:
 
 
 def test_trace_csv_export(tmp_path):
-    model = elcirc()
+    model = corpus_model("elcirc")
     cert = find_mlf(model)
     tr = simulate(
         model, _circuit_signal(2), [1.0], t_end=1.5, sample_dt=0.25,
@@ -459,7 +465,8 @@ def test_trace_csv_export(tmp_path):
 
 def _csv_writer_reference(trace, path):
     """The trace CSV as ``csv.writer`` writes it, cell by cell."""
-    nx = max((len(x) for x in trace.states), default=0)
+    states = trace_states(trace)
+    nx = max((len(x) for x in states), default=0)
     nw = trace.outputs.shape[1] if trace.outputs.size else 0
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -470,7 +477,7 @@ def _csv_writer_reference(trace, path):
             + (["V"] if trace.values is not None else [])
         )
         for i in range(len(trace.times)):
-            x = trace.states[i]
+            x = states[i]
             row = [f"{trace.times[i]:.12g}", int(trace.modes[i])]
             row += [f"{v:.12g}" for v in x] + [""] * (nx - len(x))
             row += [f"{v:.12g}" for v in trace.outputs[i]]
@@ -491,12 +498,12 @@ class TestTraceCsvBytes:
         cert = find_mlf(model)
         tr = simulate(model, sig, [1.0, -0.5], t_end=0.01, sample_dt=1e-5,
                       certificate=cert)
-        assert {len(x) for x in tr.states} == {2, 3}
+        assert {len(x) for x in trace_states(tr)} == {2, 3}
         self._assert_same_bytes(tr, tmp_path)
         assert b",," in (tmp_path / "new.csv").read_bytes()  # padding cells
 
     def test_trace_without_certificate(self, tmp_path):
-        tr = simulate(elcirc(), _load_signal("elcirc_periodic"), [1.0],
+        tr = simulate(corpus_model("elcirc"), _load_signal("elcirc_periodic"), [1.0],
                       t_end=7.0, sample_dt=1e-3)
         assert tr.values is None
         self._assert_same_bytes(tr, tmp_path)
@@ -541,7 +548,7 @@ class TestTraceCsvBytes:
             blocks, cells = self._special_blocks()
         assert len({X.shape[1] for X in blocks}) == 2
         tr = Trace(blocks=blocks, **cells)
-        assert [len(x) for x in tr.states] == [X.shape[1] for X in blocks for _ in X]
+        assert [len(x) for x in trace_states(tr)] == [X.shape[1] for X in blocks for _ in X]
         self._assert_same_bytes(tr, tmp_path)
 
     def test_empty_trace(self, tmp_path):

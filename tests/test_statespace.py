@@ -30,6 +30,7 @@ from sldstab.statespace import (
 )
 
 import polytools
+from modeltools import coefficient_stacks
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
@@ -383,7 +384,7 @@ def _derived(model):
         out["A", k], out["B", k], out["C", k] = real.A, real.B, real.C
     for (k, l), pair in model.normal_form_pairs.items():
         out["F-", k, l], out["F+", k, l] = pair.f_minus, pair.f_plus
-        out["L", k, l] = model.reinits[k, l].L
+        out["L", k, l] = model.reinits[k, l]
     return out
 
 
@@ -451,8 +452,9 @@ class TestCompanionMatchesDivisionOracle:
         assert [r.n for r in derived.realizations] == [r.n for r in given.realizations]
         for real in derived.realizations:
             assert real.T_inv is None
-            scale = max(1.0, np.abs(real.Xa).max(), real.R.max_norm())
-            assert np.abs(real.Xb - real.A @ real.Xa - real.B @ real.Rt).max() <= REALIZE_TOL * scale
+            Rt, Xa, Xb = coefficient_stacks(real.R, real.X)
+            scale = max(1.0, np.abs(Xa).max(), real.R.max_norm())
+            assert np.abs(Xb - real.A @ Xa - real.B @ Rt).max() <= REALIZE_TOL * scale
 
     @pytest.mark.parametrize("name", ["concond", "elcirc", "exmath", "source_converter_4mode",
                                       "source_converter_6mode"])
