@@ -149,16 +149,16 @@ def _warm_start(model: SldsModel, solutions=None) -> dict:
     return {f"K{k}": K for k, K in enumerate(kernels, start=1)}
 
 
-def assemble_mlf_lmis(model: SldsModel, eps: float, strict: bool = True) -> LmiProblem:
+def assemble_mlf_lmis(model: SldsModel, strict: bool = True) -> LmiProblem:
     """Build the feasibility problem for an MLF certificate in the ``K_k``.
 
     The switch conditions hold on the whole state space (module docstring).
-    ``strict=False`` relaxes decay/positivity to the
-    semidefinite sense, which is what storage-function certificates satisfy
-    (their decay rate is a dissipation form with a nontrivial kernel).
+    Decay and positivity hold with margin ``eps`` (the ``eps`` of ``solve`` and
+    ``verify``); ``strict=False`` relaxes them to the semidefinite sense, which
+    is what storage-function certificates satisfy (their decay rate is a
+    dissipation form with a nontrivial kernel).
     """
     prob = LmiProblem()
-    shift = eps if strict else 0.0
     for k, real in enumerate(model.realizations, start=1):
         prob.add_symmetric(f"K{k}", real.n)
 
@@ -169,14 +169,14 @@ def assemble_mlf_lmis(model: SldsModel, eps: float, strict: bool = True) -> LmiP
         def pos(v, k=k):
             return v[f"K{k}"]
 
-        prob.add_constraint(f"decay_{k}", decay, "nsd", shift)
-        prob.add_constraint(f"pos_{k}", pos, "psd", shift)
+        prob.add_constraint(f"decay_{k}", decay, "nsd", strict)
+        prob.add_constraint(f"pos_{k}", pos, "psd", strict)
     for (k, l), L in sorted(model.reinits.items()):
 
         def switch(v, L=L, k=k, l=l):
             return v[f"K{k}"] - L.T @ v[f"K{l}"] @ L
 
-        prob.add_constraint(f"switch_{k}_{l}", switch, "psd", 0.0)
+        prob.add_constraint(f"switch_{k}_{l}", switch, "psd")
     return prob
 
 
@@ -184,19 +184,16 @@ def make_certificate(
     model: SldsModel,
     route: str,
     kernels,
-    eps: float | None = None,
     solver: dict | None = None,
 ) -> MlfCertificate:
     """The certificate of given kernels ``K_k`` (positive-real route, demos),
-    judged by ``verify_mlf``: its margins and ``solver["feasible"]``, the
-    other ``solver`` entries following ``feasible`` in the order given.
-    ``eps`` defaults to ``EPS_REL * problem_scale(model)``.
+    judged by ``verify_mlf`` at ``eps = EPS_REL * problem_scale(model)``: its
+    margins and ``solver["feasible"]``, the other ``solver`` entries
+    following ``feasible`` in the order given.
     """
-    if eps is None:
-        eps = EPS_REL * problem_scale(model)
     cert = MlfCertificate(
         route=route,
-        epsilon=eps,
+        epsilon=EPS_REL * problem_scale(model),
         kernels=[np.asarray(K, dtype=float) for K in kernels],
         margins={},
         solver={"feasible": False, **(solver or {})},
@@ -221,7 +218,7 @@ def find_mlf(
     if eps is None:
         eps = EPS_REL * problem_scale(model, solutions)
     start = _warm_start(model, solutions)
-    report = assemble_mlf_lmis(model, eps).solve(eps, budget=budget, warm_start=start)
+    report = assemble_mlf_lmis(model).solve(eps, budget=budget, warm_start=start)
     solver = {"feasible": report.feasible, "iterations": report.iterations, "budget": budget}
     kernels = [report.values[name] for name in start]
     return MlfCertificate("lmi", eps, kernels, report.margins, solver)
@@ -255,7 +252,7 @@ def verify_mlf(model: SldsModel, cert: MlfCertificate) -> tuple[bool, dict]:
     """
     check_fits(model, cert)
     eps = cert.epsilon
-    prob = assemble_mlf_lmis(model, eps, strict=(cert.route != "posreal"))
+    prob = assemble_mlf_lmis(model, strict=(cert.route != "posreal"))
     values = {
         f"K{k}": np.asarray(K, dtype=float) for k, K in enumerate(cert.kernels, start=1)
     }

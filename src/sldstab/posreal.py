@@ -15,7 +15,9 @@ realization ``xi X1 = A1 X1 + B1 R1``, with ``R2 = H X1``, ``Q = Qbar X1`` and
 Lett.* 28, 1996).  For ``w = 1``, ``Q`` is found by root splitting and ``K1``
 is one Lyapunov solve.  For ``w >= 2``, ``K1`` is one LMI in the KYP set
 ``{B1^T K1 = H, A1^T K1 + K1 A1 <= 0}``, the kernels whose decay form is
-some ``-Qbar^T Qbar``, so no factor is formed.  ``Psi_2`` is ``K2 = L21^T K1 L21``,
+some ``-Qbar^T Qbar``, so no factor is formed.  As ``B1 = col(0, K)``, the
+equality fixes ``K1``'s last ``w`` rows, and the LMI's one unknown is the
+leading ``n2 x n2`` block.  ``Psi_2`` is ``K2 = L21^T K1 L21``,
 ``L21 = col(I, Pi)`` the 2 -> 1 re-initialisation map, so the 2 -> 1 switch
 condition holds with equality.  ``Pi`` (``X1' = Pi X2`` modulo ``R2``) is
 read off ``R2``'s column reduction (:func:`~sldstab.polymat.state_coordinates`),
@@ -311,34 +313,40 @@ def build_standard_slds(R1: PolyMatrix, R2: PolyMatrix) -> StandardSlds:
 
 
 def _kyp_storage(s: StandardSlds):
-    """A matrix pair's ``K1`` from the KYP LMI ``B1^T K1 = H``,
-    ``A1^T K1 + K1 A1 <= 0`` (one symmetric unknown), and its Newton steps.
+    """A matrix pair's ``K1`` in the KYP set ``B1^T K1 = H``,
+    ``A1^T K1 + K1 A1 <= 0``, and its Newton steps.
 
-    The equality is the symmetric block ``[[0, E^T], [E, 0]]``,
-    ``E = B1^T K1 - H``, as :class:`~sldstab.sdp.LmiProblem` takes square
-    constraints.  ``B1`` and ``H`` enter at unit max-norm and ``K1`` is
-    scaled back by ``|H| / |B1|``: ``(c R1, c R2)`` poses one LMI for all ``c``.
+    ``B1 = col(0, K)`` (``X2 R1^{-1}`` has relative degree 2 or more), so the
+    equality fixes ``K1``'s last ``w`` rows at ``F = K^{-T} H``, and the LMI is
+    one cone in the leading ``n2 x n2`` block.  ``F`` enters at unit max-norm,
+    its trailing block symmetrised, and ``K1`` is scaled back by ``max|F|``:
+    ``(c R1, c R2)`` poses one LMI for all ``c``.
     """
-    A, B = s.model.realizations[0].A, s.model.realizations[0].B
+    A, n2 = s.model.realizations[0].A, s.n2
     _, H = s.supply
-    b, h = np.abs(B).max(), np.abs(H).max()
-    Bs, Hs = B / b, H / h
-    n, w = B.shape
+    F = np.linalg.solve(s.K.T, H)
+    f = np.abs(F).max()
+    fixed = np.zeros((s.n1, s.n1))
+    fixed[n2:] = F / f
+    fixed[:n2, n2:] = fixed[n2:, :n2].T
+    fixed[n2:, n2:] = 0.5 * (fixed[n2:, n2:] + fixed[n2:, n2:].T)
 
-    def gap(v):
-        E = Bs.T @ v["K"] - Hs
-        S = np.zeros(E.shape[:-2] + (n + w, n + w))
-        S[..., n:, :n], S[..., :n, n:] = E, np.swapaxes(E, -1, -2)
-        return S
+    def storage(P):
+        K1 = np.broadcast_to(fixed, P.shape[:-2] + fixed.shape).copy()
+        K1[..., :n2, :n2] = P
+        return K1
+
+    def decay(v):
+        K1 = storage(v["P"])
+        return A.T @ K1 + K1 @ A
 
     prob = LmiProblem()
-    prob.add_symmetric("K", n)
-    prob.add_constraint("supply", gap, "zero")
-    prob.add_constraint("decay", lambda v: A.T @ v["K"] + v["K"] @ A, "nsd")
+    prob.add_symmetric("P", n2)
+    prob.add_constraint("decay", decay, "nsd")
     report = prob.solve(FACTOR_TOL)
     if not report.feasible:
         raise ValueError("no K1 found with B1^T K1 = H and A1^T K1 + K1 A1 <= 0")
-    return (h / b) * report.values["K"], report.iterations
+    return f * storage(report.values["P"]), report.iterations
 
 
 def _check_dissipation(s: StandardSlds, K1: np.ndarray) -> None:

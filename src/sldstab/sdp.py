@@ -1,22 +1,23 @@
 """Small feasibility solver for linear matrix inequalities.
 
 The problem is a set of named symmetric matrix variables plus affine
-matrix-valued constraints with a semidefiniteness sense.  Constraints
-are given as plain Python callables; the affine map is recovered numerically
-by probing with basis vectors, so callers never build coefficient tensors by
-hand.  The probe calls each constraint once, with every variable given as a
-stack ``(n_params + 1, n, n)`` of its values at zero and at each basis
-vector.  Constraints must therefore act on the last two axes and broadcast
-over the leading one: ``swapaxes(-1, -2)`` for a transpose, ``[..., i, j]``
-for an index.  One further call on plain matrices, at a fixed point, checks
-the compiled map and rejects an expression that does not broadcast.
-``verify`` calls them on plain matrices.
+matrix-valued constraints with a semidefiniteness sense, strict or not: a
+cone-only problem, with no equality constraints.  Constraints are given as
+plain Python callables; the affine map is recovered numerically by probing
+with basis vectors, so callers never build coefficient tensors by hand.  The
+probe calls each constraint once, with every variable given as a stack
+``(n_params + 1, n, n)`` of its values at zero and at each basis vector.
+Constraints must therefore act on the last two axes and broadcast over the
+leading one: ``swapaxes(-1, -2)`` for a transpose, ``[..., i, j]`` for an
+index.  A coefficient that is not finite is rejected.  One further call on
+plain matrices, at a fixed point, checks the compiled map and rejects an
+expression that does not broadcast.  ``verify`` calls them on plain
+matrices.
 
-Solving is feasibility-only: equality constraints are eliminated exactly
-through a nullspace parametrization, then a phase-I log-det barrier drives
-the worst cone violation ``s`` below the acceptance threshold with damped
-Newton steps.  A ball barrier bounds the search region, since the LMI systems
-produced by the Lyapunov assemblies are homogeneous in the unknowns.
+Solving is feasibility-only: a phase-I log-det barrier drives the worst cone
+violation ``s`` below the acceptance threshold with damped Newton steps.  A
+ball barrier bounds the search region, since the LMI systems produced by the
+Lyapunov assemblies are homogeneous in the unknowns.
 
 The Newton loop works on the compiled affine data alone.  Cones of equal
 size are stacked, with their coefficient matrices symmetrised once, and each
@@ -25,7 +26,7 @@ trial point is factored once: one batched eigendecomposition
 (``lam > 0``), the log-det (``sum log lam``), the Hessian factor
 ``W = diag(lam)^{-1/2} V^T`` (the Hessian is ``Wf^T Wf`` over the stacked
 ``vec(W B_j W^T)``) and, since ``s`` enters every slack as ``s I``, each
-cone's margin ``lam_min - s + offset``.
+cone's margin ``lam_min - s + eps``.
 
 The barrier parameter starts at ``t0 = max(1, sum_i tr S_i^{-1})`` at the
 starting point: the barrier's pull on ``s`` there, so the start is centred
@@ -38,10 +39,10 @@ current point instead of taking that step.
 
 A certificate is accepted by one rule, :func:`accepts`: every margin is at
 least ``eps / 2``.  The closure-based ``verify`` judges a warm start
-before anything is compiled.  Iterates are pre-checked on the compiled data
-(the factored eigenvalues and the largest equality residual, mirroring that
-rule); ``verify`` re-checks an accepted iterate and the final one, and the
-report's margins and ``feasible`` flag are :func:`accepts` of its margins.
+before anything is compiled.  Iterates are pre-checked on the factored
+eigenvalues, mirroring that rule; ``verify`` re-checks an accepted iterate
+and the final one, and the report's margins and ``feasible`` flag are
+:func:`accepts` of its margins.
 
 The search stops without a certificate when a centering ends with
 ``s - 2 nu / t > eps``, where ``nu`` (one plus the sum of the cone sizes) is
@@ -59,7 +60,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .polymat import block_max
 
@@ -98,15 +98,14 @@ class Constraint:
     """Affine matrix expression with a cone sense.
 
     sense:
-      ``"psd"``  -- expr(vars) >= shift * I
-      ``"nsd"``  -- expr(vars) <= -shift * I
-      ``"zero"`` -- expr(vars) == 0
+      ``"psd"`` -- expr(vars) >= 0, or >= eps I if ``strict``
+      ``"nsd"`` -- expr(vars) <= 0, or <= -eps I if ``strict``
     """
 
     name: str
     expr: Callable[[dict], np.ndarray]
     sense: str
-    shift: float = 0.0
+    strict: bool = False
 
 
 @dataclass(frozen=True)
@@ -115,34 +114,31 @@ class _ConeGroup:
 
     Signs are folded in so that every cone reads ``slack >= 0``.  The last
     coordinate of ``x`` is the phase-I violation ``s``, whose coefficient is
-    the identity; ``offset`` turns a slack's smallest eigenvalue at ``s = 0``
-    into the constraint's margin.
+    the identity.  A slack's smallest eigenvalue at ``s = 0``, plus ``eps``,
+    is the constraint's margin.
     """
 
     C: np.ndarray  # (g, m, m), symmetric
-    B: np.ndarray  # (g, m*m, nz + 1), every B_ij symmetric
-    offset: np.ndarray  # (g,)
+    B: np.ndarray  # (g, m*m, npar + 1), every B_ij symmetric
 
     @classmethod
-    def stack(cls, m, cones, eps, vp, N):
-        """Stack same-size ``(constraint, c0, A)`` cones over ``v = vp + N z``."""
-        g, nz = len(cones), N.shape[1]
-        shift = np.array([c.shift for c, _, _ in cones])
+    def stack(cls, m, cones, eps):
+        """Stack same-size ``(constraint, c0, A)`` cones."""
+        g, npar = len(cones), cones[0][2].shape[1]
         sgn = np.array([1.0 if c.sense == "psd" else -1.0 for c, _, _ in cones])
         c0 = np.array([c0 for _, c0, _ in cones])
         A = np.array([A for _, _, A in cones])
-        # required eigenvalue level after the sign flip; the eps bump on
-        # strict constraints leaves headroom over the eps/2 acceptance
-        rho = np.where(shift > 0, shift + eps, 0.0)
-        C = sgn[:, None, None] * (c0 + A @ vp).reshape(g, m, m)
+        # required eigenvalue level after the sign flip: 2 eps on a strict
+        # cone, whose margin is lambda_min - eps, leaves headroom over the
+        # eps/2 acceptance
+        rho = np.array([2.0 * eps if c.strict else 0.0 for c, _, _ in cones])
+        C = sgn[:, None, None] * c0.reshape(g, m, m)
         C = 0.5 * (C + C.transpose(0, 2, 1)) - rho[:, None, None] * np.eye(m)
-        Bz = sgn[:, None, None, None] * (A @ N).reshape(g, m, m, nz)
-        B = np.empty((g, m, m, nz + 1))
-        B[..., :nz] = 0.5 * (Bz + Bz.transpose(0, 2, 1, 3))
-        B[..., nz] = np.eye(m)
-        # verify's margin: lambda_min + rho - shift, plus eps if non-strict
-        offset = rho - shift + np.where(shift == 0.0, eps, 0.0)
-        return cls(C, B.reshape(g, m * m, nz + 1), offset)
+        Bv = sgn[:, None, None, None] * A.reshape(g, m, m, npar)
+        B = np.empty((g, m, m, npar + 1))
+        B[..., :npar] = 0.5 * (Bv + Bv.transpose(0, 2, 1, 3))
+        B[..., npar] = np.eye(m)
+        return cls(C, B.reshape(g, m * m, npar + 1))
 
     @property
     def size(self) -> int:
@@ -189,10 +185,10 @@ class LmiProblem:
             raise ValueError(f"duplicate variable '{name}'")
         self._blocks[name] = _VarBlock(name, n)
 
-    def add_constraint(self, name, expr, sense, shift=0.0) -> None:
-        if sense not in ("psd", "nsd", "zero"):
+    def add_constraint(self, name, expr, sense, strict=False) -> None:
+        if sense not in ("psd", "nsd"):
             raise ValueError(f"unknown sense '{sense}'")
-        self.constraints.append(Constraint(name, expr, sense, shift))
+        self.constraints.append(Constraint(name, expr, sense, strict))
 
     # -- parameter vector packing -------------------------------------------
 
@@ -233,9 +229,10 @@ class LmiProblem:
 
         One call per constraint, on the stack of the zero vector and every
         basis vector: ``c0`` is the value at zero, column ``i`` of ``A`` the
-        value at ``e_i`` minus ``c0``.  One more call per constraint, on plain
-        matrices at a fixed probe point, checks the compiled maps, all in one
-        pass (:meth:`_check_affine`).
+        value at ``e_i`` minus ``c0``; a coefficient that is not finite is
+        rejected.  One more call per constraint, on plain matrices at a fixed
+        probe point, checks the compiled maps, all in one pass
+        (:meth:`_check_affine`).
         """
         npar = self.n_params
         vals = self._unpack(np.vstack([np.zeros(npar), np.eye(npar)]))
@@ -251,6 +248,8 @@ class LmiProblem:
                 S = np.broadcast_to(S, (npar + 1, m, m)).reshape(npar + 1, m * m)
                 c0 = S[0].copy()
                 A = np.ascontiguousarray((S[1:] - c0).T)
+                if not (np.isfinite(c0).all() and np.isfinite(A).all()):
+                    raise ValueError(f"constraint '{c.name}' has a non-finite coefficient")
                 g = np.asarray(c.expr(probe_vals), dtype=float).ravel()
                 compiled.append((c, c0, A, m))
                 got.append(g)
@@ -289,23 +288,20 @@ class LmiProblem:
 
     @staticmethod
     def _margin(
-        S: np.ndarray, sense: str, shift: float, eps: float, lam: np.ndarray | None = None
+        S: np.ndarray, sense: str, strict: bool, eps: float, lam: np.ndarray | None = None
     ) -> float:
-        """Satisfaction margin, judged by :func:`accepts`.
+        """Satisfaction margin, judged by :func:`accepts`: the extreme
+        eigenvalue, on the side of the sense, less ``eps`` for a strict cone.
 
-        Non-strict senses (shift == 0) get an ``eps`` bonus so that
-        structurally semidefinite expressions, whose extreme eigenvalue is an
-        exact zero up to rounding, still verify.  ``lam`` are the ascending
-        eigenvalues of the symmetric part of ``S``, when already computed.
+        A non-strict cone gets an ``eps`` bonus instead, so that structurally
+        semidefinite expressions, whose extreme eigenvalue is an exact zero
+        up to rounding, still verify.  ``lam`` are the ascending eigenvalues
+        of the symmetric part of ``S``, when already computed.
         """
-        if sense == "zero":
-            return float(eps - np.max(np.abs(S))) if S.size else eps
         if lam is None:
             lam = np.linalg.eigvalsh(0.5 * (S + S.T))
-        bonus = eps if shift == 0.0 else 0.0
-        if sense == "psd":
-            return float(lam[0] - shift + bonus)
-        return float(-lam[-1] - shift + bonus)
+        extreme = lam[0] if sense == "psd" else -lam[-1]
+        return float(extreme - eps if strict else extreme + eps)
 
     # -- solve / verify ------------------------------------------------------
 
@@ -331,38 +327,18 @@ class LmiProblem:
             margins = self.verify(warm_start, eps)
             if accepts(margins, eps):
                 return SolveReport(True, 0, margins, dict(warm_start))
-        compiled = self._compile()
-        v0 = self._pack(warm_start) if warm_start else np.zeros(self.n_params)
-        npar = self.n_params
-
-        eq_rows, eq_rhs, cones = [], [], {}
-        for c, c0, A, m in compiled:
-            if c.sense == "zero":
-                eq_rows.append(A)
-                eq_rhs.append(c0)
-            else:
-                cones.setdefault(m, []).append((c, c0, A))
-        if eq_rows:
-            Aeq = np.vstack(eq_rows)
-            beq = np.concatenate(eq_rhs)
-            vp, *_ = np.linalg.lstsq(Aeq, -beq, rcond=None)
-            N = scipy.linalg.null_space(Aeq)
-            z = N.T @ (v0 - vp)
-        else:
-            vp = np.zeros(npar)
-            N = np.eye(npar)
-            z = v0.copy()
-        nz = N.shape[1]
-        groups = [
-            _ConeGroup.stack(m, same_size, eps, vp, N)
-            for m, same_size in sorted(cones.items())
-        ]
+        cones = {}
+        for c, c0, A, m in self._compile():
+            cones.setdefault(m, []).append((c, c0, A))
+        groups = [_ConeGroup.stack(m, same_size, eps) for m, same_size in sorted(cones.items())]
         nu = 1.0 + sum(g.size for g in groups)
+        npar = self.n_params
+        z = self._pack(warm_start) if warm_start else np.zeros(npar)
 
         it = 0
 
         def report(x) -> SolveReport:
-            values = self._unpack(vp + N @ x[:nz])
+            values = self._unpack(x[:npar])
             margins = self.verify(values, eps)
             return SolveReport(accepts(margins, eps), it, margins, values)
 
@@ -379,15 +355,7 @@ class LmiProblem:
 
             A pre-check only: ``report`` re-checks every iterate it passes.
             """
-            if any(
-                (lam[:, 0] + (g.offset - x[nz])).min() < eps / 2
-                for g, (lam, _) in zip(groups, eigs)
-            ):
-                return False
-            if eq_rows:
-                resid = Aeq @ (vp + N @ x[:nz]) + beq
-                return bool(np.max(np.abs(resid), initial=0.0) <= eps / 2)
-            return True
+            return not any((lam[:, 0] + (eps - x[npar])).min() < eps / 2 for lam, _ in eigs)
 
         def shifted(eigs, ds) -> list:
             """The factors after ``s += ds``: ``s`` enters every slack as ``s I``."""
@@ -397,22 +365,22 @@ class LmiProblem:
         eigs = factor(x)
         if accepted(x, eigs) and (rep := report(x)).feasible:
             return rep
-        if not groups or nz == 0:
+        if not groups or npar == 0:
             return report(x)
 
-        radius_sq = (1e3 * (1.0 + np.linalg.norm(z) + np.linalg.norm(vp))) ** 2
-        eye_z = np.eye(nz)
+        radius_sq = (1e3 * (1.0 + np.linalg.norm(z))) ** 2
+        eye_z = np.eye(npar)
 
         def barrier(x, eigs) -> float:
             """``-log ball - sum_i log det slack_i``; infinite off the domain."""
-            ball = radius_sq - x[:nz] @ x[:nz]
+            ball = radius_sq - x[:npar] @ x[:npar]
             if ball <= 0.0 or not inside(eigs):
                 return np.inf
             return -np.log(ball) - sum(np.log(lam).sum() for lam, _ in eigs)
 
         lam_min = min(lam[:, 0].min() for lam, _ in eigs)
-        x[nz] = 1.5 * max(0.0, -lam_min) + 0.1 * max(1e-6, abs(lam_min))
-        eigs = shifted(eigs, x[nz])
+        x[npar] = 1.5 * max(0.0, -lam_min) + 0.1 * max(1e-6, abs(lam_min))
+        eigs = shifted(eigs, x[npar])
         # centred along s: d/ds (t s - sum log det) = t - sum tr S^{-1} = 0
         t = max(1.0, sum(np.sum(1.0 / lam) for lam, _ in eigs))
         phi = barrier(x, eigs)
@@ -422,28 +390,28 @@ class LmiProblem:
                 terms = [g.barrier_terms(*e) for g, e in zip(groups, eigs)]
                 grad = sum(g_i for g_i, _ in terms)
                 hess = sum(rows.T @ rows for _, rows in terms)
-                z = x[:nz]
+                z = x[:npar]
                 ball = radius_sq - z @ z
-                grad[:nz] += 2.0 * z / ball
-                hess[:nz, :nz] += (2.0 / ball) * eye_z + np.outer(
+                grad[:npar] += 2.0 * z / ball
+                hess[:npar, :npar] += (2.0 / ball) * eye_z + np.outer(
                     4.0 * z / ball**2, z
                 )
-                grad[nz] += t
+                grad[npar] += t
                 try:
                     step = np.linalg.solve(hess, -grad)
                 except np.linalg.LinAlgError:
                     step, *_ = np.linalg.lstsq(hess, -grad, rcond=None)
                 decrement = -grad @ step
-                f0 = t * x[nz] + phi
+                f0 = t * x[npar] + phi
                 alpha = 1.0
                 while True:
                     trial = x + alpha * step
                     trial_eigs = factor(trial)
                     trial_phi = barrier(trial, trial_eigs)
-                    if t * trial[nz] + trial_phi < f0 or alpha <= 1e-13:
+                    if t * trial[npar] + trial_phi < f0 or alpha <= 1e-13:
                         break
                     alpha *= 0.5
-                if not t * trial[nz] + trial_phi < f0:
+                if not t * trial[npar] + trial_phi < f0:
                     break  # even the shortest trial decreases nothing: stay at x
                 x, eigs, phi = trial, trial_eigs, trial_phi
                 if accepted(x, eigs) and (rep := report(x)).feasible:
@@ -452,7 +420,7 @@ class LmiProblem:
                     break
             # stall rule: at a centred point, s - 2 nu / t is below every s
             # that a point in the ball reaches
-            if it >= budget or x[nz] - 2.0 * nu / t > eps:
+            if it >= budget or x[npar] - 2.0 * nu / t > eps:
                 break
             t *= 20.0
         return report(x)
@@ -470,15 +438,15 @@ class LmiProblem:
         shapes: dict[tuple, list] = {}
         for i, c in enumerate(self.constraints):
             S = np.asarray(c.expr(values), dtype=float)
-            if c.sense != "zero" and S.ndim == 2 and S.shape[0] == S.shape[1] > 0:
+            if S.ndim == 2 and S.shape[0] == S.shape[1] > 0:
                 shapes.setdefault(S.shape, []).append((i, S))
                 out.append(None)
             else:
-                out.append(self._margin(S, c.sense, c.shift, eps))
+                out.append(self._margin(S, c.sense, c.strict, eps))
         for same in shapes.values():
             H = np.array([S for _, S in same])
             lams = np.linalg.eigvalsh(0.5 * (H + H.transpose(0, 2, 1)))
             for (i, S), lam in zip(same, lams):
                 c = self.constraints[i]
-                out[i] = self._margin(S, c.sense, c.shift, eps, lam)
+                out[i] = self._margin(S, c.sense, c.strict, eps, lam)
         return {c.name: m for c, m in zip(self.constraints, out)}

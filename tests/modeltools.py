@@ -122,7 +122,7 @@ def scan_canonical_family(model: SldsModel) -> dict:
     if any(real.n != 1 for real in model.realizations):
         raise ValueError("family scan requires McMillan degree 1 in every mode")
     eps = EPS_REL * problem_scale(model)
-    prob = assemble_mlf_lmis(model, eps)
+    prob = assemble_mlf_lmis(model)
     groups = {"positivity": "pos_", "decay": "decay_", "switch": "switch_"}
     results = []
     feasible_ratios = []

@@ -110,6 +110,27 @@ class TestCheck:
         assert "mode 2" in err and "constant det R" in err
         assert "zero-size" not in err
 
+    @pytest.mark.parametrize(
+        "name, entry, value, constraint",
+        [
+            ("elcirc", (1, 0, 1, 0), 1e214, "switch_1_2"),
+            ("exmath", (0, 0, 1, 0), 1e180, "switch_2_1"),
+        ],
+    )
+    def test_overflowing_lmi_data_exit_1(self, tmp_path, capsys, name, entry, value, constraint):
+        # the model loads, but L^T K L overflows: the search must not run its
+        # Newton loop on NaN cones and answer "no certificate"
+        doc = json.loads((MODELS / f"{name}.json").read_text())
+        i, j, k, d = entry
+        doc["state_maps"][i][j][k][d] = value
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["check", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: constraint '{constraint}' has a non-finite coefficient" in captured.err
+        assert "no certificate" not in captured.out
+
     def test_verify_only_free_multipliers(self, capsys):
         # certificate from a search that solved for Y_k as free variables,
         # so its stored Y_k differ from B_k^T K_k; a certificate is its K_k,

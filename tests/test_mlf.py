@@ -225,7 +225,6 @@ class TestMakeCertificate:
             model,
             "lmi",
             cert.kernels,
-            eps=cert.epsilon,
             solver={k: cert.solver[k] for k in ("iterations", "budget")},
         )
         # json.dumps compares key order too

@@ -22,14 +22,14 @@ from modeltools import corpus_model
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
-def _lyapunov_problem(A, eps):
+def _lyapunov_problem(A):
     """Find K > 0 with A^T K + K A < 0 for a Hurwitz A."""
     prob = LmiProblem()
     n = A.shape[0]
     prob.add_symmetric("K", n)
-    prob.add_constraint("pos", lambda v: v["K"], "psd", shift=eps)
+    prob.add_constraint("pos", lambda v: v["K"], "psd", strict=True)
     prob.add_constraint(
-        "decay", lambda v: A.T @ v["K"] + v["K"] @ A, "nsd", shift=eps
+        "decay", lambda v: A.T @ v["K"] + v["K"] @ A, "nsd", strict=True
     )
     return prob
 
@@ -37,14 +37,14 @@ def _lyapunov_problem(A, eps):
 def _converter_search(model, strict):
     """The K-only search ``find_mlf`` runs, as a bare solve: (problem, eps, report)."""
     eps = EPS_REL * problem_scale(model)
-    prob = assemble_mlf_lmis(model, eps, strict=strict)
+    prob = assemble_mlf_lmis(model, strict=strict)
     return prob, eps, prob.solve(eps, warm_start=_warm_start(model))
 
 
 class TestFeasible:
     def test_scalar_lyapunov(self):
         A = np.array([[-1.0]])
-        prob = _lyapunov_problem(A, 1e-7)
+        prob = _lyapunov_problem(A)
         rep = prob.solve(eps=1e-7)
         assert rep.feasible
         K = rep.values["K"]
@@ -52,23 +52,26 @@ class TestFeasible:
         assert (A.T @ K + K @ A)[0, 0] < 0
 
     def test_coupled_blocks(self):
-        # K1 - K2 == 0 forced through an equality; both must stay psd
+        # K1 - K2 >= 0 and K2 - K1 >= 0 couple the blocks; both must stay psd.
+        # A non-strict cone is accepted to eps / 2, so at eps = 1e-8 the
+        # coupling holds to 5e-9
         prob = LmiProblem()
         prob.add_symmetric("K1", 2)
         prob.add_symmetric("K2", 2)
-        prob.add_constraint("eq", lambda v: v["K1"] - v["K2"], "zero")
-        prob.add_constraint("p1", lambda v: v["K1"], "psd", shift=1e-6)
+        prob.add_constraint("ge", lambda v: v["K1"] - v["K2"], "psd")
+        prob.add_constraint("le", lambda v: v["K2"] - v["K1"], "psd")
+        prob.add_constraint("p1", lambda v: v["K1"], "psd", strict=True)
         A = np.array([[-2.0, 1.0], [0.0, -3.0]])
         prob.add_constraint(
-            "d2", lambda v: A.T @ v["K2"] + v["K2"] @ A, "nsd", shift=1e-6
+            "d2", lambda v: A.T @ v["K2"] + v["K2"] @ A, "nsd", strict=True
         )
-        rep = prob.solve(eps=1e-6)
+        rep = prob.solve(eps=1e-8)
         assert rep.feasible
         assert np.allclose(rep.values["K1"], rep.values["K2"], atol=1e-8)
 
     def test_warm_start_accepted_immediately(self):
         A = np.array([[-1.0]])
-        prob = _lyapunov_problem(A, 1e-7)
+        prob = _lyapunov_problem(A)
         rep = prob.solve(eps=1e-7, warm_start={"K": np.array([[1.0]])})
         assert rep.feasible
         assert rep.iterations == 0
@@ -94,7 +97,7 @@ class TestInfeasible:
 
     def test_unstable_lyapunov(self):
         A = np.array([[1.0]])  # not Hurwitz: no K > 0 can work
-        prob = _lyapunov_problem(A, 1e-6)
+        prob = _lyapunov_problem(A)
         rep = prob.solve(eps=1e-6, budget=2000)
         assert not rep.feasible
         assert rep.iterations < 500
@@ -110,8 +113,8 @@ class TestInfeasible:
 class TestDeterminism:
     def test_identical_runs(self):
         A = np.array([[-2.0, 1.0], [-1.0, -1.0]])
-        r1 = _lyapunov_problem(A, 1e-7).solve(eps=1e-7)
-        r2 = _lyapunov_problem(A, 1e-7).solve(eps=1e-7)
+        r1 = _lyapunov_problem(A).solve(eps=1e-7)
+        r2 = _lyapunov_problem(A).solve(eps=1e-7)
         assert r1.iterations == r2.iterations
         assert np.array_equal(r1.values["K"], r2.values["K"])
 
@@ -127,7 +130,7 @@ class TestDeterminism:
 class TestVerify:
     def test_margins_match_solution(self):
         A = np.array([[-2.0, 1.0], [-1.0, -1.0]])
-        prob = _lyapunov_problem(A, 1e-7)
+        prob = _lyapunov_problem(A)
         rep = prob.solve(eps=1e-7)
         margins = prob.verify(rep.values, eps=1e-7)
         assert set(margins) == {"pos", "decay"}
@@ -150,17 +153,9 @@ class TestVerify:
 
     def test_verify_flags_violation(self):
         A = np.array([[-1.0]])
-        prob = _lyapunov_problem(A, 1e-7)
+        prob = _lyapunov_problem(A)
         margins = prob.verify({"K": np.array([[-1.0]])}, eps=1e-7)
         assert margins["pos"] < 0
-
-    def test_zero_sense_margin(self):
-        prob = LmiProblem()
-        prob.add_symmetric("K", 1)
-        prob.add_constraint("eq", lambda v: v["K"] - np.eye(1), "zero")
-        good = prob.verify({"K": np.array([[1.0]])}, eps=1e-9)
-        bad = prob.verify({"K": np.array([[1.5]])}, eps=1e-9)
-        assert good["eq"] > 0 > bad["eq"]
 
 
 class TestAccepts:
@@ -178,7 +173,7 @@ class TestAccepts:
 
     def test_report_flag_is_accepts_of_its_margins(self):
         A = np.array([[-2.0, 1.0], [-1.0, -1.0]])
-        rep = _lyapunov_problem(A, 1e-7).solve(eps=1e-7)
+        rep = _lyapunov_problem(A).solve(eps=1e-7)
         assert rep.feasible == accepts(rep.margins, 1e-7)
         assert rep.feasible
 
@@ -191,9 +186,11 @@ class TestValidation:
             prob.add_symmetric("K", 1)
 
     def test_unknown_sense(self):
+        # "zero" too: the solver has no equality constraints
         prob = LmiProblem()
-        with pytest.raises(ValueError):
-            prob.add_constraint("c", lambda v: np.eye(1), "geq")
+        for sense in ("geq", "zero"):
+            with pytest.raises(ValueError, match=f"unknown sense '{sense}'"):
+                prob.add_constraint("c", lambda v: np.eye(1), sense)
 
     def test_nonsquare_constraint(self):
         prob = LmiProblem()
@@ -215,7 +212,7 @@ class TestNonSymmetricExpression:
             prob.add_symmetric("K", 2)
             prob.add_symmetric("c", 1)
             prob.add_constraint(
-                "pos", lambda v, M=M: v["K"] + M * v["c"], "psd", shift=1e-6
+                "pos", lambda v, M=M: v["K"] + M * v["c"], "psd", strict=True
             )
             prob.add_constraint("lift", lambda v: v["c"] - 3.0, "psd")
             if capped:
@@ -236,7 +233,7 @@ class TestEigenFactor:
         S = M @ M.transpose(0, 2, 1) + 0.5 * np.eye(m)
         Bm = rng.standard_normal((g, m, m, n))
         Bm = Bm + Bm.transpose(0, 2, 1, 3)
-        group = _ConeGroup(S, Bm.reshape(g, m * m, n), np.zeros(g))
+        group = _ConeGroup(S, Bm.reshape(g, m * m, n))
         grad, rows = group.barrier_terms(*np.linalg.eigh(S))
         Si = np.linalg.inv(S)
         SiB = np.einsum("gab,gbcj->gacj", Si, Bm)
@@ -309,8 +306,7 @@ class TestBatchedCompile:
     )
     def test_corpus_lmis_match_probing(self, name, strict):
         model = load_model(MODELS / f"{name}.json")
-        eps = EPS_REL * problem_scale(model)
-        _assert_compiles_like_probing(assemble_mlf_lmis(model, eps, strict=strict))
+        _assert_compiles_like_probing(assemble_mlf_lmis(model, strict=strict))
 
     def test_posreal_kyp_lmi_matches_probing(self, monkeypatch):
         # the storage of a w = 2 pair is one KYP LMI in K1
@@ -323,8 +319,12 @@ class TestBatchedCompile:
         )
         R1 = PolyMatrix.from_entries([[[1.0, 1.0], [0.0]], [[0.0], [2.0, 3.0, 1.0]]])
         R2 = PolyMatrix.from_entries([[[1.0], [0.0]], [[0.0], [0.5, 0.5]]])
-        assert mlf_from_positive_real(build_standard_slds(R1, R2)).feasible
+        s = build_standard_slds(R1, R2)
+        assert mlf_from_positive_real(s).feasible
         assert len(problems) == 1
+        # one cone in the leading n2 x n2 block: B1^T K1 = H fixes the rest
+        assert problems[0].n_params == s.n2 * (s.n2 + 1) // 2
+        assert [c.name for c in problems[0].constraints] == ["decay"]
         _assert_compiles_like_probing(problems[0])
 
     def test_non_broadcasting_expression_rejected(self):
@@ -332,7 +332,7 @@ class TestBatchedCompile:
         prob = LmiProblem()
         prob.add_symmetric("K", 2)
         prob.add_symmetric("c", 1)
-        prob.add_constraint("pos", lambda v: v["K"] + v["c"][0, 0], "psd", 1e-6)
+        prob.add_constraint("pos", lambda v: v["K"] + v["c"][0, 0], "psd", True)
         with pytest.raises(ValueError, match="'pos' is not affine"):
             prob.solve(eps=1e-6)
 
@@ -375,10 +375,10 @@ class TestBatchedMargins:
         model = load_model(MODELS / "source_converter_6mode.json")
         cert = find_mlf(model)
         eps = cert.epsilon
-        prob = assemble_mlf_lmis(model, eps)
+        prob = assemble_mlf_lmis(model)
         values = {f"K{k}": K for k, K in enumerate(cert.kernels, start=1)}
         want = {
-            c.name: LmiProblem._margin(np.asarray(c.expr(values)), c.sense, c.shift, eps)
+            c.name: LmiProblem._margin(np.asarray(c.expr(values)), c.sense, c.strict, eps)
             for c in prob.constraints
         }
         calls = []
@@ -390,24 +390,24 @@ class TestBatchedMargins:
         assert list(margins.items()) == list(want.items())
 
     def test_margins_equal_per_constraint_margins(self):
-        # mixed sizes and senses, a zero-sense constraint, NaN and infinite
-        # entries and a repeated name: values and key order are those of one
-        # _margin call per constraint in order
+        # mixed sizes, senses and strictness, NaN and infinite entries and a
+        # repeated name: values and key order are those of one _margin call
+        # per constraint in order
         rng = np.random.default_rng(5)
-        mats = {f"S{i}": rng.standard_normal((m, m)) for i, m in enumerate([2, 3, 2, 1, 3, 2, 1])}
+        mats = {f"S{i}": rng.standard_normal((m, m)) for i, m in enumerate([2, 3, 1, 3, 2, 1])}
         mats["S0"][0, 0] = np.nan
-        mats["S5"][0, 1] = np.nan
+        mats["S4"][0, 1] = np.nan
         mats["S1"][2, 2] = np.inf
-        senses = ["psd", "nsd", "zero", "psd", "nsd", "psd", "nsd"]
-        shifts = [0.0, 1e-3, 0.0, 1e-3, 0.0, 0.0, 0.0]
-        names = ["a", "b", "c", "d", "e", "f", "d"]
+        senses = ["psd", "nsd", "psd", "nsd", "psd", "nsd"]
+        stricts = [False, True, True, False, False, False]
+        names = ["a", "b", "d", "e", "f", "d"]
         prob = LmiProblem()
-        for i, (name, sense, shift) in enumerate(zip(names, senses, shifts)):
-            prob.add_constraint(name, lambda v, S=mats[f"S{i}"]: S, sense, shift)
+        for i, (name, sense, strict) in enumerate(zip(names, senses, stricts)):
+            prob.add_constraint(name, lambda v, S=mats[f"S{i}"]: S, sense, strict)
         eps = 1e-6
         margins = prob.verify({}, eps)
         want = {}
         for c in prob.constraints:
-            want[c.name] = LmiProblem._margin(c.expr({}), c.sense, c.shift, eps)
-        assert list(margins) == list(want) == ["a", "b", "c", "d", "e", "f"]
+            want[c.name] = LmiProblem._margin(c.expr({}), c.sense, c.strict, eps)
+        assert list(margins) == list(want) == ["a", "b", "d", "e", "f"]
         assert np.array_equal(list(margins.values()), list(want.values()), equal_nan=True)

@@ -8,6 +8,10 @@ that only the tests reach belongs with the tests (``tests/modeltools.py``,
 by its ``SPANS`` are exempt while the benchmark wraps them.  The check
 reads the source with :mod:`ast`, so a word in a comment or docstring is
 not a reference.
+
+A second check is a ratchet on ``scipy``: only the modules of
+``SCIPY_MODULES`` may import it at module level (ROADMAP item 10 shrinks
+that set, and no other module may take ``scipy`` up).
 """
 
 import ast
@@ -20,6 +24,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sldstab"
 INSTRUMENT = ROOT / "perfbench" / "instrument.py"
 REACHING = ("src", "demos", "scripts")
+
+# the modules that may import scipy at module level
+SCIPY_MODULES = {"mlf", "statespace", "posreal"}
 
 # module -> why none of its names is checked
 EXEMPT_MODULES = {
@@ -84,3 +91,18 @@ def test_every_public_name_is_reached(instrument):
 def test_exempt_modules_exist():
     for module in EXEMPT_MODULES:
         assert (PACKAGE / f"{module}.py").is_file(), module
+
+
+def test_scipy_imported_only_where_it_was():
+    importing = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importing.add(path.stem)
+    assert importing <= SCIPY_MODULES, sorted(importing - SCIPY_MODULES)
