@@ -25,7 +25,7 @@ from .mlf import (
     verify_mlf,
 )
 from .model import is_well_posed, load_model, model_to_json, modes_hurwitz, save_model
-from .polymat import NonFiniteError, polymatrix_from_json, polymatrix_to_json
+from .polymat import NonFiniteError, polymatrix_from_json, polymatrix_to_json, write_json
 from .sdp import DEFAULT_BUDGET
 from .sim import audit_mlf, asymptotic_check, signal_from_json, simulate, write_trace_csv
 
@@ -148,9 +148,7 @@ def cmd_posreal(args) -> int:
     M = pr.positive_real_completion(std, cert)
     doc = polymatrix_to_json(M)
     if args.out:
-        text = json.dumps(doc, indent=2)
-        with open(args.out, "w") as fh:
-            fh.write(text)  # one write: json.dump writes once per token
+        write_json(args.out, doc)
         print(f"completion written to {args.out}")
     else:
         print(json.dumps(doc))

@@ -45,7 +45,7 @@ import numpy as np
 import scipy.linalg
 
 from .model import SldsModel
-from .polymat import json_float, json_list, json_object
+from .polymat import json_float, json_list, json_object, write_json
 from .sdp import DEFAULT_BUDGET, LmiProblem, accepts
 
 EPS_REL = 1e-7
@@ -161,22 +161,13 @@ def assemble_mlf_lmis(model: SldsModel, strict: bool = True) -> LmiProblem:
     prob = LmiProblem()
     for k, real in enumerate(model.realizations, start=1):
         prob.add_symmetric(f"K{k}", real.n)
-
-        def decay(v, A=real.A, k=k):
-            K = v[f"K{k}"]
-            return A.T @ K + K @ A
-
-        def pos(v, k=k):
-            return v[f"K{k}"]
-
-        prob.add_constraint(f"decay_{k}", decay, "nsd", strict)
-        prob.add_constraint(f"pos_{k}", pos, "psd", strict)
+        K, A = f"K{k}", real.A
+        prob.add_constraint(f"decay_{k}", [(K, A, None), (K, None, A)], "nsd", strict)
+        prob.add_constraint(f"pos_{k}", [(K, None, None)], "psd", strict)
     for (k, l), L in sorted(model.reinits.items()):
-
-        def switch(v, L=L, k=k, l=l):
-            return v[f"K{k}"] - L.T @ v[f"K{l}"] @ L
-
-        prob.add_constraint(f"switch_{k}_{l}", switch, "psd")
+        prob.add_constraint(
+            f"switch_{k}_{l}", [(f"K{k}", None, None), (f"K{l}", -L, L)], "psd"
+        )
     return prob
 
 
@@ -316,9 +307,7 @@ def certificate_from_json(doc: dict) -> MlfCertificate:
 
 
 def save_certificate(cert: MlfCertificate, path) -> None:
-    text = json.dumps(certificate_to_json(cert), indent=2)
-    with open(path, "w") as fh:
-        fh.write(text)  # one write: json.dump writes once per token
+    write_json(path, certificate_to_json(cert))
 
 
 def load_certificate(path) -> MlfCertificate:

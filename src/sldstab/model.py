@@ -49,6 +49,7 @@ from .polymat import (
     json_object,
     polymatrix_from_json,
     polymatrix_to_json,
+    write_json,
 )
 from .statespace import (
     StateRealization,
@@ -287,6 +288,4 @@ def load_model(path) -> SldsModel:
 
 
 def save_model(model: SldsModel, path) -> None:
-    text = json.dumps(model_to_json(model), indent=2)
-    with open(path, "w") as fh:
-        fh.write(text)  # one write: json.dump writes once per token
+    write_json(path, model_to_json(model))

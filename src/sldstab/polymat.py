@@ -22,6 +22,7 @@ tests; no command calls them.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections.abc import Sequence
 from functools import cache, cached_property
@@ -363,22 +364,6 @@ def poly_roots(p: PolyMatrix) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# block maxima of a row stack
-
-
-def block_max(row_max: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Largest of ``row_max[lo:hi]`` for each block ``[lo, hi)`` of the
-    ascending ``bounds`` (first 0, last ``len(row_max)``); 0 for an empty
-    block.  One ``maximum.reduceat`` over the whole stack."""
-    sizes = bounds[1:] - bounds[:-1]
-    if sizes.all():
-        return np.maximum.reduceat(row_max, bounds[:-1])
-    out = np.zeros(len(sizes))
-    out[sizes > 0] = np.maximum.reduceat(row_max, bounds[:-1][sizes > 0])
-    return out
-
-
-# ---------------------------------------------------------------------------
 # column reduction
 
 
@@ -622,6 +607,14 @@ def json_int(value, what: str) -> int:
     if not json_float(value, what).is_integer():
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as indented JSON in one write (``json.dump`` writes once
+    per token)."""
+    text = json.dumps(doc, indent=2)
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def polymatrix_to_json(M: PolyMatrix) -> list:

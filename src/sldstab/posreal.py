@@ -318,35 +318,31 @@ def _kyp_storage(s: StandardSlds):
 
     ``B1 = col(0, K)`` (``X2 R1^{-1}`` has relative degree 2 or more), so the
     equality fixes ``K1``'s last ``w`` rows at ``F = K^{-T} H``, and the LMI is
-    one cone in the leading ``n2 x n2`` block.  ``F`` enters at unit max-norm,
-    its trailing block symmetrised, and ``K1`` is scaled back by ``max|F|``:
-    ``(c R1, c R2)`` poses one LMI for all ``c``.
+    one cone in the leading ``n2 x n2`` block ``P``.  ``F`` enters at unit
+    max-norm, its trailing block symmetrised, and ``K1`` is scaled back by
+    ``max|F|``: ``(c R1, c R2)`` poses one LMI for all ``c``.  With the fixed
+    part ``F1`` of ``K1 = F1 + E^T P E``, ``E = [I 0]``, the decay form is the
+    terms ``A1^T F1 + F1 A1 + (E A1)^T P E + E^T P (E A1)``.
     """
     A, n2 = s.model.realizations[0].A, s.n2
     _, H = s.supply
     F = np.linalg.solve(s.K.T, H)
     f = np.abs(F).max()
-    fixed = np.zeros((s.n1, s.n1))
-    fixed[n2:] = F / f
-    fixed[:n2, n2:] = fixed[n2:, :n2].T
-    fixed[n2:, n2:] = 0.5 * (fixed[n2:, n2:] + fixed[n2:, n2:].T)
-
-    def storage(P):
-        K1 = np.broadcast_to(fixed, P.shape[:-2] + fixed.shape).copy()
-        K1[..., :n2, :n2] = P
-        return K1
-
-    def decay(v):
-        K1 = storage(v["P"])
-        return A.T @ K1 + K1 @ A
-
+    F1 = np.zeros((s.n1, s.n1))
+    F1[n2:] = F / f
+    F1[:n2, n2:] = F1[n2:, :n2].T
+    F1[n2:, n2:] = 0.5 * (F1[n2:, n2:] + F1[n2:, n2:].T)
+    E = np.eye(n2, s.n1)
+    EA = E @ A
     prob = LmiProblem()
     prob.add_symmetric("P", n2)
-    prob.add_constraint("decay", decay, "nsd")
+    prob.add_constraint("decay", [("P", EA, E), ("P", E, EA)], "nsd", const=A.T @ F1 + F1 @ A)
     report = prob.solve(FACTOR_TOL)
     if not report.feasible:
         raise ValueError("no K1 found with B1^T K1 = H and A1^T K1 + K1 A1 <= 0")
-    return f * storage(report.values["P"]), report.iterations
+    K1 = F1.copy()
+    K1[:n2, :n2] = report.values["P"]
+    return f * K1, report.iterations
 
 
 def _check_dissipation(s: StandardSlds, K1: np.ndarray) -> None:

@@ -2,16 +2,15 @@
 
 The problem is a set of named symmetric matrix variables plus affine
 matrix-valued constraints with a semidefiniteness sense, strict or not: a
-cone-only problem, with no equality constraints.  Constraints are given as
-plain Python callables; the affine map is recovered numerically by probing
-with basis vectors, so callers never build coefficient tensors by hand.  The
-probe calls each constraint once, with every variable given as a stack
-``(n_params + 1, n, n)`` of its values at zero and at each basis vector.
-Constraints must therefore act on the last two axes and broadcast over the
-leading one: ``swapaxes(-1, -2)`` for a transpose, ``[..., i, j]`` for an
-index.  A coefficient that is not finite is rejected.  One further call on
-plain matrices, at a fixed point, checks the compiled map and rejects an
-expression that does not broadcast.  ``verify`` calls them on plain
+cone-only problem, with no equality constraints.  Each constraint is declared
+as affine terms, ``const + sum_i M_i^T V_i N_i`` with ``V_i`` a variable and
+``None`` standing for an identity factor: the standard form
+``F_0 + sum_j x_j F_j`` of Boyd, El Ghaoui, Feron & Balakrishnan (*LMIs in
+System and Control Theory*, 1994).  :meth:`Constraint.expr` is the one
+evaluator.  ``_compile`` calls it once per constraint on the stack
+``(n_params + 1, n, n)`` of every variable's values at zero and at each basis
+vector, which gives the affine map; a coefficient that is not finite, or a
+constraint that is not square, is rejected.  ``verify`` calls it on plain
 matrices.
 
 Solving is feasibility-only: a phase-I log-det barrier drives the worst cone
@@ -38,11 +37,11 @@ decrease, off the barrier's domain or not, ends the centering at the
 current point instead of taking that step.
 
 A certificate is accepted by one rule, :func:`accepts`: every margin is at
-least ``eps / 2``.  The closure-based ``verify`` judges a warm start
-before anything is compiled.  Iterates are pre-checked on the factored
-eigenvalues, mirroring that rule; ``verify`` re-checks an accepted iterate
-and the final one, and the report's margins and ``feasible`` flag are
-:func:`accepts` of its margins.
+least ``eps / 2``.  ``verify`` judges a warm start before anything is
+compiled.  Iterates are pre-checked on the factored eigenvalues, mirroring
+that rule; ``verify`` re-checks an accepted iterate and the final one, and
+the report's margins and ``feasible`` flag are :func:`accepts` of its
+margins.
 
 The search stops without a certificate when a centering ends with
 ``s - 2 nu / t > eps``, where ``nu`` (one plus the sum of the cone sizes) is
@@ -57,15 +56,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
-from .polymat import block_max
-
 DEFAULT_BUDGET = 50_000
-# Relative mismatch above which a compiled constraint is rejected (``_compile``).
-AFFINE_TOL = 1e-9
 
 
 def accepts(margins: dict, eps: float) -> bool:
@@ -95,7 +89,9 @@ class _VarBlock:
 
 @dataclass(frozen=True)
 class Constraint:
-    """Affine matrix expression with a cone sense.
+    """Affine matrix expression ``const + sum_i M_i^T V_i N_i`` with a cone
+    sense; ``terms`` holds the ``(variable, M, N)``, ``None`` for an identity
+    factor, and ``const`` is ``None`` for zero.
 
     sense:
       ``"psd"`` -- expr(vars) >= 0, or >= eps I if ``strict``
@@ -103,9 +99,26 @@ class Constraint:
     """
 
     name: str
-    expr: Callable[[dict], np.ndarray]
+    terms: tuple
     sense: str
     strict: bool = False
+    const: np.ndarray | None = None
+
+    def expr(self, values: dict) -> np.ndarray:
+        """The expression at ``values``; stacked values give the stack.
+
+        Each term is ``M.T @ V``, then ``@ N``, and the terms are summed in
+        order, after ``const``.
+        """
+        total = self.const
+        for name, M, N in self.terms:
+            T = values[name]
+            if M is not None:
+                T = M.T @ T
+            if N is not None:
+                T = T @ N
+            total = T if total is None else total + T
+        return total
 
 
 @dataclass(frozen=True)
@@ -185,10 +198,17 @@ class LmiProblem:
             raise ValueError(f"duplicate variable '{name}'")
         self._blocks[name] = _VarBlock(name, n)
 
-    def add_constraint(self, name, expr, sense, strict=False) -> None:
+    def add_constraint(self, name, terms, sense, strict=False, const=None) -> None:
+        """Add ``const + sum M^T V N`` over ``terms = [(variable, M, N), ...]``
+        (``None`` for an identity factor, or for a zero ``const``)."""
         if sense not in ("psd", "nsd"):
             raise ValueError(f"unknown sense '{sense}'")
-        self.constraints.append(Constraint(name, expr, sense, strict))
+
+        def matrix(F):
+            return None if F is None else np.asarray(F, dtype=float)
+
+        terms = tuple((v, matrix(M), matrix(N)) for v, M, N in terms)
+        self.constraints.append(Constraint(name, terms, sense, strict, matrix(const)))
 
     # -- parameter vector packing -------------------------------------------
 
@@ -222,67 +242,32 @@ class LmiProblem:
             parts.append((0.5 * (M + M.T))[b.triu])
         return np.concatenate(parts) if parts else np.zeros(0)
 
-    # -- affine compilation by probing --------------------------------------
+    # -- affine compilation --------------------------------------------------
 
     def _compile(self):
         """``(constraint, c0, A, m)``: each expression is ``c0 + A v`` flattened.
 
-        One call per constraint, on the stack of the zero vector and every
-        basis vector: ``c0`` is the value at zero, column ``i`` of ``A`` the
-        value at ``e_i`` minus ``c0``; a coefficient that is not finite is
-        rejected.  One more call per constraint, on plain matrices at a fixed
-        probe point, checks the compiled maps, all in one pass
-        (:meth:`_check_affine`).
+        One :meth:`Constraint.expr` call per constraint, on the stack of the
+        zero vector and every basis vector: ``c0`` is the value at zero,
+        column ``i`` of ``A`` the value at ``e_i`` minus ``c0``.  A constraint
+        that is not square, or has a coefficient that is not finite, is
+        rejected.
         """
         npar = self.n_params
         vals = self._unpack(np.vstack([np.zeros(npar), np.eye(npar)]))
-        probe = np.linspace(-1.0, 1.0, npar)
-        probe_vals = self._unpack(probe)
-        compiled, got = [], []
-        try:
-            for c in self.constraints:
-                S = np.asarray(c.expr(vals), dtype=float)
-                if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
-                    raise ValueError(f"constraint '{c.name}' is not square")
-                m = S.shape[-1]
-                S = np.broadcast_to(S, (npar + 1, m, m)).reshape(npar + 1, m * m)
-                c0 = S[0].copy()
-                A = np.ascontiguousarray((S[1:] - c0).T)
-                if not (np.isfinite(c0).all() and np.isfinite(A).all()):
-                    raise ValueError(f"constraint '{c.name}' has a non-finite coefficient")
-                g = np.asarray(c.expr(probe_vals), dtype=float).ravel()
-                compiled.append((c, c0, A, m))
-                got.append(g)
-        except Exception:
-            self._check_affine(compiled, got, probe)  # an earlier failure comes first
-            raise
-        self._check_affine(compiled, got, probe)
+        compiled = []
+        for c in self.constraints:
+            S = np.asarray(c.expr(vals), dtype=float)
+            if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
+                raise ValueError(f"constraint '{c.name}' is not square")
+            m = S.shape[-1]
+            S = np.broadcast_to(S, (npar + 1, m, m)).reshape(npar + 1, m * m)
+            c0 = S[0].copy()
+            A = np.ascontiguousarray((S[1:] - c0).T)
+            if not (np.isfinite(c0).all() and np.isfinite(A).all()):
+                raise ValueError(f"constraint '{c.name}' has a non-finite coefficient")
+            compiled.append((c, c0, A, m))
         return compiled
-
-    @staticmethod
-    def _check_affine(compiled, got, probe) -> None:
-        """Raise for the first constraint whose plain value ``got`` at
-        ``probe`` is not ``c0 + A probe`` within ``AFFINE_TOL`` of its scale:
-        an expression that does not broadcast over the stack, or is not
-        affine.  One product over every constraint's rows, and one
-        :func:`block_max` each for the errors and the scales."""
-        if not compiled:
-            return
-        sizes = [m * m for *_, m in compiled]
-        bounds = np.cumsum([0] + sizes)
-        A = np.concatenate([A for _, _, A, _ in compiled])
-        c0 = np.concatenate([c0 for _, c0, _, _ in compiled])
-        wrong = np.array([g.size != k for g, k in zip(got, sizes)])
-        value = np.concatenate(
-            [np.zeros(k) if bad else g for g, k, bad in zip(got, sizes, wrong)]
-        )
-        err = block_max(np.abs(value - c0 - A @ probe), bounds)
-        err[wrong] = np.inf
-        scale = block_max(np.abs(c0) + np.abs(A) @ np.abs(probe), bounds)
-        bad = np.flatnonzero(err > AFFINE_TOL * scale)
-        if bad.size:
-            name = compiled[bad[0]][0].name
-            raise ValueError(f"constraint '{name}' is not affine over stacked variables")
 
     # -- margins -------------------------------------------------------------
 

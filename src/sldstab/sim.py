@@ -22,14 +22,13 @@ The trace keeps the ``(k, n)`` state array of each segment.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .mlf import MlfCertificate, check_fits
 from .model import SldsModel
-from .polymat import json_float, json_int, json_list, json_object
+from .polymat import json_float, json_int, json_list, json_object, write_json
 from .statespace import propagator
 
 AUDIT_REL_TOL = 1e-10
@@ -368,9 +367,7 @@ def write_trace_csv(trace: Trace, path, events_path=None) -> None:
                     for k, v in ev.items()
                 }
             )
-        text = json.dumps({"truncated": trace.truncated, "events": evs}, indent=2)
-        with open(events_path, "w") as fh:
-            fh.write(text)  # one write: json.dump writes once per token
+        write_json(events_path, {"truncated": trace.truncated, "events": evs})
 
 
 def signal_from_json(doc: dict) -> SwitchingSignal:

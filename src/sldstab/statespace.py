@@ -28,7 +28,7 @@ reads), so ``C`` is left to its first use, which only simulation makes.
 :func:`express_in_state_basis` writes any number of blocks ``G mod R`` over
 a checked state map in one pass; ``C`` and the normal form go through it.
 :func:`propagator` is the one matrix exponential of a mode's dynamics, for
-one time or, in one ``expm`` call, for an array of times.
+an array of times in one ``expm`` call.
 """
 
 from __future__ import annotations
@@ -247,21 +247,13 @@ def eigenstructure(R: PolyMatrix, X: PolyMatrix) -> ModeEigenstructure:
     )
 
 
-def propagator(A: np.ndarray, t) -> np.ndarray:
-    """The propagator ``exp(A t)`` (scaling-and-squaring expm).
-
-    ``t`` is a time, or a 1-D array of times for the ``(len(t), n, n)``
-    stack ``exp(A t_i)`` from one ``expm`` call; each slice equals the
-    propagator of its time alone, bit for bit.
-    """
+def propagator(A: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The propagators ``exp(A t_i)`` for a 1-D array of times ``ts``: the
+    ``(len(ts), n, n)`` stack from one scaling-and-squaring ``expm`` call."""
     A = np.asarray(A, dtype=float)
-    ts = np.asarray(t, dtype=float)
+    ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0):
         raise ValueError("dt must be nonnegative")
-    if ts.ndim:
-        if ts.size == 0 or A.size == 0:
-            return np.broadcast_to(np.eye(A.shape[0]), ts.shape + A.shape).copy()
-        return scipy.linalg.expm(A * ts[:, None, None])
-    if t == 0.0 or A.size == 0:
-        return np.eye(A.shape[0])
-    return scipy.linalg.expm(A * t)
+    if ts.size == 0 or A.size == 0:
+        return np.broadcast_to(np.eye(A.shape[0]), ts.shape + A.shape).copy()
+    return scipy.linalg.expm(A * ts[:, None, None])

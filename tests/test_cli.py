@@ -16,6 +16,7 @@ from sldstab.cli import build_parser, main
 from sldstab.mlf import certificate_to_json, find_mlf
 from sldstab.model import SldsModel, load_model, model_to_json
 from sldstab.polymat import PolyMatrix, polymatrix_to_json
+from sldstab.sdp import LmiProblem
 
 import polytools
 from modeltools import corpus_model, inconsistent_gluing, unstable_mode
@@ -455,6 +456,28 @@ class TestPosreal:
         model_path = str(tmp_path / "cert_model.json")
         assert main(["check", model_path, "--verify-only", str(cert)]) == 0
         assert "certificate verifies" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", sorted(MATRIX_PAIRS))
+    def test_kyp_decay_terms_are_the_decay_form(self, monkeypatch, name):
+        # the declared decay of the storage LMI, at its answer, is
+        # A1^T K1 + K1 A1 of the returned K1 (at the unit scale of the LMI)
+        solved = []
+        solve = LmiProblem.solve
+
+        def recorded_solve(self, *args, **kwargs):
+            report = solve(self, *args, **kwargs)
+            solved.append((self, report))
+            return report
+
+        monkeypatch.setattr(LmiProblem, "solve", recorded_solve)
+        s = pr.build_standard_slds(*MATRIX_PAIRS[name]())
+        K1, _ = pr._kyp_storage(s)
+        (prob, report), = solved
+        A = s.model.realizations[0].A
+        K1 = K1 / np.abs(np.linalg.solve(s.K.T, s.supply[1])).max()
+        got = prob.constraints[0].expr(report.values)
+        terms = np.abs(A.T) @ np.abs(K1) + np.abs(K1) @ np.abs(A)
+        assert np.abs(got - (A.T @ K1 + K1 @ A)).max() <= 1e-12 * terms.max()
 
     @staticmethod
     def _scaled_pair(tmp_path, name, c):
@@ -1153,14 +1176,9 @@ class _CountedWrites:
 
 def test_each_json_file_is_one_write(monkeypatch, tmp_path):
     """The certificate, model, events sidecar and completion files are each
-    written with one ``write`` call, byte for byte what
-    ``json.dump(doc, fh, indent=2)`` wrote one token at a time."""
+    written by ``polymat.write_json`` with one ``write`` call, byte for byte
+    what ``json.dump(doc, fh, indent=2)`` wrote one token at a time."""
     import io
-
-    from sldstab import cli as cli_mod
-    from sldstab import mlf as mlf_mod
-    from sldstab import model as model_mod
-    from sldstab import sim as sim_mod
 
     writes: dict[str, list] = {}
 
@@ -1168,8 +1186,7 @@ def test_each_json_file_is_one_write(monkeypatch, tmp_path):
         fh = open(path, mode, *args, **kw)
         return _CountedWrites(fh, writes.setdefault(str(path), [])) if "w" in mode else fh
 
-    for mod in (cli_mod, mlf_mod, model_mod, sim_mod):
-        monkeypatch.setattr(mod, "open", counted_open, raising=False)
+    monkeypatch.setattr(polymat, "open", counted_open, raising=False)
     elc = str(MODELS / "elcirc.json")
     out = {name: str(tmp_path / name) for name in ("cert.json", "spr.json", "comp.json", "t.csv")}
     assert main(["check", elc, "--out", out["cert.json"]]) == 0

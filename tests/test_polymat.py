@@ -665,44 +665,6 @@ class TestDivisionData:
             R.coeffs[0, 0, 0] = 5.0
 
 
-@st.composite
-def _row_blocks(draw):
-    """A coefficient stack of row blocks, each of its own scale: 1e-8 to 1e8
-    or all zero, with entries spread down to 1e-16 of that scale.  A block
-    may have one row, or none."""
-    rows = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
-    scales = draw(
-        st.lists(
-            st.sampled_from([0.0] + [10.0**e for e in range(-8, 9)]),
-            min_size=len(rows),
-            max_size=len(rows),
-        )
-    )
-    deg, cols = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    c = np.concatenate(
-        [
-            scale * rng.standard_normal((deg, r, cols)) * 10.0 ** rng.uniform(-16, 0, (deg, r, cols))
-            for r, scale in zip(rows, scales)
-        ],
-        axis=1,
-    )
-    return c, np.cumsum([0] + rows)
-
-
-class TestWholeStackTrim:
-    """``block_max`` on the whole stack at once equals the per-block loop
-    bit for bit."""
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(_row_blocks())
-    def test_matches_per_block_loop(self, case):
-        c, bounds = case
-        row_max = np.abs(c).max(axis=(0, 2), initial=0.0)
-        want = [np.max(row_max[lo:hi], initial=0.0) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        assert polymat.block_max(row_max, bounds).tolist() == want
-
-
 def _matrix_trim_reference(c):
     """Reference: the three-pass ``PolyMatrix`` trim that the one-pass trim
     replaced (finite input)."""

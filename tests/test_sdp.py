@@ -17,7 +17,7 @@ from sldstab.polymat import PolyMatrix
 from sldstab.posreal import build_standard_slds, mlf_from_positive_real
 from sldstab.sdp import LmiProblem, _ConeGroup, accepts
 
-from modeltools import corpus_model
+from modeltools import CORPUS, corpus_model
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
@@ -27,10 +27,8 @@ def _lyapunov_problem(A):
     prob = LmiProblem()
     n = A.shape[0]
     prob.add_symmetric("K", n)
-    prob.add_constraint("pos", lambda v: v["K"], "psd", strict=True)
-    prob.add_constraint(
-        "decay", lambda v: A.T @ v["K"] + v["K"] @ A, "nsd", strict=True
-    )
+    prob.add_constraint("pos", [("K", None, None)], "psd", strict=True)
+    prob.add_constraint("decay", [("K", A, None), ("K", None, A)], "nsd", strict=True)
     return prob
 
 
@@ -58,13 +56,12 @@ class TestFeasible:
         prob = LmiProblem()
         prob.add_symmetric("K1", 2)
         prob.add_symmetric("K2", 2)
-        prob.add_constraint("ge", lambda v: v["K1"] - v["K2"], "psd")
-        prob.add_constraint("le", lambda v: v["K2"] - v["K1"], "psd")
-        prob.add_constraint("p1", lambda v: v["K1"], "psd", strict=True)
+        minus = -np.eye(2)
+        prob.add_constraint("ge", [("K1", None, None), ("K2", minus, None)], "psd")
+        prob.add_constraint("le", [("K2", None, None), ("K1", minus, None)], "psd")
+        prob.add_constraint("p1", [("K1", None, None)], "psd", strict=True)
         A = np.array([[-2.0, 1.0], [0.0, -3.0]])
-        prob.add_constraint(
-            "d2", lambda v: A.T @ v["K2"] + v["K2"] @ A, "nsd", strict=True
-        )
+        prob.add_constraint("d2", [("K2", A, None), ("K2", None, A)], "nsd", strict=True)
         rep = prob.solve(eps=1e-8)
         assert rep.feasible
         assert np.allclose(rep.values["K1"], rep.values["K2"], atol=1e-8)
@@ -81,8 +78,8 @@ def _contradictory_problem(n):
     """``K >= I`` and ``K <= -I``: no point comes within 1 of feasibility."""
     prob = LmiProblem()
     prob.add_symmetric("K", n)
-    prob.add_constraint("up", lambda v: v["K"] - 1.0 * np.eye(n), "psd")
-    prob.add_constraint("dn", lambda v: v["K"] + 1.0 * np.eye(n), "nsd")
+    prob.add_constraint("up", [("K", None, None)], "psd", const=-np.eye(n))
+    prob.add_constraint("dn", [("K", None, None)], "nsd", const=np.eye(n))
     return prob
 
 
@@ -190,33 +187,58 @@ class TestValidation:
         prob = LmiProblem()
         for sense in ("geq", "zero"):
             with pytest.raises(ValueError, match=f"unknown sense '{sense}'"):
-                prob.add_constraint("c", lambda v: np.eye(1), sense)
+                prob.add_constraint("c", [], sense, const=np.eye(1))
 
     def test_nonsquare_constraint(self):
         prob = LmiProblem()
         prob.add_symmetric("Y", 2)
-        prob.add_constraint("c", lambda v: v["Y"][..., :1, :], "psd")
+        prob.add_constraint("c", [("Y", np.eye(2)[:, :1], None)], "psd")  # Y's first row
         with pytest.raises(ValueError):
             prob.solve(eps=1e-8)
+
+
+class TestDeclaredTerms:
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_mlf_terms_are_the_conditions(self, name):
+        # at seeded symmetric kernels each declared condition is its matrix
+        # expression, bit for bit
+        model = corpus_model(name)
+        prob = assemble_mlf_lmis(model)
+        rng = np.random.default_rng(35)
+        values = {}
+        for k, real in enumerate(model.realizations, start=1):
+            M = rng.standard_normal((real.n, real.n))
+            values[f"K{k}"] = M + M.T
+        want = {}
+        for k, real in enumerate(model.realizations, start=1):
+            K, A = values[f"K{k}"], real.A
+            want[f"decay_{k}"] = A.T @ K + K @ A
+            want[f"pos_{k}"] = K
+        for (k, l), L in model.reinits.items():
+            want[f"switch_{k}_{l}"] = values[f"K{k}"] - L.T @ values[f"K{l}"] @ L
+        assert sorted(c.name for c in prob.constraints) == sorted(want)
+        for c in prob.constraints:
+            assert c.expr(values).tobytes() == want[c.name].tobytes(), c.name
 
 
 class TestNonSymmetricExpression:
     @pytest.mark.parametrize("capped", [False, True])
     def test_same_verdict_as_symmetrised_form(self, capped):
         # only the symmetric part of a cone's expression matters; with the
-        # cap K <= I no K brings K + sym(N) c, c >= 3, above zero
-        N = np.array([[0.0, 1.0], [0.0, 0.0]])
+        # cap K <= I no K brings K + sym(N) c, c >= 3, above zero.  The 1 x 1
+        # c enters as u^T c v for the rank-one parts u^T v of N = e1^T e2 and
+        # of sym(N)
+        e1, e2 = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
         reports = []
-        for M in (N, 0.5 * (N + N.T)):
+        for parts in ([(e1, e2)], [(e1, 0.5 * e2), (e2, 0.5 * e1)]):
             prob = LmiProblem()
             prob.add_symmetric("K", 2)
             prob.add_symmetric("c", 1)
-            prob.add_constraint(
-                "pos", lambda v, M=M: v["K"] + M * v["c"], "psd", strict=True
-            )
-            prob.add_constraint("lift", lambda v: v["c"] - 3.0, "psd")
+            terms = [("K", None, None)] + [("c", u, v) for u, v in parts]
+            prob.add_constraint("pos", terms, "psd", strict=True)
+            prob.add_constraint("lift", [("c", None, None)], "psd", const=[[-3.0]])
             if capped:
-                prob.add_constraint("cap", lambda v: v["K"] - np.eye(2), "nsd")
+                prob.add_constraint("cap", [("K", None, None)], "nsd", const=-np.eye(2))
             reports.append(prob.solve(eps=1e-6))
         raw, sym = reports
         assert raw.feasible == sym.feasible == (not capped)
@@ -327,43 +349,14 @@ class TestBatchedCompile:
         assert [c.name for c in problems[0].constraints] == ["decay"]
         _assert_compiles_like_probing(problems[0])
 
-    def test_non_broadcasting_expression_rejected(self):
-        # v["c"][0, 0] picks one entry of the whole stack, not of each value
+    def test_first_bad_constraint_named(self):
+        # of two constraints that are not square, the first is named
         prob = LmiProblem()
         prob.add_symmetric("K", 2)
         prob.add_symmetric("c", 1)
-        prob.add_constraint("pos", lambda v: v["K"] + v["c"][0, 0], "psd", True)
-        with pytest.raises(ValueError, match="'pos' is not affine"):
-            prob.solve(eps=1e-6)
-
-    def test_first_bad_constraint_named(self):
-        # the affinity check runs over every constraint at once, yet names
-        # the first failure in constraint order, also ahead of a later
-        # constraint that is not square
-        def problem(*later):
-            prob = LmiProblem()
-            prob.add_symmetric("K", 2)
-            prob.add_symmetric("c", 1)
-            prob.add_constraint("fine", lambda v: v["K"], "psd")
-            prob.add_constraint("first", lambda v: v["K"] * v["c"], "psd")
-            for name, expr in later:
-                prob.add_constraint(name, expr, "psd")
-            return prob
-
-        def square(v):
-            return v["K"] @ v["K"]
-
-        def wide(v):
-            return v["c"] * np.ones((1, 2))
-
-        later_ones = [("second", square)], [("wide", wide)], [("second", square), ("wide", wide)]
-        for later in later_ones:
-            with pytest.raises(ValueError, match="'first' is not affine"):
-                problem(*later)._compile()
-        prob = LmiProblem()
-        prob.add_symmetric("c", 1)
-        prob.add_constraint("wide", wide, "psd")
-        prob.add_constraint("second", lambda v: v["c"] * v["c"], "psd")
+        prob.add_constraint("fine", [("K", None, None)], "psd")
+        prob.add_constraint("wide", [("c", None, np.ones((1, 2)))], "psd")
+        prob.add_constraint("tall", [("c", np.ones((1, 2)), None)], "psd")
         with pytest.raises(ValueError, match="'wide' is not square"):
             prob._compile()
 
@@ -403,7 +396,7 @@ class TestBatchedMargins:
         names = ["a", "b", "d", "e", "f", "d"]
         prob = LmiProblem()
         for i, (name, sense, strict) in enumerate(zip(names, senses, stricts)):
-            prob.add_constraint(name, lambda v, S=mats[f"S{i}"]: S, sense, strict)
+            prob.add_constraint(name, [], sense, strict, const=mats[f"S{i}"])
         eps = 1e-6
         margins = prob.verify({}, eps)
         want = {}
