@@ -42,9 +42,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .model import SldsModel
+from .model import SldsModel, stacked_map
 from .polymat import json_float, json_list, json_object, write_json
 from .sdp import DEFAULT_BUDGET, LmiProblem, accepts
 
@@ -70,12 +69,38 @@ class MlfCertificate:
         return bool(self.solver.get("feasible", False))
 
 
+def lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The solutions ``K`` of ``A^T K + K A = Q`` for a stack ``A`` of shape
+    ``(..., n, n)``, ``Q`` broadcasting against it.
+
+    One batched LU solve of the Kronecker form ``(A^T (x) I + I (x) A^T)
+    vec K = vec Q`` (row-major ``vec``), ``n^2`` unknowns per matrix.  It
+    costs ``O(n^6)``, the order of one Newton step's Hessian for the same
+    kernel in :meth:`~sldstab.sdp.LmiProblem.solve` (``n^2`` rows by about
+    ``n^2 / 2`` parameters, squared), so no size needs another method.
+    The solution is unique when no two eigenvalues of ``A`` sum to zero,
+    which holds for a Hurwitz ``A``.
+    """
+    A = np.asarray(A, dtype=float)
+    n = A.shape[-1]
+    At, eye = np.swapaxes(A, -1, -2), np.eye(n)
+    # op[..., i, j, p, q] = At[i, p] eye[j, q] + eye[i, p] At[j, q]
+    op = At[..., :, None, :, None] * eye[:, None, :]
+    op = op + eye[:, None, :, None] * At[..., None, :, None, :]
+    lead = A.shape[:-2]
+    # b as (..., n^2, 1): numpy >= 2 reads a (..., n^2) right side as one vector
+    b = np.broadcast_to(Q, A.shape).reshape(*lead, n * n, 1)
+    return np.linalg.solve(op.reshape(*lead, n * n, n * n), b).reshape(A.shape)
+
+
 def _unit_lyapunov(model: SldsModel) -> list[np.ndarray]:
-    """Per-mode solutions of ``A^T K + K A = -I``, one solve per mode."""
-    return [
-        scipy.linalg.solve_lyapunov(real.A.T, -np.eye(real.n))
-        for real in model.realizations
-    ]
+    """Per-mode solutions of ``A^T K + K A = -I``: one :func:`lyapunov`
+    call per state dimension, on the stack of that dimension's ``A_k``, so
+    each mode's equation is solved once."""
+    return stacked_map(
+        lambda A: lyapunov(A, -np.eye(A.shape[-1])),
+        [real.A for real in model.realizations],
+    )
 
 
 def problem_scale(model: SldsModel, solutions=None) -> float:
@@ -104,19 +129,28 @@ def _switch_scales(kernels: list[np.ndarray], maps: dict) -> np.ndarray | None:
     no scales exist (Karp, Discrete Math. 23, 1978).  Neither do they when
     a ``K_k`` is not positive definite.
     """
-    inv_factors = []  # C_k^-1 for K_k = C_k C_k^T
-    for K in kernels:
-        try:
-            inv_factors.append(np.linalg.inv(np.linalg.cholesky(K)))
-        except np.linalg.LinAlgError:
-            return None
-    edges = []
-    for (k, l), L in sorted(maps.items()):
-        W = inv_factors[k - 1] @ L.T
-        W = W @ kernels[l - 1] @ W.T  # similar to K_k^-1 L^T K_l L
-        r = float(np.max(np.linalg.eigvalsh(0.5 * (W + W.T)), initial=0.0))
-        if r > 0.0:  # r = 0: the switch holds at every scale
-            edges.append((k - 1, l - 1, math.log(r) + SWITCH_GAP))
+    try:  # C_k^-1 for K_k = C_k C_k^T, one cholesky and inv per dimension
+        inv_factors = stacked_map(lambda K: np.linalg.inv(np.linalg.cholesky(K)), kernels)
+    except np.linalg.LinAlgError:
+        return None
+
+    def ratio(C_inv, L, K_l):  # max(0, lambda_max(C_k^-1 L^T K_l L C_k^-T)) per stacked edge
+        W = C_inv @ L.transpose(0, 2, 1)
+        W = W @ K_l @ W.transpose(0, 2, 1)  # similar to K_k^-1 L^T K_l L
+        return np.linalg.eigvalsh(0.5 * (W + W.transpose(0, 2, 1))).max(axis=-1, initial=0.0)
+
+    keys = sorted(maps)
+    ratios = stacked_map(
+        ratio,
+        [inv_factors[k - 1] for k, _ in keys],
+        [maps[key] for key in keys],
+        [kernels[l - 1] for _, l in keys],
+    )
+    edges = [  # r <= 0: the switch holds at every scale
+        (k - 1, l - 1, math.log(r) + SWITCH_GAP)
+        for (k, l), r in zip(keys, ratios)
+        if r > 0.0
+    ]
     y = np.zeros(len(kernels))
     for _ in range(len(kernels)):
         changed = False

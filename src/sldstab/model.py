@@ -9,10 +9,10 @@ transitions.  Each derived object is computed once per model and kept on it:
   and its realization's ``A`` and ``B``, which :func:`realize` reads off the
   column reduction and accepts only over a minimal state map, so a given
   map is checked there, and every later reduction is over rows that span;
-- on first use, the normal form of the gluing pairs, one thin SVD of each
-  transition's ``F+`` (:attr:`SldsModel.f_plus_svd`), from which both
-  well-posedness and the re-initialisation maps are read, and the maps
-  themselves;
+- on first use, the normal form of the gluing pairs, the thin SVD of each
+  transition's ``F+`` (:attr:`SldsModel.f_plus_svd`, one batched call per
+  shape of ``F+``), from which both well-posedness and the
+  re-initialisation maps are read, and the maps themselves;
 - on first use of a realization's output map ``C``, which only simulation
   reads, that map.
 
@@ -23,12 +23,18 @@ mode check reads the state dimension ``n_k = sum d_j`` off it, so does the
 state map (:func:`minimal_state_map`), and the realization and every
 reduction modulo ``R_k`` (the realization's ``C``, the normal form) are read
 off its companion data, with no division and no least-squares solve.  The
-Hurwitz test reads the eigenvalues of ``A_k``: no determinant or polynomial
-root set is formed.  The normal form makes one pass per mode: the ``G-`` of
-every transition out of mode ``k`` and the ``G+`` of every transition into
-it are stacked into one :func:`express_in_state_basis` call over the
-realization's kept ``T^{-1}``, then split by transition.  Nothing is shared
-between models.
+Hurwitz test reads the eigenvalues of ``A_k``, one batched ``eigvals`` per
+state dimension: no determinant or polynomial root set is formed.  The
+normal form makes one pass per mode: the ``G-`` of every transition out of
+mode ``k`` and the ``G+`` of every transition into it are stacked into one
+:func:`express_in_state_basis` call over the realization's kept ``T^{-1}``,
+then split by transition.  Nothing is shared between models.
+
+The small factorizations of the modes and transitions (here, and the
+Lyapunov solves and switch ratios of :mod:`sldstab.mlf`) go through
+:func:`stacked_map`: one numpy call per shape on the stack of the matrices
+of that shape.  Batched LAPACK factors each matrix exactly as a lone call
+does, so the results are bit-equal to a loop of lone calls.
 
 Mode indices are 1-based throughout, matching the JSON schema.
 """
@@ -58,6 +64,25 @@ from .statespace import (
 )
 
 RANK_REL_TOL = 1e-9
+
+
+def stacked_map(fn, *seqs) -> list:
+    """``[fn(*args) for args in zip(*seqs)]`` with one ``fn`` call per shape.
+
+    The items whose array arguments share their shapes are stacked, and
+    ``fn`` maps those stacks ``(m, ...)`` to an array, or a tuple of arrays,
+    with leading axis ``m``; each item gets its slice, in input order.
+    """
+    groups: dict[tuple, list] = {}
+    for i, args in enumerate(zip(*seqs)):
+        groups.setdefault(tuple([a.shape for a in args]), []).append((i, args))
+    out: list = [None] * sum(map(len, groups.values()))
+    for members in groups.values():
+        idx, items = zip(*members)
+        res = fn(*map(np.array, zip(*items)))
+        for i, part in zip(idx, zip(*res) if isinstance(res, tuple) else res):
+            out[i] = part
+    return out
 
 
 @dataclass(frozen=True)
@@ -129,13 +154,15 @@ class SldsModel:
     def f_plus_svd(self) -> dict[tuple[int, int], tuple | None]:
         """Thin SVD ``(u, s, vt)`` of each transition's ``F+`` (None when
         ``F+`` is empty), derived on first use: the one factorization that
-        :func:`is_well_posed` and :func:`reinit_maps` read."""
-        return {
-            key: np.linalg.svd(pair.f_plus, full_matrices=False)
-            if pair.f_plus.size
-            else None
-            for key, pair in self.normal_form_pairs.items()
-        }
+        :func:`is_well_posed` and :func:`reinit_maps` read, one batched
+        ``svd`` per shape of ``F+``."""
+        pairs = self.normal_form_pairs
+        keys = [key for key, pair in pairs.items() if pair.f_plus.size]
+        svds = stacked_map(
+            lambda F: np.linalg.svd(F, full_matrices=False),
+            [pairs[key].f_plus for key in keys],
+        )
+        return {key: None for key in pairs} | dict(zip(keys, svds))
 
 
 def check_mode(k: int, R: PolyMatrix) -> None:
@@ -203,7 +230,9 @@ def reinit_maps(model: SldsModel) -> dict[tuple[int, int], np.ndarray]:
     ``pinv(F+) = V diag(1/s) U^T`` is formed from :attr:`SldsModel.f_plus_svd`
     with ``np.linalg.pinv``'s own arithmetic.  No singular value is cut off:
     a well-posed ``F+`` has ``s_min > RANK_REL_TOL s_max``, far above
-    ``pinv``'s cutoff, so ``L`` is bit-equal to ``pinv(F+) @ F-``.
+    ``pinv``'s cutoff, so ``L`` is bit-equal to ``pinv(F+) @ F-``.  The
+    three small products of each transition stay a loop: stacking ``u``,
+    ``s``, ``vt`` and ``F-`` costs more than they do.
     """
     wp, _ = is_well_posed(model)
     out = {}
@@ -216,8 +245,10 @@ def reinit_maps(model: SldsModel) -> dict[tuple[int, int], np.ndarray]:
 
 
 def modes_hurwitz(model: SldsModel) -> list[bool]:
-    """True per mode iff every eigenvalue of ``A_k`` has real part below ``-HURWITZ_TOL``."""
-    return [bool(np.all(np.linalg.eigvals(r.A).real < -HURWITZ_TOL)) for r in model.realizations]
+    """True per mode iff every eigenvalue of ``A_k`` has real part below
+    ``-HURWITZ_TOL``: one batched ``eigvals`` per state dimension."""
+    lams = stacked_map(np.linalg.eigvals, [r.A for r in model.realizations])
+    return [bool(np.all(lam.real < -HURWITZ_TOL)) for lam in lams]
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
-from .mlf import MlfCertificate, make_certificate
+from .mlf import MlfCertificate, lyapunov, make_certificate
 from .model import SldsModel, check_mode, modes_hurwitz
 from .polymat import (
     HURWITZ_TOL,
@@ -134,6 +133,8 @@ def _uncancelled_rhp_poles(N: PolyMatrix, D: PolyMatrix) -> list[complex]:
     """
     if not np.any(D.det_roots.real > -HURWITZ_TOL):
         return []
+    import scipy.linalg  # only a pair with a pole in Re >= -HURWITZ_TOL needs it
+
     T, Z, k = scipy.linalg.schur(D._reduction.Ac, sort=lambda re, im: re > -HURWITZ_TOL)
     F, A = state_coordinates([N], D), T[:k, :k]
     step = A / (np.linalg.norm(A, 2) or 1.0)
@@ -282,6 +283,8 @@ def build_standard_slds(R1: PolyMatrix, R2: PolyMatrix) -> StandardSlds:
     # X2 = S Xc modulo R1 (Xc is state_coordinates' basis); extend X2 by the
     # rows of Xc that a pivoted QR of S leaves out
     S = state_coordinates([X2], R1)
+    import scipy.linalg  # numpy's qr has no column pivoting
+
     r, piv = scipy.linalg.qr(S, mode="r", pivoting=True)
     d = np.abs(np.diag(r))
     if d[-1] <= 1e-10 * d[0]:  # relative, as the feed-through test below
@@ -379,7 +382,7 @@ def mlf_from_positive_real(s: StandardSlds) -> MlfCertificate:
         K1, steps = _kyp_storage(s)
         solver = {"iterations": steps, "budget": DEFAULT_BUDGET}
     else:
-        K1 = scipy.linalg.solve_lyapunov(s.model.realizations[0].A.T, -Qbar.T @ Qbar)
+        K1 = lyapunov(s.model.realizations[0].A, -Qbar.T @ Qbar)
         K1 = 0.5 * (K1 + K1.T)
         solver = {"iterations": 0, "budget": 0}
     _check_dissipation(s, K1)

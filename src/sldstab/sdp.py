@@ -7,11 +7,12 @@ as affine terms, ``const + sum_i M_i^T V_i N_i`` with ``V_i`` a variable and
 ``None`` standing for an identity factor: the standard form
 ``F_0 + sum_j x_j F_j`` of Boyd, El Ghaoui, Feron & Balakrishnan (*LMIs in
 System and Control Theory*, 1994).  :meth:`Constraint.expr` is the one
-evaluator.  ``_compile`` calls it once per constraint on the stack
-``(n_params + 1, n, n)`` of every variable's values at zero and at each basis
-vector, which gives the affine map; a coefficient that is not finite, or a
-constraint that is not square, is rejected.  ``verify`` calls it on plain
-matrices.
+evaluator, and it rejects a constraint that is not square.  ``_compile``
+calls it once per constraint on the stack ``(n_params + 1, n, n)`` of every
+variable's values at zero and at each basis vector, which gives the affine
+map, and rejects a coefficient that is not finite.  ``verify`` calls it on
+plain matrices, so a warm start is judged on the constraints that the
+search would accept.
 
 Solving is feasibility-only: a phase-I log-det barrier drives the worst cone
 violation ``s`` below the acceptance threshold with damped Newton steps.  A
@@ -108,7 +109,9 @@ class Constraint:
         """The expression at ``values``; stacked values give the stack.
 
         Each term is ``M.T @ V``, then ``@ N``, and the terms are summed in
-        order, after ``const``.
+        order, after ``const``.  A value that is not square (in its last two
+        axes) is a ``ValueError`` that names the constraint, so neither
+        ``_compile`` nor ``verify`` reads a cone off it.
         """
         total = self.const
         for name, M, N in self.terms:
@@ -118,6 +121,9 @@ class Constraint:
             if N is not None:
                 T = T @ N
             total = T if total is None else total + T
+        total = np.asarray(total, dtype=float)
+        if total.ndim < 2 or total.shape[-1] != total.shape[-2]:
+            raise ValueError(f"constraint '{self.name}' is not square")
         return total
 
 
@@ -257,9 +263,7 @@ class LmiProblem:
         vals = self._unpack(np.vstack([np.zeros(npar), np.eye(npar)]))
         compiled = []
         for c in self.constraints:
-            S = np.asarray(c.expr(vals), dtype=float)
-            if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
-                raise ValueError(f"constraint '{c.name}' is not square")
+            S = c.expr(vals)
             m = S.shape[-1]
             S = np.broadcast_to(S, (npar + 1, m, m)).reshape(npar + 1, m * m)
             c0 = S[0].copy()
@@ -415,19 +419,15 @@ class LmiProblem:
         constraint order.
 
         Each constraint is evaluated on its own; the symmetric parts of the
-        square cones of one shape then go through one batched ``eigvalsh``,
+        cones of one shape then go through one batched ``eigvalsh``,
         whose eigenvalues equal one call per matrix, bit for bit, and
         :meth:`_margin` reads each cone's margin off them.
         """
-        out = []
+        out: list = [None] * len(self.constraints)
         shapes: dict[tuple, list] = {}
         for i, c in enumerate(self.constraints):
-            S = np.asarray(c.expr(values), dtype=float)
-            if S.ndim == 2 and S.shape[0] == S.shape[1] > 0:
-                shapes.setdefault(S.shape, []).append((i, S))
-                out.append(None)
-            else:
-                out.append(self._margin(S, c.sense, c.strict, eps))
+            S = c.expr(values)
+            shapes.setdefault(S.shape, []).append((i, S))
         for same in shapes.values():
             H = np.array([S for _, S in same])
             lams = np.linalg.eigvalsh(0.5 * (H + H.transpose(0, 2, 1)))

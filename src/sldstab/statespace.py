@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .polymat import MINUS_INF, PolyMatrix, minimal_state_map, state_coordinates
 
@@ -256,4 +255,6 @@ def propagator(A: np.ndarray, ts: np.ndarray) -> np.ndarray:
         raise ValueError("dt must be nonnegative")
     if ts.size == 0 or A.size == 0:
         return np.broadcast_to(np.eye(A.shape[0]), ts.shape + A.shape).copy()
+    import scipy.linalg  # only simulation takes an exponential
+
     return scipy.linalg.expm(A * ts[:, None, None])

@@ -9,6 +9,7 @@ writes.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,34 @@ from sldstab.statespace import realize
 MODELS = Path(__file__).resolve().parents[1] / "models"
 CORPUS = ["concond", "elcirc", "exmath", "source_converter_4mode", "source_converter_6mode"]
 SCAN_RATIOS = np.geomspace(1e-3, 1e3, 121)  # c_2 / c_1 grid of scan_canonical_family
+
+
+class ModuleProxy:
+    """A module stand-in: the given attributes, the rest from ``target``."""
+
+    def __init__(self, target, **attrs):
+        self._target = target
+        self.__dict__.update(attrs)
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
+
+
+def count_factored(monkeypatch, module, name: str, **linalg) -> list[int]:
+    """Give ``module`` a numpy whose ``linalg.<name>`` records, per call,
+    the number of matrices it factors (the product of the leading axes of
+    its first argument: a stack counts each matrix), and return that
+    record; ``linalg`` replaces further ``np.linalg`` attributes there."""
+    counts = []
+    fn = getattr(np.linalg, name)
+
+    def counted(a, *args, **kw):
+        counts.append(math.prod(np.shape(a)[:-2]))
+        return fn(a, *args, **kw)
+
+    proxy = ModuleProxy(np.linalg, **{name: counted}, **linalg)
+    monkeypatch.setattr(module, "np", ModuleProxy(np, linalg=proxy))
+    return counts
 
 
 def corpus_model(name: str) -> SldsModel:

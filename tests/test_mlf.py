@@ -22,6 +22,7 @@ from sldstab.mlf import (
     certificate_from_json,
     certificate_to_json,
     find_mlf,
+    lyapunov,
     make_certificate,
     problem_scale,
     verify_mlf,
@@ -36,6 +37,7 @@ from sldstab.statespace import minimal_state_map
 from modeltools import (
     CORPUS,
     corpus_model,
+    count_factored,
     ple_residual,
     scan_canonical_family,
     standard_scalar_pair,
@@ -93,16 +95,52 @@ class TestConverter:
 
 class TestLyapunovOnce:
     def test_one_solve_per_mode(self, monkeypatch):
-        # the scale of eps and the warm start come from one solve per mode
+        # the scale of eps and the warm start come from one solve per mode,
+        # in one batched solve per state dimension
         model = corpus_model("source_converter_6mode")
-        calls = []
-        solve = scipy.linalg.solve_lyapunov
-        monkeypatch.setattr(
-            scipy.linalg, "solve_lyapunov", lambda *a: calls.append(a) or solve(*a)
-        )
+        factored = count_factored(monkeypatch, mlf, "solve")
         cert = find_mlf(model)
         assert cert.feasible
-        assert len(calls) == model.n_modes
+        assert sum(factored) == model.n_modes
+        assert len(factored) == len({real.n for real in model.realizations})
+
+
+def _check_lyapunov(A, Q, K):
+    """``K`` solves ``A^T K + K A = Q`` to a residual of at most
+    ``1e-12 (2 |A| |K| + |Q|)`` and agrees with scipy's Bartels-Stewart
+    solve within 1e-9 relative (spectral norms)."""
+    norm = partial(np.linalg.norm, ord=2)
+    resid = norm(A.T @ K + K @ A - Q)
+    assert resid <= 1e-12 * (2 * norm(A) * norm(K) + norm(Q))
+    ref = scipy.linalg.solve_lyapunov(A.T, Q)
+    assert norm(K - ref) <= 1e-9 * norm(ref)
+
+
+class TestKroneckerLyapunov:
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_corpus_modes(self, name):
+        # the stacked solve of _unit_lyapunov is each mode's lone solve, bit for bit
+        model = corpus_model(name)
+        for real, K in zip(model.realizations, _unit_lyapunov(model)):
+            _check_lyapunov(real.A, -np.eye(real.n), K)
+            assert np.array_equal(K, lyapunov(real.A, -np.eye(real.n)))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    def test_hurwitz_stack(self, seed):
+        # a stack of three Hurwitz A of one size n <= 8, spectral abscissa
+        # at most -0.1, and a symmetric Q each
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        A = rng.uniform(-1.0, 1.0, (3, n, n))
+        abscissa = np.linalg.eigvals(A).real.max(axis=-1)
+        A -= (abscissa + rng.uniform(0.1, 2.0, 3))[:, None, None] * np.eye(n)
+        G = rng.standard_normal((3, n, n))
+        Q = -G @ G.transpose(0, 2, 1)
+        K = lyapunov(A, Q)
+        assert K.shape == (3, n, n)
+        for i in range(3):
+            _check_lyapunov(A[i], Q[i], K[i])
 
 
 class TestDefectiveMode:

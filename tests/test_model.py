@@ -18,11 +18,12 @@ from sldstab.model import (
     model_to_json,
     normal_form,
     reinit_maps,
+    stacked_map,
 )
 from sldstab.polymat import PolyMatrix, polymatrix_from_json
 from sldstab.sim import SwitchingSignal, simulate
 
-from modeltools import CORPUS, corpus_model
+from modeltools import CORPUS, ModuleProxy, corpus_model, count_factored
 
 
 def _pm(entries):
@@ -187,17 +188,6 @@ def _loaded_models(monkeypatch) -> list:
     return models
 
 
-class _Proxy:
-    """A module stand-in: the given attributes, the rest from ``target``."""
-
-    def __init__(self, target, **attrs):
-        self._target = target
-        self.__dict__.update(attrs)
-
-    def __getattr__(self, name):
-        return getattr(self._target, name)
-
-
 @pytest.mark.parametrize("name", CORPUS)
 def test_model_derivation_divides_nothing(monkeypatch, tmp_path, name):
     """A model's ``A``, ``B``, ``C``, normal form and ``L`` are read off each
@@ -208,7 +198,9 @@ def test_model_derivation_divides_nothing(monkeypatch, tmp_path, name):
         raise AssertionError("a division or least squares on the model path")
 
     for mod in (statespace, model_mod):
-        monkeypatch.setattr(mod, "np", _Proxy(np, linalg=_Proxy(np.linalg, lstsq=refuse)))
+        monkeypatch.setattr(
+            mod, "np", ModuleProxy(np, linalg=ModuleProxy(np.linalg, lstsq=refuse))
+        )
     for mod in (polymat, statespace, model_mod, posreal):  # no polynomial remainder is formed
         monkeypatch.setattr(mod, "canonical_rep", refuse, raising=False)
     doc = json.loads((MODELS / f"{name}.json").read_text())
@@ -263,20 +255,38 @@ class TestCertifyDerivesOnlyWhatItReads:
 
     @pytest.mark.parametrize("name", CORPUS)
     def test_check_takes_one_svd_per_transition(self, monkeypatch, tmp_path, name):
+        # each transition's F+ is factored once, in one batched svd per shape
         models = _loaded_models(monkeypatch)
-        calls = []
-        svd = np.linalg.svd
-        linalg = _Proxy(
-            np.linalg,
-            svd=lambda a, *args, **kw: calls.append(a.shape) or svd(a, *args, **kw),
-            pinv=None,  # no pinv call: L is formed from the one SVD
-        )
-        monkeypatch.setattr(model_mod, "np", _Proxy(np, linalg=linalg))
+        # pinv=None: no pinv call, L is formed from the one SVD
+        factored = count_factored(monkeypatch, model_mod, "svd", pinv=None)
         path, cert = str(MODELS / f"{name}.json"), str(tmp_path / "cert.json")
         rc = main(["check", path, "--out", cert])
         if rc == 0:
             assert main(["check", path, "--verify-only", cert]) == 0
-        assert len(calls) == sum(len(m.gluing) for m in models)
+        assert sum(factored) == sum(len(m.gluing) for m in models)
+        shapes = [{p.f_plus.shape for p in m.normal_form_pairs.values()} for m in models]
+        assert len(factored) == sum(map(len, shapes))
+
+
+class TestStackedMap:
+    def test_equals_the_loop_of_lone_calls(self):
+        # items of mixed shapes keep their order, one call per shape, and
+        # each result (a tuple or an array) equals its lone call bit for bit
+        rng = np.random.default_rng(7)
+        mats = [rng.standard_normal(shape) for shape in [(3, 3), (2, 4), (3, 3), (1, 1), (2, 4)]]
+        calls = []
+
+        def svd(F):
+            calls.append(F.shape)
+            return np.linalg.svd(F, full_matrices=False)
+
+        for got, F in zip(stacked_map(svd, mats), mats):
+            assert all(map(np.array_equal, got, np.linalg.svd(F, full_matrices=False)))
+        assert calls == [(2, 3, 3), (2, 2, 4), (1, 1, 1)]
+        square = [M for M in mats if M.shape[0] == M.shape[1]]
+        products = stacked_map(np.matmul, square, [M.T for M in square])
+        assert all(map(np.array_equal, products, [M @ M.T for M in square]))
+        assert stacked_map(np.linalg.eigvals, []) == []
 
 
 class TestCircuitModel:

@@ -360,6 +360,17 @@ class TestBatchedCompile:
         with pytest.raises(ValueError, match="'wide' is not square"):
             prob._compile()
 
+    def test_warm_start_judges_no_constraint_that_is_not_square(self):
+        # verify rejects what _compile rejects: a 1 x 2 value is not a cone,
+        # so a warm-started solve raises rather than accept it at 0 steps
+        prob = LmiProblem()
+        prob.add_symmetric("c", 1)
+        prob.add_constraint("wide", [("c", None, np.ones((1, 2)))], "psd")
+        with pytest.raises(ValueError, match="'wide' is not square"):
+            prob.solve(1e-8, warm_start={"c": np.ones((1, 1))})
+        with pytest.raises(ValueError, match="'wide' is not square"):
+            prob.verify({"c": np.ones((1, 1))}, 1e-8)
+
 
 class TestBatchedMargins:
     def test_one_eigvalsh_per_cone_shape(self, monkeypatch):

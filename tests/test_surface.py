@@ -10,12 +10,17 @@ reads the source with :mod:`ast`, so a word in a comment or docstring is
 not a reference.
 
 A second check is a ratchet on ``scipy``: only the modules of
-``SCIPY_MODULES`` may import it at module level (ROADMAP item 10 shrinks
-that set, and no other module may take ``scipy`` up).
+``SCIPY_MODULES`` may import it at module level, and that set is empty.
+``scipy.linalg`` is imported where its ``expm``, ordered ``schur`` and
+pivoted ``qr`` are called, so ``import sldstab.cli`` (every command's
+start, ``slds check`` whole) loads no ``scipy`` module.
 """
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,7 +31,7 @@ INSTRUMENT = ROOT / "perfbench" / "instrument.py"
 REACHING = ("src", "demos", "scripts")
 
 # the modules that may import scipy at module level
-SCIPY_MODULES = {"mlf", "statespace", "posreal"}
+SCIPY_MODULES: set[str] = set()
 
 # module -> why none of its names is checked
 EXEMPT_MODULES = {
@@ -106,3 +111,21 @@ def test_scipy_imported_only_where_it_was():
             if any(name.split(".")[0] == "scipy" for name in names):
                 importing.add(path.stem)
     assert importing <= SCIPY_MODULES, sorted(importing - SCIPY_MODULES)
+
+
+def test_cli_import_loads_no_scipy():
+    # in a fresh process: this one has scipy loaded by the tests
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    code = (
+        "import sys, sldstab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
