@@ -12,7 +12,10 @@ reduction, and the package divides no polynomial matrix by another:
 :func:`is_strictly_proper` compares the column degrees of ``N U`` with those
 of ``R'``, :func:`minimal_state_map` is the rows of ``U^{-1}`` shifted below
 them, and the companion data of ``R'`` give the state coordinates of any row
-block (:func:`state_coordinates`) and so its :func:`canonical_rep`.  The
+block (:func:`state_coordinates`) and so its :func:`canonical_rep`.  A
+nonzero scalar is column reduced as it stands, so its reduction is closed
+form: ``R' = R``, ``U`` the identity that every such matrix shares, and
+``R'_hc^{-1}`` the reciprocal of its leading coefficient.  The
 ``A_c`` of ``R'`` has the roots of ``det R`` as its eigenvalues
 (:attr:`PolyMatrix.det_roots`).  The Leibniz :func:`determinant`,
 a ``1 x 1`` matrix, and :func:`poly_roots` of one are references for the
@@ -427,36 +430,73 @@ def state_coordinates(blocks: Sequence[PolyMatrix], R: PolyMatrix) -> np.ndarray
     return fu.transpose(1, 0, 2).reshape(rows, g * w) @ powers.reshape(g * w, -1)
 
 
+@cache
+def _identity(n: int) -> PolyMatrix:
+    """The ``n x n`` identity, shared as ``U = U^{-1}`` by every matrix that
+    is column reduced as it stands; its ``coeffs`` are read-only."""
+    return PolyMatrix.identity(n)
+
+
+def _reduced(
+    Rp: PolyMatrix, d: tuple[int, ...], hc_inv: np.ndarray, U=None, Uinv=None
+) -> _Reduction:
+    """The :class:`_Reduction` of the column-reduced ``R'`` with column
+    degrees ``d`` and ``R'_hc^{-1} = hc_inv``; ``U`` and ``U^{-1}`` are
+    coefficient stacks, or None for :func:`_identity`.  An ``hc_inv`` that
+    leaves double precision is a :class:`NonFiniteError`."""
+    if U is None:
+        U = Uinv = _identity(len(d))
+    else:
+        U, Uinv = PolyMatrix(U), PolyMatrix(Uinv)
+    if not np.isfinite(hc_inv).all():
+        raise NonFiniteError(
+            "the leading column matrix has no inverse in double precision; "
+            "rescale the mode"
+        )
+    return _Reduction(Rp, U, Uinv, d, *_companion(Rp.coeffs, d, hc_inv))
+
+
 def column_reduce(R: PolyMatrix) -> _Reduction:
     """Column reduction ``R' = R U`` with ``U`` unimodular; returns
     ``(R', U, U^{-1}, d, A_c, B_c, O)``, ``d`` the column degrees of ``R'``
     and the last three its companion data (:func:`_companion`), formed with
     ``R'_hc^{-1}``, the inverse of its leading column matrix.
 
-    Repeatedly cancels the highest-column-degree coefficient matrix ``G``
-    along a null direction ``v`` until it becomes nonsingular: column ``j*``
-    becomes ``sum_j v_j xi^(d_j* - d_j) column_j``.  Each column carries the
-    size ``s_j`` of the terms it sums: its largest coefficient in ``R``, and
-    ``sum_j |v_j| s_j`` over the columns a step combines.  A column takes
-    part when its term ``|v_j| s_j`` is not negligible against the largest,
-    a measure that does not change when a column is scaled, and its ``v_j``
-    survives the trim of ``E``; ``j*`` is the participating column of
-    highest degree, so the pivot ``v_j*`` is never zero.  The new column is
-    trimmed against its own ``s_j*``, not against the matrix, whose largest
-    coefficient shrinks as the reduction cancels: a coefficient within
-    ``1e-11 s_j*`` is rounding left by this sum or by the sums it was built
-    from, and leading coefficients within ``1e-8 s_j*``, the tolerance at
-    which a term stops taking part, are what the declared cancellation
-    leaves.  Both are zeroed, so every step lowers a column degree.  ``U``
-    is the product of these steps ``E``, and ``U^{-1}`` that of their closed
-    form inverses, which map column ``j*`` to
-    ``(e_j* - sum_{j != j*} v_j xi^(d_j* - d_j) e_j) / v_j*``.  A column that
-    reduces to zero shows that ``R`` is singular, an error; so is a leading
-    column matrix whose inverse leaves double precision
+    A nonzero scalar ``r`` of degree ``d`` is column reduced as it stands:
+    the trim keeps its leading coefficient ``r_d``, so ``R' = R``,
+    ``d = (d,)``, ``R'_hc^{-1} = [1 / r_d]`` and no step or factorization
+    is taken.  Every matrix that is column reduced as it stands, of any size,
+    shares one cached identity as ``U = U^{-1}``.
+
+    A larger ``R`` repeatedly cancels the highest-column-degree coefficient
+    matrix ``G`` along a null direction ``v`` until it becomes nonsingular:
+    column ``j*`` becomes ``sum_j v_j xi^(d_j* - d_j) column_j``.  Each
+    column carries the size ``s_j`` of the terms it sums: its largest
+    coefficient in ``R``, and ``sum_j |v_j| s_j`` over the columns a step
+    combines.  A column takes part when its term ``|v_j| s_j`` is not
+    negligible against the largest, a measure that does not change when a
+    column is scaled, and its ``v_j`` survives the trim of ``E``; ``j*`` is
+    the participating column of highest degree, so the pivot ``v_j*`` is
+    never zero.  The new column is trimmed against its own ``s_j*``, not
+    against the matrix, whose largest coefficient shrinks as the reduction
+    cancels: a coefficient within ``1e-11 s_j*`` is rounding left by this
+    sum or by the sums it was built from, and leading coefficients within
+    ``1e-8 s_j*``, the tolerance at which a term stops taking part, are what
+    the declared cancellation leaves.  Both are zeroed, so every step lowers
+    a column degree.  ``U`` is the product of these steps ``E``, and
+    ``U^{-1}`` that of their closed form inverses, which map column ``j*``
+    to ``(e_j* - sum_{j != j*} v_j xi^(d_j* - d_j) e_j) / v_j*``.  A column
+    that reduces to zero shows that ``R`` is singular, an error; so is a
+    leading column matrix whose inverse leaves double precision
     (:class:`NonFiniteError`).
     """
     if R.rows != R.cols:
         raise ValueError("column reduction requires a square matrix")
+    if R.cols == 1:  # a nonzero scalar is column reduced as it stands
+        if R.is_zero():
+            raise ValueError("matrix is singular (a column reduces to zero)")
+        lead = float(R.coeffs[-1, 0, 0])  # nonzero: the trim keeps it
+        return _reduced(R, (len(R.coeffs) - 1,), np.array([[1.0 / lead]]))
     n, Rp = R.cols, R
     U = Uinv = None  # the identity until the first step
     size = np.abs(R.coeffs).max(axis=(0, 1))  # s_j, the size of column j's terms
@@ -468,17 +508,7 @@ def column_reduce(R: PolyMatrix) -> _Reduction:
         _, s, vt = np.linalg.svd(G)  # one SVD: the reducedness test and a null direction
         if s[-1] > 1e-10 * s[0]:  # relative: a column of small scale is not a null one
             d = tuple(int(dj) for dj in degs)
-            if U is None:
-                U = Uinv = PolyMatrix.identity(n)
-            else:
-                U, Uinv = PolyMatrix(U), PolyMatrix(Uinv)
-            hc_inv = np.linalg.inv(G)
-            if not np.isfinite(hc_inv).all():
-                raise NonFiniteError(
-                    "the leading column matrix has no inverse in double precision; "
-                    "rescale the mode"
-                )
-            return _Reduction(Rp, U, Uinv, d, *_companion(Rp.coeffs, d, hc_inv))
+            return _reduced(Rp, d, np.linalg.inv(G), U, Uinv)
         v = vt[-1]
         # E = I with column j* set to sum_j v_j xi^shift_j e_j, trimmed as
         # PolyMatrix(E) would be: its largest entry is 1 (a step has n > 1,

@@ -42,6 +42,7 @@ from .polymat import (
     HURWITZ_TOL,
     NonFiniteError,
     PolyMatrix,
+    _matmul,
     is_strictly_proper,
     state_coordinates,
     vstack,
@@ -112,9 +113,21 @@ def para_hermitian_boundary(N: PolyMatrix, D: PolyMatrix) -> PolyMatrix:
 
     Evaluated at ``xi = j omega`` it equals ``G(-j w)^T + G(j w)`` scaled by
     ``D(-j w)^T (.) D(j w)``, so its positivity on the axis is the SPR
-    boundary condition for ``G = N D^{-1}``.
+    boundary condition for ``G = N D^{-1}``.  Each product is formed on the
+    coefficient stacks, ``M(-xi)^T`` being ``M``'s stack transposed with its
+    odd powers negated: as the trim reads only ``|c|``, trimming that stack
+    would change nothing.
     """
-    return (D.subs_neg().T @ N) + (N.subs_neg().T @ D)
+    if N.shape != D.shape:
+        raise ValueError(f"dimension mismatch: N {N.shape} vs D {D.shape}")
+
+    def flipped(M: PolyMatrix) -> np.ndarray:  # the stack of M(-xi)^T
+        c = M.coeffs.transpose(0, 2, 1).copy()
+        c[1::2] *= -1.0
+        return c
+
+    DN, ND = _matmul(flipped(D), N.coeffs), _matmul(flipped(N), D.coeffs)
+    return PolyMatrix(DN) + PolyMatrix(ND)
 
 
 def _uncancelled_rhp_poles(N: PolyMatrix, D: PolyMatrix) -> list[complex]:
@@ -141,7 +154,7 @@ def _uncancelled_rhp_poles(N: PolyMatrix, D: PolyMatrix) -> list[complex]:
     obs = np.vstack([F @ Z[:, :k] @ np.linalg.matrix_power(step, i) for i in range(k)])
     _, s, vt = np.linalg.svd(obs / (np.linalg.norm(F, 2) or 1.0))
     W = vt[: int(np.sum(s > 1e-8))]  # rows span the observable part
-    return list(np.linalg.eigvals(W @ A @ W.T).astype(complex))
+    return np.linalg.eigvals(W @ A @ W.T).astype(complex).tolist()
 
 
 def is_strictly_positive_real(N: PolyMatrix, D: PolyMatrix) -> tuple[bool, dict]:

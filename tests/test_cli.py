@@ -1,4 +1,5 @@
 import argparse
+import ast
 import copy
 import json
 import re
@@ -371,6 +372,19 @@ class TestPosreal:
             PolyMatrix.from_entries([[[-1.0, 1.0]]])
         )))
         assert main(["posreal", "sprcheck", "--r1", str(bad), "--r2", R2]) == 2
+        # (xi + 1) / (xi^2 - 1) keeps the pole at 1; the witness shows it as a
+        # plain Python complex, not a numpy repr
+        for name, R in (("r1_pole", [[[-1.0, 0.0, 1.0]]]), ("r2_pole", [[[1.0, 1.0]]])):
+            (tmp_path / f"{name}.json").write_text(json.dumps(R))
+        capsys.readouterr()
+        assert main(["posreal", "sprcheck", "--r1", str(tmp_path / "r1_pole.json"),
+                     "--r2", str(tmp_path / "r2_pole.json")]) == 2
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("witness: ")]
+        assert "np." not in line
+        witness = ast.literal_eval(line.removeprefix("witness: "))
+        assert witness["reason"] == "pole in closed right half-plane"
+        assert type(witness["pole"]) is complex
+        assert witness["pole"] == pytest.approx(1.0, abs=1e-9)
 
     def test_mlf_and_completion(self, tmp_path, capsys):
         cert = tmp_path / "spr_cert.json"

@@ -22,11 +22,13 @@ from sldstab.polymat import (
     poly_roots,
     vstack,
 )
-from sldstab.model import SldsModel, modes_hurwitz
+from sldstab.cli import main
+from sldstab.model import SldsModel, check_mode, modes_hurwitz
 from sldstab.posreal import para_hermitian_boundary
 from sldstab.statespace import minimal_state_map, realize
 
 import polytools
+from modeltools import MODELS, ModuleProxy
 from polytools import polynomial_part
 
 xi = sympy.symbols("xi")
@@ -805,3 +807,98 @@ class TestDetRoots:
         assert red.degrees == (len(c) - 1,) and len(P.det_roots) == len(c) - 1
         if len(c) > 1:
             assert np.allclose(-red.Ac[-1] * c[-1], c[:-1], rtol=1e-15, atol=0.0)
+
+
+@st.composite
+def _scalar(draw):
+    """Ascending coefficients of a scalar of degree 0..10 at a scale
+    ``10^-100 .. 10^100``; its leading coefficient is at least a tenth of
+    the scale, so the trim keeps it."""
+    d = draw(st.integers(0, 10))
+    lower = draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d))
+    lead = draw(st.floats(0.1, 1.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    return np.array(lower + [lead]) * 10.0 ** draw(st.integers(-100, 100))
+
+
+class TestScalarReduction:
+    """A nonzero scalar is column reduced as it stands: its reduction is
+    closed form, equals the first chain of the matrix loop's, and factors
+    nothing."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_scalar())
+    def test_closed_form_is_the_loop_chain(self, c):
+        R = PolyMatrix(c[:, None, None])
+        r = R.coeffs[:, 0, 0]
+        d = len(r) - 1
+        red = column_reduce(R)
+        assert red.Rp is R and red.degrees == (d,)
+        assert red.U is red.Uinv and np.array_equal(red.U.coeffs, np.ones((1, 1, 1)))
+        # xi Psi = A_c Psi + B_c R on the stacks, Psi the rows xi^k (k < d)
+        psi = np.eye(d, d + 1)
+        rhs = red.Ac @ psi + red.Bc @ r[None, :]
+        terms = np.abs(red.Ac) @ psi + np.abs(red.Bc) @ np.abs(r)[None, :]
+        assert np.all(np.abs(np.eye(d, d + 1, k=1) - rhs) <= 4e-16 * terms)
+        # diag(r, r_d) runs the loop; its second column, a constant at the
+        # leading coefficient's scale, adds no state
+        G = np.zeros((d + 1, 2, 2))
+        G[:, 0, 0], G[0, 1, 1] = r, r[-1]
+        loop = column_reduce(PolyMatrix(G))
+        assert loop.degrees == (d, 0)
+        # every matrix reduced as it stands shares one identity per size
+        assert red.U is column_reduce(PolyMatrix(np.ones((1, 1, 1)))).U
+        assert loop.U is loop.Uinv is column_reduce(PolyMatrix(np.eye(2))).U
+        np.testing.assert_array_equal(red.Ac, loop.Ac)
+        np.testing.assert_array_equal(red.Bc, loop.Bc[:, :1])
+        np.testing.assert_array_equal(red.O, loop.O[:1])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_scalar())
+    def test_det_roots_are_the_roots(self, c):
+        R = PolyMatrix(c[:, None, None])
+        ref = np.roots(R.coeffs[::-1, 0, 0])
+        big = max(1.0, np.abs(ref).max(initial=0.0))
+        # a multiple root splits by eps^(1/m) either way: only separated ones compare
+        gaps = np.abs(ref[:, None] - ref[None, :]) + np.diag(np.full(len(ref), np.inf))
+        assume(gaps.min(initial=np.inf) > 1e-3 * big)
+        got = R.det_roots
+        assert len(got) == len(ref)
+        for a, b in ((got, ref), (ref, got)):
+            near = np.abs(a[:, None] - b[None, :]).min(axis=1, initial=np.inf)
+            assert np.all(near <= 1e-8 * big)
+
+    def test_zero_scalar_is_singular(self):
+        with pytest.raises(ValueError, match=r"^matrix is singular \(a column reduces to zero\)$"):
+            column_reduce(PolyMatrix(np.zeros((1, 1, 1))))
+
+    def test_constant_has_no_state(self):
+        R = PolyMatrix.from_entries([[[3.0]]])
+        red = column_reduce(R)
+        assert red.degrees == (0,) and R.det_roots.shape == (0,)
+        assert (red.Ac.shape, red.Bc.shape, red.O.shape) == ((0, 0), (0, 1), (1, 0))
+        with pytest.raises(ValueError, match="mode 1 has constant det R"):
+            check_mode(1, R)
+
+    @pytest.mark.parametrize("c", [[5e-324], [1e-310, 5e-320]])
+    def test_subnormal_leading_coefficient(self, c):
+        # 1 / r_d overflows: a NonFiniteError, and no RuntimeWarning
+        with pytest.raises(NonFiniteError, match="^the leading column matrix has no inverse"):
+            column_reduce(PolyMatrix(np.array(c)[:, None, None]))
+
+    def test_takes_no_svd_or_inv(self, monkeypatch, tmp_path):
+        # every reduction of the scalar positive-real route is closed form;
+        # a 2 x 2 mode still runs the loop through the counted functions
+        calls = []
+
+        def counted(name):
+            fn = getattr(np.linalg, name)
+            return lambda *a, **k: calls.append(name) or fn(*a, **k)
+
+        linalg = ModuleProxy(np.linalg, svd=counted("svd"), inv=counted("inv"))
+        monkeypatch.setattr(polymat, "np", ModuleProxy(np, linalg=linalg))
+        r1, r2 = (str(MODELS / f"standard_scalar_{r}.json") for r in ("r1", "r2"))
+        for action in ("sprcheck", "mlf", "complete"):
+            assert main(["posreal", action, "--r1", r1, "--r2", r2]) == 0
+        assert calls == []
+        column_reduce(_family_mode())
+        assert calls == ["svd", "svd", "inv"]
