@@ -20,18 +20,25 @@ ball barrier bounds the search region, since the LMI systems produced by the
 Lyapunov assemblies are homogeneous in the unknowns.
 
 The Newton loop works on the compiled affine data alone.  Cones of equal
-size are stacked, with their coefficient matrices symmetrised once, and each
-trial point is factored once: one batched eigendecomposition
-``S = V diag(lam) V^T`` per size group.  It gives the domain test
-(``lam > 0``), the log-det (``sum log lam``), the Hessian factor
-``W = diag(lam)^{-1/2} V^T`` (the Hessian is ``Wf^T Wf`` over the stacked
-``vec(W B_j W^T)``) and, since ``s`` enters every slack as ``s I``, each
-cone's margin ``lam_min - s + eps``.
+size are stacked, with their coefficient matrices symmetrised once; the
+stacks of sizes ``m`` and ``m + 1`` merge into one of size ``m + 1``, each
+smaller cone padded by a diagonal entry 1 that no variable and no ``s``
+reaches, so its log-det, gradient and Hessian are the cone's own.  Each
+trial point is factored once: one batched Cholesky ``S = L L^T`` per stack
+(Vandenberghe & Boyd, *SIAM Review* 38(1), 1996).  The factorization
+succeeding is the domain test, ``2 sum log diag L`` is the log-det, and at
+an accepted iterate one batched inverse gives the Hessian factor
+``W = L^{-1}``: ``S^{-1} = W^T W``, and the Hessian is ``Wf^T Wf`` over the
+stacked ``vec(W B_j W^T)``.
 
 The barrier parameter starts at ``t0 = max(1, sum_i tr S_i^{-1})`` at the
-starting point: the barrier's pull on ``s`` there, so the start is centred
-along ``s`` and the first centering does not spend its steps growing ``s``
-(Boyd & Vandenberghe, section 11.3.1, choose ``t0`` from the start point).
+starting point, with ``tr S_i^{-1} = |W_i|_F^2``: the barrier's pull on
+``s`` there, so the start is centred along ``s`` and the first centering
+does not spend its steps growing ``s`` (Boyd & Vandenberghe, section
+11.3.1, choose ``t0`` from the start point).  The start's ``s`` comes from
+one ``eigvalsh`` of its slacks, the only eigenvalues the search takes; it
+is doubled while the shifted slacks do not factor, which happens when it
+lies below their rounding.
 Every iterate decreases the centering objective: a backtracking line
 search that reaches its shortest step (``alpha <= 1e-13``) without a
 decrease, off the barrier's domain or not, ends the centering at the
@@ -39,10 +46,15 @@ current point instead of taking that step.
 
 A certificate is accepted by one rule, :func:`accepts`: every margin is at
 least ``eps / 2``.  ``verify`` judges a warm start before anything is
-compiled.  Iterates are pre-checked on the factored eigenvalues, mirroring
-that rule; ``verify`` re-checks an accepted iterate and the final one, and
-the report's margins and ``feasible`` flag are :func:`accepts` of its
-margins.
+compiled, and a warm start with a non-finite entry is rejected first.
+Since ``s`` enters every slack as ``s E_i`` (``E_i`` the cone's identity),
+a cone's margin is ``lambda_min(S_i) - s + eps``, and iterates are
+pre-checked against that rule without eigenvalues: rejected when a
+diagonal entry of a slack is below ``s - eps / 2`` (``lambda_min <= min
+diag``), else accepted when every ``S_i - (s - eps / 2) E_i`` has a
+Cholesky factor.  ``verify`` re-checks an accepted iterate and the final
+one, and the report's margins and ``feasible`` flag are :func:`accepts` of
+its margins.
 
 The search stops without a certificate when a centering ends with
 ``s - 2 nu / t > eps``, where ``nu`` (one plus the sum of the cone sizes) is
@@ -129,61 +141,128 @@ class Constraint:
 
 @dataclass(frozen=True)
 class _ConeGroup:
-    """The cones of one size ``m``, stacked: slack ``C_i + sum_j x_j B_ij``.
+    """Cones stacked to one size ``m``: slack ``C_i + sum_j x_j B_ij``.
 
     Signs are folded in so that every cone reads ``slack >= 0``.  The last
     coordinate of ``x`` is the phase-I violation ``s``, whose coefficient is
-    the identity.  A slack's smallest eigenvalue at ``s = 0``, plus ``eps``,
-    is the constraint's margin.
+    each cone's identity ``E_i``.  A cone smaller than ``m`` is padded: its
+    extra diagonal entries hold 1 in ``C`` and 0 in ``B`` (the ``s`` column
+    too), so the padded slack is ``diag(slack_i, I)``, with the same
+    log-det, gradient and Hessian.  A slack's smallest eigenvalue at
+    ``s = 0``, plus ``eps``, is the constraint's margin.
     """
 
     C: np.ndarray  # (g, m, m), symmetric
     B: np.ndarray  # (g, m*m, npar + 1), every B_ij symmetric
+    E: np.ndarray  # (g, m) bool: the diagonal of E_i, False on padding
 
     @classmethod
-    def stack(cls, m, cones, eps):
-        """Stack same-size ``(constraint, c0, A)`` cones."""
+    def stack(cls, cones, eps):
+        """Stack ``(constraint, c0, A, size)`` cones, padded to the largest size."""
+        m = max(mi for *_, mi in cones)
         g, npar = len(cones), cones[0][2].shape[1]
-        sgn = np.array([1.0 if c.sense == "psd" else -1.0 for c, _, _ in cones])
-        c0 = np.array([c0 for _, c0, _ in cones])
-        A = np.array([A for _, _, A in cones])
-        # required eigenvalue level after the sign flip: 2 eps on a strict
-        # cone, whose margin is lambda_min - eps, leaves headroom over the
-        # eps/2 acceptance
-        rho = np.array([2.0 * eps if c.strict else 0.0 for c, _, _ in cones])
-        C = sgn[:, None, None] * c0.reshape(g, m, m)
-        C = 0.5 * (C + C.transpose(0, 2, 1)) - rho[:, None, None] * np.eye(m)
-        Bv = sgn[:, None, None, None] * A.reshape(g, m, m, npar)
-        B = np.empty((g, m, m, npar + 1))
-        B[..., :npar] = 0.5 * (Bv + Bv.transpose(0, 2, 1, 3))
-        B[..., npar] = np.eye(m)
-        return cls(C, B.reshape(g, m * m, npar + 1))
+        C = np.zeros((g, m, m))
+        B = np.zeros((g, m, m, npar + 1))
+        E = np.zeros((g, m), dtype=bool)
+        sizes = np.array([mi for *_, mi in cones])
+        for mi in np.unique(sizes).tolist():
+            idx = np.flatnonzero(sizes == mi)
+            same = [cones[i] for i in idx]
+            sgn = np.array([1.0 if c.sense == "psd" else -1.0 for c, *_ in same])
+            c0 = np.array([c0 for _, c0, _, _ in same])
+            A = np.array([A for _, _, A, _ in same])
+            # required eigenvalue level after the sign flip: 2 eps on a strict
+            # cone, whose margin is lambda_min - eps, leaves headroom over the
+            # eps/2 acceptance
+            rho = np.array([2.0 * eps if c.strict else 0.0 for c, *_ in same])
+            Ci = sgn[:, None, None] * c0.reshape(-1, mi, mi)
+            Ci = 0.5 * (Ci + Ci.transpose(0, 2, 1))
+            C[idx, :mi, :mi] = Ci - rho[:, None, None] * np.eye(mi)
+            Bv = sgn[:, None, None, None] * A.reshape(-1, mi, mi, npar)
+            B[idx, :mi, :mi, :npar] = 0.5 * (Bv + Bv.transpose(0, 2, 1, 3))
+            B[idx, :mi, :mi, npar] = np.eye(mi)
+            E[idx, :mi] = True
+        diag = np.arange(m)
+        C[:, diag, diag] += ~E
+        return cls(C, B.reshape(g, m * m, npar + 1), E)
 
     @property
     def size(self) -> int:
         """Sum of the cone sizes, the group's share of the barrier parameter."""
-        return self.C.shape[0] * self.C.shape[1]
+        return int(np.count_nonzero(self.E))
+
+    @property
+    def pads(self) -> int:
+        """Padded diagonal entries, each an eigenvalue 1 of its padded slack."""
+        return self.E.size - self.size
 
     def slack(self, x: np.ndarray) -> np.ndarray:
         g, m, _ = self.C.shape
         return self.C + (self.B @ x).reshape(g, m, m)
 
-    def barrier_terms(
-        self, lam: np.ndarray, V: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def lam_min(self, S: np.ndarray) -> np.ndarray:
+        """Each cone's smallest eigenvalue of the slacks ``S``, padding
+        excluded: one ``eigvalsh`` per cone size."""
+        sizes = np.count_nonzero(self.E, axis=1)
+        out = np.empty(len(S))
+        for m in np.unique(sizes).tolist():
+            idx = sizes == m
+            out[idx] = np.linalg.eigvalsh(S[idx, :m, :m])[:, 0]
+        return out
+
+    def above(self, S: np.ndarray, level: float) -> bool:
+        """Every cone's ``lambda_min`` of ``S`` exceeds ``level``, without
+        eigenvalues: false when a diagonal entry is below ``level`` (since
+        ``lambda_min <= min diag``), else whether ``S_i - level E_i`` has a
+        Cholesky factor."""
+        m = S.shape[1]
+        diag = np.arange(m)
+        if S[:, diag, diag][self.E].min() < level:
+            return False
+        T = S.copy()
+        T[:, diag, diag] -= level * self.E
+        try:
+            np.linalg.cholesky(T)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    def barrier_terms(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradient and Hessian factor of ``-sum_i log det slack_i``.
 
-        ``lam, V`` are the slacks' eigendecompositions.  With
-        ``W = diag(lam_i)^{-1/2} V_i^T`` the rows ``vec(W B_ij W^T)`` give the
+        ``W`` are the inverses ``L_i^{-1}`` of the slacks' Cholesky factors,
+        so ``slack_i^{-1} = W_i^T W_i``.  The rows ``vec(W B_ij W^T)`` give the
         Hessian as ``rows^T rows`` and the gradient as minus their traces
-        (every ``m + 1``-th row holds a diagonal entry).
+        (every ``m + 1``-th row holds a diagonal entry); padding gives zero
+        rows.
         """
-        g, m, _ = V.shape
-        W = V.transpose(0, 2, 1) / np.sqrt(lam)[:, :, None]
+        g, m, _ = W.shape
         kron = W[:, :, None, :, None] * W[:, None, :, None, :]  # W (x) W
         rows = kron.reshape(g, m * m, m * m) @ self.B
         grad = -rows[:, :: m + 1].sum(axis=(0, 1))
         return grad, rows.reshape(g * m * m, -1)
+
+
+def _cone_groups(compiled, eps) -> list[_ConeGroup]:
+    """The stacks of the compiled ``(constraint, c0, A, size)`` cones.
+
+    Cones of one size share a stack.  Sizes ``m`` and ``m + 1`` share the
+    larger one's stack, taken from the largest size down, so each padded
+    cone gains one diagonal entry; sizes further apart keep their own
+    stacks, since padding by more costs more than a second stack saves.
+    """
+    by_size: dict[int, list] = {}
+    for cone in compiled:
+        by_size.setdefault(cone[3], []).append(cone)
+    sizes = sorted(by_size, reverse=True)
+    groups = []
+    while sizes:
+        m = sizes.pop(0)
+        cones = by_size[m]
+        if sizes and sizes[0] == m - 1:
+            cones = cones + by_size[sizes.pop(0)]
+        groups.append(_ConeGroup.stack(cones, eps))
+    return groups
 
 
 @dataclass
@@ -305,22 +384,27 @@ class LmiProblem:
         Introduces a scalar ``s`` bounding the worst cone violation and
         minimizes ``t*s`` plus log-det barriers on the shifted slacks for an
         increasing sequence of ``t``; each centering is a damped Newton
-        iteration.  ``budget`` caps the total number of Newton steps, and the
-        search stops early once the duality-gap bound shows that no point in
-        the search ball can be accepted (module docstring).  Returns a report
-        whose ``feasible`` flag is :func:`accepts` of an independent margin
-        re-check.  A ``warm_start`` that :meth:`verify` accepts is returned
-        as given, with 0 iterations, before anything is compiled.
+        iteration.  Each trial point is factored by a batched Cholesky per
+        cone stack, stacks of sizes ``m`` and ``m + 1`` merged, and iterates
+        are pre-checked on those factors (module docstring).  ``budget``
+        caps the total number of Newton steps, and the search stops early
+        once the duality-gap bound shows that no point in the search ball
+        can be accepted.  Returns a report whose ``feasible`` flag is
+        :func:`accepts` of an independent margin re-check.  A ``warm_start``
+        with a non-finite entry is a ``ValueError`` that names the variable;
+        one that :meth:`verify` accepts is returned as given, with 0
+        iterations; both before anything is compiled.
         """
         if warm_start:
+            for name, V in warm_start.items():
+                if not np.isfinite(np.asarray(V, dtype=float)).all():
+                    raise ValueError(f"warm start '{name}' has a non-finite entry")
             margins = self.verify(warm_start, eps)
             if accepts(margins, eps):
                 return SolveReport(True, 0, margins, dict(warm_start))
-        cones = {}
-        for c, c0, A, m in self._compile():
-            cones.setdefault(m, []).append((c, c0, A))
-        groups = [_ConeGroup.stack(m, same_size, eps) for m, same_size in sorted(cones.items())]
+        groups = _cone_groups(self._compile(), eps)
         nu = 1.0 + sum(g.size for g in groups)
+        pads = sum(g.pads for g in groups)
         npar = self.n_params
         z = self._pack(warm_start) if warm_start else np.zeros(npar)
 
@@ -331,28 +415,30 @@ class LmiProblem:
             margins = self.verify(values, eps)
             return SolveReport(accepts(margins, eps), it, margins, values)
 
-        def factor(x) -> list:
-            """``(lam, V)``: every group's slack eigendecomposition at ``x``."""
-            return [np.linalg.eigh(g.slack(x)) for g in groups]
+        def factor(x) -> list | None:
+            """``(S, L)``: every group's slacks at ``x`` and their Cholesky
+            factors; ``None`` off the barrier's domain, where one fails."""
+            try:
+                return [(S, np.linalg.cholesky(S)) for S in (g.slack(x) for g in groups)]
+            except np.linalg.LinAlgError:
+                return None
 
-        def inside(eigs) -> bool:
-            """Every slack positive definite: the barrier's domain in ``x``."""
-            return all(lam[:, 0].min() > 0.0 for lam, _ in eigs)
-
-        def accepted(x, eigs) -> bool:
-            """Mirrors :func:`accepts` of ``verify``'s margins on the compiled data.
+        def accepted(x, facs) -> bool:
+            """Mirrors :func:`accepts` of ``verify``'s margins on the compiled
+            data: every ``lambda_min - s + eps`` is at least ``eps / 2``.
 
             A pre-check only: ``report`` re-checks every iterate it passes.
             """
-            return not any((lam[:, 0] + (eps - x[npar])).min() < eps / 2 for lam, _ in eigs)
+            level = x[npar] - eps / 2
+            return all(g.above(S, level) for g, (S, _) in zip(groups, facs))
 
-        def shifted(eigs, ds) -> list:
-            """The factors after ``s += ds``: ``s`` enters every slack as ``s I``."""
-            return [(lam + ds, V) for lam, V in eigs]
+        def inverses(facs) -> list:
+            """The Hessian factors ``W = L^{-1}``: one batched inverse per group."""
+            return [np.linalg.inv(L) for _, L in facs]
 
         x = np.append(z, 0.0)
-        eigs = factor(x)
-        if accepted(x, eigs) and (rep := report(x)).feasible:
+        lams = [g.lam_min(g.slack(x)) for g in groups]
+        if not any((lam + eps).min() < eps / 2 for lam in lams) and (rep := report(x)).feasible:
             return rep
         if not groups or npar == 0:
             return report(x)
@@ -360,23 +446,31 @@ class LmiProblem:
         radius_sq = (1e3 * (1.0 + np.linalg.norm(z))) ** 2
         eye_z = np.eye(npar)
 
-        def barrier(x, eigs) -> float:
+        def barrier(x, facs) -> float:
             """``-log ball - sum_i log det slack_i``; infinite off the domain."""
             ball = radius_sq - x[:npar] @ x[:npar]
-            if ball <= 0.0 or not inside(eigs):
+            if ball <= 0.0 or facs is None:
                 return np.inf
-            return -np.log(ball) - sum(np.log(lam).sum() for lam, _ in eigs)
+            logdet = sum(np.log(np.diagonal(L, axis1=1, axis2=2)).sum() for _, L in facs)
+            return -np.log(ball) - 2.0 * logdet
 
-        lam_min = min(lam[:, 0].min() for lam, _ in eigs)
+        lam_min = min(lam.min() for lam in lams)
         x[npar] = 1.5 * max(0.0, -lam_min) + 0.1 * max(1e-6, abs(lam_min))
-        eigs = shifted(eigs, x[npar])
-        # centred along s: d/ds (t s - sum log det) = t - sum tr S^{-1} = 0
-        t = max(1.0, sum(np.sum(1.0 / lam) for lam, _ in eigs))
-        phi = barrier(x, eigs)
+        facs = factor(x)
+        while facs is None and np.isfinite(x[npar]):
+            x[npar] *= 2.0  # the shift is below the slacks' rounding
+            facs = factor(x)
+        if facs is None:
+            return report(x)
+        W = inverses(facs)
+        # centred along s: d/ds (t s - sum log det) = t - sum tr S^{-1} = 0,
+        # with tr S^{-1} = |W|_F^2 less one per padded entry
+        t = max(1.0, sum(np.sum(w * w) for w in W) - pads)
+        phi = barrier(x, facs)
         while it < budget and t <= 1e18:
             while it < budget:
                 it += 1
-                terms = [g.barrier_terms(*e) for g, e in zip(groups, eigs)]
+                terms = [g.barrier_terms(w) for g, w in zip(groups, W)]
                 grad = sum(g_i for g_i, _ in terms)
                 hess = sum(rows.T @ rows for _, rows in terms)
                 z = x[:npar]
@@ -395,16 +489,17 @@ class LmiProblem:
                 alpha = 1.0
                 while True:
                     trial = x + alpha * step
-                    trial_eigs = factor(trial)
-                    trial_phi = barrier(trial, trial_eigs)
+                    trial_facs = factor(trial)
+                    trial_phi = barrier(trial, trial_facs)
                     if t * trial[npar] + trial_phi < f0 or alpha <= 1e-13:
                         break
                     alpha *= 0.5
                 if not t * trial[npar] + trial_phi < f0:
                     break  # even the shortest trial decreases nothing: stay at x
-                x, eigs, phi = trial, trial_eigs, trial_phi
-                if accepted(x, eigs) and (rep := report(x)).feasible:
+                x, facs, phi = trial, trial_facs, trial_phi
+                if accepted(x, facs) and (rep := report(x)).feasible:
                     return rep
+                W = inverses(facs)
                 if decrement < 0.1:
                     break
             # stall rule: at a centred point, s - 2 nu / t is below every s

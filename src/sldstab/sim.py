@@ -22,6 +22,7 @@ The trace keeps the ``(k, n)`` state array of each segment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +89,27 @@ class Trace:
         self.truncated = truncated
 
     def w_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.outputs, axis=1)
+        return _norms(self.outputs)
+
+
+def _norms(X) -> np.ndarray:
+    """Euclidean norms along the last axis, without overflow or underflow.
+
+    A row whose plain norm lies outside ``(1e-150, 1e150)``, where a square
+    may have left double precision, is recomputed as ``m |x / m|`` with
+    ``m = max |x|``; a row with a non-finite entry keeps ``m`` (``inf`` or
+    ``NaN``) as its norm.
+    """
+    X = np.asarray(X, dtype=float)
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(X, axis=-1)
+    bad = ~((n > 1e-150) & (n < 1e150))
+    if bad.any():
+        Y = X[bad]
+        m = np.max(np.abs(Y), axis=-1, initial=0.0)
+        scale = np.where(np.isfinite(m) & (m > 0.0), m, 1.0)
+        n[bad] = np.where(np.isfinite(m), scale * np.linalg.norm(Y / scale[:, None], axis=-1), m)
+    return n
 
 
 def _powers(E: np.ndarray) -> np.ndarray:
@@ -127,7 +148,8 @@ def simulate(
     (range condition violated beyond tolerance) flags the trace as truncated
     and stops there.  Invalid input raises ``ValueError`` before anything is
     propagated: a grid of more than ``MAX_SAMPLES`` samples, a mode out of
-    range, a transition the model lacks or a certificate that does not fit.
+    range, a transition the model lacks, a certificate that does not fit or
+    an ``x0`` whose value ``x0^T K x0`` under it is not finite.
     """
     for name, v in (("t_end", t_end), ("sample_dt", sample_dt)):
         if not (np.isfinite(v) and v > 0):
@@ -153,6 +175,13 @@ def simulate(
     if certificate is not None:
         check_fits(model, certificate)
         kernels = [np.asarray(K, dtype=float) for K in certificate.kernels]
+        with np.errstate(over="ignore", invalid="ignore"):
+            v0 = x @ kernels[mode - 1] @ x
+        if not np.isfinite(v0):
+            raise ValueError(
+                f"x0^T K x0 is not finite for mode {mode}'s kernel K (got {v0}); "
+                "rescale x0"
+            )
     rmaps = model.reinits
     nf = model.normal_form_pairs
 
@@ -221,8 +250,9 @@ def simulate(
         pair = nf[key]
         glued_plus, glued_minus = pair.f_plus @ x_plus, pair.f_minus @ x_minus
         # judged against the terms it sums, at any scale of the state
-        resid = np.linalg.norm(glued_plus - glued_minus)
-        scale = np.linalg.norm(glued_plus) + np.linalg.norm(glued_minus)
+        # math.hypot squares nothing, so a large state does not overflow
+        resid = math.hypot(*(glued_plus - glued_minus))
+        scale = math.hypot(*glued_plus) + math.hypot(*glued_minus)
         ev = {
             "time": end,
             "from": mode,

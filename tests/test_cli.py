@@ -284,6 +284,29 @@ class TestSimulate:
         assert rc == 1
         assert "inconsistent transition" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("x0", ["1", "1e150", "1e300"])
+    def test_decay_verdict_at_any_state_scale(self, capsys, x0):
+        # |w| squared overflowed above about 1e154: the norms read inf at
+        # both ends, and inf <= 1e-6 inf printed "decayed: True"
+        rc = main(["simulate", ELCIRC, "--signal", SIGNAL, "--x0", x0,
+                   "--t-end", "7", "--dt", "0.01"])
+        assert rc == 0
+        assert "decayed: False" in capsys.readouterr().out
+
+    def test_start_value_that_overflows_exits_1(self, tmp_path, capsys):
+        # x0^T K x0 overflowed and the audit counted 719 violations (exit 3)
+        # of a certificate that verifies
+        cert = tmp_path / "cert.json"
+        assert main(["check", ELCIRC, "--out", str(cert)]) == 0
+        assert main(["check", ELCIRC, "--verify-only", str(cert)]) == 0
+        capsys.readouterr()
+        rc = main(["simulate", ELCIRC, "--signal", SIGNAL, "--x0", "1e160",
+                   "--t-end", "7", "--dt", "0.01", "--cert", str(cert)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "x0" in captured.err and "not finite" in captured.err
+        assert "audit" not in captured.out
+
 
 def _cut_to_one_mode(doc):
     doc["modes"] = doc["modes"][:1]

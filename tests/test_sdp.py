@@ -1,8 +1,11 @@
 import time
+from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sldstab.mlf import (
     EPS_REL,
@@ -12,10 +15,10 @@ from sldstab.mlf import (
     problem_scale,
     verify_mlf,
 )
-from sldstab.model import load_model
+from sldstab.model import load_model, model_from_json
 from sldstab.polymat import PolyMatrix
 from sldstab.posreal import build_standard_slds, mlf_from_positive_real
-from sldstab.sdp import LmiProblem, _ConeGroup, accepts
+from sldstab.sdp import Constraint, LmiProblem, _ConeGroup, _cone_groups, accepts
 
 from modeltools import CORPUS, corpus_model
 
@@ -72,6 +75,18 @@ class TestFeasible:
         rep = prob.solve(eps=1e-7, warm_start={"K": np.array([[1.0]])})
         assert rep.feasible
         assert rep.iterations == 0
+
+    def test_start_shift_below_rounding_is_grown(self):
+        # K + 1e12 V V^T >= 0 with V of rank two: the start's s, a tenth of
+        # |lambda_min| ~ 1e-4, can sit below the slack's rounding, so that
+        # S + s I does not factor; s doubles until it does, and the search
+        # certifies as it did with eigenvalues shifted by s
+        V = np.random.default_rng(10).standard_normal((4, 2))
+        prob = LmiProblem()
+        prob.add_symmetric("K", 4)
+        prob.add_constraint("big", [("K", None, None)], "psd", const=1e12 * V @ V.T)
+        rep = prob.solve(1e-6, budget=200)
+        assert rep.feasible and rep.iterations > 0
 
 
 def _contradictory_problem(n):
@@ -196,6 +211,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             prob.solve(eps=1e-8)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_warm_start_named(self, monkeypatch, bad):
+        # a NaN start ran 14 Newton steps and returned NaN margins; it is
+        # rejected before anything is compiled
+        prob = _lyapunov_problem(np.array([[-1.0, 2.0], [0.0, -3.0]]))
+        start = np.eye(2)
+        start[0, 1] = start[1, 0] = bad
+        compiled = []
+        monkeypatch.setattr(LmiProblem, "_compile", lambda self: compiled.append(self))
+        with pytest.raises(ValueError, match="warm start 'K' has a non-finite entry"):
+            prob.solve(1e-7, warm_start={"K": start})
+        assert compiled == []
+
 
 class TestDeclaredTerms:
     @pytest.mark.parametrize("name", CORPUS)
@@ -245,24 +273,143 @@ class TestNonSymmetricExpression:
         assert raw.iterations == sym.iterations > 0
 
 
-class TestEigenFactor:
+class TestCholeskyFactor:
     def test_barrier_terms_match_closed_forms(self):
         # gradient -tr(S^-1 B_j) and Hessian tr(S^-1 B_j S^-1 B_k), summed
-        # over the stacked cones, from W = diag(lam)^(-1/2) V^T
+        # over the stacked cones, from W = L^-1 of S = L L^T
         rng = np.random.default_rng(3)
         g, m, n = 4, 3, 5
         M = rng.standard_normal((g, m, m))
         S = M @ M.transpose(0, 2, 1) + 0.5 * np.eye(m)
         Bm = rng.standard_normal((g, m, m, n))
         Bm = Bm + Bm.transpose(0, 2, 1, 3)
-        group = _ConeGroup(S, Bm.reshape(g, m * m, n))
-        grad, rows = group.barrier_terms(*np.linalg.eigh(S))
+        group = _ConeGroup(S, Bm.reshape(g, m * m, n), np.ones((g, m), dtype=bool))
+        grad, rows = group.barrier_terms(np.linalg.inv(np.linalg.cholesky(S)))
         Si = np.linalg.inv(S)
         SiB = np.einsum("gab,gbcj->gacj", Si, Bm)
         want_grad = -np.einsum("gaaj->j", SiB)
         want_hess = np.einsum("gabj,gbak->jk", SiB, SiB)
         assert np.allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
         assert np.allclose(rows.T @ rows, want_hess, rtol=1e-11, atol=1e-11)
+
+    def test_newton_loop_makes_no_eigh(self, monkeypatch):
+        # each trial point is factored by Cholesky; the start's eigenvalues
+        # come from eigvalsh
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        model = load_model(MODELS / "source_converter_4mode.json")
+        _, _, report = _converter_search(model, strict=True)
+        assert report.feasible and report.iterations == 33
+        assert calls == []
+
+
+def _random_cones(rng, sizes, npar):
+    """``(constraint, c0, A, size)`` cones of mixed sense and strictness whose
+    slacks are positive definite near ``x = 0``."""
+    cones = []
+    for i, m in enumerate(sizes):
+        sense = "psd" if rng.random() < 0.5 else "nsd"
+        sign = 1.0 if sense == "psd" else -1.0
+        M = rng.standard_normal((m, m))
+        c0 = sign * (M @ M.T + np.eye(m)).ravel()
+        A = rng.standard_normal((m * m, npar))
+        cones.append((Constraint(f"c{i}", (), sense, bool(rng.random() < 0.5)), c0, A, m))
+    return cones
+
+
+def _barrier_parts(groups, x):
+    """Log-det, gradient and Hessian of ``-sum log det slack`` over ``groups``."""
+    logdet, grad, hess = 0.0, 0.0, 0.0
+    for g in groups:
+        L = np.linalg.cholesky(g.slack(x))
+        logdet += 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum()
+        g_grad, rows = g.barrier_terms(np.linalg.inv(L))
+        grad, hess = grad + g_grad, hess + rows.T @ rows
+    return logdet, grad, hess
+
+
+class TestMergedStacks:
+    @pytest.mark.parametrize("sizes", [(1, 2, 1, 2, 2), (3, 2, 3, 2)])
+    def test_merged_stack_is_the_separate_stacks(self, sizes):
+        # sizes m and m + 1 share one stack, the smaller cones padded with a
+        # unit diagonal entry that carries no variable and no s
+        rng = np.random.default_rng(sum(sizes))
+        npar, eps = 4, 1e-6
+        cones = _random_cones(rng, sizes, npar)
+        (merged,) = _cone_groups(cones, eps)
+        assert merged.C.shape[1] == max(sizes)
+        assert merged.size == sum(sizes) and merged.pads == sizes.count(min(sizes))
+        separate = [
+            _ConeGroup.stack([c for c in cones if c[3] == m], eps) for m in sorted(set(sizes))
+        ]
+        x = 0.05 * rng.standard_normal(npar + 1)
+        for got, want in zip(_barrier_parts([merged], x), _barrier_parts(separate, x)):
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        S = merged.slack(x)
+        lam = np.concatenate([g.lam_min(g.slack(x)) for g in separate])
+        assert np.allclose(np.sort(merged.lam_min(S)), np.sort(lam), rtol=1e-12)
+        for level in (lam.min() - 1e-6, lam.min() + 1e-6):
+            assert merged.above(S, level) == all(g.above(g.slack(x), level) for g in separate)
+
+    @pytest.mark.parametrize(
+        "name, stacks",
+        [
+            ("concond", [2]),
+            ("source_converter_4mode", [3]),
+            ("source_converter_6mode", [3]),
+            ("probe", [1, 12]),
+        ],
+    )
+    def test_stack_sizes(self, name, stacks):
+        # sizes 12 and 1 keep two stacks: padding 11 entries per scalar cone
+        # costs more than the second stack saves
+        if name == "probe":
+            xi1_12 = [[[float(comb(12, k)) for k in range(13)]]]
+            model = model_from_json({
+                "variables": 1,
+                "modes": [xi1_12, [[[2.0, 1.0]]]],
+                "gluing": [
+                    {"from": 1, "to": 2, "g_minus": [[[2.0]]], "g_plus": [[[1.0]]]},
+                    {"from": 2, "to": 1, "g_minus": [[[2.0]]] + [[[0.0]]] * 11,
+                     "g_plus": [[[0.0] * k + [1.0]] for k in range(12)]},
+                ],
+            })
+        else:
+            model = load_model(MODELS / f"{name}.json")
+        groups = _cone_groups(assemble_mlf_lmis(model)._compile(), 1e-7)
+        assert sorted(g.C.shape[1] for g in groups) == stacks
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 3), min_size=1, max_size=5),
+        s=st.floats(-2.0, 2.0),
+    )
+    def test_precheck_mirrors_accepts(self, seed, sizes, s):
+        # every cone's margin sits at eps/2 +- eps 10^u, u in [-6, 1]: the
+        # pre-check of an iterate (any s) accepts exactly when accepts() of
+        # verify's margins does, so it never accepts a rejected iterate
+        rng = np.random.default_rng(seed)
+        eps, n = 1e-3, 2
+        K = rng.standard_normal((n, n))
+        values = {"K": K + K.T}
+        prob = LmiProblem()
+        prob.add_symmetric("K", n)
+        for i, m in enumerate(sizes):
+            sense = "psd" if rng.random() < 0.5 else "nsd"
+            strict = bool(rng.random() < 0.5)
+            terms = [("K", rng.standard_normal((n, m)), rng.standard_normal((n, m)))]
+            E0 = Constraint("", terms, sense).expr(values)
+            sign = 1.0 if sense == "psd" else -1.0
+            lam0 = np.linalg.eigvalsh(sign * 0.5 * (E0 + E0.T))[0]
+            margin = eps / 2 + rng.choice([-1.0, 1.0]) * eps * 10.0 ** rng.uniform(-6, 1)
+            shift = (margin + eps if strict else margin - eps) - lam0
+            prob.add_constraint(f"c{i}", terms, sense, strict, const=sign * shift * np.eye(m))
+        x = np.append(prob._pack(values), s)
+        groups = _cone_groups(prob._compile(), eps)
+        prechecked = all(g.above(g.slack(x), s - eps / 2) for g in groups)
+        assert prechecked == accepts(prob.verify(values, eps), eps)
 
 
 class TestPhaseOneStart:

@@ -407,6 +407,18 @@ class TestAsymptotics:
         tr = simulate(model, SwitchingSignal(1, ()), [1.0], t_end=5.0, sample_dt=0.5)
         assert not asymptotic_check(tr)
 
+    @pytest.mark.parametrize("c", [1e-300, 1e300])
+    def test_norms_scale_with_the_state(self, c):
+        # |w| squared leaves double precision at these scales; the norms
+        # of the scaled trace are the norms of the unit trace, scaled
+        model = corpus_model("elcirc")
+        unit, scaled = (
+            simulate(model, _load_signal("elcirc_periodic"), [x0], t_end=7.0, sample_dt=0.5)
+            for x0 in (1.0, c)
+        )
+        assert np.allclose(scaled.w_norms() / c, unit.w_norms(), rtol=1e-12, atol=0.0)
+        assert asymptotic_check(scaled) == asymptotic_check(unit)
+
 
 class TestTruncation:
     @pytest.mark.parametrize("row_scale", [1e-6, 1.0, 1e6])
